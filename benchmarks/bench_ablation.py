@@ -1,13 +1,12 @@
 """Design ablations beyond the paper's explicit baselines.
 
-DESIGN.md calls out four separable design choices; this bench isolates
+DESIGN.md calls out three separable design choices; this bench isolates
 each on a fixed workload (400-reference graph, q(5,7) and q(10,20),
 α = 0.5, L = 3):
 
 * context pruning on/off (Section 5.2.2),
 * reduction by structure only vs structure + upperbounds (Section 5.2.4),
-* greedy vs random decomposition (Section 5.2.1),
-* thread-parallel vs serial reduction (GIL sanity check).
+* greedy vs random decomposition (Section 5.2.1).
 """
 
 import pytest
@@ -26,7 +25,6 @@ ABLATIONS = {
         use_structure_reduction=False, use_upperbound_reduction=False
     ),
     "random-decomposition": QueryOptions(decomposition="random", seed=11),
-    "parallel-reduction": QueryOptions(parallel_reduction=True),
 }
 
 

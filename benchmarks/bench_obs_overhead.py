@@ -11,12 +11,12 @@ instrumented-but-disabled path costs more than 5% over the bare one.
 Two measurements:
 
 * **macro** — the k-partite reduction loop (build + ``reduce()``) run
-  bare, and run with the per-query obs work the engine's default path
-  adds layered on top: the ambient-span resolution, the null-span
-  stage children with their ``set``/``incr`` calls, the
-  :class:`~repro.obs.timing.StageTimings` contexts, and the registry
-  recordings of ``_record_query_metrics``. The gate is the ratio of
-  best-of times.
+  bare, and run the way the engine's default path runs it: the
+  ambient-span resolution, one
+  :class:`~repro.obs.timing.StageRecorder` stage per name of
+  :data:`~repro.obs.timing.STAGES` on the null-span path, and the
+  engine's own registry fold of the recorded seconds. The gate is the
+  ratio of best-of times.
 * **micro** — nanoseconds per individual disabled-path operation
   (null-span child, ``current_span()``, disabled-registry observe,
   enabled counter inc), reported for context, not gated.
@@ -51,62 +51,15 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
 from bench_reduction_core import ALPHA, build_candidate_workload
 
 from repro import __version__
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.timing import StageTimings
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, current_span
+from repro.query.engine import _record_query_metrics
 from repro.query.reduction import VectorizedKPartiteGraph
 
 #: Overhead gate: instrumented-but-disabled must stay within this
 #: factor of the bare loop.
 MAX_OVERHEAD = 1.05
-
-#: Stage keys the engine times per query (see ``StageTimings``).
-STAGES = ("decompose", "candidates", "kpartite", "reduction", "matching")
-
-
-def _simulate_disabled_obs(registry, histograms, counters) -> StageTimings:
-    """Replay the obs work one default-mode engine query performs.
-
-    Mirrors ``QueryEngine.query``/``_evaluate`` with no tracer active:
-    ambient-span resolution, null-span stage children (each with the
-    attribute/counter calls the real stages make), the stage-timing
-    contexts, and the registry recordings of ``_record_query_metrics``.
-    """
-    timings = StageTimings()
-    span = current_span()  # ambient resolution in _query_span
-    span.set("alpha", ALPHA)
-    span.set("graph_version", 0)
-    with span.child("plan") as plan_span:
-        plan_span.set("strategy", "greedy")
-        plan_span.set("source", "greedy")
-        plan_span.set("partitions", 3)
-        plan_span.set("estimated_cost", 1.0)
-    with timings.time("candidates"), span.child("lookup") as lookup_span:
-        for i in range(3):
-            with lookup_span.child("partition", index=i) as path_span:
-                path_span.set("labels", "A-A")
-                path_span.set("raw", 0)
-                path_span.set("pruned", 0)
-        if lookup_span.enabled:
-            lookup_span.incr("store_reads", 0)
-    with timings.time("kpartite"), span.child("link_build") as link_span:
-        if link_span.enabled:
-            link_span.set("backend", "vectorized")
-    with timings.time("reduction"), span.child("reduce") as reduce_span:
-        if reduce_span.enabled:
-            reduce_span.set("rounds", 0)
-    with timings.time("matching"), span.child("match") as match_span:
-        if match_span.enabled:
-            match_span.set("matches", 0)
-    span.set("matches", 0)
-    # _record_query_metrics: one query counter, one match counter, one
-    # total histogram, one histogram per stage.
-    counters[0].inc()
-    counters[1].inc(0)
-    histograms[0].observe(1e-4)
-    for stage, histogram in zip(STAGES, histograms[1:]):
-        histogram.observe(timings.stages.get(stage, 0.0))
-    return timings
 
 
 def bench_macro(num_nodes: int, repeats: int) -> dict:
@@ -115,15 +68,6 @@ def bench_macro(num_nodes: int, repeats: int) -> dict:
         num_nodes
     )
     total_vertices = sum(len(c) for c in candidates.values())
-    registry = get_registry()
-    histograms = [registry.histogram("repro_query_seconds")] + [
-        registry.histogram("repro_query_stage_seconds", stage=stage)
-        for stage in STAGES
-    ]
-    counters = [
-        registry.counter("repro_queries_total"),
-        registry.counter("repro_query_matches_total"),
-    ]
 
     def run_bare() -> float:
         started = time.perf_counter()
@@ -135,11 +79,17 @@ def bench_macro(num_nodes: int, repeats: int) -> dict:
 
     def run_instrumented() -> float:
         started = time.perf_counter()
-        _simulate_disabled_obs(registry, histograms, counters)
-        graph = VectorizedKPartiteGraph(
-            peg, decomposition, candidates, ALPHA, links=links
-        )
-        graph.reduce()
+        recorder = StageRecorder(current_span())
+        for stage in STAGES:
+            with recorder.stage(stage) as span:
+                if stage == "kpartite":
+                    graph = VectorizedKPartiteGraph(
+                        peg, decomposition, candidates, ALPHA, links=links
+                    )
+                elif stage == "reduce":
+                    graph.reduce()
+                span.set("stage", stage)
+        _record_query_metrics(recorder, 0)
         return time.perf_counter() - started
 
     # Interleave the two variants so drift (thermal, page cache) hits

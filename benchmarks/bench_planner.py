@@ -6,7 +6,7 @@ serving:
 * **plan caching** — per-query planning time for a repeated workload
   with the cache on (hits skip candidate enumeration, per-candidate
   histogram estimation and the cover search entirely) vs re-planning
-  every query from scratch, plus the end-to-end decompose-stage share
+  every query from scratch, plus the end-to-end plan-stage share
   of full evaluations on both settings,
 * **exact strategy** — estimated-cost ratio of exact (bitmask-DP) plans
   against greedy plans over the workload (never above 1.0: exact is
@@ -47,6 +47,7 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.delta import AddEntity, UpdateLabelProbability
+from repro.obs.timing import STAGES
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryOptions
 
@@ -127,7 +128,7 @@ def run(num_references: int, distinct: int, repeats: int,
         for query in workload:
             result = engine.query(query, ALPHA, options)
             total += result.total_seconds
-            decompose += result.timings.get("decompose", 0.0)
+            decompose += result.timings[STAGES[0]]
         return decompose, total
 
     fresh_decompose, fresh_total = decompose_share(PLAN_FRESH)

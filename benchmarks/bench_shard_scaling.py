@@ -26,7 +26,6 @@ from benchmarks import harness
 from repro.index import build_path_index, build_sharded_path_index
 from repro.query import QueryEngine, QueryGraph
 from repro.datasets import random_query
-from repro.service.bench import available_cpus
 from repro.obs.timing import Timer
 
 NUM_REFERENCES = 600
@@ -53,7 +52,7 @@ def _best_of(runs: int, build) -> tuple:
 
 
 def test_parallel_shard_build_scaling(peg, tmp_path_factory):
-    cpus = available_cpus()
+    cpus = harness.available_cpus()
     processes = max(2, min(NUM_SHARDS, cpus))
 
     with Timer() as mono_timer:

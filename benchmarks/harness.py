@@ -46,6 +46,14 @@ QUERY_SEEDS = (0, 1, 2)
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
+def available_cpus() -> int:
+    """CPUs usable by this process (affinity-aware when possible)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 # ----------------------------------------------------------------------
 # Cached builders
 # ----------------------------------------------------------------------

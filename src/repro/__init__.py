@@ -77,7 +77,7 @@ from repro.delta import (
     apply_mutations,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "PGD",

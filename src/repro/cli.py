@@ -8,13 +8,14 @@ Commands
     Print the statistics of a saved PEG (nodes, edges, components, ...).
 ``query``
     Run a pattern query (JSON spec) against a saved PEG; ``--trace``
-    prints the span tree of the evaluation (plan, per-partition index
-    lookups with shard fetch counters, link build, reduction rounds,
-    matching) and ``--shards`` evaluates against a hash-sharded index.
+    prints the span tree of the evaluation (one child per stage of
+    :data:`repro.obs.timing.STAGES`, per-partition index lookups with
+    shard fetch counters under ``lookup``) and ``--shards`` evaluates
+    against a hash-sharded index.
 ``metrics``
     Run a query workload and print the process metrics registry in
-    Prometheus text exposition format — stage latency histograms,
-    store read counters, estimator error, plan-cache hits.
+    Prometheus text exposition format — one latency histogram per
+    stage, store read counters, estimator error, plan-cache hits.
 ``plan``
     Print the decomposition the adaptive planner chooses for a query —
     paths, per-path cardinality estimates, estimated cost and plan
@@ -43,9 +44,6 @@ Commands
     Send a query (or ping / stats probe) to a running
     ``serve --listen`` server, with timeouts, bounded retry and a
     circuit breaker.
-``bench-serve``
-    Measure serving latency and throughput (cache hits, worker
-    scaling, repeated workloads).
 
 The query spec is a JSON object::
 
@@ -81,6 +79,7 @@ from repro.datasets import (
     generate_imdb_pgd,
     generate_synthetic_pgd,
 )
+from repro.obs.timing import STAGES
 from repro.peg import build_peg, load_peg, save_peg
 from repro.query import QueryEngine, QueryGraph, QueryOptions, explain
 from repro.utils.errors import ReproError
@@ -171,8 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--trace", action="store_true",
         help=(
-            "record and print the evaluation's span tree (stage "
-            "latencies, per-partition lookup and shard-fetch counters)"
+            "record and print the evaluation's span tree (stages "
+            f"{', '.join(STAGES)}; per-partition lookup and shard-fetch "
+            "counters)"
         ),
     )
     query.add_argument(
@@ -187,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help=(
             "run a query workload and print the metrics registry in "
-            "Prometheus text exposition format"
+            "Prometheus text exposition format (stage= labels: "
+            f"{', '.join(STAGES)})"
         ),
     )
     metrics.add_argument("peg", help="path to a saved PEG")
@@ -438,34 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--call-graph", metavar="FILE", dest="call_graph",
         help="dump the flow checkers' resolved call graph as JSON "
              "('-' = stdout) and exit",
-    )
-
-    bench = commands.add_parser(
-        "bench-serve",
-        help="measure serving latency/throughput (cache, workers, dedup)",
-    )
-    bench.add_argument(
-        "--size", type=int, default=120,
-        help="synthetic graph references (default 120)",
-    )
-    bench.add_argument("--alpha", type=float, default=0.5)
-    bench.add_argument("--max-length", type=int, default=2, dest="max_length")
-    bench.add_argument("--beta", type=float, default=0.1)
-    bench.add_argument(
-        "--distinct", type=int, default=6,
-        help="distinct queries in the workload (default 6)",
-    )
-    bench.add_argument(
-        "--copies", type=int, default=4,
-        help="renamed duplicates per distinct query (default 4)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=4,
-        help="workers in the multi-worker runs (default 4)",
-    )
-    bench.add_argument(
-        "--snapshot",
-        help="bundle directory to reuse (default: a temporary directory)",
     )
     return parser
 
@@ -902,31 +875,6 @@ def _cmd_client(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    import tempfile
-
-    from repro.service.bench import run_serve_benchmark
-
-    def run(directory: str) -> int:
-        report = run_serve_benchmark(
-            directory,
-            num_references=args.size,
-            alpha=args.alpha,
-            max_length=args.max_length,
-            beta=args.beta,
-            num_distinct=args.distinct,
-            copies=args.copies,
-            multi_workers=args.workers,
-        )
-        print(report.render())
-        return 0
-
-    if args.snapshot:
-        return run(args.snapshot)
-    with tempfile.TemporaryDirectory() as directory:
-        return run(directory)
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis.runner import main as analysis_main
 
@@ -958,7 +906,6 @@ def main(argv=None) -> int:
         "apply-updates": _cmd_apply_updates,
         "serve": _cmd_serve,
         "client": _cmd_client,
-        "bench-serve": _cmd_bench_serve,
         "lint": _cmd_lint,
     }
     if args.command in ("serve", "client"):

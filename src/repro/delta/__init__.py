@@ -76,11 +76,12 @@ def apply_mutations(engine, ops, log: MutationLog | None = None) -> dict:
     already-logged entries are not re-logged.
 
     On success the engine's index is (re)wrapped in a
-    :class:`DeltaOverlayIndex`, its context tables and cached
-    probability arrays are rebuilt/invalidated, and ``graph_version``
-    is bumped — exactly once per batch. If an op fails midway, the
-    dirtied prefix is still absorbed and the version still bumped (the
-    PEG has changed), then the error propagates.
+    :class:`DeltaOverlayIndex`, its context tables are rebuilt, and
+    ``graph_version`` is bumped — exactly once per batch; everything
+    the engine derives from the PEG (plans, link structures,
+    probability arrays) is keyed by that version. If an op fails
+    midway, the dirtied prefix is still absorbed and the version still
+    bumped (the PEG has changed), then the error propagates.
     """
     from repro.index.context import build_context
 
@@ -121,15 +122,8 @@ def _apply_mutations(engine, ops, log, build_context) -> dict:
     if dirty:
         if not isinstance(engine.index, DeltaOverlayIndex):
             engine.index = DeltaOverlayIndex(engine.index, engine.peg)
-        # Derived caches above the index invalidate through the
-        # overlay's listener hook on every absorb/compact; registration
-        # is idempotent, so re-registering per batch is safe.
-        invalidate_links = getattr(engine, "invalidate_links", None)
-        if invalidate_links is not None:
-            engine.index.add_invalidation_listener(invalidate_links)
         engine.index.absorb(dirty)
         engine.context = build_context(engine.peg)
-        engine._peg_arrays = None
         engine.graph_version += 1
     if error is not None:
         raise error

@@ -105,23 +105,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
         #: count}`` learned from actual lookups — see
         #: :meth:`estimate_cardinality`.
         self._stale_counts: dict = {}
-        #: Zero-argument callables fired after every :meth:`absorb` and
-        #: :meth:`compact` — derived caches above the index (the
-        #: engine's link-structure cache) invalidate through this hook.
-        self._invalidation_listeners: list = []
-
-    def add_invalidation_listener(self, listener) -> None:
-        """Register a callable fired after every absorb/compact.
-
-        Listeners must be idempotent; a listener registered twice is
-        stored once.
-        """
-        if listener not in self._invalidation_listeners:
-            self._invalidation_listeners.append(listener)
-
-    def _notify_invalidation(self) -> None:
-        for listener in self._invalidation_listeners:
-            listener()
 
     # ------------------------------------------------------------------
     # Mutation maintenance
@@ -151,7 +134,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
         _ABSORB_SECONDS.observe(timer.elapsed)
         _DIRTY_NODES.set(len(self._dirty))
         _DELTA_PATHS.set(self.delta_path_count())
-        self._notify_invalidation()
 
     def _dirty_region(self) -> list:
         """Start nodes that can reach a dirty node within ``max_length``."""
@@ -369,7 +351,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
         _PATHS_ADDED.inc(stats["paths_added"])
         _DIRTY_NODES.set(0)
         _DELTA_PATHS.set(0)
-        self._notify_invalidation()
         return stats
 
     # ------------------------------------------------------------------

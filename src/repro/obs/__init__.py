@@ -9,8 +9,9 @@ Three pieces, threaded through every layer of the repro:
   gauges and log-bucketed latency histograms with Prometheus text
   exposition; ``QueryService.stats_snapshot()`` merges its
   ``snapshot()`` into the service's stats dict.
-- :mod:`repro.obs.timing` — the ``Timer`` / ``StageTimings``
-  primitives (formerly ``repro.utils.timing``).
+- :mod:`repro.obs.timing` — ``Timer``, the stage vocabulary
+  ``STAGES`` and the ``StageRecorder`` that times and names each
+  engine stage once.
 """
 
 from repro.obs.metrics import (
@@ -20,7 +21,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.timing import StageTimings, Timer
+from repro.obs.timing import STAGES, StageRecorder, Timer
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -40,8 +41,9 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
+    "STAGES",
     "Span",
-    "StageTimings",
+    "StageRecorder",
     "Timer",
     "Tracer",
     "current_span",

@@ -1,19 +1,25 @@
-"""Wall-clock timing primitives shared by the tracer and the benches.
+"""Wall-clock timing primitives shared by the engine and the benches.
 
-Home of :class:`Timer` and :class:`StageTimings` (formerly
-``repro.utils.timing``; the compatibility shim has been removed). The
-engine
-keeps reporting its per-stage breakdown through :class:`StageTimings`
-— it is the cheap always-on aggregate — while spans from
-:mod:`repro.obs.trace` add per-query structure on demand.
+Home of :class:`Timer`, the stage vocabulary :data:`STAGES` and
+:class:`StageRecorder` — the one always-on mechanism that delimits a
+stage. A stage is timed once (its ``{stage: seconds}`` mapping feeds
+``QueryResult.timings`` and the registry histograms) and named once
+(the span opened under a traced evaluation carries the same name).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-__all__ = ["Timer", "StageTimings"]
+from repro.obs.trace import NULL_SPAN
+
+__all__ = ["STAGES", "StageRecorder", "Timer"]
+
+#: The online phase's stages in evaluation order (paper Section 5):
+#: the keys of ``QueryResult.timings``, the ``stage=`` label values of
+#: ``repro_query_stage_seconds``, the child-span names of a traced
+#: query, and ``benchmarks/e2e``'s per-layer names.
+STAGES = ("plan", "lookup", "link_build", "kpartite", "reduce", "match")
 
 
 class Timer:
@@ -40,45 +46,53 @@ class Timer:
         self._start = None
 
 
-@dataclass
-class StageTimings:
-    """Accumulates named stage timings for multi-phase algorithms.
+class StageRecorder:
+    """Accumulates per-stage seconds of one multi-stage evaluation.
 
-    The offline and online phases both consist of several sequential
-    stages; this class records per-stage elapsed seconds so experiments can
-    report timing breakdowns (e.g. index lookup vs. reduction vs. join).
+    ``with recorder.stage(name) as span:`` adds the block's elapsed
+    seconds to ``recorder.seconds[name]`` (re-entering a name
+    accumulates; a raising block is still recorded) and, when
+    :attr:`span` is a real span, runs the block inside a child span of
+    the same name. With the null span a stage costs one context object
+    and two clock reads, and yields :data:`~repro.obs.trace.NULL_SPAN`.
     """
 
-    stages: dict = field(default_factory=dict)
+    __slots__ = ("seconds", "span")
 
-    def record(self, name: str, seconds: float) -> None:
-        """Add ``seconds`` to the accumulated time of stage ``name``."""
-        self.stages[name] = self.stages.get(name, 0.0) + float(seconds)
+    def __init__(self, span=NULL_SPAN) -> None:
+        #: ``{stage: accumulated seconds}`` in first-entry order.
+        self.seconds: dict = {}
+        #: Parent of the stage spans; callers may re-point it between
+        #: stages (a batch plans under the batch span, then evaluates
+        #: under each query's own span).
+        self.span = span
 
-    def time(self, name: str):
-        """Return a context manager that records its elapsed time under ``name``."""
-        return _StageContext(self, name)
+    def stage(self, name: str) -> "_Stage":
+        """Context manager delimiting one run of stage ``name``."""
+        return _Stage(self, name)
 
     @property
     def total(self) -> float:
         """Total seconds across all recorded stages."""
-        return sum(self.stages.values())
-
-    def as_dict(self) -> dict:
-        """Copy of the per-stage timing mapping."""
-        return dict(self.stages)
+        return sum(self.seconds.values())
 
 
-class _StageContext:
-    def __init__(self, timings: StageTimings, name: str) -> None:
-        self._timings = timings
+class _Stage:
+    __slots__ = ("_recorder", "_name", "_span", "_start")
+
+    def __init__(self, recorder: StageRecorder, name: str) -> None:
+        self._recorder = recorder
         self._name = name
-        self._timer = Timer()
 
     def __enter__(self):
-        self._timer.__enter__()
-        return self
+        # The null span's child is the null span itself: nothing is
+        # allocated and nothing touches the thread-local span stack.
+        self._span = self._recorder.span.child(self._name).__enter__()
+        self._start = time.perf_counter()
+        return self._span
 
-    def __exit__(self, *exc_info) -> None:
-        self._timer.__exit__(*exc_info)
-        self._timings.record(self._name, self._timer.elapsed)
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = time.perf_counter() - self._start
+        seconds = self._recorder.seconds
+        seconds[self._name] = seconds.get(self._name, 0.0) + elapsed
+        return self._span.__exit__(exc_type, exc, tb)

@@ -27,7 +27,7 @@ from repro.index.protocol import (
 )
 from repro.index.sharded import ShardedPathIndex, build_sharded_path_index
 from repro.obs.metrics import get_registry
-from repro.obs.timing import StageTimings
+from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, Span, current_span
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import CandidateFinder
@@ -43,11 +43,10 @@ _REGISTRY = get_registry()
 _QUERIES_TOTAL = _REGISTRY.counter("repro_queries_total")
 _MATCHES_TOTAL = _REGISTRY.counter("repro_query_matches_total")
 _QUERY_SECONDS = _REGISTRY.histogram("repro_query_seconds")
-#: One latency series per online-phase stage (StageTimings keys).
+#: One latency series per online-phase stage.
 _STAGE_SECONDS = {
     stage: _REGISTRY.histogram("repro_query_stage_seconds", stage=stage)
-    for stage in ("decompose", "candidates", "link_build", "kpartite",
-                  "reduction", "matching")
+    for stage in STAGES
 }
 _STORE_READS = _REGISTRY.counter("repro_store_reads_total")
 _STORE_BYTES = _REGISTRY.counter("repro_store_bytes_read_total")
@@ -59,15 +58,13 @@ _ESTIMATE_ERROR = _REGISTRY.histogram(
 )
 
 
-def _record_query_metrics(timings: StageTimings, num_matches: int) -> None:
+def _record_query_metrics(recorder: StageRecorder, num_matches: int) -> None:
     """Fold one evaluation into the process-wide registry."""
     _QUERIES_TOTAL.inc()
     _MATCHES_TOTAL.inc(num_matches)
-    _QUERY_SECONDS.observe(timings.total)
-    for stage, seconds in timings.stages.items():
-        histogram = _STAGE_SECONDS.get(stage)
-        if histogram is not None:
-            histogram.observe(seconds)
+    _QUERY_SECONDS.observe(recorder.total)
+    for stage, seconds in recorder.seconds.items():
+        _STAGE_SECONDS[stage].observe(seconds)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ class QueryOptions:
     alive arrays, CSR links, segment-max Jacobi rounds; ``"python"``
     runs the incremental pure-Python reference of
     :mod:`repro.query.kpartite`. Both produce identical matches,
-    partition sizes and removal counts; ``parallel_reduction`` and
-    ``num_threads`` only affect the Python backend.
+    partition sizes and removal counts.
 
     ``decomposition`` accepts ``"greedy"``, ``"exact"`` (optimal for
     small queries, greedy fallback past the cutoffs) and ``"random"``.
@@ -118,8 +114,6 @@ class QueryOptions:
     use_context_pruning: bool = True
     use_structure_reduction: bool = True
     use_upperbound_reduction: bool = True
-    parallel_reduction: bool = False
-    num_threads: int = 4
     seed: int | None = None
     reduction_backend: str = "vectorized"
     link_backend: str = "vectorized"
@@ -206,10 +200,12 @@ class QueryEngine:
         _precomputed: tuple | None = None,
     ) -> None:
         self.peg = peg
-        self.offline_timings = StageTimings()
+        self.offline_timings = StageRecorder()
         # Lazily-built per-PEG probability tables shared by every
-        # vectorized reduction this engine runs.
+        # vectorized reduction this engine runs, with the
+        # ``graph_version`` they were built at.
         self._peg_arrays = None
+        self._peg_arrays_version = -1
         #: Monotone counter bumped by every applied mutation batch
         #: (:meth:`apply_updates`); the serving layer mixes it into
         #: request keys so caches invalidate across updates.
@@ -219,20 +215,19 @@ class QueryEngine:
         self.applied_mutation_seq = -1
         #: Per-engine link-structure cache (keyed by partition-pair
         #: signature × candidate fingerprints × milli-alpha ×
-        #: ``graph_version``); cleared on mutation absorption and
-        #: compaction, re-keyed versionlessly by ``graph_version``.
+        #: ``graph_version``); the key alone invalidates an entry.
         self.link_cache = LinkStructureCache()
         if _precomputed is not None:
             self.index, self.context = _precomputed
             self.planner = QueryPlanner(self)
             return
-        if num_shards:
-            if store is not None:
-                raise IndexError_(
-                    "store and num_shards are mutually exclusive: a sharded "
-                    "index manages one store per shard"
-                )
-            with self.offline_timings.time("path_index"):
+        if num_shards and store is not None:
+            raise IndexError_(
+                "store and num_shards are mutually exclusive: a sharded "
+                "index manages one store per shard"
+            )
+        with self.offline_timings.stage("path_index"):
+            if num_shards:
                 self.index: PathIndexProtocol = build_sharded_path_index(
                     peg,
                     num_shards,
@@ -242,8 +237,7 @@ class QueryEngine:
                     directory=shard_directory,
                     num_processes=build_processes,
                 )
-        else:
-            with self.offline_timings.time("path_index"):
+            else:
                 self.index = build_path_index(
                     peg,
                     max_length=max_length,
@@ -252,7 +246,7 @@ class QueryEngine:
                     store=store,
                     num_threads=index_threads,
                 )
-        with self.offline_timings.time("context"):
+        with self.offline_timings.stage("context"):
             self.context: ContextInformation = build_context(peg)
         #: The adaptive planning subsystem: plan cache (keyed by
         #: canonical query form × milli-alpha × graph_version) and the
@@ -301,8 +295,9 @@ class QueryEngine:
         the ops to the PEG, wraps the index in a
         :class:`~repro.delta.overlay.DeltaOverlayIndex` (first time),
         refreshes the delta for the dirtied nodes, rebuilds the context
-        tables, invalidates the cached probability arrays and bumps
-        :attr:`graph_version`. Not safe to call concurrently with
+        tables and bumps :attr:`graph_version` (which re-keys the plan
+        and link caches and ages out the cached probability arrays).
+        Not safe to call concurrently with
         queries on this engine — the serving layer
         (:meth:`repro.service.QueryService.apply_updates`) provides the
         drained-quiescence discipline.
@@ -331,23 +326,10 @@ class QueryEngine:
         self.index = overlay.base
         # Compaction trues the histograms up: learned corrections and
         # plans costed against the drifted estimates restart from exact.
+        # The link cache needs nothing: compaction leaves the PEG, and
+        # hence every candidate set and link structure, unchanged.
         self.planner.invalidate()
-        # Compaction does not bump graph_version, so versioned link-
-        # cache keys would stay live; drop them explicitly (the overlay
-        # invalidation listener does the same — this covers overlays
-        # constructed outside repro.delta.apply_mutations).
-        self.link_cache.clear()
         return stats
-
-    def invalidate_links(self) -> None:
-        """Drop every cached link structure.
-
-        Registered as a :class:`~repro.delta.overlay.DeltaOverlayIndex`
-        invalidation listener, so mutation absorption and compaction
-        clear the cache even though ``graph_version`` already re-keys
-        absorbed batches.
-        """
-        self.link_cache.clear()
 
     # ------------------------------------------------------------------
 
@@ -360,7 +342,7 @@ class QueryEngine:
         """Offline-phase statistics: timings plus index size/shape."""
         stats = dict(self.index.stats())
         stats["offline_seconds"] = self.offline_timings.total
-        stats["offline_timings"] = self.offline_timings.as_dict()
+        stats["offline_timings"] = dict(self.offline_timings.seconds)
         return stats
 
     # ------------------------------------------------------------------
@@ -372,32 +354,20 @@ class QueryEngine:
         options: QueryOptions | None = None,
     ) -> QueryResult:
         """Find all matches of ``query`` with probability >= ``alpha``."""
-        if not 0.0 < alpha <= 1.0:
-            raise QueryError(f"alpha must be in (0, 1], got {alpha}")
         options = options or QueryOptions()
-        timings = StageTimings()
         span = self._query_span("query", options)
+        recorder = StageRecorder(span)
 
         with span:
             if span.enabled:
                 span.set("alpha", alpha)
                 span.set("graph_version", self.graph_version)
-            # 1. Path decomposition (plan cache consulted first).
-            with timings.time("decompose"), span.child("plan") as plan_span:
-                decomposition, plan_info = self._decompose(
-                    query, alpha, options
-                )
-                if plan_span.enabled:
-                    plan_span.set("strategy", plan_info.strategy)
-                    plan_span.set("source", plan_info.source)
-                    plan_span.set("partitions", len(decomposition.paths))
-                    plan_span.set(
-                        "estimated_cost", round(plan_info.estimated_cost, 3)
-                    )
-
+            decomposition, plan_info = self._plan(
+                query, alpha, options, recorder
+            )
             result = self._evaluate(
                 query, alpha, options, self.index, decomposition, plan_info,
-                timings, span=span,
+                recorder,
             )
         if options.trace and span.enabled:
             result.trace = span.to_dict()
@@ -444,18 +414,12 @@ class QueryEngine:
                 batch_span.set("requests", len(requests))
             plans = []
             for query, alpha in requests:
-                if not 0.0 < alpha <= 1.0:
-                    raise QueryError(f"alpha must be in (0, 1], got {alpha}")
-                timings = StageTimings()
-                with timings.time("decompose"), \
-                        batch_span.child("plan") as plan_span:
-                    decomposition, plan_info = self._decompose(
-                        query, alpha, options
-                    )
-                    if plan_span.enabled:
-                        plan_span.set("source", plan_info.source)
+                recorder = StageRecorder(batch_span)
+                decomposition, plan_info = self._plan(
+                    query, alpha, options, recorder
+                )
                 plans.append(
-                    (query, alpha, decomposition, plan_info, timings)
+                    (query, alpha, decomposition, plan_info, recorder)
                 )
 
             batch_index = BatchLookupIndex(self.index)
@@ -466,13 +430,14 @@ class QueryEngine:
                 if prefetch_span.enabled:
                     prefetch_span.set("sequences", len(shared))
 
-            for query, alpha, decomposition, plan_info, timings in plans:
+            for query, alpha, decomposition, plan_info, recorder in plans:
                 with batch_span.child("query") as query_span:
                     if query_span.enabled:
                         query_span.set("alpha", alpha)
+                    recorder.span = query_span
                     result = self._evaluate(
                         query, alpha, options, batch_index, decomposition,
-                        plan_info, timings, span=query_span,
+                        plan_info, recorder,
                     )
                 if options.trace and query_span.enabled:
                     result.trace = query_span.to_dict()
@@ -508,12 +473,13 @@ class QueryEngine:
 
         They depend only on the PEG; one instance amortizes them across
         every vectorized link build and reduction of this engine
-        (invalidated alongside ``graph_version`` on mutations).
+        (rebuilt once ``graph_version`` has moved past them).
         """
         from repro.query.reduction import PegProbabilityArrays
 
-        if self._peg_arrays is None:
+        if self._peg_arrays_version != self.graph_version:
             self._peg_arrays = PegProbabilityArrays(self.peg)
+            self._peg_arrays_version = self.graph_version
         return self._peg_arrays
 
     def _build_links(self, decomposition, candidates, alpha, options):
@@ -567,8 +533,6 @@ class QueryEngine:
                 decomposition,
                 candidates,
                 alpha,
-                parallel=options.parallel_reduction,
-                num_threads=options.num_threads,
                 links=links,
             )
         raise QueryError(
@@ -576,9 +540,24 @@ class QueryEngine:
             "expected 'vectorized' or 'python'"
         )
 
-    def _decompose(self, query: QueryGraph, alpha: float, options):
-        """Plan through the adaptive planner; ``(decomposition, PlanInfo)``."""
-        return self.planner.plan(query, alpha, options)
+    def _plan(self, query: QueryGraph, alpha: float, options, recorder):
+        """Online phase stage 1: path decomposition through the adaptive
+        planner (plan cache consulted first); ``(decomposition, PlanInfo)``.
+        """
+        if not 0.0 < alpha <= 1.0:
+            raise QueryError(f"alpha must be in (0, 1], got {alpha}")
+        with recorder.stage("plan") as plan_span:
+            decomposition, plan_info = self.planner.plan(
+                query, alpha, options
+            )
+            if plan_span.enabled:
+                plan_span.set("strategy", plan_info.strategy)
+                plan_span.set("source", plan_info.source)
+                plan_span.set("partitions", len(decomposition.paths))
+                plan_span.set(
+                    "estimated_cost", round(plan_info.estimated_cost, 3)
+                )
+        return decomposition, plan_info
 
     def _evaluate(
         self,
@@ -588,16 +567,16 @@ class QueryEngine:
         index: PathIndexProtocol,
         decomposition,
         plan_info,
-        timings: StageTimings,
-        span=NULL_SPAN,
+        recorder: StageRecorder,
     ) -> QueryResult:
         """Online phase stages 2-5 over an already-chosen decomposition.
 
-        ``span`` is an already-entered parent span (or the null span);
-        stage spans — lookup, link_build, kpartite, reduce, match — are
-        created under it. Callers own the root span's lifecycle and
-        export.
+        ``recorder`` already holds the plan stage; its span is the
+        already-entered parent span (or the null span) the remaining
+        stage spans are created under. Callers own that span's
+        lifecycle and export.
         """
+        span = recorder.span
         # 2. Path candidates (index lookup + context pruning).
         finder = CandidateFinder(
             self.peg,
@@ -614,7 +593,7 @@ class QueryEngine:
         # delta may attribute a neighbor's reads to this span — totals
         # stay exact, attribution is best-effort.
         reads_before, bytes_before = store_read_totals(index)
-        with timings.time("candidates"), span.child("lookup") as lookup_span:
+        with recorder.stage("lookup") as lookup_span:
             for i, path in enumerate(decomposition.paths):
                 with lookup_span.child("partition", index=i) as path_span:
                     pruned, raw = finder.find(path)
@@ -658,31 +637,42 @@ class QueryEngine:
                     round(error_sum / len(observations), 4),
                 )
 
-        search_space_path = _product(raw_counts.values())
-        search_space_context = _product(len(c) for c in candidates.values())
-
-        if any(not c for c in candidates.values()):
-            if span.enabled:
-                span.set("matches", 0)
-                span.set("empty_partition", True)
-            _record_query_metrics(timings, 0)
-            return QueryResult(
-                matches=[],
-                search_space_path=search_space_path,
-                search_space_context=search_space_context,
-                search_space_final=0.0,
-                candidate_counts={i: len(c) for i, c in candidates.items()},
-                timings=timings.as_dict(),
-                decomposition_paths=tuple(
-                    p.nodes for p in decomposition.paths
-                ),
-                plan=plan_info,
-                estimate_observations=observations,
+        if all(candidates.values()):
+            matches, reduction, link_stats = self._join(
+                decomposition, candidates, alpha, options, recorder
             )
+        else:
+            matches, reduction, link_stats = [], None, {}
+            if span.enabled:
+                span.set("empty_partition", True)
 
+        if span.enabled:
+            span.set("matches", len(matches))
+        _record_query_metrics(recorder, len(matches))
+        return QueryResult(
+            matches=matches,
+            search_space_path=_product(raw_counts.values()),
+            search_space_context=_product(
+                len(c) for c in candidates.values()
+            ),
+            search_space_final=(
+                0.0 if reduction is None else reduction.final_search_space
+            ),
+            candidate_counts={i: len(c) for i, c in candidates.items()},
+            reduction=reduction,
+            timings=recorder.seconds,
+            decomposition_paths=tuple(p.nodes for p in decomposition.paths),
+            plan=plan_info,
+            estimate_observations=observations,
+            link_stats=link_stats,
+        )
+
+    def _join(self, decomposition, candidates, alpha, options, recorder):
+        """Online phase stages 3-5 over non-empty candidate sets;
+        ``(matches, ReductionStats, link_stats)``."""
         # 3. Candidate-link construction (cache-aware, its own stage:
         # the 30k-vertex bench showed it dominating the reduce it feeds).
-        with timings.time("link_build"), span.child("link_build") as link_span:
+        with recorder.stage("link_build") as link_span:
             links, link_stats = self._build_links(
                 decomposition, candidates, alpha, options
             )
@@ -693,14 +683,14 @@ class QueryEngine:
                 link_span.incr("cache_misses", link_stats["cache_misses"])
 
         # 4. K-partite construction and joint search-space reduction.
-        with timings.time("kpartite"), span.child("kpartite") as build_span:
+        with recorder.stage("kpartite") as build_span:
             kpartite = self._make_kpartite(
                 decomposition, candidates, alpha, options, links
             )
             if build_span.enabled:
                 build_span.set("backend", options.reduction_backend)
                 build_span.set("partitions", len(candidates))
-        with timings.time("reduction"), span.child("reduce") as reduce_span:
+        with recorder.stage("reduce") as reduce_span:
             reduction = kpartite.reduce(
                 use_structure=options.use_structure_reduction,
                 use_upperbounds=options.use_upperbound_reduction,
@@ -715,29 +705,13 @@ class QueryEngine:
                 )
 
         # 5. Full match generation.
-        with timings.time("matching"), span.child("match") as match_span:
+        with recorder.stage("match") as match_span:
             matches = generate_matches(
                 self.peg, decomposition, kpartite, alpha
             )
             if match_span.enabled:
                 match_span.set("matches", len(matches))
-
-        if span.enabled:
-            span.set("matches", len(matches))
-        _record_query_metrics(timings, len(matches))
-        return QueryResult(
-            matches=matches,
-            search_space_path=search_space_path,
-            search_space_context=search_space_context,
-            search_space_final=reduction.final_search_space,
-            candidate_counts={i: len(c) for i, c in candidates.items()},
-            reduction=reduction,
-            timings=timings.as_dict(),
-            decomposition_paths=tuple(p.nodes for p in decomposition.paths),
-            plan=plan_info,
-            estimate_observations=observations,
-            link_stats=link_stats,
-        )
+        return matches, reduction, link_stats
 
 
 def _product(values) -> float:

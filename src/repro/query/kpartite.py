@@ -17,8 +17,7 @@ link per satisfiable join. Two reduction principles run to fixpoint:
   ``w2 = Prn(P^u)`` drops below the query threshold α.
 
 Updates are incremental (only vertices whose neighborhood changed are
-recomputed) and optionally thread-parallel in Jacobi rounds, mirroring
-the paper's shared-memory implementation.
+recomputed) in Jacobi rounds.
 
 This module is the pure-Python reference backend
 (``reduction_backend="python"``); :mod:`repro.query.reduction` holds
@@ -33,7 +32,6 @@ by :func:`build_candidate_links` and expose the same narrow interface
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.peg.entity_graph import ProbabilisticEntityGraph
@@ -146,15 +144,11 @@ class CandidateKPartiteGraph:
         decomposition: Decomposition,
         candidates: dict,
         alpha: float,
-        parallel: bool = False,
-        num_threads: int = 4,
         links=None,
     ) -> None:
         self.peg = peg
         self.decomposition = decomposition
         self.alpha = float(alpha)
-        self.parallel = bool(parallel)
-        self.num_threads = max(int(num_threads), 1)
         self.k = len(decomposition.paths)
         self._build_vertices(candidates)
         self._build_links(candidates, links)
@@ -365,7 +359,9 @@ class CandidateKPartiteGraph:
             rounds += 1
             batch = sorted(dirty)
             dirty = set()
-            results = self._compute_batch(batch)
+            results = [
+                (item, self._recompute_vector(*item)) for item in batch
+            ]
             touched: set = set()
             for (i, vid), new_vector in results:
                 vertex = self.partitions[i][vid]
@@ -394,14 +390,3 @@ class CandidateKPartiteGraph:
                 if self.partitions[item[0]][item[1]].alive
             }
         stats.rounds += rounds
-
-    def _compute_batch(self, batch: list) -> list:
-        if self.parallel and len(batch) > 64:
-            with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-                vectors = list(
-                    pool.map(lambda item: self._recompute_vector(*item), batch)
-                )
-            return list(zip(batch, vectors))
-        return [
-            (item, self._recompute_vector(*item)) for item in batch
-        ]

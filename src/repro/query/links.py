@@ -32,11 +32,10 @@ passes per joining partition pair:
 entries are keyed by canonical partition-pair signature × candidate
 content fingerprints × milli-alpha × ``graph_version`` and hold the
 *unfiltered* positive-probability pair arrays, so a hit only replays
-the ``probs >= alpha`` mask. ``apply_updates`` invalidates versionlessly
-(the bumped ``graph_version`` re-keys every entry and stale ones age out
-of the LRU) and both mutation absorption and compaction clear the cache
-through :class:`~repro.delta.overlay.DeltaOverlayIndex` invalidation
-listeners.
+the ``probs >= alpha`` mask. The key is the only invalidation:
+``apply_updates`` bumps ``graph_version``, which re-keys every entry
+(stale ones age out of the LRU); compaction leaves the PEG unchanged,
+so entries stay valid across it.
 """
 
 from __future__ import annotations
@@ -145,10 +144,6 @@ class LinkStructureCache:
     def put(self, key, value) -> None:
         """Insert one partition-pair structure."""
         self._cache.put(key, value)
-
-    def clear(self) -> None:
-        """Drop every cached structure (hit/miss counters persist)."""
-        self._cache.clear()
 
     def stats_snapshot(self) -> dict:
         """Counters for the serving stats surface."""

@@ -171,9 +171,7 @@ class VectorizedKPartiteGraph:
     """Flat-array candidate k-partite graph (Definition 6, vectorized).
 
     Same constructor contract and reduction semantics as
-    :class:`repro.query.kpartite.CandidateKPartiteGraph`; ``parallel``
-    and ``num_threads`` are accepted for signature parity but ignored
-    (whole-array numpy passes replace the thread pool). Pass a shared
+    :class:`repro.query.kpartite.CandidateKPartiteGraph`. Pass a shared
     ``arrays`` (:class:`PegProbabilityArrays`) to amortize the
     per-label probability tables across queries.
     """
@@ -184,8 +182,6 @@ class VectorizedKPartiteGraph:
         decomposition: Decomposition,
         candidates: dict,
         alpha: float,
-        parallel: bool = False,
-        num_threads: int = 4,
         links=None,
         arrays: PegProbabilityArrays | None = None,
     ) -> None:

@@ -21,23 +21,6 @@ for:
   :meth:`~repro.service.service.QueryService.snapshot` and
   :meth:`~repro.service.service.QueryService.from_snapshot`, built on
   :mod:`repro.index.bundle`.
-
-Worker pool vs. intra-query parallelism
----------------------------------------
-The service parallelizes *across* requests (``num_workers`` evaluation
-threads), while :class:`~repro.query.engine.QueryOptions` can also
-parallelize *within* one request: ``parallel_reduction=True`` fans the
-k-partite search-space reduction out over ``num_threads`` threads. The
-two multiply — ``num_workers=8`` with ``num_threads=4`` can run 32
-threads during reduction-heavy phases. For a loaded service prefer
-inter-query parallelism (``parallel_reduction=False``, the default):
-throughput comes from concurrent requests, and oversubscription only
-adds scheduling jitter to tail latency. Reserve
-``parallel_reduction=True``/``num_threads`` for a lightly loaded
-service that must minimize the latency of individual large queries.
-Neither knob changes results, so the result cache deliberately ignores
-both when forming its key (see
-:func:`~repro.service.service.request_key`).
 """
 
 from repro.service.cache import ResultCache

@@ -73,8 +73,8 @@ def _process_worker_query_batch(requests, options):
 
 #: :class:`QueryOptions` fields deliberately excluded from
 #: :func:`request_key`. Every field listed here must be *result-neutral*:
-#: changing it may change how a query is executed (which backend, how
-#: many threads, whether caches or tracing are used) but never which
+#: changing it may change how a query is executed (which backend,
+#: whether caches or tracing are used) but never which
 #: matches come back or their probabilities. The differential test
 #: suites (``test_differential_links``, backend-equivalence tests) are
 #: the runtime evidence; the ``cache-keys`` checker in
@@ -83,8 +83,6 @@ def _process_worker_query_batch(requests, options):
 #: fails the build until one of the two happens.
 RESULT_NEUTRAL_OPTIONS = frozenset(
     {
-        "parallel_reduction",
-        "num_threads",
         "reduction_backend",
         "link_backend",
         "use_link_cache",
@@ -104,7 +102,7 @@ def request_key(
     Combines the query's canonical form (rename-invariant), alpha, the
     :class:`QueryOptions` fields that change the *result*, and the
     engine's ``graph_version`` — execution knobs
-    (``parallel_reduction``, ``num_threads``) are deliberately excluded
+    (``reduction_backend``, ``link_backend``) are deliberately excluded
     so the same logical query shares one entry regardless of how it is
     executed. The planner knobs (``use_plan_cache``,
     ``use_estimator_feedback``) participate: they never change the

@@ -8,7 +8,7 @@ from repro.utils.errors import (
     QueryError,
 )
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.obs.timing import Timer, StageTimings
+from repro.obs.timing import Timer
 from repro.utils.validation import (
     check_probability,
     check_distribution,
@@ -25,7 +25,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "Timer",
-    "StageTimings",
     "check_probability",
     "check_distribution",
     "check_positive",

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 from tests.conftest import small_random_peg
 
 from repro.delta import AddEdge, UpdateLabelProbability
-from repro.obs import Tracer, get_registry, render_trace
+from repro.obs import STAGES, Tracer, get_registry, render_trace
 from repro.query.engine import QueryEngine, QueryOptions
 from repro.query.query_graph import QueryGraph
 from repro.query.topk import top_k_matches
@@ -17,6 +19,51 @@ def _chain_query(labels, n=3):
     nodes = {name: labels[i % 2] for i, name in enumerate(names)}
     edges = [(names[i], names[i + 1]) for i in range(n - 1)]
     return QueryGraph(nodes, edges)
+
+
+def _span_names(trace: dict) -> list:
+    """Names of every descendant span, depth first."""
+    names = []
+    for child in trace["children"]:
+        names.append(child["name"])
+        names.extend(_span_names(child))
+    return names
+
+
+class TestStageVocabulary:
+    def test_timings_metrics_and_spans_share_one_vocabulary(self):
+        peg = small_random_peg(seed=11)
+        labels = sorted(peg.sigma)
+        engine = QueryEngine(peg, max_length=2)
+        result = engine.query(
+            _chain_query(labels, n=4), 0.2, QueryOptions(trace=True)
+        )
+        assert result.matches, "the query must reach the match stage"
+        assert tuple(result.timings) == STAGES
+        stage_labels = {
+            match.group(1)
+            for key in get_registry().snapshot()
+            for match in [
+                re.match(r"repro_query_stage_seconds\{stage=(\w+)\}", key)
+            ]
+            if match
+        }
+        assert stage_labels == set(STAGES)
+        spans = [n for n in _span_names(result.trace) if n != "partition"]
+        assert tuple(spans) == STAGES
+        assert result.total_seconds == sum(result.timings.values())
+
+    def test_empty_partition_reports_only_the_stages_it_ran(self):
+        peg = small_random_peg(seed=11)
+        labels = sorted(peg.sigma)
+        engine = QueryEngine(peg, max_length=2)
+        query = QueryGraph({"a": labels[0], "b": "no-such-label"}, [("a", "b")])
+        result = engine.query(query, 0.2, QueryOptions(trace=True))
+        assert result.matches == []
+        assert result.trace["attributes"]["empty_partition"] is True
+        assert tuple(result.timings) == STAGES[:2]
+        spans = [n for n in _span_names(result.trace) if n != "partition"]
+        assert tuple(spans) == STAGES[:2]
 
 
 class TestEngineTracing:
@@ -88,7 +135,7 @@ class TestEngineTracing:
         snap = registry.snapshot()
         assert snap["repro_queries_total"] == before + 1
         assert snap["repro_query_seconds_count"] >= 1
-        assert snap["repro_query_stage_seconds{stage=reduction}_count"] >= 1
+        assert snap["repro_query_stage_seconds{stage=reduce}_count"] >= 1
 
     def test_batch_trace_covers_plan_prefetch_and_queries(self):
         peg = small_random_peg(seed=9)

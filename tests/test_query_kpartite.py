@@ -13,8 +13,7 @@ from repro.query.baselines import direct_matches
 from tests.conftest import small_random_peg
 
 
-def build_kpartite(peg, query, alpha, use_context=True, max_length=2,
-                   parallel=False):
+def build_kpartite(peg, query, alpha, use_context=True, max_length=2):
     index = build_path_index(peg, max_length=max_length, beta=0.05)
     context = build_context(peg)
     decomposition = decompose_query(
@@ -28,7 +27,7 @@ def build_kpartite(peg, query, alpha, use_context=True, max_length=2,
         i: finder.find(path)[0] for i, path in enumerate(decomposition.paths)
     }
     kpartite = CandidateKPartiteGraph(
-        peg, decomposition, candidates, alpha, parallel=parallel
+        peg, decomposition, candidates, alpha
     )
     return decomposition, kpartite
 
@@ -143,24 +142,6 @@ class TestReductionStats:
         stats = kpartite.reduce()
         assert stats.initial_search_space >= stats.after_structure_search_space
         assert stats.after_structure_search_space >= stats.final_search_space
-
-    def test_parallel_reduction_equivalent(self):
-        peg = small_random_peg(seed=33, num_references=60)
-        sigma = sorted(peg.sigma)
-        query = QueryGraph(
-            {"a": sigma[0], "b": sigma[1], "c": sigma[0]},
-            [("a", "b"), ("b", "c")],
-        )
-        _, serial = build_kpartite(peg, query, alpha=0.3)
-        serial.reduce()
-        _, parallel = build_kpartite(peg, query, alpha=0.3, parallel=True)
-        parallel.reduce()
-        for i in range(serial.k):
-            alive_serial = {v.candidate.nodes for _, v in serial.alive_vertices(i)}
-            alive_parallel = {
-                v.candidate.nodes for _, v in parallel.alive_vertices(i)
-            }
-            assert alive_serial == alive_parallel
 
     def test_structure_only_weaker_than_both(self):
         peg = small_random_peg(seed=34, num_references=60)
@@ -435,16 +416,3 @@ class TestLinkBuilderEdgeCases:
         assert above.stats["cache_misses"] == 0
         assert (vid, uid) in at.pair_lists()[(i, j)]
         assert (vid, uid) not in above.pair_lists()[(i, j)]
-
-    def test_num_threads_clamped_to_one(self, chain_peg):
-        decomposition, candidates = build_candidates(
-            chain_peg, chain_query(), alpha=0.1, use_context=False,
-            max_length=1,
-        )
-        for requested in (0, -3):
-            kpartite = CandidateKPartiteGraph(
-                chain_peg, decomposition, candidates, 0.1,
-                parallel=True, num_threads=requested,
-            )
-            assert kpartite.num_threads == 1
-            kpartite.reduce()  # the clamped pool must still reduce

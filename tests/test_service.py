@@ -174,7 +174,8 @@ class TestRequestKey:
         q = figure1_query()
         base = request_key(q, 0.5, QueryOptions())
         tuned = request_key(
-            q, 0.5, QueryOptions(parallel_reduction=True, num_threads=16)
+            q, 0.5,
+            QueryOptions(reduction_backend="python", link_backend="python"),
         )
         assert base == tuned
 

@@ -2,7 +2,10 @@
 
 import time
 
-from repro.obs.timing import StageTimings, Timer
+import pytest
+
+from repro.obs.timing import StageRecorder, Timer
+from repro.obs.trace import NULL_SPAN, Span, current_span
 
 
 class TestTimer:
@@ -21,24 +24,45 @@ class TestTimer:
         assert timer.elapsed >= first
 
 
-class TestStageTimings:
-    def test_record_accumulates(self):
-        timings = StageTimings()
-        timings.record("a", 1.0)
-        timings.record("a", 0.5)
-        timings.record("b", 2.0)
-        assert timings.stages["a"] == 1.5
-        assert timings.total == 3.5
-
-    def test_context_manager_records(self):
-        timings = StageTimings()
-        with timings.time("stage"):
+class TestStageRecorder:
+    def test_reentry_accumulates(self):
+        recorder = StageRecorder()
+        with recorder.stage("a"):
             time.sleep(0.005)
-        assert timings.stages["stage"] >= 0.004
+        first = recorder.seconds["a"]
+        with recorder.stage("a"):
+            time.sleep(0.005)
+        with recorder.stage("b"):
+            pass
+        assert first >= 0.004
+        assert recorder.seconds["a"] >= first + 0.004
+        assert list(recorder.seconds) == ["a", "b"]
+        assert recorder.total == pytest.approx(sum(recorder.seconds.values()))
 
-    def test_as_dict_is_copy(self):
-        timings = StageTimings()
-        timings.record("a", 1.0)
-        snapshot = timings.as_dict()
-        snapshot["a"] = 99.0
-        assert timings.stages["a"] == 1.0
+    def test_exception_inside_stage_still_records(self):
+        root = Span("root")
+        recorder = StageRecorder(root)
+        with pytest.raises(ValueError):
+            with root, recorder.stage("boom"):
+                time.sleep(0.002)
+                raise ValueError("x")
+        assert recorder.seconds["boom"] >= 0.001
+        (child,) = root.children
+        assert child.name == "boom"
+        assert child.status == "error"
+        assert current_span() is NULL_SPAN
+
+    def test_null_span_path_allocates_no_span(self):
+        recorder = StageRecorder()
+        with recorder.stage("a") as span:
+            assert span is NULL_SPAN
+            assert current_span() is NULL_SPAN
+        assert "a" in recorder.seconds
+
+    def test_real_span_gets_same_named_child(self):
+        root = Span("root")
+        recorder = StageRecorder(root)
+        with root, recorder.stage("a") as span:
+            assert current_span() is span
+        assert [child.name for child in root.children] == ["a"]
+        assert span.elapsed == pytest.approx(recorder.seconds["a"], abs=1e-3)
