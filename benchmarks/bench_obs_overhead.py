@@ -14,9 +14,10 @@ Two measurements:
   bare, and run the way the engine's default path runs it: the
   ambient-span resolution, one
   :class:`~repro.obs.timing.StageRecorder` stage per name of
-  :data:`~repro.obs.timing.STAGES` on the null-span path, and the
-  engine's own registry fold of the recorded seconds. The gate is the
-  ratio of best-of times.
+  :data:`~repro.obs.timing.STAGES` on the null-span path (with the
+  lookup stage's per-partition children), and the engine's own
+  registry fold of the recorded seconds. The gate is the ratio of
+  best-of times.
 * **micro** — nanoseconds per individual disabled-path operation
   (null-span child, ``current_span()``, disabled-registry observe,
   enabled counter inc), reported for context, not gated.
@@ -54,7 +55,7 @@ from repro import __version__
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, current_span
-from repro.query.engine import _record_query_metrics
+from repro.query.engine import record_query_metrics
 from repro.query.reduction import VectorizedKPartiteGraph
 
 #: Overhead gate: instrumented-but-disabled must stay within this
@@ -82,14 +83,22 @@ def bench_macro(num_nodes: int, repeats: int) -> dict:
         recorder = StageRecorder(current_span())
         for stage in STAGES:
             with recorder.stage(stage) as span:
-                if stage == "kpartite":
+                if stage == "lookup":
+                    for i in candidates:
+                        with span.child("partition", index=i) as path_span:
+                            if path_span.enabled:
+                                path_span.set("pruned", len(candidates[i]))
+                elif stage == "kpartite":
                     graph = VectorizedKPartiteGraph(
                         peg, decomposition, candidates, ALPHA, links=links
                     )
                 elif stage == "reduce":
                     graph.reduce()
-                span.set("stage", stage)
-        _record_query_metrics(recorder, 0)
+                if span.enabled:
+                    span.set("stage", stage)
+        if recorder.span.enabled:
+            recorder.span.set("matches", 0)
+        record_query_metrics(recorder, 0)
         return time.perf_counter() - started
 
     # Interleave the two variants so drift (thermal, page cache) hits

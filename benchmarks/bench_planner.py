@@ -47,7 +47,6 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.delta import AddEntity, UpdateLabelProbability
-from repro.obs.timing import STAGES
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryOptions
 
@@ -128,7 +127,7 @@ def run(num_references: int, distinct: int, repeats: int,
         for query in workload:
             result = engine.query(query, ALPHA, options)
             total += result.total_seconds
-            decompose += result.timings[STAGES[0]]
+            decompose += result.timings["plan"]
         return decompose, total
 
     fresh_decompose, fresh_total = decompose_share(PLAN_FRESH)

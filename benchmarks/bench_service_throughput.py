@@ -8,9 +8,10 @@ through which executor. Caching is disabled and each pool is warmed
 starts, so the numbers are steady-state serving, not process start-up.
 
 Scaling needs CPUs to scale onto: on a single-core host every ratio is
-pinned near 1.0 by hardware, so the assertion — the better of the two
-pools out-serves one worker — only applies when >= 2 CPUs are
-available. The CPU count is recorded with the series.
+pinned near 1.0 by hardware, so the assertion — the process pool
+out-serves one worker — only applies when >= 2 CPUs are available.
+The thread pool is measured alongside, not gated. The CPU count is
+recorded with the series.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_service_throughput.py -v``.
 """
@@ -73,4 +74,4 @@ def test_worker_scaling(tmp_path):
             f"{single:.0f} qps single, {threads:.0f} thread pool, "
             f"{processes:.0f} process pool)"
         )
-    assert max(threads, processes) > single
+    assert processes > single

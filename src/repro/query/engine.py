@@ -58,7 +58,7 @@ _ESTIMATE_ERROR = _REGISTRY.histogram(
 )
 
 
-def _record_query_metrics(recorder: StageRecorder, num_matches: int) -> None:
+def record_query_metrics(recorder: StageRecorder, num_matches: int) -> None:
     """Fold one evaluation into the process-wide registry."""
     _QUERIES_TOTAL.inc()
     _MATCHES_TOTAL.inc(num_matches)
@@ -204,8 +204,7 @@ class QueryEngine:
         # Lazily-built per-PEG probability tables shared by every
         # vectorized reduction this engine runs, with the
         # ``graph_version`` they were built at.
-        self._peg_arrays = None
-        self._peg_arrays_version = -1
+        self._peg_arrays = (-1, None)  # (graph_version, arrays)
         #: Monotone counter bumped by every applied mutation batch
         #: (:meth:`apply_updates`); the serving layer mixes it into
         #: request keys so caches invalidate across updates.
@@ -477,10 +476,11 @@ class QueryEngine:
         """
         from repro.query.reduction import PegProbabilityArrays
 
-        if self._peg_arrays_version != self.graph_version:
-            self._peg_arrays = PegProbabilityArrays(self.peg)
-            self._peg_arrays_version = self.graph_version
-        return self._peg_arrays
+        version, arrays = self._peg_arrays
+        if version != self.graph_version:
+            arrays = PegProbabilityArrays(self.peg)
+            self._peg_arrays = (self.graph_version, arrays)
+        return arrays
 
     def _build_links(self, decomposition, candidates, alpha, options):
         """Candidate links via the selected builder; ``(links, stats)``."""
@@ -648,7 +648,7 @@ class QueryEngine:
 
         if span.enabled:
             span.set("matches", len(matches))
-        _record_query_metrics(recorder, len(matches))
+        record_query_metrics(recorder, len(matches))
         return QueryResult(
             matches=matches,
             search_space_path=_product(raw_counts.values()),

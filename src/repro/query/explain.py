@@ -8,7 +8,6 @@ Useful when tuning β/γ/L or debugging why a query returns nothing.
 
 from __future__ import annotations
 
-from repro.obs.timing import STAGES
 from repro.query.engine import QueryResult
 
 
@@ -75,11 +74,8 @@ def explain(result: QueryResult, max_matches: int = 5) -> str:
         )
     if result.timings:
         lines.append("  timings (ms):")
-        for stage in STAGES:
-            if stage in result.timings:
-                lines.append(
-                    f"    {stage:<12s}{result.timings[stage] * 1000:8.2f}"
-                )
+        for stage, seconds in result.timings.items():
+            lines.append(f"    {stage:<12s}{seconds * 1000:8.2f}")
         lines.append(f"    {'total':<12s}{result.total_seconds * 1000:8.2f}")
     lines.append(f"  matches: {len(result.matches)}")
     for match in result.matches[:max_matches]:
