@@ -10,8 +10,8 @@ large enough to be interpreter-bound:
 * **decode** — bulk ``np.frombuffer`` payload decoding
   (:func:`repro.index.paths.decode_paths`) against the record-by-record
   scalar decoder,
-* **store reads** — ``DiskPathStore.get_bucket`` with mmap-backed
-  zero-copy views against copying reads.
+* **store reads** — ``DiskPathStore.get_bucket`` (mmap-backed
+  zero-copy views) feeding the filtered bulk decode.
 
 Results are written as machine-readable ``BENCH_reduction.json`` (see
 ``--out``; CI uploads it as a build artifact). With ``--trajectory``
@@ -225,27 +225,19 @@ def bench_store_reads(num_paths: int, repeats: int) -> dict:
     ]
     payload = encode_paths(paths)
     sequence = ("A", "A", "A", "A")
-    results = {}
-    for label, mmap_reads in (("mmap", True), ("copy", False)):
-        with tempfile.TemporaryDirectory() as directory:
-            with DiskPathStore(directory, mmap_reads=mmap_reads) as store:
+    with tempfile.TemporaryDirectory() as directory:
+        with DiskPathStore(directory) as store:
+            for bucket in range(330, 1000, 10):
+                store.put_bucket(sequence, bucket, payload)
+            best = float("inf")
+            for _ in range(repeats):
+                started = time.perf_counter()
                 for bucket in range(330, 1000, 10):
-                    store.put_bucket(sequence, bucket, payload)
-                best = float("inf")
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    for bucket in range(330, 1000, 10):
-                        decode_paths_above(
-                            store.get_bucket(sequence, bucket), 0.5
-                        )
-                    best = min(best, time.perf_counter() - started)
-        results[f"{label}_read_decode_seconds"] = best
-    results["paths_per_bucket"] = num_paths
-    results["speedup_store_reads"] = (
-        results["copy_read_decode_seconds"]
-        / max(results["mmap_read_decode_seconds"], 1e-12)
-    )
-    return results
+                    decode_paths_above(
+                        store.get_bucket(sequence, bucket), 0.5
+                    )
+                best = min(best, time.perf_counter() - started)
+    return {"mmap_read_decode_seconds": best, "paths_per_bucket": num_paths}
 
 
 def main(argv=None) -> int:
@@ -321,9 +313,8 @@ def main(argv=None) -> int:
         f"({decode['speedup_decode']:.1f}x)"
     )
     print(
-        f"[store]     copy {store['copy_read_decode_seconds']:.4f}s, mmap "
-        f"{store['mmap_read_decode_seconds']:.4f}s "
-        f"({store['speedup_store_reads']:.2f}x)"
+        f"[store]     read+decode {store['mmap_read_decode_seconds']:.4f}s "
+        f"({store['paths_per_bucket']} paths/bucket)"
     )
     print("wrote " + ", ".join(outputs))
 

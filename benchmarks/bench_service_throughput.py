@@ -3,9 +3,13 @@
 Not a paper figure — this measures the one thing about the serving
 layer (``repro.service``) that ``benchmarks/e2e`` does not: whether
 more workers serve a mixed workload of distinct queries faster, and
-through which executor. Caching is disabled and each pool is warmed
-(workers spawned, engines loaded from the snapshot) before the clock
-starts, so the numbers are steady-state serving, not process start-up.
+through which executor. Caching is disabled and every configuration
+is warmed with full passes over the workload before the clock starts —
+a ``ProcessPoolExecutor`` spawns workers on demand, so a short warm-up
+leaves pool processes loading their engines inside the timed drain —
+and the figure is the best of three drains (the rule
+``bench_shard_scaling.py`` uses), so the numbers are steady-state
+serving, not process start-up or one scheduler hiccup.
 
 Scaling needs CPUs to scale onto: on a single-core host every ratio is
 pinned near 1.0 by hardware, so the assertion — the process pool
@@ -28,6 +32,8 @@ MAX_LENGTH = 2
 BETA = 0.1
 ALPHA = 0.5
 WORKERS = 4
+WARMUP_PASSES = 2
+TIMED_DRAINS = 3
 
 
 def _drain_qps(peg, snapshot_dir, workload, workers: int, executor: str) -> float:
@@ -36,12 +42,14 @@ def _drain_qps(peg, snapshot_dir, workload, workers: int, executor: str) -> floa
         peg, snapshot_dir, num_workers=workers, cache_size=0,
         executor=executor,
     ) as service:
-        # One concurrent request per worker spawns every process and
-        # loads its engine outside the clock.
-        service.query_many(workload[:workers], ALPHA)
-        start = time.perf_counter()
-        service.query_many(workload, ALPHA)
-        return len(workload) / (time.perf_counter() - start)
+        for _ in range(WARMUP_PASSES):
+            service.query_many(workload, ALPHA)
+        best = float("inf")
+        for _ in range(TIMED_DRAINS):
+            start = time.perf_counter()
+            service.query_many(workload, ALPHA)
+            best = min(best, time.perf_counter() - start)
+        return len(workload) / best
 
 
 def test_worker_scaling(tmp_path):

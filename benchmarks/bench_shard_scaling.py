@@ -1,10 +1,12 @@
-"""Sharded-index scaling benchmark: parallel builds + batched queries.
+"""Sharded-store scaling benchmark: parallel builds + batched queries.
 
-Not a paper figure — this measures the sharding layer added on top of
-the reproduction (``repro.index.sharded`` + batched execution):
+Not a paper figure — this measures the sharded store and the
+process-pool build added on top of the reproduction
+(``repro.index.sharded``, ``PathIndexBuilder(build_processes=)`` and
+batched execution):
 
-* the offline build must get faster with parallel shard builds — *given
-  CPUs to scale onto*: the map/reduce build uses a process pool whose
+* the offline build must get faster with a parallel enumeration —
+  *given CPUs to scale onto*: the build uses a process pool whose
   workers warm-start with the pickled PEG, and on a single-core host
   the ratio is pinned near (or below) 1.0 by hardware, so the strict
   assertion only applies when >= 2 CPUs are available;
@@ -23,7 +25,8 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_shard_scaling.py -v`
 import pytest
 
 from benchmarks import harness
-from repro.index import build_path_index, build_sharded_path_index
+from repro.index import build_path_index, open_store
+from repro.index.bundle import clear_offline_artifacts
 from repro.query import QueryEngine, QueryGraph
 from repro.datasets import random_query
 from repro.obs.timing import Timer
@@ -58,27 +61,29 @@ def test_parallel_shard_build_scaling(peg, tmp_path_factory):
     with Timer() as mono_timer:
         monolithic = build_path_index(peg, max_length=MAX_LENGTH, beta=BETA)
 
+    def build_sharded(directory: str, build_processes: int):
+        # Rebuilding into the same directory: clear the previous run's
+        # shard stores first, as every build into a reused directory does.
+        clear_offline_artifacts(directory)
+        return build_path_index(
+            peg,
+            max_length=MAX_LENGTH,
+            beta=BETA,
+            store=open_store(directory, NUM_SHARDS),
+            build_processes=build_processes,
+        )
+
     # Best-of-2 on both sides: one noisy scheduler hiccup on a small
-    # shared CI runner must not decide the comparison. Rebuilding into
-    # the same directory also exercises the stale-state cleanup.
+    # shared CI runner must not decide the comparison.
     serial_dir = str(tmp_path_factory.mktemp("serial"))
-    serial_seconds, serial = _best_of(2, lambda: build_sharded_path_index(
-        peg,
-        NUM_SHARDS,
-        max_length=MAX_LENGTH,
-        beta=BETA,
-        directory=serial_dir,
-    ))
+    serial_seconds, serial = _best_of(
+        2, lambda: build_sharded(serial_dir, 0)
+    )
 
     parallel_dir = str(tmp_path_factory.mktemp("parallel"))
-    parallel_seconds, parallel = _best_of(2, lambda: build_sharded_path_index(
-        peg,
-        NUM_SHARDS,
-        max_length=MAX_LENGTH,
-        beta=BETA,
-        directory=parallel_dir,
-        num_processes=processes,
-    ))
+    parallel_seconds, parallel = _best_of(
+        2, lambda: build_sharded(parallel_dir, processes)
+    )
 
     speedup = serial_seconds / max(parallel_seconds, 1e-9)
     harness.report(
@@ -140,19 +145,20 @@ def batch_workload(peg):
 
 def test_batched_queries_issue_fewer_store_reads(peg, batch_workload):
     engine = QueryEngine(
-        peg, max_length=MAX_LENGTH, beta=BETA, num_shards=NUM_SHARDS
+        peg, max_length=MAX_LENGTH, beta=BETA,
+        store=open_store(None, NUM_SHARDS),
     )
-    index = engine.index
+    store = engine.index.store
 
-    index.reset_store_read_count()
+    store.reset_read_count()
     individual = [
         engine.query(query, alpha) for query, alpha in batch_workload
     ]
-    individual_reads = index.store_read_count()
+    individual_reads = store.read_count
 
-    index.reset_store_read_count()
+    store.reset_read_count()
     batched = engine.query_batch(batch_workload)
-    batched_reads = index.store_read_count()
+    batched_reads = store.read_count
 
     harness.report(
         "shard_scaling",

@@ -41,10 +41,9 @@ from repro.peg import (
 )
 from repro.index import (
     PathIndex,
-    ShardedPathIndex,
     build_path_index,
-    build_sharded_path_index,
     build_context,
+    open_store,
 )
 from repro.query import (
     QueryGraph,
@@ -77,7 +76,7 @@ from repro.delta import (
     apply_mutations,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "PGD",
@@ -96,10 +95,9 @@ __all__ = [
     "enumerate_worlds",
     "world_match_probability",
     "PathIndex",
-    "ShardedPathIndex",
     "build_path_index",
-    "build_sharded_path_index",
     "build_context",
+    "open_store",
     "QueryGraph",
     "QueryEngine",
     "QueryOptions",

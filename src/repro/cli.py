@@ -79,6 +79,7 @@ from repro.datasets import (
     generate_imdb_pgd,
     generate_synthetic_pgd,
 )
+from repro.index.sharded import open_store
 from repro.obs.timing import STAGES
 from repro.peg import build_peg, load_peg, save_peg
 from repro.query import QueryEngine, QueryGraph, QueryOptions, explain
@@ -264,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--build-processes", type=int, default=0, dest="build_processes",
         help=(
-            "process-pool workers for the parallel sharded build "
-            "(requires --shards; 0 builds in-process)"
+            "process-pool workers for the index enumeration "
+            "(0 builds in-process)"
         ),
     )
 
@@ -348,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--build-processes", type=int, default=0, dest="build_processes",
-        help="process-pool workers for a cold-start sharded build",
+        help="process-pool workers for a cold-start index build",
     )
     serve.add_argument(
         "--batch", action="store_true",
@@ -487,19 +488,23 @@ def _load_query_spec(path: str) -> QueryGraph:
         raise ReproError(f"{path!r}: {exc}") from exc
 
 
-def _cmd_query(args) -> int:
-    peg = load_peg(args.peg)
+def _query_from_args(args) -> QueryGraph:
+    """The query of a ``--pattern`` / ``--spec`` command."""
     if args.pattern is not None:
         from repro.query.pattern import parse_pattern
 
-        query = parse_pattern(args.pattern)
-    else:
-        query = _load_query_spec(args.spec)
+        return parse_pattern(args.pattern)
+    return _load_query_spec(args.spec)
+
+
+def _cmd_query(args) -> int:
+    peg = load_peg(args.peg)
+    query = _query_from_args(args)
     engine = QueryEngine(
         peg,
         max_length=args.max_length,
         beta=args.beta,
-        num_shards=args.shards,
+        store=open_store(None, args.shards),
     )
     options = QueryOptions(
         decomposition=args.decomposition,
@@ -532,12 +537,7 @@ def _cmd_metrics(args) -> int:
     from repro.obs import get_registry
 
     peg = load_peg(args.peg)
-    if args.pattern is not None:
-        from repro.query.pattern import parse_pattern
-
-        query = parse_pattern(args.pattern)
-    else:
-        query = _load_query_spec(args.spec)
+    query = _query_from_args(args)
     engine = QueryEngine(peg, max_length=args.max_length, beta=args.beta)
     for _ in range(max(1, args.repeat)):
         engine.query(query, args.alpha)
@@ -551,12 +551,7 @@ def _cmd_plan(args) -> int:
     if not 0.0 < args.alpha <= 1.0:
         raise ReproError(f"alpha must be in (0, 1], got {args.alpha}")
     peg = load_peg(args.peg)
-    if args.pattern is not None:
-        from repro.query.pattern import parse_pattern
-
-        query = parse_pattern(args.pattern)
-    else:
-        query = _load_query_spec(args.spec)
+    query = _query_from_args(args)
     engine = QueryEngine(peg, max_length=args.max_length, beta=args.beta)
     options = QueryOptions(
         decomposition=args.strategy,
@@ -589,27 +584,18 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    if args.build_processes > 1 and not args.shards:
-        raise ReproError("--build-processes requires --shards")
     peg = load_peg(args.peg)
     # A reused output directory must not leak an earlier build's data
     # into the fresh store.
     from repro.index.bundle import clear_offline_artifacts
 
     clear_offline_artifacts(args.out)
-    store = None
-    if not args.shards:
-        from repro.storage.kvstore import DiskPathStore
-
-        store = DiskPathStore(args.out)
     engine = QueryEngine(
         peg,
         max_length=args.max_length,
         beta=args.beta,
         gamma=args.gamma,
-        store=store,
-        num_shards=args.shards,
-        shard_directory=args.out if args.shards else None,
+        store=open_store(args.out, args.shards),
         build_processes=args.build_processes,
     )
     engine.save_offline(args.out)
@@ -732,13 +718,6 @@ def _parse_address(address: str) -> tuple:
 def _cmd_serve(args) -> int:
     from repro.service import QueryService
 
-    if args.build_processes > 1 and not args.shards:
-        raise ReproError("--build-processes requires --shards")
-    if args.build_processes > 1 and not args.snapshot:
-        raise ReproError(
-            "--build-processes needs --snapshot: the parallel sharded "
-            "build exchanges data through the snapshot directory"
-        )
     peg = load_peg(args.peg)
     # Network mode serves requests from sockets, not a workload file
     # (reading stdin for one would block forever).

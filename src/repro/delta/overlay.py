@@ -1,7 +1,6 @@
 """The delta-overlay index: serving lookups over a mutating PEG.
 
-A built :class:`~repro.index.path_index.PathIndex` (or
-:class:`~repro.index.sharded.ShardedPathIndex`) is immutable — it
+A built :class:`~repro.index.path_index.PathIndex` is immutable — it
 reflects the PEG at offline-build time. :class:`DeltaOverlayIndex`
 wraps such a base index and keeps it queryable *through* mutations
 without a full rebuild, using the invariant established in
@@ -20,7 +19,7 @@ it contains a dirty node.
   :meth:`~repro.index.builder.PathIndexBuilder.collect_buckets` with
   that BFS region instead of the whole graph.
 * **Compaction** (:meth:`compact`) folds the delta back into the base
-  stores — rewriting only the buckets whose path lists changed, with
+  store — rewriting only the buckets whose path lists changed, with
   the same bucketing rule the builder uses — after which the overlay
   serves pure fall-through until the next mutation.
 """
@@ -37,7 +36,6 @@ from repro.index.protocol import (
     canonical_sequence,
     is_palindrome,
 )
-from repro.index.sharded import ShardedPathIndex
 from repro.obs.metrics import get_registry
 from repro.obs.timing import Timer
 from repro.obs.trace import current_span
@@ -82,7 +80,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
     Parameters
     ----------
     base:
-        The immutable offline index (monolithic or sharded).
+        The immutable offline index.
     peg:
         The live PEG the base was built from — mutations are applied to
         it *before* :meth:`absorb` is called (:mod:`repro.delta` does
@@ -90,7 +88,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
     """
 
     def __init__(
-        self, base: PathIndexProtocol, peg: ProbabilisticEntityGraph
+        self, base: PathIndex, peg: ProbabilisticEntityGraph
     ) -> None:
         if isinstance(base, DeltaOverlayIndex):
             raise DeltaError("delta overlays do not nest; reuse the overlay")
@@ -222,7 +220,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
         base paths it masked for its (sequence, milli-threshold), and
         later estimates subtract that observed stale count before
         adding the exact in-memory delta count, so repeated query
-        shapes see drift-free estimates without scanning the stores.
+        shapes see drift-free estimates without scanning the store.
         """
         estimate = self.base.estimate_cardinality(label_seq, alpha)
         seq = tuple(label_seq)
@@ -245,21 +243,8 @@ class DeltaOverlayIndex(PathIndexProtocol):
     # Compaction
     # ------------------------------------------------------------------
 
-    def _target_for(self, label_seq: tuple) -> PathIndex:
-        if isinstance(self.base, ShardedPathIndex):
-            return self.base.shard_of(label_seq)
-        return self.base
-
-    def _base_sequences(self) -> set:
-        if isinstance(self.base, ShardedPathIndex):
-            sequences: set = set()
-            for shard in self.base.shards:
-                sequences.update(shard.store.label_sequences())
-            return sequences
-        return set(self.base.store.label_sequences())
-
     def compact(self) -> dict:
-        """Fold the delta into the base stores; returns compaction stats.
+        """Fold the delta into the base store; returns compaction stats.
 
         Which sequences hold base paths through dirty nodes cannot be
         known from the *mutated* graph (their labels may be exactly
@@ -288,17 +273,16 @@ class DeltaOverlayIndex(PathIndexProtocol):
             return stats
         timer = Timer()
         timer.__enter__()
-        sequences = self._base_sequences() | set(self._delta)
+        base = self.base
+        grid = base.grid()
+        sequences = set(base.store.label_sequences()) | set(self._delta)
         dirty_array = (
             _np.fromiter(dirty, dtype=_np.int64, count=len(dirty))
             if _np is not None and dirty
             else None
         )
-        touched_stores = []
         for seq in sorted(sequences, key=repr):
-            target = self._target_for(seq)
-            grid = target.grid()
-            existing_buckets = list(target.store.scan_buckets(seq, 0))
+            existing_buckets = list(base.store.scan_buckets(seq, 0))
             added = self._delta.get(seq, ())
             if not added and not any(
                 _payload_touches(payload, dirty_array)
@@ -325,22 +309,20 @@ class DeltaOverlayIndex(PathIndexProtocol):
                 merged.setdefault(bucket, []).append(path)
             rewrite = set(merged) | {b for b, _ in existing_buckets}
             for bucket in sorted(rewrite):
-                target.store.put_bucket(
+                base.store.put_bucket(
                     seq, bucket, encode_paths(merged.get(bucket, []))
                 )
             if merged:
-                target.histograms[seq] = make_histogram(
+                base.histograms[seq] = make_histogram(
                     grid, {b: len(paths) for b, paths in merged.items()}
                 )
             else:
-                target.histograms.pop(seq, None)
-            if target.store not in touched_stores:
-                touched_stores.append(target.store)
+                base.histograms.pop(seq, None)
             stats["sequences_rewritten"] += 1
             stats["paths_dropped"] += dropped
             stats["paths_added"] += len(added)
-        for store in touched_stores:
-            store.flush()
+        if stats["sequences_rewritten"]:
+            base.store.flush()
         self._dirty = frozenset()
         self._delta = {}
         self._stale_counts = {}
@@ -367,7 +349,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
         """Base paths (including still-masked stale ones) plus delta paths.
 
         Exact accounting of masked paths would require scanning the
-        base stores; compaction restores an exact count.
+        base store; compaction restores an exact count.
         """
         return self.base.num_paths() + self.delta_path_count()
 

@@ -7,13 +7,14 @@
 * :mod:`repro.index.histogram` — per-label-sequence cardinality
   histograms with exponential-curve-fit estimation,
 * :mod:`repro.index.builder` — bottom-up, length-wise index
-  construction with β pruning and symmetry canonicalisation,
+  construction with β pruning and symmetry canonicalisation, optionally
+  enumerated on a process pool,
 * :mod:`repro.index.protocol` — the lookup protocol every index
   implementation speaks (validation + orientation shared in one place),
-* :mod:`repro.index.path_index` — the queryable monolithic index:
-  bucket range scans, orientation handling, cardinality estimates,
-* :mod:`repro.index.sharded` — the hash-sharded index and its parallel
-  (map/reduce process-pool) builder,
+* :mod:`repro.index.path_index` — the queryable index: bucket range
+  scans, orientation handling, cardinality estimates,
+* :mod:`repro.index.sharded` — the hash-sharded path *store* and the
+  one directory → store mapping,
 * :mod:`repro.index.batch` — the per-batch caching view used by batched
   multi-query execution.
 """
@@ -36,9 +37,8 @@ from repro.index.protocol import (
 from repro.index.path_index import PathIndex
 from repro.index.builder import PathIndexBuilder, build_path_index
 from repro.index.sharded import (
-    ShardedIndexBuilder,
-    ShardedPathIndex,
-    build_sharded_path_index,
+    ShardedPathStore,
+    open_store,
     shard_for_sequence,
 )
 from repro.index.batch import BatchLookupIndex
@@ -59,9 +59,8 @@ __all__ = [
     "PathIndex",
     "PathIndexBuilder",
     "build_path_index",
-    "ShardedIndexBuilder",
-    "ShardedPathIndex",
-    "build_sharded_path_index",
+    "ShardedPathStore",
+    "open_store",
     "shard_for_sequence",
     "BatchLookupIndex",
 ]

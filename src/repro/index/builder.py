@@ -8,34 +8,36 @@ path is itself β-qualified, so no qualifying path is missed.
 The frontier holds *directed* labeled paths (each undirected path in
 both orientations, which is what edge-extension needs); storage keeps
 only the canonical orientation, exploiting the undirected symmetry the
-paper describes. Optional thread-based parallelism mirrors the paper's
-per-label-sequence parallel build with a barrier between lengths.
+paper describes.
 
-Sharded builds
+One build path
 --------------
-:class:`~repro.index.sharded.ShardedIndexBuilder` parallelizes this
-construction across processes: map workers each expand the frontier for
-a disjoint slice of start nodes (every directed path has exactly one
-start node, so slices partition the enumeration with no duplicates —
-:meth:`PathIndexBuilder.collect_buckets` is the per-slice entry point),
-then reduce workers assemble one store per shard. Paths are routed to
-shards by :func:`repro.index.sharded.shard_for_sequence`, the hash of
-the **canonical** label sequence: SHA-1 over the ``repr`` of each label
-joined with a separator byte, taken modulo the shard count. Because the
-hash depends only on label ``repr`` strings — never on Python's
-randomized ``hash()`` — the shard of a sequence is stable across
-processes, interpreter restarts, platforms and ``PYTHONHASHSEED``
-values, which is what lets independently built shards, warm-started
-snapshots, and online lookups all agree on where a sequence lives.
+Every build is one enumeration feeding one writer
+(:func:`_write_buckets`), which only calls
+:meth:`~repro.storage.kvstore.PathStore.put_bucket` — so the target may
+be any store, including a hash-sharded one
+(:class:`~repro.index.sharded.ShardedPathStore`). The enumeration is
+where the time goes, and ``build_processes > 1`` fans it out over a
+process pool: every directed path has exactly one start node, so
+disjoint start-node chunks partition it with no duplicates
+(:meth:`PathIndexBuilder.collect_buckets` is the per-chunk entry
+point). Chunks are contiguous and merged in node order, which
+reproduces the serial enumeration order exactly: a parallel build
+writes the same payload bytes as a serial one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import Iterable, Iterator, Sequence
 
 from repro.index.path_index import PathIndex, make_histogram
-from repro.index.paths import IndexedPath, encode_paths
+from repro.index.paths import (
+    IndexedPath,
+    concat_payloads,
+    encode_paths,
+    payload_count,
+)
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import InMemoryPathStore, PathStore
 from repro.utils.errors import IndexError_
@@ -58,10 +60,11 @@ class PathIndexBuilder:
     store:
         Target :class:`~repro.storage.kvstore.PathStore`; defaults to a
         fresh in-memory store.
-    num_threads:
-        Worker threads for the per-sequence storage step (>=1). The
-        default of 1 is fastest under CPython's GIL; the parallel path
-        exists for structural parity with the paper.
+    build_processes:
+        Pool workers for the enumeration. ``0`` or ``1`` enumerates
+        in-process; ``> 1`` uses a ``ProcessPoolExecutor`` whose workers
+        warm-start once with the PEG, giving true CPU parallelism on
+        multi-core hosts.
     """
 
     def __init__(
@@ -71,18 +74,20 @@ class PathIndexBuilder:
         beta: float = 0.1,
         gamma: float = 0.1,
         store: PathStore | None = None,
-        num_threads: int = 1,
+        build_processes: int = 0,
     ) -> None:
         if max_length < 1:
             raise IndexError_(f"max_length must be >= 1, got {max_length}")
-        if num_threads < 1:
-            raise IndexError_(f"num_threads must be >= 1, got {num_threads}")
+        if build_processes < 0:
+            raise IndexError_(
+                f"build_processes must be >= 0, got {build_processes}"
+            )
         self.peg = peg
         self.max_length = int(max_length)
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.store = store if store is not None else InMemoryPathStore()
-        self.num_threads = int(num_threads)
+        self.build_processes = int(build_processes)
         # component sharing fast path: a node can only share references
         # with another node if its identity component has several entities.
         self._comp_shared = self._component_sharing_flags()
@@ -101,33 +106,25 @@ class PathIndexBuilder:
 
     def build(self) -> PathIndex:
         """Run the full construction and return the queryable index."""
-        stats = {"paths_per_length": {}, "build_seconds": 0.0}
-        bucket_counts: dict = {}
         grid = _grid_milli(self.beta, self.gamma)
-
+        paths_per_length: dict = {}
+        entries = (
+            self._parallel_entries(paths_per_length)
+            if self.build_processes > 1
+            else self._serial_entries(paths_per_length)
+        )
         with Timer() as timer:
-            frontier = self._seed_frontier()
-            self._store_level(frontier, bucket_counts, grid)
-            stats["paths_per_length"][0] = len(frontier)
-
-            for length in range(1, self.max_length + 1):
-                frontier = self._extend(frontier)
-                self._store_level(frontier, bucket_counts, grid)
-                stats["paths_per_length"][length] = len(frontier)
-
-        stats["build_seconds"] = timer.elapsed
-        self.store.flush()
-        histograms = {
-            seq: make_histogram(grid, counts)
-            for seq, counts in bucket_counts.items()
-        }
+            histograms = _write_buckets(self.store, entries, grid)
         return PathIndex(
             store=self.store,
             max_length=self.max_length,
             beta=self.beta,
             gamma=self.gamma,
             histograms=histograms,
-            build_stats=stats,
+            build_stats={
+                "paths_per_length": paths_per_length,
+                "build_seconds": timer.elapsed,
+            },
         )
 
     def collect_buckets(self, start_nodes=None) -> tuple:
@@ -138,21 +135,62 @@ class PathIndexBuilder:
         When ``start_nodes`` is given, only directed paths *starting* at
         one of those nodes are expanded — since every directed path has
         exactly one start node, disjoint slices of the node set partition
-        the full enumeration with no duplicates, which is how
-        :class:`~repro.index.sharded.ShardedIndexBuilder`'s map workers
-        split the build.
+        the full enumeration with no duplicates, which is how the
+        parallel build's workers and the delta overlay's dirty-region
+        refresh restrict it.
         """
-        grid = _grid_milli(self.beta, self.gamma)
         per_key: dict = {}
         paths_per_length: dict = {}
-        frontier = self._seed_frontier(start_nodes)
-        self._bucket_level(frontier, per_key, grid)
-        paths_per_length[0] = len(frontier)
-        for length in range(1, self.max_length + 1):
-            frontier = self._extend(frontier)
-            self._bucket_level(frontier, per_key, grid)
-            paths_per_length[length] = len(frontier)
+        for length, count, level in self._levels(start_nodes):
+            per_key.update(level)  # levels hold disjoint sequence lengths
+            paths_per_length[length] = count
         return per_key, paths_per_length
+
+    def _levels(self, start_nodes=None) -> Iterator[tuple]:
+        """Yield ``(length, frontier size, {labels: {bucket: paths}})``
+        level by level, so a consumer can hold one level's paths at a time."""
+        grid = _grid_milli(self.beta, self.gamma)
+        frontier = self._seed_frontier(start_nodes)
+        for length in range(self.max_length + 1):
+            if length:
+                frontier = self._extend(frontier)
+            yield length, len(frontier), self._bucket_level(frontier, grid)
+
+    def _serial_entries(self, paths_per_length: dict) -> Iterator[tuple]:
+        """Every ``(labels, bucket, payload)`` of the index, in-process."""
+        for length, count, level in self._levels():
+            paths_per_length[length] = count
+            yield from _encoded(level)
+            # The next level is expanded while this name is still bound;
+            # let go of the (already written) paths first.
+            del level
+
+    def _parallel_entries(self, paths_per_length: dict) -> Iterator[tuple]:
+        """The same entries, enumerated per start-node chunk on a pool.
+
+        Workers encode their buckets (in parallel, once per path), so
+        what crosses the process boundary is payload bytes, and the
+        chunks of one bucket merge by byte concatenation in chunk order.
+        """
+        chunks = _chunk_nodes(
+            tuple(self.peg.node_ids()),
+            self.build_processes * _CHUNKS_PER_WORKER,
+        )
+        merged: dict = {}
+        with ProcessPoolExecutor(
+            max_workers=self.build_processes,
+            initializer=_worker_init,
+            initargs=(self.peg, self.max_length, self.beta, self.gamma),
+        ) as pool:
+            for entries, counts in pool.map(_collect_chunk, chunks):
+                for labels, bucket, payload in entries:
+                    merged.setdefault((labels, bucket), []).append(payload)
+                for length, count in counts.items():
+                    paths_per_length[length] = (
+                        paths_per_length.get(length, 0) + count
+                    )
+        for (labels, bucket), payloads in merged.items():
+            yield labels, bucket, concat_payloads(payloads)
 
     # ------------------------------------------------------------------
 
@@ -227,10 +265,9 @@ class PathIndexBuilder:
 
     # ------------------------------------------------------------------
 
-    def _bucket_level(
-        self, frontier: list, per_key: dict, grid: Sequence[int]
-    ) -> None:
-        """Merge a level's canonical paths into ``per_key`` by bucket."""
+    def _bucket_level(self, frontier: list, grid: Sequence[int]) -> dict:
+        """A level's canonical paths as ``{labels: {bucket: paths}}``."""
+        per_key: dict = {}
         for ids, labels, prle, prn in frontier:
             if not _is_canonical(ids, labels):
                 continue
@@ -239,37 +276,67 @@ class PathIndexBuilder:
             per_key.setdefault(labels, {}).setdefault(bucket, []).append(
                 IndexedPath(ids, prle, prn)
             )
+        return per_key
 
-    def _store_level(
-        self, frontier: list, bucket_counts: dict, grid: Sequence[int]
-    ) -> None:
-        """Bucket and persist the canonical orientation of a level's paths."""
-        per_key: dict = {}
-        self._bucket_level(frontier, per_key, grid)
-        for labels, buckets in per_key.items():
-            counts = bucket_counts.setdefault(labels, {})
-            for bucket, paths in buckets.items():
-                counts[bucket] = counts.get(bucket, 0) + len(paths)
 
-        def store_sequence(item):
-            labels, buckets = item
-            for bucket, paths in buckets.items():
-                existing = self.store.get_bucket(labels, bucket)
-                if existing:
-                    # Append to a previously written bucket (only happens
-                    # if a caller builds incrementally; levels write
-                    # disjoint key spaces otherwise).
-                    from repro.index.paths import decode_paths
+def _encoded(per_key: dict) -> Iterator[tuple]:
+    """``(labels, bucket, payload)`` for every bucket of an enumeration."""
+    for labels, buckets in per_key.items():
+        for bucket, paths in buckets.items():
+            yield labels, bucket, encode_paths(paths)
 
-                    paths = decode_paths(existing) + paths
-                self.store.put_bucket(labels, bucket, encode_paths(paths))
 
-        if self.num_threads > 1 and len(per_key) > 1:
-            with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-                list(pool.map(store_sequence, per_key.items()))
-        else:
-            for item in per_key.items():
-                store_sequence(item)
+def _write_buckets(
+    store: PathStore, entries: Iterable[tuple], grid: Sequence[int]
+) -> dict:
+    """THE store-writing routine: every bucket of every build passes here.
+
+    Writes each ``(labels, bucket, payload)`` through
+    :meth:`PathStore.put_bucket`, flushes, and returns the per-sequence
+    histograms of what was written.
+    """
+    counts: dict = {}
+    for labels, bucket, payload in entries:
+        store.put_bucket(labels, bucket, payload)
+        counts.setdefault(labels, {})[bucket] = payload_count(payload)
+    store.flush()
+    return {
+        labels: make_histogram(grid, buckets)
+        for labels, buckets in counts.items()
+    }
+
+
+# ----------------------------------------------------------------------
+# Process-pool enumeration
+# ----------------------------------------------------------------------
+
+#: Chunks per pool worker: enough that one dense chunk cannot leave the
+#: other workers idle, few enough that per-task overhead stays invisible.
+_CHUNKS_PER_WORKER = 4
+
+#: The current pool worker's builder (set once by the initializer — the
+#: same warm-start pattern as repro.service's process executor, which
+#: initializes workers from a snapshot).
+_WORKER_BUILDER: PathIndexBuilder | None = None
+
+
+def _worker_init(peg, max_length: int, beta: float, gamma: float) -> None:
+    """Warm-start one pool worker with the shared PEG and parameters."""
+    global _WORKER_BUILDER
+    _WORKER_BUILDER = PathIndexBuilder(peg, max_length, beta, gamma)
+
+
+def _collect_chunk(start_nodes: tuple) -> tuple:
+    """Enumerate one start-node chunk; ``(encoded entries, level counts)``."""
+    per_key, paths_per_length = _WORKER_BUILDER.collect_buckets(start_nodes)
+    return list(_encoded(per_key)), paths_per_length
+
+
+def _chunk_nodes(node_ids: tuple, num_chunks: int) -> list:
+    """Contiguous chunks in node order — the order the serial enumeration
+    visits start nodes, so merging chunk results in sequence reproduces it."""
+    size = max(1, -(-len(node_ids) // num_chunks))
+    return [node_ids[i:i + size] for i in range(0, len(node_ids), size)]
 
 
 def build_path_index(
@@ -278,7 +345,7 @@ def build_path_index(
     beta: float = 0.1,
     gamma: float = 0.1,
     store: PathStore | None = None,
-    num_threads: int = 1,
+    build_processes: int = 0,
 ) -> PathIndex:
     """One-call façade over :class:`PathIndexBuilder`."""
     builder = PathIndexBuilder(
@@ -287,7 +354,7 @@ def build_path_index(
         beta=beta,
         gamma=gamma,
         store=store,
-        num_threads=num_threads,
+        build_processes=build_processes,
     )
     return builder.build()
 

@@ -9,12 +9,12 @@ histograms, build statistics) and the context tables;
 :meth:`repro.query.engine.QueryEngine.from_saved` builds a queryable
 engine from it.
 
-Format version 2 adds sharded bundles: a
-:class:`~repro.index.sharded.ShardedPathIndex` persists one store per
-shard under ``shard-00/ ... shard-NN/`` subdirectories (the layout
-defined by :func:`repro.storage.kvstore.shard_directory`) with
-per-shard histograms in the metadata; unsharded bundles keep their
-store files at the directory root, and version-1 bundles still load.
+There is one bundle shape: the metadata records ``num_shards`` and one
+``histograms`` dict, and :func:`repro.index.sharded.open_store` maps
+``(directory, num_shards)`` to the store — files at the directory root
+for ``num_shards == 0``, one child store per ``shard-NN/`` subdirectory
+otherwise. Bundles of any other format version are rejected (callers
+such as :meth:`repro.service.QueryService.open` rebuild over them).
 """
 
 from __future__ import annotations
@@ -25,31 +25,30 @@ import shutil
 
 from repro.index.context import ContextInformation
 from repro.index.path_index import PathIndex
-from repro.index.sharded import ShardedPathIndex
+from repro.index.sharded import ShardedPathStore, open_store
 from repro.storage.kvstore import (
     DISK_STORE_FILENAMES,
     DiskPathStore,
+    PathStore,
     list_shard_directories,
     shard_directory,
 )
 from repro.utils.errors import IndexError_
 
 #: Bundle format version; bump when the pickled layout changes.
-FORMAT_VERSION = 2
-#: Versions load_offline understands.
-_SUPPORTED_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
 _META_FILE = "offline.meta"
 
 
-def _persist_store(index: PathIndex, directory: str) -> None:
-    """Materialize one index's store under ``directory``.
+def _persist_store(store: PathStore, directory: str) -> None:
+    """Materialize one unsharded store under ``directory``.
 
     If the store is a :class:`DiskPathStore` already living there it is
     flushed in place; otherwise (another location, or an in-memory
     store) its buckets are copied into a fresh store under
     ``directory``.
     """
-    store = index.store
+    os.makedirs(directory, exist_ok=True)
     if isinstance(store, DiskPathStore) and os.path.samefile(
         store.directory, directory
     ):
@@ -84,17 +83,25 @@ def clear_offline_artifacts(directory: str) -> None:
 
 
 def save_offline(
-    index, context: ContextInformation, directory: str
+    index: PathIndex, context: ContextInformation, directory: str
 ) -> None:
     """Write the offline phase's artifacts into ``directory``.
 
-    Accepts any index built by this package — a monolithic
-    :class:`PathIndex` or a :class:`ShardedPathIndex` (each shard store
-    goes into its own subdirectory).
+    The index's store is persisted by :func:`_persist_store` — per child,
+    each into its own ``shard-NN/`` subdirectory, when it is sharded.
     """
-    os.makedirs(directory, exist_ok=True)
+    store = index.store
+    if isinstance(store, ShardedPathStore):
+        num_shards = len(store.children)
+        for shard_id, child in enumerate(store.children):
+            _persist_store(child, shard_directory(directory, shard_id))
+    else:
+        num_shards = 0
+        _persist_store(store, directory)
     meta = {
         "version": FORMAT_VERSION,
+        "num_shards": num_shards,
+        "histograms": index.histograms,
         "max_length": index.max_length,
         "beta": index.beta,
         "gamma": index.gamma,
@@ -106,19 +113,6 @@ def save_offline(
             "full_upper": context._full_upper,
         },
     }
-    if isinstance(index, ShardedPathIndex):
-        for shard_id, shard in enumerate(index.shards):
-            target = shard_directory(directory, shard_id)
-            os.makedirs(target, exist_ok=True)
-            _persist_store(shard, target)
-        meta["num_shards"] = index.num_shards
-        meta["shard_histograms"] = [
-            shard.histograms for shard in index.shards
-        ]
-    else:
-        _persist_store(index, directory)
-        meta["num_shards"] = 0
-        meta["histograms"] = index.histograms
     with open(os.path.join(directory, _META_FILE), "wb") as handle:
         pickle.dump(meta, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -126,46 +120,26 @@ def save_offline(
 def load_offline(directory: str) -> tuple:
     """Reopen a bundle written by :func:`save_offline`.
 
-    Returns ``(index, ContextInformation)`` where the index is a
-    :class:`PathIndex` or :class:`ShardedPathIndex` matching what was
-    saved; raises :class:`IndexError_` for missing or incompatible
-    bundles.
+    Returns ``(PathIndex, ContextInformation)``; raises
+    :class:`IndexError_` for missing or incompatible bundles.
     """
     meta_path = os.path.join(directory, _META_FILE)
     if not os.path.exists(meta_path):
         raise IndexError_(f"no offline bundle at {directory!r}")
     with open(meta_path, "rb") as handle:
         meta = pickle.load(handle)
-    if not isinstance(meta, dict) or meta.get("version") not in _SUPPORTED_VERSIONS:
+    if not isinstance(meta, dict) or meta.get("version") != FORMAT_VERSION:
         raise IndexError_(
             f"unsupported offline bundle version in {directory!r}"
         )
-    num_shards = meta.get("num_shards", 0)
-    if num_shards:
-        shards = []
-        for shard_id, histograms in enumerate(meta["shard_histograms"]):
-            shards.append(
-                PathIndex(
-                    store=DiskPathStore(shard_directory(directory, shard_id)),
-                    max_length=meta["max_length"],
-                    beta=meta["beta"],
-                    gamma=meta["gamma"],
-                    histograms=histograms,
-                    build_stats={"shard_id": shard_id},
-                )
-            )
-        index: PathIndex | ShardedPathIndex = ShardedPathIndex(
-            shards, build_stats=meta["build_stats"]
-        )
-    else:
-        index = PathIndex(
-            store=DiskPathStore(directory),
-            max_length=meta["max_length"],
-            beta=meta["beta"],
-            gamma=meta["gamma"],
-            histograms=meta["histograms"],
-            build_stats=meta["build_stats"],
-        )
+    index = PathIndex(
+        store=open_store(directory, meta["num_shards"]),
+        max_length=meta["max_length"],
+        beta=meta["beta"],
+        gamma=meta["gamma"],
+        histograms=meta["histograms"],
+        build_stats=meta["build_stats"],
+    )
     raw = meta["context"]
     context = ContextInformation(
         sigma=raw["sigma"],

@@ -7,9 +7,9 @@ its ``Prle`` and ``Prn`` components. For undirected graphs, ``X`` and its
 reverse share one stored entry (symmetry optimisation); lookups
 transparently orient results to the requested sequence.
 
-:class:`PathIndex` is the monolithic implementation of the
-:class:`~repro.index.protocol.PathIndexProtocol`; see
-:mod:`repro.index.sharded` for the hash-partitioned one.
+:class:`PathIndex` is the one store-backed implementation of the
+:class:`~repro.index.protocol.PathIndexProtocol`; hash-partitioning is
+a property of its store (:mod:`repro.index.sharded`).
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def concat_payloads(payloads: Iterable[bytes]) -> bytes:
 
     The format is a count header followed by self-delimiting records, so
     concatenation is summing the headers and joining the bodies — the
-    sharded builder's reduce phase merges spilled partitions this way.
+    parallel build merges its start-node chunks this way.
     """
     payloads = list(payloads)
     total = sum(payload_count(payload) for payload in payloads)

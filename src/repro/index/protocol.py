@@ -2,15 +2,15 @@
 
 Three implementations share this contract:
 
-* :class:`~repro.index.path_index.PathIndex` — one store, the paper's
-  monolithic index,
-* :class:`~repro.index.sharded.ShardedPathIndex` — N hash shards, each
-  a :class:`PathIndex` over its own store,
+* :class:`~repro.index.path_index.PathIndex` — the one store-backed
+  index (its store may be hash-sharded; the index cannot tell),
 * :class:`~repro.index.batch.BatchLookupIndex` — a caching view used by
-  batched query execution.
+  batched query execution,
+* :class:`~repro.delta.overlay.DeltaOverlayIndex` — a live-update view
+  over a :class:`PathIndex`.
 
 The protocol splits a lookup into the *canonical-space primitive*
-:meth:`PathIndexProtocol.lookup_canonical` (what a store/shard actually
+:meth:`PathIndexProtocol.lookup_canonical` (what the store actually
 fetches) and the shared public :meth:`PathIndexProtocol.lookup`
 (argument validation plus orientation of results to the requested
 sequence), so every implementation validates, errors, and orients
@@ -28,13 +28,13 @@ from repro.utils.errors import IndexError_
 
 
 def store_read_totals(index) -> tuple:
-    """``(read_ops, bytes_read)`` served so far by the store(s) behind ``index``.
+    """``(read_ops, bytes_read)`` served so far by the store behind ``index``.
 
     Unwraps caching and overlay views (``.inner`` of a batch view,
     ``.base`` of a delta overlay) down to the store-backed
-    implementation; a sharded index sums over its shards. The engine
-    snapshots these totals around its lookup stage to attribute store
-    traffic to individual queries.
+    :class:`~repro.index.path_index.PathIndex`. The engine snapshots
+    these totals around its lookup stage to attribute store traffic to
+    individual queries.
     """
     for _ in range(8):  # wrapper chains are short; bound the walk
         inner = getattr(index, "inner", None)
@@ -43,15 +43,8 @@ def store_read_totals(index) -> tuple:
         if inner is None:
             break
         index = inner
-    shards = getattr(index, "shards", None)
-    if shards is not None:
-        reads = sum(shard.store.read_count for shard in shards)
-        nbytes = sum(getattr(shard.store, "bytes_read", 0) for shard in shards)
-        return reads, nbytes
-    store = getattr(index, "store", None)
-    if store is not None:
-        return store.read_count, getattr(store, "bytes_read", 0)
-    return 0, 0
+    store = index.store
+    return store.read_count, store.bytes_read
 
 
 def canonical_sequence(label_seq: tuple) -> tuple:

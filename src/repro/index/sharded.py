@@ -1,71 +1,51 @@
-"""Hash-sharded path index: partitioned storage, parallel construction.
+"""Hash-sharded path store: the index's first level, partitioned.
 
-The paper builds one monolithic path index per PEG, which caps both
-build parallelism and the graph sizes one store can serve.
-:class:`ShardedPathIndex` partitions the indexed paths across ``N``
-shards by a stable hash of the canonical label sequence
-(:func:`shard_for_sequence`); each shard is a full
-:class:`~repro.index.path_index.PathIndex` over its own store, and the
-sharded index implements the same
-:class:`~repro.index.protocol.PathIndexProtocol`, so the query engine,
-the offline bundle, and the serving layer work transparently over
-either shape.
+The paper's index is a two-level structure: a hash directory on the
+label sequence ``X``, then buckets ordered by probability ``π``.
+Sharding partitions exactly that first level, so it is a property of
+the *store*: :class:`ShardedPathStore` is a
+:class:`~repro.storage.kvstore.PathStore` that routes every
+``(label sequence, bucket)`` operation to one of ``N`` child stores by
+a stable hash of the canonical label sequence
+(:func:`shard_for_sequence`). Everything above the store — the one
+:class:`~repro.index.path_index.PathIndex`, its builder, the offline
+bundle, the delta overlay, the query engine — sees a plain
+``PathStore`` and does not know whether it is sharded.
 
-Construction (:class:`ShardedIndexBuilder`) is a two-phase map/reduce
-over a process pool, reusing the warm-start idea of
-:mod:`repro.service` (workers are initialized once with the pickled
-PEG, exactly like the service's process executor warm-starts from a
-snapshot):
+Because only the canonical orientation of a sequence is stored and a
+sequence hashes like its reverse, no path lives in two children and the
+union over children is exactly the unsharded store's content — the
+invariant ``tests/test_storage_kvstore.py`` and
+``tests/test_index_sharded.py`` pin down.
 
-* **map** — the PEG's node ids are split into one slice per worker;
-  each worker runs the bottom-up frontier expansion restricted to
-  directed paths *starting* in its slice (a partition of the full
-  enumeration, see
-  :meth:`~repro.index.builder.PathIndexBuilder.collect_buckets`) and
-  spills its canonical paths routed by shard;
-* **reduce** — one task per shard merges the spilled partitions and
-  writes the shard's store and histograms.
-
-Because every directed path has exactly one start node and only the
-canonical orientation is kept, no path is produced twice and the union
-over shards is exactly the monolithic index's content — the invariant
-the property tests in ``tests/test_index_sharded.py`` pin down.
+:func:`open_store` is the one place a ``(directory, shard count)`` pair
+becomes a store, with the ``shard-NN/`` on-disk layout of
+:func:`repro.storage.kvstore.shard_directory`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import shutil
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
-from repro.index.builder import PathIndexBuilder, _grid_milli
-from repro.index.path_index import PathIndex, make_histogram
-from repro.index.paths import concat_payloads, encode_paths, payload_count
-from repro.index.protocol import PathIndexProtocol, canonical_sequence
+from repro.index.protocol import canonical_sequence
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_span
-from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import (
     DiskPathStore,
     InMemoryPathStore,
-    list_shard_directories,
+    PathStore,
     shard_directory,
 )
 from repro.utils.errors import IndexError_
-from repro.obs.timing import Timer
 
 #: Separator between labels in the shard hash input; a byte that cannot
 #: appear ambiguously inside ``repr`` output of one label boundary.
 _HASH_SEPARATOR = b"\x1f"
 
-_SPILL_DIR = "spill"
-
 #: Registry counters per shard id, created on first fetch. Module-level
-#: (not index attributes) so sharded indexes stay picklable; all
-#: sharded indexes in the process share the per-shard-id series.
+#: (not store attributes) so sharded stores stay picklable; all sharded
+#: stores in the process share the per-shard-id series.
 _FETCH_COUNTERS: dict = {}
 
 
@@ -102,442 +82,92 @@ def shard_for_sequence(label_seq: Sequence, num_shards: int) -> int:
     return int.from_bytes(digest[:8], "big") % num_shards
 
 
-class ShardedPathIndex(PathIndexProtocol):
-    """N hash shards behind the one path-index lookup protocol.
+class ShardedPathStore(PathStore):
+    """N child stores behind the one :class:`PathStore` interface.
 
-    Each shard is a complete :class:`PathIndex` holding exactly the
-    canonical label sequences that :func:`shard_for_sequence` assigns to
-    it; lookups and cardinality estimates route to the owning shard.
+    Child ``i`` holds exactly the label sequences
+    :func:`shard_for_sequence` assigns to it. Reads are counted per
+    shard (``repro_index_shard_fetches_total{shard=…}`` and the
+    ``shard_fetches[NN]`` attribute of the active span);
+    ``read_count`` / ``bytes_read`` are the sums over the children.
     """
 
-    def __init__(self, shards: Sequence[PathIndex], build_stats: dict | None = None) -> None:
-        shards = list(shards)
-        if not shards:
-            raise IndexError_("a sharded index needs at least one shard")
-        first = shards[0]
-        for shard in shards[1:]:
-            if (
-                shard.max_length != first.max_length
-                or shard.beta != first.beta
-                or shard.gamma != first.gamma
-            ):
-                raise IndexError_(
-                    "all shards must share max_length/beta/gamma; got "
-                    f"({shard.max_length}, {shard.beta}, {shard.gamma}) vs "
-                    f"({first.max_length}, {first.beta}, {first.gamma})"
-                )
-        self.shards = shards
-        self.max_length = first.max_length
-        self.beta = first.beta
-        self.gamma = first.gamma
-        self.build_stats = dict(build_stats or {})
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shards."""
-        return len(self.shards)
+    def __init__(self, children: Sequence[PathStore]) -> None:
+        self.children = tuple(children)
+        if not self.children:
+            raise IndexError_("a sharded store needs at least one child")
 
     def shard_for(self, label_seq: Sequence) -> int:
-        """Shard id owning a label sequence (orientation-invariant)."""
-        return shard_for_sequence(label_seq, len(self.shards))
+        """Id of the child owning a label sequence (orientation-invariant)."""
+        return shard_for_sequence(label_seq, len(self.children))
 
-    def shard_of(self, label_seq: Sequence) -> PathIndex:
-        """The shard index owning a label sequence."""
-        return self.shards[self.shard_for(label_seq)]
-
-    # ------------------------------------------------------------------
-    # Lookup protocol
-    # ------------------------------------------------------------------
-
-    def bucket_for(self, probability: float) -> int:
-        """Grid bucket containing ``probability`` (same grid on every shard)."""
-        return self.shards[0].bucket_for(probability)
-
-    def grid(self) -> tuple:
-        """All bucket grid points in milli-units, ascending."""
-        return self.shards[0].grid()
-
-    def lookup_canonical(self, canonical_seq: tuple, alpha: float) -> list:
-        shard_id = self.shard_for(canonical_seq)
+    def _fetch_from(self, label_seq: tuple) -> PathStore:
+        """The child owning ``label_seq``, counting one fetch against it."""
+        shard_id = self.shard_for(label_seq)
         span = current_span()
         if span.enabled:
             span.incr(f"shard_fetches[{shard_id:02d}]")
         _shard_fetch_counter(shard_id).inc()
-        return self.shards[shard_id].lookup_canonical(canonical_seq, alpha)
-
-    def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
-        return self.shard_of(label_seq).estimate_cardinality(label_seq, alpha)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+        return self.children[shard_id]
 
     @property
-    def histograms(self) -> dict:
-        """Merged per-sequence histograms of every shard (shards are disjoint)."""
-        merged: dict = {}
-        for shard in self.shards:
-            merged.update(shard.histograms)
-        return merged
+    def read_count(self) -> int:
+        return sum(child.read_count for child in self.children)
 
-    def num_sequences(self) -> int:
-        return sum(shard.num_sequences() for shard in self.shards)
+    @property
+    def bytes_read(self) -> int:
+        return sum(child.bytes_read for child in self.children)
 
-    def num_paths(self) -> int:
-        return sum(shard.num_paths() for shard in self.shards)
+    def reset_read_count(self) -> None:
+        for child in self.children:
+            child.reset_read_count()
+
+    def put_bucket(self, label_seq: tuple, bucket: int, payload: bytes) -> None:
+        child = self.children[self.shard_for(label_seq)]
+        child.put_bucket(label_seq, bucket, payload)
+
+    def get_bucket(self, label_seq: tuple, bucket: int):
+        return self._fetch_from(label_seq).get_bucket(label_seq, bucket)
+
+    def scan_buckets(self, label_seq: tuple, min_bucket: int = 0):
+        return self._fetch_from(label_seq).scan_buckets(label_seq, min_bucket)
+
+    def label_sequences(self) -> tuple:
+        return tuple(
+            seq for child in self.children for seq in child.label_sequences()
+        )
 
     def size_bytes(self) -> int:
-        return sum(shard.size_bytes() for shard in self.shards)
+        return sum(child.size_bytes() for child in self.children)
 
-    def store_read_count(self) -> int:
-        """Total read operations served by all shard stores."""
-        return sum(shard.store.read_count for shard in self.shards)
+    def flush(self) -> None:
+        for child in self.children:
+            child.flush()
 
-    def reset_store_read_count(self) -> None:
-        """Zero every shard store's read counter."""
-        for shard in self.shards:
-            shard.store.reset_read_count()
-
-    def stats(self) -> dict:
-        """Aggregate summary plus per-shard path counts."""
-        info = {
-            "max_length": self.max_length,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "sequences": self.num_sequences(),
-            "paths": self.num_paths(),
-            "size_bytes": self.size_bytes(),
-            "num_shards": self.num_shards,
-            "paths_per_shard": tuple(
-                shard.num_paths() for shard in self.shards
-            ),
-        }
-        info.update(self.build_stats)
-        return info
+    def close(self) -> None:
+        for child in self.children:
+            child.close()
 
 
-# ----------------------------------------------------------------------
-# Parallel construction
-# ----------------------------------------------------------------------
+def open_store(directory: str | None, num_shards: int = 0) -> PathStore:
+    """The one ``(directory, shard count)`` → store mapping.
 
-#: PEG and build parameters of the current pool worker (set once by the
-#: initializer — the same warm-start pattern as repro.service's process
-#: executor, which initializes workers from a snapshot).
-_WORKER_PEG: ProbabilisticEntityGraph | None = None
-_WORKER_PARAMS: dict | None = None
-
-
-def _worker_init(peg, params: dict) -> None:
-    """Warm-start one pool worker with the shared PEG and parameters."""
-    global _WORKER_PEG, _WORKER_PARAMS
-    _WORKER_PEG = peg
-    _WORKER_PARAMS = params
-
-
-def _spill_path(spill_dir: str, slice_id: int, shard_id: int) -> str:
-    return os.path.join(
-        spill_dir, f"part-{slice_id:03d}-shard-{shard_id:03d}.pkl"
-    )
-
-
-def _route_by_shard(per_key: dict, num_shards: int) -> dict:
-    """Group ``{labels: buckets}`` by owning shard id."""
-    routed: dict = {}
-    for labels, buckets in per_key.items():
-        shard_id = shard_for_sequence(labels, num_shards)
-        routed.setdefault(shard_id, {})[labels] = buckets
-    return routed
-
-
-def _map_slice(
-    slice_id: int, node_slice: tuple, num_shards: int, spill_dir: str
-) -> dict:
-    """Map phase: expand one start-node slice, spill paths per shard.
-
-    Spill files hold already *encoded* bucket payloads, not path
-    objects: encoding happens here (in parallel, once per path), and the
-    reduce phase merges payloads by byte concatenation — far cheaper
-    than pickling/unpickling tens of thousands of path objects through
-    the spill boundary.
+    ``directory=None`` gives in-memory stores, otherwise disk stores
+    (reopened if they exist — clear a reused directory with
+    :func:`repro.index.bundle.clear_offline_artifacts` before building
+    into it). ``num_shards=0`` is the paper's single store at the
+    directory root; ``num_shards >= 1`` a :class:`ShardedPathStore`
+    over ``shard-00/ ... shard-NN/`` children.
     """
-    builder = PathIndexBuilder(_WORKER_PEG, **_WORKER_PARAMS)
-    per_key, paths_per_length = builder.collect_buckets(node_slice)
-    encoded = {
-        labels: {
-            bucket: encode_paths(paths) for bucket, paths in buckets.items()
-        }
-        for labels, buckets in per_key.items()
-    }
-    for shard_id, shard_keys in _route_by_shard(encoded, num_shards).items():
-        with open(_spill_path(spill_dir, slice_id, shard_id), "wb") as handle:
-            pickle.dump(shard_keys, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    return paths_per_length
+    if num_shards < 0:
+        raise IndexError_(f"num_shards must be >= 0, got {num_shards}")
 
+    def leaf(path: str | None) -> PathStore:
+        return InMemoryPathStore() if path is None else DiskPathStore(path)
 
-def _write_shard_store(store, per_key: dict, grid: tuple) -> dict:
-    """Persist one shard's routed path lists; returns its histograms."""
-    histograms = {}
-    for labels, buckets in per_key.items():
-        counts = {}
-        for bucket, paths in sorted(buckets.items()):
-            store.put_bucket(labels, bucket, encode_paths(paths))
-            counts[bucket] = len(paths)
-        histograms[labels] = make_histogram(grid, counts)
-    store.flush()
-    return histograms
-
-
-def _reduce_shard(
-    shard_id: int,
-    num_slices: int,
-    spill_dir: str,
-    shard_dir: str,
-    grid: tuple,
-) -> dict:
-    """Reduce phase: merge one shard's spilled partitions into its store."""
-    merged: dict = {}
-    for slice_id in range(num_slices):
-        path = _spill_path(spill_dir, slice_id, shard_id)
-        if not os.path.exists(path):
-            continue
-        with open(path, "rb") as handle:
-            for labels, buckets in pickle.load(handle).items():
-                target = merged.setdefault(labels, {})
-                for bucket, payload in buckets.items():
-                    target.setdefault(bucket, []).append(payload)
-    store = DiskPathStore(shard_dir)
-    histograms = {}
-    for labels, buckets in merged.items():
-        counts = {}
-        for bucket, payloads in sorted(buckets.items()):
-            payload = (
-                payloads[0] if len(payloads) == 1
-                else concat_payloads(payloads)
-            )
-            store.put_bucket(labels, bucket, payload)
-            counts[bucket] = payload_count(payload)
-        histograms[labels] = make_histogram(grid, counts)
-    store.close()
-    return histograms
-
-
-class ShardedIndexBuilder:
-    """Builds a :class:`ShardedPathIndex`, optionally on a process pool.
-
-    Parameters
-    ----------
-    peg:
-        The probabilistic entity graph.
-    num_shards:
-        Number of hash shards (>= 1).
-    max_length / beta / gamma:
-        Index parameters, as for
-        :class:`~repro.index.builder.PathIndexBuilder`.
-    directory:
-        Base directory for the shard stores (``shard-00/ ...``); when
-        omitted the shards are built in memory. Required for
-        ``num_processes > 1`` — pool workers exchange data through it.
-    num_processes:
-        Pool workers for the map/reduce build. ``0`` or ``1`` builds
-        serially in-process (still sharded); ``> 1`` uses a
-        ``ProcessPoolExecutor`` whose workers warm-start once with the
-        pickled PEG, giving true CPU parallelism on multi-core hosts.
-    """
-
-    def __init__(
-        self,
-        peg: ProbabilisticEntityGraph,
-        num_shards: int,
-        max_length: int = 3,
-        beta: float = 0.1,
-        gamma: float = 0.1,
-        directory: str | None = None,
-        num_processes: int = 0,
-    ) -> None:
-        if num_shards < 1:
-            raise IndexError_(f"num_shards must be >= 1, got {num_shards}")
-        if num_processes < 0:
-            raise IndexError_(
-                f"num_processes must be >= 0, got {num_processes}"
-            )
-        if num_processes > 1 and directory is None:
-            raise IndexError_(
-                "a parallel sharded build needs a directory: map workers "
-                "spill per-shard partitions and reduce workers build the "
-                "shard stores there"
-            )
-        self.peg = peg
-        self.num_shards = int(num_shards)
-        self.max_length = int(max_length)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
-        self.directory = directory
-        self.num_processes = int(num_processes)
-
-    # ------------------------------------------------------------------
-
-    def build(self) -> ShardedPathIndex:
-        """Run the (possibly parallel) construction and return the index."""
-        if self.directory is not None:
-            self._clear_stale_state()
-        grid = _grid_milli(self.beta, self.gamma)
-        stats: dict = {
-            "num_shards": self.num_shards,
-            "build_processes": self.num_processes,
-        }
-        with Timer() as timer:
-            if self.num_processes > 1:
-                shard_histograms, paths_per_length = self._build_parallel(
-                    grid, stats
-                )
-            else:
-                shard_histograms, paths_per_length = self._build_serial(grid)
-        stats["build_seconds"] = timer.elapsed
-        stats["paths_per_length"] = paths_per_length
-
-        shards = []
-        for shard_id, histograms in enumerate(shard_histograms):
-            if self.directory is not None:
-                store = DiskPathStore(
-                    shard_directory(self.directory, shard_id)
-                )
-            else:
-                store = self._memory_stores[shard_id]
-            shards.append(
-                PathIndex(
-                    store=store,
-                    max_length=self.max_length,
-                    beta=self.beta,
-                    gamma=self.gamma,
-                    histograms=histograms,
-                    build_stats={"shard_id": shard_id},
-                )
-            )
-        return ShardedPathIndex(shards, build_stats=stats)
-
-    # ------------------------------------------------------------------
-
-    def _clear_stale_state(self) -> None:
-        """Remove leftovers of earlier builds under the target directory.
-
-        A fresh build must not inherit anything: existing shard stores
-        (possibly from a build with a different shard count — their
-        buckets would otherwise survive wherever keys don't collide)
-        and spill files of a build that died before its cleanup ran
-        (they would be merged into the new shards as duplicates).
-        """
-        for stale in list_shard_directories(self.directory):
-            shutil.rmtree(stale, ignore_errors=True)
-        shutil.rmtree(
-            os.path.join(self.directory, _SPILL_DIR), ignore_errors=True
-        )
-
-    def _params(self) -> dict:
-        return {
-            "max_length": self.max_length,
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
-
-    def _build_serial(self, grid: tuple) -> tuple:
-        """Single-process build: one enumeration, routed into N stores."""
-        builder = PathIndexBuilder(self.peg, **self._params())
-        per_key, paths_per_length = builder.collect_buckets()
-        routed = _route_by_shard(per_key, self.num_shards)
-        shard_histograms = []
-        self._memory_stores = []
-        for shard_id in range(self.num_shards):
-            if self.directory is not None:
-                store = DiskPathStore(shard_directory(self.directory, shard_id))
-            else:
-                store = InMemoryPathStore()
-                self._memory_stores.append(store)
-            histograms = _write_shard_store(
-                store, routed.get(shard_id, {}), grid
-            )
-            if self.directory is not None:
-                store.close()
-            shard_histograms.append(histograms)
-        return shard_histograms, paths_per_length
-
-    def _build_parallel(self, grid: tuple, stats: dict) -> tuple:
-        """Map/reduce build over a warm-started process pool."""
-        spill_dir = os.path.join(self.directory, _SPILL_DIR)
-        os.makedirs(spill_dir, exist_ok=True)
-        slices = _slice_nodes(
-            tuple(self.peg.node_ids()), self.num_processes
-        )
-        paths_per_length: dict = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.num_processes,
-                initializer=_worker_init,
-                initargs=(self.peg, self._params()),
-            ) as pool:
-                with Timer() as map_timer:
-                    map_futures = [
-                        pool.submit(
-                            _map_slice,
-                            slice_id,
-                            node_slice,
-                            self.num_shards,
-                            spill_dir,
-                        )
-                        for slice_id, node_slice in enumerate(slices)
-                    ]
-                    for future in map_futures:
-                        for length, count in future.result().items():
-                            paths_per_length[length] = (
-                                paths_per_length.get(length, 0) + count
-                            )
-                stats["map_seconds"] = map_timer.elapsed
-                with Timer() as reduce_timer:
-                    reduce_futures = [
-                        pool.submit(
-                            _reduce_shard,
-                            shard_id,
-                            len(slices),
-                            spill_dir,
-                            shard_directory(self.directory, shard_id),
-                            grid,
-                        )
-                        for shard_id in range(self.num_shards)
-                    ]
-                    shard_histograms = [
-                        future.result() for future in reduce_futures
-                    ]
-                stats["reduce_seconds"] = reduce_timer.elapsed
-        finally:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-        return shard_histograms, paths_per_length
-
-
-def _slice_nodes(node_ids: tuple, num_slices: int) -> list:
-    """Split node ids into round-robin slices (balances degree skew)."""
-    slices = [node_ids[i::num_slices] for i in range(num_slices)]
-    return [s for s in slices if s]
-
-
-def build_sharded_path_index(
-    peg: ProbabilisticEntityGraph,
-    num_shards: int,
-    max_length: int = 3,
-    beta: float = 0.1,
-    gamma: float = 0.1,
-    directory: str | None = None,
-    num_processes: int = 0,
-) -> ShardedPathIndex:
-    """One-call façade over :class:`ShardedIndexBuilder`."""
-    return ShardedIndexBuilder(
-        peg,
-        num_shards,
-        max_length=max_length,
-        beta=beta,
-        gamma=gamma,
-        directory=directory,
-        num_processes=num_processes,
-    ).build()
+    if not num_shards:
+        return leaf(directory)
+    return ShardedPathStore([
+        leaf(None if directory is None else shard_directory(directory, i))
+        for i in range(num_shards)
+    ])

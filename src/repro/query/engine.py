@@ -2,8 +2,7 @@
 
 :class:`QueryEngine` performs the offline phase at construction time
 (component probabilities are already embedded in the PEG; the engine
-builds the context-aware path index — monolithic or hash-sharded — and
-the context tables) and answers probabilistic subgraph pattern matching
+builds the context-aware path index and the context tables) and answers probabilistic subgraph pattern matching
 queries online, producing both the matches and detailed statistics
 (timings, search-space progression) that the benchmark harness
 consumes. :meth:`QueryEngine.query_batch` evaluates many queries
@@ -25,7 +24,6 @@ from repro.index.protocol import (
     canonical_sequence,
     store_read_totals,
 )
-from repro.index.sharded import ShardedPathIndex, build_sharded_path_index
 from repro.obs.metrics import get_registry
 from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, Span, current_span
@@ -170,20 +168,11 @@ class QueryEngine:
         Index threshold and resolution.
     store:
         Optional :class:`~repro.storage.kvstore.PathStore` for the index
-        (defaults to in-memory; mutually exclusive with ``num_shards``).
-    index_threads:
-        Worker threads for monolithic index construction.
-    num_shards:
-        When >= 1, build a
-        :class:`~repro.index.sharded.ShardedPathIndex` with this many
-        hash shards instead of the monolithic index; 0 (the default)
-        keeps the paper's single-store shape.
-    shard_directory:
-        Base directory for the shard stores (in-memory shards when
-        omitted); required when ``build_processes > 1``.
+        (defaults to in-memory); :func:`repro.index.sharded.open_store`
+        makes disk-backed and hash-sharded ones.
     build_processes:
-        Process-pool workers for the parallel sharded build (see
-        :class:`~repro.index.sharded.ShardedIndexBuilder`).
+        Process-pool workers for the index enumeration (see
+        :class:`~repro.index.builder.PathIndexBuilder`).
     """
 
     def __init__(
@@ -193,9 +182,6 @@ class QueryEngine:
         beta: float = 0.1,
         gamma: float = 0.1,
         store: PathStore | None = None,
-        index_threads: int = 1,
-        num_shards: int = 0,
-        shard_directory: str | None = None,
         build_processes: int = 0,
         _precomputed: tuple | None = None,
     ) -> None:
@@ -220,31 +206,15 @@ class QueryEngine:
             self.index, self.context = _precomputed
             self.planner = QueryPlanner(self)
             return
-        if num_shards and store is not None:
-            raise IndexError_(
-                "store and num_shards are mutually exclusive: a sharded "
-                "index manages one store per shard"
-            )
         with self.offline_timings.stage("path_index"):
-            if num_shards:
-                self.index: PathIndexProtocol = build_sharded_path_index(
-                    peg,
-                    num_shards,
-                    max_length=max_length,
-                    beta=beta,
-                    gamma=gamma,
-                    directory=shard_directory,
-                    num_processes=build_processes,
-                )
-            else:
-                self.index = build_path_index(
-                    peg,
-                    max_length=max_length,
-                    beta=beta,
-                    gamma=gamma,
-                    store=store,
-                    num_threads=index_threads,
-                )
+            self.index: PathIndexProtocol = build_path_index(
+                peg,
+                max_length=max_length,
+                beta=beta,
+                gamma=gamma,
+                store=store,
+                build_processes=build_processes,
+            )
         with self.offline_timings.stage("context"):
             self.context: ContextInformation = build_context(peg)
         #: The adaptive planning subsystem: plan cache (keyed by
@@ -398,8 +368,7 @@ class QueryEngine:
         (the same decomposition path shapes recur across a workload);
         evaluating them through one
         :class:`~repro.index.batch.BatchLookupIndex` fetches every
-        distinct canonical sequence from the (possibly sharded) store
-        once per batch — prefetches are grouped by shard and issued at
+        distinct canonical sequence from the store once per batch — at
         the batch-wide minimum threshold per sequence — instead of once
         per query. Results are returned in request order and are
         identical to evaluating each request through :meth:`query`.
@@ -445,7 +414,7 @@ class QueryEngine:
 
     def _shared_lookups(self, plans) -> list:
         """Distinct canonical sequences a batch needs, with the minimum
-        alpha per sequence, ordered by owning shard for locality."""
+        alpha per sequence, in a deterministic order."""
         needed: dict = {}
         for query, alpha, decomposition, _plan_info, _ in plans:
             if alpha < self.index.beta:
@@ -459,13 +428,7 @@ class QueryEngine:
                 previous = needed.get(canonical)
                 if previous is None or alpha < previous:
                     needed[canonical] = alpha
-        if isinstance(self.index, ShardedPathIndex):
-            def order(item):
-                return (self.index.shard_for(item[0]), repr(item[0]))
-        else:
-            def order(item):
-                return repr(item[0])
-        return sorted(needed.items(), key=order)
+        return sorted(needed.items(), key=lambda item: repr(item[0]))
 
     def _peg_probability_arrays(self):
         """The engine's shared per-PEG probability gather tables.

@@ -32,6 +32,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 
+from repro.index.bundle import clear_offline_artifacts
+from repro.index.sharded import open_store
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, use_span
 from repro.peg.entity_graph import ProbabilisticEntityGraph
@@ -251,29 +253,28 @@ class QueryService:
         beta: float = 0.1,
         gamma: float = 0.1,
         snapshot_dir: str | None = None,
-        index_threads: int = 1,
         num_shards: int = 0,
         build_processes: int = 0,
         **service_kwargs,
     ) -> "QueryService":
         """Run the offline phase and wrap the engine in a service.
 
-        When ``snapshot_dir`` is given the freshly built offline
-        artifacts are persisted there immediately, ready for
-        :meth:`from_snapshot` on the next process. ``num_shards`` >= 1
-        builds a hash-sharded index instead of the monolithic one, and
-        ``build_processes`` > 1 parallelizes that build on a process
-        pool (the shard stores are then built directly inside
-        ``snapshot_dir``, which is required in that case).
+        When ``snapshot_dir`` is given, earlier offline artifacts there
+        are cleared and the freshly built ones persisted immediately,
+        ready for :meth:`from_snapshot` on the next process.
+        ``num_shards`` >= 1 hash-shards the index's store (built
+        directly inside ``snapshot_dir``; an unsharded index is built in
+        memory and copied there), and ``build_processes`` > 1
+        parallelizes the build on a process pool.
         """
+        if snapshot_dir is not None:
+            clear_offline_artifacts(snapshot_dir)
         engine = QueryEngine(
             peg,
             max_length=max_length,
             beta=beta,
             gamma=gamma,
-            index_threads=index_threads,
-            num_shards=num_shards,
-            shard_directory=snapshot_dir if num_shards else None,
+            store=open_store(snapshot_dir if num_shards else None, num_shards),
             build_processes=build_processes,
         )
         if snapshot_dir is not None:
@@ -307,7 +308,6 @@ class QueryService:
         max_length: int = 3,
         beta: float = 0.1,
         gamma: float = 0.1,
-        index_threads: int = 1,
         num_shards: int = 0,
         build_processes: int = 0,
         **service_kwargs,
@@ -319,8 +319,7 @@ class QueryService:
         (``service.warm_started`` tells which happened).
 
         On a warm start the build parameters (``max_length``, ``beta``,
-        ``gamma``, ``index_threads``, ``num_shards``,
-        ``build_processes``) are ignored — the snapshot's own
+        ``gamma``, ``num_shards``, ``build_processes``) are ignored — the snapshot's own
         parameters win; check ``engine.max_length`` /
         ``engine.index.beta`` after opening. Delete the snapshot
         directory to rebuild with different parameters.
@@ -336,7 +335,6 @@ class QueryService:
                 beta=beta,
                 gamma=gamma,
                 snapshot_dir=snapshot_dir,
-                index_threads=index_threads,
                 num_shards=num_shards,
                 build_processes=build_processes,
                 **service_kwargs,

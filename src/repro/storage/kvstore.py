@@ -13,10 +13,10 @@ Two implementations share the :class:`PathStore` interface:
 Both count the read operations they serve (``read_count``), which the
 batched query path and its benchmarks use to show that grouping queries
 fetches each shard bucket range once instead of once per query. A
-sharded index lays its per-shard stores out as ``shard-00/ ...
-shard-NN/`` subdirectories of one bundle directory; the
-:func:`shard_directory` / :func:`list_shard_directories` helpers define
-that naming in one place.
+sharded store (:class:`repro.index.sharded.ShardedPathStore`) lays its
+child stores out as ``shard-00/ ... shard-NN/`` subdirectories of one
+bundle directory; the :func:`shard_directory` /
+:func:`list_shard_directories` helpers define that naming in one place.
 """
 
 from __future__ import annotations
@@ -166,12 +166,13 @@ class DiskPathStore(PathStore):
     and ``index.dir`` (pickled label-sequence directory, written on
     flush/close).
 
-    With ``mmap_reads`` (the default), payloads are returned as
-    zero-copy ``memoryview`` slices over an mmap of the record log —
-    bucket payloads feed ``np.frombuffer`` bulk decoding without an
-    intermediate copy. Views stay valid for the process lifetime (the
-    log is append-only and the mapping survives :meth:`close` while
-    referenced). Pass ``mmap_reads=False`` to get fresh ``bytes``.
+    Payloads are returned as zero-copy ``memoryview`` slices over an
+    mmap of the record log — bucket payloads feed ``np.frombuffer``
+    bulk decoding without an intermediate copy — or as fresh ``bytes``
+    where the log cannot be mapped
+    (:meth:`~repro.storage.recordlog.RecordLog.read_view` decides).
+    Views stay valid for the process lifetime (the log is append-only
+    and the mapping survives :meth:`close` while referenced).
 
     All operations are serialized through one reentrant lock, so a store
     may be shared by concurrent readers (the tree's pager cache and the
@@ -180,11 +181,10 @@ class DiskPathStore(PathStore):
     yielding.
     """
 
-    def __init__(self, directory: str, mmap_reads: bool = True) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.RLock()
-        self._mmap_reads = bool(mmap_reads)
         tree_name, log_name, dir_name = DISK_STORE_FILENAMES
         self._tree = BPlusTree(os.path.join(self.directory, tree_name))
         self._log = RecordLog(os.path.join(self.directory, log_name))
@@ -213,11 +213,6 @@ class DiskPathStore(PathStore):
             key = _COMPOSITE.pack(seq_id, bucket)
             self._tree.put(key, _POINTER.pack(offset, length))
 
-    def _read_payload(self, offset: int, length: int):
-        if self._mmap_reads:
-            return self._log.read_view(offset, length)
-        return self._log.read(offset, length)
-
     def get_bucket(
         self, label_seq: tuple, bucket: int
     ) -> "bytes | memoryview | None":
@@ -233,7 +228,7 @@ class DiskPathStore(PathStore):
                 return None
             offset, length = _POINTER.unpack(pointer)
             self.bytes_read += length
-            return self._read_payload(offset, length)
+            return self._log.read_view(offset, length)
 
     def scan_buckets(self, label_seq: tuple, min_bucket: int = 0):
         faults.check("store.read")
@@ -249,7 +244,7 @@ class DiskPathStore(PathStore):
                 _, bucket = _COMPOSITE.unpack(key)
                 offset, length = _POINTER.unpack(pointer)
                 self.bytes_read += length
-                results.append((bucket, self._read_payload(offset, length)))
+                results.append((bucket, self._log.read_view(offset, length)))
         yield from results
 
     def label_sequences(self):

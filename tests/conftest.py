@@ -74,6 +74,14 @@ def small_random_peg(seed: int, num_references: int = 60, uncertainty: float = 0
     return build_peg(generate_synthetic_pgd(config))
 
 
+def store_content(store) -> dict:
+    """Everything a path store holds: ``{sequence: [(bucket, bytes)]}``."""
+    return {
+        seq: [(bucket, bytes(p)) for bucket, p in store.scan_buckets(seq, 0)]
+        for seq in store.label_sequences()
+    }
+
+
 @pytest.fixture
 def random_peg():
     return small_random_peg(seed=42)

@@ -325,14 +325,23 @@ class TestBuild:
         assert "4 shards" in capsys.readouterr().out
         assert (tmp_path / "bundle" / "shard-03").is_dir()
 
-    def test_build_processes_require_shards(self, peg_file, tmp_path, capsys):
+    def test_build_processes_need_no_shards(self, peg_file, tmp_path, capsys):
+        """The pool parallelizes the enumeration, whatever the store."""
+        from repro.index.bundle import load_offline
+
+        common = ["--max-length", "1", "--beta", "0.2"]
+        parallel, serial = str(tmp_path / "p"), str(tmp_path / "s")
         assert main(
-            [
-                "build", peg_file, "--out", str(tmp_path / "b"),
-                "--build-processes", "2",
-            ]
-        ) == 1
-        assert "--shards" in capsys.readouterr().err
+            ["build", peg_file, "--out", parallel, "--build-processes", "2"]
+            + common
+        ) == 0
+        assert "monolithic index" in capsys.readouterr().out
+        assert main(["build", peg_file, "--out", serial] + common) == 0
+        built, _ = load_offline(parallel)
+        expected, _ = load_offline(serial)
+        assert built.num_paths() == expected.num_paths()
+        for seq in expected.histograms:
+            assert built.lookup(seq, 0.2) == expected.lookup(seq, 0.2)
 
     def test_rebuild_into_used_directory_drops_stale_data(
         self, peg_file, tmp_path
@@ -370,8 +379,8 @@ class TestBuild:
             )
 
     def test_rebuild_unsharded_over_sharded(self, peg_file, tmp_path):
-        from repro.index import ShardedPathIndex
         from repro.index.bundle import load_offline
+        from repro.storage import DiskPathStore
 
         bundle = str(tmp_path / "bundle")
         assert main(
@@ -387,28 +396,32 @@ class TestBuild:
             ]
         ) == 0
         index, _ = load_offline(bundle)
-        assert not isinstance(index, ShardedPathIndex)
+        assert isinstance(index.store, DiskPathStore)
         assert not (tmp_path / "bundle" / "shard-00").exists()
 
-    def test_serve_build_processes_validation(self, peg_file, tmp_path, capsys):
+    def test_serve_build_processes_need_no_snapshot(
+        self, peg_file, tmp_path, capsys
+    ):
         workload = tmp_path / "w.jsonl"
         workload.write_text(json.dumps(
             {"nodes": {"a": "L0", "b": "L1"}, "edges": [["a", "b"]]}
         ))
+        outputs = []
+        for extra in ([], ["--build-processes", "2"],
+                      ["--shards", "2", "--build-processes", "2"]):
+            assert main(
+                ["serve", peg_file, "--queries", str(workload),
+                 "--max-length", "1", "--alpha", "0.2"] + extra
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_negative_build_processes_rejected(self, peg_file, tmp_path, capsys):
         assert main(
-            [
-                "serve", peg_file, "--queries", str(workload),
-                "--build-processes", "2",
-            ]
+            ["build", peg_file, "--out", str(tmp_path / "b"),
+             "--build-processes", "-1"]
         ) == 1
-        assert "--shards" in capsys.readouterr().err
-        assert main(
-            [
-                "serve", peg_file, "--queries", str(workload),
-                "--shards", "2", "--build-processes", "2",
-            ]
-        ) == 1
-        assert "--snapshot" in capsys.readouterr().err
+        assert "build_processes" in capsys.readouterr().err
 
 
 class TestApplyUpdates:

@@ -9,7 +9,7 @@ probabilities:
 2. the same engine with the pure-Python reference reduction backend —
    which must additionally agree with the vectorized backend on the
    reduction statistics (partition sizes and removal counts),
-3. the optimized engine over a :class:`ShardedPathIndex` (both per
+3. the optimized engine over a hash-sharded store (both per
    query and through batched execution),
 4. planned execution through :mod:`repro.query.plan` — the exact
    decomposition strategy, a plan-cache hit of it, and (throughout,
@@ -35,6 +35,7 @@ import random
 import pytest
 
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
+from repro.index import open_store
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryOptions, exhaustive_matches
 from repro.query.candidates import CandidateFinder
@@ -153,7 +154,8 @@ def test_differential_agreement(graph_index, config, query_seed):
     peg = build_peg(generate_synthetic_pgd(config))
     unsharded = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     sharded = QueryEngine(
-        peg, max_length=MAX_LENGTH, beta=BETA, num_shards=NUM_SHARDS
+        peg, max_length=MAX_LENGTH, beta=BETA,
+        store=open_store(None, NUM_SHARDS),
     )
     rng = random.Random(query_seed)
     sigma = sorted(peg.sigma, key=repr)
@@ -340,7 +342,8 @@ def test_mutation_differential(graph_index, config, mutation_seed):
     peg_sharded = build_peg(pgd)
     unsharded = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     sharded = QueryEngine(
-        peg_sharded, max_length=MAX_LENGTH, beta=BETA, num_shards=NUM_SHARDS
+        peg_sharded, max_length=MAX_LENGTH, beta=BETA,
+        store=open_store(None, NUM_SHARDS),
     )
     rng = random.Random(mutation_seed)
     sigma = sorted(peg.sigma, key=repr)

@@ -126,13 +126,15 @@ class TestBuilderVariants:
                 disk.lookup(seq, 0.3)
             )
 
-    def test_threaded_build_equivalent(self):
+    def test_parallel_build_equivalent(self):
         peg = small_random_peg(seed=5, num_references=40)
         serial = build_path_index(peg, max_length=2, beta=0.3)
-        threaded = build_path_index(peg, max_length=2, beta=0.3, num_threads=4)
+        parallel = build_path_index(
+            peg, max_length=2, beta=0.3, build_processes=2
+        )
         for seq in serial.store.label_sequences():
             assert path_key_set(serial.lookup(seq, 0.3)) == path_key_set(
-                threaded.lookup(seq, 0.3)
+                parallel.lookup(seq, 0.3)
             )
 
     def test_build_stats_present(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.index import PathIndex, ShardedPathStore, open_store
 from repro.index.bundle import load_offline, save_offline
 from repro.query import QueryEngine, QueryGraph
 from repro.storage import DiskPathStore
@@ -77,14 +78,15 @@ class TestSaveLoadRoundtrip:
 
 class TestShardedBundles:
     def test_sharded_roundtrip(self, peg, tmp_path):
-        from repro.index import ShardedPathIndex
-
         directory = str(tmp_path / "sharded-bundle")
-        engine = QueryEngine(peg, max_length=2, beta=0.1, num_shards=3)
+        engine = QueryEngine(
+            peg, max_length=2, beta=0.1, store=open_store(None, 3)
+        )
         engine.save_offline(directory)
         reopened = QueryEngine.from_saved(peg, directory)
-        assert isinstance(reopened.index, ShardedPathIndex)
-        assert reopened.index.num_shards == 3
+        assert type(reopened.index) is PathIndex
+        assert isinstance(reopened.index.store, ShardedPathStore)
+        assert len(reopened.index.store.children) == 3
         sigma = sorted(peg.sigma)
         query = QueryGraph(
             {"a": sigma[0], "b": sigma[1], "c": sigma[2]},
@@ -99,22 +101,21 @@ class TestShardedBundles:
             peg,
             max_length=1,
             beta=0.2,
-            num_shards=2,
-            shard_directory=directory,
+            store=open_store(directory, 2),
         )
         # The shard stores already live under the bundle directory: a
         # save must flush in place, not copy.
         engine.save_offline(directory)
         index, _ = load_offline(directory)
         assert index.num_paths() == engine.index.num_paths()
-        assert index.num_shards == 2
+        assert len(index.store.children) == 2
 
     def test_sharded_and_unsharded_bundles_agree(self, peg, tmp_path):
         mono_dir = str(tmp_path / "mono")
         shard_dir = str(tmp_path / "sharded")
         QueryEngine(peg, max_length=1, beta=0.2).save_offline(mono_dir)
         QueryEngine(
-            peg, max_length=1, beta=0.2, num_shards=4
+            peg, max_length=1, beta=0.2, store=open_store(None, 4)
         ).save_offline(shard_dir)
         mono_index, _ = load_offline(mono_dir)
         shard_index, _ = load_offline(shard_dir)
@@ -135,9 +136,15 @@ class TestValidation:
         with pytest.raises(IndexError_):
             load_offline(str(tmp_path / "nothing"))
 
-    def test_wrong_version(self, peg, tmp_path):
+    @pytest.mark.parametrize("version", [2, 999])
+    def test_other_versions_rejected_then_rebuilt(
+        self, peg, tmp_path, version
+    ):
+        """Version 2 is what the previous release wrote; no old loader."""
         import pickle
         import os
+
+        from repro.service import QueryService
 
         directory = str(tmp_path / "versioned")
         engine = QueryEngine(peg, max_length=1, beta=0.2)
@@ -145,8 +152,15 @@ class TestValidation:
         meta_path = os.path.join(directory, "offline.meta")
         with open(meta_path, "rb") as handle:
             meta = pickle.load(handle)
-        meta["version"] = 999
+        meta["version"] = version
         with open(meta_path, "wb") as handle:
             pickle.dump(meta, handle)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexError_, match="unsupported"):
             load_offline(directory)
+        with QueryService.open(
+            peg, directory, max_length=1, beta=0.2
+        ) as service:
+            assert not service.warm_started
+        index, _ = load_offline(directory)
+        assert index.num_paths() == engine.index.num_paths()
+        index.store.close()

@@ -1,13 +1,13 @@
-"""Sharded path index: partitioning invariants and builder equivalence.
-
-The property-based section pins down the shard-partitioning contract:
+"""One path index over a sharded store: same index, bit for bit.
 
 * :func:`~repro.index.sharded.shard_for_sequence` is deterministic,
   orientation-invariant, and in range;
-* every indexed canonical sequence lives in **exactly one** shard;
-* the union of per-shard lookups equals the unsharded lookup;
-* cardinality estimates sum correctly across shards (every non-owning
-  shard contributes exactly zero).
+* a :class:`~repro.index.path_index.PathIndex` over a
+  :class:`~repro.index.sharded.ShardedPathStore` answers ``lookup``,
+  ``estimate_cardinality``, ``num_paths`` and ``num_sequences`` exactly
+  like the unsharded index (the store's own routing contract is in
+  ``tests/test_storage_kvstore.py``);
+* a process-pool build writes the same store content as a serial one.
 """
 
 from __future__ import annotations
@@ -17,20 +17,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.index import (
-    PathIndexProtocol,
-    ShardedPathIndex,
+    PathIndex,
     build_path_index,
-    build_sharded_path_index,
     canonical_sequence,
+    open_store,
     shard_for_sequence,
 )
 from repro.utils.errors import IndexError_
 
-from tests.conftest import small_random_peg
+from tests.conftest import small_random_peg, store_content
 
 MAX_LENGTH = 2
 BETA = 0.1
-NUM_SHARDS = 4
+SHARD_COUNTS = (1, 4)
 
 _LABELS = st.one_of(
     st.integers(min_value=-5, max_value=5),
@@ -76,173 +75,95 @@ class TestShardHash:
 
 
 # ----------------------------------------------------------------------
-# Partitioning invariants of a built index
+# The index over a sharded store equals the unsharded index
 # ----------------------------------------------------------------------
 
 
+def _build(peg, **kwargs):
+    return build_path_index(peg, max_length=MAX_LENGTH, beta=BETA, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def indexes():
-    peg = small_random_peg(seed=11)
-    unsharded = build_path_index(peg, max_length=MAX_LENGTH, beta=BETA)
-    sharded = build_sharded_path_index(
-        peg, NUM_SHARDS, max_length=MAX_LENGTH, beta=BETA
-    )
-    return unsharded, sharded
+def peg():
+    return small_random_peg(seed=11)
 
 
-def _lookup_keys(index, seq, alpha):
-    return sorted(
-        (path.nodes, round(path.probability, 12))
-        for path in index.lookup(seq, alpha)
-    )
+@pytest.fixture(scope="module")
+def unsharded(peg):
+    return _build(peg)
+
+
+@pytest.fixture(scope="module", params=SHARD_COUNTS)
+def sharded(request, peg):
+    return _build(peg, store=open_store(None, request.param))
 
 
 class TestPartitioningInvariants:
-    def test_is_a_path_index(self, indexes):
-        _, sharded = indexes
-        assert isinstance(sharded, PathIndexProtocol)
-        assert sharded.num_shards == NUM_SHARDS
+    def test_is_the_one_index_class(self, sharded):
+        assert type(sharded) is PathIndex
+        assert isinstance(sharded.histograms, dict)
 
-    def test_no_sequence_in_two_shards(self, indexes):
-        _, sharded = indexes
-        seen: dict = {}
-        for shard_id, shard in enumerate(sharded.shards):
-            for seq in shard.histograms:
-                assert seq not in seen, (
-                    f"sequence {seq!r} stored in shards {seen[seq]} "
-                    f"and {shard_id}"
-                )
-                seen[seq] = shard_id
-                assert shard_id == sharded.shard_for(seq)
-        # ... and the store contents agree with the histograms.
-        for shard_id, shard in enumerate(sharded.shards):
-            for seq in shard.store.label_sequences():
-                assert sharded.shard_for(seq) == shard_id
-
-    def test_shards_cover_every_sequence(self, indexes):
-        unsharded, sharded = indexes
-        assert set(unsharded.histograms) == set(sharded.histograms)
-        assert unsharded.num_paths() == sharded.num_paths()
-        assert unsharded.num_sequences() == sharded.num_sequences()
+    def test_store_covers_every_sequence(self, unsharded, sharded):
+        assert set(sharded.histograms) == set(unsharded.histograms)
+        assert sharded.num_paths() == unsharded.num_paths()
+        assert sharded.num_sequences() == unsharded.num_sequences()
+        assert store_content(sharded.store) == store_content(unsharded.store)
 
     @pytest.mark.parametrize("alpha", [BETA, 0.25, 0.6, 0.95])
-    def test_union_of_shard_lookups_equals_unsharded(self, indexes, alpha):
-        unsharded, sharded = indexes
+    def test_lookup_equals_unsharded(self, unsharded, sharded, alpha):
         for seq in unsharded.histograms:
-            expected = _lookup_keys(unsharded, seq, alpha)
-            assert _lookup_keys(sharded, seq, alpha) == expected
-            # The union over *all* shards is the same set: non-owning
-            # shards contribute nothing.
-            union = []
-            for shard in sharded.shards:
-                union.extend(
-                    (path.nodes, round(path.probability, 12))
-                    for path in shard.lookup(seq, alpha)
-                )
-            assert sorted(union) == expected
+            assert sharded.lookup(seq, alpha) == unsharded.lookup(seq, alpha)
+            reverse = tuple(reversed(seq))
+            assert sharded.lookup(reverse, alpha) == unsharded.lookup(
+                reverse, alpha
+            )
 
     @pytest.mark.parametrize("alpha", [BETA, 0.3, 0.7])
-    def test_estimate_cardinality_sums_across_shards(self, indexes, alpha):
-        unsharded, sharded = indexes
+    def test_estimate_cardinality_equals_unsharded(
+        self, unsharded, sharded, alpha
+    ):
         for seq in unsharded.histograms:
-            expected = unsharded.estimate_cardinality(seq, alpha)
-            total = sum(
-                shard.estimate_cardinality(seq, alpha)
-                for shard in sharded.shards
-            )
-            assert total == pytest.approx(expected)
-            assert sharded.estimate_cardinality(seq, alpha) == pytest.approx(
-                expected
-            )
+            assert sharded.estimate_cardinality(
+                seq, alpha
+            ) == unsharded.estimate_cardinality(seq, alpha)
 
-    def test_unindexed_sequence_everywhere_empty(self, indexes):
-        unsharded, sharded = indexes
+    def test_unindexed_sequence_everywhere_empty(self, unsharded, sharded):
         ghost = ("no-such-label", "really-not")
         assert sharded.lookup(ghost, 0.5) == []
         assert sharded.estimate_cardinality(ghost, 0.5) == 0.0
         assert unsharded.lookup(ghost, 0.5) == []
 
-
-# ----------------------------------------------------------------------
-# Builder shapes and validation
-# ----------------------------------------------------------------------
-
-
-class TestShardedBuilder:
-    def test_parallel_build_matches_serial(self, indexes, tmp_path):
-        peg = small_random_peg(seed=11)
-        unsharded, _ = indexes
-        parallel = build_sharded_path_index(
-            peg,
-            3,
-            max_length=MAX_LENGTH,
-            beta=BETA,
-            directory=str(tmp_path),
-            num_processes=2,
-        )
-        assert parallel.num_paths() == unsharded.num_paths()
-        for seq in unsharded.histograms:
-            assert _lookup_keys(parallel, seq, 0.3) == _lookup_keys(
-                unsharded, seq, 0.3
-            )
-
-    def test_single_shard_equals_unsharded(self, indexes):
-        peg = small_random_peg(seed=11)
-        unsharded, _ = indexes
-        single = build_sharded_path_index(
-            peg, 1, max_length=MAX_LENGTH, beta=BETA
-        )
-        assert single.num_shards == 1
-        assert single.num_paths() == unsharded.num_paths()
-
-    def test_parallel_build_requires_directory(self):
-        peg = small_random_peg(seed=11)
-        with pytest.raises(IndexError_, match="directory"):
-            build_sharded_path_index(
-                peg, 2, max_length=1, beta=0.5, num_processes=2
-            )
-
-    def test_rejects_mismatched_shards(self, indexes):
-        unsharded, _ = indexes
-        peg = small_random_peg(seed=11)
-        other = build_path_index(peg, max_length=1, beta=0.5)
-        with pytest.raises(IndexError_, match="share max_length"):
-            ShardedPathIndex([unsharded, other])
-
-    def test_rebuild_clears_stale_state(self, indexes, tmp_path):
-        """Rebuilding into a used directory must not inherit anything."""
-        import os
-
-        peg = small_random_peg(seed=11)
-        unsharded, _ = indexes
-        directory = str(tmp_path)
-        build_sharded_path_index(
-            peg, 4, max_length=MAX_LENGTH, beta=BETA, directory=directory
-        )
-        # Simulate a crashed parallel build: leftover spill data that a
-        # naive rebuild would merge in as duplicates.
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        (spill / "part-000-shard-000.pkl").write_bytes(b"stale")
-        rebuilt = build_sharded_path_index(
-            peg, 2, max_length=MAX_LENGTH, beta=BETA, directory=directory
-        )
-        assert rebuilt.num_paths() == unsharded.num_paths()
-        assert not spill.exists()
-        # The shard-02/shard-03 stores of the 4-shard build are gone.
-        leftover = [
-            name for name in os.listdir(directory)
-            if name.startswith("shard-")
-        ]
-        assert sorted(leftover) == ["shard-00", "shard-01"]
-        for seq in unsharded.histograms:
-            assert _lookup_keys(rebuilt, seq, 0.3) == _lookup_keys(
-                unsharded, seq, 0.3
-            )
-
-    def test_stats_aggregate(self, indexes):
-        unsharded, sharded = indexes
+    def test_stats_agree(self, unsharded, sharded):
         stats = sharded.stats()
-        assert stats["num_shards"] == NUM_SHARDS
-        assert stats["paths"] == unsharded.num_paths()
-        assert sum(stats["paths_per_shard"]) == stats["paths"]
+        for key in ("sequences", "paths", "size_bytes", "paths_per_length"):
+            assert stats[key] == unsharded.stats()[key]
+
+
+# ----------------------------------------------------------------------
+# Parallel build == serial build
+# ----------------------------------------------------------------------
+
+
+class TestParallelBuild:
+    def test_parallel_build_matches_serial(self, peg, unsharded):
+        parallel = _build(peg, build_processes=2)
+        assert store_content(parallel.store) == store_content(unsharded.store)
+        assert parallel.num_paths() == unsharded.num_paths()
+        assert (
+            parallel.stats()["paths_per_length"]
+            == unsharded.stats()["paths_per_length"]
+        )
+
+    def test_parallel_build_into_sharded_disk_store(
+        self, peg, unsharded, tmp_path
+    ):
+        parallel = _build(
+            peg, store=open_store(str(tmp_path), 3), build_processes=2
+        )
+        assert store_content(parallel.store) == store_content(unsharded.store)
+        assert (tmp_path / "shard-02").is_dir()
+        parallel.store.close()
+
+    def test_rejects_negative_process_count(self, peg):
+        with pytest.raises(IndexError_, match="build_processes"):
+            _build(peg, build_processes=-1)

@@ -7,6 +7,7 @@ import re
 from tests.conftest import small_random_peg
 
 from repro.delta import AddEdge, UpdateLabelProbability
+from repro.index import open_store
 from repro.obs import STAGES, Tracer, get_registry, render_trace
 from repro.query.engine import QueryEngine, QueryOptions
 from repro.query.query_graph import QueryGraph
@@ -105,7 +106,7 @@ class TestEngineTracing:
     def test_sharded_lookup_reports_shard_fetches(self):
         peg = small_random_peg(seed=5)
         labels = sorted(peg.sigma)
-        engine = QueryEngine(peg, max_length=1, num_shards=3)
+        engine = QueryEngine(peg, max_length=1, store=open_store(None, 3))
         query = _chain_query(labels, n=3)
         result = engine.query(query, 0.3, QueryOptions(trace=True))
         lookup = [

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.index import open_store
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
@@ -24,7 +25,9 @@ from tests.conftest import small_random_peg
 @pytest.fixture(scope="module")
 def serving_setup():
     peg = small_random_peg(seed=5)
-    engine = QueryEngine(peg, max_length=2, beta=0.1, num_shards=3)
+    engine = QueryEngine(
+        peg, max_length=2, beta=0.1, store=open_store(None, 3)
+    )
     sigma = sorted(peg.sigma, key=repr)
     queries = [
         QueryGraph({"u": sigma[i % len(sigma)], "v": sigma[(i + 1) % len(sigma)]},
