@@ -114,11 +114,18 @@ def run(num_references: int, distinct: int, repeats: int,
     workload = _workload(rng, sigma, distinct, repeats)
 
     # -- plan caching: planner-only timings ---------------------------
+    # The hit/miss counters are process-wide; this run's share is the
+    # delta around it.
+    stats_before = engine.planner.stats_snapshot()
     replan_seconds = _time_planning(engine, workload, PLAN_FRESH)
     engine.planner.cache.clear()
     cold_seconds = _time_planning(engine, workload[:distinct], PLAN_CACHED)
     warm_seconds = _time_planning(engine, workload, PLAN_CACHED)
-    planner_stats = engine.planner.stats_snapshot()
+    stats_after = engine.planner.stats_snapshot()
+    planner_stats = {
+        key: stats_after[key] - stats_before[key]
+        for key in ("plan_cache_hits", "plan_cache_misses")
+    }
 
     # -- plan caching: end-to-end decompose share ---------------------
     def decompose_share(options):

@@ -1,7 +1,8 @@
 """Setuptools entry point.
 
-Kept alongside pyproject.toml so `pip install -e .` works in offline
-environments without the `wheel` package (legacy editable install).
+The only packaging file (there is no pyproject.toml), so
+`pip install -e .` works in offline environments without the `wheel`
+package (legacy editable install).
 
 The version is single-sourced from ``src/repro/__init__.py`` — read
 textually so the package (and its dependencies) need not be importable

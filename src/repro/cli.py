@@ -557,6 +557,7 @@ def _cmd_plan(args) -> int:
         decomposition=args.strategy,
         seed=0 if args.strategy == "random" else None,
     )
+    before = engine.planner.stats_snapshot()
     for round_num in range(max(1, args.repeat)):
         start = time.perf_counter()
         decomposition, info = engine.planner.plan(query, args.alpha, options)
@@ -576,8 +577,9 @@ def _cmd_plan(args) -> int:
             print(f"    P{i}: {rendered}  (est. cardinality {estimate:.4g})")
     stats = engine.planner.stats_snapshot()
     print(
-        f"plan cache: {stats['plan_cache_hits']} hits, "
-        f"{stats['plan_cache_misses']} misses, "
+        "plan cache: "
+        f"{stats['plan_cache_hits'] - before['plan_cache_hits']} hits, "
+        f"{stats['plan_cache_misses'] - before['plan_cache_misses']} misses, "
         f"{stats['plan_cache_size']} entries"
     )
     return 0

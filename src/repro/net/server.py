@@ -509,9 +509,15 @@ class QueryServer:
         exc = future.exception()
         if exc is not None:
             code, message = self._classify(exc)
-            self._m_requests[
-                "deadline" if code == protocol.ERROR_DEADLINE else "error"
-            ].inc()
+            if code == protocol.ERROR_DEADLINE:
+                # A worker found the request expired at pick-up before
+                # the watchdog fired; whichever of the two gets past
+                # _finish_entry answers the client and counts it (the
+                # service itself counts only what query() reports).
+                self.service.stats.record_deadline_exceeded()
+                self._m_requests["deadline"].inc()
+            else:
+                self._m_requests["error"].inc()
             self._reply_error(entry.client, entry.request_id, code, message)
             return
         self._m_requests["ok"].inc()

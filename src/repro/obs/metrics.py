@@ -22,9 +22,11 @@ Two export forms:
   series) for scraping or the ``metrics`` CLI command.
 
 A module-level default registry (:func:`get_registry`) is what the
-instrumented layers report into; tests may construct private
-registries. Setting ``registry.enabled = False`` turns every recording
-call into a cheap early return.
+instrumented layers report into; each
+:class:`~repro.service.stats.ServiceStats` owns a private one (its
+counts are per service), and tests may construct their own. Setting
+``registry.enabled = False`` turns every recording call on that
+registry's instruments into a cheap early return.
 """
 
 from __future__ import annotations

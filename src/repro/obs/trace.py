@@ -130,10 +130,8 @@ class Span:
         stack = _stack()
         if self in stack:
             # Pop through any spans left open by an exception unwind.
-            while stack and stack[-1] is not self:
-                stack.pop()
-            if stack:
-                stack.pop()
+            while stack.pop() is not self:
+                pass
         return False
 
     @property

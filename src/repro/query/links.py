@@ -41,7 +41,6 @@ so entries stay valid across it.
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 
@@ -117,9 +116,6 @@ class LinkStructureCache:
         from repro.service.cache import ResultCache
 
         self._cache = ResultCache(capacity)
-        self._lock = threading.Lock()
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
 
     @property
     def capacity(self) -> int:
@@ -132,13 +128,7 @@ class LinkStructureCache:
     def get(self, key):
         """Cached ``(rows, cols, probs)`` for ``key``, or ``None``."""
         entry = self._cache.get(key)
-        with self._lock:
-            if entry is None:
-                self.misses += 1
-                _LINK_CACHE_MISSES.inc()
-            else:
-                self.hits += 1
-                _LINK_CACHE_HITS.inc()
+        (_LINK_CACHE_MISSES if entry is None else _LINK_CACHE_HITS).inc()
         return entry
 
     def put(self, key, value) -> None:
@@ -146,14 +136,12 @@ class LinkStructureCache:
         self._cache.put(key, value)
 
     def stats_snapshot(self) -> dict:
-        """Counters for the serving stats surface."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
+        """This cache's size plus the process-wide hit/miss counters."""
         return {
             "link_cache_size": len(self._cache),
             "link_cache_capacity": self._cache.capacity,
-            "link_cache_hits": hits,
-            "link_cache_misses": misses,
+            "link_cache_hits": _LINK_CACHE_HITS.value,
+            "link_cache_misses": _LINK_CACHE_MISSES.value,
         }
 
 

@@ -184,13 +184,6 @@ class QueryPlanner:
         self.engine = engine
         self.cache = ResultCache(cache_size)
         self.feedback = feedback if feedback is not None else EstimatorFeedback()
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        #: Objects with ``record_plan_hit``/``record_plan_miss`` —
-        #: :class:`~repro.service.stats.ServiceStats` registers itself
-        #: so serving dashboards see planner behaviour.
-        self.listeners: list = []
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Estimation
@@ -273,11 +266,7 @@ class QueryPlanner:
             )
             entry = self.cache.get(key)
             if entry is not None:
-                with self._lock:
-                    self.hits += 1
                 _PLAN_HITS.inc()
-                for listener in self.listeners:
-                    listener.record_plan_hit()
                 decomposition = self._rehydrate(query, entry)
                 return decomposition, PlanInfo(
                     strategy=strategy,
@@ -285,11 +274,7 @@ class QueryPlanner:
                     cached=True,
                     estimated_cost=decomposition.estimated_cost,
                 )
-        with self._lock:
-            self.misses += 1
         _PLAN_MISSES.inc()
-        for listener in self.listeners:
-            listener.record_plan_miss()
         decomposition = decompose_query(
             query,
             estimator=self.estimator(use_feedback),
@@ -362,18 +347,19 @@ class QueryPlanner:
     def stats_snapshot(self) -> dict:
         """Planner counters for the serving stats surface.
 
-        Includes the engine's link-structure cache counters
-        (:class:`~repro.query.links.LinkStructureCache`) — the planner
-        snapshot is the one per-engine cache surface the serving layer
-        merges, so link-cache behaviour rides the same path.
+        Sizes are this engine's; hits and misses read the process-wide
+        ``repro_plan_cache_*_total`` counters, the only place those
+        events are stored, so one engine's or one call's share is a
+        before/after delta. Includes the engine's link-structure cache
+        (:class:`~repro.query.links.LinkStructureCache`, same rule) —
+        the planner snapshot is the one per-engine cache surface the
+        serving layer merges.
         """
-        with self._lock:
-            hits, misses = self.hits, self.misses
         snapshot = {
             "plan_cache_size": len(self.cache),
             "plan_cache_capacity": self.cache.capacity,
-            "plan_cache_hits": hits,
-            "plan_cache_misses": misses,
+            "plan_cache_hits": _PLAN_HITS.value,
+            "plan_cache_misses": _PLAN_MISSES.value,
             "feedback_sequences": len(self.feedback),
         }
         link_cache = getattr(self.engine, "link_cache", None)
@@ -382,9 +368,4 @@ class QueryPlanner:
         return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        return (
-            f"QueryPlanner(cache={len(self.cache)}/{self.cache.capacity}, "
-            f"hits={hits}, misses={misses})"
-        )
+        return f"QueryPlanner(cache={len(self.cache)}/{self.cache.capacity})"

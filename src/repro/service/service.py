@@ -144,8 +144,6 @@ class QueryService:
         Result-cache capacity in entries; 0 disables caching.
     default_options:
         Options applied when a request passes none.
-    latency_window:
-        Recent-latency reservoir size for the p50/p95 stats.
     executor:
         ``"thread"`` (default) evaluates on a thread pool — cheap, and
         right for cache-heavy or I/O-bound serving. ``"process"``
@@ -178,7 +176,6 @@ class QueryService:
         num_workers: int = 4,
         cache_size: int = 256,
         default_options: QueryOptions | None = None,
-        latency_window: int = 1024,
         executor: str = "thread",
         snapshot_dir: str | None = None,
         tracer=None,
@@ -201,18 +198,10 @@ class QueryService:
             )
         self.max_admission_wait = float(max_admission_wait)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics_registry = get_registry()
-        self.stats = ServiceStats(latency_window=latency_window)
+        self.stats = ServiceStats()
         self.cache = ResultCache(
             cache_size, on_evict=self.stats.record_eviction
         )
-        # Surface the engine planner's cache behaviour in this
-        # service's stats (engine-like test doubles may carry none;
-        # process-pool workers plan in their own processes, so the
-        # counters stay zero there).
-        planner = getattr(engine, "planner", None)
-        if planner is not None and self.stats not in planner.listeners:
-            planner.listeners.append(self.stats)
         self.warm_started = False
         if executor == "process":
             if snapshot_dir is None:
@@ -458,7 +447,10 @@ class QueryService:
         evaluation capacity and their callers cannot hang. (A deadline
         cannot interrupt an evaluation already running; the network
         tier adds the watchdog that answers the client at the deadline
-        regardless.)
+        regardless.) The expiry is counted in
+        ``stats.deadline_exceeded`` by whoever reports it to the
+        requester — :meth:`query` here, the server's watchdog or reply
+        for a wire request — so one request is never counted twice.
         """
         with self._gate:
             if self._closed:
@@ -466,8 +458,14 @@ class QueryService:
         options = options or self.default_options
         span = self.tracer.span("request")
         span.begin()
-        span.set("alpha", float(alpha))
-        future, key = self._admit(query, alpha, options, span=span)
+        try:
+            span.set("alpha", float(alpha))
+            future, key = self._admit(query, alpha, options, span=span)
+        except BaseException:
+            # Refused (admission-pause timeout, closed) or malformed
+            # (request_key raised): the request's lifecycle ends here.
+            span.finish(error=True)
+            raise
         if key is None:
             # Cache hit or dedup attach: the request's own lifecycle is
             # over even though an attached evaluation may still run.
@@ -514,7 +512,6 @@ class QueryService:
         if span.enabled:
             span.set("queue_wait_ms", round(wait * 1e3, 3))
         if deadline is not None and time.monotonic() >= deadline:
-            self.stats.record_deadline_exceeded()
             raise DeadlineExceeded(
                 f"deadline expired after {wait * 1e3:.1f} ms queued, "
                 "before the evaluation started"
@@ -531,10 +528,13 @@ class QueryService:
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> QueryResult:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(query, alpha, options, deadline=deadline).result(
-            timeout
-        )
+        """Blocking wrapper around :meth:`submit`; counts a deadline expiry."""
+        future = self.submit(query, alpha, options, deadline=deadline)
+        try:
+            return future.result(timeout)
+        except DeadlineExceeded:
+            self.stats.record_deadline_exceeded()
+            raise
 
     def query_many(
         self,
@@ -732,10 +732,11 @@ class QueryService:
     def stats_snapshot(self) -> dict:
         """Service counters + latency quantiles + cache occupancy.
 
-        Also merges the process-wide metrics registry's snapshot, so
-        one call surfaces the engine's stage/store/estimator series
-        next to the serving counters (every registry key is
-        ``repro_``-prefixed; no collisions with the service keys).
+        Also merges the planner's per-engine cache sizes and two
+        registry snapshots — the process-wide one (engine stage, store,
+        plan-/link-cache and estimator series, shared by every engine
+        in the process) and this service's own ``repro_service_*``
+        instruments, the storage behind the unprefixed keys above.
         """
         snap = self.stats.snapshot()
         snap["cache_size"] = len(self.cache)
@@ -746,7 +747,8 @@ class QueryService:
         planner = getattr(self.engine, "planner", None)
         if planner is not None:
             snap.update(planner.stats_snapshot())
-        snap.update(self.metrics_registry.snapshot())
+        snap.update(get_registry().snapshot())
+        snap.update(self.stats.registry.snapshot())
         return snap
 
     def apply_updates(self, ops, log=None) -> dict:
@@ -812,9 +814,6 @@ class QueryService:
                 self._closed = True
         if already:
             return
-        planner = getattr(self.engine, "planner", None)
-        if planner is not None and self.stats in planner.listeners:
-            planner.listeners.remove(self.stats)
         self._executor.shutdown(wait=wait, cancel_futures=not wait)
         with self._gate:
             leftover = list(self._inflight.items())

@@ -1,106 +1,69 @@
-"""Serving metrics: counters plus a bounded latency reservoir.
+"""Serving metrics: one instrument per event, read back as a view.
 
 :class:`ServiceStats` is the single mutation point for everything the
 service observes — cache hits/misses, single-flight deduplications,
-evictions, errors, in-flight gauge — and keeps the most recent request
-latencies in a bounded window from which it derives p50/p95 (quantiles
-over a sliding window, the standard serving-metrics compromise between
-exactness and unbounded memory). Successful and failed requests are
-tracked in separate windows so overload pathologies show up in the
-error quantiles instead of silently vanishing from the latency picture.
+evictions, errors, in-flight gauge, request latencies — and stores each
+of them exactly once, in a :mod:`repro.obs.metrics` instrument. The
+read surface (``hits``, ``completed``, ``requests``, ``snapshot()``,
+...) is computed from those instruments; nothing is kept beside them.
 
-Every recording also feeds the process-wide metrics registry
-(:mod:`repro.obs.metrics`) under ``repro_service_*`` series — outcome
-labels on the request counter and the latency histograms — so the
-service's counters and the engine's stage metrics export through one
-``snapshot()`` / Prometheus surface.
+The instruments live in a registry the stats object owns, not the
+process-wide one: counts are per service (a process may run many), and
+the process-wide ``get_registry().enabled = False`` kill switch cannot
+freeze the counters behind ``requests == completed + rejected``.
+``QueryService.stats_snapshot()`` merges this registry's ``repro_service_*``
+series next to the process-wide ones.
+
+Latency quantiles come from log-bucketed histograms: they cover the
+service's whole lifetime and are bucket estimates (see
+:class:`~repro.obs.metrics.Histogram`), with successful and failed
+requests in separate histograms so overload pathologies show up in the
+error quantiles instead of vanishing from the latency picture.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 
 
-def _quantile(sorted_values: list, q: float) -> float:
-    """Nearest-rank quantile of an ascending list (0 for empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
+def _reading(instrument: str, doc: str) -> property:
+    """Read-only attribute: the current value of one instrument."""
+    return property(lambda self: getattr(self, instrument).value, doc=doc)
 
 
 class ServiceStats:
-    """Thread-safe counters and latency quantiles for a query service.
+    """Counters and latency quantiles of one query service.
 
-    Parameters
-    ----------
-    latency_window:
-        Number of most recent request latencies retained for the
-        p50/p95 estimates (successful and failed requests each get a
-        window of this size).
-    registry:
-        The :class:`~repro.obs.metrics.MetricsRegistry` the counters
-        mirror into; defaults to the process-wide registry. Tests
-        inject private registries for isolation.
+    Thread-safe: every instrument synchronizes its own updates, and
+    every derived reading (``requests``, ``hit_rate()``, ``snapshot()``)
+    is computed from one set of reads.
     """
 
-    def __init__(self, latency_window: int = 1024, registry=None) -> None:
-        self._lock = threading.Lock()
-        self._latencies: deque = deque(maxlen=max(1, latency_window))  # guarded-by: _lock
-        self._error_latencies: deque = deque(maxlen=max(1, latency_window))  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.deduplicated = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
-        self.errors = 0  # guarded-by: _lock
-        self.completed = 0  # guarded-by: _lock
-        self.in_flight = 0  # guarded-by: _lock
-        #: Requests refused admission (load shedding, per-client caps,
-        #: admission-pause timeouts). Rejected requests count toward
-        #: ``requests`` but never toward ``completed``, so on a drained
-        #: service ``requests == completed + rejected`` reconciles
-        #: exactly.
-        self.rejected = 0  # guarded-by: _lock
-        #: Subset of ``rejected`` shed because a bounded queue was full.
-        self.shed = 0  # guarded-by: _lock
-        #: Requests whose deadline expired before a result was produced
-        #: (informational; the request still completes as an error or,
-        #: for a server-side late reply, as its eventual outcome).
-        self.deadline_exceeded = 0  # guarded-by: _lock
-        #: Deduplicated requests whose attached evaluation has resolved
-        #: (each contributes to ``completed``).
-        self.attached = 0  # guarded-by: _lock
-        self.plan_hits = 0  # guarded-by: _lock
-        self.plan_misses = 0  # guarded-by: _lock
-        registry = registry if registry is not None else get_registry()
-        self._m_requests = {
-            outcome: registry.counter(
-                "repro_service_requests_total", outcome=outcome
-            )
+    def __init__(self) -> None:
+        self.registry = registry = MetricsRegistry()
+        self._hits, self._misses, self._dedups = (
+            registry.counter("repro_service_requests_total", outcome=outcome)
             for outcome in ("hit", "miss", "dedup")
-        }
-        self._m_latency = {
-            outcome: registry.histogram(
-                "repro_service_request_seconds", outcome=outcome
+        )
+        # Buckets from 1 us: a cache hit takes a few microseconds.
+        self._latency, self._error_latency = (
+            registry.histogram(
+                "repro_service_request_seconds", low=1e-6, outcome=outcome
             )
             for outcome in ("ok", "error")
-        }
-        self._m_queue_wait = registry.histogram(
+        )
+        self._shed, self._refused = (
+            registry.counter("repro_service_rejected_total", kind=kind)
+            for kind in ("shed", "refused")
+        )
+        self._queue_wait = registry.histogram(
             "repro_service_queue_wait_seconds"
         )
-        self._m_in_flight = registry.gauge("repro_service_in_flight")
-        self._m_evictions = registry.counter("repro_service_evictions_total")
-        self._m_rejected = {
-            kind: registry.counter(
-                "repro_service_rejected_total", kind=kind
-            )
-            for kind in ("shed", "refused")
-        }
-        self._m_deadline = registry.counter(
+        self._in_flight = registry.gauge("repro_service_in_flight")
+        self._attached = registry.counter("repro_service_attached_total")
+        self._errors = registry.counter("repro_service_errors_total")
+        self._evictions = registry.counter("repro_service_evictions_total")
+        self._deadline = registry.counter(
             "repro_service_deadline_exceeded_total"
         )
 
@@ -108,20 +71,13 @@ class ServiceStats:
 
     def record_hit(self, seconds: float) -> None:
         """A request served straight from the result cache."""
-        with self._lock:
-            self.hits += 1
-            self.completed += 1
-            self._latencies.append(seconds)
-        self._m_requests["hit"].inc()
-        self._m_latency["ok"].observe(seconds)
+        self._hits.inc()
+        self._latency.observe(seconds)
 
     def record_miss(self) -> None:
         """A request that must be evaluated (enters the in-flight set)."""
-        with self._lock:
-            self.misses += 1
-            self.in_flight += 1
-        self._m_requests["miss"].inc()
-        self._m_in_flight.inc()
+        self._misses.inc()
+        self._in_flight.inc()
 
     def record_dedup(self) -> None:
         """A request attached to an identical in-flight evaluation.
@@ -130,31 +86,25 @@ class ServiceStats:
         resolves (:meth:`record_attached_done`), so ``requests`` and
         ``completed`` converge on a drained service.
         """
-        with self._lock:
-            self.deduplicated += 1
-        self._m_requests["dedup"].inc()
+        self._dedups.inc()
 
     def record_queue_wait(self, seconds: float) -> None:
         """Time one evaluation spent queued before a worker picked it up."""
-        self._m_queue_wait.observe(seconds)
+        self._queue_wait.observe(seconds)
 
     def record_done(self, seconds: float, error: bool = False) -> None:
         """An evaluated request finished (successfully or not).
 
-        Failed requests keep their latency too — in a separate window
+        Failed requests keep their latency too — in the histogram
         feeding the ``error_latency_*`` quantiles — so overload
         pathologies (errors that are also slow) stay visible.
         """
-        with self._lock:
-            self.in_flight -= 1
-            self.completed += 1
-            if error:
-                self.errors += 1
-                self._error_latencies.append(seconds)
-            else:
-                self._latencies.append(seconds)
-        self._m_in_flight.dec()
-        self._m_latency["error" if error else "ok"].observe(seconds)
+        self._in_flight.dec()
+        if error:
+            self._errors.inc()
+            self._error_latency.observe(seconds)
+        else:
+            self._latency.observe(seconds)
 
     def record_attached_done(self, seconds: float, error: bool = False) -> None:
         """A deduplicated request's attached evaluation resolved.
@@ -163,14 +113,8 @@ class ServiceStats:
         ``errors`` is deliberately *not* incremented — it counts failed
         evaluations, and the leader already recorded the failure.
         """
-        with self._lock:
-            self.completed += 1
-            self.attached += 1
-            if error:
-                self._error_latencies.append(seconds)
-            else:
-                self._latencies.append(seconds)
-        self._m_latency["error" if error else "ok"].observe(seconds)
+        self._attached.inc()
+        (self._error_latency if error else self._latency).observe(seconds)
 
     def record_rejected(self, shed: bool = False) -> None:
         """A request was refused admission (never evaluated).
@@ -179,41 +123,64 @@ class ServiceStats:
         covers per-client fairness caps, drain-policy rejections and
         admission-pause timeouts.
         """
-        with self._lock:
-            self.rejected += 1
-            if shed:
-                self.shed += 1
-        self._m_rejected["shed" if shed else "refused"].inc()
+        (self._shed if shed else self._refused).inc()
 
     def record_deadline_exceeded(self) -> None:
         """A request's deadline expired before its result was produced."""
-        with self._lock:
-            self.deadline_exceeded += 1
-        self._m_deadline.inc()
+        self._deadline.inc()
 
     def record_eviction(self, count: int = 1) -> None:
         """``count`` entries were evicted from the result cache."""
-        with self._lock:
-            self.evictions += count
-        self._m_evictions.inc(count)
-
-    # The service registers this object as a listener on the engine's
-    # :class:`~repro.query.plan.QueryPlanner`, so decomposition reuse
-    # shows up next to the result-cache counters it complements (a
-    # result-cache miss that still plan-cache-hits skips the planning
-    # stage of its evaluation).
-
-    def record_plan_hit(self) -> None:
-        """An evaluation reused a cached decomposition plan."""
-        with self._lock:
-            self.plan_hits += 1
-
-    def record_plan_miss(self) -> None:
-        """An evaluation had to run the decomposition planner."""
-        with self._lock:
-            self.plan_misses += 1
+        self._evictions.inc(count)
 
     # -- reading -------------------------------------------------------
+
+    hits = _reading("_hits", "Requests served from the result cache.")
+    misses = _reading("_misses", "Requests that had to be evaluated.")
+    deduplicated = _reading(
+        "_dedups", "Requests attached to an identical in-flight evaluation."
+    )
+    attached = _reading(
+        "_attached",
+        "Deduplicated requests whose attached evaluation has resolved "
+        "(each contributes to ``completed``).",
+    )
+    evictions = _reading("_evictions", "Result-cache entries evicted.")
+    errors = _reading("_errors", "Evaluations that failed.")
+    shed = _reading(
+        "_shed", "Subset of ``rejected`` shed because a bounded queue was full."
+    )
+    deadline_exceeded = _reading(
+        "_deadline",
+        "Requests whose deadline expired before a result was produced "
+        "(informational; the request still completes as an error or, for "
+        "a server-side late reply, as its eventual outcome).",
+    )
+
+    @property
+    def completed(self) -> int:
+        """Requests that produced an answer or an error: every
+        completion (hit, evaluation, attached follower) records exactly
+        one latency sample, so this is the two histograms' count."""
+        return self._latency.count + self._error_latency.count
+
+    @property
+    def in_flight(self) -> int:
+        return int(self._in_flight.value)
+
+    @property
+    def rejected(self) -> int:
+        """Requests refused admission (load shedding, per-client caps,
+        admission-pause timeouts). They count toward ``requests`` but
+        never toward ``completed``."""
+        return self._shed.value + self._refused.value
+
+    #: ``snapshot()`` keys that are attributes (``shed`` is read before
+    #: ``rejected``, so a concurrent shed never makes it the larger).
+    _COUNTS = (
+        "hits", "misses", "deduplicated", "attached", "evictions", "errors",
+        "completed", "in_flight", "shed", "rejected", "deadline_exceeded",
+    )
 
     @property
     def requests(self) -> int:
@@ -223,10 +190,7 @@ class ServiceStats:
         service the counters reconcile exactly:
         ``requests == completed + rejected``.
         """
-        with self._lock:
-            return (
-                self.hits + self.misses + self.deduplicated + self.rejected
-            )
+        return self._counts()["requests"]
 
     def hit_rate(self) -> float:
         """Cache hit fraction over admitted requests (0 when idle).
@@ -234,57 +198,27 @@ class ServiceStats:
         Rejected requests never reach the cache, so they are excluded
         from the denominator.
         """
-        with self._lock:
-            total = self.hits + self.misses + self.deduplicated
-            return self.hits / total if total else 0.0
+        return self._counts()["hit_rate"]
 
-    def latency_quantiles(self) -> dict:
-        """``{"p50": ..., "p95": ...}`` over successful requests, seconds."""
-        with self._lock:
-            ordered = sorted(self._latencies)
-        return {
-            "p50": _quantile(ordered, 0.50),
-            "p95": _quantile(ordered, 0.95),
-        }
+    def _counts(self) -> dict:
+        """Every count plus the sums derived from that one set of reads."""
+        snap = {name: getattr(self, name) for name in self._COUNTS}
+        admitted = snap["hits"] + snap["misses"] + snap["deduplicated"]
+        snap["requests"] = admitted + snap["rejected"]
+        snap["hit_rate"] = snap["hits"] / admitted if admitted else 0.0
+        return snap
 
     def snapshot(self) -> dict:
-        """One consistent dict of every counter plus the quantiles."""
-        with self._lock:
-            ordered = sorted(self._latencies)
-            error_ordered = sorted(self._error_latencies)
-            snap = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "deduplicated": self.deduplicated,
-                "attached": self.attached,
-                "evictions": self.evictions,
-                "errors": self.errors,
-                "completed": self.completed,
-                "in_flight": self.in_flight,
-                "rejected": self.rejected,
-                "shed": self.shed,
-                "deadline_exceeded": self.deadline_exceeded,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-            }
-        snap["requests"] = (
-            snap["hits"] + snap["misses"] + snap["deduplicated"]
-            + snap["rejected"]
-        )
-        admitted = snap["hits"] + snap["misses"] + snap["deduplicated"]
-        snap["hit_rate"] = snap["hits"] / admitted if admitted else 0.0
-        snap["latency_p50"] = _quantile(ordered, 0.50)
-        snap["latency_p95"] = _quantile(ordered, 0.95)
-        snap["error_latency_p50"] = _quantile(error_ordered, 0.50)
-        snap["error_latency_p95"] = _quantile(error_ordered, 0.95)
+        """One dict of every count plus the lifetime latency quantiles."""
+        snap = self._counts()
+        snap["latency_p50"] = self._latency.quantile(0.50)
+        snap["latency_p95"] = self._latency.quantile(0.95)
+        snap["error_latency_p50"] = self._error_latency.quantile(0.50)
+        snap["error_latency_p95"] = self._error_latency.quantile(0.95)
         return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            requests = (
-                self.hits + self.misses + self.deduplicated + self.rejected
-            )
-            return (
-                f"ServiceStats(requests={requests}, hits={self.hits}, "
-                f"misses={self.misses}, in_flight={self.in_flight})"
-            )
+        return (
+            f"ServiceStats(requests={self.requests}, hits={self.hits}, "
+            f"misses={self.misses}, in_flight={self.in_flight})"
+        )

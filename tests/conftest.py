@@ -22,9 +22,7 @@ if sanitizer.install_from_env():
     # Import *after* install so the classes' future instances pick up
     # sanitized guard locks the lockset checker can observe.
     from repro.net.client import CircuitBreaker
-    from repro.service.stats import ServiceStats
 
-    sanitizer.instrument_guarded(ServiceStats)
     sanitizer.instrument_guarded(CircuitBreaker)
 
 

@@ -17,14 +17,13 @@ import pytest
 from repro.net.client import QueryClient
 from repro.obs.metrics import MetricsRegistry
 from repro.query import QueryGraph
-from repro.query.plan import EstimatorFeedback, QueryPlanner
+from repro.query.plan import EstimatorFeedback
 from repro.relational.engine import build_relations
 from repro.service.service import (
     RESULT_NEUTRAL_OPTIONS,
     QueryService,
     request_key,
 )
-from repro.service.stats import ServiceStats
 from repro.utils.errors import NetError, ServiceError
 from tests.conftest import small_random_peg
 from tests.test_service import FakeEngine
@@ -53,17 +52,6 @@ class RecordingLock:
         return False
 
 
-class TestServiceStatsLocking:
-    def test_repr_reads_counters_under_lock(self):
-        stats = ServiceStats(registry=MetricsRegistry())
-        stats.record_hit(0.01)
-        lock = RecordingLock(stats._lock)
-        stats._lock = lock
-        text = repr(stats)
-        assert lock.acquisitions == 1
-        assert "requests=1" in text and "hits=1" in text
-
-
 class TestPlannerLocking:
     def test_feedback_reads_take_the_lock(self):
         feedback = EstimatorFeedback()
@@ -75,14 +63,6 @@ class TestPlannerLocking:
         # Unknown keys go through the same locked path.
         assert feedback.correction(("z",), 0.5) == 1.0
         assert lock.acquisitions == 3
-
-    def test_planner_repr_reads_counters_under_lock(self):
-        planner = QueryPlanner(engine=object(), cache_size=4)
-        lock = RecordingLock(planner._lock)
-        planner._lock = lock
-        text = repr(planner)
-        assert lock.acquisitions == 1
-        assert "hits=0" in text
 
 
 class TestHistogramLocking:

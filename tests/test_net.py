@@ -285,12 +285,62 @@ class TestServerRoundtrip:
                 assert excinfo.value.code == ERROR_DEADLINE
                 # answered at the deadline, not when the engine unblocks
                 assert elapsed < 5.0
-                assert service.stats.deadline_exceeded >= 1
+                assert service.stats.deadline_exceeded == 1
             gate.set()  # release the stuck evaluation; its result is
             # discarded by the finished entry, not resent
             wait_until(lambda: len(engine.calls) == 1)
         finally:
             gate.set()
+            handle.stop(close_service=True)
+
+    def test_deadline_expired_in_worker_queue_counted_once(self):
+        # Regression: the watchdog answered (and counted) the request
+        # at its deadline, then the worker that finally picked it up
+        # found it expired and counted it again.
+        gate = threading.Event()
+        handle, engine, service = gated_server(gate, max_inflight=2)
+        try:
+            with QueryClient(*handle.address) as holder, \
+                    QueryClient(*handle.address) as client:
+                blocker = threading.Thread(
+                    target=holder.query,
+                    args=(FIGURE1_NODES, FIGURE1_EDGES),
+                    kwargs={"alpha": 0.5},
+                )
+                blocker.start()  # occupies the only worker
+                wait_until(lambda: service.stats.in_flight == 1)
+                with pytest.raises(RemoteError) as excinfo:
+                    client.query(
+                        FIGURE1_NODES, FIGURE1_EDGES,
+                        alpha=0.4, deadline_ms=100,
+                    )
+                assert excinfo.value.code == ERROR_DEADLINE
+                assert service.stats.deadline_exceeded == 1
+                gate.set()  # the worker now picks the expired request up
+                blocker.join(timeout=10)
+                wait_until(lambda: service.stats.in_flight == 0)
+            assert service.stats.deadline_exceeded == 1
+            assert len(engine.calls) == 1  # never evaluated
+            assert service.stats.requests == service.stats.completed == 2
+        finally:
+            gate.set()
+            handle.stop(close_service=True)
+
+    def test_deadline_expired_on_arrival_counted_once(self):
+        # Watchdog and worker race to notice; whichever answers counts.
+        handle, engine, service = gated_server()
+        try:
+            with QueryClient(*handle.address) as client:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.query(
+                        FIGURE1_NODES, FIGURE1_EDGES,
+                        alpha=0.5, deadline_ms=0,
+                    )
+                assert excinfo.value.code == ERROR_DEADLINE
+                wait_until(lambda: service.stats.completed == 1)
+            assert service.stats.deadline_exceeded == 1
+            assert engine.calls == []
+        finally:
             handle.stop(close_service=True)
 
 

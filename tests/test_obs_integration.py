@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 from tests.conftest import small_random_peg
 
 from repro.delta import AddEdge, UpdateLabelProbability
@@ -13,6 +15,7 @@ from repro.query.engine import QueryEngine, QueryOptions
 from repro.query.query_graph import QueryGraph
 from repro.query.topk import top_k_matches
 from repro.service.service import QueryService
+from repro.utils.errors import ServiceUnavailable
 
 
 def _chain_query(labels, n=3):
@@ -213,6 +216,30 @@ class TestServiceObservability:
         assert {c["name"] for c in engine_span["children"]} >= {
             "plan", "lookup"
         }
+
+    def test_request_span_is_finished_when_admission_raises(self):
+        # Regression: submit() began the span, _admit raised, and the
+        # span stayed open forever (end=None, status "ok", elapsed
+        # still growing in every export).
+        engine = QueryEngine(small_random_peg(seed=7), max_length=1)
+        tracer = Tracer()
+        with QueryService(
+            engine, num_workers=1, tracer=tracer, max_admission_wait=0.05
+        ) as service:
+            with pytest.raises(AttributeError):  # fails inside request_key
+                service.submit(object(), 0.3)
+            with service._gate:
+                service._applying = True  # a live update holds the gate
+            with pytest.raises(ServiceUnavailable):
+                service.submit(_chain_query(sorted(engine.peg.sigma)), 0.3)
+            with service._gate:
+                service._applying = False
+        malformed, refused = tracer.roots()
+        for span in (malformed, refused):
+            assert span.end is not None and span.status == "error"
+        assert refused.attributes["outcome"] == "unavailable"
+        first = [s["elapsed"] for s in tracer.export()]
+        assert [s["elapsed"] for s in tracer.export()] == first
 
     def test_stats_snapshot_merges_registry_series(self):
         peg = small_random_peg(seed=7)

@@ -74,59 +74,130 @@ class TestResultCache:
             ResultCache(capacity=-1)
 
 
-class TestServiceStats:
-    def test_counters_and_quantiles(self):
-        stats = ServiceStats(latency_window=8)
-        stats.record_miss()
-        stats.record_done(0.010)
-        stats.record_hit(0.001)
-        stats.record_dedup()
-        stats.record_eviction(2)
-        snap = stats.snapshot()
-        assert snap["hits"] == 1
-        assert snap["misses"] == 1
-        assert snap["deduplicated"] == 1
-        assert snap["evictions"] == 2
-        assert snap["requests"] == 3
-        assert snap["in_flight"] == 0
-        assert 0.0 < snap["latency_p50"] <= snap["latency_p95"] <= 0.010
-
-    def test_error_counted_without_latency(self):
-        stats = ServiceStats()
-        stats.record_miss()
-        stats.record_done(1.0, error=True)
-        snap = stats.snapshot()
-        assert snap["errors"] == 1
-        assert snap["latency_p50"] == 0.0
-
-    def test_error_latency_tracked_in_its_own_quantiles(self):
-        # Regression: record_done(error=True) used to drop the sample
-        # entirely, hiding slow failures from every latency view.
-        stats = ServiceStats()
-        stats.record_miss()
-        stats.record_done(0.5, error=True)
-        snap = stats.snapshot()
-        assert snap["error_latency_p50"] == 0.5
-        assert snap["error_latency_p95"] == 0.5
-        assert snap["latency_p50"] == 0.0  # success window untouched
-
-    def test_attached_done_reconciles_completed_with_requests(self):
+#: Scripted ``record_*`` sequences -> the ``snapshot()`` they must yield.
+#: ``drained`` scripts leave nothing in flight and every follower
+#: resolved, so the second reconciliation identity applies to them.
+STATS_SCRIPTS = [
+    pytest.param(
+        [("miss",), ("done", 0.010), ("hit", 0.001), ("dedup",),
+         ("eviction", 2)],
+        dict(hits=1, misses=1, deduplicated=1, evictions=2, requests=3,
+             completed=2, in_flight=0, hit_rate=1 / 3),
+        False,
+        id="counters",
+    ),
+    pytest.param(
+        [("miss",), ("miss",), ("done", 0.010)],
+        dict(misses=2, in_flight=1, completed=1, requests=2),
+        False,
+        id="in-flight-gauge",
+    ),
+    pytest.param(
+        # Regression: record_done(error=True) used to drop the sample,
+        # hiding slow failures from every latency view.
+        [("miss",), ("done", 0.5, True)],
+        dict(errors=1, completed=1, latency_p50=0.0, latency_p95=0.0,
+             error_latency_p50=0.5, error_latency_p95=0.5),
+        True,
+        id="error-latency-has-its-own-quantiles",
+    ),
+    pytest.param(
         # Regression: record_dedup never produced a completion, so
         # requests and completed diverged forever on a drained service.
-        stats = ServiceStats()
-        stats.record_miss()
-        stats.record_dedup()
-        stats.record_dedup()
-        stats.record_done(0.010)
-        stats.record_attached_done(0.011)
-        stats.record_attached_done(0.012, error=True)
-        snap = stats.snapshot()
-        assert snap["requests"] == 3
-        assert snap["completed"] == 3
-        assert snap["attached"] == 2
-        # The leader's failure is the only countable error; a follower
+        # The leader's failure is the only countable error: a follower
         # attached to it must not double-count.
-        assert snap["errors"] == 0
+        [("miss",), ("dedup",), ("dedup",), ("done", 0.010),
+         ("attached_done", 0.011), ("attached_done", 0.012, True)],
+        dict(requests=3, completed=3, attached=2, errors=0),
+        True,
+        id="attached-followers-complete",
+    ),
+    pytest.param(
+        [("rejected",), ("rejected", True), ("hit", 0.001),
+         ("deadline_exceeded",), ("queue_wait", 0.002)],
+        dict(rejected=2, shed=1, requests=3, completed=1,
+             deadline_exceeded=1, hit_rate=1.0),
+        True,
+        id="rejections-count-as-requests-not-completions",
+    ),
+    pytest.param([], dict(requests=0, hit_rate=0.0, latency_p50=0.0), True,
+                 id="idle"),
+]
+
+
+class TestServiceStats:
+    @pytest.mark.parametrize("script, expected, drained", STATS_SCRIPTS)
+    def test_scripted_recordings_yield_snapshot(
+        self, script, expected, drained
+    ):
+        stats = ServiceStats()
+        for name, *args in script:
+            getattr(stats, f"record_{name}")(*args)
+        snap = stats.snapshot()
+        for key, value in expected.items():
+            assert snap[key] == pytest.approx(value), key
+            view = getattr(stats, key, None)  # quantiles: snapshot only
+            if view is not None:
+                assert (view() if callable(view) else view) == snap[key], key
+        assert snap["requests"] == (
+            snap["hits"] + snap["misses"] + snap["deduplicated"]
+            + snap["rejected"]
+        )
+        if drained:
+            assert snap["requests"] == snap["completed"] + snap["rejected"]
+
+    def test_quantiles_are_lifetime_bucket_estimates(self):
+        stats = ServiceStats()
+        for millis in range(1, 101):
+            stats.record_hit(millis / 1e3)
+        snap = stats.snapshot()
+        # log buckets: within one bucket width (19%) of the exact value
+        assert snap["latency_p50"] == pytest.approx(0.050, rel=0.19)
+        assert snap["latency_p95"] == pytest.approx(0.095, rel=0.19)
+        assert snap["latency_p50"] <= snap["latency_p95"] <= 0.100
+
+    def test_holds_no_lock_deque_or_int_of_its_own(self):
+        # The instruments are the only storage: nothing to mirror.
+        state = vars(ServiceStats())
+        assert not any(
+            isinstance(value, (int, float, list, dict)) or
+            type(value).__name__ in ("lock", "deque")
+            for value in state.values()
+        ), state
+
+    def test_two_services_do_not_see_each_others_counts(self):
+        with QueryService(FakeEngine(), num_workers=1) as one, \
+                QueryService(FakeEngine(), num_workers=1) as other:
+            one.query(figure1_query(), 0.5)
+            one.query(figure1_query(), 0.5)
+            snap, idle = one.stats_snapshot(), other.stats_snapshot()
+        assert (snap["misses"], snap["hits"], snap["requests"]) == (1, 1, 2)
+        assert snap["repro_service_requests_total{outcome=hit}"] == 1
+        assert idle["requests"] == idle["completed"] == 0
+        assert idle["repro_service_requests_total{outcome=miss}"] == 0
+
+    def test_identities_hold_with_process_registry_disabled(self):
+        from repro.obs import get_registry
+
+        registry = get_registry()
+        registry.enabled = False
+        try:
+            with QueryService(
+                FakeEngine(), num_workers=2, cache_size=1
+            ) as service:
+                for alpha in (0.5, 0.5, 0.4, 0.5):
+                    service.query(figure1_query(), alpha)
+                service.stats.record_rejected(shed=True)
+                snap = service.stats_snapshot()
+        finally:
+            registry.enabled = True
+        assert snap["requests"] == 5
+        assert snap["requests"] == (
+            snap["hits"] + snap["misses"] + snap["deduplicated"]
+            + snap["rejected"]
+        )
+        assert snap["requests"] == snap["completed"] + snap["rejected"]
+        assert (snap["hits"], snap["evictions"]) == (1, 2)
 
     def test_requests_and_hit_rate_consistent_under_concurrency(self):
         # Regression: requests/hit_rate read three counters without the
@@ -502,11 +573,11 @@ class TestCloseLifecycle:
 class TestDeadlines:
     def test_expired_deadline_resolves_with_clean_error(self):
         with QueryService(FakeEngine(), num_workers=1, cache_size=0) as service:
-            future = service.submit(
-                figure1_query(), 0.5, deadline=time.monotonic() - 0.01
-            )
             with pytest.raises(DeadlineExceeded):
-                future.result(timeout=10)
+                service.query(
+                    figure1_query(), 0.5, timeout=10,
+                    deadline=time.monotonic() - 0.01,
+                )
             assert service.stats.deadline_exceeded == 1
             # the request still completed (as an error): counters reconcile
             assert service.stats.requests == service.stats.completed
