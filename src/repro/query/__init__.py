@@ -15,7 +15,8 @@ The five steps of the paper's online phase map to submodules:
    pure-Python reference backend) with its vectorized numpy twin in
    :mod:`repro.query.reduction` (selected via
    ``QueryOptions.reduction_backend``, the default),
-5. :mod:`repro.query.matcher` — join ordering and full match generation.
+5. :mod:`repro.query.matcher` — join ordering and full match generation
+   (a frontier-at-a-time array join, plus its depth-first reference).
 
 :class:`~repro.query.engine.QueryEngine` ties the offline and online
 phases together; :mod:`repro.query.baselines` provides the comparison

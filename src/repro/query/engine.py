@@ -32,7 +32,7 @@ from repro.query.candidates import CandidateFinder
 from repro.query.kpartite import CandidateKPartiteGraph, build_candidate_links
 from repro.query.links import LinkStructureCache, build_candidate_links_vectorized
 from repro.query.plan import QueryPlanner
-from repro.query.matcher import generate_matches
+from repro.query.matcher import generate_matches, generate_matches_reference
 from repro.query.query_graph import QueryGraph
 from repro.storage.kvstore import PathStore
 from repro.utils.errors import IndexError_, QueryError
@@ -79,8 +79,11 @@ class QueryOptions:
     numpy backend of :mod:`repro.query.reduction` — flat ``w1``/``w2``/
     alive arrays, CSR links, segment-max Jacobi rounds; ``"python"``
     runs the incremental pure-Python reference of
-    :mod:`repro.query.kpartite`. Both produce identical matches,
-    partition sizes and removal counts.
+    :mod:`repro.query.kpartite` — and, being the all-reference
+    configuration, the depth-first reference matcher after it
+    (:func:`repro.query.matcher.generate_matches_reference`) instead of
+    the array matcher. Both produce identical matches (bit for bit, in
+    the same order), partition sizes and removal counts.
 
     ``decomposition`` accepts ``"greedy"``, ``"exact"`` (optimal for
     small queries, greedy fallback past the cutoffs) and ``"random"``.
@@ -667,13 +670,24 @@ class QueryEngine:
                     "upperbound_removed", reduction.upperbound_removed
                 )
 
-        # 5. Full match generation.
+        # 5. Full match generation: the array matcher over the
+        # vectorized graph; the all-reference configuration keeps the
+        # depth-first reference matcher it is checked against.
         with recorder.stage("match") as match_span:
-            matches = generate_matches(
-                self.peg, decomposition, kpartite, alpha
-            )
+            match_stats: dict = {}
+            if options.reduction_backend == "python":
+                matches = generate_matches_reference(
+                    self.peg, decomposition, kpartite, alpha
+                )
+            else:
+                matches = generate_matches(
+                    self.peg, decomposition, kpartite, alpha,
+                    stats=match_stats,
+                )
             if match_span.enabled:
                 match_span.set("matches", len(matches))
+                for name, value in match_stats.items():
+                    match_span.set(name, value)
         return matches, reduction, link_stats
 
 

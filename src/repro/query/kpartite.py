@@ -27,7 +27,9 @@ by :func:`build_candidate_links` and expose the same narrow interface
 :meth:`~CandidateKPartiteGraph.alive_vertex_ids`,
 :meth:`~CandidateKPartiteGraph.candidate_of`,
 :meth:`~CandidateKPartiteGraph.is_alive`,
-:meth:`~CandidateKPartiteGraph.linked`) the matcher joins through.
+:meth:`~CandidateKPartiteGraph.linked`) the reference matcher
+(:func:`repro.query.matcher.generate_matches_reference`) joins through;
+the array matcher reads the vectorized backend's arrays directly.
 """
 
 from __future__ import annotations

@@ -2,15 +2,39 @@
 
 Paths are joined one at a time following the paper's heuristic order
 (most node overlap, then most join predicates, then smallest candidate
-count); each partial match is extended through the reduced k-partite
+count); partial matches are extended through the reduced k-partite
 graph's links, with injectivity, reference-disjointness and an exact
 partial-probability bound enforced as soon as possible.
+
+:func:`generate_matches` is the production matcher: a level-at-a-time
+join over the arrays a reduced
+:class:`~repro.query.reduction.VectorizedKPartiteGraph` already holds.
+:func:`generate_matches_reference` is the per-tuple depth-first search
+it replaced, kept as the oracle (``reduction_backend="python"`` runs
+it). Both multiply a (partial) match's probability in one written-down
+order, so they agree bit for bit:
+
+1. label factors, query nodes in *placement order* (partitions in join
+   order, path positions left to right, first occurrence),
+2. edge factors, query edges in :func:`ordered_query_edges` order,
+   skipping edges with an unplaced endpoint,
+3. times the existence marginal of the placed nodes in placement order.
 """
 
 from __future__ import annotations
 
+import itertools
+import typing
+
+import numpy as np
+
 from repro.peg.entity_graph import Match, ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
+
+#: Most frontier rows one expansion step may gather at a time; a wider
+#: level is expanded in order-preserving row blocks, depth first, so
+#: peak memory is block x fan-out and not the widest level.
+_FRONTIER_ROW_BUDGET = 1 << 15
 
 
 def determine_join_order(
@@ -49,27 +73,450 @@ def determine_join_order(
     return ordered
 
 
+def ordered_query_edges(query) -> list:
+    """Query edges as ``(node_a, node_b)`` pairs in the fixed factor order.
+
+    Endpoints and edges are ordered by node position in ``query.nodes``
+    (insertion order), which — unlike iterating the ``query.edges``
+    frozenset — depends neither on ``PYTHONHASHSEED`` nor on the node
+    type.
+    """
+    position = {node: index for index, node in enumerate(query.nodes)}
+    return sorted(
+        (
+            tuple(sorted(edge, key=position.__getitem__))
+            for edge in query.edges
+        ),
+        key=lambda pair: (position[pair[0]], position[pair[1]]),
+    )
+
+
+class _Step(typing.NamedTuple):
+    """What placing one partition does to the frontier's columns."""
+
+    #: Partition joined at this step.
+    partition: int
+    #: Already-placed partitions it joins with, in placement order; the
+    #: first one's CSR row is gathered, the others are probed.
+    drivers: list
+    #: Query-node columns filled before this step.
+    placed: int
+    #: Path positions whose query node is placed here (they become
+    #: columns ``placed, placed + 1, ...``).
+    new_positions: list
+    #: ``(path position, column)`` of query nodes placed earlier.
+    shared: list
+    #: ``(edge index, column_a, column_b, label_a, label_b)`` per query
+    #: edge whose second endpoint is placed here; the index is the
+    #: edge's place in the factor order.
+    new_edges: list
+
+
+def _plan_steps(decomposition: Decomposition, order: list) -> tuple:
+    """``(column of every query node, one _Step per partition of order,
+    (column_a, column_b) of every query edge in factor order)``."""
+    query = decomposition.query
+    edges = ordered_query_edges(query)
+    column: dict = {}
+    resolved: set = set()
+    steps = []
+    for done, partition in enumerate(order):
+        placed = len(column)
+        new_positions, shared = [], []
+        for position, node in enumerate(decomposition.paths[partition].nodes):
+            if node in column:
+                shared.append((position, column[node]))
+            else:
+                column[node] = len(column)
+                new_positions.append(position)
+        new_edges = [
+            (index, column[a], column[b], query.label(a), query.label(b))
+            for index, (a, b) in enumerate(edges)
+            if index not in resolved and a in column and b in column
+        ]
+        resolved.update(edge[0] for edge in new_edges)
+        joined = decomposition.joins_with.get(partition, frozenset())
+        steps.append(_Step(
+            partition,
+            [j for j in order[:done] if j in joined],
+            placed,
+            new_positions,
+            shared,
+            new_edges,
+        ))
+    return column, steps, [(column[a], column[b]) for a, b in edges]
+
+
+def _contains(sorted_keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Per element of ``wanted``, whether it occurs in ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(wanted.shape, dtype=bool)
+    position = np.minimum(
+        np.searchsorted(sorted_keys, wanted), sorted_keys.size - 1
+    )
+    return sorted_keys[position] == wanted
+
+
+class _Frontier(typing.NamedTuple):
+    """The partial matches of one level, as row-aligned arrays.
+
+    Rows stay in the depth-first search's lexicographic visiting order:
+    every gather is a stable ``np.repeat`` over ascending CSR columns.
+    """
+
+    #: ``(rows, placed query nodes)`` PEG ids, columns in placement order.
+    nodes: np.ndarray
+    #: ``(rows, k)`` vertex id taken in every placed partition.
+    chosen: np.ndarray
+    #: Rows with two nodes of one identity component — the only rows
+    #: whose existence marginal is not a product of per-node gathers.
+    joint: np.ndarray
+    #: Running product of the label factors, in placement order.
+    labels: np.ndarray
+    #: ``(rows, query edges)`` edge factors in factor order; 1.0 (the
+    #: exact identity) while an endpoint is unplaced.
+    edges: np.ndarray
+    #: Existence marginal of the placed nodes.
+    existence: np.ndarray
+
+    def take(self, rows) -> "_Frontier":
+        """The frontier of ``rows`` (a slice, mask or index array)."""
+        return _Frontier(*[array[rows] for array in self])
+
+
+class _FrontierJoin:
+    """The level-at-a-time join of one query over a reduced k-partite graph."""
+
+    def __init__(self, peg, decomposition, kpartite, alpha) -> None:
+        self.peg = peg
+        self.kpartite = kpartite
+        self.alpha = alpha
+        self.arrays = kpartite.arrays
+        order = determine_join_order(
+            decomposition, dict(enumerate(kpartite.alive_counts()))
+        )
+        #: ``edge_columns``: ``(column_a, column_b)`` of every query
+        #: edge, in factor order.
+        column, self.steps, self.edge_columns = _plan_steps(
+            decomposition, order
+        )
+        query = decomposition.query
+        #: Query node and label of every column.
+        self.column_nodes = list(column)
+        self.column_labels = [query.label(node) for node in self.column_nodes]
+        self._label_probs = [
+            self.arrays.label_probabilities(label)
+            for label in self.column_labels
+        ]
+        self.frontier_peak = 0
+        self.fallback_rows = 0
+        self._out_nodes: list = []
+        self._out_probabilities: list = []
+
+    def run(self) -> tuple:
+        """``(nodes, probabilities)`` of every full embedding reaching
+        alpha, in visiting order (duplicates of one match included)."""
+        self._expand(0, _Frontier(
+            nodes=np.zeros((1, 0), dtype=np.int64),
+            chosen=np.full((1, len(self.steps)), -1, dtype=np.int64),
+            joint=np.zeros(1, dtype=bool),
+            labels=np.ones(1),
+            edges=np.ones((1, len(self.edge_columns))),
+            existence=np.ones(1),
+        ))
+        if not self._out_nodes:
+            width = len(self.column_nodes)
+            return np.zeros((0, width), dtype=np.int64), np.zeros(0)
+        return (
+            np.concatenate(self._out_nodes),
+            np.concatenate(self._out_probabilities),
+        )
+
+    def _expand(self, index: int, frontier: _Frontier) -> None:
+        step = self.steps[index]
+        rows = frontier.nodes.shape[0]
+        if step.drivers:
+            # Neighbours of the first placed joining partition's chosen
+            # vertex: one CSR row per frontier row.
+            driver = step.drivers[0]
+            indptr, cols, _ = self.kpartite.csr(driver, step.partition)
+            vertex = frontier.chosen[:, driver]
+            starts = indptr[vertex]
+            counts = indptr[vertex + 1] - starts
+        else:
+            # Nothing placed joins this partition (the first step, or a
+            # disconnected query): cross product with its alive ids.
+            cols = np.nonzero(self.kpartite.alive[step.partition])[0]
+            starts = np.zeros(rows, dtype=np.int64)
+            counts = np.full(rows, cols.size, dtype=np.int64)
+        ends = np.cumsum(counts)
+        low = 0
+        while low < rows and ends[-1]:
+            # The longest run of rows whose expansion fits the budget
+            # (one row at least); usually the whole frontier.
+            gathered = ends[low - 1] if low else 0
+            high = max(
+                low + 1,
+                int(np.searchsorted(
+                    ends, gathered + _FRONTIER_ROW_BUDGET, side="right"
+                )),
+            )
+            block = slice(low, high)
+            low = high
+            extended, probabilities = self._extend(
+                step, frontier.take(block), cols, starts[block], counts[block]
+            )
+            if not probabilities.size:
+                continue
+            if index + 1 == len(self.steps):
+                self._out_nodes.append(extended.nodes)
+                self._out_probabilities.append(probabilities)
+            else:
+                self._expand(index + 1, extended)
+
+    def _extend(self, step, frontier, cols, starts, counts) -> tuple:
+        """One block of frontier rows joined with ``step.partition``:
+        the surviving next-level frontier and its rows' probabilities."""
+        kpartite, arrays = self.kpartite, self.arrays
+        partition = step.partition
+        total = int(counts.sum())
+        self.frontier_peak = max(self.frontier_peak, total)
+        parent = np.repeat(np.arange(counts.size), counts)
+        first = starts - (np.cumsum(counts) - counts)
+        vids = cols[np.repeat(first, counts) + np.arange(total)]
+
+        alive = kpartite.alive[partition]
+        keep = alive[vids]
+        size = alive.size  # vertex ids of this partition are < its size
+        for other in step.drivers[1:]:
+            _, other_cols, other_rows = kpartite.csr(other, partition)
+            keep &= _contains(
+                other_rows * size + other_cols,
+                frontier.chosen[parent, other] * size + vids,
+            )
+        parent, vids = parent[keep], vids[keep]
+
+        candidate = kpartite.node_matrix[partition][vids]
+        placed = step.placed
+        width = placed + len(step.new_positions)
+        nodes = np.empty((vids.size, width), dtype=np.int64)
+        nodes[:, :placed] = frontier.nodes[parent]
+        nodes[:, placed:] = candidate[:, step.new_positions]
+        keep = np.ones(vids.size, dtype=bool)
+        for position, column in step.shared:
+            keep &= candidate[:, position] == nodes[:, column]
+        # Injectivity, and which rows put two nodes in one identity
+        # component: each new column against every column before it.
+        components = arrays.component_indexes()[nodes]
+        suspect = np.zeros(vids.size, dtype=bool)
+        for column in range(placed, width):
+            new = slice(column, column + 1)
+            keep &= (nodes[:, :column] != nodes[:, new]).all(axis=1)
+            suspect |= (
+                components[:, :column] == components[:, new]
+            ).any(axis=1)
+        joint = frontier.joint[parent] | suspect
+        self.fallback_rows += int((keep & joint).sum())
+        # Only nodes of one component can share references; those rows
+        # ask the PEG, pair by pair.
+        shares = self.peg.shares_references_id
+        for row in np.nonzero(keep & suspect)[0].tolist():
+            ids = nodes[row].tolist()
+            keep[row] = not any(
+                shares(ids[before], ids[column])
+                for column in range(placed, width)
+                for before in range(column)
+            )
+        parent, vids = parent[keep], vids[keep]
+        nodes, joint = nodes[keep], joint[keep]
+
+        # The exact (partial) probability in the module's factor order:
+        # each running product takes the factors placed here.
+        labels = frontier.labels[parent]
+        existence = frontier.existence[parent]
+        node_existence = arrays.existence_probabilities()
+        for column in range(placed, width):
+            labels *= self._label_probs[column][nodes[:, column]]
+            existence *= node_existence[nodes[:, column]]
+        for row in np.nonzero(joint)[0].tolist():
+            existence[row] = self.peg.existence_marginal_ids(
+                nodes[row].tolist()
+            )
+        edges = frontier.edges[parent]
+        for index, column_a, column_b, label_a, label_b in step.new_edges:
+            edges[:, index] = arrays.edge_probabilities(
+                nodes[:, column_a], nodes[:, column_b], label_a, label_b
+            )
+        prle = labels.copy()
+        for factor in edges.T:
+            prle *= factor
+        probabilities = prle * existence
+
+        chosen = frontier.chosen[parent]
+        chosen[:, partition] = vids
+        keep = probabilities >= self.alpha
+        extended = _Frontier(nodes, chosen, joint, labels, edges, existence)
+        return extended.take(keep), probabilities[keep]
+
+
 def generate_matches(
     peg: ProbabilisticEntityGraph,
     decomposition: Decomposition,
     kpartite,
     alpha: float,
+    *,
+    stats: dict | None = None,
 ) -> list:
     """Enumerate all full query matches with probability >= alpha.
 
-    ``kpartite`` is a reduced candidate k-partite graph of either
-    backend (:class:`repro.query.kpartite.CandidateKPartiteGraph` or
-    :class:`repro.query.reduction.VectorizedKPartiteGraph`); only the
-    shared alive-mask/link interface (``alive_counts``,
-    ``alive_vertex_ids``, ``candidate_of``, ``is_alive``, ``linked``) is
-    consumed. Returns deduplicated
-    :class:`~repro.peg.entity_graph.Match` objects: two embeddings
-    inducing the same labeled subgraph are one match.
+    ``kpartite`` is a reduced
+    :class:`repro.query.reduction.VectorizedKPartiteGraph`; its alive
+    masks, node matrices, CSR links and probability tables are joined
+    one partition (one frontier level) at a time. Returns deduplicated
+    :class:`~repro.peg.entity_graph.Match` objects, sorted by descending
+    probability: two embeddings inducing the same labeled subgraph are
+    one match, represented by the first one visited.
+
+    ``stats``, when given, receives ``frontier_peak`` (most rows
+    gathered in one expansion), ``fallback_rows`` (rows that took the
+    scalar shared-identity-component path, summed over levels) and
+    ``duplicates`` (embeddings dropped as repeats of an earlier match).
+    """
+    join = _FrontierJoin(peg, decomposition, kpartite, alpha)
+    nodes, probabilities = join.run()
+    first = _first_embeddings(join, nodes)
+    if stats is not None:
+        stats["frontier_peak"] = join.frontier_peak
+        stats["fallback_rows"] = join.fallback_rows
+        stats["duplicates"] = nodes.shape[0] - first.size
+    return _build_matches(join, nodes[first], probabilities[first])
+
+
+def _first_embeddings(join: _FrontierJoin, nodes: np.ndarray) -> np.ndarray:
+    """Rows of ``nodes`` that are the first embedding of their match.
+
+    Two embeddings are one match when they induce the same labeled
+    subgraph; that is decided on integers — the ``(node id, label)``
+    columns sorted by node id and the sorted ``(low id, high id)`` edge
+    keys — before any ``Match`` or frozenset exists.
+    """
+    if nodes.shape[0] < 2:
+        return np.arange(nodes.shape[0])
+    labels: dict = {}
+    label_ids = np.array(
+        [labels.setdefault(label, len(labels)) for label in join.column_labels]
+    )
+    by_id = np.argsort(nodes, axis=1)
+    key = [np.take_along_axis(nodes, by_id, axis=1), label_ids[by_id]]
+    if join.edge_columns:
+        ends_a = nodes[:, [column_a for column_a, _ in join.edge_columns]]
+        ends_b = nodes[:, [column_b for _, column_b in join.edge_columns]]
+        edge_keys = (
+            np.minimum(ends_a, ends_b) * join.arrays.num_nodes
+            + np.maximum(ends_a, ends_b)
+        )
+        edge_keys.sort(axis=1)
+        key.append(edge_keys)
+    key = np.hstack(key)
+    row_keys = key.view(f"V{key.itemsize * key.shape[1]}").ravel().tolist()
+    seen: dict = {}  # key row as bytes -> first row with it, in row order
+    for row, row_key in enumerate(row_keys):
+        seen.setdefault(row_key, row)
+    return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
+
+
+def _chunks(items, width: int):
+    """Consecutive ``width``-tuples of an iterable, all in C."""
+    return zip(*[iter(items)] * width)
+
+
+def _build_matches(
+    join: _FrontierJoin, nodes: np.ndarray, probabilities: np.ndarray
+) -> list:
+    """One ``Match`` per row, sorted by ``(-probability, repr(nodes))``.
+
+    Entities, their ``repr`` and its rank come from per-node-id tables
+    and every gather is flattened to one list, so a row costs a few
+    C-level zips: no ``repr`` of a frozenset, no Python-level sort, no
+    per-row scratch container.
+    """
+    entities, reprs, ranks = join.arrays.entity_tables()
+    width = len(join.column_labels)
+    labels = np.fromiter(join.column_labels, dtype=object, count=width)
+    label_reprs = np.fromiter(map(repr, labels), dtype=object, count=width)
+
+    def flat(table, indexes) -> list:
+        return table[indexes].ravel().tolist()
+
+    # A match lists its nodes in repr(entity) order ...
+    by_repr = np.argsort(ranks[nodes], axis=1, kind="stable")
+    ordered = np.take_along_axis(nodes, by_repr, axis=1)
+    node_rows = _chunks(
+        zip(flat(entities, ordered), flat(labels, by_repr)), width
+    )
+    # ... and its mapping in repr(query node) order: one column order.
+    mapping_columns = sorted(
+        range(width), key=lambda column: repr(join.column_nodes[column])
+    )
+    mapping_nodes = [join.column_nodes[column] for column in mapping_columns]
+    mapping_rows = _chunks(
+        zip(
+            itertools.cycle(mapping_nodes),
+            flat(entities, nodes[:, mapping_columns]),
+        ),
+        width,
+    )
+    if join.edge_columns:
+        ends_a = flat(entities, nodes[:, [a for a, _ in join.edge_columns]])
+        ends_b = flat(entities, nodes[:, [b for _, b in join.edge_columns]])
+        edge_rows = map(
+            frozenset,
+            _chunks(
+                map(frozenset, zip(ends_a, ends_b)), len(join.edge_columns)
+            ),
+        )
+    else:
+        edge_rows = itertools.repeat(frozenset())
+    matches = list(
+        map(Match, node_rows, edge_rows, mapping_rows, probabilities.tolist())
+    )
+    # repr(match.nodes), assembled from the repr tables.
+    pairs = map(
+        "(%s, %s)".__mod__,
+        zip(flat(reprs, ordered), flat(label_reprs, by_repr)),
+    )
+    closing = ",)" if width == 1 else ")"
+    nodes_reprs = [
+        "(" + inner + closing
+        for inner in map(", ".join, _chunks(pairs, width))
+    ]
+    ranking = sorted(
+        zip((-probabilities).tolist(), nodes_reprs, range(len(matches)))
+    )
+    return [matches[index] for _, _, index in ranking]
+
+
+def generate_matches_reference(
+    peg: ProbabilisticEntityGraph,
+    decomposition: Decomposition,
+    kpartite,
+    alpha: float,
+) -> list:
+    """The per-tuple depth-first matcher :func:`generate_matches` replaced.
+
+    Kept as the oracle the array matcher is tested against (and what
+    ``reduction_backend="python"`` runs): same matches, same order, same
+    floats. ``kpartite`` is a reduced candidate k-partite graph of
+    either backend (:class:`repro.query.kpartite.CandidateKPartiteGraph`
+    or :class:`repro.query.reduction.VectorizedKPartiteGraph`); only
+    the shared alive-mask/link interface (``alive_counts``,
+    ``alive_vertex_ids``, ``candidate_of``, ``is_alive``, ``linked``)
+    is consumed.
     """
     query = decomposition.query
+    query_edges = ordered_query_edges(query)
     order = determine_join_order(
-        decomposition,
-        {i: count for i, count in enumerate(kpartite.alive_counts())},
+        decomposition, dict(enumerate(kpartite.alive_counts()))
     )
     matches: dict = {}
 
@@ -130,41 +577,28 @@ def generate_matches(
             used.add(peg_node)
         return new_mapping
 
-    def _partial_probability(mapping: dict) -> float:
+    def _labeled_subgraph(mapping: dict) -> tuple:
+        # Dict order is placement order; edges come in the fixed order
+        # and as a list, so ``prle`` multiplies in the module's factor
+        # order (a set here made the product depend on PYTHONHASHSEED).
         node_labels = {
             peg.entity_of(peg_node): query.label(query_node)
             for query_node, peg_node in mapping.items()
         }
-        edges = set()
-        for edge in query.edges:
-            node_a, node_b = tuple(edge)
-            if node_a in mapping and node_b in mapping:
-                edges.add(
-                    frozenset(
-                        (
-                            peg.entity_of(mapping[node_a]),
-                            peg.entity_of(mapping[node_b]),
-                        )
-                    )
-                )
-        return peg.match_probability(node_labels, edges)
+        edges = [
+            frozenset(
+                (peg.entity_of(mapping[node_a]), peg.entity_of(mapping[node_b]))
+            )
+            for node_a, node_b in query_edges
+            if node_a in mapping and node_b in mapping
+        ]
+        return node_labels, edges
+
+    def _partial_probability(mapping: dict) -> float:
+        return peg.match_probability(*_labeled_subgraph(mapping))
 
     def _emit(mapping: dict) -> None:
-        node_labels = {
-            peg.entity_of(peg_node): query.label(query_node)
-            for query_node, peg_node in mapping.items()
-        }
-        edges = set()
-        for edge in query.edges:
-            node_a, node_b = tuple(edge)
-            edges.add(
-                frozenset(
-                    (
-                        peg.entity_of(mapping[node_a]),
-                        peg.entity_of(mapping[node_b]),
-                    )
-                )
-            )
+        node_labels, edges = _labeled_subgraph(mapping)
         probability = peg.match_probability(node_labels, edges)
         if probability < alpha:
             return

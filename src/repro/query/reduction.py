@@ -47,6 +47,8 @@ class PegProbabilityArrays:
     ``edge_probabilities`` answers bulk edge-probability gathers through
     a sorted composite-key table (``min_id * num_nodes + max_id``) and
     ``np.searchsorted``. Arrays are built lazily per label (pair).
+    ``entity_tables`` are the per-id entity / ``repr`` / ``repr``-rank
+    tables the matcher builds ``Match`` objects from.
 
     The tables depend only on the immutable PEG, so one instance should
     be shared across queries (``QueryEngine`` keeps one per engine and
@@ -68,6 +70,7 @@ class PegProbabilityArrays:
         self._edge_probs: dict = {}
         self._existence = None
         self._components = None
+        self._entities = None
 
     def label_probabilities(self, label) -> np.ndarray:
         """``Pr(v.l = label)`` for every node id, as one dense array."""
@@ -120,6 +123,29 @@ class PegProbabilityArrays:
             )
         return self._components
 
+    def entity_tables(self) -> tuple:
+        """``(entities, reprs, ranks)`` per node id, for match emission.
+
+        ``entities[id]`` is the entity frozenset and ``reprs[id]`` its
+        ``repr`` (both object arrays, so one fancy index gathers a whole
+        level); ``ranks[id]`` is the id's position in ``repr`` order
+        (equal reprs tie-break on id), so sorting a match's nodes by
+        ``repr(entity)`` is an integer ``argsort``.
+        """
+        if self._entities is None:
+            n = self.num_nodes
+            peg = self.peg
+            entities = np.fromiter(
+                (peg.entity_of(node) for node in range(n)),
+                dtype=object,
+                count=n,
+            )
+            reprs = np.fromiter(map(repr, entities), dtype=object, count=n)
+            ranks = np.empty(n, dtype=np.int64)
+            ranks[sorted(range(n), key=reprs.__getitem__)] = np.arange(n)
+            self._entities = (entities, reprs, ranks)
+        return self._entities
+
     def _edge_table(self) -> tuple:
         if self._edge_keys is None:
             n = self.num_nodes
@@ -162,7 +188,7 @@ class PegProbabilityArrays:
         )
         if keys.size == 0:
             return np.zeros(wanted.shape, dtype=np.float64)
-        position = np.searchsorted(keys, wanted).clip(0, keys.size - 1)
+        position = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
         found = keys[position] == wanted
         return np.where(found, values[position], 0.0)
 
@@ -295,8 +321,17 @@ class VectorizedKPartiteGraph:
                 self._csr[(i, j)] = (indptr, cols, rows)
 
     # ------------------------------------------------------------------
-    # Introspection (the matcher's interface)
+    # Introspection (the matchers' interface)
     # ------------------------------------------------------------------
+
+    def csr(self, i: int, j: int) -> tuple:
+        """``(indptr, cols, rows)`` of the joining pair ``(i, j)``.
+
+        Row = partition-``i`` vertex id, ``cols`` = linked partition-``j``
+        vertex ids (ascending within a row, dead vertices included —
+        filter with ``alive[j]``), ``rows`` = the row id of every entry.
+        """
+        return self._csr[(i, j)]
 
     def alive_counts(self) -> tuple:
         """Number of surviving vertices per partition."""

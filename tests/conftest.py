@@ -59,6 +59,18 @@ def figure1_peg(figure1_pgd):
     return build_peg(figure1_pgd)
 
 
+@pytest.fixture(params=[None, 2], ids=["one-block", "2-row-blocks"])
+def row_budget(request, monkeypatch):
+    """Matcher differentials run twice: as shipped, and with every
+    frontier level expanded in 2-row blocks — the bounded-memory path
+    of :mod:`repro.query.matcher` must change nothing."""
+    if request.param is not None:
+        monkeypatch.setattr(
+            "repro.query.matcher._FRONTIER_ROW_BUDGET", request.param
+        )
+    return request.param
+
+
 def small_random_peg(seed: int, num_references: int = 60, uncertainty: float = 0.4):
     """A small synthetic PEG for oracle comparisons."""
     config = SyntheticConfig(

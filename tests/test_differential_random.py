@@ -6,9 +6,10 @@ probabilities:
 
 1. the optimized engine over the monolithic :class:`PathIndex` with the
    vectorized (numpy) reduction backend,
-2. the same engine with the pure-Python reference reduction backend —
-   which must additionally agree with the vectorized backend on the
-   reduction statistics (partition sizes and removal counts),
+2. the same engine with the pure-Python reference reduction backend
+   (which also swaps the array matcher for the depth-first reference
+   matcher) — which must additionally agree with the vectorized backend
+   on the reduction statistics (partition sizes and removal counts),
 3. the optimized engine over a hash-sharded store (both per
    query and through batched execution),
 4. planned execution through :mod:`repro.query.plan` — the exact
@@ -41,11 +42,26 @@ from repro.query import QueryEngine, QueryOptions, exhaustive_matches
 from repro.query.candidates import CandidateFinder
 from repro.query.kpartite import build_candidate_links
 from repro.query.links import build_candidate_links_vectorized
+from repro.query.matcher import generate_matches, generate_matches_reference
+from repro.query.reduction import VectorizedKPartiteGraph
 
 PYTHON_BACKEND = QueryOptions(reduction_backend="python")
 VECTOR_BACKEND = QueryOptions(reduction_backend="vectorized")
 PYTHON_LINKS = QueryOptions(link_backend="python")
 EXACT_PLAN = QueryOptions(decomposition="exact")
+
+
+def planned_candidates(engine, query, alpha, options=QueryOptions()):
+    """``(decomposition, {partition: candidates})`` as the engine's
+    lookup stage would produce them, through its live index."""
+    decomposition, _info = engine.planner.plan(query, alpha, options)
+    finder = CandidateFinder(
+        engine.peg, query, alpha, index=engine.index, context=engine.context
+    )
+    return decomposition, {
+        i: finder.find(path)[0]
+        for i, path in enumerate(decomposition.paths)
+    }
 
 
 def assert_link_equivalence(engine, query, alpha, context):
@@ -55,14 +71,7 @@ def assert_link_equivalence(engine, query, alpha, context):
     compacted base included), so the comparison covers exactly the
     inputs the engine's link stage sees.
     """
-    decomposition, _info = engine.planner.plan(query, alpha, QueryOptions())
-    finder = CandidateFinder(
-        engine.peg, query, alpha, index=engine.index, context=engine.context
-    )
-    candidates = {
-        i: finder.find(path)[0]
-        for i, path in enumerate(decomposition.paths)
-    }
+    decomposition, candidates = planned_candidates(engine, query, alpha)
     reference = build_candidate_links(
         engine.peg, decomposition, candidates, alpha
     )
@@ -70,6 +79,49 @@ def assert_link_equivalence(engine, query, alpha, context):
         engine.peg, decomposition, candidates, alpha
     )
     assert vectorized.pair_lists() == reference, context
+
+
+def match_records(matches):
+    """Everything a match list says, floats bit for bit, order kept."""
+    return [
+        (m.nodes, m.edges, m.mapping, m.probability.hex()) for m in matches
+    ]
+
+
+def assert_matcher_equivalence(
+    engine, query, alpha, context, options=QueryOptions()
+):
+    """The array matcher and the DFS reference agree bit for bit.
+
+    Both run over the *same* reduced ``VectorizedKPartiteGraph`` (built
+    from the engine's live index and probability tables, as its join
+    stage would) and must return equal ``Match`` lists: order,
+    ``nodes``, ``edges``, ``mapping`` and ``probability.hex()``.
+    Returns ``(matches, stats)`` of the array matcher, or ``None`` when
+    a partition had no candidate (the engine never joins then).
+    """
+    peg = engine.peg
+    decomposition, candidates = planned_candidates(
+        engine, query, alpha, options
+    )
+    if not all(candidates.values()):
+        return None
+    arrays = engine._peg_probability_arrays()
+    kpartite = VectorizedKPartiteGraph(
+        peg, decomposition, candidates, alpha,
+        links=build_candidate_links_vectorized(
+            peg, decomposition, candidates, alpha, arrays=arrays
+        ),
+        arrays=arrays,
+    )
+    kpartite.reduce()
+    stats: dict = {}
+    matches = generate_matches(peg, decomposition, kpartite, alpha, stats=stats)
+    reference = generate_matches_reference(peg, decomposition, kpartite, alpha)
+    assert match_records(matches) == match_records(reference), context
+    assert sorted(stats) == ["duplicates", "fallback_rows", "frontier_peak"]
+    return matches, stats
+
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260730"))
 NUM_GRAPHS = 25
@@ -204,6 +256,31 @@ def test_differential_agreement(graph_index, config, query_seed):
                 context
             case += 1
     assert case == QUERIES_PER_GRAPH * len(ALPHAS)
+
+
+@pytest.mark.usefixtures("row_budget")
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_matcher_differential(graph_index, config, query_seed):
+    """Array matcher == DFS reference on every harness case: both
+    alphas, greedy and exact decompositions, and (``row_budget``) again
+    with every level expanded in 2-row blocks."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    sigma = sorted(peg.sigma, key=repr)
+    for query in _random_queries(random.Random(query_seed), sigma):
+        for alpha in ALPHAS:
+            for options in (QueryOptions(), EXACT_PLAN):
+                context = (
+                    graph_index, config.seed, query.nodes, alpha,
+                    options.decomposition,
+                )
+                assert_matcher_equivalence(
+                    engine, query, alpha, context, options
+                )
 
 
 def test_case_count_meets_floor():
@@ -389,6 +466,9 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 # overlay-served (pre-compact) and compacted.
                 assert_link_equivalence(unsharded, query, alpha, context)
                 assert_link_equivalence(sharded, query, alpha, context)
+                # ... and the array matcher against the DFS reference
+                # over it (tombstoned and appended node ids included).
+                assert_matcher_equivalence(unsharded, query, alpha, context)
                 case += 1
     assert case == 2 * QUERIES_PER_GRAPH * len(ALPHAS)
 

@@ -56,6 +56,13 @@ class TestStageVocabulary:
         spans = [n for n in _span_names(result.trace) if n != "partition"]
         assert tuple(spans) == STAGES
         assert result.total_seconds == sum(result.timings.values())
+        # The match span says why it cost what it cost.
+        match_span = result.trace["children"][-1]
+        assert match_span["name"] == "match"
+        assert {
+            "matches", "frontier_peak", "fallback_rows", "duplicates"
+        } <= set(match_span["attributes"])
+        assert match_span["attributes"]["frontier_peak"] >= len(result.matches)
 
     def test_empty_partition_reports_only_the_stages_it_ran(self):
         peg = small_random_peg(seed=11)

@@ -1,10 +1,24 @@
 """Unit tests for repro.query.matcher (join order + match generation)."""
 
+import itertools
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro.datasets import generate_dblp_pgd, random_query
+from repro.delta import AddEdge, AddEntity, MergeEntities
+from repro.peg import build_peg
+from repro.pgd import BernoulliEdge
+from repro.query import QueryEngine, QueryOptions
 from repro.query.decompose import Decomposition, QueryPath
 from repro.query.matcher import determine_join_order
 from repro.query.query_graph import QueryGraph
+from tests.conftest import small_random_peg
+from tests.test_differential_random import assert_matcher_equivalence
 
 
 def make_decomposition(query, node_tuples):
@@ -60,3 +74,174 @@ class TestJoinOrder:
         order = determine_join_order(decomposition, {0: 10, 1: 5})
         assert sorted(order) == [0, 1]
         assert order[0] == 1  # smaller cardinality first
+
+
+# ----------------------------------------------------------------------
+# Array matcher vs the depth-first reference
+# ----------------------------------------------------------------------
+
+TRIANGLE = [("x", "y"), ("y", "z"), ("x", "z")]
+
+#: Runs the 27 labelled DBLP triangle queries under one backend and
+#: prints ``[[nodes, probability.hex()], ...]``; executed under several
+#: ``PYTHONHASHSEED`` values, which a process cannot change for itself.
+HASH_SEED_SCRIPT = """
+import itertools, json, sys
+from repro.datasets import generate_dblp_pgd
+from repro.peg import build_peg
+from repro.query import QueryEngine, QueryGraph, QueryOptions
+
+peg = build_peg(generate_dblp_pgd(120, seed=5))
+engine = QueryEngine(peg, max_length=2, beta=0.05)
+options = QueryOptions(reduction_backend=sys.argv[1])
+records = []
+for labels in itertools.product(sorted(peg.sigma), repeat=3):
+    query = QueryGraph(dict(zip("xyz", labels)), %r)
+    for match in engine.query(query, 0.05, options).matches:
+        nodes = [
+            [sorted(entity, key=repr), label] for entity, label in match.nodes
+        ]
+        records.append([nodes, match.probability.hex()])
+json.dump(records, sys.stdout)
+""" % (TRIANGLE,)
+
+
+@pytest.mark.usefixtures("row_budget")
+class TestArrayMatcherAgreesWithReference:
+    """``generate_matches`` == ``generate_matches_reference`` over the
+    same reduced graph: order, nodes, edges, mapping, float bits."""
+
+    def test_conditional_edge_peg(self):
+        peg = build_peg(generate_dblp_pgd(120, seed=5))
+        assert peg.conditional
+        engine = QueryEngine(peg, max_length=2, beta=0.05)
+        total = 0
+        for labels in itertools.product(sorted(peg.sigma), repeat=3):
+            query = QueryGraph(dict(zip("xyz", labels)), TRIANGLE)
+            outcome = assert_matcher_equivalence(engine, query, 0.05, labels)
+            if outcome is not None:
+                total += len(outcome[0])
+        assert total == 236
+
+    def test_shared_identity_components_take_the_scalar_path(self):
+        engine = QueryEngine(
+            small_random_peg(1, uncertainty=0.6), max_length=2, beta=0.05
+        )
+        sigma = sorted(engine.peg.sigma, key=repr)
+        fallback_rows = matches = 0
+        for seed in range(8):
+            size = 3 + seed % 2
+            query = random_query(size, size - 1 + seed % 2, sigma, seed=seed)
+            for alpha in (0.05, 0.3):
+                outcome = assert_matcher_equivalence(
+                    engine, query, alpha, (seed, alpha)
+                )
+                if outcome is not None:
+                    matches += len(outcome[0])
+                    fallback_rows += outcome[1]["fallback_rows"]
+        assert matches > 0
+        assert fallback_rows > 0
+
+    def test_isolated_query_node_is_a_cross_product_step(self):
+        engine = QueryEngine(
+            small_random_peg(1, uncertainty=0.6), max_length=2, beta=0.05
+        )
+        query = QueryGraph({"a": "L0", "b": "L1", "c": "L2"}, [("a", "b")])
+        decomposition, _ = engine.planner.plan(query, 0.2, QueryOptions())
+        assert not any(decomposition.joins_with.values())
+        # ... so every level is (partial matches) x (alive candidates).
+        found, _ = assert_matcher_equivalence(
+            engine, query, 0.2, "isolated node"
+        )
+        assert found
+
+    def test_partition_emptied_by_the_reduction(self):
+        engine = QueryEngine(
+            small_random_peg(1, uncertainty=0.6), max_length=2, beta=0.05
+        )
+        query = QueryGraph(
+            {"q0": "L1", "q1": "L1", "q2": "L1", "q3": "L1", "q4": "L2"},
+            [("q0", "q2"), ("q1", "q2"), ("q2", "q4"), ("q3", "q4")],
+        )
+        reduction = engine.query(query, 0.3).reduction
+        assert all(reduction.initial_sizes) and 0 in reduction.final_sizes
+        found, stats = assert_matcher_equivalence(
+            engine, query, 0.3, "empty partition"
+        )
+        assert found == []
+        assert stats == {
+            "frontier_peak": 0, "fallback_rows": 0, "duplicates": 0,
+        }
+
+    def test_after_updates_with_a_tombstone_and_a_new_entity(self):
+        peg = small_random_peg(3, num_references=40, uncertainty=0.2)
+        engine = QueryEngine(peg, max_length=2, beta=0.05)
+        built_ids = len(peg.node_ids())
+        singles = [
+            node for node in peg.node_ids()
+            if len(peg.component_of(peg.entity_of(node)).entities) == 1
+            and peg.degree(node) > 0
+        ]
+        first, second = singles[:2]
+        anchor = singles[2]
+        # Queried once before the updates, so the engine's per-version
+        # id tables exist and must be rebuilt, not reused.
+        query = QueryGraph({"a": "L0", "b": "L1", "c": "L0"}, [("a", "b"), ("b", "c")])
+        assert_matcher_equivalence(engine, query, 0.05, "before updates")
+
+        def refs(node):
+            return tuple(sorted(peg.entity_of(node), key=repr))
+
+        engine.apply_updates([
+            MergeEntities(refs(first), refs(second)),
+            AddEntity(("fresh",), {"L0": 0.6, "L1": 0.4}, 0.9),
+            AddEdge(("fresh",), refs(anchor), BernoulliEdge(0.95)),
+        ])
+        assert peg.is_removed_id(first) and peg.is_removed_id(second)
+        new_ids = set(range(built_ids, len(peg.node_ids())))
+        assert len(new_ids) == 2  # the merged entity and the fresh one
+        seen_ids: set = set()
+        for compacted in (False, True):
+            if compacted:
+                engine.compact_updates()
+            for labels in itertools.product(sorted(peg.sigma), repeat=2):
+                query = QueryGraph(dict(zip("ab", labels)), [("a", "b")])
+                outcome = assert_matcher_equivalence(
+                    engine, query, 0.05, (labels, compacted)
+                )
+                for match in outcome[0]:
+                    seen_ids.update(peg.id_of(entity) for entity, _ in match.nodes)
+        assert new_ids <= seen_ids
+        assert not {first, second} & seen_ids
+
+
+def test_sort_key_from_the_repr_table_is_repr_of_nodes():
+    """The array matcher sorts on a string assembled from per-id repr
+    tables; it must be ``repr(match.nodes)``, 1-tuples included."""
+    engine = QueryEngine(small_random_peg(2), max_length=2, beta=0.05)
+    for spec in (({"a": "L0"}, []), ({"a": "L0", "b": "L1"}, [("a", "b")])):
+        matches = engine.query(QueryGraph(*spec), 0.05).matches
+        assert len(matches) > 1
+        keys = [(-m.probability, repr(m.nodes)) for m in matches]
+        assert keys == sorted(keys)
+
+
+def test_probabilities_do_not_depend_on_the_hash_seed():
+    """String-named query nodes: edge factors used to be multiplied in
+    set-iteration order, so ``PYTHONHASHSEED`` moved the last bit of
+    ``Match.probability`` (and a match within one ulp of alpha)."""
+    outputs = {}
+    for backend in ("vectorized", "python"):
+        for seed in ("1", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed)
+            environment["PYTHONPATH"] = os.pathsep.join(
+                [os.path.dirname(os.path.dirname(repro.__file__))]
+                + environment.get("PYTHONPATH", "").split(os.pathsep)
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_SCRIPT, backend],
+                env=environment, capture_output=True, text=True, check=True,
+            )
+            outputs[backend, seed] = json.loads(completed.stdout)
+    assert len(outputs["vectorized", "1"]) == 236
+    assert len({json.dumps(records) for records in outputs.values()}) == 1
