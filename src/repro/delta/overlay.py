@@ -28,8 +28,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.index.builder import PathIndexBuilder, _bucket_for, _milli
-from repro.index.paths import decode_path_arrays, decode_paths, encode_paths
+from repro.index.paths import (
+    PathCandidates,
+    decode_path_arrays,
+    decode_paths,
+    encode_paths,
+)
 from repro.index.path_index import PathIndex, make_histogram
 from repro.index.protocol import (
     PathIndexProtocol,
@@ -52,11 +59,6 @@ _SEQUENCES_REWRITTEN = _REGISTRY.counter("repro_delta_sequences_rewritten_total"
 _PATHS_DROPPED = _REGISTRY.counter("repro_delta_paths_dropped_total")
 _PATHS_ADDED = _REGISTRY.counter("repro_delta_paths_added_total")
 
-try:  # numpy speeds up the compaction touch-test; not a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 
 def _payload_touches(payload, dirty_array) -> bool:
     """Whether a bucket payload *may* contain a path through a dirty node.
@@ -65,13 +67,11 @@ def _payload_touches(payload, dirty_array) -> bool:
     no :class:`~repro.index.paths.IndexedPath` objects are
     materialized. Payloads that cannot be bulk-decoded report ``True``
     (the caller's full decode then decides exactly)."""
-    if _np is None or dirty_array is None:
-        return True
     arrays = decode_path_arrays(payload)
     if arrays is None:
         return True
     nodes, _prle, _prn = arrays
-    return bool(_np.isin(nodes, dirty_array).any())
+    return bool(np.isin(nodes, dirty_array).any())
 
 
 class DeltaOverlayIndex(PathIndexProtocol):
@@ -97,7 +97,9 @@ class DeltaOverlayIndex(PathIndexProtocol):
         self.max_length = base.max_length
         self.beta = base.beta
         self.gamma = base.gamma
-        self._dirty: frozenset = frozenset()
+        self._set_dirty(frozenset())
+        #: ``{canonical sequence: PathCandidates}`` — the current paths
+        #: through dirty nodes, by decreasing probability.
         self._delta: dict = {}
         #: ``{(canonical sequence, milli-alpha): masked base-path
         #: count}`` learned from actual lookups — see
@@ -107,6 +109,11 @@ class DeltaOverlayIndex(PathIndexProtocol):
     # ------------------------------------------------------------------
     # Mutation maintenance
     # ------------------------------------------------------------------
+
+    def _set_dirty(self, dirty: frozenset) -> None:
+        self._dirty = dirty
+        #: The same ids as the array lookups and compaction mask with.
+        self._dirty_array = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
 
     @property
     def dirty_nodes(self) -> frozenset:
@@ -126,7 +133,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
         of the delta itself would re-introduce exactly the staleness
         problem the overlay exists to solve.
         """
-        self._dirty = self._dirty | frozenset(dirty_ids)
+        self._set_dirty(self._dirty | frozenset(dirty_ids))
         with Timer() as timer:
             self._refresh()
         _ABSORB_SECONDS.observe(timer.elapsed)
@@ -172,21 +179,20 @@ class DeltaOverlayIndex(PathIndexProtocol):
             ]
             if paths:
                 paths.sort(key=lambda p: (-p.probability, p.nodes))
-                delta[labels] = tuple(paths)
+                delta[labels] = PathCandidates.from_paths(paths, len(labels))
         self._delta = delta
 
     # ------------------------------------------------------------------
     # Lookup protocol
     # ------------------------------------------------------------------
 
-    def lookup_canonical(self, canonical_seq: tuple, alpha: float) -> list:
-        dirty = self._dirty
-        base_paths = self.base.lookup_canonical(canonical_seq, alpha)
-        if dirty:
-            kept = [
-                path for path in base_paths if dirty.isdisjoint(path.nodes)
-            ]
-            masked = len(base_paths) - len(kept)
+    def lookup_canonical(
+        self, canonical_seq: tuple, alpha: float
+    ) -> PathCandidates:
+        paths = self.base.lookup_canonical(canonical_seq, alpha)
+        if self._dirty:
+            stale = np.isin(paths.nodes, self._dirty_array).any(axis=1)
+            masked = int(stale.sum())
             # Record the exact number of masked base paths at this
             # (sequence, milli-threshold): estimate_cardinality uses it
             # to undo the stale portion of the base histogram.
@@ -196,19 +202,16 @@ class DeltaOverlayIndex(PathIndexProtocol):
                 span = current_span()
                 if span.enabled:
                     span.incr("overlay_masked_paths", masked)
-            base_paths = kept
+                paths = paths.take(~stale)
         extra = self._delta.get(canonical_seq)
-        if extra:
-            before = len(base_paths)
-            base_paths.extend(
-                path for path in extra if path.probability >= alpha
-            )
-            added = len(base_paths) - before
-            if added:
+        if extra is not None:
+            extra = extra.above(alpha)
+            if extra:
+                paths = PathCandidates.concat((paths, extra))
                 span = current_span()
                 if span.enabled:
-                    span.incr("overlay_delta_paths", added)
-        return base_paths
+                    span.incr("overlay_delta_paths", len(extra))
+        return paths
 
     def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
         """Base estimate, corrected for masked paths, plus the delta count.
@@ -232,8 +235,8 @@ class DeltaOverlayIndex(PathIndexProtocol):
                 stale *= 2
             estimate = max(0.0, estimate - stale)
         extra_paths = self._delta.get(canonical)
-        if extra_paths:
-            extra = sum(1 for p in extra_paths if p.probability >= alpha)
+        if extra_paths is not None:
+            extra = len(extra_paths.above(alpha))
             if palindrome:
                 extra *= 2
             estimate += extra
@@ -276,16 +279,11 @@ class DeltaOverlayIndex(PathIndexProtocol):
         base = self.base
         grid = base.grid()
         sequences = set(base.store.label_sequences()) | set(self._delta)
-        dirty_array = (
-            _np.fromiter(dirty, dtype=_np.int64, count=len(dirty))
-            if _np is not None and dirty
-            else None
-        )
         for seq in sorted(sequences, key=repr):
             existing_buckets = list(base.store.scan_buckets(seq, 0))
             added = self._delta.get(seq, ())
             if not added and not any(
-                _payload_touches(payload, dirty_array)
+                _payload_touches(payload, self._dirty_array)
                 for _bucket, payload in existing_buckets
             ):
                 # Fast reject: no delta entries and no payload contains
@@ -323,7 +321,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
             stats["paths_added"] += len(added)
         if stats["sequences_rewritten"]:
             base.store.flush()
-        self._dirty = frozenset()
+        self._set_dirty(frozenset())
         self._delta = {}
         self._stale_counts = {}
         timer.__exit__(None, None, None)

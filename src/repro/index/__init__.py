@@ -1,7 +1,8 @@
 """Context-aware path indexing — the offline phase (Section 5.1).
 
 * :mod:`repro.index.paths` — compact binary serialization of indexed
-  paths (node ids + probability components),
+  paths (node ids + probability components) and the columnar
+  :class:`PathCandidates` container lookups return,
 * :mod:`repro.index.context` — per-node context information
   ``c(v, σ)``, ``ppu(v, σ)``, ``fpu(v, σ)``,
 * :mod:`repro.index.histogram` — per-label-sequence cardinality
@@ -21,6 +22,7 @@
 
 from repro.index.paths import (
     IndexedPath,
+    PathCandidates,
     encode_paths,
     decode_paths,
     decode_path_arrays,
@@ -45,6 +47,7 @@ from repro.index.batch import BatchLookupIndex
 
 __all__ = [
     "IndexedPath",
+    "PathCandidates",
     "encode_paths",
     "decode_paths",
     "decode_path_arrays",

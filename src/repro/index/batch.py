@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.index.paths import PathCandidates
 from repro.index.protocol import PathIndexProtocol, canonical_sequence
 
 
@@ -54,7 +55,7 @@ class BatchLookupIndex(PathIndexProtocol):
             return
         self._fetch(canonical, alpha)
 
-    def _fetch(self, canonical: tuple, alpha: float) -> list:
+    def _fetch(self, canonical: tuple, alpha: float) -> PathCandidates:
         paths = self.inner.lookup_canonical(canonical, alpha)
         self._cache[canonical] = (alpha, paths)
         self.fetches += 1
@@ -64,14 +65,13 @@ class BatchLookupIndex(PathIndexProtocol):
     # Lookup protocol
     # ------------------------------------------------------------------
 
-    def lookup_canonical(self, canonical_seq: tuple, alpha: float) -> list:
+    def lookup_canonical(
+        self, canonical_seq: tuple, alpha: float
+    ) -> PathCandidates:
         entry = self._cache.get(canonical_seq)
         if entry is not None and entry[0] <= alpha:
-            fetched_alpha, paths = entry
-            if fetched_alpha == alpha:
-                return list(paths)
-            return [p for p in paths if p.probability >= alpha]
-        return list(self._fetch(canonical_seq, alpha))
+            return entry[1].above(alpha)
+        return self._fetch(canonical_seq, alpha)
 
     def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
         return self.inner.estimate_cardinality(label_seq, alpha)

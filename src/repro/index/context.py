@@ -10,11 +10,25 @@ For every node ``v`` of ``G_U`` and label ``σ``, with
 For the label-correlated model (Section 5.3), the edge probability needs
 ``v``'s own label, which is unknown here; per the paper we maximize over
 all possible labels of ``v``, keeping ``ppu``/``fpu`` valid upper bounds.
+
+Invariant: ``fpu(v, σ) <= ppu(v, σ)`` — each ``fpu`` term is a ``ppu``
+term times a label probability ``<= 1``. In particular ``ppu == 0``
+implies ``fpu == 0``, which is why the tightest-choice neighbourhood
+bound of Section 5.2.2 is simply 0 for a choice whose ``ppu`` is 0.
+
+The tables are built, saved and loaded as per-node rows;
+:meth:`ContextInformation.columns` serves the online phase dense
+``(id_space, |Σ|)`` arrays of them, one gather per path column. A
+context is rebuilt whenever the graph changes, so it also owns the
+:class:`~repro.query.reduction.PegProbabilityArrays` of its graph
+version (:meth:`ContextInformation.probability_arrays`).
 """
 
 from __future__ import annotations
 
 from typing import Mapping
+
+import numpy as np
 
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 
@@ -34,6 +48,11 @@ class ContextInformation:
         self._cardinality = cardinality
         self._partial_upper = partial_upper
         self._full_upper = full_upper
+        # Built on first use; like PegProbabilityArrays' caches these
+        # are idempotent values inserted under the GIL, so concurrent
+        # readers need no lock.
+        self._dense = None
+        self._arrays = None
 
     def cardinality(self, node_id: int, label) -> int:
         """``c(v, σ)``: neighbors of ``v`` that can carry label ``σ``."""
@@ -55,6 +74,49 @@ class ContextInformation:
         if pos is None:
             return 0.0
         return self._full_upper[node_id][pos]
+
+    def tables(self) -> tuple:
+        """``(c, ppu, fpu)`` as dense ``(id_space, |Σ|)`` arrays.
+
+        Column-major, so one label's column is contiguous.
+        """
+        dense = self._dense
+        if dense is None:
+            shape = (len(self._cardinality), len(self.sigma))
+            dense = self._dense = tuple(
+                np.asfortranarray(np.array(rows, dtype=dtype).reshape(shape))
+                for rows, dtype in (
+                    (self._cardinality, np.int64),
+                    (self._partial_upper, np.float64),
+                    (self._full_upper, np.float64),
+                )
+            )
+        return dense
+
+    def columns(self, label) -> tuple:
+        """``(c, ppu, fpu)`` of one label over the id space (all zero
+        for a label outside ``Σ``, like the scalar accessors)."""
+        pos = self._label_pos.get(label)
+        if pos is None:
+            return tuple(
+                np.zeros(table.shape[0], dtype=table.dtype)
+                for table in self.tables()
+            )
+        return tuple(table[:, pos] for table in self.tables())
+
+    def probability_arrays(self, peg: ProbabilisticEntityGraph):
+        """The shared probability gather tables of ``peg``.
+
+        ``peg`` must be the graph this context was built from; the
+        tables then live exactly as long as the context, i.e. until the
+        next mutation batch replaces it.
+        """
+        from repro.query.reduction import PegProbabilityArrays
+
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = PegProbabilityArrays(peg)
+        return arrays
 
     def as_rows(self, node_id: int) -> Mapping:
         """All three measures of one node keyed by label (for reports)."""

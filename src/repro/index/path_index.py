@@ -17,7 +17,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.index.histogram import CardinalityHistogram
-from repro.index.paths import decode_paths_above
+from repro.index.paths import (
+    PathCandidates,
+    concat_payloads,
+    decode_paths_above,
+)
 from repro.index.protocol import (
     PathIndexProtocol,
     canonical_sequence,
@@ -104,17 +108,23 @@ class PathIndex(PathIndexProtocol):
     # Lookup (the public lookup() lives on PathIndexProtocol)
     # ------------------------------------------------------------------
 
-    def lookup_canonical(self, canonical_seq: tuple, alpha: float) -> list:
+    def lookup_canonical(
+        self, canonical_seq: tuple, alpha: float
+    ) -> PathCandidates:
         """Stored paths of one canonical sequence with probability >= alpha.
 
-        Bucket payloads are bulk-decoded (one ``frombuffer`` parse plus
-        an array threshold test per bucket) and only surviving paths are
-        materialized — see :func:`repro.index.paths.decode_paths_above`.
+        The range scan's bucket bodies are joined and bulk-decoded once
+        (one ``frombuffer`` parse plus one array threshold test per
+        lookup); the result stays columnar — see
+        :func:`repro.index.paths.decode_paths_above`.
         """
         min_bucket = self.bucket_for(alpha)
-        results = []
-        for _, payload in self.store.scan_buckets(canonical_seq, min_bucket):
-            results.extend(decode_paths_above(payload, alpha))
+        buckets = self.store.scan_buckets(canonical_seq, min_bucket)
+        results = decode_paths_above(
+            concat_payloads(payload for _, payload in buckets),
+            alpha,
+            len(canonical_seq),
+        )
         span = current_span()
         if span.enabled:
             span.incr("index_fetches")

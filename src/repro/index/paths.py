@@ -6,13 +6,16 @@ probability components ``Prle`` and ``Prn`` (the label sequence lives in
 the key, so it is not repeated per path).
 
 All paths of one bucket share the key's label sequence, so records are
-fixed-width in practice; :func:`decode_path_arrays` exploits that to
-parse a whole payload with ``np.frombuffer`` + offset arithmetic into
-node-id/probability arrays (zero-copy compatible with the mmap-backed
-store reads), and :func:`decode_paths_above` materializes
-:class:`IndexedPath` objects only for the rows surviving a probability
-threshold. A record-by-record scalar decoder remains as the fallback
-for heterogeneous payloads and numpy-free environments.
+fixed-width; :func:`decode_path_arrays` exploits that to parse a whole
+payload with ``np.frombuffer`` + offset arithmetic into node-id and
+probability arrays (zero-copy compatible with the mmap-backed store
+reads). Lookups keep those columns: :class:`PathCandidates` is the
+columnar container every index lookup returns and the online phase
+filters, orients and joins without building a per-path object;
+:class:`IndexedPath` objects appear only when a consumer indexes or
+iterates one (the reference backends, ``candidate_of``, scalar fallback
+rows). The record-by-record scalar decoder remains as the reporter for
+mixed-width or corrupt payloads.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from repro.utils.errors import IndexError_
+import numpy as np
 
-try:  # numpy accelerates bulk decoding but is not a hard dependency here
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+from repro.utils.errors import IndexError_
 
 _COUNT = struct.Struct(">I")
 _PATH_HEADER = struct.Struct(">B")
@@ -63,6 +63,100 @@ class IndexedPath:
         return IndexedPath(tuple(reversed(self.nodes)), self.prle, self.prn)
 
 
+class PathCandidates:
+    """Candidate paths of one label sequence, as three row-aligned columns.
+
+    ``nodes`` is an ``(n, w)`` int64 node-id matrix, ``prle`` and ``prn``
+    float64 arrays of the two probability components. The columns are
+    shared, never written: every transformation returns a new container.
+    As a sequence it is lazy — ``len``/truth read the row count, while
+    indexing and iteration build :class:`IndexedPath` objects on demand.
+    """
+
+    __slots__ = ("nodes", "prle", "prn")
+
+    def __init__(
+        self, nodes: np.ndarray, prle: np.ndarray, prn: np.ndarray
+    ) -> None:
+        self.nodes = nodes
+        self.prle = prle
+        self.prn = prn
+
+    @classmethod
+    def from_paths(
+        cls, paths: Iterable[IndexedPath], width: int
+    ) -> "PathCandidates":
+        """Columns of ``paths``, every one of ``width`` nodes."""
+        paths = list(paths)
+        nodes = np.array(
+            [path.nodes for path in paths], dtype=np.int64
+        ).reshape(len(paths), width)
+        prle = np.array([path.prle for path in paths], dtype=np.float64)
+        prn = np.array([path.prn for path in paths], dtype=np.float64)
+        return cls(nodes, prle, prn)
+
+    @classmethod
+    def concat(cls, parts: Iterable["PathCandidates"]) -> "PathCandidates":
+        """Rows of ``parts`` (same width), one after the other."""
+        parts = list(parts)
+        return cls(
+            np.concatenate([part.nodes for part in parts]),
+            np.concatenate([part.prle for part in parts]),
+            np.concatenate([part.prn for part in parts]),
+        )
+
+    def take(self, selector: np.ndarray) -> "PathCandidates":
+        """Rows picked by a boolean mask or an index array."""
+        return PathCandidates(
+            self.nodes[selector], self.prle[selector], self.prn[selector]
+        )
+
+    def above(self, alpha: float) -> "PathCandidates":
+        """Rows with ``Prle * Prn >= alpha``."""
+        keep = self.prle * self.prn >= alpha
+        return self if keep.all() else self.take(keep)
+
+    def reversed(self) -> "PathCandidates":
+        """The same paths traversed from the other end."""
+        return PathCandidates(
+            np.ascontiguousarray(self.nodes[:, ::-1]), self.prle, self.prn
+        )
+
+    def __len__(self) -> int:
+        return self.nodes.shape[0]
+
+    def __getitem__(self, row: int) -> IndexedPath:
+        return IndexedPath(
+            tuple(self.nodes[row].tolist()),
+            float(self.prle[row]),
+            float(self.prn[row]),
+        )
+
+    def __iter__(self):
+        return map(
+            IndexedPath,
+            map(tuple, self.nodes.tolist()),
+            self.prle.tolist(),
+            self.prn.tolist(),
+        )
+
+    def __eq__(self, other) -> bool:
+        """Equal to any sequence of the same :class:`IndexedPath` rows."""
+        try:
+            return list(self) == list(other)
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None
+
+
+def as_candidates(paths, width: int) -> PathCandidates:
+    """``paths`` as columns: itself, or its :class:`IndexedPath` rows."""
+    if isinstance(paths, PathCandidates):
+        return paths
+    return PathCandidates.from_paths(paths, width)
+
+
 def encode_paths(paths: Iterable[IndexedPath]) -> bytes:
     """Serialize a sequence of paths into a bucket payload."""
     paths = list(paths)
@@ -87,17 +181,22 @@ def concat_payloads(payloads: Iterable[bytes]) -> bytes:
 
     The format is a count header followed by self-delimiting records, so
     concatenation is summing the headers and joining the bodies — the
-    parallel build merges its start-node chunks this way.
+    parallel build merges its start-node chunks this way, and a lookup
+    its buckets, so that one parse serves the whole range scan. A lone
+    payload is returned as it is (no copy of an mmap-backed view).
     """
     payloads = list(payloads)
+    if len(payloads) == 1:
+        return payloads[0]
     total = sum(payload_count(payload) for payload in payloads)
     parts = [_COUNT.pack(total)]
-    parts.extend(payload[_COUNT.size:] for payload in payloads)
+    parts.extend(memoryview(payload)[_COUNT.size:] for payload in payloads)
     return b"".join(parts)
 
 
 def _decode_paths_scalar(payload) -> list:
-    """Record-by-record reference decoder (any mix of path lengths)."""
+    """Record-by-record decoder: reads any mix of path lengths and
+    reports what makes a payload corrupt."""
     (count,) = _COUNT.unpack_from(payload, 0)
     pos = _COUNT.size
     paths = []
@@ -116,51 +215,35 @@ def _decode_paths_scalar(payload) -> list:
     return paths
 
 
-def decode_path_arrays(payload):
+def decode_path_arrays(payload, width: int | None = None):
     """Bulk-parse a fixed-width payload into numpy arrays.
 
-    Returns ``(nodes, prle, prn)`` — an ``(count, num_nodes)`` int64
-    node-id matrix and two float64 arrays — or ``None`` when the
-    payload is not fixed-width (mixed path lengths) or numpy is
-    unavailable; callers then fall back to the scalar decoder. Accepts
-    any buffer (bytes, memoryview over an mmap) without copying the
-    payload up front.
+    Returns ``(nodes, prle, prn)`` — an ``(count, width)`` int64 node-id
+    matrix and two float64 arrays — or ``None`` when the payload is not
+    fixed-width (mixed path lengths, or not ``width`` nodes per path);
+    the scalar decoder then says what is wrong with it. ``width``
+    defaults to the first record's (0 for an empty payload); callers
+    that know the key's label sequence pass its length, so an empty
+    bucket still yields a ``(0, width)`` matrix. Accepts any buffer
+    (bytes, memoryview over an mmap) without copying the payload up
+    front.
     """
-    if _np is None:
-        return None
     (count,) = _COUNT.unpack_from(payload, 0)
-    if count == 0:
-        if len(payload) != _COUNT.size:
-            return None  # scalar decoder reports the trailing bytes
-        empty = _np.zeros((0, 0), dtype=_np.int64)
-        return empty, _np.zeros(0), _np.zeros(0)
-    num_nodes = payload[_COUNT.size]
-    record = _PATH_HEADER.size + _NODE.size * num_nodes + _PROBS.size
+    if width is None:
+        width = payload[_COUNT.size] if count else 0
+    record = _PATH_HEADER.size + _NODE.size * width + _PROBS.size
     if len(payload) != _COUNT.size + count * record:
         return None
-    raw = _np.frombuffer(payload, dtype=_np.uint8, offset=_COUNT.size)
+    raw = np.frombuffer(payload, dtype=np.uint8, offset=_COUNT.size)
     records = raw.reshape(count, record)
-    if not (records[:, 0] == num_nodes).all():
+    if not (records[:, 0] == width).all():
         return None
-    node_bytes = _np.ascontiguousarray(
-        records[:, _PATH_HEADER.size:_PATH_HEADER.size + _NODE.size * num_nodes]
+    node_bytes = np.ascontiguousarray(
+        records[:, _PATH_HEADER.size:record - _PROBS.size]
     )
-    if num_nodes:
-        nodes = node_bytes.view(">u4").astype(_np.int64)
-    else:
-        nodes = _np.zeros((count, 0), dtype=_np.int64)
-    probs = _np.ascontiguousarray(records[:, record - _PROBS.size:]).view(">f8")
-    return nodes, probs[:, 0].astype(_np.float64), probs[:, 1].astype(_np.float64)
-
-
-def _materialize(nodes, prle, prn) -> list:
-    """:class:`IndexedPath` objects from decoded (and masked) arrays."""
-    return [
-        IndexedPath(tuple(row), path_prle, path_prn)
-        for row, path_prle, path_prn in zip(
-            nodes.tolist(), prle.tolist(), prn.tolist()
-        )
-    ]
+    nodes = node_bytes.view(">u4").astype(np.int64).reshape(count, width)
+    probs = np.ascontiguousarray(records[:, record - _PROBS.size:]).view(">f8")
+    return nodes, probs[:, 0].astype(np.float64), probs[:, 1].astype(np.float64)
 
 
 def decode_paths(payload) -> list:
@@ -168,25 +251,25 @@ def decode_paths(payload) -> list:
     arrays = decode_path_arrays(payload)
     if arrays is None:
         return _decode_paths_scalar(payload)
-    return _materialize(*arrays)
+    return list(PathCandidates(*arrays))
 
 
-def decode_paths_above(payload, alpha: float) -> list:
-    """Paths of a payload with ``Prle * Prn >= alpha``.
+def decode_paths_above(
+    payload, alpha: float, width: int | None = None
+) -> PathCandidates:
+    """Paths of a payload with ``Prle * Prn >= alpha``, as columns.
 
-    The threshold test runs on the decoded probability arrays; only
-    surviving rows are materialized into :class:`IndexedPath` objects.
+    One parse and one array threshold test; no :class:`IndexedPath` is
+    built. A payload the bulk parser refuses is an error: the scalar
+    decoder raises if it is corrupt, and one it can read mixes path
+    lengths (or is not of ``width``), which no bucket of one label
+    sequence does.
     """
-    arrays = decode_path_arrays(payload)
+    arrays = decode_path_arrays(payload, width)
     if arrays is None:
-        return [
-            path for path in _decode_paths_scalar(payload)
-            if path.probability >= alpha
-        ]
-    nodes, prle, prn = arrays
-    mask = prle * prn >= alpha
-    if not mask.any():
-        return []
-    if mask.all():
-        return _materialize(nodes, prle, prn)
-    return _materialize(nodes[mask], prle[mask], prn[mask])
+        _decode_paths_scalar(payload)
+        raise IndexError_(
+            "corrupt bucket payload: paths of different lengths under one "
+            "label sequence"
+        )
+    return PathCandidates(*arrays).above(alpha)

@@ -17,6 +17,12 @@ sequence), so every implementation validates, errors, and orients
 identically and downstream consumers — ``QueryEngine``,
 ``index.bundle``, ``DiskPathStore``-backed serving — work transparently
 over any of them.
+
+Both return a :class:`~repro.index.paths.PathCandidates`: the paths
+stay the ``(nodes, prle, prn)`` columns the bucket payloads decode to,
+and masking, concatenation and orientation are array operations on
+them. It reads as a sequence of :class:`~repro.index.paths.IndexedPath`
+for callers that want objects.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+import numpy as np
+
+from repro.index.paths import PathCandidates
 from repro.utils.errors import IndexError_
 
 
@@ -64,25 +73,24 @@ def is_palindrome(label_seq: tuple) -> bool:
     return seq == tuple(reversed(seq))
 
 
-def orient_to_sequence(paths: list, label_seq: tuple) -> list:
+def orient_to_sequence(
+    paths: PathCandidates, label_seq: tuple
+) -> PathCandidates:
     """Orient canonical-space lookup results to a requested sequence.
 
     ``paths`` must be stored (canonical-oriented) paths of
     ``canonical_sequence(label_seq)``. Results are oriented so that
-    ``result.nodes[i]`` carries ``label_seq[i]``; for palindromic
+    ``result.nodes[:, i]`` carries ``label_seq[i]``; for palindromic
     sequences both alignments of each stored path are returned (they are
-    distinct embeddings).
+    distinct embeddings), the reversed one right after the stored one.
     """
     seq = tuple(label_seq)
-    reverse_needed = canonical_sequence(seq) != seq
-    palindrome = is_palindrome(seq)
-    results = []
-    for path in paths:
-        oriented = path.reversed() if reverse_needed else path
-        results.append(oriented)
-        if palindrome and len(oriented.nodes) > 1:
-            results.append(oriented.reversed())
-    return results
+    if canonical_sequence(seq) != seq:
+        return paths.reversed()
+    if is_palindrome(seq) and len(seq) > 1:
+        both = PathCandidates.concat((paths, paths.reversed()))
+        return both.take(np.arange(len(both)).reshape(2, -1).T.ravel())
+    return paths
 
 
 class PathIndexProtocol(ABC):
@@ -101,7 +109,9 @@ class PathIndexProtocol(ABC):
     # -- canonical-space primitives ------------------------------------
 
     @abstractmethod
-    def lookup_canonical(self, canonical_seq: tuple, alpha: float) -> list:
+    def lookup_canonical(
+        self, canonical_seq: tuple, alpha: float
+    ) -> PathCandidates:
         """Stored paths of one canonical sequence with probability >= alpha.
 
         ``canonical_seq`` must already be canonical
@@ -137,10 +147,10 @@ class PathIndexProtocol(ABC):
             )
         return seq
 
-    def lookup(self, label_seq: Sequence, alpha: float) -> list:
+    def lookup(self, label_seq: Sequence, alpha: float) -> PathCandidates:
         """All indexed paths matching ``label_seq`` with probability >= alpha.
 
-        Results are oriented so that ``result.nodes[i]`` carries
+        Results are oriented so that ``result.nodes[:, i]`` carries
         ``label_seq[i]``; see :func:`orient_to_sequence` for the
         palindrome contract and :meth:`check_lookup` for the errors.
         """

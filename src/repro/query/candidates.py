@@ -10,14 +10,28 @@ with precomputed context information:
 * path-level: the path's own probability times the neighborhood
   upperbound ``pu(P^u)`` times the cycle-edge probability ``cpr(P^u)``
   must reach α.
+
+Both run as array passes over the lookup's
+:class:`~repro.index.paths.PathCandidates` columns: the node test is
+one boolean vector per query node over the id space, gathered per path
+column; ``pu`` and ``cpr`` are per-column gathers from the context's
+dense tables and the shared
+:class:`~repro.query.reduction.PegProbabilityArrays`; the path bound is
+one compare of ``((Prle * Prn) * pu) * cpr`` against α. Every float is
+produced by the operations, in the order, of the scalar finder these
+replaced (:class:`repro.testing.reference.ScalarCandidateFinder`, the
+oracle of the lookup differential), so the kept rows are the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.index.builder import enumerate_paths_for_sequence
 from repro.index.context import ContextInformation
+from repro.index.paths import PathCandidates
 from repro.index.protocol import PathIndexProtocol
 from repro.obs.trace import current_span
 from repro.peg.entity_graph import ProbabilisticEntityGraph
@@ -94,115 +108,82 @@ class CandidateFinder:
         self.index = index
         self.context = context
         self.use_context = bool(use_context) and context is not None
-        self._node_cache: dict = {}
-        # Query node-level statistics: c(n, σ) for the labels around n.
-        self._query_label_counts = {
-            node: self._label_counts(node) for node in query.nodes
-        }
-
-    def _label_counts(self, node) -> dict:
-        counts: dict = {}
-        for neighbor in self.query.neighbors(node):
-            label = self.query.label(neighbor)
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        self._allowed: dict = {}
 
     # ------------------------------------------------------------------
     # Node-level pruning
     # ------------------------------------------------------------------
 
-    def node_allowed(self, query_node, peg_node: int) -> bool:
-        """Node-level context test of Section 5.2.2 (memoized)."""
-        key = (query_node, peg_node)
-        cached = self._node_cache.get(key)
-        if cached is not None:
-            return cached
-        allowed = self._node_allowed_impl(query_node, peg_node)
-        self._node_cache[key] = allowed
+    def allowed_nodes(self, query_node) -> np.ndarray:
+        """Node-level context test of Section 5.2.2, for every PEG node
+        at once: a boolean vector over the id space (memoized)."""
+        allowed = self._allowed.get(query_node)
+        if allowed is not None:
+            return allowed
+        query, context = self.query, self.context
+        p_label = context.probability_arrays(self.peg).label_probabilities(
+            query.label(query_node)
+        )
+        allowed = p_label > 0.0
+        # c(n, σ) for the labels around n.
+        required: dict = {}
+        for neighbor in query.neighbors(query_node):
+            label = query.label(neighbor)
+            required[label] = required.get(label, 0) + 1
+        for sigma, count in required.items():
+            cardinality, _ppu, fpu = context.columns(sigma)
+            allowed &= cardinality >= count
+            allowed &= p_label * np.power(fpu, count) >= self.alpha
+        self._allowed[query_node] = allowed
         return allowed
-
-    def _node_allowed_impl(self, query_node, peg_node: int) -> bool:
-        label = self.query.label(query_node)
-        p_label = self.peg.label_probability_id(peg_node, label)
-        if p_label <= 0.0:
-            return False
-        if not self.use_context:
-            return True
-        context = self.context
-        for sigma, required in self._query_label_counts[query_node].items():
-            if context.cardinality(peg_node, sigma) < required:
-                return False
-            fpu = context.full_upperbound(peg_node, sigma)
-            if p_label * (fpu ** required) < self.alpha:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Path-level pruning
     # ------------------------------------------------------------------
 
     def neighborhood_upperbound(
-        self, path: QueryPath, stats: PathStatistics, candidate_nodes: tuple
-    ) -> float:
-        """``pu(P^u)``: bound on the probability of matching ``Γ(P)``.
+        self, stats: PathStatistics, nodes: np.ndarray
+    ) -> np.ndarray:
+        """``pu(P^u)`` per row: bound on the probability of matching ``Γ(P)``.
 
         For each path neighbor ``m``, one adjacent path node contributes
         its full upperbound ``fpu`` and the remaining ones their partial
         upperbounds ``ppu``; the tightest choice over ``rv(P, m)`` is
         used, and bounds multiply over all neighbors.
         """
-        context = self.context
-        query = self.query
-        bound = 1.0
+        bound = np.ones(nodes.shape[0], dtype=np.float64)
         for m in stats.neighbors:
-            label_m = query.label(m)
-            positions = stats.reverse_neighbors[m]
-            ppu_values = [
-                context.partial_upperbound(candidate_nodes[pos], label_m)
-                for pos in positions
-            ]
-            fpu_values = [
-                context.full_upperbound(candidate_nodes[pos], label_m)
-                for pos in positions
-            ]
-            ppu_product = 1.0
-            for value in ppu_values:
-                ppu_product *= value
+            _c, ppu_column, fpu_column = self.context.columns(self.query.label(m))
+            columns = [nodes[:, pos] for pos in stats.reverse_neighbors[m]]
+            ppu_values = [ppu_column[column] for column in columns]
+            ppu_product = ppu_values[0]  # the scalar's 1.0 * ppu, exactly
+            for ppu in ppu_values[1:]:
+                ppu_product = ppu_product * ppu
             best = None
-            for fpu, ppu in zip(fpu_values, ppu_values):
-                if ppu > 0.0:
-                    candidate = fpu * (ppu_product / ppu)
-                else:
-                    # The chosen node replaces its (zero) ppu by fpu; the
-                    # remaining product must be rebuilt without it.
-                    others = 1.0
-                    for other in ppu_values:
-                        if other is not ppu:
-                            others *= other
-                    candidate = fpu * others
-                if best is None or candidate < best:
-                    best = candidate
-            bound *= best if best is not None else 0.0
-            if bound == 0.0:
-                return 0.0
+            for column, ppu in zip(columns, ppu_values):
+                # A choice whose ppu is 0 bounds by 0 (fpu <= ppu).
+                rest = np.divide(
+                    ppu_product, ppu, out=np.zeros_like(ppu), where=ppu > 0.0
+                )
+                choice = fpu_column[column] * rest
+                best = choice if best is None else np.minimum(best, choice)
+            bound *= best
         return bound
 
     def cycle_probability(
-        self, path: QueryPath, stats: PathStatistics, candidate_nodes: tuple
-    ) -> float:
-        """``cpr(P^u)``: probability of the query's cycle edges on the path."""
-        prob = 1.0
+        self, path: QueryPath, stats: PathStatistics, nodes: np.ndarray
+    ) -> np.ndarray:
+        """``cpr(P^u)`` per row: probability of the query's cycle edges
+        on the path."""
+        arrays = self.context.probability_arrays(self.peg)
+        prob = np.ones(nodes.shape[0], dtype=np.float64)
         for pos_a, pos_b in stats.cycles:
-            label_a = self.query.label(path.nodes[pos_a])
-            label_b = self.query.label(path.nodes[pos_b])
-            prob *= self.peg.edge_probability_id(
-                candidate_nodes[pos_a],
-                candidate_nodes[pos_b],
-                label_a,
-                label_b,
+            prob *= arrays.edge_probabilities(
+                nodes[:, pos_a],
+                nodes[:, pos_b],
+                self.query.label(path.nodes[pos_a]),
+                self.query.label(path.nodes[pos_b]),
             )
-            if prob == 0.0:
-                return 0.0
         return prob
 
     # ------------------------------------------------------------------
@@ -210,36 +191,40 @@ class CandidateFinder:
     # ------------------------------------------------------------------
 
     def find(self, path: QueryPath) -> tuple:
-        """Candidates of a query path: ``(pruned list, raw index count)``.
+        """Candidates of a query path: ``(pruned columns, raw index count)``.
 
         Falls back to on-demand enumeration when no index is attached or
         the threshold is below the index's β (the paper's footnote 1).
         """
         label_seq = self.query.label_sequence(path.nodes)
+        span = current_span()
         if self.index is not None and self.alpha >= self.index.beta:
             raw = self.index.lookup(label_seq, self.alpha)
         else:
-            raw = enumerate_paths_for_sequence(self.peg, label_seq, self.alpha)
+            raw = PathCandidates.from_paths(
+                enumerate_paths_for_sequence(self.peg, label_seq, self.alpha),
+                len(label_seq),
+            )
             # Marks partitions that never touched the index, so a trace
             # with zero store reads explains itself.
-            current_span().set("on_demand", True)
+            span.set("on_demand", True)
         raw_count = len(raw)
         if not self.use_context:
             # Even without context pruning, node candidacy on label
             # probability is implied by the index; keep everything.
             return raw, raw_count
+        keep = np.ones(raw_count, dtype=bool)
+        for position, query_node in enumerate(path.nodes):
+            keep &= self.allowed_nodes(query_node)[raw.nodes[:, position]]
+        kept = raw.take(keep)
         stats = compute_path_statistics(self.query, path)
-        pruned = []
-        for candidate in raw:
-            nodes = candidate.nodes
-            if not all(
-                self.node_allowed(query_node, peg_node)
-                for query_node, peg_node in zip(path.nodes, nodes)
-            ):
-                continue
-            base = candidate.prle * candidate.prn
-            if base * self.neighborhood_upperbound(path, stats, nodes) * \
-                    self.cycle_probability(path, stats, nodes) < self.alpha:
-                continue
-            pruned.append(candidate)
+        bound = (
+            (kept.prle * kept.prn)
+            * self.neighborhood_upperbound(stats, kept.nodes)
+            * self.cycle_probability(path, stats, kept.nodes)
+        )
+        pruned = kept.take(bound >= self.alpha)
+        if span.enabled:
+            span.set("node_pruned", raw_count - len(kept))
+            span.set("path_pruned", len(kept) - len(pruned))
         return pruned, raw_count

@@ -190,10 +190,6 @@ class QueryEngine:
     ) -> None:
         self.peg = peg
         self.offline_timings = StageRecorder()
-        # Lazily-built per-PEG probability tables shared by every
-        # vectorized reduction this engine runs, with the
-        # ``graph_version`` they were built at.
-        self._peg_arrays = (-1, None)  # (graph_version, arrays)
         #: Monotone counter bumped by every applied mutation batch
         #: (:meth:`apply_updates`); the serving layer mixes it into
         #: request keys so caches invalidate across updates.
@@ -267,8 +263,9 @@ class QueryEngine:
         the ops to the PEG, wraps the index in a
         :class:`~repro.delta.overlay.DeltaOverlayIndex` (first time),
         refreshes the delta for the dirtied nodes, rebuilds the context
-        tables and bumps :attr:`graph_version` (which re-keys the plan
-        and link caches and ages out the cached probability arrays).
+        tables — and with them the probability arrays they own — and
+        bumps :attr:`graph_version` (which re-keys the plan and link
+        caches).
         Not safe to call concurrently with
         queries on this engine — the serving layer
         (:meth:`repro.service.QueryService.apply_updates`) provides the
@@ -433,21 +430,6 @@ class QueryEngine:
                     needed[canonical] = alpha
         return sorted(needed.items(), key=lambda item: repr(item[0]))
 
-    def _peg_probability_arrays(self):
-        """The engine's shared per-PEG probability gather tables.
-
-        They depend only on the PEG; one instance amortizes them across
-        every vectorized link build and reduction of this engine
-        (rebuilt once ``graph_version`` has moved past them).
-        """
-        from repro.query.reduction import PegProbabilityArrays
-
-        version, arrays = self._peg_arrays
-        if version != self.graph_version:
-            arrays = PegProbabilityArrays(self.peg)
-            self._peg_arrays = (self.graph_version, arrays)
-        return arrays
-
     def _build_links(self, decomposition, candidates, alpha, options):
         """Candidate links via the selected builder; ``(links, stats)``."""
         backend = options.link_backend
@@ -457,14 +439,14 @@ class QueryEngine:
                 decomposition,
                 candidates,
                 alpha,
-                arrays=self._peg_probability_arrays(),
+                arrays=self.context.probability_arrays(self.peg),
                 cache=self.link_cache if options.use_link_cache else None,
                 graph_version=self.graph_version,
             )
             return link_set, link_set.stats
         if backend == "python":
             links = build_candidate_links(
-                self.peg, decomposition, candidates, alpha
+                self.peg, decomposition, _as_lists(candidates), alpha
             )
             stats = {
                 "backend": "python",
@@ -491,13 +473,13 @@ class QueryEngine:
                 candidates,
                 alpha,
                 links=links,
-                arrays=self._peg_probability_arrays(),
+                arrays=self.context.probability_arrays(self.peg),
             )
         if backend == "python":
             return CandidateKPartiteGraph(
                 self.peg,
                 decomposition,
-                candidates,
+                _as_lists(candidates),
                 alpha,
                 links=links,
             )
@@ -562,11 +544,13 @@ class QueryEngine:
         with recorder.stage("lookup") as lookup_span:
             for i, path in enumerate(decomposition.paths):
                 with lookup_span.child("partition", index=i) as path_span:
-                    pruned, raw = finder.find(path)
                     if path_span.enabled:
                         path_span.set("labels", "-".join(
                             map(str, query.label_sequence(path.nodes))
                         ))
+                    # The finder adds node_pruned / path_pruned.
+                    pruned, raw = finder.find(path)
+                    if path_span.enabled:
                         path_span.set("raw", raw)
                         path_span.set("pruned", len(pruned))
                 candidates[i] = pruned
@@ -689,6 +673,12 @@ class QueryEngine:
                 for name, value in match_stats.items():
                     match_span.set(name, value)
         return matches, reduction, link_stats
+
+
+def _as_lists(candidates: dict) -> dict:
+    """Candidate columns as the :class:`~repro.index.paths.IndexedPath`
+    lists the pure-Python reference backends index one at a time."""
+    return {i: list(found) for i, found in candidates.items()}
 
 
 def _product(values) -> float:

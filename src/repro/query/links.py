@@ -45,6 +45,7 @@ import hashlib
 import numpy as np
 
 from repro.index.builder import _milli
+from repro.index.paths import as_candidates
 from repro.obs.metrics import get_registry
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
@@ -333,24 +334,18 @@ def build_candidate_links_vectorized(
     alpha = float(alpha)
     if arrays is None:
         arrays = PegProbabilityArrays(peg)
-    matrices: dict = {}
+    # Columns as the lookup stage left them (lists of paths, from
+    # tests and the reference finder, are converted once).
+    candidates = {
+        index: as_candidates(found, len(decomposition.paths[index].nodes))
+        for index, found in candidates.items()
+    }
     fingerprints: dict = {}
-
-    def matrix(index: int) -> np.ndarray:
-        nodes = matrices.get(index)
-        if nodes is None:
-            cands = candidates[index]
-            width = len(decomposition.paths[index].nodes)
-            nodes = np.array(
-                [candidate.nodes for candidate in cands], dtype=np.int64
-            ).reshape(len(cands), width)
-            matrices[index] = nodes
-        return nodes
 
     def fingerprint(index: int) -> tuple:
         value = fingerprints.get(index)
         if value is None:
-            value = _fingerprint(matrix(index))
+            value = _fingerprint(candidates[index].nodes)
             fingerprints[index] = value
         return value
 
@@ -385,7 +380,7 @@ def build_candidate_links_vectorized(
                 stats["cache_misses"] += 1
             rows, cols, probs, fallback = _pair_probabilities(
                 peg, decomposition, candidates, arrays,
-                matrix(i), matrix(j), i, j,
+                candidates[i].nodes, candidates[j].nodes, i, j,
             )
             if cache is not None:
                 cache.put(key, (rows, cols, probs))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.index.paths import as_candidates
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
 from repro.query.kpartite import (
@@ -50,10 +51,12 @@ class PegProbabilityArrays:
     ``entity_tables`` are the per-id entity / ``repr`` / ``repr``-rank
     tables the matcher builds ``Match`` objects from.
 
-    The tables depend only on the immutable PEG, so one instance should
-    be shared across queries (``QueryEngine`` keeps one per engine and
-    hands it to every :class:`VectorizedKPartiteGraph`); repeated
-    queries then pay a pure array gather, not an O(nodes) rebuild.
+    The tables depend only on the PEG as it stands, so one instance
+    should be shared across queries (an engine's
+    :class:`~repro.index.context.ContextInformation` owns one per graph
+    version and hands it to the candidate finder, the link builder and
+    every :class:`VectorizedKPartiteGraph`); repeated queries then pay
+    a pure array gather, not an O(nodes) rebuild.
     Concurrent readers are safe: cache entries are idempotent values
     inserted under the GIL.
     """
@@ -216,7 +219,10 @@ class VectorizedKPartiteGraph:
         self.alpha = float(alpha)
         self.k = len(decomposition.paths)
         self.arrays = arrays if arrays is not None else PegProbabilityArrays(peg)
-        self.candidates = [list(candidates[i]) for i in range(self.k)]
+        self.candidates = [
+            as_candidates(candidates[i], len(decomposition.paths[i].nodes))
+            for i in range(self.k)
+        ]
         self._build_vertices()
         if links is None:
             links = build_candidate_links(
@@ -240,10 +246,7 @@ class VectorizedKPartiteGraph:
         for i, path in enumerate(decomposition.paths):
             cands = self.candidates[i]
             n = len(cands)
-            positions = len(path.nodes)
-            nodes = np.array(
-                [candidate.nodes for candidate in cands], dtype=np.int64
-            ).reshape(n, positions)
+            nodes = cands.nodes
             position_of = {node: pos for pos, node in enumerate(path.nodes)}
             # Multiply factors in the reference backend's order so the
             # float results are bit-identical.
@@ -259,16 +262,11 @@ class VectorizedKPartiteGraph:
                     query.label(node_a),
                     query.label(node_b),
                 )
-            w2 = np.fromiter(
-                (candidate.prn for candidate in cands),
-                dtype=np.float64,
-                count=n,
-            )
             vectors = np.ones((n, self.k), dtype=np.float64)
             vectors[:, i] = w1
             self.node_matrix.append(nodes)
             self.w1.append(w1)
-            self.w2.append(w2)
+            self.w2.append(cands.prn)
             self.alive.append(np.ones(n, dtype=bool))
             self.vectors.append(vectors)
 

@@ -1,0 +1,183 @@
+"""Scalar reference implementations the differential tests compare against.
+
+Reachable from tests only: nothing in the production packages imports
+this module, and no option, flag or environment variable selects it.
+
+:class:`ScalarCandidateFinder` is the candidate finder as it ran before
+the array-native lookup (:class:`repro.query.candidates.CandidateFinder`):
+the Section 5.2.2 tests, one :class:`~repro.index.paths.IndexedPath` at
+a time. The array finder must return the same raw count and the same
+kept rows in the same order.
+"""
+
+from __future__ import annotations
+
+from repro.index.builder import enumerate_paths_for_sequence
+from repro.index.context import ContextInformation
+from repro.index.protocol import PathIndexProtocol
+from repro.peg.entity_graph import ProbabilisticEntityGraph
+from repro.query.candidates import PathStatistics, compute_path_statistics
+from repro.query.decompose import QueryPath
+from repro.query.query_graph import QueryGraph
+
+
+class ScalarCandidateFinder:
+    """Retrieves and prunes candidate matches for query paths."""
+
+    def __init__(
+        self,
+        peg: ProbabilisticEntityGraph,
+        query: QueryGraph,
+        alpha: float,
+        index: PathIndexProtocol | None = None,
+        context: ContextInformation | None = None,
+        use_context: bool = True,
+    ) -> None:
+        self.peg = peg
+        self.query = query
+        self.alpha = float(alpha)
+        self.index = index
+        self.context = context
+        self.use_context = bool(use_context) and context is not None
+        self._node_cache: dict = {}
+        # Query node-level statistics: c(n, σ) for the labels around n.
+        self._query_label_counts = {
+            node: self._label_counts(node) for node in query.nodes
+        }
+
+    def _label_counts(self, node) -> dict:
+        counts: dict = {}
+        for neighbor in self.query.neighbors(node):
+            label = self.query.label(neighbor)
+            counts[label] = counts.get(label, 0) + 1
+        return counts
+
+    # ------------------------------------------------------------------
+    # Node-level pruning
+    # ------------------------------------------------------------------
+
+    def node_allowed(self, query_node, peg_node: int) -> bool:
+        """Node-level context test of Section 5.2.2 (memoized)."""
+        key = (query_node, peg_node)
+        cached = self._node_cache.get(key)
+        if cached is not None:
+            return cached
+        allowed = self._node_allowed_impl(query_node, peg_node)
+        self._node_cache[key] = allowed
+        return allowed
+
+    def _node_allowed_impl(self, query_node, peg_node: int) -> bool:
+        label = self.query.label(query_node)
+        p_label = self.peg.label_probability_id(peg_node, label)
+        if p_label <= 0.0:
+            return False
+        if not self.use_context:
+            return True
+        context = self.context
+        for sigma, required in self._query_label_counts[query_node].items():
+            if context.cardinality(peg_node, sigma) < required:
+                return False
+            fpu = context.full_upperbound(peg_node, sigma)
+            if p_label * (fpu ** required) < self.alpha:
+                return False
+        return True
+
+    # ------------------------------------------------------------------
+    # Path-level pruning
+    # ------------------------------------------------------------------
+
+    def neighborhood_upperbound(
+        self, path: QueryPath, stats: PathStatistics, candidate_nodes: tuple
+    ) -> float:
+        """``pu(P^u)``: bound on the probability of matching ``Γ(P)``.
+
+        For each path neighbor ``m``, one adjacent path node contributes
+        its full upperbound ``fpu`` and the remaining ones their partial
+        upperbounds ``ppu``; the tightest choice over ``rv(P, m)`` is
+        used, and bounds multiply over all neighbors.
+        """
+        context = self.context
+        query = self.query
+        bound = 1.0
+        for m in stats.neighbors:
+            label_m = query.label(m)
+            positions = stats.reverse_neighbors[m]
+            ppu_values = [
+                context.partial_upperbound(candidate_nodes[pos], label_m)
+                for pos in positions
+            ]
+            fpu_values = [
+                context.full_upperbound(candidate_nodes[pos], label_m)
+                for pos in positions
+            ]
+            ppu_product = 1.0
+            for value in ppu_values:
+                ppu_product *= value
+            best = None
+            for fpu, ppu in zip(fpu_values, ppu_values):
+                if ppu > 0.0:
+                    candidate = fpu * (ppu_product / ppu)
+                else:
+                    # fpu <= ppu (see repro.index.context), so the
+                    # chosen node's fpu is 0 too.
+                    candidate = 0.0
+                if best is None or candidate < best:
+                    best = candidate
+            bound *= best if best is not None else 0.0
+            if bound == 0.0:
+                return 0.0
+        return bound
+
+    def cycle_probability(
+        self, path: QueryPath, stats: PathStatistics, candidate_nodes: tuple
+    ) -> float:
+        """``cpr(P^u)``: probability of the query's cycle edges on the path."""
+        prob = 1.0
+        for pos_a, pos_b in stats.cycles:
+            label_a = self.query.label(path.nodes[pos_a])
+            label_b = self.query.label(path.nodes[pos_b])
+            prob *= self.peg.edge_probability_id(
+                candidate_nodes[pos_a],
+                candidate_nodes[pos_b],
+                label_a,
+                label_b,
+            )
+            if prob == 0.0:
+                return 0.0
+        return prob
+
+    # ------------------------------------------------------------------
+    # Main entry point
+    # ------------------------------------------------------------------
+
+    def find(self, path: QueryPath) -> tuple:
+        """Candidates of a query path: ``(pruned list, raw index count)``.
+
+        Falls back to on-demand enumeration when no index is attached or
+        the threshold is below the index's β (the paper's footnote 1).
+        """
+        label_seq = self.query.label_sequence(path.nodes)
+        if self.index is not None and self.alpha >= self.index.beta:
+            raw = list(self.index.lookup(label_seq, self.alpha))
+        else:
+            raw = enumerate_paths_for_sequence(self.peg, label_seq, self.alpha)
+        raw_count = len(raw)
+        if not self.use_context:
+            # Even without context pruning, node candidacy on label
+            # probability is implied by the index; keep everything.
+            return raw, raw_count
+        stats = compute_path_statistics(self.query, path)
+        pruned = []
+        for candidate in raw:
+            nodes = candidate.nodes
+            if not all(
+                self.node_allowed(query_node, peg_node)
+                for query_node, peg_node in zip(path.nodes, nodes)
+            ):
+                continue
+            base = candidate.prle * candidate.prn
+            if base * self.neighborhood_upperbound(path, stats, nodes) * \
+                    self.cycle_probability(path, stats, nodes) < self.alpha:
+                continue
+            pruned.append(candidate)
+        return pruned, raw_count

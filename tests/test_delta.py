@@ -223,6 +223,35 @@ class TestOverlayLookup:
             extra = [k for k in path_keys(got) if island_id in k[0]]
             assert sorted(set(path_keys(got)) - set(extra)) == kept
 
+    def test_order_is_kept_base_rows_then_sorted_delta_rows(self, peg, engine):
+        """Downstream stages are order-sensitive: surviving base rows
+        keep the base's order, delta rows follow by decreasing
+        probability (ties by node ids)."""
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = singleton_ids(peg)[0]
+        engine.apply_updates([
+            AddEntity(("fresh",), {sigma[0]: 0.6, sigma[1]: 0.4}, 0.9),
+            AddEdge(refs(peg, anchor), ("fresh",), BernoulliEdge(0.8)),
+        ])
+        overlay = engine.index
+        dirty = overlay.dirty_nodes
+        masked = added = 0
+        for seq in all_sequences(engine, engine) | set(overlay._delta):
+            for alpha in (0.1, 0.3):
+                got = list(overlay.lookup_canonical(seq, alpha))
+                base = list(overlay.base.lookup_canonical(seq, alpha))
+                kept = [p for p in base if dirty.isdisjoint(p.nodes)]
+                tail = got[len(kept):]
+                assert got[:len(kept)] == kept
+                assert all(not dirty.isdisjoint(p.nodes) for p in tail)
+                assert all(p.probability >= alpha for p in tail)
+                assert tail == sorted(
+                    tail, key=lambda p: (-p.probability, p.nodes)
+                )
+                masked += len(base) - len(kept)
+                added += len(tail)
+        assert masked and added
+
     def test_overlays_do_not_nest(self, peg, engine):
         overlay = DeltaOverlayIndex(engine.index, peg)
         with pytest.raises(DeltaError):

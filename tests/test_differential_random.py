@@ -36,14 +36,24 @@ import random
 import pytest
 
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
-from repro.index import open_store
+from repro.index import (
+    BatchLookupIndex,
+    canonical_sequence,
+    encode_paths,
+    is_palindrome,
+    open_store,
+)
+from repro.index.paths import PathCandidates
+from repro.obs.trace import Span
 from repro.peg import build_peg
-from repro.query import QueryEngine, QueryOptions, exhaustive_matches
+from repro.query import QueryEngine, QueryGraph, QueryOptions, exhaustive_matches
 from repro.query.candidates import CandidateFinder
+from repro.query.decompose import QueryPath
 from repro.query.kpartite import build_candidate_links
 from repro.query.links import build_candidate_links_vectorized
 from repro.query.matcher import generate_matches, generate_matches_reference
 from repro.query.reduction import VectorizedKPartiteGraph
+from repro.testing.reference import ScalarCandidateFinder
 
 PYTHON_BACKEND = QueryOptions(reduction_backend="python")
 VECTOR_BACKEND = QueryOptions(reduction_backend="vectorized")
@@ -81,6 +91,46 @@ def assert_link_equivalence(engine, query, alpha, context):
     assert vectorized.pair_lists() == reference, context
 
 
+def candidate_records(candidates):
+    """Every candidate row, floats bit for bit, order kept."""
+    return [(c.nodes, c.prle.hex(), c.prn.hex()) for c in candidates]
+
+
+def assert_lookup_equivalence(
+    engine, query, alpha, context, options=QueryOptions(), *,
+    paths=None, index=None, use_context=True,
+):
+    """The array finder and the scalar oracle agree row for row.
+
+    Both read the *same* live index (``engine.index`` — overlay or
+    compacted base included — unless ``index`` substitutes a view of
+    it) and must return the same raw count and the same kept rows in
+    the same order, ``prle``/``prn`` ``.hex()``-equal; the array finder
+    returns them as columns. ``paths`` defaults to the planned
+    decomposition's. Returns the span the array finder reported into.
+    """
+    if paths is None:
+        paths = engine.planner.plan(query, alpha, options)[0].paths
+    array, scalar = (
+        finder(
+            engine.peg, query, alpha,
+            index=engine.index if index is None else index,
+            context=engine.context, use_context=use_context,
+        )
+        for finder in (CandidateFinder, ScalarCandidateFinder)
+    )
+    with Span("lookup") as span:
+        for path in paths:
+            found, raw = array.find(path)
+            expected, expected_raw = scalar.find(path)
+            assert isinstance(found, PathCandidates), context
+            assert found.nodes.shape == (len(found), len(path.nodes)), context
+            assert raw == expected_raw, context
+            assert candidate_records(found) == candidate_records(expected), \
+                (context, path.nodes)
+    return span
+
+
 def match_records(matches):
     """Everything a match list says, floats bit for bit, order kept."""
     return [
@@ -106,7 +156,7 @@ def assert_matcher_equivalence(
     )
     if not all(candidates.values()):
         return None
-    arrays = engine._peg_probability_arrays()
+    arrays = engine.context.probability_arrays(peg)
     kpartite = VectorizedKPartiteGraph(
         peg, decomposition, candidates, alpha,
         links=build_candidate_links_vectorized(
@@ -281,6 +331,86 @@ def test_matcher_differential(graph_index, config, query_seed):
                 assert_matcher_equivalence(
                     engine, query, alpha, context, options
                 )
+
+
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_lookup_differential(graph_index, config, query_seed):
+    """Array finder == scalar oracle on every harness case — both
+    alphas, greedy and exact decompositions, with and without context
+    pruning — and on the lookup shapes the random cases only sometimes
+    reach: on-demand enumeration below beta, palindromic and
+    reverse-stored sequences, an empty bucket inside the range scan,
+    and a batch view prefetched below the request's alpha."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    sigma = sorted(peg.sigma, key=repr)
+    queries = _random_queries(random.Random(query_seed), sigma)
+    for query in queries:
+        for alpha in ALPHAS:
+            for options in (QueryOptions(), EXACT_PLAN):
+                context = (
+                    graph_index, config.seed, query.nodes, alpha,
+                    options.decomposition,
+                )
+                span = assert_lookup_equivalence(
+                    engine, query, alpha, context, options
+                )
+                assert "on_demand" not in span.attributes, context
+                assert {"node_pruned", "path_pruned"} <= set(span.attributes)
+            assert_lookup_equivalence(
+                engine, query, alpha, context, use_context=False
+            )
+        # Below beta nothing is indexed: both enumerate on demand.
+        context = (graph_index, config.seed, query.nodes, "below-beta")
+        span = assert_lookup_equivalence(engine, query, BETA / 2, context)
+        assert span.attributes["on_demand"] is True, context
+
+    # A batch view fetched at the batch-wide minimum alpha answers the
+    # higher-alpha request by filtering its cached columns.
+    batch_index = BatchLookupIndex(engine.index)
+    low, high = ALPHAS
+    for query in queries:
+        for path in engine.planner.plan(query, high, QueryOptions())[0].paths:
+            batch_index.prefetch(query.label_sequence(path.nodes), low)
+    fetches = batch_index.fetches
+    for query in queries:
+        context = (graph_index, config.seed, query.nodes, "batch")
+        assert_lookup_equivalence(
+            engine, query, high, context, index=batch_index
+        )
+    assert batch_index.fetches == fetches
+
+    # Orientation: palindromes interleave both alignments of a stored
+    # path; a sequence stored reversed comes back turned around.
+    first, second = sigma[0], sigma[-1]
+    shapes = [(first, first), (first, second, first), (second, first)]
+    assert is_palindrome(shapes[0]) and is_palindrome(shapes[1])
+    assert canonical_sequence(shapes[2]) != shapes[2]
+    for labels in shapes:
+        nodes = tuple(range(len(labels)))
+        query = QueryGraph(
+            dict(zip(nodes, labels)), list(zip(nodes, nodes[1:]))
+        )
+        for alpha in ALPHAS:
+            context = (graph_index, config.seed, labels, alpha)
+            assert_lookup_equivalence(
+                engine, query, alpha, context, paths=[QueryPath(nodes)]
+            )
+
+    # An empty bucket (what compaction leaves where a bucket emptied)
+    # in the middle of a range scan joins as zero rows.
+    store = engine.index.store
+    for sequence in store.label_sequences():
+        used = {bucket for bucket, _ in store.scan_buckets(sequence, 0)}
+        spare = next(b for b in engine.index.grid()[1:] if b not in used)
+        store.put_bucket(sequence, spare, encode_paths([]))
+    for query in queries:
+        context = (graph_index, config.seed, query.nodes, "empty-bucket")
+        assert_lookup_equivalence(engine, query, BETA, context)
 
 
 def test_case_count_meets_floor():
@@ -469,6 +599,10 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 # ... and the array matcher against the DFS reference
                 # over it (tombstoned and appended node ids included).
                 assert_matcher_equivalence(unsharded, query, alpha, context)
+                # ... and the array finder against the scalar oracle:
+                # masked base rows plus delta rows before compaction,
+                # the rewritten base after it.
+                assert_lookup_equivalence(unsharded, query, alpha, context)
                 case += 1
     assert case == 2 * QUERIES_PER_GRAPH * len(ALPHAS)
 

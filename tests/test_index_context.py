@@ -1,10 +1,17 @@
 """Unit tests for repro.index.context (c, ppu, fpu tables)."""
 
+import numpy as np
 import pytest
 
+from repro.datasets import generate_synthetic_pgd
 from repro.index.context import build_context
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
+from repro.query.candidates import CandidateFinder, compute_path_statistics
+from repro.query.decompose import QueryPath
+from repro.query.query_graph import QueryGraph
+from repro.testing.reference import ScalarCandidateFinder
+from tests.test_differential_random import _cases
 
 
 def fs(*items):
@@ -175,3 +182,73 @@ class TestSparseIdSpace:
                 assert context.cardinality(node, label) == expected, (
                     node, label,
                 )
+
+
+class TestDenseTables:
+    def test_tables_repeat_the_scalar_accessors(self, star_peg):
+        context = build_context(star_peg)
+        c, ppu, fpu = context.tables()
+        ids = star_peg.node_ids()
+        assert c.shape == ppu.shape == fpu.shape == (len(ids), len(context.sigma))
+        assert c.dtype == np.int64 and ppu.dtype == fpu.dtype == np.float64
+        for label in context.sigma + ("missing",):
+            columns = context.columns(label)
+            for node in ids:
+                assert [column[node] for column in columns] == [
+                    context.cardinality(node, label),
+                    context.partial_upperbound(node, label),
+                    context.full_upperbound(node, label),
+                ]
+
+    def test_probability_arrays_are_built_once_per_context(self, star_peg):
+        context = build_context(star_peg)
+        arrays = context.probability_arrays(star_peg)
+        assert context.probability_arrays(star_peg) is arrays
+        assert build_context(star_peg).probability_arrays(star_peg) is not arrays
+
+
+class TestFullBelowPartial:
+    """``fpu <= ppu``, so a zero ``ppu`` means a zero ``fpu`` — what lets
+    the neighbourhood bound answer 0 for a choice whose ``ppu`` is 0."""
+
+    @pytest.mark.parametrize(
+        "config", [config for _index, config, _seed in _cases()],
+        ids=lambda config: config.seed,
+    )
+    def test_zero_ppu_implies_zero_fpu_on_the_harness_graphs(self, config):
+        context = build_context(build_peg(generate_synthetic_pgd(config)))
+        _c, ppu, fpu = context.tables()
+        assert (fpu <= ppu).all()
+        assert (fpu[ppu == 0.0] == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # Neither path node has a 'z' neighbour: two zero ppu (the
+            # same 0.0 object in a freshly built context).
+            [("u", "v", 0.9)],
+            # Only v has one: choosing u's fpu gives 0, choosing v's
+            # gives fpu(v) * ppu(u) = 0 as well.
+            [("u", "v", 0.9), ("v", "w", 0.8)],
+        ],
+        ids=["two-zero-positions", "one-zero-position"],
+    )
+    def test_zero_positions_bound_the_neighbourhood_by_zero(self, edges):
+        peg = build_peg(
+            pgd_from_edge_list(
+                node_labels={"u": "a", "v": "b", "w": "z"}, edges=edges
+            )
+        )
+        query = QueryGraph(
+            {"p": "a", "q": "b", "m": "z"}, [("p", "q"), ("p", "m"), ("q", "m")]
+        )
+        context = build_context(peg)
+        path = QueryPath(("p", "q"))
+        stats = compute_path_statistics(query, path)
+        nodes = (peg.id_of(fs("u")), peg.id_of(fs("v")))
+        assert context.partial_upperbound(nodes[0], "z") == 0.0
+        scalar = ScalarCandidateFinder(peg, query, 0.1, context=context)
+        assert scalar.neighborhood_upperbound(path, stats, nodes) == 0.0
+        finder = CandidateFinder(peg, query, 0.1, context=context)
+        bound = finder.neighborhood_upperbound(stats, np.array([nodes]))
+        assert bound.tolist() == [0.0]

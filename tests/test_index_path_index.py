@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.index import build_path_index
+from repro.index import build_path_index, orient_to_sequence
+from repro.index.paths import IndexedPath, PathCandidates
 from repro.index.path_index import (
     PathIndex,
     canonical_sequence,
@@ -26,6 +27,42 @@ class TestCanonicalization:
     def test_mixed_label_types(self):
         seq = (("x", 1), ("y", 2))
         assert canonical_sequence(seq) in (seq, tuple(reversed(seq)))
+
+
+class TestOrientation:
+    """The columnar orientation keeps the per-path definition's order."""
+
+    @staticmethod
+    def per_path(paths, seq):
+        reverse_needed = canonical_sequence(seq) != seq
+        results = []
+        for path in paths:
+            oriented = path.reversed() if reverse_needed else path
+            results.append(oriented)
+            if is_palindrome(seq) and len(oriented.nodes) > 1:
+                results.append(oriented.reversed())
+        return results
+
+    @pytest.mark.parametrize(
+        "seq",
+        [("a", "b", "c"), ("c", "b", "a"), ("a", "b", "a"), ("a", "a"), ("a",)],
+        ids="-".join,
+    )
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_matches_per_path_definition(self, seq, count):
+        paths = [
+            IndexedPath(
+                tuple(range(10 * row, 10 * row + len(seq))),
+                0.5 + row / 10, 0.9 - row / 10,
+            )
+            for row in range(count)
+        ]
+        oriented = orient_to_sequence(
+            PathCandidates.from_paths(paths, len(seq)), seq
+        )
+        assert isinstance(oriented, PathCandidates)
+        assert oriented.nodes.shape[1] == len(seq)
+        assert list(oriented) == self.per_path(paths, seq)
 
 
 class TestBucketGrid:

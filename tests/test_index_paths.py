@@ -7,6 +7,8 @@ from repro.index.paths import (
     IndexedPath,
     _decode_paths_scalar,
     concat_payloads,
+    PathCandidates,
+    as_candidates,
     decode_path_arrays,
     decode_paths,
     decode_paths_above,
@@ -117,10 +119,14 @@ class TestBulkDecode:
             expected = [p for p in paths if p.probability >= alpha]
             assert decode_paths_above(payload, alpha) == expected
 
-    def test_decode_above_heterogeneous(self):
+    def test_decode_above_heterogeneous_is_an_error(self):
+        """Columns need one width; no bucket of one sequence mixes them."""
         mixed = [IndexedPath((1,), 0.9, 0.9), IndexedPath((1, 2), 0.1, 0.1)]
         payload = encode_paths(mixed)
-        assert decode_paths_above(payload, 0.5) == [mixed[0]]
+        with pytest.raises(IndexError_):
+            decode_paths_above(payload, 0.5)
+        with pytest.raises(IndexError_):  # right shape, wrong width
+            decode_paths_above(encode_paths(self._paths(count=2)), 0.0, width=2)
 
     def test_decode_from_memoryview(self):
         paths = self._paths(count=5)
@@ -131,7 +137,9 @@ class TestBulkDecode:
     def test_empty_payload(self):
         payload = encode_paths([])
         nodes, prle, prn = decode_path_arrays(payload)
-        assert nodes.shape[0] == 0 and prle.size == 0 and prn.size == 0
+        assert nodes.shape == (0, 0) and prle.size == 0 and prn.size == 0
+        nodes, _prle, _prn = decode_path_arrays(payload, width=3)
+        assert nodes.shape == (0, 3)  # concatenates with any other bucket
         assert decode_paths_above(payload, 0.0) == []
 
     def test_corrupt_payload_still_detected(self):
@@ -140,3 +148,42 @@ class TestBulkDecode:
             decode_paths(payload + b"junk")
         with pytest.raises(IndexError_):
             decode_paths(encode_paths([]) + b"junk")
+
+
+class TestPathCandidates:
+    """The columnar container lookups return."""
+
+    PATHS = [
+        IndexedPath((1, 2, 3), 0.9, 0.8),
+        IndexedPath((4, 5, 6), 0.5, 0.4),
+        IndexedPath((7, 8, 9), 0.25, 1.0),
+    ]
+
+    def test_sequence_protocol_is_lazy_indexed_paths(self):
+        found = PathCandidates.from_paths(self.PATHS, 3)
+        assert found.nodes.shape == (3, 3) and found.nodes.dtype == np.int64
+        assert len(found) == 3 and found
+        assert list(found) == self.PATHS
+        assert found[1] == self.PATHS[1]
+        assert found[np.int64(2)] == self.PATHS[2]
+        assert type(found[0].nodes[0]) is int
+        assert found == self.PATHS and found != self.PATHS[:2]
+
+    def test_empty_keeps_its_width(self):
+        empty = PathCandidates.from_paths([], 3)
+        assert empty.nodes.shape == (0, 3)
+        assert not empty and len(empty) == 0 and empty == []
+        both = PathCandidates.concat([empty, PathCandidates.from_paths(self.PATHS, 3)])
+        assert both == self.PATHS
+
+    def test_transformations(self):
+        found = PathCandidates.from_paths(self.PATHS, 3)
+        assert found.reversed() == [p.reversed() for p in self.PATHS]
+        assert found.take(np.array([True, False, True])) == [
+            self.PATHS[0], self.PATHS[2]
+        ]
+        assert found.take(np.array([2, 0])) == [self.PATHS[2], self.PATHS[0]]
+        assert found.above(0.25) == [self.PATHS[0], self.PATHS[2]]
+        assert found.above(0.0) is found
+        assert as_candidates(found, 3) is found
+        assert as_candidates(self.PATHS, 3) == found

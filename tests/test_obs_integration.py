@@ -94,8 +94,21 @@ class TestEngineTracing:
         partitions = [c for c in lookup["children"] if c["name"] == "partition"]
         assert len(partitions) == trace["children"][0]["attributes"]["partitions"]
         for p in partitions:
-            assert "labels" in p["attributes"]
-            assert p["attributes"]["raw"] >= p["attributes"]["pruned"]
+            attributes = p["attributes"]
+            assert "labels" in attributes
+            assert attributes["raw"] >= attributes["pruned"]
+            # Rows dropped by the node tests, then by the pu*cpr bound.
+            assert attributes["node_pruned"] >= 0
+            assert attributes["path_pruned"] >= 0
+            assert attributes["raw"] == (
+                attributes["pruned"] + attributes["node_pruned"]
+                + attributes["path_pruned"]
+            )
+            # Stored rows decoded (a palindrome returns each twice).
+            assert attributes["raw"] in (
+                p["counters"]["paths_decoded"],
+                2 * p["counters"]["paths_decoded"],
+            )
         if result.matches:
             assert stages[-1] == "match"
         rendered = render_trace(trace)

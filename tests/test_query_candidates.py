@@ -10,6 +10,7 @@ from repro.query.candidates import CandidateFinder, compute_path_statistics
 from repro.query.decompose import QueryPath
 from repro.query.query_graph import QueryGraph
 from repro.query.baselines import direct_matches
+from repro.testing.reference import ScalarCandidateFinder
 from tests.conftest import small_random_peg
 
 
@@ -76,39 +77,46 @@ def pruning_setup():
     return peg, query, index, context
 
 
+def node_allowed(setup, alpha, query_node, entity):
+    """The oracle's scalar node test, which the array finder's boolean
+    vector over the id space must repeat entry for entry."""
+    peg, query, index, context = setup
+    peg_node = peg.id_of(frozenset({entity}))
+    scalar = ScalarCandidateFinder(
+        peg, query, alpha=alpha, index=index, context=context
+    ).node_allowed(query_node, peg_node)
+    vector = CandidateFinder(
+        peg, query, alpha=alpha, index=index, context=context
+    ).allowed_nodes(query_node)
+    assert vector.shape == (len(peg.node_ids()),)
+    assert bool(vector[peg_node]) == scalar
+    return scalar
+
+
 class TestNodeLevelPruning:
     def test_cardinality_constraint(self, pruning_setup):
-        peg, query, index, context = pruning_setup
-        finder = CandidateFinder(
-            peg, query, alpha=0.1, index=index, context=context
-        )
-        hub1 = peg.id_of(frozenset({"hub1"}))
-        hub2 = peg.id_of(frozenset({"hub2"}))
         # 'c' requires two 'a' neighbors and one 'b' neighbor.
-        assert finder.node_allowed("c", hub1)
-        assert not finder.node_allowed("c", hub2)
+        assert node_allowed(pruning_setup, 0.1, "c", "hub1")
+        assert not node_allowed(pruning_setup, 0.1, "c", "hub2")
 
     def test_probability_constraint(self, pruning_setup):
-        peg, query, index, context = pruning_setup
         # With a very high alpha even hub1 fails: its 'a' full upper
         # bound is 0.9 and Pr(label) * 0.9^2 < 0.95.
-        finder = CandidateFinder(
-            peg, query, alpha=0.95, index=index, context=context
-        )
-        hub1 = peg.id_of(frozenset({"hub1"}))
-        assert not finder.node_allowed("c", hub1)
+        assert not node_allowed(pruning_setup, 0.95, "c", "hub1")
 
     def test_wrong_label_always_pruned(self, pruning_setup):
-        peg, query, index, context = pruning_setup
-        finder = CandidateFinder(
-            peg, query, alpha=0.1, index=index, context=context
-        )
-        a1 = peg.id_of(frozenset({"a1"}))
-        assert not finder.node_allowed("c", a1)
+        assert not node_allowed(pruning_setup, 0.1, "c", "a1")
+
+    def test_label_outside_sigma_prunes_everything(self, pruning_setup):
+        peg, _query, index, context = pruning_setup
+        query = QueryGraph({"c": "h", "x": "nope"}, [("c", "x")])
+        setup = (peg, query, index, context)
+        assert not node_allowed(setup, 0.1, "c", "hub1")
+        assert not node_allowed(setup, 0.1, "x", "a1")
 
     def test_context_disabled_keeps_label_check_only(self, pruning_setup):
         peg, query, index, context = pruning_setup
-        finder = CandidateFinder(
+        finder = ScalarCandidateFinder(
             peg, query, alpha=0.1, index=index, context=context,
             use_context=False,
         )

@@ -131,7 +131,7 @@ class TestCacheKeying:
             engine.peg, decomposition, candidates, ALPHA, cache=cache
         )
         trimmed = dict(candidates)
-        trimmed[0] = candidates[0][:-1]
+        trimmed[0] = candidates[0].take(slice(None, -1))
         result = build_candidate_links_vectorized(
             engine.peg, decomposition, trimmed, ALPHA, cache=cache
         )
