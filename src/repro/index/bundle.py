@@ -3,18 +3,25 @@
 The paper's system builds its disk-based index once and serves many
 online queries. This module gives the reproduction the same lifecycle:
 :func:`save_offline` writes a directory containing the path store(s)
-(B+ tree + record log + hash directory), the index metadata (L, β, γ,
+(record log + directory each), the index metadata (L, β, γ,
 histograms, build statistics) and the context tables;
 :func:`load_offline` reopens it without recomputation, and
 :meth:`repro.query.engine.QueryEngine.from_saved` builds a queryable
 engine from it.
 
+Every file that is replaced rather than appended to goes through
+:func:`repro.storage.atomic_write`: each store commits with the rename
+of its ``index.dir``, and ``offline.meta`` — written last — is the
+bundle's commit record.
+
 There is one bundle shape: the metadata records ``num_shards`` and one
 ``histograms`` dict, and :func:`repro.index.sharded.open_store` maps
 ``(directory, num_shards)`` to the store — files at the directory root
 for ``num_shards == 0``, one child store per ``shard-NN/`` subdirectory
-otherwise. Bundles of any other format version are rejected (callers
-such as :meth:`repro.service.QueryService.open` rebuild over them).
+otherwise. A bundle of any other format version, with an unreadable
+``offline.meta`` or with a store that fails its open-time checks is
+rejected with :class:`IndexError_` (callers such as
+:meth:`repro.service.QueryService.open` rebuild over it).
 """
 
 from __future__ import annotations
@@ -28,16 +35,21 @@ from repro.index.path_index import PathIndex
 from repro.index.sharded import ShardedPathStore, open_store
 from repro.storage.kvstore import (
     DISK_STORE_FILENAMES,
+    TEMP_SUFFIX,
     DiskPathStore,
     PathStore,
+    atomic_write,
     list_shard_directories,
     shard_directory,
 )
-from repro.utils.errors import IndexError_
+from repro.utils.errors import IndexError_, StorageError
 
-#: Bundle format version; bump when the pickled layout changes.
-FORMAT_VERSION = 3
+#: Bundle format version; bump when the pickled layout or the store's
+#: file format changes.
+FORMAT_VERSION = 4
 _META_FILE = "offline.meta"
+#: The store file only format v3 had; cleared so v4 never sits beside it.
+_LEGACY_FILENAMES = ("index.btree",)
 
 
 def _persist_store(store: PathStore, directory: str) -> None:
@@ -65,19 +77,21 @@ def clear_offline_artifacts(directory: str) -> None:
     """Remove every offline artifact of earlier builds under ``directory``.
 
     Deletes the metadata file, the root store files of an unsharded
-    bundle, and any ``shard-NN/`` subdirectories — but nothing else, so
-    a user-supplied output directory that happens to hold other files
-    is safe. Building into a reused directory without clearing first
-    would mix stale and fresh data: a reopened
-    :class:`DiskPathStore` appends to the old tree, and sequences that
+    bundle (this format's and the previous one's), temporaries left by
+    an interrupted commit, and any ``shard-NN/`` subdirectories — but
+    nothing else, so a user-supplied output directory that happens to
+    hold other files is safe. Building into a reused directory without
+    clearing first would mix stale and fresh data: a reopened
+    :class:`DiskPathStore` keeps its old directory, and sequences that
     no longer exist keep being served.
     """
     if not os.path.isdir(directory):
         return
-    for name in (_META_FILE,) + DISK_STORE_FILENAMES:
+    for name in (_META_FILE,) + DISK_STORE_FILENAMES + _LEGACY_FILENAMES:
         path = os.path.join(directory, name)
-        if os.path.exists(path):
-            os.remove(path)
+        for stale in (path, path + TEMP_SUFFIX):
+            if os.path.exists(stale):
+                os.remove(stale)
     for stale in list_shard_directories(directory):
         shutil.rmtree(stale, ignore_errors=True)
 
@@ -88,7 +102,8 @@ def save_offline(
     """Write the offline phase's artifacts into ``directory``.
 
     The index's store is persisted by :func:`_persist_store` — per child,
-    each into its own ``shard-NN/`` subdirectory, when it is sharded.
+    each into its own ``shard-NN/`` subdirectory, when it is sharded —
+    and the metadata is committed after every store.
     """
     store = index.store
     if isinstance(store, ShardedPathStore):
@@ -113,27 +128,40 @@ def save_offline(
             "full_upper": context._full_upper,
         },
     }
-    with open(os.path.join(directory, _META_FILE), "wb") as handle:
-        pickle.dump(meta, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(
+        os.path.join(directory, _META_FILE),
+        pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),
+    )
 
 
 def load_offline(directory: str) -> tuple:
     """Reopen a bundle written by :func:`save_offline`.
 
     Returns ``(PathIndex, ContextInformation)``; raises
-    :class:`IndexError_` for missing or incompatible bundles.
+    :class:`IndexError_` for missing, incompatible or damaged bundles.
     """
     meta_path = os.path.join(directory, _META_FILE)
     if not os.path.exists(meta_path):
         raise IndexError_(f"no offline bundle at {directory!r}")
     with open(meta_path, "rb") as handle:
-        meta = pickle.load(handle)
+        try:
+            meta = pickle.load(handle)
+        except Exception as exc:
+            raise IndexError_(
+                f"unreadable offline bundle metadata in {directory!r}: {exc}"
+            ) from exc
     if not isinstance(meta, dict) or meta.get("version") != FORMAT_VERSION:
         raise IndexError_(
             f"unsupported offline bundle version in {directory!r}"
         )
+    try:
+        store = open_store(directory, meta["num_shards"])
+    except StorageError as exc:
+        raise IndexError_(
+            f"damaged path store in offline bundle {directory!r}: {exc}"
+        ) from exc
     index = PathIndex(
-        store=open_store(directory, meta["num_shards"]),
+        store=store,
         max_length=meta["max_length"],
         beta=meta["beta"],
         gamma=meta["gamma"],

@@ -1,10 +1,13 @@
-"""The two-level path store: hash directory + B+ tree + record log.
+"""The two-level path store: a sorted directory over a record log.
 
-First level: a hash directory mapping a canonical label sequence ``X``
-to a dense integer id (equality access). Second level: a B+ tree over
-composite keys ``(sequence id, probability bucket)`` supporting range
-scans over buckets (range access on π). Payloads are stored in a record
-log and pointed to from the tree.
+First level: a hash directory — a plain dict — mapping a canonical
+label sequence ``X`` to its buckets (equality access). Second level:
+per sequence, the ``(bucket, offset, length)`` triples in ascending
+bucket order, so a threshold scan is one bisect plus a slice (range
+access on π). That is the access pattern the paper asks of its
+off-the-shelf store — *equality on X, range on π* — without the tree:
+the whole directory is a few hundred entries and lives in memory.
+Payloads are stored in a record log and pointed to from the triples.
 
 Two implementations share the :class:`PathStore` interface:
 :class:`InMemoryPathStore` for tests and small workloads, and
@@ -25,16 +28,39 @@ import os
 import pickle
 import struct
 import threading
+import zlib
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from typing import Iterable, Iterator, Tuple
 
-from repro.storage.btree import BPlusTree
 from repro.storage.recordlog import RecordLog
 from repro.testing import faults
-from repro.utils.errors import StorageError
+from repro.utils.errors import FaultError, StorageError
 
-_COMPOSITE = struct.Struct(">IH")   # (sequence id, bucket in milli-units)
-_POINTER = struct.Struct(">QI")     # (record offset, record length)
+#: Suffix of the temporary file :func:`atomic_write` renames from; a
+#: crash between the write and the rename leaves one behind.
+TEMP_SUFFIX = ".tmp"
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so readers see all of it or none.
+
+    Writes a temporary file beside ``path``, makes it durable, then
+    renames it over ``path`` — the rename is the commit point. The
+    ``store.commit`` fault site fires between the two, where a crash
+    would leave the previous file in place and a stray temporary; it
+    honours ``error`` only (callers commit under their lock, where an
+    injected sleep has no business).
+    """
+    temp = path + TEMP_SUFFIX
+    with open(temp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    action = faults.fire("store.commit")
+    if action is not None and action.kind == "error":
+        raise FaultError("injected fault at store.commit")
+    os.replace(temp, path)
 
 
 class PathStore(ABC):
@@ -155,16 +181,28 @@ class InMemoryPathStore(PathStore):
 
 #: Files a DiskPathStore creates under its directory; cleanup code
 #: (e.g. bundle rebuilds) iterates this instead of restating the names.
-DISK_STORE_FILENAMES = ("index.btree", "index.log", "index.dir")
+DISK_STORE_FILENAMES = ("index.log", "index.dir")
+
+# index.dir = header + pickled {label sequence: [(bucket, offset, length)]}.
+_DIR_HEADER = struct.Struct(">4sHQI")  # magic, version, body length, CRC32
+_DIR_MAGIC = b"RPDX"
+_DIR_VERSION = 1
 
 
 class DiskPathStore(PathStore):
-    """Disk-backed path store: hash directory + B+ tree + record log.
+    """Disk-backed path store: a record log plus the directory indexing it.
 
     Creates the :data:`DISK_STORE_FILENAMES` files under ``directory``:
-    ``index.btree`` (tree pages), ``index.log`` (payload record log)
-    and ``index.dir`` (pickled label-sequence directory, written on
-    flush/close).
+    ``index.log`` (append-only payload record log) and ``index.dir``
+    (for each label sequence its ascending ``(bucket, offset, length)``
+    triples, framed by a magic + version + length + CRC32 header). The
+    directory is held in memory; :meth:`flush` makes the log durable
+    and then publishes the directory with :func:`atomic_write`, whose
+    rename is the store's one commit point: records appended since the
+    last flush are unreferenced until it, so a reopened store is the
+    state of its last completed flush, never a mix. Opening checks the
+    frame and that every pointer ends inside the log; a short, corrupt,
+    foreign-format or dangling directory is a :class:`StorageError`.
 
     Payloads are returned as zero-copy ``memoryview`` slices over an
     mmap of the record log — bucket payloads feed ``np.frombuffer``
@@ -175,8 +213,8 @@ class DiskPathStore(PathStore):
     and the mapping survives :meth:`close` while referenced).
 
     All operations are serialized through one reentrant lock, so a store
-    may be shared by concurrent readers (the tree's pager cache and the
-    log's file handle are position-stateful and would otherwise race);
+    may be shared by concurrent readers (the log's file handle and its
+    lazily grown mapping are stateful and would otherwise race);
     :meth:`scan_buckets` materializes its scan under the lock before
     yielding.
     """
@@ -185,33 +223,53 @@ class DiskPathStore(PathStore):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.RLock()
-        tree_name, log_name, dir_name = DISK_STORE_FILENAMES
-        self._tree = BPlusTree(os.path.join(self.directory, tree_name))
+        log_name, dir_name = DISK_STORE_FILENAMES
         self._log = RecordLog(os.path.join(self.directory, log_name))
         self._dir_path = os.path.join(self.directory, dir_name)
-        if os.path.exists(self._dir_path):
-            with open(self._dir_path, "rb") as handle:
-                self._sequence_ids = pickle.load(handle)
-        else:
-            self._sequence_ids = {}
-        self._dirty_directory = False
+        try:
+            self._directory = self._load_directory()
+        except StorageError:
+            self._log.close()
+            raise
+        # A new store publishes its (possibly empty) directory on the
+        # first flush, so a closed store always holds both files.
+        self._dirty = not os.path.exists(self._dir_path)
 
-    def _sequence_id(self, label_seq: tuple, create: bool) -> int | None:
-        label_seq = tuple(label_seq)
-        seq_id = self._sequence_ids.get(label_seq)
-        if seq_id is None and create:
-            seq_id = len(self._sequence_ids)
-            self._sequence_ids[label_seq] = seq_id
-            self._dirty_directory = True
-        return seq_id
+    def _load_directory(self) -> dict:
+        try:
+            with open(self._dir_path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            return {}
+        body = raw[_DIR_HEADER.size:]
+        if len(raw) < _DIR_HEADER.size or _DIR_HEADER.unpack_from(raw) != (
+            _DIR_MAGIC, _DIR_VERSION, len(body), zlib.crc32(body)
+        ):
+            raise StorageError(
+                f"{self._dir_path!r} is not a complete version-"
+                f"{_DIR_VERSION} store directory"
+            )
+        directory = pickle.loads(body)
+        for triples in directory.values():
+            for _bucket, offset, length in triples:
+                if not self._log.holds(offset, length):
+                    raise StorageError(
+                        f"{self._dir_path!r} points past the end of the "
+                        f"record log (offset {offset}, length {length})"
+                    )
+        return directory
 
     def put_bucket(self, label_seq: tuple, bucket: int, payload: bytes) -> None:
         _check_bucket(bucket)
         with self._lock:
-            seq_id = self._sequence_id(label_seq, create=True)
-            offset, length = self._log.append(bytes(payload))
-            key = _COMPOSITE.pack(seq_id, bucket)
-            self._tree.put(key, _POINTER.pack(offset, length))
+            triples = self._directory.setdefault(tuple(label_seq), [])
+            entry = (bucket, *self._log.append(bytes(payload)))
+            at = bisect_left(triples, (bucket,))
+            if at < len(triples) and triples[at][0] == bucket:
+                triples[at] = entry
+            else:
+                triples.insert(at, entry)
+            self._dirty = True
 
     def get_bucket(
         self, label_seq: tuple, bucket: int
@@ -220,13 +278,11 @@ class DiskPathStore(PathStore):
         faults.check("store.read")
         with self._lock:
             self.read_count += 1
-            seq_id = self._sequence_id(label_seq, create=False)
-            if seq_id is None:
+            triples = self._directory.get(tuple(label_seq), ())
+            at = bisect_left(triples, (bucket,))
+            if at == len(triples) or triples[at][0] != bucket:
                 return None
-            pointer = self._tree.get(_COMPOSITE.pack(seq_id, bucket))
-            if pointer is None:
-                return None
-            offset, length = _POINTER.unpack(pointer)
+            _, offset, length = triples[at]
             self.bytes_read += length
             return self._log.read_view(offset, length)
 
@@ -234,41 +290,45 @@ class DiskPathStore(PathStore):
         faults.check("store.read")
         with self._lock:
             self.read_count += 1
-            seq_id = self._sequence_id(label_seq, create=False)
-            if seq_id is None:
+            triples = self._directory.get(tuple(label_seq))
+            if triples is None:
                 return
-            lo = _COMPOSITE.pack(seq_id, _check_bucket(min_bucket))
-            hi = _COMPOSITE.pack(seq_id, 1000) + b"\xff"
             results = []
-            for key, pointer in self._tree.range(lo, hi):
-                _, bucket = _COMPOSITE.unpack(key)
-                offset, length = _POINTER.unpack(pointer)
+            start = bisect_left(triples, (_check_bucket(min_bucket),))
+            for bucket, offset, length in triples[start:]:
                 self.bytes_read += length
                 results.append((bucket, self._log.read_view(offset, length)))
         yield from results
 
     def label_sequences(self):
         with self._lock:
-            return tuple(self._sequence_ids)
+            return tuple(self._directory)
 
     def size_bytes(self) -> int:
         with self._lock:
-            return self._tree.size_bytes() + self._log.size_bytes()
+            size = self._log.size_bytes()
+            if os.path.exists(self._dir_path):
+                size += os.path.getsize(self._dir_path)
+            return size
 
     def flush(self) -> None:
         with self._lock:
-            self._tree.flush()
-            self._log.flush()
-            if self._dirty_directory:
-                with open(self._dir_path, "wb") as handle:
-                    pickle.dump(self._sequence_ids, handle)
-                self._dirty_directory = False
+            if not self._dirty:
+                return
+            self._log.sync()
+            body = pickle.dumps(self._directory, pickle.HIGHEST_PROTOCOL)
+            header = _DIR_HEADER.pack(
+                _DIR_MAGIC, _DIR_VERSION, len(body), zlib.crc32(body)
+            )
+            atomic_write(self._dir_path, header + body)
+            self._dirty = False
 
     def close(self) -> None:
         with self._lock:
-            self.flush()
-            self._tree.close()
-            self._log.close()
+            try:
+                self.flush()
+            finally:
+                self._log.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Append-only blob store for index payloads.
 
-Bucket payloads (serialized path lists) are variable-length and often
-much larger than a page, so the B+ tree stores fixed-size *pointers*
-``(offset, length)`` into this log instead of inlining values — the
-classic indirection KyotoCabinet applies for large records.
+Bucket payloads (serialized path lists) are variable-length and large,
+so the store's directory keeps fixed-size *pointers* ``(offset,
+length)`` into this log instead of inlining values — the classic
+indirection KyotoCabinet applies for large records. Appending never
+moves a record, so a pointer published once stays valid for the life
+of the file: that is what lets the directory's rename be the store's
+only commit point.
 
 Reads come in two flavors: :meth:`RecordLog.read` copies the record
 into fresh bytes, while :meth:`RecordLog.read_view` returns a zero-copy
@@ -180,8 +183,17 @@ class RecordLog:
         """Total bytes written to the log."""
         return self._end
 
+    def holds(self, offset: int, length: int) -> bool:
+        """Whether the pointer ``(offset, length)`` ends inside the log."""
+        return 0 <= offset and offset + _HEADER.size + length <= self._end
+
     def flush(self) -> None:
         self._file.flush()
+
+    def sync(self) -> None:
+        """Flush and ``fsync``: every appended record is durable on return."""
+        self.flush()
+        os.fsync(self._file.fileno())
 
     def close(self) -> None:
         self._drop_map()

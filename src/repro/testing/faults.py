@@ -2,6 +2,9 @@
 
 Named *sites* are threaded through the production code paths that can
 fail in a real deployment — the store read path (``store.read``), the
+instant between writing a replacement file and renaming it into place
+(``store.commit``, in :func:`repro.storage.atomic_write`: an ``error``
+there is a crash just before a store's or a bundle's commit point), the
 service worker pool (``service.worker``), mutation-log replay
 (``log.replay``), and the network server (``net.accept``, ``net.read``,
 ``net.write``). Each site costs one module-global ``None`` check when

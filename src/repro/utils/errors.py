@@ -20,7 +20,12 @@ class ModelError(ReproError):
 
 
 class StorageError(ReproError):
-    """Failure in the disk-backed storage substrate (pager, B+ tree)."""
+    """Failure in the disk-backed storage substrate.
+
+    Raised for an invalid bucket or record pointer and for a store
+    directory that is short, corrupt, of another format or points past
+    the end of its record log.
+    """
 
 
 class IndexError_(ReproError):

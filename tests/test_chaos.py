@@ -23,19 +23,24 @@ import time
 
 import pytest
 
+from repro.index import open_store
+from repro.index.bundle import load_offline
 from repro.net import QueryClient, protocol, start_server
 from repro.peg import build_peg
+from repro.pgd import BernoulliEdge
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
-from repro.delta import AddEntity, MutationLog
+from repro.delta import AddEdge, AddEntity, MutationLog, UpdateLabelProbability
+from repro.storage import DiskPathStore
 from repro.testing import faults
 from repro.utils.errors import (
     CircuitOpenError,
     FaultError,
+    IndexError_,
     NetError,
     RemoteError,
 )
-from tests.conftest import small_random_peg
+from tests.conftest import small_random_peg, store_content
 
 #: Every typed application error the wire protocol may answer with.
 TYPED_ERRORS = {
@@ -253,3 +258,215 @@ def build_peg_figure1():
             reference_sets=[(("r3", "r4"), 0.8)],
         )
     )
+
+
+# ----------------------------------------------------------------------
+# The commit point: a crash between the temp write and the rename
+# ----------------------------------------------------------------------
+
+L, BETA = 2, 0.05
+
+
+def commit_peg():
+    return small_random_peg(seed=1234, num_references=40)
+
+
+def commit_ops(peg):
+    """A batch that adds sequences and dirties existing ones."""
+    sigma = sorted(peg.sigma, key=repr)
+    singles = [
+        tuple(sorted(peg.entity_of(node), key=repr))
+        for node in peg.node_ids()
+        if len(peg.component_of(peg.entity_of(node)).entities) == 1
+    ]
+    return [
+        AddEntity(("s-1",), {sigma[0]: 0.6, "fresh-label": 0.4}, 0.9),
+        AddEdge(singles[0], ("s-1",), BernoulliEdge(0.8)),
+        UpdateLabelProbability(singles[1], {sigma[1]: 1.0}),
+    ]
+
+
+def fail_commit(nth: int) -> faults.FaultInjector:
+    """Arm ``store.commit`` to fail the ``nth`` (0-based) rename only."""
+    injector = faults.FaultInjector()
+    if nth:
+        injector.add("store.commit", "delay", max_fires=nth)
+    injector.add("store.commit", "error", max_fires=1)
+    return faults.install(injector)
+
+
+def disk_content(directory, num_shards) -> list:
+    """What a fresh process finds there, store directory by store directory."""
+    with open_store(directory, num_shards) as store:
+        children = getattr(store, "children", [store])
+        return [store_content(child) for child in children]
+
+
+def lookups(engine, sequences) -> dict:
+    return {
+        seq: sorted(
+            (p.nodes, p.prle.hex(), p.prn.hex())
+            for p in engine.index.lookup_canonical(seq, 0.1)
+        )
+        for seq in sequences
+    }
+
+
+def close_store(engine) -> None:
+    index = engine.index
+    getattr(index, "base", index).store.close()
+
+
+def no_temporaries(directory) -> bool:
+    return not any(
+        name.endswith(".tmp")
+        for _root, _dirs, names in os.walk(directory)
+        for name in names
+    )
+
+
+class TestCommitPoint:
+    """``store.commit`` fires after a replacement file is durable and
+    before it is renamed into place — a crash there. Whatever is
+    reopened afterwards is the state before the write or the state
+    after it, store by store and bucket by bucket, and the only error
+    anyone sees is the typed injected one."""
+
+    def test_rebuild_in_place_keeps_the_old_directory_until_the_rename(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "store")
+        with DiskPathStore(directory) as store:
+            store.put_bucket(("a", "b"), 400, b"old-400")
+            store.put_bucket(("a", "b"), 700, b"old-700")
+            store.put_bucket(("c",), 500, b"old-c")
+        [before] = disk_content(directory, 0)
+
+        def rebuild(store):
+            store.put_bucket(("a", "b"), 400, b"new-400")
+            store.put_bucket(("a", "b"), 100, b"new-100")
+            store.put_bucket(("d",), 900, b"new-d")
+            return store_content(store)
+
+        store = DiskPathStore(directory)
+        after = rebuild(store)
+        fail_commit(0)
+        with pytest.raises(FaultError):
+            store.close()
+        faults.uninstall()
+        assert os.path.exists(os.path.join(directory, "index.dir.tmp"))
+        assert disk_content(directory, 0) == [before]
+        with DiskPathStore(directory) as store:
+            assert rebuild(store) == after
+        assert disk_content(directory, 0) == [after] != [before]
+        assert no_temporaries(directory)
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["plain", "sharded"])
+    def test_rebuild_over_a_bundle_is_the_new_bundle_or_a_cold_start(
+        self, tmp_path, num_shards
+    ):
+        """``build`` clears before it writes, so until ``offline.meta``
+        is renamed in there is no bundle and ``open`` builds one."""
+        directory = str(tmp_path / "bundle")
+        peg = commit_peg()
+        query = QueryGraph({"a": sorted(peg.sigma)[0]}, [])
+        build = dict(max_length=L, beta=BETA, num_shards=num_shards)
+        with QueryService.build(peg, snapshot_dir=directory, **build) as ok:
+            expected = ok.query(query, 0.3).matches
+        content = disk_content(directory, num_shards)
+        commits = max(num_shards, 1) + 1  # each store, then offline.meta
+        for nth in range(commits + 1):
+            injector = fail_commit(nth)
+            if nth < commits:
+                with pytest.raises(FaultError):
+                    QueryService.build(peg, snapshot_dir=directory, **build)
+                faults.uninstall()
+                with pytest.raises(IndexError_):
+                    load_offline(directory)
+            else:  # one past the last commit: nothing left to fail
+                QueryService.build(peg, snapshot_dir=directory, **build).close()
+                faults.uninstall()
+                assert injector.evaluated["store.commit"] == commits
+            with QueryService.open(peg, directory, **build) as service:
+                assert service.warm_started is (nth == commits)
+                assert service.query(query, 0.3).matches == expected
+            assert disk_content(directory, num_shards) == content
+            assert no_temporaries(directory)
+
+    @pytest.mark.parametrize("num_shards", [0, 3], ids=["plain", "sharded"])
+    def test_compaction_leaves_each_store_before_or_after(
+        self, tmp_path, num_shards
+    ):
+        def opened(name):
+            peg = commit_peg()
+            directory = str(tmp_path / name)
+            QueryEngine(
+                peg, max_length=L, beta=BETA, store=open_store(None, num_shards)
+            ).save_offline(directory)
+            return QueryEngine.from_saved(peg, directory), directory
+
+        reference, reference_dir = opened("reference")
+        ops = commit_ops(reference.peg)
+        before = disk_content(reference_dir, num_shards)
+        reference.apply_updates(ops)
+        reference.compact_updates()
+        after = disk_content(reference_dir, num_shards)
+        assert all(b != a for b, a in zip(before, after))
+        sequences = reference.index.store.label_sequences()
+        expected = lookups(reference, sequences)
+
+        for nth in range(max(num_shards, 1)):
+            engine, directory = opened(f"crash-{nth}")
+            engine.apply_updates(ops)
+            fail_commit(nth)
+            with pytest.raises(FaultError):
+                engine.compact_updates()
+            faults.uninstall()
+            found = disk_content(directory, num_shards)
+            # Stores flush in shard order: committed ones are after, the
+            # one that crashed and those behind it are still before.
+            assert found == after[:nth] + before[nth:]
+            # The engine that took the fault still answers correctly ...
+            assert lookups(engine, sequences) == expected
+            # ... and so does a restart: the bundle plus the replayed
+            # batch, whichever side of its rename each store is on.
+            restarted = QueryEngine.from_saved(commit_peg(), directory)
+            restarted.apply_updates(ops)
+            assert lookups(restarted, sequences) == expected
+            close_store(restarted)
+            # Retrying finishes the job.
+            engine.compact_updates()
+            assert disk_content(directory, num_shards) == after
+            assert no_temporaries(directory)
+            close_store(engine)
+        close_store(reference)
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["plain", "sharded"])
+    def test_save_offline_is_no_bundle_until_its_last_rename(
+        self, tmp_path, num_shards
+    ):
+        peg = commit_peg()
+        engine = QueryEngine(
+            peg, max_length=L, beta=BETA, store=open_store(None, num_shards)
+        )
+        children = getattr(engine.index.store, "children", [engine.index.store])
+        content = [store_content(child) for child in children]
+        commits = len(children) + 1  # each store, then offline.meta
+        for nth in range(commits):
+            directory = str(tmp_path / f"crash-{nth}")
+            fail_commit(nth)
+            with pytest.raises(FaultError):
+                engine.save_offline(directory)
+            faults.uninstall()
+            with pytest.raises(IndexError_, match="no offline bundle"):
+                load_offline(directory)
+            # Each store that got its rename is complete; the rest are
+            # empty, and a retry over the leftovers is the whole bundle.
+            found = disk_content(directory, num_shards)
+            assert found == content[:nth] + [{}] * (len(children) - nth)
+            engine.save_offline(directory)
+            assert disk_content(directory, num_shards) == content
+            index, _context = load_offline(directory)
+            assert index.num_paths() == engine.index.num_paths()
+            index.store.close()
+            assert no_temporaries(directory)

@@ -1,13 +1,17 @@
 """Unit tests for offline-bundle persistence (index + context)."""
 
+import os
+import pickle
+
 import pytest
 
 from repro.index import PathIndex, ShardedPathStore, open_store
 from repro.index.bundle import load_offline, save_offline
 from repro.query import QueryEngine, QueryGraph
+from repro.service import QueryService
 from repro.storage import DiskPathStore
 from repro.utils.errors import IndexError_
-from tests.conftest import small_random_peg
+from tests.conftest import small_random_peg, store_content
 
 
 def match_keys(matches):
@@ -163,4 +167,61 @@ class TestValidation:
             assert not service.warm_started
         index, _ = load_offline(directory)
         assert index.num_paths() == engine.index.num_paths()
+        index.store.close()
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5], ids=["emptied", "halved"])
+    @pytest.mark.parametrize("victim", ["offline.meta", "index.dir", "index.log"])
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["plain", "sharded"])
+    def test_torn_bundle_is_rebuilt(
+        self, peg, tmp_path, num_shards, victim, keep
+    ):
+        """A truncated file anywhere in a bundle is a cold start, not a
+        traceback (v1.15 leaked ``UnpicklingError`` / ``StorageError``)."""
+        directory = str(tmp_path / "torn")
+        sigma = sorted(peg.sigma)
+        query = QueryGraph({"a": sigma[0], "b": sigma[1]}, [("a", "b")])
+        build = dict(max_length=1, beta=0.2, num_shards=num_shards)
+        with QueryService.build(peg, snapshot_dir=directory, **build) as service:
+            expected = match_keys(service.query(query, 0.3).matches)
+        assert expected
+        home = directory
+        if num_shards and victim != "offline.meta":
+            home = os.path.join(directory, "shard-01")
+        path = os.path.join(home, victim)
+        assert os.path.getsize(path) > 1
+        os.truncate(path, int(os.path.getsize(path) * keep))
+        with pytest.raises(IndexError_):
+            load_offline(directory)
+        with QueryService.open(peg, directory, **build) as service:
+            assert service.warm_started is False
+            assert match_keys(service.query(query, 0.3).matches) == expected
+        with QueryService.open(peg, directory, **build) as service:
+            assert service.warm_started is True
+            assert match_keys(service.query(query, 0.3).matches) == expected
+
+    def test_build_over_a_v3_directory_leaves_only_v4_files(
+        self, peg, tmp_path
+    ):
+        """v1.15's three store files, its metadata, temporaries of an
+        interrupted commit — and a bystander that must survive."""
+        directory = tmp_path / "reused"
+        directory.mkdir()
+        for name in ("index.btree", "index.log", "index.dir.tmp",
+                     "offline.meta.tmp", "notes.txt"):
+            (directory / name).write_bytes(b"left behind")
+        (directory / "index.dir").write_bytes(pickle.dumps({("a",): 0}))
+        (directory / "offline.meta").write_bytes(
+            pickle.dumps({"version": 3, "num_shards": 0})
+        )
+        with QueryService.open(
+            peg, str(directory), max_length=1, beta=0.2
+        ) as service:
+            assert not service.warm_started
+        assert sorted(os.listdir(directory)) == [
+            "index.dir", "index.log", "notes.txt", "offline.meta",
+        ]
+        assert b"left behind" not in (directory / "index.log").read_bytes()
+        fresh = QueryEngine(peg, max_length=1, beta=0.2)
+        index, _ = load_offline(str(directory))
+        assert store_content(index.store) == store_content(fresh.index.store)
         index.store.close()

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import math
+import os
+import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.histogram import CardinalityHistogram
@@ -12,7 +14,7 @@ from repro.pgd.distributions import BernoulliEdge, LabelDistribution
 from repro.pgd.merge import average_edges, average_labels, disjunct_edges
 from repro.pgm.configurations import enumerate_exact_covers
 from repro.pgm.factor import Factor
-from repro.storage.btree import BPlusTree
+from repro.storage import DiskPathStore
 
 
 # ----------------------------------------------------------------------
@@ -36,36 +38,63 @@ def label_distributions(draw):
 
 
 # ----------------------------------------------------------------------
-# B+ tree behaves exactly like a sorted dict
+# The disk path store behaves exactly like a dict of sorted dicts
 # ----------------------------------------------------------------------
 
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    ops=st.lists(
-        st.tuples(st.binary(min_size=1, max_size=24), st.binary(max_size=24)),
-        max_size=120,
-    ),
-    probe=st.binary(min_size=1, max_size=24),
+_STORE_SEQUENCES = st.sampled_from(
+    [("a",), ("a", "b"), ("b", "a"), (1, 2, 1), ((1, "x"), (2, "y")), ("",)]
 )
-def test_btree_matches_dict(tmp_path_factory, ops, probe):
-    directory = tmp_path_factory.mktemp("btree")
-    tree = BPlusTree(str(directory / "t.btree"))
-    reference = {}
-    try:
-        for key, value in ops:
-            tree.put(key, value)
-            reference[key] = value
-        assert len(tree) == len(reference)
-        assert tree.get(probe) == reference.get(probe)
-        assert [k for k, _ in tree.items()] == sorted(reference)
-        if reference:
-            lo = min(reference)
-            scanned = dict(tree.range(lo))
-            assert scanned == reference
-    finally:
-        tree.close()
+_STORE_BUCKETS = (0, 1, 250, 500, 999, 1000)
+_STORE_OPS = st.one_of(
+    st.tuples(
+        st.just("put"),
+        _STORE_SEQUENCES,
+        st.sampled_from(_STORE_BUCKETS),
+        st.binary(max_size=40),
+    ),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("reopen")),
+)
+
+
+def _assert_store_matches_model(store, model, min_bucket):
+    assert sorted(store.label_sequences(), key=repr) == sorted(model, key=repr)
+    for seq in list(model) + [("never", "stored")]:
+        buckets = model.get(seq, {})
+        for bucket in _STORE_BUCKETS:
+            got = store.get_bucket(seq, bucket)
+            expected = buckets.get(bucket)
+            assert got == expected and (got is None) == (expected is None)
+        scanned = [(b, bytes(p)) for b, p in store.scan_buckets(seq, min_bucket)]
+        assert scanned == sorted(
+            item for item in buckets.items() if item[0] >= min_bucket
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(_STORE_OPS, max_size=40),
+    min_bucket=st.sampled_from([0, 1, 2, 500, 1000]),
+)
+def test_disk_path_store_matches_dict_model(ops, min_bucket):
+    with tempfile.TemporaryDirectory() as directory:
+        store = DiskPathStore(directory)
+        model: dict = {}
+        try:
+            for op in ops:
+                if op[0] == "put":
+                    _, seq, bucket, payload = op
+                    store.put_bucket(seq, bucket, payload)
+                    model.setdefault(seq, {})[bucket] = payload
+                elif op[0] == "flush":
+                    store.flush()
+                else:
+                    store.close()
+                    store = DiskPathStore(directory)
+                _assert_store_matches_model(store, model, min_bucket)
+        finally:
+            store.close()
+        assert sorted(os.listdir(directory)) == ["index.dir", "index.log"]
 
 
 # ----------------------------------------------------------------------

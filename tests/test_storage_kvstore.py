@@ -1,6 +1,7 @@
 """Unit tests for the two-level path stores (in-memory, disk, sharded)."""
 
 import os
+import pickle
 
 import pytest
 from hypothesis import given
@@ -176,12 +177,59 @@ class TestDiskPersistence:
             store.put_bucket(seq, 500, b"tuple-labels")
             assert store.get_bucket(seq, 500) == b"tuple-labels"
 
+    def test_a_closed_store_is_exactly_two_files(self, tmp_path):
+        directory = tmp_path / "empty"
+        DiskPathStore(str(directory)).close()
+        assert sorted(os.listdir(directory)) == ["index.dir", "index.log"]
+        with DiskPathStore(str(directory)) as store:
+            store.put_bucket(SEQ_A, 400, b"A")
+        assert sorted(os.listdir(directory)) == ["index.dir", "index.log"]
+
+    def test_unflushed_puts_are_not_in_the_published_directory(self, tmp_path):
+        directory = str(tmp_path / "commit")
+        with DiskPathStore(directory) as writer:
+            writer.put_bucket(SEQ_A, 400, b"committed")
+            writer.flush()
+            writer.put_bucket(SEQ_A, 400, b"pending")
+            writer.put_bucket(SEQ_B, 600, b"pending")
+            with DiskPathStore(directory) as reader:
+                assert store_content(reader) == {SEQ_A: [(400, b"committed")]}
+        with DiskPathStore(directory) as reader:
+            assert store_content(reader) == {
+                SEQ_A: [(400, b"pending")], SEQ_B: [(600, b"pending")],
+            }
+
+    @pytest.mark.parametrize(
+        "victim, damage",
+        [
+            ("index.dir", lambda raw: b""),
+            ("index.dir", lambda raw: raw[:5]),
+            ("index.dir", lambda raw: raw[:-1]),
+            ("index.dir", lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])),
+            ("index.dir", lambda raw: raw + b"\0"),
+            ("index.dir", lambda raw: b"XXXX" + raw[4:]),
+            # What v1.15 wrote there: a bare pickle of {sequence: id}.
+            ("index.dir", lambda raw: pickle.dumps({SEQ_A: 0, SEQ_B: 1})),
+            ("index.log", lambda raw: raw[:-1]),
+            ("index.log", lambda raw: b""),
+        ],
+    )
+    def test_damaged_store_is_a_storage_error(self, tmp_path, victim, damage):
+        directory = tmp_path / "damaged"
+        with DiskPathStore(str(directory)) as store:
+            store.put_bucket(SEQ_A, 400, b"A" * 40)
+            store.put_bucket(SEQ_B, 600, b"B" * 40)
+        path = directory / victim
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(StorageError):
+            DiskPathStore(str(directory))
+
 
 class TestConcurrentReaders:
     """A shared DiskPathStore must serve parallel readers correctly.
 
-    The tree's pager cache and the record log's file handle are
-    position-stateful; without the store-level lock, interleaved seeks
+    The record log's file handle and its lazily grown mapping are
+    stateful; without the store-level lock, interleaved seeks
     corrupt reads. Many threads hammer disjoint (sequence, bucket)
     slots and verify every payload byte-for-byte.
     """
