@@ -3,12 +3,15 @@
 Measures the cost model the :mod:`repro.delta` subsystem promises:
 
 * **apply throughput** — mutation batches absorbed per second by a
-  running engine (PEG surgery + dirty-neighborhood re-enumeration +
-  context rebuild), against the offline-rebuild time the same batch
-  would otherwise cost,
+  running engine (PEG surgery + enumeration of the paths through the
+  batch's dirty nodes + context patch), against the offline-rebuild
+  time the same batch would otherwise cost; every batch is timed, and
+  a batch should cost what it touches, whatever the graph's size and
+  however many batches came before it,
 * **overlay lookup overhead** — online query latency through the
   :class:`~repro.delta.overlay.DeltaOverlayIndex` (dirty-node masking +
-  delta union) relative to a freshly rebuilt index,
+  delta union) relative to an engine rebuilt from scratch over the
+  *same* mutated graph,
 * **compaction** — the cost of folding the delta back into the base
   stores, after which lookups are overhead-free again.
 
@@ -17,9 +20,9 @@ the benchmark: a fast wrong answer must fail, not impress. Results are
 written as machine-readable ``BENCH_delta.json``; with ``--trajectory``
 a versioned copy goes under ``benchmarks/results/`` for the
 perf-trajectory table in ``benchmarks/summarize.py``. With ``--smoke``
-(the CI gate) the script exits non-zero when absorbing a mutation
-batch is not faster than rebuilding the offline phase from scratch —
-the whole point of the subsystem.
+(the CI gate) the script exits non-zero when the *mean* batch is not at
+least ``SMOKE_MIN_SPEEDUP`` times faster than rebuilding the offline
+phase from scratch — the whole point of the subsystem.
 
 Usage::
 
@@ -51,6 +54,10 @@ from repro.query import QueryEngine
 ALPHA = 0.3
 MAX_LENGTH = 2
 BETA = 0.05
+#: The smoke gate: rebuild seconds / mean batch seconds, over *all*
+#: batches (an overlay that re-enumerates its cumulative dirty region
+#: passes on the first batch and fails on the mean).
+SMOKE_MIN_SPEEDUP = 5.0
 
 
 def _build_peg(num_references: int):
@@ -128,11 +135,16 @@ def _query_workload(rng: random.Random, sigma, count: int) -> list:
     return queries
 
 
-def _time_queries(engine, queries) -> float:
-    start = time.perf_counter()
-    for query in queries:
-        engine.query(query, ALPHA)
-    return time.perf_counter() - start
+def _time_queries(engine, queries, passes: int = 1) -> float:
+    """Seconds for the workload: the fastest of ``passes`` runs (with
+    several, the first is the warm-up of plans and probability arrays)."""
+    best = float("inf")
+    for _ in range(passes):
+        start = time.perf_counter()
+        for query in queries:
+            engine.query(query, ALPHA)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def match_keys(matches):
@@ -156,21 +168,21 @@ def run(num_references: int, num_batches: int, batch_size: int,
 
     batches = _mutation_batches(rng, peg, sigma, num_batches, batch_size)
     total_ops = sum(len(batch) for batch in batches)
-    # The first-batch time is the headline number: the delta a serving
-    # system absorbs between compactions. Later batches pay for the
-    # *cumulative* dirty neighborhood (the overlay re-enumerates it in
-    # full), so the total also shows how cost grows until a compaction
-    # resets it.
-    apply_start = time.perf_counter()
-    engine.apply_updates(batches[0])
-    first_batch_seconds = time.perf_counter() - apply_start
-    for batch in batches[1:]:
-        engine.apply_updates(batch)
-    apply_seconds = time.perf_counter() - apply_start
+    batch_seconds = []
+    enumerated_paths = []
+    for batch in batches:
+        batch_start = time.perf_counter()
+        summary = engine.apply_updates(batch)
+        batch_seconds.append(time.perf_counter() - batch_start)
+        enumerated_paths.append(summary["enumerated_paths"])
+    apply_seconds = sum(batch_seconds)
 
-    overlay_query_seconds = _time_queries(engine, queries)
-
+    # Overlay overhead is overlay vs rebuilt on the *same* (mutated)
+    # graph: against the pre-mutation baseline the two sides would
+    # answer different queries' worth of matches.
     rebuilt = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    rebuilt_query_seconds = _time_queries(rebuilt, queries, passes=5)
+    overlay_query_seconds = _time_queries(engine, queries, passes=5)
     agreement = all(
         match_keys(engine.query(q, ALPHA).matches)
         == match_keys(rebuilt.query(q, ALPHA).matches)
@@ -180,7 +192,7 @@ def run(num_references: int, num_batches: int, batch_size: int,
     compact_start = time.perf_counter()
     compact_stats = engine.compact_updates()
     compact_seconds = time.perf_counter() - compact_start
-    compacted_query_seconds = _time_queries(engine, queries)
+    compacted_query_seconds = _time_queries(engine, queries, passes=5)
 
     apply_per_batch = apply_seconds / max(1, num_batches)
     return {
@@ -191,20 +203,22 @@ def run(num_references: int, num_batches: int, batch_size: int,
             "ops": total_ops,
             "seconds_total": apply_seconds,
             "seconds_per_batch": apply_per_batch,
-            "seconds_first_batch": first_batch_seconds,
+            "seconds_each_batch": batch_seconds,
+            "enumerated_paths_each_batch": enumerated_paths,
             "ops_per_second": total_ops / apply_seconds
             if apply_seconds else float("inf"),
-            "speedup_vs_rebuild": rebuild_seconds / first_batch_seconds
-            if first_batch_seconds else float("inf"),
+            "speedup_vs_rebuild": rebuild_seconds / apply_per_batch
+            if apply_per_batch else float("inf"),
         },
         "lookup": {
             "queries": len(queries),
             "baseline_seconds": baseline_query_seconds,
+            "rebuilt_seconds": rebuilt_query_seconds,
             "overlay_seconds": overlay_query_seconds,
             "compacted_seconds": compacted_query_seconds,
             "overlay_overhead_ratio": (
-                overlay_query_seconds / baseline_query_seconds
-                if baseline_query_seconds else float("inf")
+                overlay_query_seconds / rebuilt_query_seconds
+                if rebuilt_query_seconds else float("inf")
             ),
         },
         "compact": dict(compact_stats, seconds=compact_seconds),
@@ -216,7 +230,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small workload + CI gate: applying a batch must beat a rebuild",
+        help="small workload + CI gate: the mean batch must beat a rebuild "
+        f"by {SMOKE_MIN_SPEEDUP:g}x",
     )
     parser.add_argument(
         "--out", default="BENCH_delta.json",
@@ -270,18 +285,27 @@ def main(argv=None) -> int:
     lookup = results["lookup"]
     print(
         f"[apply]   {apply['ops']} ops in {apply['batches']} batches: "
-        f"first batch {apply['seconds_first_batch']:.4f}s vs rebuild "
+        f"mean batch {apply['seconds_per_batch']:.4f}s vs rebuild "
         f"{results['rebuild_seconds']:.4f}s "
         f"({apply['speedup_vs_rebuild']:.1f}x), "
-        f"{apply['seconds_per_batch']:.4f}s/batch cumulative, "
         f"{apply['ops_per_second']:.0f} ops/s"
     )
     print(
-        f"[lookup]  {lookup['queries']} queries: baseline "
-        f"{lookup['baseline_seconds']:.4f}s, overlay "
+        "[batches] "
+        + " ".join(f"{s:.4f}s" for s in apply["seconds_each_batch"])
+    )
+    print(
+        "[paths]   "
+        + " ".join(str(n) for n in apply["enumerated_paths_each_batch"])
+        + " enumerated"
+    )
+    print(
+        f"[lookup]  {lookup['queries']} queries: rebuilt "
+        f"{lookup['rebuilt_seconds']:.4f}s, overlay "
         f"{lookup['overlay_seconds']:.4f}s "
         f"({lookup['overlay_overhead_ratio']:.2f}x), post-compact "
-        f"{lookup['compacted_seconds']:.4f}s"
+        f"{lookup['compacted_seconds']:.4f}s "
+        f"(pre-mutation graph: {lookup['baseline_seconds']:.4f}s)"
     )
     print(
         f"[compact] {results['compact']['sequences_rewritten']} sequences "
@@ -293,8 +317,11 @@ def main(argv=None) -> int:
     if not results["agreement"]:
         print("FAIL: overlay results disagree with a from-scratch rebuild")
         return 1
-    if args.smoke and apply["speedup_vs_rebuild"] < 1.0:
-        print("FAIL: absorbing a mutation batch is slower than a rebuild")
+    if args.smoke and apply["speedup_vs_rebuild"] < SMOKE_MIN_SPEEDUP:
+        print(
+            "FAIL: the mean mutation batch is not "
+            f"{SMOKE_MIN_SPEEDUP:g}x faster than a rebuild"
+        )
         return 1
     return 0
 

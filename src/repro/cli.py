@@ -28,9 +28,9 @@ Commands
 ``apply-updates``
     Apply a batch of live-graph mutations (JSON ops) to a saved PEG —
     and, when an offline bundle is given, to its index via the delta
-    overlay (re-enumerating only dirty neighborhoods) with compaction,
-    instead of a full rebuild. Ops can be appended to a durable
-    mutation log for idempotent replay.
+    overlay (enumerating only the paths through the nodes the batch
+    dirtied) with compaction, instead of a full rebuild. Ops can be
+    appended to a durable mutation log for idempotent replay.
 ``serve``
     Serve a batch of queries through the concurrent
     :class:`~repro.service.QueryService` (result cache, single-flight
@@ -659,6 +659,8 @@ def _cmd_apply_updates(args) -> int:
         print(
             f"applied {summary['applied']} ops "
             f"({summary['dirty_nodes']} dirty nodes, "
+            f"{summary['enumerated_paths']} paths enumerated, "
+            f"{summary['delta_paths']} delta paths, "
             f"graph version {summary['graph_version']})"
         )
         if not args.no_compact:

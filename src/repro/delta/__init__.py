@@ -21,7 +21,10 @@ staying queryable and exact:
 
 :func:`apply_mutations` is the engine-level entry point; it bumps the
 engine's ``graph_version`` so the serving layer's caches invalidate
-themselves (the version is part of every request key).
+themselves (the version is part of every request key). A batch costs
+what it touches: the overlay enumerates only the paths through the
+nodes the batch dirtied, and the context recomputes only the rows
+within one hop of them.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.delta.ops import (
     op_to_json,
 )
 from repro.delta.overlay import DeltaOverlayIndex
+from repro.index.context import patch_context
 from repro.obs.metrics import get_registry
 from repro.obs.timing import Timer
 
@@ -76,23 +80,26 @@ def apply_mutations(engine, ops, log: MutationLog | None = None) -> dict:
     already-logged entries are not re-logged.
 
     On success the engine's index is (re)wrapped in a
-    :class:`DeltaOverlayIndex`, its context tables are rebuilt, and
+    :class:`DeltaOverlayIndex`, its context is replaced by one patched
+    for the batch (:func:`~repro.index.context.patch_context`), and
     ``graph_version`` is bumped — exactly once per batch; everything
     the engine derives from the PEG (plans, link structures,
     probability arrays) is keyed by that version. If an op fails
     midway, the dirtied prefix is still absorbed and the version still
     bumped (the PEG has changed), then the error propagates.
-    """
-    from repro.index.context import build_context
 
+    The summary's ``enumerated_paths`` is what the batch cost the
+    overlay (directed partial paths expanded), ``delta_paths`` what the
+    overlay holds after it.
+    """
     with Timer() as timer:
-        summary = _apply_mutations(engine, ops, log, build_context)
+        summary = _apply_mutations(engine, ops, log)
     _APPLY_SECONDS.observe(timer.elapsed)
     _OPS_APPLIED.inc(summary["applied"])
     return summary
 
 
-def _apply_mutations(engine, ops, log, build_context) -> dict:
+def _apply_mutations(engine, ops, log) -> dict:
     applied = 0
     skipped = 0
     dirty: set = set()
@@ -123,13 +130,16 @@ def _apply_mutations(engine, ops, log, build_context) -> dict:
         if not isinstance(engine.index, DeltaOverlayIndex):
             engine.index = DeltaOverlayIndex(engine.index, engine.peg)
         engine.index.absorb(dirty)
-        engine.context = build_context(engine.peg)
+        engine.context = patch_context(engine.context, engine.peg, dirty)
         engine.graph_version += 1
     if error is not None:
         raise error
+    overlay = isinstance(engine.index, DeltaOverlayIndex)
     return {
         "applied": applied,
         "skipped": skipped,
         "dirty_nodes": len(dirty),
+        "enumerated_paths": engine.index.enumerated_paths if dirty else 0,
+        "delta_paths": engine.index.delta_path_count() if overlay else 0,
         "graph_version": engine.graph_version,
     }

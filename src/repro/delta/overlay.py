@@ -10,18 +10,21 @@ it contains a dirty node.
 * **Reads** answer the same
   :class:`~repro.index.protocol.PathIndexProtocol` contract: base
   results are filtered to drop paths through dirty nodes (stale), and a
-  small in-memory *delta index* — the re-enumerated current paths
-  through dirty nodes — is unioned in. The two sides are disjoint by
-  construction, so no deduplication is needed.
-* **Writes** (:meth:`absorb`) re-enumerate only the dirty
-  neighborhood: every path containing a dirty node starts within
-  ``max_length`` hops of one, so the re-enumeration seeds
-  :meth:`~repro.index.builder.PathIndexBuilder.collect_buckets` with
-  that BFS region instead of the whole graph.
+  small in-memory *delta index* — the current paths through dirty
+  nodes — is unioned in. The two sides are disjoint by construction,
+  so no deduplication is needed.
+* **Writes** (:meth:`absorb`) patch the delta: rows through the nodes
+  the batch dirtied are dropped and the current paths through those
+  nodes are enumerated
+  (:meth:`~repro.index.builder.PathIndexBuilder.paths_through`) and
+  merged in, so an absorb costs what the ``max_length``-hop
+  neighbourhood of *its* batch holds — not what the cumulative dirty
+  set reaches, and not the graph.
 * **Compaction** (:meth:`compact`) folds the delta back into the base
-  store — rewriting only the buckets whose path lists changed, with
-  the same bucketing rule the builder uses — after which the overlay
-  serves pure fall-through until the next mutation.
+  store — one columnar pass per stored sequence, rewriting only the
+  buckets of sequences whose path lists changed, with the same
+  bucketing rule the builder uses — after which the overlay serves
+  pure fall-through until the next mutation.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.index.builder import PathIndexBuilder, _bucket_for, _milli
+from repro.index.builder import PathIndexBuilder, _buckets_for, _milli
 from repro.index.paths import (
     PathCandidates,
-    decode_path_arrays,
-    decode_paths,
-    encode_paths,
+    concat_payloads,
+    decode_paths_above,
+    encode_path_arrays,
 )
 from repro.index.path_index import PathIndex, make_histogram
 from repro.index.protocol import (
@@ -58,20 +61,7 @@ _MASKED_PATHS = _REGISTRY.counter("repro_delta_masked_paths_total")
 _SEQUENCES_REWRITTEN = _REGISTRY.counter("repro_delta_sequences_rewritten_total")
 _PATHS_DROPPED = _REGISTRY.counter("repro_delta_paths_dropped_total")
 _PATHS_ADDED = _REGISTRY.counter("repro_delta_paths_added_total")
-
-
-def _payload_touches(payload, dirty_array) -> bool:
-    """Whether a bucket payload *may* contain a path through a dirty node.
-
-    A vectorized membership test over the bulk-decoded node-id matrix —
-    no :class:`~repro.index.paths.IndexedPath` objects are
-    materialized. Payloads that cannot be bulk-decoded report ``True``
-    (the caller's full decode then decides exactly)."""
-    arrays = decode_path_arrays(payload)
-    if arrays is None:
-        return True
-    nodes, _prle, _prn = arrays
-    return bool(np.isin(nodes, dirty_array).any())
+_ENUMERATED_PATHS = _REGISTRY.counter("repro_delta_enumerated_paths_total")
 
 
 class DeltaOverlayIndex(PathIndexProtocol):
@@ -101,6 +91,8 @@ class DeltaOverlayIndex(PathIndexProtocol):
         #: ``{canonical sequence: PathCandidates}`` — the current paths
         #: through dirty nodes, by decreasing probability.
         self._delta: dict = {}
+        #: Directed partial paths the last :meth:`absorb` expanded.
+        self.enumerated_paths = 0
         #: ``{(canonical sequence, milli-alpha): masked base-path
         #: count}`` learned from actual lookups — see
         #: :meth:`estimate_cardinality`.
@@ -125,62 +117,47 @@ class DeltaOverlayIndex(PathIndexProtocol):
         return sum(len(paths) for paths in self._delta.values())
 
     def absorb(self, dirty_ids) -> None:
-        """Register newly dirtied nodes and refresh the delta index.
+        """Register newly dirtied nodes and patch the delta index.
 
-        The PEG must already reflect the mutation. The delta is rebuilt
-        for the *cumulative* dirty set — earlier delta entries may have
-        been invalidated by the newest mutation, so incremental patching
-        of the delta itself would re-introduce exactly the staleness
-        problem the overlay exists to solve.
+        The PEG must already reflect the mutation. A path is affected
+        by a batch iff it contains a node the batch dirtied
+        (:mod:`repro.delta.mutate`), so delta rows that hold none of
+        ``dirty_ids`` are still exact and stay as they are; rows that
+        hold one are dropped, the current paths through ``dirty_ids``
+        are enumerated and merged in, and only the sequences that
+        gained rows are re-sorted into the ``(-probability, nodes)``
+        order. The result is the delta a re-enumeration of the whole
+        cumulative dirty set would give, row for row.
         """
-        self._set_dirty(self._dirty | frozenset(dirty_ids))
+        batch = frozenset(dirty_ids)
         with Timer() as timer:
-            self._refresh()
+            self._set_dirty(self._dirty | batch)
+            # Masked-count memos describe the previous dirty set; the
+            # new mutation may dirty more base paths.
+            self._stale_counts = {}
+            batch_array = np.fromiter(batch, dtype=np.int64, count=len(batch))
+            delta: dict = {}
+            for seq, rows in self._delta.items():
+                keep = ~np.isin(rows.nodes, batch_array).any(axis=1)
+                if keep.any():
+                    delta[seq] = rows.take(keep)
+            found, self.enumerated_paths = PathIndexBuilder(
+                self.peg, self.max_length, self.beta, self.gamma
+            ).paths_through(batch)
+            for seq, paths in found.items():
+                rows = PathCandidates.from_paths(paths, len(seq))
+                if seq in delta:
+                    rows = PathCandidates.concat((delta[seq], rows))
+                # lexsort's last key is the primary one.
+                order = np.lexsort(
+                    (*rows.nodes.T[::-1], -(rows.prle * rows.prn))
+                )
+                delta[seq] = rows.take(order)
+            self._delta = delta
         _ABSORB_SECONDS.observe(timer.elapsed)
+        _ENUMERATED_PATHS.inc(self.enumerated_paths)
         _DIRTY_NODES.set(len(self._dirty))
         _DELTA_PATHS.set(self.delta_path_count())
-
-    def _dirty_region(self) -> list:
-        """Start nodes that can reach a dirty node within ``max_length``."""
-        region = set(self._dirty)
-        frontier = set(self._dirty)
-        for _ in range(self.max_length):
-            reached: set = set()
-            for node in frontier:
-                reached.update(self.peg.neighbor_ids(node))
-            frontier = reached - region
-            if not frontier:
-                break
-            region |= frontier
-        return sorted(region)
-
-    def _refresh(self) -> None:
-        # Masked-count memos describe the previous dirty set; the new
-        # mutation may dirty (or clean) more base paths.
-        self._stale_counts = {}
-        if not self._dirty:
-            self._delta = {}
-            return
-        builder = PathIndexBuilder(
-            self.peg,
-            max_length=self.max_length,
-            beta=self.beta,
-            gamma=self.gamma,
-        )
-        per_key, _counts = builder.collect_buckets(self._dirty_region())
-        dirty = self._dirty
-        delta: dict = {}
-        for labels, buckets in per_key.items():
-            paths = [
-                path
-                for bucket_paths in buckets.values()
-                for path in bucket_paths
-                if not dirty.isdisjoint(path.nodes)
-            ]
-            if paths:
-                paths.sort(key=lambda p: (-p.probability, p.nodes))
-                delta[labels] = PathCandidates.from_paths(paths, len(labels))
-        self._delta = delta
 
     # ------------------------------------------------------------------
     # Lookup protocol
@@ -251,28 +228,25 @@ class DeltaOverlayIndex(PathIndexProtocol):
 
         Which sequences hold base paths through dirty nodes cannot be
         known from the *mutated* graph (their labels may be exactly
-        what changed), so compaction scans every stored sequence — but
-        unaffected ones are rejected with a vectorized node-membership
-        test over the bulk-decoded payload (no path objects built), so
-        the common localized-update case pays one array scan per
-        bucket, not a rewrite. For every affected canonical sequence
-        the full path list is rebuilt — surviving base paths plus
-        delta paths — re-bucketed with the builder's rule, and written
-        back bucket by bucket
-        (previously used buckets that emptied are overwritten with an
-        empty payload; stores are append-only, so compaction grows the
-        record log rather than reclaiming it). Histograms are rebuilt
-        from the new counts, so cardinality estimates are exact again.
-        After compaction the overlay is clean: lookups fall through to
-        the base untouched until the next :meth:`absorb`.
+        what changed), so compaction scans every stored sequence: one
+        parse of its joined bucket bodies and one node-membership mask,
+        no path object. A sequence with no stale row and no delta row
+        is left alone. An affected one keeps its columns — surviving
+        base rows, then delta rows — which are re-bucketed with the
+        builder's rule, grouped stably and written back bucket by
+        bucket (previously used buckets that emptied are overwritten
+        with an empty payload; stores are append-only, so compaction
+        grows the record log rather than reclaiming it). Histograms are
+        rebuilt from the new counts, so cardinality estimates are exact
+        again. After compaction the overlay is clean: lookups fall
+        through to the base untouched until the next :meth:`absorb`.
         """
-        dirty = self._dirty
         stats = {
             "sequences_rewritten": 0,
             "paths_dropped": 0,
             "paths_added": 0,
         }
-        if not dirty and not self._delta:
+        if not self._dirty:
             return stats
         timer = Timer()
         timer.__enter__()
@@ -280,45 +254,43 @@ class DeltaOverlayIndex(PathIndexProtocol):
         grid = base.grid()
         sequences = set(base.store.label_sequences()) | set(self._delta)
         for seq in sorted(sequences, key=repr):
-            existing_buckets = list(base.store.scan_buckets(seq, 0))
-            added = self._delta.get(seq, ())
-            if not added and not any(
-                _payload_touches(payload, self._dirty_array)
-                for _bucket, payload in existing_buckets
-            ):
-                # Fast reject: no delta entries and no payload contains
-                # a dirty node, so nothing to rewrite — the common case
-                # for localized updates, skipped without materializing
-                # a single path object.
+            existing = list(base.store.scan_buckets(seq, 0))
+            # Every stored path is "above 0": the whole sequence, typed
+            # error for a payload the bulk parser refuses included.
+            rows = decode_paths_above(
+                concat_payloads(payload for _, payload in existing),
+                0.0,
+                len(seq),
+            )
+            stale = np.isin(rows.nodes, self._dirty_array).any(axis=1)
+            dropped = int(stale.sum())
+            added = self._delta.get(seq)
+            if not dropped and added is None:
                 continue
-            kept = []
-            dropped = 0
-            for _bucket, payload in existing_buckets:
-                for path in decode_paths(payload):
-                    if dirty.isdisjoint(path.nodes):
-                        kept.append(path)
-                    else:
-                        dropped += 1
-            if not dropped and not added:
-                continue
-            merged: dict = {}
-            for path in list(kept) + list(added):
-                bucket = _bucket_for(path.probability, grid)
-                merged.setdefault(bucket, []).append(path)
-            rewrite = set(merged) | {b for b, _ in existing_buckets}
-            for bucket in sorted(rewrite):
+            if dropped:
+                rows = rows.take(~stale)
+            if added is not None:
+                rows = PathCandidates.concat((rows, added))
+            buckets = _buckets_for(rows.prle * rows.prn, grid)
+            order = np.argsort(buckets, kind="stable")
+            used, starts = np.unique(buckets[order], return_index=True)
+            groups = dict(zip(used.tolist(), np.split(order, starts[1:])))
+            for bucket in sorted(set(groups) | {b for b, _ in existing}):
+                part = rows.take(groups.get(bucket, order[:0]))
                 base.store.put_bucket(
-                    seq, bucket, encode_paths(merged.get(bucket, []))
+                    seq,
+                    bucket,
+                    encode_path_arrays(part.nodes, part.prle, part.prn),
                 )
-            if merged:
+            if groups:
                 base.histograms[seq] = make_histogram(
-                    grid, {b: len(paths) for b, paths in merged.items()}
+                    grid, {b: len(group) for b, group in groups.items()}
                 )
             else:
                 base.histograms.pop(seq, None)
             stats["sequences_rewritten"] += 1
             stats["paths_dropped"] += dropped
-            stats["paths_added"] += len(added)
+            stats["paths_added"] += 0 if added is None else len(added)
         if stats["sequences_rewritten"]:
             base.store.flush()
         self._set_dirty(frozenset())

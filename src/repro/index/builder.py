@@ -24,12 +24,20 @@ disjoint start-node chunks partition it with no duplicates
 point). Chunks are contiguous and merged in node order, which
 reproduces the serial enumeration order exactly: a parallel build
 writes the same payload bytes as a serial one.
+
+A live update re-runs the same enumeration restricted to the paths
+through the nodes it dirtied (:meth:`PathIndexBuilder.paths_through`):
+same seeds, same one-edge extension, same β-prune, plus one prune — a
+partial path that has not met a dirtied node yet is only extended
+towards one it can still reach within ``L`` edges.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.index.path_index import PathIndex, make_histogram
 from repro.index.paths import (
@@ -136,8 +144,7 @@ class PathIndexBuilder:
         one of those nodes are expanded — since every directed path has
         exactly one start node, disjoint slices of the node set partition
         the full enumeration with no duplicates, which is how the
-        parallel build's workers and the delta overlay's dirty-region
-        refresh restrict it.
+        parallel build's workers restrict it.
         """
         per_key: dict = {}
         paths_per_length: dict = {}
@@ -155,6 +162,46 @@ class PathIndexBuilder:
             if length:
                 frontier = self._extend(frontier)
             yield length, len(frontier), self._bucket_level(frontier, grid)
+
+    def paths_through(self, targets) -> tuple:
+        """The canonical β-qualified paths containing a node of ``targets``.
+
+        Returns ``({labels: [IndexedPath, ...]}, expanded)``, ``expanded``
+        being the directed partial paths the enumeration held — its cost,
+        which grows with the ``L``-hop neighbourhood of ``targets`` and
+        not with the graph.
+        """
+        targets = frozenset(targets)
+        hops = self._hops_to(targets)
+        frontier = self._seed_frontier(sorted(hops))
+        found: dict = {}
+        expanded = 0
+        for length in range(self.max_length + 1):
+            if length:
+                budget = self.max_length - length
+                near = {n for n, hop in hops.items() if hop <= budget}
+                frontier = self._extend(frontier, targets, near)
+            expanded += len(frontier)
+            for ids, labels, prle, prn in frontier:
+                if not targets.isdisjoint(ids) and _is_canonical(ids, labels):
+                    found.setdefault(labels, []).append(
+                        IndexedPath(ids, prle, prn)
+                    )
+        return found, expanded
+
+    def _hops_to(self, targets: frozenset) -> dict:
+        """``{node: edges to the nearest target}`` within ``max_length``."""
+        hops = dict.fromkeys(targets, 0)
+        frontier = sorted(targets)
+        for distance in range(1, self.max_length + 1):
+            reached = []
+            for node in frontier:
+                for neighbor in self.peg.neighbor_ids(node):
+                    if neighbor not in hops:
+                        hops[neighbor] = distance
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
 
     def _serial_entries(self, paths_per_length: dict) -> Iterator[tuple]:
         """Every ``(labels, bucket, payload)`` of the index, in-process."""
@@ -209,8 +256,13 @@ class PathIndexBuilder:
                     frontier.append(((node,), (label,), prle, prn))
         return frontier
 
-    def _extend(self, frontier: list) -> list:
-        """Extend every directed path by one edge at its tail."""
+    def _extend(self, frontier: list, targets=None, near=None) -> list:
+        """Extend every directed path by one edge at its tail.
+
+        With ``targets`` (:meth:`paths_through`), a path that holds none
+        of them yet only steps into ``near``: the nodes from which one
+        is still within the edges the path has left.
+        """
         peg = self.peg
         beta = self.beta
         comp_shared = self._comp_shared
@@ -219,7 +271,10 @@ class PathIndexBuilder:
             tail = ids[-1]
             tail_label = labels[-1]
             id_set = set(ids)
-            for neighbor in peg.neighbor_ids(tail):
+            neighbors = peg.neighbor_ids(tail)
+            if targets is not None and targets.isdisjoint(id_set):
+                neighbors = [n for n in neighbors if n in near]
+            for neighbor in neighbors:
                 if neighbor in id_set:
                     continue
                 if comp_shared[neighbor] and any(
@@ -461,6 +516,15 @@ def _bucket_for(prob: float, grid: Sequence[int]) -> int:
         else:
             break
     return bucket
+
+
+def _buckets_for(probabilities: np.ndarray, grid: Sequence[int]) -> np.ndarray:
+    """:func:`_bucket_for` of every element, by the same :func:`_milli`
+    rule (``np.rint`` rounds halves to even exactly as ``round`` does)."""
+    points = np.asarray(grid, dtype=np.int64)
+    milli = np.rint(probabilities * 1000).astype(np.int64)
+    below = np.searchsorted(points, milli, side="right") - 1
+    return points[np.maximum(below, 0)]
 
 
 def _is_canonical(ids: tuple, labels: tuple) -> bool:

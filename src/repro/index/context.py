@@ -18,8 +18,10 @@ bound of Section 5.2.2 is simply 0 for a choice whose ``ppu`` is 0.
 
 The tables are built, saved and loaded as per-node rows;
 :meth:`ContextInformation.columns` serves the online phase dense
-``(id_space, |Σ|)`` arrays of them, one gather per path column. A
-context is rebuilt whenever the graph changes, so it also owns the
+``(id_space, |Σ|)`` arrays of them, one gather per path column. Every
+graph version has its own context object — :func:`build_context`
+offline, :func:`patch_context` after a mutation batch (only the rows
+within one hop of the batch are recomputed) — so it also owns the
 :class:`~repro.query.reduction.PegProbabilityArrays` of its graph
 version (:meth:`ContextInformation.probability_arrays`).
 """
@@ -130,6 +132,30 @@ class ContextInformation:
         }
 
 
+def _node_rows(peg: ProbabilisticEntityGraph, node: int, label_pos: dict) -> tuple:
+    """``(c, ppu, fpu)`` rows of one node, from its neighbors alone (a
+    tombstone has none, so its rows are all zero)."""
+    counts = [0] * len(label_pos)
+    ppu = [0.0] * len(label_pos)
+    fpu = [0.0] * len(label_pos)
+    for neighbor in peg.neighbor_ids(node):
+        if peg.shares_references_id(node, neighbor):
+            continue
+        for label in peg.possible_labels_id(neighbor):
+            pos = label_pos[label]
+            counts[pos] += 1
+            # Edge probability upper bound: v's own label is unknown
+            # here, so maximize over it (exact for the independent
+            # model, an upper bound for the conditional one).
+            p_edge = peg.edge_max_probability_id(node, neighbor, None, label)
+            if p_edge > ppu[pos]:
+                ppu[pos] = p_edge
+            p_full = peg.label_probability_id(neighbor, label) * p_edge
+            if p_full > fpu[pos]:
+                fpu[pos] = p_full
+    return counts, ppu, fpu
+
+
 def build_context(peg: ProbabilisticEntityGraph) -> ContextInformation:
     """Compute the context tables for every node of ``G_U``.
 
@@ -144,32 +170,38 @@ def build_context(peg: ProbabilisticEntityGraph) -> ContextInformation:
     """
     sigma = tuple(sorted(peg.sigma, key=repr))
     label_pos = {label: i for i, label in enumerate(sigma)}
-    num_labels = len(sigma)
-    id_space = len(peg.node_ids())
-    cardinality = [[0] * num_labels for _ in range(id_space)]
-    partial_upper = [[0.0] * num_labels for _ in range(id_space)]
-    full_upper = [[0.0] * num_labels for _ in range(id_space)]
+    tables: tuple = ([], [], [])
     for node in peg.node_ids():
-        if peg.is_removed_id(node):
-            continue
-        counts = cardinality[node]
-        ppu = partial_upper[node]
-        fpu = full_upper[node]
-        for neighbor in peg.neighbor_ids(node):
-            if peg.shares_references_id(node, neighbor):
-                continue
-            for label in peg.possible_labels_id(neighbor):
-                pos = label_pos[label]
-                counts[pos] += 1
-                # Edge probability upper bound: v's own label is unknown
-                # here, so maximize over it (exact for the independent
-                # model, an upper bound for the conditional one).
-                p_edge = peg.edge_max_probability_id(
-                    node, neighbor, None, label
-                )
-                if p_edge > ppu[pos]:
-                    ppu[pos] = p_edge
-                p_full = peg.label_probability_id(neighbor, label) * p_edge
-                if p_full > fpu[pos]:
-                    fpu[pos] = p_full
-    return ContextInformation(sigma, cardinality, partial_upper, full_upper)
+        for table, row in zip(tables, _node_rows(peg, node, label_pos)):
+            table.append(row)
+    return ContextInformation(sigma, *tables)
+
+
+def patch_context(
+    context: ContextInformation, peg: ProbabilisticEntityGraph, dirty
+) -> ContextInformation:
+    """The context of ``peg`` after a mutation batch dirtied ``dirty``.
+
+    A node's rows read only its own edges and its neighbors' labels, so
+    the rows a batch can change are those of ``dirty ∪ Γ(dirty)`` on
+    the mutated graph (a merge's survivor inherits both adjacency
+    lists) plus the ids it appended; every other row is shared with
+    ``context``, which stays valid for its own graph version. A batch
+    that changed ``Σ`` moves every row's columns: then rebuild.
+    """
+    if tuple(sorted(peg.sigma, key=repr)) != context.sigma:
+        return build_context(peg)
+    tables = (
+        list(context._cardinality),
+        list(context._partial_upper),
+        list(context._full_upper),
+    )
+    affected = set(range(len(tables[0]), len(peg.node_ids())))
+    for node in dirty:
+        affected.add(node)
+        affected.update(peg.neighbor_ids(node))
+    for node in sorted(affected):
+        rows = _node_rows(peg, node, context._label_pos)
+        for table, row in zip(tables, rows):
+            table[node:node + 1] = [row]  # replaces, or appends a new id
+    return ContextInformation(context.sigma, *tables)

@@ -14,8 +14,10 @@ columnar container every index lookup returns and the online phase
 filters, orients and joins without building a per-path object;
 :class:`IndexedPath` objects appear only when a consumer indexes or
 iterates one (the reference backends, ``candidate_of``, scalar fallback
-rows). The record-by-record scalar decoder remains as the reporter for
-mixed-width or corrupt payloads.
+rows). :func:`encode_path_arrays` is the way back — columns to the same
+payload bytes — which keeps compaction (:mod:`repro.delta.overlay`)
+columnar from scan to rewrite. The record-by-record scalar decoder
+remains as the reporter for mixed-width or corrupt payloads.
 """
 
 from __future__ import annotations
@@ -244,6 +246,31 @@ def decode_path_arrays(payload, width: int | None = None):
     nodes = node_bytes.view(">u4").astype(np.int64).reshape(count, width)
     probs = np.ascontiguousarray(records[:, record - _PROBS.size:]).view(">f8")
     return nodes, probs[:, 0].astype(np.float64), probs[:, 1].astype(np.float64)
+
+
+def encode_path_arrays(
+    nodes: np.ndarray, prle: np.ndarray, prn: np.ndarray
+) -> bytes:
+    """The inverse of :func:`decode_path_arrays`: columns to the payload
+    :func:`encode_paths` writes for the same rows, without a per-path
+    object."""
+    count, width = nodes.shape
+    if width > 255:
+        raise IndexError_("path too long to serialize (max 255 nodes)")
+    records = np.empty(
+        (count, _PATH_HEADER.size + _NODE.size * width + _PROBS.size),
+        dtype=np.uint8,
+    )
+    records[:, 0] = width
+    records[:, _PATH_HEADER.size:-_PROBS.size] = (
+        np.ascontiguousarray(nodes, dtype=">u4")
+        .view(np.uint8)
+        .reshape(count, _NODE.size * width)
+    )
+    records[:, -_PROBS.size:] = (
+        np.stack((prle, prn), axis=1).astype(">f8").view(np.uint8)
+    )
+    return _COUNT.pack(count) + records.tobytes()
 
 
 def decode_paths(payload) -> list:

@@ -262,10 +262,10 @@ class QueryEngine:
         Thin façade over :func:`repro.delta.apply_mutations`: applies
         the ops to the PEG, wraps the index in a
         :class:`~repro.delta.overlay.DeltaOverlayIndex` (first time),
-        refreshes the delta for the dirtied nodes, rebuilds the context
-        tables — and with them the probability arrays they own — and
-        bumps :attr:`graph_version` (which re-keys the plan and link
-        caches).
+        patches the delta and the context tables for the dirtied nodes
+        — a new context object, so the probability arrays it owns are
+        rebuilt on first use — and bumps :attr:`graph_version` (which
+        re-keys the plan and link caches).
         Not safe to call concurrently with
         queries on this engine — the serving layer
         (:meth:`repro.service.QueryService.apply_updates`) provides the

@@ -455,6 +455,7 @@ class TestApplyUpdates:
         ) == 0
         out = capsys.readouterr().out
         assert "applied 3 ops" in out
+        assert "paths enumerated" in out and "delta paths" in out
         assert "compacted" in out
 
         from repro.delta import MutationLog

@@ -20,12 +20,13 @@ from repro.delta import (
 )
 from repro.datasets import random_query
 from repro.index import open_store
-from repro.pgd import BernoulliEdge, ConditionalEdge
+from repro.pgd import BernoulliEdge, ConditionalEdge, pgd_from_edge_list
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
 from repro.utils.errors import DeltaError, IndexError_, ServiceError
 from tests.conftest import small_random_peg, store_content
+from tests.test_differential_random import assert_delta_equivalence
 
 
 def match_keys(matches):
@@ -437,6 +438,194 @@ class TestApplyAndCompact:
             )
 
 
+class TestIncrementalAbsorb:
+    """``absorb`` patches the delta and ``apply_mutations`` the context;
+    after every batch both must equal their from-scratch oracles
+    (:func:`assert_delta_equivalence`: the cumulative refresh, and
+    ``build_context`` of the mutated graph)."""
+
+    def rows_through(self, overlay, node):
+        return sum(
+            int((rows.nodes == node).any(axis=1).sum())
+            for rows in overlay._delta.values()
+        )
+
+    def test_same_node_dirtied_in_two_batches(self, peg, engine):
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = singleton_ids(peg)[0]
+        first = engine.apply_updates([
+            UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0})
+        ])
+        assert_delta_equivalence(engine, "first")
+        assert first["delta_paths"] == self.rows_through(engine.index, anchor)
+        second = engine.apply_updates([
+            UpdateLabelProbability(
+                refs(peg, anchor), {sigma[1]: 0.5, sigma[2]: 0.5}
+            )
+        ])
+        assert_delta_equivalence(engine, "second")
+        # The node's first-batch rows were replaced, not added to.
+        assert second["delta_paths"] == self.rows_through(engine.index, anchor)
+        assert engine.index.dirty_nodes == {anchor}
+        assert (sigma[0],) not in engine.index._delta
+
+    def test_merge_leaves_no_tombstoned_id_in_delta(self, peg, engine):
+        sigma = sorted(peg.sigma, key=repr)
+        a, b = singleton_ids(peg)[:2]
+        refs_a, refs_b = refs(peg, a), refs(peg, b)
+        engine.apply_updates([UpdateLabelProbability(refs_a, {sigma[0]: 1.0})])
+        assert self.rows_through(engine.index, a) > 0
+        summary = engine.apply_updates([MergeEntities(refs_a, refs_b)])
+        assert_delta_equivalence(engine, "merge")
+        merged = peg.id_of(frozenset(refs_a) | frozenset(refs_b))
+        assert engine.index.dirty_nodes == {a, b, merged}
+        assert self.rows_through(engine.index, a) == 0
+        assert self.rows_through(engine.index, b) == 0
+        assert summary["delta_paths"] == self.rows_through(
+            engine.index, merged
+        ) > 0
+
+    def test_edge_between_entities_added_by_earlier_batches(self, peg, engine):
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = refs(peg, singleton_ids(peg)[0])
+        engine.apply_updates([
+            AddEntity(("late-x",), {sigma[0]: 1.0}, 1.0),
+            AddEdge(anchor, ("late-x",), BernoulliEdge(0.9)),
+        ])
+        assert_delta_equivalence(engine, "x")
+        engine.apply_updates([AddEntity(("late-y",), {sigma[1]: 1.0}, 1.0)])
+        assert_delta_equivalence(engine, "y")
+        engine.apply_updates([
+            AddEdge(("late-x",), ("late-y",), BernoulliEdge(0.9))
+        ])
+        assert_delta_equivalence(engine, "x-y")
+        x = peg.id_of(frozenset(("late-x",)))
+        y = peg.id_of(frozenset(("late-y",)))
+        both = [
+            tuple(row)
+            for rows in engine.index._delta.values()
+            for row in rows.nodes.tolist()
+            if x in row and y in row
+        ]
+        # ... including a length-2 path that reaches back to the anchor.
+        assert any(len(row) == 3 for row in both)
+
+    def test_failed_batch_absorbs_its_prefix(self, peg, engine):
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = refs(peg, singleton_ids(peg)[0])
+        with pytest.raises(DeltaError):
+            engine.apply_updates([
+                AddEntity(("half-1",), {sigma[0]: 1.0}, 0.9),
+                AddEdge(anchor, ("half-1",), BernoulliEdge(0.8)),
+                UpdateLabelProbability(("missing",), {sigma[0]: 1.0}),
+                AddEntity(("half-2",), {sigma[0]: 1.0}, 0.9),
+            ])
+        assert engine.graph_version == 1
+        assert frozenset(("half-2",)) not in peg.entities
+        assert_delta_equivalence(engine, "prefix")
+        assert self.rows_through(
+            engine.index, peg.id_of(frozenset(("half-1",)))
+        ) > 0
+
+    def test_label_outside_sigma_rebuilds_context(self, peg, engine):
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = refs(peg, singleton_ids(peg)[0])
+        before = engine.context
+        engine.apply_updates([
+            UpdateLabelProbability(anchor, {sigma[0]: 0.5, "novel": 0.5})
+        ])
+        assert "novel" in engine.context.sigma
+        assert "novel" not in before.sigma  # the old version is untouched
+        assert_delta_equivalence(engine, "sigma grows")
+        engine.apply_updates([UpdateLabelProbability(anchor, {sigma[0]: 1.0})])
+        assert "novel" not in engine.context.sigma
+        assert_delta_equivalence(engine, "sigma shrinks")
+
+    def test_patched_context_leaves_the_previous_version_alone(
+        self, peg, engine
+    ):
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = singleton_ids(peg)[0]
+        before = engine.context
+        rows = [list(row) for row in before._full_upper]
+        tables = [table.copy() for table in before.tables()]
+        engine.apply_updates([
+            UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0}),
+            AddEntity(("ctx-new",), {sigma[1]: 1.0}, 0.9),
+            AddEdge(refs(peg, anchor), ("ctx-new",), BernoulliEdge(0.8)),
+        ])
+        assert engine.context is not before
+        assert before._full_upper == rows
+        assert all(
+            (now == then).all() for now, then in zip(before.tables(), tables)
+        )
+        assert len(engine.context._cardinality) == len(rows) + 1
+        assert engine.context.tables()[0].shape[0] == len(rows) + 1
+        assert_delta_equivalence(engine, "appended row")
+
+    def test_first_absorb_after_compact_starts_from_an_empty_delta(
+        self, peg, engine
+    ):
+        sigma = sorted(peg.sigma, key=repr)
+        a, b = singleton_ids(peg)[:2]
+        engine.apply_updates([
+            UpdateLabelProbability(refs(peg, a), {sigma[0]: 1.0})
+        ])
+        engine.compact_updates()
+        summary = engine.apply_updates([
+            UpdateLabelProbability(refs(peg, b), {sigma[1]: 1.0})
+        ])
+        assert engine.index.dirty_nodes == {b}
+        assert_delta_equivalence(engine, "after compact")
+        assert summary["delta_paths"] == self.rows_through(engine.index, b)
+        rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
+        assert_index_agrees(engine, rebuilt)
+
+    def chain_engine(self, length=9):
+        """A path graph ``c0 - c1 - ... `` with certain labels: the
+        ``L``-hop neighbourhoods of its two ends are disjoint once it
+        is longer than ``2L + 2`` nodes."""
+        names = [f"c{i}" for i in range(length)]
+        pgd = pgd_from_edge_list(
+            node_labels={name: "ab"[i % 2] for i, name in enumerate(names)},
+            edges=[(a, b, 0.9) for a, b in zip(names, names[1:])],
+        )
+        return QueryEngine(build_peg(pgd), max_length=2, beta=0.05), names
+
+    def test_kth_absorb_costs_what_the_kth_batch_touches(self):
+        """``enumerated_paths`` is a count of work: the second absorb
+        pays for its own batch's neighbourhood, not for the cumulative
+        dirty set."""
+        both, names = self.chain_engine()
+        assert len(names) > 2 * both.max_length + 2
+        head = UpdateLabelProbability((names[0],), {"a": 0.5, "b": 0.5})
+        tail = UpdateLabelProbability((names[-1],), {"a": 0.5, "b": 0.5})
+        first = both.apply_updates([head])
+        second = both.apply_updates([tail])
+        assert_delta_equivalence(both, "both ends")
+        assert len(both.index.dirty_nodes) == 2
+
+        alone, _ = self.chain_engine()
+        only_tail = alone.apply_updates([tail])
+        assert second["enumerated_paths"] == only_tail["enumerated_paths"]
+        assert second["enumerated_paths"] < (
+            first["enumerated_paths"] + only_tail["enumerated_paths"]
+        )
+        # One batch holding both ends pays for both neighbourhoods.
+        at_once, _ = self.chain_engine()
+        assert at_once.apply_updates([head, tail])["enumerated_paths"] == (
+            first["enumerated_paths"] + only_tail["enumerated_paths"]
+        )
+        # ... and a longer chain costs the same: the count follows the
+        # batch's neighbourhood, not the graph.
+        longer, longer_names = self.chain_engine(length=30)
+        assert longer.apply_updates([
+            UpdateLabelProbability((longer_names[-1],), {"a": 0.5, "b": 0.5})
+        ])["enumerated_paths"] == only_tail["enumerated_paths"]
+        # A batch that applies nothing enumerates nothing.
+        assert apply_mutations(both, [])["enumerated_paths"] == 0
+
+
 class TestServiceVersioning:
     def test_cache_never_serves_pre_mutation_results(self, peg):
         engine = QueryEngine(peg, max_length=2, beta=0.05)
@@ -621,7 +810,7 @@ class TestDeltaAwareEstimates:
         engine.apply_updates([
             AddEntity(("stale-x",), {sigma[0]: 1.0}, 0.9)
         ])
-        # absorb() refreshed the delta: old memos describe a stale dirty set
+        # absorb() patched the delta: old memos describe a stale dirty set
         assert not overlay._stale_counts
         overlay.lookup_canonical(
             sorted(overlay.base.histograms, key=repr)[0], overlay.beta

@@ -43,7 +43,15 @@ from repro.index import (
     is_palindrome,
     open_store,
 )
-from repro.index.paths import PathCandidates
+from repro.index.builder import PathIndexBuilder, _bucket_for, _buckets_for
+from repro.index.context import build_context
+from repro.index.paths import (
+    PathCandidates,
+    decode_path_arrays,
+    decode_paths,
+    encode_path_arrays,
+    payload_count,
+)
 from repro.obs.trace import Span
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph, QueryOptions, exhaustive_matches
@@ -129,6 +137,73 @@ def assert_lookup_equivalence(
             assert candidate_records(found) == candidate_records(expected), \
                 (context, path.nodes)
     return span
+
+
+def delta_oracle(overlay):
+    """What the overlay's delta must hold, by the cumulative refresh
+    the overlay used to run: every canonical path of the *whole*
+    mutated graph, kept when it contains a dirty node, per sequence by
+    ``(-probability, nodes)``."""
+    per_key, _counts = PathIndexBuilder(
+        overlay.peg, max_length=overlay.max_length,
+        beta=overlay.beta, gamma=overlay.gamma,
+    ).collect_buckets()
+    dirty = overlay.dirty_nodes
+    oracle = {}
+    for labels, buckets in per_key.items():
+        paths = [
+            path
+            for bucket_paths in buckets.values()
+            for path in bucket_paths
+            if not dirty.isdisjoint(path.nodes)
+        ]
+        if paths:
+            paths.sort(key=lambda p: (-p.probability, p.nodes))
+            oracle[labels] = candidate_records(paths)
+    return oracle
+
+
+def assert_delta_equivalence(engine, context):
+    """The patched delta and the patched context are what a refresh of
+    the cumulative dirty set and a ``build_context`` of the mutated
+    graph give: sequence for sequence, row for row, floats bit for bit."""
+    overlay = engine.index
+    delta = {
+        seq: candidate_records(rows) for seq, rows in overlay._delta.items()
+    }
+    assert delta == delta_oracle(overlay), context
+    assert overlay.delta_path_count() == sum(map(len, delta.values()))
+    rebuilt = build_context(engine.peg)
+    patched = engine.context
+    assert patched.sigma == rebuilt.sigma, context
+    assert patched._cardinality == rebuilt._cardinality, context
+    assert patched._partial_upper == rebuilt._partial_upper, context
+    assert patched._full_upper == rebuilt._full_upper, context
+
+
+def assert_columnar_codec(index, context):
+    """On every stored bucket: columns re-encode to the payload's own
+    bytes, and the vectorized bucket rule is the scalar one."""
+    grid = index.grid()
+    for sequence in index.store.label_sequences():
+        for bucket, payload in index.store.scan_buckets(sequence, 0):
+            nodes, prle, prn = decode_path_arrays(payload, len(sequence))
+            assert encode_path_arrays(nodes, prle, prn) == bytes(payload), \
+                (context, sequence, bucket)
+            assert _buckets_for(prle * prn, grid).tolist() == [
+                _bucket_for(path.probability, grid)
+                for path in decode_paths(payload)
+            ], (context, sequence, bucket)
+
+
+def bucket_records(index):
+    """``{(sequence, bucket): sorted rows}`` of every non-empty bucket."""
+    return {
+        (sequence, bucket): sorted(candidate_records(decode_paths(payload)))
+        for sequence in index.store.label_sequences()
+        for bucket, payload in index.store.scan_buckets(sequence, 0)
+        if payload_count(payload)
+    }
 
 
 def match_records(matches):
@@ -454,7 +529,9 @@ def _world_estimate(peg) -> int:
     return estimate * 2 ** peg.num_edges
 
 
-def _random_mutation(rng: random.Random, peg, sigma, fresh_counter: list):
+def _random_mutation(
+    rng: random.Random, peg, sigma, fresh_counter: list, can_grow=None
+):
     """One random valid mutation op against the *current* PEG state."""
     from repro.delta import (
         AddEdge,
@@ -477,7 +554,8 @@ def _random_mutation(rng: random.Random, peg, sigma, fresh_counter: list):
     rng.shuffle(kinds)
     # Growth ops multiply the possible-world count (the oracle's
     # feasibility ceiling); only draw them while the budget allows.
-    can_grow = _world_estimate(peg) * 8 < 500_000
+    if can_grow is None:
+        can_grow = _world_estimate(peg) * 8 < 500_000
     for kind in kinds:
         if kind in ("add_entity", "add_edge") and not can_grow:
             continue
@@ -561,6 +639,9 @@ def test_mutation_differential(graph_index, config, mutation_seed):
         op = _random_mutation(rng, peg, sigma, fresh)
         unsharded.apply_updates([op])
         sharded.apply_updates([op])
+        # Ops arrive one by one, so dirty sets overlap and accumulate.
+        assert_delta_equivalence(unsharded, (graph_index, config.seed, op))
+        assert_delta_equivalence(sharded, (graph_index, config.seed, op))
 
     rebuilt = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     queries = _random_queries(rng, sigma)
@@ -605,6 +686,61 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 assert_lookup_equivalence(unsharded, query, alpha, context)
                 case += 1
     assert case == 2 * QUERIES_PER_GRAPH * len(ALPHAS)
+
+
+DELTA_BATCHES_PER_GRAPH = 9
+
+
+@pytest.mark.parametrize(
+    "graph_index,config,mutation_seed",
+    list(_mutation_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_delta_differential(graph_index, config, mutation_seed):
+    """Patched == recomputed after every batch of a long update stream.
+
+    No possible-worlds oracle here, so the graph may grow freely:
+    batches of 1-3 random ops (every kind, growth included), a
+    compaction after every third batch — the next absorb then starts
+    from an empty delta on a rewritten base. After each batch the
+    delta and the context must equal their from-scratch oracles; after
+    each compaction the store must hold, bucket by bucket, the rows a
+    rebuild of the mutated graph stores, and the columnar codec must
+    reproduce every payload.
+    """
+    from repro.delta import apply_op
+
+    pgd = generate_synthetic_pgd(config)
+    peg = build_peg(pgd)
+    # Ops are drawn one by one against a shadow copy that is mutated
+    # at once, then applied to the engine as one batch (they address
+    # entities by reference set, so they port).
+    shadow = build_peg(pgd)
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    assert_columnar_codec(engine.index, (graph_index, config.seed, "built"))
+    rng = random.Random(mutation_seed)
+    sigma = sorted(peg.sigma, key=repr)
+    fresh = [0]
+    for batch_index in range(DELTA_BATCHES_PER_GRAPH):
+        context = (graph_index, config.seed, batch_index)
+        batch = []
+        for _ in range(rng.randint(1, 3)):
+            batch.append(
+                _random_mutation(rng, shadow, sigma, fresh, can_grow=True)
+            )
+            apply_op(shadow, batch[-1])
+        summary = engine.apply_updates(batch)
+        assert summary["applied"] == len(batch), context
+        assert summary["delta_paths"] == engine.index.delta_path_count()
+        assert_delta_equivalence(engine, context)
+        if batch_index % 3 == 2:
+            engine.compact_updates()
+            rebuilt = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+            assert bucket_records(engine.index) == bucket_records(
+                rebuilt.index
+            ), context
+            assert engine.index.num_paths() == rebuilt.index.num_paths()
+            assert_columnar_codec(engine.index, context)
 
 
 def test_mutation_case_count_meets_floor():

@@ -155,6 +155,52 @@ class TestBuilderVariants:
             )
 
 
+class TestPathsThrough:
+    """The restricted enumeration of a live update: exactly the full
+    build's canonical paths that contain a target, at a cost bounded by
+    the targets' neighbourhood."""
+
+    @pytest.mark.parametrize("max_length", [1, 2, 3])
+    def test_equals_the_filtered_full_enumeration(self, max_length):
+        from repro.index.builder import PathIndexBuilder
+
+        peg = small_random_peg(seed=5, num_references=40)
+        builder = PathIndexBuilder(peg, max_length=max_length, beta=0.05)
+        per_key, counts = builder.collect_buckets()
+        for targets in ({0}, {3, 17}, set(range(8)), set()):
+            found, expanded = builder.paths_through(targets)
+            expected = {}
+            for labels, buckets in per_key.items():
+                paths = {
+                    path
+                    for bucket in buckets.values()
+                    for path in bucket
+                    if not targets.isdisjoint(path.nodes)
+                }
+                if paths:
+                    expected[labels] = paths
+            assert {k: set(v) for k, v in found.items()} == expected
+            assert sum(map(len, found.values())) == sum(
+                map(len, expected.values())
+            )  # no duplicates
+            assert expanded <= sum(counts.values())
+        assert builder.paths_through(set()) == ({}, 0)
+
+    def test_full_enumeration_is_unchanged_by_the_shared_loop(self):
+        """``_extend`` without targets is the offline build's loop."""
+        from repro.index.builder import PathIndexBuilder
+
+        peg = small_random_peg(seed=5, num_references=40)
+        builder = PathIndexBuilder(peg, max_length=2, beta=0.05)
+        everything, expanded = builder.paths_through(set(peg.node_ids()))
+        per_key, counts = builder.collect_buckets()
+        assert expanded == sum(counts.values())
+        assert {k: set(v) for k, v in everything.items()} == {
+            labels: {p for bucket in buckets.values() for p in bucket}
+            for labels, buckets in per_key.items()
+        }
+
+
 class TestBucketRounding:
     """One rounding rule shared by grid, builder and lookup (regression).
 
@@ -195,6 +241,24 @@ class TestBucketRounding:
             assert _bucket_for(probability, grid) == index.bucket_for(
                 probability
             ), probability
+
+    def test_vectorized_buckets_repeat_the_scalar_rule(self):
+        import numpy as np
+
+        from repro.index.builder import _bucket_for, _buckets_for, _grid_milli
+
+        # Grid points, half-milli ties (round-half-even), float reprs
+        # just below a point, below the grid, exactly 1.
+        probabilities = [
+            0.1, 0.3, 0.5, 0.7, 0.9, 0.2999999, 1.0, 0.2995, 0.3005,
+            0.0995, 0.05, 0.6999999999999999, 0.4985, 0.4995,
+        ]
+        for beta, gamma in ((0.1, 0.2), (0.05, 0.1), (0.3, 0.1), (0.7, 0.1)):
+            grid = _grid_milli(beta, gamma)
+            assert _buckets_for(np.array(probabilities), grid).tolist() == [
+                _bucket_for(probability, grid) for probability in probabilities
+            ]
+        assert _buckets_for(np.empty(0), _grid_milli(0.1, 0.2)).size == 0
 
     def test_stored_bucket_reachable_from_equal_alpha(self):
         index = build_path_index(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_synthetic_pgd
-from repro.index.context import build_context
+from repro.index.context import build_context, patch_context
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
 from repro.query.candidates import CandidateFinder, compute_path_statistics
@@ -165,6 +165,22 @@ class TestSparseIdSpace:
             for label in sigma:
                 assert context.cardinality(node, label) == 0
                 assert context.full_upperbound(node, label) == 0.0
+
+    def test_patched_rows_equal_a_rebuild(self):
+        """``apply_updates`` patched the context twice (appended ids,
+        then a merge's tombstones): same rows as ``build_context``."""
+        peg, engine, _sigma = self._merged_peg()
+        rebuilt = build_context(peg)
+        assert engine.context.sigma == rebuilt.sigma
+        assert engine.context._cardinality == rebuilt._cardinality
+        assert engine.context._partial_upper == rebuilt._partial_upper
+        assert engine.context._full_upper == rebuilt._full_upper
+        # Nothing dirty, nothing appended: every row is shared.
+        same = patch_context(rebuilt, peg, ())
+        assert same is not rebuilt
+        assert all(
+            a is b for a, b in zip(same._full_upper, rebuilt._full_upper)
+        )
 
     def test_live_rows_match_direct_recomputation(self):
         peg, engine, sigma = self._merged_peg()

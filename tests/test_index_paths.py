@@ -12,6 +12,7 @@ from repro.index.paths import (
     decode_path_arrays,
     decode_paths,
     decode_paths_above,
+    encode_path_arrays,
     encode_paths,
     payload_count,
 )
@@ -141,6 +142,28 @@ class TestBulkDecode:
         nodes, _prle, _prn = decode_path_arrays(payload, width=3)
         assert nodes.shape == (0, 3)  # concatenates with any other bucket
         assert decode_paths_above(payload, 0.0) == []
+
+    def test_columns_encode_to_the_scalar_encoder_s_bytes(self):
+        for count, num_nodes in ((0, 3), (1, 1), (50, 3), (17, 4)):
+            paths = self._paths(count=count, num_nodes=num_nodes)
+            columns = PathCandidates.from_paths(paths, num_nodes)
+            payload = encode_path_arrays(
+                columns.nodes, columns.prle, columns.prn
+            )
+            assert payload == encode_paths(paths)
+            assert encode_path_arrays(
+                *decode_path_arrays(payload, num_nodes)
+            ) == payload
+        # A reversed (non-contiguous) view encodes its own row order.
+        columns = PathCandidates.from_paths(self._paths(count=5), 3)
+        flipped = columns.nodes[:, ::-1]
+        assert encode_path_arrays(flipped, columns.prle, columns.prn) == (
+            encode_paths(columns.reversed())
+        )
+        with pytest.raises(IndexError_):
+            encode_path_arrays(
+                np.zeros((1, 256), dtype=np.int64), np.ones(1), np.ones(1)
+            )
 
     def test_corrupt_payload_still_detected(self):
         payload = encode_paths([IndexedPath((1, 2), 0.5, 0.5)])

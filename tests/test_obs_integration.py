@@ -200,7 +200,7 @@ class TestDeltaMetrics:
         engine = QueryEngine(peg, max_length=1)
         entity = engine.peg.entities[0]
         refs = tuple(sorted(entity, key=repr))
-        engine.apply_updates(
+        summary = engine.apply_updates(
             [UpdateLabelProbability(refs, {labels[0]: 0.6, labels[1]: 0.4})]
         )
         snap = registry.snapshot()
@@ -208,6 +208,17 @@ class TestDeltaMetrics:
             snap["repro_delta_ops_applied_total"]
             == before.get("repro_delta_ops_applied_total", 0) + 1
         )
+        # What the batch cost and what the overlay holds, as counts:
+        # the summary, the counter and the gauge read the same numbers.
+        assert summary["enumerated_paths"] > 0
+        assert (
+            snap["repro_delta_enumerated_paths_total"]
+            == before.get("repro_delta_enumerated_paths_total", 0)
+            + summary["enumerated_paths"]
+        )
+        assert summary["delta_paths"] == engine.index.delta_path_count() > 0
+        assert snap["repro_delta_paths"] == summary["delta_paths"]
+        assert engine.index.stats()["delta_paths"] == summary["delta_paths"]
         assert snap["repro_delta_apply_seconds_count"] >= 1
         assert snap["repro_delta_absorb_seconds_count"] >= 1
         engine.compact_updates()
