@@ -40,6 +40,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 if __package__ in (None, ""):  # allow running without PYTHONPATH=src
     sys.path.insert(
         0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -47,11 +49,10 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
 
 from repro import __version__
 from repro.index.paths import (
-    IndexedPath,
     _decode_paths_scalar,
     decode_paths,
     decode_paths_above,
-    encode_paths,
+    encode_path_arrays,
 )
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
@@ -181,17 +182,18 @@ def bench_reduction(num_nodes: int, repeats: int) -> dict:
     }
 
 
+def random_payload(num_paths: int, seed: int) -> bytes:
+    """One bucket payload of ``num_paths`` random 4-node paths."""
+    rng = np.random.default_rng(seed)
+    return encode_path_arrays(
+        rng.integers(0, 2**31, size=(num_paths, 4)),
+        rng.random(num_paths),
+        rng.random(num_paths),
+    )
+
+
 def bench_decode(num_paths: int, repeats: int) -> dict:
-    rng = random.Random(13)
-    paths = [
-        IndexedPath(
-            tuple(rng.randrange(2**31) for _ in range(4)),
-            rng.random(),
-            rng.random(),
-        )
-        for _ in range(num_paths)
-    ]
-    payload = encode_paths(paths)
+    payload = random_payload(num_paths, 13)
 
     def best(fn):
         times = []
@@ -214,16 +216,7 @@ def bench_decode(num_paths: int, repeats: int) -> dict:
 
 
 def bench_store_reads(num_paths: int, repeats: int) -> dict:
-    rng = random.Random(17)
-    paths = [
-        IndexedPath(
-            tuple(rng.randrange(2**31) for _ in range(4)),
-            rng.random(),
-            rng.random(),
-        )
-        for _ in range(num_paths)
-    ]
-    payload = encode_paths(paths)
+    payload = random_payload(num_paths, 17)
     sequence = ("A", "A", "A", "A")
     with tempfile.TemporaryDirectory() as directory:
         with DiskPathStore(directory) as store:

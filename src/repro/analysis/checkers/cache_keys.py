@@ -24,7 +24,8 @@ failure mode a cache has.
     A registered key-builder function no longer references one of its
     required ingredients — e.g. ``plan_key`` without ``graph_version``
     would survive live updates with stale plans, ``plan_key`` without
-    ``_milli`` would fragment the milli-bucket sharing contract.
+    ``milli`` (:func:`repro.index.grid.milli`, the grid's rounding
+    rule) would fragment the milli-bucket sharing contract.
 
 The checker is corpus-wide and self-disabling: when the corpus does not
 contain both ``QueryOptions`` and ``request_key`` (fixture runs, other
@@ -43,9 +44,9 @@ from repro.analysis.core import Diagnostic, ProjectChecker
 #: reference inside the function body.
 KEY_BUILDER_CONTRACTS = {
     "request_key": {"canonical_form", "graph_version"},
-    "plan_key": {"canonical_form", "_milli", "graph_version", "max_length"},
+    "plan_key": {"canonical_form", "milli", "graph_version", "max_length"},
     "build_candidate_links_vectorized": {
-        "pair_signature", "fingerprint", "_milli", "graph_version",
+        "pair_signature", "fingerprint", "milli", "graph_version",
     },
 }
 

@@ -1,7 +1,7 @@
 """Float equality in probability code: one rounding rule, no ``==``.
 
 Probabilities in this reproduction flow through one quantization rule —
-``_milli`` (:mod:`repro.index.builder`) — precisely because exact float
+``milli`` (:mod:`repro.index.grid`) — precisely because exact float
 comparison at bucket boundaries mis-classified ``alpha == beta == 0.7``
 in PR 4. Comparing probabilities with ``==``/``!=`` against a fractional
 literal reintroduces that bug class: ``0.7`` is not representable, so
@@ -76,7 +76,7 @@ class FloatEqualityChecker(Checker):
                             source, "REP601", node.lineno,
                             "equality against a fractional float literal "
                             "is representation-dependent; compare through "
-                            "the _milli rounding rule or use an explicit "
+                            "the milli rounding rule or use an explicit "
                             "tolerance",
                             col=node.col_offset,
                         )

@@ -1,14 +1,15 @@
 """The append-only mutation log.
 
 Every accepted PEG mutation is recorded — as ``(sequence number, op)``
-— in a :class:`~repro.storage.recordlog.RecordLog` before it is applied,
-giving live updates the classic write-ahead shape: a restarted process
-warm-starts its engine from the last offline snapshot, then replays the
-suffix of the log to catch up. Sequence numbers make replay idempotent:
-:func:`repro.delta.apply_mutations` skips entries at or below the
-engine's ``applied_mutation_seq`` high-water mark, so replaying the
-whole log over an engine that already saw a prefix (or the whole log
-twice) is a no-op for the overlap.
+— in a :class:`~repro.storage.recordlog.RecordLog` right after it
+applies (:func:`repro.delta.apply_mutations`; a rejected op is never
+logged), and the batch is made durable (``fsync``) before
+``apply_mutations`` returns: a restarted process warm-starts its engine
+from the last offline snapshot, then replays the suffix of the log to
+catch up. Sequence numbers make replay idempotent: ``apply_mutations``
+skips entries at or below the engine's ``applied_mutation_seq``
+high-water mark, so replaying the whole log over an engine that already
+saw a prefix (or the whole log twice) is a no-op for the overlap.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class MutationLog:
     header or short payload). Recovery tolerates it: the scan stops at
     the last complete record, the torn bytes are truncated away so the
     log is appendable again, and :attr:`truncated` is set so callers
-    can surface the data loss (exactly the op that never finished
-    committing — which, write-ahead, was never applied either). Replay
+    can surface the data loss (exactly the op whose append never
+    finished — it had applied only in the process that died). Replay
     therefore always terminates cleanly instead of raising mid-replay.
     """
 
@@ -104,7 +105,8 @@ class MutationLog:
         return entries
 
     def flush(self) -> None:
-        self._log.flush()
+        """Make every appended entry durable (flush + ``fsync``)."""
+        self._log.sync()
 
     def close(self) -> None:
         self._log.close()

@@ -22,9 +22,14 @@ it contains a dirty node.
   set reaches, and not the graph.
 * **Compaction** (:meth:`compact`) folds the delta back into the base
   store — one columnar pass per stored sequence, rewriting only the
-  buckets of sequences whose path lists changed, with the same
-  bucketing rule the builder uses — after which the overlay serves
-  pure fall-through until the next mutation.
+  buckets of sequences whose path lists changed, through the builder's
+  own writer (:func:`~repro.index.builder.bucket_payloads`,
+  :func:`~repro.index.builder.write_buckets`) — after which the overlay
+  serves pure fall-through until the next mutation.
+
+The enumeration's output, the delta and a sequence on its way back to
+the store are the same :class:`~repro.index.paths.PathCandidates`
+columns: no per-path object between an absorb and a lookup.
 """
 
 from __future__ import annotations
@@ -33,14 +38,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.index.builder import PathIndexBuilder, _buckets_for, _milli
+from repro.index.builder import (
+    PathIndexBuilder,
+    bucket_payloads,
+    write_buckets,
+)
+from repro.index.grid import milli
 from repro.index.paths import (
     PathCandidates,
     concat_payloads,
     decode_paths_above,
-    encode_path_arrays,
 )
-from repro.index.path_index import PathIndex, make_histogram
+from repro.index.path_index import PathIndex
 from repro.index.protocol import (
     PathIndexProtocol,
     canonical_sequence,
@@ -144,8 +153,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
             found, self.enumerated_paths = PathIndexBuilder(
                 self.peg, self.max_length, self.beta, self.gamma
             ).paths_through(batch)
-            for seq, paths in found.items():
-                rows = PathCandidates.from_paths(paths, len(seq))
+            for seq, rows in found.items():
                 if seq in delta:
                     rows = PathCandidates.concat((delta[seq], rows))
                 # lexsort's last key is the primary one.
@@ -173,7 +181,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
             # Record the exact number of masked base paths at this
             # (sequence, milli-threshold): estimate_cardinality uses it
             # to undo the stale portion of the base histogram.
-            self._stale_counts[(canonical_seq, _milli(alpha))] = masked
+            self._stale_counts[(canonical_seq, milli(alpha))] = masked
             if masked:
                 _MASKED_PATHS.inc(masked)
                 span = current_span()
@@ -206,7 +214,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
         seq = tuple(label_seq)
         canonical = canonical_sequence(seq)
         palindrome = is_palindrome(seq) and len(seq) > 1
-        stale = self._stale_counts.get((canonical, _milli(alpha)))
+        stale = self._stale_counts.get((canonical, milli(alpha)))
         if stale:
             if palindrome:
                 stale *= 2
@@ -232,14 +240,13 @@ class DeltaOverlayIndex(PathIndexProtocol):
         parse of its joined bucket bodies and one node-membership mask,
         no path object. A sequence with no stale row and no delta row
         is left alone. An affected one keeps its columns — surviving
-        base rows, then delta rows — which are re-bucketed with the
-        builder's rule, grouped stably and written back bucket by
-        bucket (previously used buckets that emptied are overwritten
-        with an empty payload; stores are append-only, so compaction
-        grows the record log rather than reclaiming it). Histograms are
-        rebuilt from the new counts, so cardinality estimates are exact
-        again. After compaction the overlay is clean: lookups fall
-        through to the base untouched until the next :meth:`absorb`.
+        base rows, then delta rows — which the builder's writer files
+        and writes back bucket by bucket (stores are append-only, so
+        compaction grows the record log rather than reclaiming it).
+        Histograms are rebuilt from the new counts, so cardinality
+        estimates are exact again. After compaction the overlay is
+        clean: lookups fall through to the base untouched until the
+        next :meth:`absorb`.
         """
         stats = {
             "sequences_rewritten": 0,
@@ -248,10 +255,31 @@ class DeltaOverlayIndex(PathIndexProtocol):
         }
         if not self._dirty:
             return stats
-        timer = Timer()
-        timer.__enter__()
+        with Timer() as timer:
+            base = self.base
+            rewritten = write_buckets(
+                base.store, self._rewrites(stats), base.grid
+            )
+            for seq, histogram in rewritten.items():
+                if histogram.total():
+                    base.histograms[seq] = histogram
+                else:
+                    base.histograms.pop(seq, None)
+            self._set_dirty(frozenset())
+            self._delta = {}
+            self._stale_counts = {}
+        _COMPACT_SECONDS.observe(timer.elapsed)
+        _SEQUENCES_REWRITTEN.inc(stats["sequences_rewritten"])
+        _PATHS_DROPPED.inc(stats["paths_dropped"])
+        _PATHS_ADDED.inc(stats["paths_added"])
+        _DIRTY_NODES.set(0)
+        _DELTA_PATHS.set(0)
+        return stats
+
+    def _rewrites(self, stats: dict):
+        """Yield ``(sequence, bucket, payload)`` for every bucket of every
+        sequence compaction changes, counting into ``stats``."""
         base = self.base
-        grid = base.grid()
         sequences = set(base.store.label_sequences()) | set(self._delta)
         for seq in sorted(sequences, key=repr):
             existing = list(base.store.scan_buckets(seq, 0))
@@ -271,39 +299,17 @@ class DeltaOverlayIndex(PathIndexProtocol):
                 rows = rows.take(~stale)
             if added is not None:
                 rows = PathCandidates.concat((rows, added))
-            buckets = _buckets_for(rows.prle * rows.prn, grid)
-            order = np.argsort(buckets, kind="stable")
-            used, starts = np.unique(buckets[order], return_index=True)
-            groups = dict(zip(used.tolist(), np.split(order, starts[1:])))
-            for bucket in sorted(set(groups) | {b for b, _ in existing}):
-                part = rows.take(groups.get(bucket, order[:0]))
-                base.store.put_bucket(
-                    seq,
-                    bucket,
-                    encode_path_arrays(part.nodes, part.prle, part.prn),
-                )
-            if groups:
-                base.histograms[seq] = make_histogram(
-                    grid, {b: len(group) for b, group in groups.items()}
-                )
-            else:
-                base.histograms.pop(seq, None)
+            # A previously used bucket that emptied is overwritten with
+            # the empty payload (the join of no payloads).
+            payloads = dict.fromkeys(
+                (bucket for bucket, _ in existing), concat_payloads(())
+            )
+            payloads.update(bucket_payloads(base.grid, rows))
+            for bucket in sorted(payloads):
+                yield seq, bucket, payloads[bucket]
             stats["sequences_rewritten"] += 1
             stats["paths_dropped"] += dropped
             stats["paths_added"] += 0 if added is None else len(added)
-        if stats["sequences_rewritten"]:
-            base.store.flush()
-        self._set_dirty(frozenset())
-        self._delta = {}
-        self._stale_counts = {}
-        timer.__exit__(None, None, None)
-        _COMPACT_SECONDS.observe(timer.elapsed)
-        _SEQUENCES_REWRITTEN.inc(stats["sequences_rewritten"])
-        _PATHS_DROPPED.inc(stats["paths_dropped"])
-        _PATHS_ADDED.inc(stats["paths_added"])
-        _DIRTY_NODES.set(0)
-        _DELTA_PATHS.set(0)
-        return stats
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,15 +1,17 @@
 """Context-aware path indexing — the offline phase (Section 5.1).
 
-* :mod:`repro.index.paths` — compact binary serialization of indexed
-  paths (node ids + probability components) and the columnar
-  :class:`PathCandidates` container lookups return,
+* :mod:`repro.index.paths` — the columnar :class:`PathCandidates`
+  container every producer and every lookup speaks, and its compact
+  binary codec (node ids + probability components),
+* :mod:`repro.index.grid` — the bucket grid ``{β, β+γ, ..., 1}`` and its
+  one rounding rule,
 * :mod:`repro.index.context` — per-node context information
   ``c(v, σ)``, ``ppu(v, σ)``, ``fpu(v, σ)``,
 * :mod:`repro.index.histogram` — per-label-sequence cardinality
   histograms with exponential-curve-fit estimation,
-* :mod:`repro.index.builder` — bottom-up, length-wise index
-  construction with β pruning and symmetry canonicalisation, optionally
-  enumerated on a process pool,
+* :mod:`repro.index.builder` — the path enumeration (offline build,
+  live absorb, on demand) with β pruning and symmetry canonicalisation,
+  optionally on a process pool, and the one bucket writer,
 * :mod:`repro.index.protocol` — the lookup protocol every index
   implementation speaks (validation + orientation shared in one place),
 * :mod:`repro.index.path_index` — the queryable index: bucket range
@@ -23,7 +25,6 @@
 from repro.index.paths import (
     IndexedPath,
     PathCandidates,
-    encode_paths,
     decode_paths,
     decode_path_arrays,
     decode_paths_above,
@@ -48,7 +49,6 @@ from repro.index.batch import BatchLookupIndex
 __all__ = [
     "IndexedPath",
     "PathCandidates",
-    "encode_paths",
     "decode_paths",
     "decode_path_arrays",
     "decode_paths_above",

@@ -13,7 +13,7 @@ cached result.
 The view is deliberately *not* thread-safe and *not* long-lived — it is
 created per batch by :meth:`repro.query.engine.QueryEngine.query_batch`
 and discarded with it. Long-lived cross-request caching belongs to the
-serving layer's result cache (:mod:`repro.service.cache`), which caches
+serving layer's result cache (:mod:`repro.service.service`), which caches
 whole query results, not index fetches.
 """
 

@@ -12,24 +12,34 @@ paper describes.
 
 One build path
 --------------
-Every build is one enumeration feeding one writer
-(:func:`_write_buckets`), which only calls
-:meth:`~repro.storage.kvstore.PathStore.put_bucket` — so the target may
-be any store, including a hash-sharded one
-(:class:`~repro.index.sharded.ShardedPathStore`). The enumeration is
-where the time goes, and ``build_processes > 1`` fans it out over a
-process pool: every directed path has exactly one start node, so
-disjoint start-node chunks partition it with no duplicates
-(:meth:`PathIndexBuilder.collect_buckets` is the per-chunk entry
-point). Chunks are contiguous and merged in node order, which
-reproduces the serial enumeration order exactly: a parallel build
-writes the same payload bytes as a serial one.
+Every producer of indexed paths is one set of enumeration rules — the
+seeds, the reference-sharing and ``Prn`` tests, the factor order
+``prle * p_edge * p_label``, the β-prune, the canonical orientation, all
+on :class:`PathIndexBuilder` — handing ``{labels: PathCandidates}``
+columns to one writer:
 
-A live update re-runs the same enumeration restricted to the paths
-through the nodes it dirtied (:meth:`PathIndexBuilder.paths_through`):
-same seeds, same one-edge extension, same β-prune, plus one prune — a
-partial path that has not met a dirtied node yet is only extended
-towards one it can still reach within ``L`` edges.
+* the offline build enumerates level by level; ``build_processes > 1``
+  fans that out over a process pool — every directed path has exactly
+  one start node, so disjoint start-node chunks partition it with no
+  duplicates (:meth:`PathIndexBuilder.collect_buckets` is the per-chunk
+  entry point), and contiguous chunks merged in node order reproduce the
+  serial enumeration order exactly: a parallel build writes the same
+  payload bytes as a serial one;
+* a live update re-runs the enumeration restricted to the paths through
+  the nodes it dirtied (:meth:`PathIndexBuilder.paths_through`), with one
+  more prune — a partial path that has not met a dirtied node yet is
+  only extended towards one it can still reach within ``L`` edges;
+* a threshold below the index's β is answered on demand
+  (:meth:`PathIndexBuilder.paths_for_sequence`) with what a lookup on an
+  index built at that threshold returns, bit for bit.
+
+The writer: :func:`bucket_payloads` files one sequence's rows as its
+``[(bucket, payload)]`` and :func:`write_buckets` puts such entries
+through :meth:`~repro.storage.kvstore.PathStore.put_bucket` — so the
+target may be any store, a hash-sharded one
+(:class:`~repro.index.sharded.ShardedPathStore`) included. The serial
+build, the pool workers and compaction
+(:meth:`repro.delta.overlay.DeltaOverlayIndex.compact`) all call both.
 """
 
 from __future__ import annotations
@@ -39,13 +49,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.index.path_index import PathIndex, make_histogram
+from repro.index.grid import BucketGrid
+from repro.index.path_index import PathIndex
 from repro.index.paths import (
-    IndexedPath,
+    PathCandidates,
     concat_payloads,
-    encode_paths,
+    encode_path_arrays,
     payload_count,
 )
+from repro.index.protocol import canonical_sequence, orient_to_sequence
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import InMemoryPathStore, PathStore
 from repro.utils.errors import IndexError_
@@ -94,6 +106,7 @@ class PathIndexBuilder:
         self.max_length = int(max_length)
         self.beta = float(beta)
         self.gamma = float(gamma)
+        self.grid = BucketGrid(self.beta, self.gamma)
         self.store = store if store is not None else InMemoryPathStore()
         self.build_processes = int(build_processes)
         # component sharing fast path: a node can only share references
@@ -114,15 +127,13 @@ class PathIndexBuilder:
 
     def build(self) -> PathIndex:
         """Run the full construction and return the queryable index."""
-        grid = _grid_milli(self.beta, self.gamma)
-        paths_per_length: dict = {}
-        entries = (
-            self._parallel_entries(paths_per_length)
-            if self.build_processes > 1
-            else self._serial_entries(paths_per_length)
-        )
         with Timer() as timer:
-            histograms = _write_buckets(self.store, entries, grid)
+            if self.build_processes > 1:
+                entries, paths_per_length = self._parallel_entries()
+            else:  # one chunk: every start node, in this process
+                per_key, paths_per_length = self.collect_buckets()
+                entries = _encoded(self.grid, per_key)
+            histograms = write_buckets(self.store, entries, self.grid)
         return PathIndex(
             store=self.store,
             max_length=self.max_length,
@@ -138,35 +149,29 @@ class PathIndexBuilder:
     def collect_buckets(self, start_nodes=None) -> tuple:
         """Enumerate canonical paths without writing them to a store.
 
-        Returns ``(per_key, paths_per_length)`` where ``per_key`` maps a
-        canonical label sequence to ``{bucket: [IndexedPath, ...]}``.
-        When ``start_nodes`` is given, only directed paths *starting* at
-        one of those nodes are expanded — since every directed path has
-        exactly one start node, disjoint slices of the node set partition
-        the full enumeration with no duplicates, which is how the
-        parallel build's workers restrict it.
+        Returns ``({labels: PathCandidates}, paths_per_length)``, every
+        sequence's rows in frontier order. When ``start_nodes`` is
+        given, only directed paths *starting* at one of those nodes are
+        expanded — since every directed path has exactly one start
+        node, disjoint slices of the node set partition the full
+        enumeration with no duplicates, which is how the parallel
+        build's workers restrict it.
         """
         per_key: dict = {}
         paths_per_length: dict = {}
-        for length, count, level in self._levels(start_nodes):
-            per_key.update(level)  # levels hold disjoint sequence lengths
-            paths_per_length[length] = count
-        return per_key, paths_per_length
-
-    def _levels(self, start_nodes=None) -> Iterator[tuple]:
-        """Yield ``(length, frontier size, {labels: {bucket: paths}})``
-        level by level, so a consumer can hold one level's paths at a time."""
-        grid = _grid_milli(self.beta, self.gamma)
         frontier = self._seed_frontier(start_nodes)
         for length in range(self.max_length + 1):
             if length:
                 frontier = self._extend(frontier)
-            yield length, len(frontier), self._bucket_level(frontier, grid)
+            paths_per_length[length] = len(frontier)
+            # Levels hold disjoint sequence lengths.
+            per_key.update(_canonical_columns(frontier))
+        return per_key, paths_per_length
 
     def paths_through(self, targets) -> tuple:
         """The canonical β-qualified paths containing a node of ``targets``.
 
-        Returns ``({labels: [IndexedPath, ...]}, expanded)``, ``expanded``
+        Returns ``({labels: PathCandidates}, expanded)``, ``expanded``
         being the directed partial paths the enumeration held — its cost,
         which grows with the ``L``-hop neighbourhood of ``targets`` and
         not with the graph.
@@ -182,11 +187,7 @@ class PathIndexBuilder:
                 near = {n for n, hop in hops.items() if hop <= budget}
                 frontier = self._extend(frontier, targets, near)
             expanded += len(frontier)
-            for ids, labels, prle, prn in frontier:
-                if not targets.isdisjoint(ids) and _is_canonical(ids, labels):
-                    found.setdefault(labels, []).append(
-                        IndexedPath(ids, prle, prn)
-                    )
+            found.update(_canonical_columns(frontier, targets))
         return found, expanded
 
     def _hops_to(self, targets: frozenset) -> dict:
@@ -203,17 +204,63 @@ class PathIndexBuilder:
             frontier = reached
         return hops
 
-    def _serial_entries(self, paths_per_length: dict) -> Iterator[tuple]:
-        """Every ``(labels, bucket, payload)`` of the index, in-process."""
-        for length, count, level in self._levels():
-            paths_per_length[length] = count
-            yield from _encoded(level)
-            # The next level is expanded while this name is still bound;
-            # let go of the (already written) paths first.
-            del level
+    def paths_for_sequence(self, label_seq: Sequence) -> PathCandidates:
+        """On-demand enumeration ("paths with smaller probability are
+        computed on demand"), ``self.beta`` being the query's threshold.
 
-    def _parallel_entries(self, paths_per_length: dict) -> Iterator[tuple]:
-        """The same entries, enumerated per start-node chunk on a pool.
+        Returns what ``lookup(label_seq, beta)`` returns from an index
+        built at this ``beta`` (rows as a set, floats bit for bit): the
+        *canonical* sequence is walked depth-first from
+        :meth:`_seed_frontier`'s seeds under :meth:`_extend`'s tests and
+        factor order, and only canonical paths are kept.
+        """
+        seq = tuple(label_seq)
+        canonical = canonical_sequence(seq)
+        peg = self.peg
+        beta = self.beta
+        comp_shared = self._comp_shared
+        found: list = []
+
+        def extend(ids: tuple, prle: float, prn: float) -> None:
+            if len(ids) == len(canonical):
+                if _is_canonical(ids, canonical):
+                    found.append((ids, prle, prn))
+                return
+            tail = ids[-1]
+            tail_label = canonical[len(ids) - 1]
+            label = canonical[len(ids)]
+            for neighbor in peg.neighbor_ids(tail):
+                if neighbor in ids:
+                    continue
+                if comp_shared[neighbor] and any(
+                    peg.shares_references_id(neighbor, node) for node in ids
+                ):
+                    continue
+                p_label = peg.label_probability_id(neighbor, label)
+                if p_label <= 0.0:
+                    continue
+                new_prn = self._extended_prn(ids, prn, neighbor)
+                if new_prn <= 0.0:
+                    continue
+                p_edge = peg.edge_probability_id(
+                    tail, neighbor, tail_label, label
+                )
+                if p_edge <= 0.0:
+                    continue
+                new_prle = prle * p_edge * p_label
+                if new_prle * new_prn >= beta:
+                    extend(ids + (neighbor,), new_prle, new_prn)
+
+        for ids, labels, prle, prn in self._seed_frontier():
+            if labels == canonical[:1]:
+                extend(ids, prle, prn)
+        return orient_to_sequence(
+            PathCandidates.from_rows(found, len(canonical)), seq
+        )
+
+    def _parallel_entries(self) -> tuple:
+        """``(entries, paths_per_length)`` of the index, enumerated per
+        start-node chunk on a pool.
 
         Workers encode their buckets (in parallel, once per path), so
         what crosses the process boundary is payload bytes, and the
@@ -224,6 +271,7 @@ class PathIndexBuilder:
             self.build_processes * _CHUNKS_PER_WORKER,
         )
         merged: dict = {}
+        paths_per_length: dict = {}
         with ProcessPoolExecutor(
             max_workers=self.build_processes,
             initializer=_worker_init,
@@ -236,8 +284,11 @@ class PathIndexBuilder:
                     paths_per_length[length] = (
                         paths_per_length.get(length, 0) + count
                     )
-        for (labels, bucket), payloads in merged.items():
-            yield labels, bucket, concat_payloads(payloads)
+        entries = (
+            (labels, bucket, concat_payloads(payloads))
+            for (labels, bucket), payloads in merged.items()
+        )
+        return entries, paths_per_length
 
     # ------------------------------------------------------------------
 
@@ -318,37 +369,52 @@ class PathIndexBuilder:
                 return peg.existence_marginal_ids(ids + (neighbor,))
         return prn * peg.existence_probability_id(neighbor)
 
-    # ------------------------------------------------------------------
 
-    def _bucket_level(self, frontier: list, grid: Sequence[int]) -> dict:
-        """A level's canonical paths as ``{labels: {bucket: paths}}``."""
-        per_key: dict = {}
-        for ids, labels, prle, prn in frontier:
-            if not _is_canonical(ids, labels):
-                continue
-            prob = prle * prn
-            bucket = _bucket_for(prob, grid)
-            per_key.setdefault(labels, {}).setdefault(bucket, []).append(
-                IndexedPath(ids, prle, prn)
-            )
-        return per_key
+def _canonical_columns(frontier: list, targets=None) -> dict:
+    """A frontier's canonical paths (those through ``targets``, when
+    given) as ``{labels: PathCandidates}``, rows in frontier order."""
+    per_key: dict = {}
+    for ids, labels, prle, prn in frontier:
+        if targets is not None and targets.isdisjoint(ids):
+            continue
+        if _is_canonical(ids, labels):
+            per_key.setdefault(labels, []).append((ids, prle, prn))
+    return {
+        labels: PathCandidates.from_rows(rows, len(labels))
+        for labels, rows in per_key.items()
+    }
 
 
-def _encoded(per_key: dict) -> Iterator[tuple]:
+def bucket_payloads(grid: BucketGrid, rows: PathCandidates) -> list:
+    """One sequence's rows as its ``[(bucket, payload)]``, ascending:
+    THE filing rule — the grid's vectorized bucket rule, a stable
+    group-by (rows keep their order inside a bucket), the columnar
+    codec. No row, no bucket."""
+    buckets = grid.buckets_of(rows.prle * rows.prn)
+    order = np.argsort(buckets, kind="stable")
+    used, starts = np.unique(buckets[order], return_index=True)
+    return [
+        (bucket, encode_path_arrays(part.nodes, part.prle, part.prn))
+        for bucket, part in zip(
+            used.tolist(), map(rows.take, np.split(order, starts[1:]))
+        )
+    ]
+
+
+def _encoded(grid: BucketGrid, per_key: dict) -> Iterator[tuple]:
     """``(labels, bucket, payload)`` for every bucket of an enumeration."""
-    for labels, buckets in per_key.items():
-        for bucket, paths in buckets.items():
-            yield labels, bucket, encode_paths(paths)
+    for labels, rows in per_key.items():
+        for bucket, payload in bucket_payloads(grid, rows):
+            yield labels, bucket, payload
 
 
-def _write_buckets(
-    store: PathStore, entries: Iterable[tuple], grid: Sequence[int]
+def write_buckets(
+    store: PathStore, entries: Iterable[tuple], grid: BucketGrid
 ) -> dict:
-    """THE store-writing routine: every bucket of every build passes here.
-
-    Writes each ``(labels, bucket, payload)`` through
-    :meth:`PathStore.put_bucket`, flushes, and returns the per-sequence
-    histograms of what was written.
+    """THE store-writing routine: every bucket of every build and of
+    every compaction passes here. Writes each ``(labels, bucket,
+    payload)`` through :meth:`PathStore.put_bucket`, flushes, and
+    returns the per-sequence histograms of what was written.
     """
     counts: dict = {}
     for labels, bucket, payload in entries:
@@ -356,8 +422,7 @@ def _write_buckets(
         counts.setdefault(labels, {})[bucket] = payload_count(payload)
     store.flush()
     return {
-        labels: make_histogram(grid, buckets)
-        for labels, buckets in counts.items()
+        labels: grid.histogram(buckets) for labels, buckets in counts.items()
     }
 
 
@@ -384,7 +449,7 @@ def _worker_init(peg, max_length: int, beta: float, gamma: float) -> None:
 def _collect_chunk(start_nodes: tuple) -> tuple:
     """Enumerate one start-node chunk; ``(encoded entries, level counts)``."""
     per_key, paths_per_length = _WORKER_BUILDER.collect_buckets(start_nodes)
-    return list(_encoded(per_key)), paths_per_length
+    return list(_encoded(_WORKER_BUILDER.grid, per_key)), paths_per_length
 
 
 def _chunk_nodes(node_ids: tuple, num_chunks: int) -> list:
@@ -412,119 +477,6 @@ def build_path_index(
         build_processes=build_processes,
     )
     return builder.build()
-
-
-def enumerate_paths_for_sequence(
-    peg: ProbabilisticEntityGraph, label_seq: Sequence, alpha: float
-) -> list:
-    """On-demand path enumeration for thresholds below the index's β.
-
-    The paper's footnote: "paths with smaller probability are computed on
-    demand". Performs a pruned DFS aligned to ``label_seq`` and returns
-    :class:`IndexedPath` objects oriented to the requested sequence, the
-    same contract as :meth:`PathIndex.lookup`.
-    """
-    seq = tuple(label_seq)
-    if not seq:
-        return []
-    counts: dict = {}
-    for node in peg.node_ids():
-        comp = peg.component_index_id(node)
-        counts[comp] = counts.get(comp, 0) + 1
-
-    results = []
-
-    def extend(ids: tuple, prle: float, prn: float, position: int) -> None:
-        if position == len(seq):
-            results.append(IndexedPath(ids, prle, prn))
-            return
-        label = seq[position]
-        tail = ids[-1]
-        tail_label = seq[position - 1]
-        id_set = set(ids)
-        for neighbor in peg.neighbor_ids(tail):
-            if neighbor in id_set:
-                continue
-            if counts[peg.component_index_id(neighbor)] > 1 and any(
-                peg.shares_references_id(neighbor, node) for node in ids
-            ):
-                continue
-            p_label = peg.label_probability_id(neighbor, label)
-            if p_label <= 0.0:
-                continue
-            p_edge = peg.edge_probability_id(tail, neighbor, tail_label, label)
-            if p_edge <= 0.0:
-                continue
-            new_prle = prle * p_label * p_edge
-            new_prn = _joint_prn(peg, counts, ids, prn, neighbor)
-            if new_prle * new_prn < alpha or new_prn <= 0.0:
-                continue
-            extend(ids + (neighbor,), new_prle, new_prn, position + 1)
-
-    first = seq[0]
-    for node in peg.node_ids():
-        p_label = peg.label_probability_id(node, first)
-        prn = peg.existence_probability_id(node)
-        if p_label <= 0.0 or prn <= 0.0 or p_label * prn < alpha:
-            continue
-        extend((node,), p_label, prn, 1)
-    return results
-
-
-def _joint_prn(peg, comp_counts, ids, prn, neighbor) -> float:
-    comp = peg.component_index_id(neighbor)
-    if comp_counts[comp] > 1 and any(
-        peg.component_index_id(node) == comp for node in ids
-    ):
-        return peg.existence_marginal_ids(ids + (neighbor,))
-    return prn * peg.existence_probability_id(neighbor)
-
-
-def _milli(probability: float) -> int:
-    """Probability in milli-units — THE rounding rule of the bucket grid.
-
-    One shared rule for grid construction, builder-side bucket
-    assignment and lookup-side bucket selection. Mixing rules broke
-    grid boundaries: ``round`` maps the float ``0.7`` (repr
-    ``0.6999999...``) to 700 while truncation maps it to 699, so a
-    builder and a reader disagreeing by one rule put (or look for)
-    boundary probabilities one bucket low. Any single monotone rule is
-    sound — lookups re-filter decoded paths against the exact float
-    threshold — and ``round`` keeps human-entered grid parameters like
-    ``beta=0.7`` on the buckets they name.
-    """
-    return int(round(probability * 1000))
-
-
-def _grid_milli(beta: float, gamma: float) -> tuple:
-    start = _milli(beta)
-    if start > 1000:
-        raise IndexError_(f"beta must be in (0, 1], got {beta}")
-    step = max(1, _milli(gamma))
-    points = list(range(start, 1001, step))
-    if points[-1] != 1000:
-        points.append(1000)
-    return tuple(points)
-
-
-def _bucket_for(prob: float, grid: Sequence[int]) -> int:
-    milli = _milli(prob)
-    bucket = grid[0]
-    for point in grid:
-        if point <= milli:
-            bucket = point
-        else:
-            break
-    return bucket
-
-
-def _buckets_for(probabilities: np.ndarray, grid: Sequence[int]) -> np.ndarray:
-    """:func:`_bucket_for` of every element, by the same :func:`_milli`
-    rule (``np.rint`` rounds halves to even exactly as ``round`` does)."""
-    points = np.asarray(grid, dtype=np.int64)
-    milli = np.rint(probabilities * 1000).astype(np.int64)
-    below = np.searchsorted(points, milli, side="right") - 1
-    return points[np.maximum(below, 0)]
 
 
 def _is_canonical(ids: tuple, labels: tuple) -> bool:

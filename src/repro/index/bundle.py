@@ -46,7 +46,7 @@ from repro.utils.errors import IndexError_, StorageError
 
 #: Bundle format version; bump when the pickled layout or the store's
 #: file format changes.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _META_FILE = "offline.meta"
 #: The store file only format v3 had; cleared so v4 never sits beside it.
 _LEGACY_FILENAMES = ("index.btree",)
@@ -121,12 +121,7 @@ def save_offline(
         "beta": index.beta,
         "gamma": index.gamma,
         "build_stats": index.build_stats,
-        "context": {
-            "sigma": context.sigma,
-            "cardinality": context._cardinality,
-            "partial_upper": context._partial_upper,
-            "full_upper": context._full_upper,
-        },
+        "context": (context.sigma, *context.tables()),
     }
     atomic_write(
         os.path.join(directory, _META_FILE),
@@ -168,11 +163,4 @@ def load_offline(directory: str) -> tuple:
         histograms=meta["histograms"],
         build_stats=meta["build_stats"],
     )
-    raw = meta["context"]
-    context = ContextInformation(
-        sigma=raw["sigma"],
-        cardinality=raw["cardinality"],
-        partial_upper=raw["partial_upper"],
-        full_upper=raw["full_upper"],
-    )
-    return index, context
+    return index, ContextInformation(*meta["context"])

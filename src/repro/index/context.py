@@ -16,14 +16,15 @@ term times a label probability ``<= 1``. In particular ``ppu == 0``
 implies ``fpu == 0``, which is why the tightest-choice neighbourhood
 bound of Section 5.2.2 is simply 0 for a choice whose ``ppu`` is 0.
 
-The tables are built, saved and loaded as per-node rows;
-:meth:`ContextInformation.columns` serves the online phase dense
-``(id_space, |Σ|)`` arrays of them, one gather per path column. Every
-graph version has its own context object — :func:`build_context`
-offline, :func:`patch_context` after a mutation batch (only the rows
-within one hop of the batch are recomputed) — so it also owns the
-:class:`~repro.query.reduction.PegProbabilityArrays` of its graph
-version (:meth:`ContextInformation.probability_arrays`).
+A context *is* its three dense ``(id_space, |Σ|)`` arrays — column-major,
+so one label's column is contiguous and :meth:`ContextInformation.columns`
+serves the online phase one gather per path column. They are what
+:func:`build_context` fills, :func:`patch_context` copies and overwrites
+(only the rows within one hop of a mutation batch), the scalar accessors
+index and the bundle stores. Every graph version has its own context
+object, so it also owns the
+:class:`~repro.peg.arrays.PegProbabilityArrays` of its graph version
+(:meth:`ContextInformation.probability_arrays`).
 """
 
 from __future__ import annotations
@@ -32,68 +33,52 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.peg.arrays import PegProbabilityArrays
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 
 
 class ContextInformation:
-    """Dense per-(node, label) context tables for online pruning."""
+    """Dense per-(node, label) context tables for online pruning.
+
+    ``cardinality``, ``partial_upper`` and ``full_upper`` are the
+    ``(id_space, |Σ|)`` arrays of ``c``, ``ppu`` and ``fpu``; they are
+    shared, never written.
+    """
 
     def __init__(
         self,
         sigma: tuple,
-        cardinality: list,
-        partial_upper: list,
-        full_upper: list,
+        cardinality: np.ndarray,
+        partial_upper: np.ndarray,
+        full_upper: np.ndarray,
     ) -> None:
         self.sigma = tuple(sigma)
         self._label_pos = {label: i for i, label in enumerate(self.sigma)}
-        self._cardinality = cardinality
-        self._partial_upper = partial_upper
-        self._full_upper = full_upper
-        # Built on first use; like PegProbabilityArrays' caches these
-        # are idempotent values inserted under the GIL, so concurrent
-        # readers need no lock.
-        self._dense = None
+        self._tables = (cardinality, partial_upper, full_upper)
+        # Built on first use; like PegProbabilityArrays' caches it is an
+        # idempotent value inserted under the GIL, so concurrent readers
+        # need no lock.
         self._arrays = None
+
+    def _entry(self, table: int, node_id: int, label):
+        pos = self._label_pos.get(label)
+        return 0 if pos is None else self._tables[table][node_id, pos].item()
 
     def cardinality(self, node_id: int, label) -> int:
         """``c(v, σ)``: neighbors of ``v`` that can carry label ``σ``."""
-        pos = self._label_pos.get(label)
-        if pos is None:
-            return 0
-        return self._cardinality[node_id][pos]
+        return self._entry(0, node_id, label)
 
     def partial_upperbound(self, node_id: int, label) -> float:
         """``ppu(v, σ)``: best edge probability into ``N(v, σ)``."""
-        pos = self._label_pos.get(label)
-        if pos is None:
-            return 0.0
-        return self._partial_upper[node_id][pos]
+        return float(self._entry(1, node_id, label))
 
     def full_upperbound(self, node_id: int, label) -> float:
         """``fpu(v, σ)``: best label-times-edge probability into ``N(v, σ)``."""
-        pos = self._label_pos.get(label)
-        if pos is None:
-            return 0.0
-        return self._full_upper[node_id][pos]
+        return float(self._entry(2, node_id, label))
 
     def tables(self) -> tuple:
-        """``(c, ppu, fpu)`` as dense ``(id_space, |Σ|)`` arrays.
-
-        Column-major, so one label's column is contiguous.
-        """
-        dense = self._dense
-        if dense is None:
-            shape = (len(self._cardinality), len(self.sigma))
-            dense = self._dense = tuple(
-                np.asfortranarray(np.array(rows, dtype=dtype).reshape(shape))
-                for rows, dtype in (
-                    (self._cardinality, np.int64),
-                    (self._partial_upper, np.float64),
-                    (self._full_upper, np.float64),
-                )
-            )
-        return dense
+        """``(c, ppu, fpu)`` as dense ``(id_space, |Σ|)`` arrays."""
+        return self._tables
 
     def columns(self, label) -> tuple:
         """``(c, ppu, fpu)`` of one label over the id space (all zero
@@ -102,9 +87,9 @@ class ContextInformation:
         if pos is None:
             return tuple(
                 np.zeros(table.shape[0], dtype=table.dtype)
-                for table in self.tables()
+                for table in self._tables
             )
-        return tuple(table[:, pos] for table in self.tables())
+        return tuple(table[:, pos] for table in self._tables)
 
     def probability_arrays(self, peg: ProbabilisticEntityGraph):
         """The shared probability gather tables of ``peg``.
@@ -113,8 +98,6 @@ class ContextInformation:
         tables then live exactly as long as the context, i.e. until the
         next mutation batch replaces it.
         """
-        from repro.query.reduction import PegProbabilityArrays
-
         arrays = self._arrays
         if arrays is None:
             arrays = self._arrays = PegProbabilityArrays(peg)
@@ -161,7 +144,7 @@ def build_context(peg: ProbabilisticEntityGraph) -> ContextInformation:
 
     Tables are sized by the *id space*, not the live-entity count —
     the same discipline as
-    :class:`repro.query.reduction.PegProbabilityArrays`. After live
+    :class:`repro.peg.arrays.PegProbabilityArrays`. After live
     merges (:mod:`repro.delta`) the id range contains tombstoned slots;
     rows must stay addressable by raw node id (index lookups return
     paths whose node ids the online phase feeds straight into these
@@ -169,12 +152,10 @@ def build_context(peg: ProbabilisticEntityGraph) -> ContextInformation:
     shifting later rows onto wrong ids.
     """
     sigma = tuple(sorted(peg.sigma, key=repr))
-    label_pos = {label: i for i, label in enumerate(sigma)}
-    tables: tuple = ([], [], [])
-    for node in peg.node_ids():
-        for table, row in zip(tables, _node_rows(peg, node, label_pos)):
-            table.append(row)
-    return ContextInformation(sigma, *tables)
+    # Every id is "appended" to a context of no rows: one fill loop.
+    dtypes = (np.int64, np.float64, np.float64)  # c, ppu, fpu
+    empty = (np.zeros((0, len(sigma)), dtype) for dtype in dtypes)
+    return patch_context(ContextInformation(sigma, *empty), peg, ())
 
 
 def patch_context(
@@ -185,23 +166,26 @@ def patch_context(
     A node's rows read only its own edges and its neighbors' labels, so
     the rows a batch can change are those of ``dirty ∪ Γ(dirty)`` on
     the mutated graph (a merge's survivor inherits both adjacency
-    lists) plus the ids it appended; every other row is shared with
-    ``context``, which stays valid for its own graph version. A batch
-    that changed ``Σ`` moves every row's columns: then rebuild.
+    lists) plus the ids it appended; the tables are copied and those
+    rows overwritten, so ``context`` stays valid for its own graph
+    version. A batch that changed ``Σ`` moves every row's columns: then
+    rebuild.
     """
     if tuple(sorted(peg.sigma, key=repr)) != context.sigma:
         return build_context(peg)
-    tables = (
-        list(context._cardinality),
-        list(context._partial_upper),
-        list(context._full_upper),
-    )
-    affected = set(range(len(tables[0]), len(peg.node_ids())))
+    size = len(peg.node_ids())
+    known = context.tables()[0].shape[0]
+    tables = []
+    for table in context.tables():
+        patched = np.zeros((size, table.shape[1]), table.dtype, order="F")
+        patched[:known] = table
+        tables.append(patched)
+    affected = set(range(known, size))
     for node in dirty:
         affected.add(node)
         affected.update(peg.neighbor_ids(node))
-    for node in sorted(affected):
+    for node in affected:
         rows = _node_rows(peg, node, context._label_pos)
         for table, row in zip(tables, rows):
-            table[node:node + 1] = [row]  # replaces, or appends a new id
+            table[node] = row
     return ContextInformation(context.sigma, *tables)

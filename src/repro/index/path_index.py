@@ -5,7 +5,9 @@ Entries are keyed by ``(X, π)`` where ``X`` is a node-label sequence and
 the paths whose probability under ``X`` falls in ``[π, π+γ)``, each with
 its ``Prle`` and ``Prn`` components. For undirected graphs, ``X`` and its
 reverse share one stored entry (symmetry optimisation); lookups
-transparently orient results to the requested sequence.
+transparently orient results to the requested sequence. Where a range
+scan starts is asked of the index's ``grid``
+(:class:`~repro.index.grid.BucketGrid`), which filed the paths.
 
 :class:`PathIndex` is the one store-backed implementation of the
 :class:`~repro.index.protocol.PathIndexProtocol`; hash-partitioning is
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.index.histogram import CardinalityHistogram
+from repro.index.grid import BucketGrid
 from repro.index.paths import (
     PathCandidates,
     concat_payloads,
@@ -35,7 +37,6 @@ __all__ = [
     "PathIndex",
     "canonical_sequence",
     "is_palindrome",
-    "make_histogram",
 ]
 
 
@@ -67,42 +68,8 @@ class PathIndex(PathIndexProtocol):
         self.gamma = float(gamma)
         self.histograms = dict(histograms)
         self.build_stats = dict(build_stats or {})
-        self._beta_milli = int(round(beta * 1000))
-        self._gamma_milli = max(1, int(round(gamma * 1000)))
-
-    # ------------------------------------------------------------------
-    # Bucket grid
-    # ------------------------------------------------------------------
-
-    def bucket_for(self, probability: float) -> int:
-        """Grid bucket (milli-units) containing ``probability``.
-
-        The largest grid point not exceeding the probability; the grid
-        always ends with a 1000 point (probability exactly 1). Uses the
-        builder's one rounding rule (:func:`repro.index.builder._milli`)
-        so grid-boundary probabilities — e.g. ``alpha == beta == 0.7``,
-        whose float repr truncates to 699 milli — resolve to the same
-        bucket the builder stored them in instead of falling one bucket
-        (or below ``beta``) short.
-        """
-        from repro.index.builder import _milli
-
-        milli = _milli(probability)
-        if milli < self._beta_milli:
-            raise IndexError_(
-                f"probability {probability} below index lower bound {self.beta}"
-            )
-        if milli >= 1000:
-            return 1000
-        steps = (milli - self._beta_milli) // self._gamma_milli
-        return self._beta_milli + steps * self._gamma_milli
-
-    def grid(self) -> tuple:
-        """All bucket grid points in milli-units, ascending."""
-        points = list(range(self._beta_milli, 1001, self._gamma_milli))
-        if points[-1] != 1000:
-            points.append(1000)
-        return tuple(points)
+        #: The grid the paths were filed on.
+        self.grid = BucketGrid(self.beta, self.gamma)
 
     # ------------------------------------------------------------------
     # Lookup (the public lookup() lives on PathIndexProtocol)
@@ -118,7 +85,7 @@ class PathIndex(PathIndexProtocol):
         lookup); the result stays columnar — see
         :func:`repro.index.paths.decode_paths_above`.
         """
-        min_bucket = self.bucket_for(alpha)
+        min_bucket = self.grid.bucket_of(alpha)
         buckets = self.store.scan_buckets(canonical_seq, min_bucket)
         results = decode_paths_above(
             concat_payloads(payload for _, payload in buckets),
@@ -175,10 +142,3 @@ class PathIndex(PathIndexProtocol):
         }
         info.update(self.build_stats)
         return info
-
-
-def make_histogram(grid_milli: Sequence[int], bucket_counts: dict) -> CardinalityHistogram:
-    """Build a cumulative histogram from per-bucket counts of one sequence."""
-    probs = [b / 1000.0 for b in grid_milli]
-    counts = [bucket_counts.get(b, 0) for b in grid_milli]
-    return CardinalityHistogram.from_bucket_counts(probs, counts)

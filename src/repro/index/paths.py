@@ -6,18 +6,21 @@ probability components ``Prle`` and ``Prn`` (the label sequence lives in
 the key, so it is not repeated per path).
 
 All paths of one bucket share the key's label sequence, so records are
-fixed-width; :func:`decode_path_arrays` exploits that to parse a whole
-payload with ``np.frombuffer`` + offset arithmetic into node-id and
-probability arrays (zero-copy compatible with the mmap-backed store
-reads). Lookups keep those columns: :class:`PathCandidates` is the
-columnar container every index lookup returns and the online phase
-filters, orients and joins without building a per-path object;
+fixed-width and the codec is a pair of array functions:
+:func:`encode_path_arrays` lays ``(nodes, prle, prn)`` columns out as
+one payload and :func:`decode_path_arrays` parses a whole payload back
+with ``np.frombuffer`` + offset arithmetic (zero-copy compatible with
+the mmap-backed store reads). :class:`PathCandidates` is the container
+of those columns on both sides of the store: the enumeration
+(:mod:`repro.index.builder`) fills one per label sequence for the
+offline build, a live absorb, compaction and on-demand enumeration
+alike; every index lookup returns one, and the online phase filters,
+orients and joins it without building a per-path object.
 :class:`IndexedPath` objects appear only when a consumer indexes or
 iterates one (the reference backends, ``candidate_of``, scalar fallback
-rows). :func:`encode_path_arrays` is the way back — columns to the same
-payload bytes — which keeps compaction (:mod:`repro.delta.overlay`)
-columnar from scan to rewrite. The record-by-record scalar decoder
-remains as the reporter for mixed-width or corrupt payloads.
+rows). The record-by-record scalar decoder remains as the reporter for
+mixed-width or corrupt payloads; the record-by-record *encoder* is the
+tests' byte oracle (:mod:`repro.testing.reference`).
 """
 
 from __future__ import annotations
@@ -85,17 +88,21 @@ class PathCandidates:
         self.prn = prn
 
     @classmethod
+    def from_rows(cls, rows: list, width: int) -> "PathCandidates":
+        """Columns of ``(nodes, prle, prn)`` rows of ``width`` nodes each."""
+        nodes, prle, prn = zip(*rows) if rows else ((), (), ())
+        return cls(
+            np.array(nodes, dtype=np.int64).reshape(len(rows), width),
+            np.array(prle, dtype=np.float64),
+            np.array(prn, dtype=np.float64),
+        )
+
+    @classmethod
     def from_paths(
         cls, paths: Iterable[IndexedPath], width: int
     ) -> "PathCandidates":
         """Columns of ``paths``, every one of ``width`` nodes."""
-        paths = list(paths)
-        nodes = np.array(
-            [path.nodes for path in paths], dtype=np.int64
-        ).reshape(len(paths), width)
-        prle = np.array([path.prle for path in paths], dtype=np.float64)
-        prn = np.array([path.prn for path in paths], dtype=np.float64)
-        return cls(nodes, prle, prn)
+        return cls.from_rows([(p.nodes, p.prle, p.prn) for p in paths], width)
 
     @classmethod
     def concat(cls, parts: Iterable["PathCandidates"]) -> "PathCandidates":
@@ -157,19 +164,6 @@ def as_candidates(paths, width: int) -> PathCandidates:
     if isinstance(paths, PathCandidates):
         return paths
     return PathCandidates.from_paths(paths, width)
-
-
-def encode_paths(paths: Iterable[IndexedPath]) -> bytes:
-    """Serialize a sequence of paths into a bucket payload."""
-    paths = list(paths)
-    parts = [_COUNT.pack(len(paths))]
-    for path in paths:
-        if len(path.nodes) > 255:
-            raise IndexError_("path too long to serialize (max 255 nodes)")
-        parts.append(_PATH_HEADER.pack(len(path.nodes)))
-        parts.extend(_NODE.pack(node) for node in path.nodes)
-        parts.append(_PROBS.pack(path.prle, path.prn))
-    return b"".join(parts)
 
 
 def payload_count(payload: bytes) -> int:
@@ -251,9 +245,9 @@ def decode_path_arrays(payload, width: int | None = None):
 def encode_path_arrays(
     nodes: np.ndarray, prle: np.ndarray, prn: np.ndarray
 ) -> bytes:
-    """The inverse of :func:`decode_path_arrays`: columns to the payload
-    :func:`encode_paths` writes for the same rows, without a per-path
-    object."""
+    """The inverse of :func:`decode_path_arrays`: columns to one bucket
+    payload — a count header, then per row the width byte, the node ids
+    and the two probabilities, big-endian — without a per-path object."""
     count, width = nodes.shape
     if width > 255:
         raise IndexError_("path too long to serialize (max 255 nodes)")

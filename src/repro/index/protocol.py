@@ -132,7 +132,7 @@ class PathIndexProtocol(ABC):
         Raises :class:`IndexError_` for sequences longer than the index
         supports and for ``alpha < beta`` — such paths are not indexed;
         callers fall back to on-demand enumeration
-        (:func:`repro.index.builder.enumerate_paths_for_sequence`).
+        (:meth:`repro.index.builder.PathIndexBuilder.paths_for_sequence`).
         """
         seq = tuple(label_seq)
         if len(seq) - 1 > self.max_length:

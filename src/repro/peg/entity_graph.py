@@ -183,7 +183,7 @@ class ProbabilisticEntityGraph:
         """Iterate ``((id_a, id_b), merged distribution)`` with ``id_a < id_b``.
 
         The bulk edge-probability tables of
-        :class:`repro.query.reduction.PegProbabilityArrays` are built
+        :class:`repro.peg.arrays.PegProbabilityArrays` are built
         from this view.
         """
         return self._edge_dist_by_id.items()

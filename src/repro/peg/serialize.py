@@ -4,6 +4,10 @@ Building a PEG involves exact-cover enumeration and merge-function
 evaluation over the whole reference graph; production pipelines build it
 once and query it many times. This module provides versioned pickle
 round-tripping with a header check so stale or foreign files fail fast.
+A file is replaced through :func:`repro.storage.atomic_write` (``repro
+apply-updates`` saves over its input by default), so a crash mid-save
+leaves the previous graph; whatever a damaged file makes ``pickle``
+raise is a :class:`ModelError`.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import pickle
 
 from repro.peg.entity_graph import ProbabilisticEntityGraph
+from repro.storage import atomic_write
 from repro.utils.errors import ModelError
 
 #: Format version; bump when the PEG's pickled layout changes.
@@ -25,8 +30,7 @@ def save_peg(peg: ProbabilisticEntityGraph, path: str) -> None:
         "version": FORMAT_VERSION,
         "peg": peg,
     }
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(path, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
 
 def load_peg(path: str) -> ProbabilisticEntityGraph:
@@ -38,7 +42,7 @@ def load_peg(path: str) -> ProbabilisticEntityGraph:
     with open(path, "rb") as handle:
         try:
             payload = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError) as exc:
+        except Exception as exc:
             raise ModelError(f"{path!r} is not a PEG file") from exc
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise ModelError(f"{path!r} is not a PEG file")

@@ -16,7 +16,7 @@ Both run as array passes over the lookup's
 one boolean vector per query node over the id space, gathered per path
 column; ``pu`` and ``cpr`` are per-column gathers from the context's
 dense tables and the shared
-:class:`~repro.query.reduction.PegProbabilityArrays`; the path bound is
+:class:`~repro.peg.arrays.PegProbabilityArrays`; the path bound is
 one compare of ``((Prle * Prn) * pu) * cpr`` against α. Every float is
 produced by the operations, in the order, of the scalar finder these
 replaced (:class:`repro.testing.reference.ScalarCandidateFinder`, the
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.index.builder import enumerate_paths_for_sequence
+from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
-from repro.index.paths import PathCandidates
 from repro.index.protocol import PathIndexProtocol
 from repro.obs.trace import current_span
 from repro.peg.entity_graph import ProbabilisticEntityGraph
@@ -201,10 +200,9 @@ class CandidateFinder:
         if self.index is not None and self.alpha >= self.index.beta:
             raw = self.index.lookup(label_seq, self.alpha)
         else:
-            raw = PathCandidates.from_paths(
-                enumerate_paths_for_sequence(self.peg, label_seq, self.alpha),
-                len(label_seq),
-            )
+            raw = PathIndexBuilder(
+                self.peg, beta=self.alpha
+            ).paths_for_sequence(label_seq)
             # Marks partitions that never touched the index, so a trace
             # with zero store reads explains itself.
             span.set("on_demand", True)

@@ -20,7 +20,7 @@ passes per joining partition pair:
   :func:`~repro.query.join_candidates.joined_probability` multiplies
   (labels in assignment order, edges in path-traversal order, existence
   marginals in assignment order) are gathered from the
-  :class:`~repro.query.reduction.PegProbabilityArrays` tables and
+  :class:`~repro.peg.arrays.PegProbabilityArrays` tables and
   multiplied elementwise in the same per-element IEEE order, so the
   filter decisions — and the floats behind them — are bit-identical.
   Pairs whose assigned nodes share an identity component (where
@@ -44,13 +44,14 @@ import hashlib
 
 import numpy as np
 
-from repro.index.builder import _milli
+from repro.index.grid import milli
 from repro.index.paths import as_candidates
 from repro.obs.metrics import get_registry
+from repro.peg.arrays import PegProbabilityArrays
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
 from repro.query.join_candidates import joined_probability
-from repro.query.reduction import PegProbabilityArrays
+from repro.utils.lru import ResultCache
 
 _REGISTRY = get_registry()
 _LINK_CACHE_HITS = _REGISTRY.counter("repro_link_cache_hits_total")
@@ -111,11 +112,6 @@ class LinkStructureCache:
     """
 
     def __init__(self, capacity: int = 32) -> None:
-        # Imported lazily for the same reason QueryPlanner does:
-        # repro.service imports the query engine, which imports this
-        # module.
-        from repro.service.cache import ResultCache
-
         self._cache = ResultCache(capacity)
 
     @property
@@ -325,7 +321,7 @@ def build_candidate_links_vectorized(
     ``(i, j)`` keys, same pairs, same (vid ascending, uid ascending)
     order — as numpy arrays, via bulk predicate joins and an
     elementwise joined-probability filter over the shared
-    :class:`~repro.query.reduction.PegProbabilityArrays` gather tables.
+    :class:`~repro.peg.arrays.PegProbabilityArrays` gather tables.
 
     ``cache`` (a :class:`LinkStructureCache`) short-circuits the build
     per partition pair; ``graph_version`` must then be the owning
@@ -367,7 +363,7 @@ def build_candidate_links_vectorized(
                     pair_signature(decomposition, i, j),
                     fingerprint(i),
                     fingerprint(j),
-                    _milli(alpha),
+                    milli(alpha),
                     int(graph_version),
                 )
                 entry = cache.get(key)

@@ -9,7 +9,7 @@ both gaps per engine:
 
 * **Plan caching** — chosen :class:`~repro.query.decompose.Decomposition`
   plans are memoized in the same LRU machinery the serving layer uses
-  (:class:`~repro.service.cache.ResultCache`), keyed by the query's
+  (:class:`~repro.utils.lru.ResultCache`), keyed by the query's
   *canonical* form (rename-invariant), the milli-rounded threshold, the
   strategy and the engine's ``graph_version`` — so structurally
   identical queries share one plan, thresholds inside the same
@@ -36,10 +36,12 @@ import threading
 
 from dataclasses import dataclass
 
+from repro.index.grid import milli
 from repro.index.protocol import canonical_sequence
 from repro.obs.metrics import get_registry
 from repro.query.decompose import Decomposition, QueryPath, decompose_query
 from repro.query.query_graph import QueryGraph
+from repro.utils.lru import ResultCache
 
 _PLAN_HITS = get_registry().counter("repro_plan_cache_hits_total")
 _PLAN_MISSES = get_registry().counter("repro_plan_cache_misses_total")
@@ -57,7 +59,7 @@ def plan_key(
     """Canonical cache key of one planning request.
 
     Alpha is milli-rounded with the index's one rounding rule
-    (:func:`repro.index.builder._milli`): a decomposition's validity
+    (:func:`repro.index.grid.milli`): a decomposition's validity
     does not depend on the threshold at all, and its cost model only
     meaningfully shifts across bucket boundaries, so thresholds inside
     one milli-bucket deliberately share a plan. ``seed`` participates
@@ -67,24 +69,15 @@ def plan_key(
     with corrections must not answer a request that asked for raw
     histogram estimates (or vice versa).
     """
-    from repro.index.builder import _milli
-
     return (
         query.canonical_form(),
-        _milli(alpha),
+        milli(alpha),
         strategy,
         seed if strategy == "random" else None,
         int(graph_version),
         int(max_length),
         bool(use_feedback),
     )
-
-
-def _alpha_milli(alpha: float) -> int:
-    """Milli-rounded threshold (the index's one rounding rule)."""
-    from repro.index.builder import _milli
-
-    return _milli(alpha)
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,7 @@ class EstimatorFeedback:
         """Current multiplicative correction for one (sequence, alpha)."""
         with self._lock:
             return self._corrections.get(
-                (canonical_seq, _alpha_milli(alpha)), 1.0
+                (canonical_seq, milli(alpha)), 1.0
             )
 
     def observe(self, canonical_seq: tuple, alpha: float,
@@ -142,7 +135,7 @@ class EstimatorFeedback:
         """Fold one estimate-vs-observed pair in; returns the new factor."""
         ratio = (float(observed) + 1.0) / (max(estimated, 0.0) + 1.0)
         ratio = min(max(ratio, 1.0 / self.max_correction), self.max_correction)
-        key = (canonical_seq, _alpha_milli(alpha))
+        key = (canonical_seq, milli(alpha))
         with self._lock:
             previous = self._corrections.get(key, 1.0)
             updated = (1.0 - self.decay) * previous + self.decay * ratio
@@ -176,11 +169,6 @@ class QueryPlanner:
     """
 
     def __init__(self, engine, cache_size: int = 512, feedback=None) -> None:
-        # Imported lazily: repro.service imports repro.query.engine,
-        # which imports this module — a module-level import here would
-        # close the cycle while repro.query.engine is half-initialized.
-        from repro.service.cache import ResultCache
-
         self.engine = engine
         self.cache = ResultCache(cache_size)
         self.feedback = feedback if feedback is not None else EstimatorFeedback()

@@ -13,7 +13,7 @@ for:
   :meth:`~repro.query.engine.QueryEngine.query_batch` so candidate
   label sequences shared across the batch are fetched from the
   (possibly sharded) index store once,
-* :class:`~repro.service.cache.ResultCache` — the thread-safe LRU
+* :class:`~repro.utils.lru.ResultCache` — the thread-safe LRU
   keyed by canonical query signatures,
 * :class:`~repro.service.stats.ServiceStats` — hits/misses, dedups,
   evictions, in-flight gauge, p50/p95 latency,
@@ -23,9 +23,9 @@ for:
   :mod:`repro.index.bundle`.
 """
 
-from repro.service.cache import ResultCache
 from repro.service.service import QueryService, request_key
 from repro.service.stats import ServiceStats
+from repro.utils.lru import ResultCache
 
 __all__ = [
     "QueryService",

@@ -6,7 +6,7 @@ and serves many online queries against it:
 
 * evaluations run on a ``ThreadPoolExecutor`` of ``num_workers``
   threads, so independent requests overlap;
-* results are memoized in a :class:`~repro.service.cache.ResultCache`
+* results are memoized in a :class:`~repro.utils.lru.ResultCache`
   keyed by the *canonical* request signature — query graphs equal up to
   node renaming share one entry;
 * identical concurrent requests are collapsed by single-flight
@@ -39,7 +39,6 @@ from repro.obs.trace import NULL_SPAN, NULL_TRACER, use_span
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.engine import QueryEngine, QueryOptions, QueryResult
 from repro.query.query_graph import QueryGraph
-from repro.service.cache import ResultCache
 from repro.service.stats import ServiceStats
 from repro.testing import faults
 from repro.utils.errors import (
@@ -48,6 +47,7 @@ from repro.utils.errors import (
     ServiceError,
     ServiceUnavailable,
 )
+from repro.utils.lru import ResultCache
 
 #: Engine of the current process-pool worker (set by the initializer).
 _WORKER_ENGINE: QueryEngine | None = None

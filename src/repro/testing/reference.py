@@ -8,17 +8,58 @@ the array-native lookup (:class:`repro.query.candidates.CandidateFinder`):
 the Section 5.2.2 tests, one :class:`~repro.index.paths.IndexedPath` at
 a time. The array finder must return the same raw count and the same
 kept rows in the same order.
+
+:func:`encode_paths` and :func:`bucket_for` are the bucket writer as it
+ran before the columnar one (:func:`repro.index.builder.bucket_payloads`),
+which must file the same rows under the same buckets as the same bytes.
 """
 
 from __future__ import annotations
 
-from repro.index.builder import enumerate_paths_for_sequence
+import struct
+from typing import Iterable, Sequence
+
+from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
+from repro.index.grid import milli
+from repro.index.paths import IndexedPath
 from repro.index.protocol import PathIndexProtocol
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import PathStatistics, compute_path_statistics
 from repro.query.decompose import QueryPath
 from repro.query.query_graph import QueryGraph
+from repro.utils.errors import IndexError_
+
+_COUNT = struct.Struct(">I")
+_PATH_HEADER = struct.Struct(">B")
+_NODE = struct.Struct(">I")
+_PROBS = struct.Struct(">dd")
+
+
+def encode_paths(paths: Iterable[IndexedPath]) -> bytes:
+    """Serialize a sequence of paths into a bucket payload."""
+    paths = list(paths)
+    parts = [_COUNT.pack(len(paths))]
+    for path in paths:
+        if len(path.nodes) > 255:
+            raise IndexError_("path too long to serialize (max 255 nodes)")
+        parts.append(_PATH_HEADER.pack(len(path.nodes)))
+        parts.extend(_NODE.pack(node) for node in path.nodes)
+        parts.append(_PROBS.pack(path.prle, path.prn))
+    return b"".join(parts)
+
+
+def bucket_for(probability: float, grid_points: Sequence[int]) -> int:
+    """The bucket of one probability: the largest grid point not above
+    its milli-rounding, the lowest point for anything below the grid."""
+    rounded = milli(probability)
+    bucket = grid_points[0]
+    for point in grid_points:
+        if point <= rounded:
+            bucket = point
+        else:
+            break
+    return bucket
 
 
 class ScalarCandidateFinder:
@@ -160,7 +201,11 @@ class ScalarCandidateFinder:
         if self.index is not None and self.alpha >= self.index.beta:
             raw = list(self.index.lookup(label_seq, self.alpha))
         else:
-            raw = enumerate_paths_for_sequence(self.peg, label_seq, self.alpha)
+            raw = list(
+                PathIndexBuilder(
+                    self.peg, beta=self.alpha
+                ).paths_for_sequence(label_seq)
+            )
         raw_count = len(raw)
         if not self.use_context:
             # Even without context pruning, node candidacy on label

@@ -1,11 +1,11 @@
-"""Thread-safe LRU cache for query results.
+"""The thread-safe LRU every cache of the stack is built on.
 
-Keys are canonical request signatures (query canonical form + the
-result-relevant :class:`~repro.query.engine.QueryOptions` fields +
-alpha), so two structurally identical queries written with different
-node ids share one entry. Values are whatever the service stores —
-:class:`~repro.query.engine.QueryResult` objects, treated as immutable
-once published.
+The serving layer's result cache keys it by canonical request
+signatures (query canonical form + the result-relevant
+:class:`~repro.query.engine.QueryOptions` fields + alpha), so two
+structurally identical queries written with different node ids share
+one entry; the plan cache and the link-structure cache bring their own
+keys. Values are the owner's, treated as immutable once published.
 """
 
 from __future__ import annotations

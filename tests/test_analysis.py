@@ -434,7 +434,7 @@ class TestCacheKeyChecker:
         report = lint_tree(tmp_path, {
             "repro/query/plan.py": """\
                 def plan_key(query, alpha, max_length):
-                    return (query.canonical_form(), _milli(alpha), max_length)
+                    return (query.canonical_form(), milli(alpha), max_length)
             """,
         }, select=["cache-keys"])
         assert codes_of(report) == ["REP303"]
@@ -775,7 +775,7 @@ SEEDED_VIOLATIONS = {
     """,
     "repro/query/bad_plan.py": """\
         def plan_key(query, alpha):
-            return (query.canonical_form(), _milli(alpha))
+            return (query.canonical_form(), milli(alpha))
     """,
     "repro/net/bad_async.py": """\
         import time

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -153,6 +154,32 @@ class TestMutationLog:
         with MutationLog(path) as log:
             assert log.truncated is False
             assert [e.seq for e in log.replay()] == [0, 1, 2]
+
+    def test_a_batch_is_synced_before_apply_returns(
+        self, tmp_path, peg, engine, monkeypatch
+    ):
+        """``flush`` is flush + ``fsync``: what ``apply_mutations``
+        returned from is on disk, whole, without a ``close``."""
+        path = str(tmp_path / "mutations.log")
+        sigma = sorted(peg.sigma, key=repr)
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_size)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        log = MutationLog(path)
+        ops = [
+            AddEntity(("sync-1",), {sigma[0]: 1.0}, 0.9),
+            AddEntity(("sync-2",), {sigma[0]: 1.0}, 0.9),
+        ]
+        apply_mutations(engine, ops, log=log)
+        assert synced == [os.path.getsize(path)] and synced[0] > 0
+        with MutationLog(path) as reader:  # the writer is still open
+            assert [entry.op for entry in reader.replay()] == ops
+        log.close()
 
     def test_clean_log_not_flagged_truncated(self, tmp_path):
         path = str(tmp_path / "mutations.log")
@@ -547,20 +574,20 @@ class TestIncrementalAbsorb:
         sigma = sorted(peg.sigma, key=repr)
         anchor = singleton_ids(peg)[0]
         before = engine.context
-        rows = [list(row) for row in before._full_upper]
         tables = [table.copy() for table in before.tables()]
+        rows = tables[0].shape[0]
         engine.apply_updates([
             UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0}),
             AddEntity(("ctx-new",), {sigma[1]: 1.0}, 0.9),
             AddEdge(refs(peg, anchor), ("ctx-new",), BernoulliEdge(0.8)),
         ])
         assert engine.context is not before
-        assert before._full_upper == rows
         assert all(
             (now == then).all() for now, then in zip(before.tables(), tables)
         )
-        assert len(engine.context._cardinality) == len(rows) + 1
-        assert engine.context.tables()[0].shape[0] == len(rows) + 1
+        assert all(
+            table.shape[0] == rows + 1 for table in engine.context.tables()
+        )
         assert_delta_equivalence(engine, "appended row")
 
     def test_first_absorb_after_compact_starts_from_an_empty_delta(

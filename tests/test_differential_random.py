@@ -38,18 +38,17 @@ import pytest
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.index import (
     BatchLookupIndex,
+    build_path_index,
     canonical_sequence,
-    encode_paths,
     is_palindrome,
     open_store,
 )
-from repro.index.builder import PathIndexBuilder, _bucket_for, _buckets_for
+from repro.index.builder import PathIndexBuilder
 from repro.index.context import build_context
 from repro.index.paths import (
     PathCandidates,
-    decode_path_arrays,
+    concat_payloads,
     decode_paths,
-    encode_path_arrays,
     payload_count,
 )
 from repro.obs.trace import Span
@@ -62,6 +61,8 @@ from repro.query.links import build_candidate_links_vectorized
 from repro.query.matcher import generate_matches, generate_matches_reference
 from repro.query.reduction import VectorizedKPartiteGraph
 from repro.testing.reference import ScalarCandidateFinder
+from tests.conftest import store_content
+from tests.test_index_builder import oracle_payloads, path_bits
 
 PYTHON_BACKEND = QueryOptions(reduction_backend="python")
 VECTOR_BACKEND = QueryOptions(reduction_backend="vectorized")
@@ -150,13 +151,8 @@ def delta_oracle(overlay):
     ).collect_buckets()
     dirty = overlay.dirty_nodes
     oracle = {}
-    for labels, buckets in per_key.items():
-        paths = [
-            path
-            for bucket_paths in buckets.values()
-            for path in bucket_paths
-            if not dirty.isdisjoint(path.nodes)
-        ]
+    for labels, rows in per_key.items():
+        paths = [path for path in rows if not dirty.isdisjoint(path.nodes)]
         if paths:
             paths.sort(key=lambda p: (-p.probability, p.nodes))
             oracle[labels] = candidate_records(paths)
@@ -176,24 +172,21 @@ def assert_delta_equivalence(engine, context):
     rebuilt = build_context(engine.peg)
     patched = engine.context
     assert patched.sigma == rebuilt.sigma, context
-    assert patched._cardinality == rebuilt._cardinality, context
-    assert patched._partial_upper == rebuilt._partial_upper, context
-    assert patched._full_upper == rebuilt._full_upper, context
+    for ours, theirs in zip(patched.tables(), rebuilt.tables()):
+        assert ours.dtype == theirs.dtype and ours.flags.f_contiguous, context
+        assert ours.tobytes() == theirs.tobytes(), context
 
 
-def assert_columnar_codec(index, context):
-    """On every stored bucket: columns re-encode to the payload's own
-    bytes, and the vectorized bucket rule is the scalar one."""
-    grid = index.grid()
-    for sequence in index.store.label_sequences():
-        for bucket, payload in index.store.scan_buckets(sequence, 0):
-            nodes, prle, prn = decode_path_arrays(payload, len(sequence))
-            assert encode_path_arrays(nodes, prle, prn) == bytes(payload), \
-                (context, sequence, bucket)
-            assert _buckets_for(prle * prn, grid).tolist() == [
-                _bucket_for(path.probability, grid)
-                for path in decode_paths(payload)
-            ], (context, sequence, bucket)
+def assert_oracle_written(index, context):
+    """Every stored sequence is filed as the scalar oracle files its
+    rows: the same non-empty buckets holding the same bytes (an emptied
+    bucket compaction overwrote is the empty payload)."""
+    for sequence, stored in store_content(index.store).items():
+        rows = decode_paths(concat_payloads(payload for _, payload in stored))
+        assert [
+            (bucket, payload) for bucket, payload in stored
+            if payload_count(payload)
+        ] == oracle_payloads(index.grid, rows), (context, sequence)
 
 
 def bucket_records(index):
@@ -481,11 +474,85 @@ def test_lookup_differential(graph_index, config, query_seed):
     store = engine.index.store
     for sequence in store.label_sequences():
         used = {bucket for bucket, _ in store.scan_buckets(sequence, 0)}
-        spare = next(b for b in engine.index.grid()[1:] if b not in used)
-        store.put_bucket(sequence, spare, encode_paths([]))
+        spare = next(b for b in engine.index.grid.points[1:] if b not in used)
+        store.put_bucket(sequence, spare, concat_payloads(()))
     for query in queries:
         context = (graph_index, config.seed, query.nodes, "empty-bucket")
         assert_lookup_equivalence(engine, query, BETA, context)
+
+
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_on_demand_lookup_differential(graph_index, config, query_seed):
+    """On-demand enumeration at α is a lookup on an index built at
+    β = α: for every stored sequence in both orientations, at the
+    harness β and below it, the same rows with the same ``prle``/``prn``
+    bits, palindromes doubled the same way. This is the oracle of the
+    enumerator the scalar finder itself calls below β."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    for alpha in (BETA, BETA / 2):
+        index = build_path_index(peg, max_length=MAX_LENGTH, beta=alpha)
+        on_demand = PathIndexBuilder(peg, beta=alpha).paths_for_sequence
+        stored = index.store.label_sequences()
+        assert stored
+        for canonical in stored:
+            for seq in {canonical, canonical[::-1]}:
+                context = (graph_index, config.seed, seq, alpha)
+                found = on_demand(seq)
+                assert isinstance(found, PathCandidates), context
+                assert path_bits(found) == path_bits(index.lookup(seq, alpha)), \
+                    context
+                if is_palindrome(seq) and len(seq) > 1:
+                    assert (
+                        found.nodes[1::2] == found.nodes[::2, ::-1]
+                    ).all(), context
+        nothing = on_demand(("no-such-label",) * 2)
+        assert nothing.nodes.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_lookup_store_differential(graph_index, config, query_seed):
+    """What lookups read is what the scalar oracle writes: the serial
+    build, the two-process build and the enumeration filed row by row
+    through the oracle's bucket rule and encoder hold the same buckets
+    with the same bytes, and the same histograms."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    context = (graph_index, config.seed)
+    serial = build_path_index(peg, max_length=MAX_LENGTH, beta=BETA)
+    parallel = build_path_index(
+        peg, max_length=MAX_LENGTH, beta=BETA, build_processes=2
+    )
+    per_key, _counts = PathIndexBuilder(
+        peg, max_length=MAX_LENGTH, beta=BETA
+    ).collect_buckets()
+    points = serial.grid.points
+    oracle = {
+        labels: oracle_payloads(serial.grid, rows)
+        for labels, rows in per_key.items()
+    }
+    histograms = {
+        labels: (
+            tuple(point / 1000.0 for point in points),
+            tuple(
+                sum(payload_count(p) for bucket, p in filed if bucket >= point)
+                for point in points
+            ),
+        )
+        for labels, filed in oracle.items()
+    }
+    for index in (serial, parallel):
+        assert store_content(index.store) == oracle, context
+        assert {
+            labels: (histogram.thresholds, histogram.counts)
+            for labels, histogram in index.histograms.items()
+        } == histograms, context
 
 
 def test_case_count_meets_floor():
@@ -705,8 +772,8 @@ def test_delta_differential(graph_index, config, mutation_seed):
     from an empty delta on a rewritten base. After each batch the
     delta and the context must equal their from-scratch oracles; after
     each compaction the store must hold, bucket by bucket, the rows a
-    rebuild of the mutated graph stores, and the columnar codec must
-    reproduce every payload.
+    rebuild of the mutated graph stores, filed as the scalar oracle
+    writer files them, byte for byte.
     """
     from repro.delta import apply_op
 
@@ -717,7 +784,7 @@ def test_delta_differential(graph_index, config, mutation_seed):
     # entities by reference set, so they port).
     shadow = build_peg(pgd)
     engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    assert_columnar_codec(engine.index, (graph_index, config.seed, "built"))
+    assert_oracle_written(engine.index, (graph_index, config.seed, "built"))
     rng = random.Random(mutation_seed)
     sigma = sorted(peg.sigma, key=repr)
     fresh = [0]
@@ -740,7 +807,7 @@ def test_delta_differential(graph_index, config, mutation_seed):
                 rebuilt.index
             ), context
             assert engine.index.num_paths() == rebuilt.index.num_paths()
-            assert_columnar_codec(engine.index, context)
+            assert_oracle_written(engine.index, context)
 
 
 def test_mutation_case_count_meets_floor():

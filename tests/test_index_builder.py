@@ -7,18 +7,30 @@ enumeration finds, with identical probability components.
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.index import build_path_index
-from repro.index.builder import enumerate_paths_for_sequence
+from repro.index.builder import PathIndexBuilder, bucket_payloads
+from repro.index.grid import BucketGrid
+from repro.index.paths import PathCandidates
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
 from repro.storage import DiskPathStore, InMemoryPathStore
+from repro.testing.reference import bucket_for, encode_paths
+from repro.utils.errors import IndexError_
 from tests.conftest import small_random_peg
 
 
 def path_key_set(paths):
     return {(p.nodes, round(p.prle, 9), round(p.prn, 9)) for p in paths}
+
+
+def path_bits(paths):
+    """Every row, floats bit for bit, as a sorted list (duplicates kept)."""
+    return sorted((p.nodes, p.prle.hex(), p.prn.hex()) for p in paths)
 
 
 class TestFigure1Index:
@@ -61,8 +73,13 @@ class TestCompleteness:
                     continue
                 for alpha in (0.2, 0.5, 0.8):
                     looked_up = index.lookup(seq, alpha)
-                    on_demand = enumerate_paths_for_sequence(peg, seq, alpha)
-                    assert path_key_set(looked_up) == path_key_set(on_demand), (
+                    on_demand = PathIndexBuilder(
+                        peg, beta=alpha
+                    ).paths_for_sequence(seq)
+                    assert isinstance(on_demand, PathCandidates)
+                    # The same rows carrying the same bits, whichever
+                    # side of beta asked and in whichever orientation.
+                    assert path_bits(looked_up) == path_bits(on_demand), (
                         seq,
                         alpha,
                     )
@@ -162,43 +179,125 @@ class TestPathsThrough:
 
     @pytest.mark.parametrize("max_length", [1, 2, 3])
     def test_equals_the_filtered_full_enumeration(self, max_length):
-        from repro.index.builder import PathIndexBuilder
-
         peg = small_random_peg(seed=5, num_references=40)
         builder = PathIndexBuilder(peg, max_length=max_length, beta=0.05)
         per_key, counts = builder.collect_buckets()
         for targets in ({0}, {3, 17}, set(range(8)), set()):
             found, expanded = builder.paths_through(targets)
             expected = {}
-            for labels, buckets in per_key.items():
-                paths = {
-                    path
-                    for bucket in buckets.values()
-                    for path in bucket
+            for labels, rows in per_key.items():
+                # Frontier order survives the restriction.
+                paths = [
+                    path for path in rows
                     if not targets.isdisjoint(path.nodes)
-                }
+                ]
                 if paths:
                     expected[labels] = paths
-            assert {k: set(v) for k, v in found.items()} == expected
-            assert sum(map(len, found.values())) == sum(
-                map(len, expected.values())
-            )  # no duplicates
+            assert {k: list(v) for k, v in found.items()} == expected
+            assert all(
+                isinstance(rows, PathCandidates)
+                and rows.nodes.shape == (len(rows), len(labels))
+                for labels, rows in found.items()
+            )
             assert expanded <= sum(counts.values())
         assert builder.paths_through(set()) == ({}, 0)
 
     def test_full_enumeration_is_unchanged_by_the_shared_loop(self):
         """``_extend`` without targets is the offline build's loop."""
-        from repro.index.builder import PathIndexBuilder
-
         peg = small_random_peg(seed=5, num_references=40)
         builder = PathIndexBuilder(peg, max_length=2, beta=0.05)
         everything, expanded = builder.paths_through(set(peg.node_ids()))
         per_key, counts = builder.collect_buckets()
         assert expanded == sum(counts.values())
-        assert {k: set(v) for k, v in everything.items()} == {
-            labels: {p for bucket in buckets.values() for p in bucket}
-            for labels, buckets in per_key.items()
+        assert {k: list(v) for k, v in everything.items()} == {
+            labels: list(rows) for labels, rows in per_key.items()
         }
+
+
+def oracle_payloads(grid, rows):
+    """``[(bucket, payload)]`` of ``rows`` by the scalar oracle: one
+    walk of the grid per row, one ``struct.pack`` per field."""
+    filed: dict = {}
+    for path in rows:
+        bucket = bucket_for(path.probability, grid.points)
+        filed.setdefault(bucket, []).append(path)
+    return [(bucket, encode_paths(filed[bucket])) for bucket in sorted(filed)]
+
+
+def _beside(probability):
+    """A probability and its neighbours one ulp either side, within [0, 1]."""
+    return [
+        p for p in (
+            np.nextafter(probability, 0.0), probability,
+            np.nextafter(probability, 2.0),
+        ) if 0.0 <= p <= 1.0
+    ]
+
+
+@st.composite
+def grids_and_probabilities(draw):
+    """β, γ on the milli lattice (γ need not divide 1 − β), and
+    probabilities on, one ulp beside and half a milli off grid points,
+    plus arbitrary ones — below the grid and exactly 1 included."""
+    beta = draw(st.integers(1, 1000)) / 1000
+    gamma = draw(st.integers(1, 1000)) / 1000
+    grid = BucketGrid(beta, gamma)
+    on_grid = st.sampled_from(grid.points).flatmap(
+        lambda point: st.sampled_from(
+            _beside(point / 1000)
+            + _beside(min(1.0, (point + 0.5) / 1000))
+            + _beside(max(0.0, (point - 0.5) / 1000))
+        )
+    )
+    probabilities = draw(
+        st.lists(on_grid | st.floats(0.0, 1.0), min_size=0, max_size=24)
+    )
+    return beta, gamma, probabilities
+
+
+class TestWriter:
+    """THE bucket writer against the scalar oracle, as one property:
+    same buckets, same bytes, rows in their given order."""
+
+    @staticmethod
+    def check(beta, gamma, probabilities, width=2):
+        grid = BucketGrid(beta, gamma)
+        count = len(probabilities)
+        rows = PathCandidates(
+            np.arange(count * width, dtype=np.int64).reshape(count, width),
+            np.array(probabilities, dtype=np.float64),
+            np.ones(count),
+        )
+        written = bucket_payloads(grid, rows)
+        assert [(b, bytes(p)) for b, p in written] == oracle_payloads(grid, rows)
+        for probability in probabilities:
+            if round(probability * 1000) >= grid.points[0]:
+                assert grid.bucket_of(probability) == bucket_for(
+                    probability, grid.points
+                )
+            else:  # a reader below the grid is an error, not a scan
+                with pytest.raises(IndexError_):
+                    grid.bucket_of(probability)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grids_and_probabilities(), width=st.integers(1, 4))
+    @example(case=(0.7, 0.1, [0.7, 0.6999999999999999, 0.7000000000000001]), width=2)
+    @example(case=(0.1, 0.2, [0.2995, 0.3005, 0.0995, 0.05, 0.4985, 1.0]), width=1)
+    @example(case=(0.3, 0.4, [0.3, 0.7, 0.9999999999999999, 1.0]), width=3)
+    def test_buckets_and_bytes_equal_the_oracle(self, case, width):
+        self.check(*case, width=width)
+
+    def test_grid_points(self):
+        assert BucketGrid(0.3, 0.2).points == (300, 500, 700, 900, 1000)
+        # gamma that does not divide 1 - beta: the 1000 point is appended.
+        assert BucketGrid(0.3, 0.4).points == (300, 700, 1000)
+        assert BucketGrid(1.0, 0.1).points == (1000,)
+
+    def test_no_rows_no_buckets(self):
+        empty = PathCandidates(
+            np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0)
+        )
+        assert bucket_payloads(BucketGrid(0.1, 0.2), empty) == []
 
 
 class TestBucketRounding:
@@ -229,51 +328,17 @@ class TestBucketRounding:
         assert len(hits) == 1
         assert hits[0].probability == pytest.approx(0.7)
 
-    def test_builder_and_index_agree_on_buckets(self):
-        from repro.index.builder import _bucket_for, _grid_milli
-
-        index = build_path_index(
-            self._boundary_peg(), max_length=1, beta=0.1, gamma=0.2
-        )
-        grid = _grid_milli(0.1, 0.2)
-        assert grid == index.grid()
-        for probability in (0.1, 0.3, 0.5, 0.7, 0.9, 0.2999999, 1.0):
-            assert _bucket_for(probability, grid) == index.bucket_for(
-                probability
-            ), probability
-
-    def test_vectorized_buckets_repeat_the_scalar_rule(self):
-        import numpy as np
-
-        from repro.index.builder import _bucket_for, _buckets_for, _grid_milli
-
-        # Grid points, half-milli ties (round-half-even), float reprs
-        # just below a point, below the grid, exactly 1.
-        probabilities = [
-            0.1, 0.3, 0.5, 0.7, 0.9, 0.2999999, 1.0, 0.2995, 0.3005,
-            0.0995, 0.05, 0.6999999999999999, 0.4985, 0.4995,
-        ]
-        for beta, gamma in ((0.1, 0.2), (0.05, 0.1), (0.3, 0.1), (0.7, 0.1)):
-            grid = _grid_milli(beta, gamma)
-            assert _buckets_for(np.array(probabilities), grid).tolist() == [
-                _bucket_for(probability, grid) for probability in probabilities
-            ]
-        assert _buckets_for(np.empty(0), _grid_milli(0.1, 0.2)).size == 0
-
     def test_stored_bucket_reachable_from_equal_alpha(self):
         index = build_path_index(
             self._boundary_peg(), max_length=1, beta=0.1, gamma=0.2
         )
         # float 0.7 rounds to 700; the path must be stored in a bucket
-        # that a min-bucket scan from bucket_for(0.7) reaches.
-        assert index.bucket_for(0.7) <= 700
+        # that a min-bucket scan from the grid's bucket of 0.7 reaches.
+        assert index.grid.bucket_of(0.7) <= 700
         assert index.lookup(("a", "b"), 0.7)
 
     def test_grid_rejects_beta_above_one(self):
-        from repro.index.builder import _grid_milli
-        from repro.utils.errors import IndexError_
-
         with pytest.raises(IndexError_):
-            _grid_milli(1.2, 0.1)
+            BucketGrid(1.2, 0.1)
         with pytest.raises(IndexError_):
             build_path_index(self._boundary_peg(), max_length=1, beta=1.01)

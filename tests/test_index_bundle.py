@@ -78,6 +78,10 @@ class TestSaveLoadRoundtrip:
                     engine.context.cardinality(node, label)
                 assert context.full_upperbound(node, label) == \
                     engine.context.full_upperbound(node, label)
+        # The bundle stores the tables themselves: same dtype, layout, bits.
+        for loaded, saved in zip(context.tables(), engine.context.tables()):
+            assert loaded.dtype == saved.dtype and loaded.flags.f_contiguous
+            assert loaded.tobytes() == saved.tobytes()
 
 
 class TestShardedBundles:
@@ -140,11 +144,12 @@ class TestValidation:
         with pytest.raises(IndexError_):
             load_offline(str(tmp_path / "nothing"))
 
-    @pytest.mark.parametrize("version", [2, 999])
+    @pytest.mark.parametrize("version", [2, 4, 999])
     def test_other_versions_rejected_then_rebuilt(
         self, peg, tmp_path, version
     ):
-        """Version 2 is what the previous release wrote; no old loader."""
+        """Version 4 is what the previous release wrote (the context as
+        per-node row lists); no old loader."""
         import pickle
         import os
 
@@ -157,6 +162,15 @@ class TestValidation:
         with open(meta_path, "rb") as handle:
             meta = pickle.load(handle)
         meta["version"] = version
+        if version == 4:
+            sigma, *tables = meta["context"]
+            meta["context"] = dict(
+                zip(
+                    ("cardinality", "partial_upper", "full_upper"),
+                    (table.tolist() for table in tables),
+                ),
+                sigma=sigma,
+            )
         with open(meta_path, "wb") as handle:
             pickle.dump(meta, handle)
         with pytest.raises(IndexError_, match="unsupported"):

@@ -172,15 +172,16 @@ class TestSparseIdSpace:
         peg, engine, _sigma = self._merged_peg()
         rebuilt = build_context(peg)
         assert engine.context.sigma == rebuilt.sigma
-        assert engine.context._cardinality == rebuilt._cardinality
-        assert engine.context._partial_upper == rebuilt._partial_upper
-        assert engine.context._full_upper == rebuilt._full_upper
-        # Nothing dirty, nothing appended: every row is shared.
+        for ours, theirs in zip(engine.context.tables(), rebuilt.tables()):
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+        # Nothing dirty, nothing appended: an equal copy, never a view
+        # a later patch could write through.
         same = patch_context(rebuilt, peg, ())
         assert same is not rebuilt
-        assert all(
-            a is b for a, b in zip(same._full_upper, rebuilt._full_upper)
-        )
+        for ours, theirs in zip(same.tables(), rebuilt.tables()):
+            assert (ours == theirs).all()
+            assert not np.shares_memory(ours, theirs)
 
     def test_live_rows_match_direct_recomputation(self):
         peg, engine, sigma = self._merged_peg()
@@ -207,6 +208,8 @@ class TestDenseTables:
         ids = star_peg.node_ids()
         assert c.shape == ppu.shape == fpu.shape == (len(ids), len(context.sigma))
         assert c.dtype == np.int64 and ppu.dtype == fpu.dtype == np.float64
+        # Column-major: one label's column is one contiguous gather source.
+        assert all(table.flags.f_contiguous for table in (c, ppu, fpu))
         for label in context.sigma + ("missing",):
             columns = context.columns(label)
             for node in ids:

@@ -75,21 +75,18 @@ class TestBucketGrid:
             histograms={},
         )
 
-    def test_grid_points(self):
+    def test_index_carries_the_grid_of_its_parameters(self):
+        # The grid's own rules are tests/test_index_builder.py::TestWriter's.
         index = self.make_index(beta=0.3, gamma=0.2)
-        assert index.grid() == (300, 500, 700, 900, 1000)
-
-    def test_bucket_for(self):
-        index = self.make_index(beta=0.3, gamma=0.2)
-        assert index.bucket_for(0.3) == 300
-        assert index.bucket_for(0.45) == 300
-        assert index.bucket_for(0.5) == 500
-        assert index.bucket_for(1.0) == 1000
+        assert index.grid.points == (300, 500, 700, 900, 1000)
+        assert index.grid.bucket_of(0.45) == 300
 
     def test_below_beta_rejected(self):
         index = self.make_index(beta=0.3)
         with pytest.raises(IndexError_):
-            index.bucket_for(0.2)
+            index.grid.bucket_of(0.2)
+        with pytest.raises(IndexError_):
+            index.lookup_canonical(("a",), 0.2)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(IndexError_):

@@ -1,12 +1,16 @@
 """Unit tests for repro.peg.serialize."""
 
+import os
 import pickle
+import random
 
 import pytest
 
-from repro.peg import load_peg, save_peg
+from repro.peg import ProbabilisticEntityGraph, load_peg, save_peg
 from repro.peg.serialize import FORMAT_VERSION
-from repro.utils.errors import ModelError
+from repro.testing import faults
+from repro.utils.errors import FaultError, ModelError
+from tests.conftest import small_random_peg
 
 
 class TestRoundTrip:
@@ -69,3 +73,60 @@ class TestValidation:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ModelError):
             load_peg(str(path))
+
+
+class TestDamagedFiles:
+    """A PEG file is a pickle without a checksum: damage may go
+    unnoticed, but whatever it makes ``pickle`` raise is a
+    :class:`ModelError` — never ``TypeError``, ``MemoryError`` & co."""
+
+    @staticmethod
+    def loads_or_model_error(path):
+        try:
+            assert isinstance(load_peg(str(path)), ProbabilisticEntityGraph)
+            return True
+        except ModelError:
+            return False
+
+    def test_bit_flips_and_truncations_load_or_raise_model_error(self, tmp_path):
+        path = tmp_path / "graph.peg"
+        save_peg(small_random_peg(seed=9, num_references=40), str(path))
+        intact = path.read_bytes()
+        rng = random.Random(20260730)
+        outcomes = []
+        for _ in range(200):
+            damaged = bytearray(intact)
+            damaged[rng.randrange(len(damaged))] ^= 1 << rng.randrange(8)
+            path.write_bytes(damaged)
+            outcomes.append(self.loads_or_model_error(path))
+        # Both outcomes occur: the sweep reaches the typed-error path.
+        assert 0 < sum(outcomes) < len(outcomes)
+        for cut in range(0, len(intact), max(1, len(intact) // 19)):
+            path.write_bytes(intact[:cut])
+            assert not self.loads_or_model_error(path), cut
+
+
+class TestAtomicSave:
+    def test_crash_before_the_rename_keeps_the_previous_graph(
+        self, figure1_peg, tmp_path
+    ):
+        """``repro apply-updates`` saves over its input: the old file is
+        the only copy until the new one is whole."""
+        path = tmp_path / "graph.peg"
+        save_peg(figure1_peg, str(path))
+        before = path.read_bytes()
+        mutated = small_random_peg(seed=3, num_references=20)
+        injector = faults.FaultInjector()
+        injector.add("store.commit", "error", max_fires=1)
+        faults.install(injector)
+        try:
+            with pytest.raises(FaultError):
+                save_peg(mutated, str(path))
+        finally:
+            faults.uninstall()
+        assert path.read_bytes() == before
+        assert load_peg(str(path)).stats() == figure1_peg.stats()
+        assert sorted(os.listdir(tmp_path)) == ["graph.peg", "graph.peg.tmp"]
+        save_peg(mutated, str(path))  # the retry
+        assert load_peg(str(path)).stats() == mutated.stats()
+        assert os.listdir(tmp_path) == ["graph.peg"]

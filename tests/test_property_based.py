@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.histogram import CardinalityHistogram
-from repro.index.paths import IndexedPath, decode_paths, encode_paths
+from repro.index.paths import IndexedPath, decode_paths
 from repro.pgd.builders import normalized_levenshtein, pair_merge_potentials
 from repro.pgd.distributions import BernoulliEdge, LabelDistribution
 from repro.pgd.merge import average_edges, average_labels, disjunct_edges
 from repro.pgm.configurations import enumerate_exact_covers
 from repro.pgm.factor import Factor
 from repro.storage import DiskPathStore
+from repro.testing.reference import encode_paths
 
 
 # ----------------------------------------------------------------------

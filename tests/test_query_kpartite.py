@@ -379,7 +379,7 @@ class TestLinkBuilderEdgeCases:
         applies the caller's exact threshold."""
         import numpy as np
 
-        from repro.index.builder import _milli
+        from repro.index.grid import milli
         from repro.query.join_candidates import joined_probability
         from repro.query.links import (
             LinkStructureCache,
@@ -404,7 +404,7 @@ class TestLinkBuilderEdgeCases:
             j, candidates[j][uid],
         )
         just_above = float(np.nextafter(boundary, 2.0))
-        assert _milli(boundary) == _milli(just_above)
+        assert milli(boundary) == milli(just_above)
         at = build_candidate_links_vectorized(
             chain_peg, decomposition, candidates, boundary, cache=cache
         )
