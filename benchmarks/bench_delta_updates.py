@@ -248,7 +248,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    num_references = args.size or (120 if args.smoke else 400)
+    # The gate compares a batch (which costs what it touches) with a
+    # rebuild (which scales with the graph): since the array-native
+    # enumeration a 120-reference rebuild is ~20 ms, twice a batch, so
+    # the smoke graph is the size at which the ratio means something.
+    num_references = args.size or (600 if args.smoke else 400)
     num_batches = 4 if args.smoke else 10
     batch_size = 2 if args.smoke else 3
     num_queries = 10 if args.smoke else 25

@@ -10,12 +10,38 @@ both orientations, which is what edge-extension needs); storage keeps
 only the canonical orientation, exploiting the undirected symmetry the
 paper describes.
 
+A frontier of columns
+---------------------
+A level is not a list of paths but four row-aligned columns: an
+``(rows, l + 1)`` node matrix, a same-shape matrix of label positions
+in ``sorted(Σ, key=repr)`` (so the canonical-orientation test is an
+integer compare), and the ``prle`` / ``prn`` vectors. One extension
+(:meth:`PathIndexBuilder._extend`) is a repeat + offset gather of the
+tails' CSR neighbours, injectivity as column compares,
+``prn * existence[neighbour]``, a second repeat over each neighbour's
+label support in support order, ``p_edge > 0``, then
+``(prle * p_edge) * p_label`` and the β-prune — the written factor
+order, so every float is the one a per-path loop computes. Rows keep
+that loop's order (start node, then sorted neighbour, then support
+label), so the bytes the writer files do not depend on how the
+enumeration runs. The gather tables are
+:class:`repro.peg.arrays.PathTables`.
+
+**The scalar fallback** is the rule the link builder and the matcher
+follow: only a row whose new node lies in a multi-entity identity
+component *and* shares that component with a node already on the path
+asks the PEG — ``shares_references_id`` (the row goes) or
+``existence_marginal_ids`` (the joint marginal replaces the product).
+**The row budget**: a level is extended in order-preserving blocks of
+at most ``_FRONTIER_ROW_BUDGET`` gathered neighbour rows, so the
+pre-prune fan-out of the last level never sets the process peak.
+
 One build path
 --------------
-Every producer of indexed paths is one set of enumeration rules — the
-seeds, the reference-sharing and ``Prn`` tests, the factor order
-``prle * p_edge * p_label``, the β-prune, the canonical orientation, all
-on :class:`PathIndexBuilder` — handing ``{labels: PathCandidates}``
+Every producer of indexed paths goes through that one ``_extend`` —
+the seeds, the reference-sharing and ``Prn`` tests, the factor order,
+the β-prune, the canonical orientation, all on
+:class:`PathIndexBuilder` — handing ``{labels: PathCandidates}``
 columns to one writer:
 
 * the offline build enumerates level by level; ``build_processes > 1``
@@ -27,14 +53,22 @@ columns to one writer:
   payload bytes as a serial one;
 * a live update re-runs the enumeration restricted to the paths through
   the nodes it dirtied (:meth:`PathIndexBuilder.paths_through`), with one
-  more prune — a partial path that has not met a dirtied node yet is
-  only extended towards one it can still reach within ``L`` edges;
+  more mask — a partial path that has not met a dirtied node yet is
+  only extended towards one it can still reach within ``L`` edges —
+  over tables derived for that ``L``-hop neighbourhood alone, so an
+  absorb iterates over what it touches and never over the graph;
 * a threshold below the index's β is answered on demand
-  (:meth:`PathIndexBuilder.paths_for_sequence`) with what a lookup on an
-  index built at that threshold returns, bit for bit.
+  (:meth:`PathIndexBuilder.paths_for_sequence`: every level masked to
+  its one label) with what a lookup on an index built at that
+  threshold returns, bit for bit, from the tables the engine's context
+  already owns for its graph version.
+
+The tuple-at-a-time enumeration these replaced is the tests' oracle
+(:class:`repro.testing.reference.TuplePathEnumeration`).
 
 The writer: :func:`bucket_payloads` files one sequence's rows as its
-``[(bucket, payload)]`` and :func:`write_buckets` puts such entries
+``[(bucket, payload)]`` (one sort, one record matrix, one slice per
+bucket) and :func:`write_buckets` puts such entries
 through :meth:`~repro.storage.kvstore.PathStore.put_bucket` — so the
 target may be any store, a hash-sharded one
 (:class:`~repro.index.sharded.ShardedPathStore`) included. The serial
@@ -54,14 +88,68 @@ from repro.index.path_index import PathIndex
 from repro.index.paths import (
     PathCandidates,
     concat_payloads,
-    encode_path_arrays,
+    encode_path_records,
     payload_count,
+    records_payload,
 )
 from repro.index.protocol import canonical_sequence, orient_to_sequence
+from repro.peg.arrays import PathTables, PegProbabilityArrays, path_tables
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import InMemoryPathStore, PathStore
 from repro.utils.errors import IndexError_
 from repro.obs.timing import Timer
+
+
+#: Most neighbour rows one extension step may gather at a time; a wider
+#: level is extended in order-preserving row blocks (the idiom of
+#: :mod:`repro.query.matcher`), so the pre-prune fan-out of the last
+#: level is block-sized and never the process peak.
+_FRONTIER_ROW_BUDGET = 1 << 16
+
+
+class _Frontier:
+    """One level of directed paths, as row-aligned columns.
+
+    ``nodes`` and ``labels`` are ``(rows, l + 1)`` matrices (labels as
+    positions in the tables' ``sigma``), ``prle`` / ``prn`` the two
+    probability components. ``holds`` is set by
+    :meth:`PathIndexBuilder.paths_through` only: whether the row
+    contains a target yet.
+    """
+
+    __slots__ = ("nodes", "labels", "prle", "prn", "holds")
+
+    def __init__(self, nodes, labels, prle, prn, holds=None) -> None:
+        self.nodes = nodes
+        self.labels = labels
+        self.prle = prle
+        self.prn = prn
+        self.holds = holds
+
+    def __len__(self) -> int:
+        return self.nodes.shape[0]
+
+    def take(self, selector) -> "_Frontier":
+        """Rows picked by a slice, a mask or an index array."""
+        return _Frontier(
+            self.nodes[selector], self.labels[selector],
+            self.prle[selector], self.prn[selector],
+            None if self.holds is None else self.holds[selector],
+        )
+
+    @classmethod
+    def concat(cls, parts: list) -> "_Frontier":
+        """Rows of ``parts`` (one width, at least one part), in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in ("nodes", "labels", "prle", "prn")
+            ),
+            None if parts[0].holds is None
+            else np.concatenate([part.holds for part in parts]),
+        )
 
 
 class PathIndexBuilder:
@@ -109,19 +197,15 @@ class PathIndexBuilder:
         self.grid = BucketGrid(self.beta, self.gamma)
         self.store = store if store is not None else InMemoryPathStore()
         self.build_processes = int(build_processes)
-        # component sharing fast path: a node can only share references
-        # with another node if its identity component has several entities.
-        self._comp_shared = self._component_sharing_flags()
-
-    def _component_sharing_flags(self) -> list:
-        counts: dict = {}
-        for node in self.peg.node_ids():
-            comp = self.peg.component_index_id(node)
-            counts[comp] = counts.get(comp, 0) + 1
-        return [
-            counts[self.peg.component_index_id(node)] > 1
-            for node in self.peg.node_ids()
-        ]
+        #: Whose whole-graph :class:`~repro.peg.arrays.PathTables` the
+        #: build and on-demand enumeration gather from (derived on first
+        #: use). A caller that already holds the arrays of this graph
+        #: version — the candidate finder, through its context — puts
+        #: them here instead, so the tables are built once per version.
+        self.arrays = PegProbabilityArrays(peg)
+        #: Extension rows that asked the PEG (reference sharing and the
+        #: joint existence marginal inside one identity component).
+        self.fallback_rows = 0
 
     # ------------------------------------------------------------------
 
@@ -157,15 +241,16 @@ class PathIndexBuilder:
         enumeration with no duplicates, which is how the parallel
         build's workers restrict it.
         """
+        tables = self.arrays.path_tables()
         per_key: dict = {}
         paths_per_length: dict = {}
-        frontier = self._seed_frontier(start_nodes)
+        frontier = self._seed_frontier(tables, start_nodes)
         for length in range(self.max_length + 1):
             if length:
-                frontier = self._extend(frontier)
+                frontier = self._extend(tables, frontier)
             paths_per_length[length] = len(frontier)
             # Levels hold disjoint sequence lengths.
-            per_key.update(_canonical_columns(frontier))
+            per_key.update(_canonical_columns(tables, frontier))
         return per_key, paths_per_length
 
     def paths_through(self, targets) -> tuple:
@@ -174,20 +259,28 @@ class PathIndexBuilder:
         Returns ``({labels: PathCandidates}, expanded)``, ``expanded``
         being the directed partial paths the enumeration held — its cost,
         which grows with the ``L``-hop neighbourhood of ``targets`` and
-        not with the graph.
+        not with the graph: no such path leaves that neighbourhood, so
+        the tables are derived for its nodes alone.
         """
-        targets = frozenset(targets)
-        hops = self._hops_to(targets)
-        frontier = self._seed_frontier(sorted(hops))
+        hops = self._hops_to(frozenset(targets))
+        tables = path_tables(self.peg, hops)
+        hop = np.full(tables.existence.size, self.max_length + 1)
+        hop[list(hops)] = list(hops.values())
+        is_target = hop == 0
+        frontier = self._seed_frontier(tables, sorted(hops))
+        frontier.holds = is_target[frontier.nodes[:, 0]]
         found: dict = {}
         expanded = 0
         for length in range(self.max_length + 1):
             if length:
-                budget = self.max_length - length
-                near = {n for n, hop in hops.items() if hop <= budget}
-                frontier = self._extend(frontier, targets, near)
+                frontier = self._extend(
+                    tables, frontier,
+                    targets=is_target, near=hop <= self.max_length - length,
+                )
             expanded += len(frontier)
-            found.update(_canonical_columns(frontier, targets))
+            found.update(
+                _canonical_columns(tables, frontier.take(frontier.holds))
+            )
         return found, expanded
 
     def _hops_to(self, targets: frozenset) -> dict:
@@ -210,52 +303,22 @@ class PathIndexBuilder:
 
         Returns what ``lookup(label_seq, beta)`` returns from an index
         built at this ``beta`` (rows as a set, floats bit for bit): the
-        *canonical* sequence is walked depth-first from
-        :meth:`_seed_frontier`'s seeds under :meth:`_extend`'s tests and
-        factor order, and only canonical paths are kept.
+        *canonical* sequence is enumerated level by level, every level
+        masked to its one label, and only canonical paths are kept.
         """
         seq = tuple(label_seq)
         canonical = canonical_sequence(seq)
-        peg = self.peg
-        beta = self.beta
-        comp_shared = self._comp_shared
-        found: list = []
-
-        def extend(ids: tuple, prle: float, prn: float) -> None:
-            if len(ids) == len(canonical):
-                if _is_canonical(ids, canonical):
-                    found.append((ids, prle, prn))
-                return
-            tail = ids[-1]
-            tail_label = canonical[len(ids) - 1]
-            label = canonical[len(ids)]
-            for neighbor in peg.neighbor_ids(tail):
-                if neighbor in ids:
-                    continue
-                if comp_shared[neighbor] and any(
-                    peg.shares_references_id(neighbor, node) for node in ids
-                ):
-                    continue
-                p_label = peg.label_probability_id(neighbor, label)
-                if p_label <= 0.0:
-                    continue
-                new_prn = self._extended_prn(ids, prn, neighbor)
-                if new_prn <= 0.0:
-                    continue
-                p_edge = peg.edge_probability_id(
-                    tail, neighbor, tail_label, label
-                )
-                if p_edge <= 0.0:
-                    continue
-                new_prle = prle * p_edge * p_label
-                if new_prle * new_prn >= beta:
-                    extend(ids + (neighbor,), new_prle, new_prn)
-
-        for ids, labels, prle, prn in self._seed_frontier():
-            if labels == canonical[:1]:
-                extend(ids, prle, prn)
+        tables = self.arrays.path_tables()
+        found: dict = {}
+        positions = [tables.label_pos.get(label) for label in canonical]
+        if None not in positions:
+            frontier = self._seed_frontier(tables, label=positions[0])
+            for label in positions[1:]:
+                frontier = self._extend(tables, frontier, label=label)
+            found = _canonical_columns(tables, frontier)
         return orient_to_sequence(
-            PathCandidates.from_rows(found, len(canonical)), seq
+            found.get(canonical, PathCandidates.from_rows([], len(canonical))),
+            seq,
         )
 
     def _parallel_entries(self) -> tuple:
@@ -292,112 +355,215 @@ class PathIndexBuilder:
 
     # ------------------------------------------------------------------
 
-    def _seed_frontier(self, start_nodes=None) -> list:
-        """Length-0 frontier: one directed path per (node, possible label)."""
-        peg = self.peg
-        nodes = peg.node_ids() if start_nodes is None else start_nodes
-        frontier = []
-        for node in nodes:
-            prn = peg.existence_probability_id(node)
-            if prn <= 0.0:
-                continue
-            for label in peg.possible_labels_id(node):
-                prle = peg.label_probability_id(node, label)
-                if prle * prn >= self.beta:
-                    frontier.append(((node,), (label,), prle, prn))
-        return frontier
+    def _seed_frontier(
+        self, tables: PathTables, start_nodes=None, label=None
+    ) -> _Frontier:
+        """Length-0 frontier: one directed path per (node, possible
+        label) — per node that can carry ``label``, when given — in
+        node order, then support order."""
+        if start_nodes is None:
+            start_nodes = self.peg.node_ids()
+        starts = np.asarray(start_nodes, dtype=np.int64)
+        nodes, support = _gather_rows(tables.sup_ptr, starts)
+        nodes = starts[nodes]
+        labels = tables.sup_label[support]
+        prle = tables.sup_prob[support]
+        prn = tables.existence[nodes]
+        keep = (prn > 0.0) & (prle * prn >= self.beta)
+        if label is not None:
+            keep &= labels == label
+        keep = np.flatnonzero(keep)
+        return _Frontier(
+            nodes[keep, None], labels[keep, None], prle[keep], prn[keep]
+        )
 
-    def _extend(self, frontier: list, targets=None, near=None) -> list:
-        """Extend every directed path by one edge at its tail.
+    def _extend(
+        self, tables: PathTables, frontier: _Frontier,
+        label=None, targets=None, near=None,
+    ) -> _Frontier:
+        """Extend every directed path by one edge at its tail: THE
+        enumeration step of the build, a live absorb and on-demand
+        lookups alike.
 
-        With ``targets`` (:meth:`paths_through`), a path that holds none
-        of them yet only steps into ``near``: the nodes from which one
-        is still within the edges the path has left.
+        Rows come out in frontier order, then neighbour order, then
+        support order. With ``label`` (:meth:`paths_for_sequence`) the
+        new node carries that one label. With ``targets`` and ``near``
+        (boolean over the id space, :meth:`paths_through`), a path that
+        holds no target yet only steps into ``near``: the nodes from
+        which one is still within the edges the path has left.
         """
-        peg = self.peg
-        beta = self.beta
-        comp_shared = self._comp_shared
-        extended = []
-        for ids, labels, prle, prn in frontier:
-            tail = ids[-1]
-            tail_label = labels[-1]
-            id_set = set(ids)
-            neighbors = peg.neighbor_ids(tail)
-            if targets is not None and targets.isdisjoint(id_set):
-                neighbors = [n for n in neighbors if n in near]
-            for neighbor in neighbors:
-                if neighbor in id_set:
-                    continue
-                if comp_shared[neighbor] and any(
-                    peg.shares_references_id(neighbor, node) for node in ids
-                ):
-                    continue
-                new_prn = self._extended_prn(ids, prn, neighbor)
-                if new_prn <= 0.0:
-                    continue
-                for label in peg.possible_labels_id(neighbor):
-                    p_edge = peg.edge_probability_id(
-                        tail, neighbor, tail_label, label
-                    )
-                    if p_edge <= 0.0:
-                        continue
-                    p_label = peg.label_probability_id(neighbor, label)
-                    new_prle = prle * p_edge * p_label
-                    if new_prle * new_prn < beta:
-                        continue
-                    extended.append(
-                        (
-                            ids + (neighbor,),
-                            labels + (label,),
-                            new_prle,
-                            new_prn,
-                        )
-                    )
-        return extended
+        tails = frontier.nodes[:, -1]
+        ends = np.cumsum(tables.adj_ptr[tails + 1] - tables.adj_ptr[tails])
+        parts = []
+        low = 0
+        # At least one block: an empty level extends to an empty level
+        # one node wider.
+        while not parts or low < len(frontier):
+            # The longest run of rows whose neighbours fit the budget
+            # (one row at least); usually the whole level.
+            gathered = ends[low - 1] if low else 0
+            high = max(
+                low + 1,
+                int(np.searchsorted(
+                    ends, gathered + _FRONTIER_ROW_BUDGET, side="right"
+                )),
+            )
+            parts.append(
+                self._extend_block(
+                    tables, frontier.take(slice(low, high)),
+                    label, targets, near,
+                )
+            )
+            low = high
+        return _Frontier.concat(parts)
 
-    def _extended_prn(self, ids: tuple, prn: float, neighbor: int) -> float:
-        """``Prn`` after adding ``neighbor`` to a path's node set.
+    def _extend_block(
+        self, tables: PathTables, frontier: _Frontier, label, targets, near
+    ) -> _Frontier:
+        parent, slots = _gather_rows(tables.adj_ptr, frontier.nodes[:, -1])
+        neighbor = tables.adj[slots]
+        keep = np.ones(neighbor.size, dtype=bool)
+        for column in frontier.nodes.T:  # a path visits a node once
+            keep &= column[parent] != neighbor
+        if near is not None:
+            keep &= frontier.holds[parent] | near[neighbor]
+        # Row numbers, not a mask: one scan serves every column.
+        keep = np.flatnonzero(keep)
+        parent, slots, neighbor = parent[keep], slots[keep], neighbor[keep]
 
-        Fast path: across components the marginal multiplies; only when
-        the new node shares a non-trivial component with an existing path
-        node must the joint marginal be recomputed.
-        """
-        peg = self.peg
-        if self._comp_shared[neighbor]:
-            comp = peg.component_index_id(neighbor)
-            if any(peg.component_index_id(node) == comp for node in ids):
-                return peg.existence_marginal_ids(ids + (neighbor,))
-        return prn * peg.existence_probability_id(neighbor)
+        # Across identity components the existence marginal multiplies.
+        # Only a new node of a multi-entity component that shares that
+        # component with a node already on the path asks the PEG: for
+        # shared references (the row goes) and for the joint marginal.
+        prn = frontier.prn[parent] * tables.existence[neighbor]
+        suspects = np.flatnonzero(tables.multi[neighbor])
+        if suspects.size:
+            component = tables.components
+            on_path = component[frontier.nodes[parent[suspects]]]
+            new = component[neighbor[suspects], None]
+            suspects = suspects[(on_path == new).any(axis=1)]
+            self.fallback_rows += suspects.size
+            peg = self.peg
+            for row in suspects.tolist():
+                ids = frontier.nodes[parent[row]].tolist()
+                new = int(neighbor[row])
+                if any(peg.shares_references_id(new, node) for node in ids):
+                    prn[row] = 0.0
+                else:
+                    prn[row] = peg.existence_marginal_ids(ids + [new])
+        keep = prn > 0.0
+
+        if label is None:  # every possible label, in support order
+            keep = np.flatnonzero(keep)
+            again, support = _gather_rows(tables.sup_ptr, neighbor[keep])
+            keep = keep[again]
+            new_label = tables.sup_label[support]
+            p_label = tables.sup_prob[support]
+        else:
+            p_label = tables.label_matrix[:, label][neighbor]
+            keep = np.flatnonzero(keep & (p_label > 0.0))
+            p_label = p_label[keep]
+            new_label = np.full(keep.size, label, dtype=np.int64)
+        parent, slots, neighbor = parent[keep], slots[keep], neighbor[keep]
+        prn = prn[keep]
+
+        p_edge = tables.edge_probabilities(
+            slots, frontier.labels[parent, -1], new_label
+        )
+        prle = frontier.prle[parent] * p_edge * p_label
+        keep = np.flatnonzero((p_edge > 0.0) & (prle * prn >= self.beta))
+        parent, neighbor = parent[keep], neighbor[keep]
+        return _Frontier(
+            np.concatenate(
+                (frontier.nodes[parent], neighbor[:, None]), axis=1
+            ),
+            np.concatenate(
+                (frontier.labels[parent], new_label[keep, None]), axis=1
+            ),
+            prle[keep],
+            prn[keep],
+            None if targets is None
+            else frontier.holds[parent] | targets[neighbor],
+        )
 
 
-def _canonical_columns(frontier: list, targets=None) -> dict:
-    """A frontier's canonical paths (those through ``targets``, when
-    given) as ``{labels: PathCandidates}``, rows in frontier order."""
-    per_key: dict = {}
-    for ids, labels, prle, prn in frontier:
-        if targets is not None and targets.isdisjoint(ids):
-            continue
-        if _is_canonical(ids, labels):
-            per_key.setdefault(labels, []).append((ids, prle, prn))
-    return {
-        labels: PathCandidates.from_rows(rows, len(labels))
-        for labels, rows in per_key.items()
-    }
+def _gather_rows(pointers: np.ndarray, rows: np.ndarray) -> tuple:
+    """Expand ``rows`` of a CSR: ``(parent, position)`` per entry, the
+    parent being the index into ``rows`` and the position the entry's
+    place in the CSR's value arrays — parents in order, a row's entries
+    in theirs."""
+    starts = pointers[rows]
+    counts = pointers[rows + 1] - starts
+    total = int(counts.sum())
+    parent = np.repeat(np.arange(rows.size), counts)
+    first = starts - (np.cumsum(counts) - counts)
+    return parent, np.repeat(first, counts) + np.arange(total)
+
+
+def _canonical_columns(tables: PathTables, frontier: _Frontier) -> dict:
+    """A frontier's canonical paths as ``{labels: PathCandidates}``,
+    sequences by first appearance, rows in frontier order.
+
+    The canonical orientation is the lexicographically smaller of
+    ``(labels, ids)`` and its reverse, labels compared through ``repr``
+    — their positions in ``sigma`` — and ties (single nodes) canonical.
+    """
+    nodes, labels, prle, prn = (
+        frontier.nodes, frontier.labels, frontier.prle, frontier.prn
+    )
+    width = nodes.shape[1]
+    if width > 1:
+        # Labels decide from the outside in; under a palindrome of
+        # labels the end nodes do (a path's nodes are distinct).
+        canonical = nodes[:, 0] < nodes[:, -1]
+        for column in reversed(range(width // 2)):
+            ahead, behind = labels[:, column], labels[:, -1 - column]
+            canonical = np.where(ahead == behind, canonical, ahead < behind)
+        canonical = np.flatnonzero(canonical)
+        nodes, labels = nodes[canonical], labels[canonical]
+        prle, prn = prle[canonical], prn[canonical]
+    if not nodes.shape[0]:
+        return {}
+    size = len(tables.sigma)
+    if size ** width < 2 ** 62:  # one integer names a sequence
+        codes = labels[:, 0]
+        for column in range(1, width):
+            codes = codes * size + labels[:, column]
+    else:  # too many sequences for that: rank the rows
+        codes = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    bounds = np.append(starts, order.size)
+    nodes, prle, prn = nodes[order], prle[order], prn[order]
+    sigma = tables.sigma
+    per_key = {}
+    # A group's first row is its earliest: groups by first appearance.
+    for group in np.argsort(order[starts]).tolist():
+        low, high = bounds[group], bounds[group + 1]
+        key = tuple(sigma[label] for label in labels[order[low]].tolist())
+        per_key[key] = PathCandidates(
+            nodes[low:high], prle[low:high], prn[low:high]
+        )
+    return per_key
 
 
 def bucket_payloads(grid: BucketGrid, rows: PathCandidates) -> list:
     """One sequence's rows as its ``[(bucket, payload)]``, ascending:
     THE filing rule — the grid's vectorized bucket rule, a stable
     group-by (rows keep their order inside a bucket), the columnar
-    codec. No row, no bucket."""
+    codec run once over the sorted rows and sliced per bucket. No row,
+    no bucket."""
     buckets = grid.buckets_of(rows.prle * rows.prn)
     order = np.argsort(buckets, kind="stable")
     used, starts = np.unique(buckets[order], return_index=True)
+    sorted_rows = rows.take(order)
+    records = encode_path_records(
+        sorted_rows.nodes, sorted_rows.prle, sorted_rows.prn
+    )
+    bounds = [*starts.tolist(), order.size]
     return [
-        (bucket, encode_path_arrays(part.nodes, part.prle, part.prn))
-        for bucket, part in zip(
-            used.tolist(), map(rows.take, np.split(order, starts[1:]))
-        )
+        (bucket, records_payload(records[low:high]))
+        for bucket, low, high in zip(used.tolist(), bounds, bounds[1:])
     ]
 
 
@@ -477,17 +643,3 @@ def build_path_index(
         build_processes=build_processes,
     )
     return builder.build()
-
-
-def _is_canonical(ids: tuple, labels: tuple) -> bool:
-    """True when the directed path is in its canonical orientation.
-
-    The canonical orientation is the lexicographically smaller of
-    ``(labels, ids)`` and its reverse (labels compared through repr);
-    ties (palindromic single nodes) count as canonical.
-    """
-    if len(ids) == 1:
-        return True
-    fwd = (tuple(map(repr, labels)), ids)
-    rev = (tuple(map(repr, reversed(labels))), tuple(reversed(ids)))
-    return fwd <= rev

@@ -242,12 +242,13 @@ def decode_path_arrays(payload, width: int | None = None):
     return nodes, probs[:, 0].astype(np.float64), probs[:, 1].astype(np.float64)
 
 
-def encode_path_arrays(
+def encode_path_records(
     nodes: np.ndarray, prle: np.ndarray, prn: np.ndarray
-) -> bytes:
-    """The inverse of :func:`decode_path_arrays`: columns to one bucket
-    payload — a count header, then per row the width byte, the node ids
-    and the two probabilities, big-endian — without a per-path object."""
+) -> np.ndarray:
+    """Columns as a ``(count, record bytes)`` uint8 matrix: per row the
+    width byte, the node ids and the two probabilities, big-endian —
+    without a per-path object. Any run of its rows behind a count
+    header (:func:`records_payload`) is a bucket payload."""
     count, width = nodes.shape
     if width > 255:
         raise IndexError_("path too long to serialize (max 255 nodes)")
@@ -264,7 +265,20 @@ def encode_path_arrays(
     records[:, -_PROBS.size:] = (
         np.stack((prle, prn), axis=1).astype(">f8").view(np.uint8)
     )
-    return _COUNT.pack(count) + records.tobytes()
+    return records
+
+
+def records_payload(records: np.ndarray) -> bytes:
+    """Rows of :func:`encode_path_records` as one bucket payload."""
+    return _COUNT.pack(records.shape[0]) + records.tobytes()
+
+
+def encode_path_arrays(
+    nodes: np.ndarray, prle: np.ndarray, prn: np.ndarray
+) -> bytes:
+    """The inverse of :func:`decode_path_arrays`: columns to one bucket
+    payload, a count header and then the rows' records."""
+    return records_payload(encode_path_records(nodes, prle, prn))
 
 
 def decode_paths(payload) -> list:

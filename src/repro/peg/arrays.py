@@ -1,5 +1,7 @@
-"""Probability gather tables of a PEG, for the array-native online
-phase. They read nothing but the graph, so they live beside it."""
+"""Gather tables of a PEG: the probability arrays of the array-native
+online phase and the :class:`PathTables` the path enumeration
+(:mod:`repro.index.builder`) extends its frontier from. They read
+nothing but the graph, so they live beside it."""
 
 from __future__ import annotations
 
@@ -41,6 +43,13 @@ class PegProbabilityArrays:
         self._existence = None
         self._components = None
         self._entities = None
+        self._path_tables = None
+
+    def path_tables(self) -> "PathTables":
+        """The path-enumeration tables of the whole graph (built once)."""
+        if self._path_tables is None:
+            self._path_tables = path_tables(self.peg)
+        return self._path_tables
 
     def label_probabilities(self, label) -> np.ndarray:
         """``Pr(v.l = label)`` for every node id, as one dense array."""
@@ -161,3 +170,149 @@ class PegProbabilityArrays:
         position = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
         found = keys[position] == wanted
         return np.where(found, values[position], 0.0)
+
+
+class PathTables:
+    """What one edge-extension of a path frontier gathers from.
+
+    Over the id space: ``existence``, ``components`` and ``multi`` (the
+    node's identity component holds several filled nodes — only such a
+    node can share references with another); CSR adjacency
+    (``adj_ptr`` / ``adj``, a node's neighbours ascending, one *slot*
+    per directed edge); CSR label support (``sup_ptr`` / ``sup_label``
+    / ``sup_prob``, a node's possible labels in support order, as
+    positions in ``sigma``); and ``label_matrix``, the same
+    probabilities as a dense column-major ``(id_space, |Σ|)`` matrix.
+    ``sigma`` is the labels of the filled supports sorted by ``repr``,
+    so comparing label positions is comparing labels the way the
+    canonical orientation does.
+
+    Edge probabilities are one row of slots per unordered label pair,
+    built when a pair is first asked for. The rows live in one
+    ``(pair rows, matrix)`` snapshot that is replaced, never written:
+    concurrent readers may each rebuild a pair the other just added,
+    but none can see a row index without its row.
+    """
+
+    def __init__(
+        self, existence, components, multi, adj_ptr, adj,
+        sup_ptr, sup_labels, sup_prob, slot_dists,
+    ) -> None:
+        self.sigma = tuple(sorted(set(sup_labels), key=repr))
+        self.label_pos = {label: i for i, label in enumerate(self.sigma)}
+        self.existence = existence
+        self.components = components
+        self.multi = multi
+        self.adj_ptr = adj_ptr
+        self.adj = adj
+        self.sup_ptr = sup_ptr
+        self.sup_label = np.asarray(
+            [self.label_pos[label] for label in sup_labels], dtype=np.int64
+        )
+        self.sup_prob = sup_prob
+        size = len(self.sigma)
+        self.label_matrix = np.zeros((existence.size, size), order="F")
+        self.label_matrix[
+            np.repeat(np.arange(existence.size), np.diff(sup_ptr)),
+            self.sup_label,
+        ] = sup_prob
+        # A Bernoulli edge has one probability under every label pair;
+        # only conditional slots are asked again per pair.
+        self._conditional = [
+            (slot, dist) for slot, dist in enumerate(slot_dists)
+            if dist.conditional
+        ]
+        self._base = np.fromiter(
+            (0.0 if dist.conditional else dist.probability()
+             for dist in slot_dists),
+            dtype=np.float64,
+            count=len(slot_dists),
+        )
+        self._edges = (
+            np.full((size, size), -1, dtype=np.int64),
+            np.empty((0, self._base.size)),
+        )
+
+    def edge_probabilities(self, slots, labels_a, labels_b) -> np.ndarray:
+        """``Pr(slot's edge | endpoint labels)`` per row, the labels as
+        positions in ``sigma`` (CPTs canonicalize their pair, so one
+        row serves both orientations)."""
+        if not self._conditional:
+            return self._base[slots]
+        pair_rows, matrix = self._edges
+        rows = pair_rows[labels_a, labels_b]
+        missing = rows < 0
+        if missing.any():
+            size = len(self.sigma)
+            pair_rows = pair_rows.copy()
+            columns = [matrix]
+            wanted = np.unique((labels_a * size + labels_b)[missing])
+            for a, b in zip(*divmod(wanted, size)):
+                if pair_rows[a, b] >= 0:  # the other orientation's row
+                    continue
+                label_a, label_b = self.sigma[a], self.sigma[b]
+                column = self._base.copy()
+                for slot, dist in self._conditional:
+                    column[slot] = dist.probability(label_a, label_b)
+                pair_rows[a, b] = pair_rows[b, a] = (
+                    matrix.shape[0] + len(columns) - 1
+                )
+                columns.append(column[None, :])
+            matrix = np.concatenate(columns)
+            self._edges = (pair_rows, matrix)
+            rows = pair_rows[labels_a, labels_b]
+        return matrix[rows, slots]
+
+
+def path_tables(peg: ProbabilisticEntityGraph, nodes=None) -> PathTables:
+    """The :class:`PathTables` of ``peg``, from its id accessors.
+
+    With ``nodes``, only their rows are filled (every other id reads as
+    a node that does not exist, with no neighbour and no label), by
+    iterating over ``nodes`` alone: what a live absorb derives for the
+    neighbourhood it enumerates.
+    """
+    size = len(peg.node_ids())
+    filled = np.asarray(
+        sorted(peg.node_ids() if nodes is None else nodes), dtype=np.int64
+    )
+    degrees, supports, existence, components = [], [], [], []
+    adj, slot_dists, labels, sup_prob = [], [], [], []
+    for node in filled.tolist():
+        existence.append(peg.existence_probability_id(node))
+        components.append(peg.component_index_id(node))
+        neighbors = peg.neighbor_ids(node)
+        degrees.append(len(neighbors))
+        adj.extend(neighbors)
+        slot_dists.extend(
+            peg.edge_distribution_id(node, neighbor) for neighbor in neighbors
+        )
+        support = peg.possible_labels_id(node)
+        supports.append(len(support))
+        labels.extend(support)
+        sup_prob.extend(
+            peg.label_probability_id(node, label) for label in support
+        )
+
+    def over_ids(values, dtype, fill=0) -> np.ndarray:
+        column = np.full(size, fill, dtype=dtype)
+        column[filled] = values
+        return column
+
+    def pointers(counts) -> np.ndarray:
+        return np.concatenate(
+            ([0], np.cumsum(over_ids(counts, np.int64)))
+        )
+
+    components = np.asarray(components, dtype=np.int64)
+    return PathTables(
+        existence=over_ids(existence, np.float64),
+        components=over_ids(components, np.int64, -1),
+        multi=over_ids(np.bincount(components)[components] > 1, bool),
+        adj_ptr=pointers(degrees),
+        adj=np.asarray(adj, dtype=np.int64),
+        sup_ptr=pointers(supports),
+        sup_labels=labels,
+        sup_prob=np.asarray(sup_prob, dtype=np.float64),
+        slot_dists=slot_dists,
+    )

@@ -200,9 +200,11 @@ class CandidateFinder:
         if self.index is not None and self.alpha >= self.index.beta:
             raw = self.index.lookup(label_seq, self.alpha)
         else:
-            raw = PathIndexBuilder(
-                self.peg, beta=self.alpha
-            ).paths_for_sequence(label_seq)
+            builder = PathIndexBuilder(self.peg, beta=self.alpha)
+            if self.context is not None:
+                # Enumeration tables are per graph version, not per find.
+                builder.arrays = self.context.probability_arrays(self.peg)
+            raw = builder.paths_for_sequence(label_seq)
             # Marks partitions that never touched the index, so a trace
             # with zero store reads explains itself.
             span.set("on_demand", True)

@@ -12,6 +12,13 @@ kept rows in the same order.
 :func:`encode_paths` and :func:`bucket_for` are the bucket writer as it
 ran before the columnar one (:func:`repro.index.builder.bucket_payloads`),
 which must file the same rows under the same buckets as the same bytes.
+
+:class:`TuplePathEnumeration` is the path enumeration as it ran before
+the column frontier (:class:`repro.index.builder.PathIndexBuilder`): a
+frontier of ``(ids, labels, prle, prn)`` tuples extended one path, one
+neighbour, one label at a time. The array enumeration must yield the
+same sequences in the same order holding the same rows in the same
+order, ``prle``/``prn`` bit for bit, and the same level counts.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterable, Sequence
 from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
 from repro.index.grid import milli
-from repro.index.paths import IndexedPath
+from repro.index.paths import IndexedPath, PathCandidates
 from repro.index.protocol import PathIndexProtocol
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import PathStatistics, compute_path_statistics
@@ -226,3 +233,165 @@ class ScalarCandidateFinder:
                 continue
             pruned.append(candidate)
         return pruned, raw_count
+
+
+class TuplePathEnumeration:
+    """The Section 5.1 enumeration over a frontier of tuples."""
+
+    def __init__(
+        self, peg: ProbabilisticEntityGraph, max_length: int, beta: float
+    ) -> None:
+        self.peg = peg
+        self.max_length = int(max_length)
+        self.beta = float(beta)
+        # component sharing fast path: a node can only share references
+        # with another node if its identity component has several entities.
+        self._comp_shared = self._component_sharing_flags()
+
+    def _component_sharing_flags(self) -> list:
+        counts: dict = {}
+        for node in self.peg.node_ids():
+            comp = self.peg.component_index_id(node)
+            counts[comp] = counts.get(comp, 0) + 1
+        return [
+            counts[self.peg.component_index_id(node)] > 1
+            for node in self.peg.node_ids()
+        ]
+
+    def collect_buckets(self, start_nodes=None) -> tuple:
+        """``({labels: PathCandidates}, paths_per_length)`` of the
+        canonical paths starting at ``start_nodes`` (default: all)."""
+        per_key: dict = {}
+        paths_per_length: dict = {}
+        frontier = self._seed_frontier(start_nodes)
+        for length in range(self.max_length + 1):
+            if length:
+                frontier = self._extend(frontier)
+            paths_per_length[length] = len(frontier)
+            per_key.update(_canonical_columns(frontier))
+        return per_key, paths_per_length
+
+    def paths_through(self, targets) -> tuple:
+        """``({labels: PathCandidates}, expanded)`` of the canonical
+        paths containing a node of ``targets``."""
+        targets = frozenset(targets)
+        hops = self._hops_to(targets)
+        frontier = self._seed_frontier(sorted(hops))
+        found: dict = {}
+        expanded = 0
+        for length in range(self.max_length + 1):
+            if length:
+                budget = self.max_length - length
+                near = {n for n, hop in hops.items() if hop <= budget}
+                frontier = self._extend(frontier, targets, near)
+            expanded += len(frontier)
+            found.update(_canonical_columns(frontier, targets))
+        return found, expanded
+
+    def _hops_to(self, targets: frozenset) -> dict:
+        hops = dict.fromkeys(targets, 0)
+        frontier = sorted(targets)
+        for distance in range(1, self.max_length + 1):
+            reached = []
+            for node in frontier:
+                for neighbor in self.peg.neighbor_ids(node):
+                    if neighbor not in hops:
+                        hops[neighbor] = distance
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
+
+    def _seed_frontier(self, start_nodes=None) -> list:
+        """Length-0 frontier: one directed path per (node, possible label)."""
+        peg = self.peg
+        nodes = peg.node_ids() if start_nodes is None else start_nodes
+        frontier = []
+        for node in nodes:
+            prn = peg.existence_probability_id(node)
+            if prn <= 0.0:
+                continue
+            for label in peg.possible_labels_id(node):
+                prle = peg.label_probability_id(node, label)
+                if prle * prn >= self.beta:
+                    frontier.append(((node,), (label,), prle, prn))
+        return frontier
+
+    def _extend(self, frontier: list, targets=None, near=None) -> list:
+        """Extend every directed path by one edge at its tail; a path
+        holding no target yet only steps into ``near``."""
+        peg = self.peg
+        beta = self.beta
+        comp_shared = self._comp_shared
+        extended = []
+        for ids, labels, prle, prn in frontier:
+            tail = ids[-1]
+            tail_label = labels[-1]
+            id_set = set(ids)
+            neighbors = peg.neighbor_ids(tail)
+            if targets is not None and targets.isdisjoint(id_set):
+                neighbors = [n for n in neighbors if n in near]
+            for neighbor in neighbors:
+                if neighbor in id_set:
+                    continue
+                if comp_shared[neighbor] and any(
+                    peg.shares_references_id(neighbor, node) for node in ids
+                ):
+                    continue
+                new_prn = self._extended_prn(ids, prn, neighbor)
+                if new_prn <= 0.0:
+                    continue
+                for label in peg.possible_labels_id(neighbor):
+                    p_edge = peg.edge_probability_id(
+                        tail, neighbor, tail_label, label
+                    )
+                    if p_edge <= 0.0:
+                        continue
+                    p_label = peg.label_probability_id(neighbor, label)
+                    new_prle = prle * p_edge * p_label
+                    if new_prle * new_prn < beta:
+                        continue
+                    extended.append(
+                        (
+                            ids + (neighbor,),
+                            labels + (label,),
+                            new_prle,
+                            new_prn,
+                        )
+                    )
+        return extended
+
+    def _extended_prn(self, ids: tuple, prn: float, neighbor: int) -> float:
+        """``Prn`` after adding ``neighbor``: the product across
+        components, the joint marginal inside a shared one."""
+        peg = self.peg
+        if self._comp_shared[neighbor]:
+            comp = peg.component_index_id(neighbor)
+            if any(peg.component_index_id(node) == comp for node in ids):
+                return peg.existence_marginal_ids(ids + (neighbor,))
+        return prn * peg.existence_probability_id(neighbor)
+
+
+def _canonical_columns(frontier: list, targets=None) -> dict:
+    """A frontier's canonical paths (those through ``targets``, when
+    given) as ``{labels: PathCandidates}``, rows in frontier order."""
+    per_key: dict = {}
+    for ids, labels, prle, prn in frontier:
+        if targets is not None and targets.isdisjoint(ids):
+            continue
+        if _is_canonical(ids, labels):
+            per_key.setdefault(labels, []).append((ids, prle, prn))
+    return {
+        labels: PathCandidates.from_rows(rows, len(labels))
+        for labels, rows in per_key.items()
+    }
+
+
+def _is_canonical(ids: tuple, labels: tuple) -> bool:
+    """True when the directed path is the lexicographically smaller of
+    ``(labels, ids)`` and its reverse (labels compared through repr);
+    single nodes count as canonical."""
+    if len(ids) == 1:
+        return True
+    fwd = (tuple(map(repr, labels)), ids)
+    rev = (tuple(map(repr, reversed(labels))), tuple(reversed(ids)))
+    return fwd <= rev

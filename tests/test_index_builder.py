@@ -5,6 +5,7 @@ The key invariant: for every label sequence X and threshold alpha >= beta,
 enumeration finds, with identical probability components.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import SyntheticConfig, generate_synthetic_pgd
 from repro.index import build_path_index
 from repro.index.builder import PathIndexBuilder, bucket_payloads
 from repro.index.grid import BucketGrid
@@ -212,6 +214,61 @@ class TestPathsThrough:
         assert {k: list(v) for k, v in everything.items()} == {
             labels: list(rows) for labels, rows in per_key.items()
         }
+
+
+def store_digest(index) -> str:
+    """sha256 (first 16 hex digits) over everything a built index
+    holds: every ``(sequence, bucket)`` with its payload bytes,
+    sequences in ``repr`` order, then every sequence's histogram."""
+    digest = hashlib.sha256()
+    sequences = sorted(index.store.label_sequences(), key=repr)
+    for sequence in sequences:
+        for bucket, payload in index.store.scan_buckets(sequence, 0):
+            digest.update(repr((sequence, bucket)).encode() + bytes(payload))
+    for sequence in sequences:
+        histogram = index.histograms[sequence]
+        digest.update(
+            repr((sequence, histogram.thresholds, histogram.counts)).encode()
+        )
+    return digest.hexdigest()[:16]
+
+
+class TestStoreDigests:
+    """The bytes of the three end-to-end benchmark indexes, pinned: the
+    graphs of ``benchmarks/e2e/workloads.py`` (``match_heavy``,
+    ``wire_zipf``, ``live_updates``; copied here as constants), built
+    in this process and by two pool workers. A change to the
+    enumeration, the grid or the writer that moves one stored byte
+    moves a digest."""
+
+    SEED = 20140331
+    CASES = {
+        "aad69d8664f61ff7": (
+            SyntheticConfig(num_references=200, uncertainty=0.2, seed=SEED),
+            3, 0.5,
+        ),
+        "648777aa7af27573": (
+            SyntheticConfig(
+                num_references=600, num_labels=4, uncertainty=0.4, seed=SEED
+            ),
+            2, 0.1,
+        ),
+        "c76bb66dbc6e4798": (
+            SyntheticConfig(num_references=200, uncertainty=0.2, seed=SEED),
+            2, 0.3,
+        ),
+    }
+
+    @pytest.mark.parametrize("expected", list(CASES))
+    def test_serial_and_two_process_builds(self, expected):
+        config, max_length, beta = self.CASES[expected]
+        peg = build_peg(generate_synthetic_pgd(config))
+        for build_processes in (0, 2):
+            index = build_path_index(
+                peg, max_length=max_length, beta=beta,
+                build_processes=build_processes,
+            )
+            assert store_digest(index) == expected, build_processes
 
 
 def oracle_payloads(grid, rows):
