@@ -1,12 +1,19 @@
-"""Online-phase core benchmark: vectorized vs Python reduction backend.
+"""Online-phase core benchmark: the stacked reduction against the
+Python backend, on one large graph and on many small queries.
 
-Measures the three hot paths PR 3 vectorized, on one synthetic workload
-large enough to be interpreter-bound:
+Measures the online phase's array hot paths:
 
-* **reduction** — ``reduce()`` of the candidate k-partite graph, numpy
-  whole-array backend (:mod:`repro.query.reduction`) against the
+* **reduction, large** — ``reduce()`` of one candidate k-partite graph
+  large enough to be interpreter-bound (k = 3, >= 10k vertices): the
+  stacked numpy backend (:mod:`repro.query.reduction`) against the
   incremental pure-Python reference (:mod:`repro.query.kpartite`), over
   the identical prebuilt link structure,
+* **reduction, traffic** — many small queries, the shape the engine
+  actually serves: 96 dense random queries (4-6 nodes, 5-10 edges) on
+  a 200-reference synthetic graph at alpha 0.5, each through the
+  engine's planner, lookup and link builder once; per query that
+  reaches the join, build and ``reduce()`` time and the numpy calls
+  ``reduce()`` makes,
 * **decode** — bulk ``np.frombuffer`` payload decoding
   (:func:`repro.index.paths.decode_paths`) against the record-by-record
   scalar decoder,
@@ -19,10 +26,15 @@ the same report is *also* written to
 ``benchmarks/results/BENCH_reduction-v<version>.json`` — one file per
 repro version, never overwritten by later versions — which is what
 ``benchmarks/summarize.py`` merges into the perf-trajectory table;
-commit that copy so future PRs have a baseline to regress against. The
-script exits non-zero when the backends disagree on the reduction
-outcome, or — with ``--smoke``, the CI gate — when the vectorized
-backend is not at least as fast as the Python backend.
+commit that copy so later versions have a baseline to regress against.
+
+The script exits non-zero when the backends disagree on a reduction
+outcome (on both rows the stacked reduction must also match the
+per-pair oracle :class:`repro.testing.reference.PerPairKPartiteGraph`
+bit for bit: alive masks, perception vectors, ``rounds``,
+``message_updates``), or — with ``--smoke``, the CI gate — when the
+vectorized backend is not at least as fast as the Python backend on
+the large graph.
 
 Usage::
 
@@ -48,6 +60,7 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
     )
 
 from repro import __version__
+from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.index.paths import (
     _decode_paths_scalar,
     decode_paths,
@@ -56,16 +69,30 @@ from repro.index.paths import (
 )
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
+from repro.query import QueryEngine, QueryOptions
 from repro.query.candidates import CandidateFinder
 from repro.query.decompose import decompose_query
 from repro.query.kpartite import CandidateKPartiteGraph, build_candidate_links
+from repro.query.links import build_candidate_links_vectorized
 from repro.query.query_graph import QueryGraph
 from repro.query.reduction import VectorizedKPartiteGraph
 from repro.storage.kvstore import DiskPathStore
+from repro.testing.reference import PerPairKPartiteGraph
 
 #: Query threshold of the reduction workload — low enough to keep many
 #: candidates, high enough that both reduction principles fire.
 ALPHA = 0.15
+
+# The traffic row's recipe: the end-to-end benchmark's lookup_heavy
+# pool, copied so this module stands alone.
+TRAFFIC_GRAPH = SyntheticConfig(
+    num_references=200, uncertainty=0.2, seed=20140331
+)
+TRAFFIC_QUERY_SEED = "20140331/lookup_heavy"
+TRAFFIC_SHAPES = ((4, 5), (4, 6), (5, 7), (5, 8), (6, 9), (6, 10))
+TRAFFIC_MAX_LENGTH = 3
+TRAFFIC_BETA = 0.5
+TRAFFIC_ALPHA = 0.5
 
 
 def build_workload_peg(num_nodes: int, seed: int = 7):
@@ -119,6 +146,42 @@ def build_candidate_workload(num_nodes: int, seed: int = 7):
     return peg, decomposition, candidates, links, link_seconds
 
 
+def numpy_calls(fn) -> int:
+    """How many numpy C functions, ufuncs and array methods ``fn()``
+    calls (``sys.setprofile`` ``c_call`` events)."""
+    count = 0
+
+    def profile(_frame, event, arg) -> None:
+        nonlocal count
+        if event != "c_call":
+            return
+        owner = getattr(arg, "__self__", None)
+        if isinstance(arg, np.ufunc) or isinstance(
+            owner, (np.ndarray, np.ufunc, np.generic)
+        ) or (getattr(arg, "__module__", None) or "").startswith("numpy"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def same_reduction(graph, stats, oracle, oracle_stats) -> bool:
+    """Two reductions left the same state: every stat (``rounds`` and
+    ``message_updates`` included), the alive masks, and the perception
+    vectors of alive vertices bit for bit."""
+    alive = graph.all_alive
+    return (
+        stats == oracle_stats
+        and alive.tobytes() == oracle.all_alive.tobytes()
+        and graph.vectors[:, alive].tobytes()
+        == oracle.vectors[:, alive].tobytes()
+    )
+
+
 def _time_backend(factory, repeats: int) -> tuple:
     """Best-of-``repeats`` construction and reduce() time of one backend."""
     best_build = best_reduce = float("inf")
@@ -152,6 +215,10 @@ def bench_reduction(num_nodes: int, repeats: int) -> dict:
         ),
         repeats,
     )
+    pair_graph = PerPairKPartiteGraph(
+        peg, decomposition, candidates, ALPHA, links=links
+    )
+    pair_stats = pair_graph.reduce()
 
     agreement = (
         py_stats.initial_sizes == vec_stats.initial_sizes
@@ -163,6 +230,7 @@ def bench_reduction(num_nodes: int, repeats: int) -> dict:
             py_graph.alive_vertex_ids(i) == vec_graph.alive_vertex_ids(i)
             for i in range(py_graph.k)
         )
+        and same_reduction(vec_graph, vec_stats, pair_graph, pair_stats)
     )
     return {
         "total_vertices": total_vertices,
@@ -175,9 +243,100 @@ def bench_reduction(num_nodes: int, repeats: int) -> dict:
         "python_reduce_seconds": py_reduce,
         "vectorized_build_seconds": vec_build,
         "vectorized_reduce_seconds": vec_reduce,
+        "rounds": vec_stats.rounds,
+        "message_updates": vec_stats.message_updates,
         "speedup_reduce": py_reduce / max(vec_reduce, 1e-12),
         "speedup_total": (py_build + py_reduce)
         / max(vec_build + vec_reduce, 1e-12),
+        "agreement": agreement,
+    }
+
+
+def build_traffic_workload(per_shape: int) -> list:
+    """``(peg, arrays, queries, joins)``: every traffic query that
+    reaches the join, as the ``(decomposition, candidates, links)`` the
+    engine's plan, lookup and link stages produce."""
+    peg = build_peg(generate_synthetic_pgd(TRAFFIC_GRAPH))
+    engine = QueryEngine(
+        peg, max_length=TRAFFIC_MAX_LENGTH, beta=TRAFFIC_BETA
+    )
+    arrays = engine.context.probability_arrays(peg)
+    sigma = [f"L{i}" for i in range(TRAFFIC_GRAPH.num_labels)]
+    rng = random.Random(TRAFFIC_QUERY_SEED)
+    queries = [
+        random_query(nodes, edges, sigma, seed=rng.randrange(2**31))
+        for nodes, edges in TRAFFIC_SHAPES
+        for _ in range(per_shape)
+    ]
+    joins = []
+    for query in queries:
+        decomposition, _ = engine.planner.plan(
+            query, TRAFFIC_ALPHA, QueryOptions()
+        )
+        finder = CandidateFinder(
+            peg, query, TRAFFIC_ALPHA, index=engine.index,
+            context=engine.context,
+        )
+        candidates = {
+            i: finder.find(path)[0]
+            for i, path in enumerate(decomposition.paths)
+        }
+        if all(candidates.values()):
+            links = build_candidate_links_vectorized(
+                peg, decomposition, candidates, TRAFFIC_ALPHA, arrays=arrays
+            )
+            joins.append((decomposition, candidates, links))
+    return peg, arrays, len(queries), joins
+
+
+def bench_traffic(per_shape: int, repeats: int) -> dict:
+    peg, arrays, num_queries, joins = build_traffic_workload(per_shape)
+
+    def graphs(graph_class):
+        return [
+            graph_class(
+                peg, decomposition, candidates, TRAFFIC_ALPHA, links=links,
+                arrays=arrays,
+            )
+            for decomposition, candidates, links in joins
+        ]
+
+    # Warm the probability tables, then the fastest of ``repeats``
+    # passes over every join.
+    graphs(VectorizedKPartiteGraph)
+    best_build = best_reduce = float("inf")
+    for _ in range(repeats):
+        build = reduce = 0.0
+        for decomposition, candidates, links in joins:
+            started = time.process_time()
+            graph = VectorizedKPartiteGraph(
+                peg, decomposition, candidates, TRAFFIC_ALPHA, links=links,
+                arrays=arrays,
+            )
+            built = time.process_time()
+            graph.reduce()
+            reduce += time.process_time() - built
+            build += built - started
+        best_build = min(best_build, build)
+        best_reduce = min(best_reduce, reduce)
+    calls = 0
+    agreement = True
+    for graph, oracle in zip(
+        graphs(VectorizedKPartiteGraph), graphs(PerPairKPartiteGraph)
+    ):
+        results = {}
+        calls += numpy_calls(lambda: results.update(stats=graph.reduce()))
+        agreement = agreement and same_reduction(
+            graph, results["stats"], oracle, oracle.reduce()
+        )
+    count = max(len(joins), 1)
+    return {
+        "queries": num_queries,
+        "joins": len(joins),
+        "alpha": TRAFFIC_ALPHA,
+        "build_ms_per_join": 1e3 * best_build / count,
+        "reduce_ms_per_join": 1e3 * best_reduce / count,
+        "reduce_numpy_calls_per_join": calls / count,
         "agreement": agreement,
     }
 
@@ -262,6 +421,7 @@ def main(argv=None) -> int:
     repeats = args.repeats or (2 if args.smoke else 3)
 
     reduction = bench_reduction(num_nodes, repeats)
+    traffic = bench_traffic(4 if args.smoke else 16, repeats)
     decode = bench_decode(2_000 if args.smoke else 50_000, repeats)
     store = bench_store_reads(500 if args.smoke else 5_000, repeats)
 
@@ -275,6 +435,7 @@ def main(argv=None) -> int:
             "repeats": repeats,
         },
         "reduction": reduction,
+        "traffic": traffic,
         "decode": decode,
         "store_reads": store,
     }
@@ -300,6 +461,13 @@ def main(argv=None) -> int:
         f"{reduction['agreement']}"
     )
     print(
+        f"[traffic]   {traffic['joins']} of {traffic['queries']} queries "
+        f"join: per join, build {traffic['build_ms_per_join']:.3f} ms, "
+        f"reduce {traffic['reduce_ms_per_join']:.3f} ms in "
+        f"{traffic['reduce_numpy_calls_per_join']:.1f} numpy calls, "
+        f"agreement={traffic['agreement']}"
+    )
+    print(
         f"[decode]    {decode['paths']} paths: scalar "
         f"{decode['scalar_decode_seconds']:.4f}s, bulk "
         f"{decode['bulk_decode_seconds']:.4f}s "
@@ -311,7 +479,7 @@ def main(argv=None) -> int:
     )
     print("wrote " + ", ".join(outputs))
 
-    if not reduction["agreement"]:
+    if not (reduction["agreement"] and traffic["agreement"]):
         print("FAIL: backends disagree on the reduction outcome")
         return 1
     if not args.smoke and reduction["total_vertices"] < 10_000:

@@ -76,8 +76,9 @@ class QueryOptions:
 
     ``reduction_backend`` selects the joint search-space reduction
     implementation: ``"vectorized"`` (the default) runs the whole-array
-    numpy backend of :mod:`repro.query.reduction` — flat ``w1``/``w2``/
-    alive arrays, CSR links, segment-max Jacobi rounds; ``"python"``
+    numpy backend of :mod:`repro.query.reduction` — one stacked
+    k-partite graph whose Jacobi rounds sweep every partition pair in
+    one pass over a shrinking link-entry list; ``"python"``
     runs the incremental pure-Python reference of
     :mod:`repro.query.kpartite` — and, being the all-reference
     configuration, the depth-first reference matcher after it
@@ -647,6 +648,8 @@ class QueryEngine:
             )
             if reduce_span.enabled:
                 reduce_span.set("rounds", reduction.rounds)
+                reduce_span.set("links", reduction.links)
+                reduce_span.set("links_live", reduction.links_live)
                 reduce_span.incr(
                     "structure_removed", reduction.structure_removed
                 )

@@ -21,8 +21,10 @@ recomputed) in Jacobi rounds.
 
 This module is the pure-Python reference backend
 (``reduction_backend="python"``); :mod:`repro.query.reduction` holds
-the vectorized numpy backend. Both consume the link structure produced
-by :func:`build_candidate_links` and expose the same narrow interface
+the vectorized numpy backend. Both accept the links of either builder
+(:func:`build_candidate_links` or
+:func:`repro.query.links.build_candidate_links_vectorized`) and expose
+the same narrow interface
 (:meth:`CandidateKPartiteGraph.alive_counts`,
 :meth:`~CandidateKPartiteGraph.alive_vertex_ids`,
 :meth:`~CandidateKPartiteGraph.candidate_of`,
@@ -63,7 +65,8 @@ class ReductionStats:
     ``message_updates`` and ``rounds`` are backend-dependent work
     counters (the incremental Python backend recomputes only dirty
     vertices per round, the vectorized backend recomputes every alive
-    vertex); sizes and removal counts are backend-independent.
+    vertex); sizes, removal counts and link counts are
+    backend-independent.
     """
 
     initial_sizes: tuple = ()
@@ -73,6 +76,10 @@ class ReductionStats:
     upperbound_removed: int = 0
     message_updates: int = 0
     rounds: int = 0
+    #: Directed link entries (two per link) before the reduction, and
+    #: those whose endpoints both survived it.
+    links: int = 0
+    links_live: int = 0
 
     @staticmethod
     def _product(sizes: tuple) -> float:
@@ -264,14 +271,28 @@ class CandidateKPartiteGraph:
         max_rounds: int = 1000,
     ) -> ReductionStats:
         """Run both reductions to fixpoint and return statistics."""
-        stats = ReductionStats(initial_sizes=self.alive_counts())
+        stats = ReductionStats(
+            initial_sizes=self.alive_counts(), links=self._link_entries()
+        )
         if use_structure:
             stats.structure_removed += self._reduce_structure()
         stats.after_structure_sizes = self.alive_counts()
         if use_upperbounds:
             self._reduce_upperbounds(stats, use_structure, max_rounds)
         stats.final_sizes = self.alive_counts()
+        stats.links_live = self._link_entries()
         return stats
+
+    def _link_entries(self) -> int:
+        # A deletion removes the vertex from its neighbours' link sets,
+        # so alive vertices hold exactly the live links.
+        return sum(
+            len(uids)
+            for vertices in self.partitions
+            for vertex in vertices
+            if vertex.alive
+            for uids in vertex.links.values()
+        )
 
     def _delete(self, i: int, vid: int, touched: set | None = None) -> None:
         vertex = self.partitions[i][vid]

@@ -1,33 +1,51 @@
 """Vectorized (numpy) backend of the joint search-space reduction.
 
 :class:`VectorizedKPartiteGraph` is the flat-array counterpart of
-:class:`repro.query.kpartite.CandidateKPartiteGraph`: every partition
-becomes contiguous arrays (``w1``, ``w2``, an ``alive`` mask and the
-perception vectors as one ``(num_vertices, k)`` float64 matrix), links
-become CSR-style ``indptr``/``indices`` arrays per ordered partition
-pair, and both reduction principles run as whole-array passes:
+:class:`repro.query.kpartite.CandidateKPartiteGraph`, held **stacked**:
+vertices are numbered globally, partition ``i`` owning the ids
+``offsets[i]:offsets[i + 1]``, so the per-partition ``alive``, ``w1``,
+``w2`` and ``node_matrix`` are views into one array each, and the
+perception vectors are one component-major ``(k, num_vertices)``
+float64 matrix (entry ``p`` of every vertex is one contiguous row).
 
-* **structure** — per partition and required neighbor partition, one
-  boolean scatter marks vertices with at least one alive CSR neighbor;
-  the complement is deleted, swept to fixpoint,
-* **upperbounds** — Jacobi rounds: a segment-max over each CSR
-  neighborhood (``np.maximum.reduceat``) rebuilds every perception
-  vector from the pre-round state, and one row-product threshold test
-  against α deletes vertices in bulk.
+The links of every ordered joining pair form one *entry list*:
+``(row, col)`` global vertex ids in both orientations, sorted once by
+(row, neighbour partition, col). A run of entries sharing row and
+neighbour partition is a *segment*. Both reduction principles are
+passes over that list for all partitions at once, so the number of
+numpy calls does not grow with k or with the number of joins:
 
-The candidate scores ``w1`` are computed by vectorized gather over
-per-label node-probability arrays and a ``searchsorted`` edge-probability
-table (:class:`~repro.peg.arrays.PegProbabilityArrays`), shared per
-graph version.
+* **structure** — one presence count: a vertex with fewer segments
+  than partitions it must join with is deleted; swept (Jacobi) to the
+  greatest fixpoint, the one the pure-Python worklist reaches too,
+* **upperbounds** — Jacobi rounds: one gather of the neighbours'
+  vectors, one ``np.maximum.reduceat`` over segments, one
+  ``np.minimum.reduceat`` over rows, 0 for a row missing a required
+  partition, the own entry kept, and one row product
+  ``w2 · v_0 · … · v_{k-1}`` (in that order) against α.
 
-Both backends consume the identical link structure
-(:func:`repro.query.kpartite.build_candidate_links`) and perform
-floating-point operations in the same per-element order, so alive sets,
-partition sizes and removal counts agree with the Python reference; the
-work counters (``message_updates``, ``rounds``) are backend-dependent.
+Entries whose row or column died are dropped whenever a sweep or a
+round deletes something — alive only shrinks — so later passes touch
+only live links and a dead neighbour never needs zeroing. Max and min
+are exact and the product keeps its factor order, so alive masks,
+perception vectors, ``rounds`` and ``message_updates`` are those of
+the per-pair passes this replaced
+(:class:`repro.testing.reference.PerPairKPartiteGraph`, the oracle of
+``tests/test_differential_random.py -k reduction``); sizes and removal
+counts are also those of the pure-Python incremental backend, whose
+work counters differ.
+
+Candidate scores ``w1`` are gathered from the per-label
+node-probability arrays and edge-probability tables of
+:class:`~repro.peg.arrays.PegProbabilityArrays` (shared per graph
+version), multiplying factors in the reference backend's order. The
+matchers' CSR view of one pair (:meth:`VectorizedKPartiteGraph.csr`)
+is cut from the constructor's entry list on first use.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -35,20 +53,22 @@ from repro.index.paths import as_candidates
 from repro.peg.arrays import PegProbabilityArrays
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
-from repro.query.kpartite import (
-    _CONVERGENCE_EPSILON,
-    ReductionStats,
-    build_candidate_links,
-)
+from repro.query.kpartite import _CONVERGENCE_EPSILON, ReductionStats
+from repro.query.links import build_candidate_links_vectorized
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 class VectorizedKPartiteGraph:
     """Flat-array candidate k-partite graph (Definition 6, vectorized).
 
     Same constructor contract and reduction semantics as
-    :class:`repro.query.kpartite.CandidateKPartiteGraph`. Pass a shared
-    ``arrays`` (:class:`PegProbabilityArrays`) to amortize the
-    per-label probability tables across queries.
+    :class:`repro.query.kpartite.CandidateKPartiteGraph`. ``links`` is
+    a :class:`~repro.query.links.LinkSet` or the reference's
+    ``{(i, j): [(vid, uid), ...]}`` dict (built with
+    :func:`~repro.query.links.build_candidate_links_vectorized` when
+    omitted). Pass a shared ``arrays`` (:class:`PegProbabilityArrays`)
+    to amortize the per-label probability tables across queries.
     """
 
     def __init__(
@@ -69,12 +89,13 @@ class VectorizedKPartiteGraph:
             as_candidates(candidates[i], len(decomposition.paths[i].nodes))
             for i in range(self.k)
         ]
-        self._build_vertices()
         if links is None:
-            links = build_candidate_links(
-                peg, decomposition, candidates, self.alpha
+            links = build_candidate_links_vectorized(
+                peg, decomposition, dict(enumerate(self.candidates)),
+                self.alpha, arrays=self.arrays,
             )
-        self._build_csr(links)
+        self._build_vertices()
+        self._build_entries(links)
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,19 +105,37 @@ class VectorizedKPartiteGraph:
         decomposition = self.decomposition
         query = decomposition.query
         arrays = self.arrays
+        k = self.k
+        sizes = [len(cands) for cands in self.candidates]
+        bounds = self._bounds = [0, *itertools.accumulate(sizes)]
+        #: Partition ``i`` owns global vertex ids ``offsets[i]:offsets[i+1]``.
+        self.offsets = np.array(bounds, dtype=np.int64)
+        n = self.num_vertices = bounds[-1]
+        #: Partition of every global vertex id.
+        self.partition_of = np.arange(k).repeat(sizes)
+        #: Partitions every vertex must keep a live link into.
+        self._required = np.array(
+            [len(decomposition.joins_with.get(i, ())) for i in range(k)],
+            dtype=np.int64,
+        )[self.partition_of]
+        width = max((len(path.nodes) for path in decomposition.paths), default=0)
+        all_nodes = np.zeros((n, width), dtype=np.int64)
+        #: Stacked alive mask / scores; ``alive[i]`` etc. are views.
+        self.all_alive = np.ones(n, dtype=bool)
+        self.all_w1 = np.ones(n, dtype=np.float64)
+        self.all_w2 = np.empty(n, dtype=np.float64)
         self.node_matrix: list = []
         self.w1: list = []
         self.w2: list = []
         self.alive: list = []
-        self.vectors: list = []
         for i, path in enumerate(decomposition.paths):
+            part = slice(bounds[i], bounds[i + 1])
             cands = self.candidates[i]
-            n = len(cands)
             nodes = cands.nodes
             position_of = {node: pos for pos, node in enumerate(path.nodes)}
             # Multiply factors in the reference backend's order so the
             # float results are bit-identical.
-            w1 = np.ones(n, dtype=np.float64)
+            w1 = self.all_w1[part]
             for query_node in decomposition.covered_nodes[i]:
                 probs = arrays.label_probabilities(query.label(query_node))
                 w1 *= probs[nodes[:, position_of[query_node]]]
@@ -108,61 +147,93 @@ class VectorizedKPartiteGraph:
                     query.label(node_a),
                     query.label(node_b),
                 )
-            vectors = np.ones((n, self.k), dtype=np.float64)
-            vectors[:, i] = w1
-            self.node_matrix.append(nodes)
+            matrix = all_nodes[part, :len(path.nodes)]
+            matrix[...] = nodes
+            self.all_w2[part] = cands.prn
+            self.node_matrix.append(matrix)
             self.w1.append(w1)
-            self.w2.append(cands.prn)
-            self.alive.append(np.ones(n, dtype=bool))
-            self.vectors.append(vectors)
+            self.w2.append(self.all_w2[part])
+            self.alive.append(self.all_alive[part])
+        #: Flat positions of every vertex's own entry in ``vectors``.
+        self._own = self.partition_of * n + np.arange(n)
+        #: Perception vectors, component-major; the own entry is ``w1``.
+        self.vectors = np.ones((k, n), dtype=np.float64)
+        self.vectors.reshape(-1)[self._own] = self.all_w1
 
-    def _build_csr(self, links) -> None:
-        # One CSR per ordered joining pair (i, j): row = partition-i
-        # vertex id, column entries = linked partition-j vertex ids.
-        # ``links`` is either the reference dict of pair lists or a
-        # LinkSet of numpy arrays (already row-major sorted for i < j).
+    def _build_entries(self, links) -> None:
+        # Both orientations of every joining pair's links, as global
+        # ids. ``links`` is a LinkSet of (rows, cols) arrays or the
+        # reference dict of (vid, uid) lists, keyed by (i, j) with i < j.
         from_arrays = hasattr(links, "pair_lists")
-        self._csr: dict = {}
+        bounds = self._bounds
+        rows_list: list = []
+        cols_list: list = []
+        counts: list = []
+        row_offsets: list = []
+        col_offsets: list = []
         for i, joined in self.decomposition.joins_with.items():
             for j in joined:
-                presorted = False
+                if j < i:
+                    continue  # links are symmetric; stored once per pair
                 if from_arrays:
-                    if i < j:
-                        rows, cols = links.get((i, j), (None, None))
-                        presorted = True
-                    else:
-                        cols, rows = links.get((j, i), (None, None))
-                    if rows is None:
-                        rows = cols = np.zeros(0, dtype=np.int64)
-                elif i < j:
-                    pairs = links.get((i, j), ())
-                    rows = np.fromiter(
-                        (vid for vid, _ in pairs), dtype=np.int64,
-                        count=len(pairs),
-                    )
-                    cols = np.fromiter(
-                        (uid for _, uid in pairs), dtype=np.int64,
-                        count=len(pairs),
-                    )
+                    rows, cols = links.get((i, j), (_NO_IDS, _NO_IDS))
                 else:
-                    pairs = links.get((j, i), ())
-                    rows = np.fromiter(
-                        (uid for _, uid in pairs), dtype=np.int64,
-                        count=len(pairs),
-                    )
-                    cols = np.fromiter(
-                        (vid for vid, _ in pairs), dtype=np.int64,
-                        count=len(pairs),
-                    )
-                n_i = len(self.candidates[i])
-                if rows.size and not presorted:
-                    order = np.lexsort((cols, rows))
-                    rows = rows[order]
-                    cols = cols[order]
-                counts = np.bincount(rows, minlength=n_i)
-                indptr = np.zeros(n_i + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-                self._csr[(i, j)] = (indptr, cols, rows)
+                    pairs = np.array(links.get((i, j), ()), dtype=np.int64)
+                    rows, cols = pairs.reshape(-1, 2).T
+                rows_list.append(rows)
+                cols_list.append(cols)
+                counts.append(rows.size)
+                row_offsets.append(bounds[i])
+                col_offsets.append(bounds[j])
+        if rows_list:
+            counts = counts + counts
+            source = np.concatenate(rows_list + cols_list)
+            source += np.array(row_offsets + col_offsets).repeat(counts)
+            target = np.concatenate(cols_list + rows_list)
+            target += np.array(col_offsets + row_offsets).repeat(counts)
+        else:
+            source = target = _NO_IDS
+        # Global ids ascend with the partition, so (row, col) order is
+        # (row, neighbour partition, col) order.
+        order = np.argsort(source * max(self.num_vertices, 1) + target)
+        #: Directed link entries the reduction starts from (2 per link).
+        self.link_entries = int(order.size)
+        # The live entry list the passes shrink, and the full one the
+        # CSR views are cut from.
+        self._row = self._link_rows = source[order]
+        self._col = self._link_cols = target[order]
+        self._key = self._row * self.k + self.partition_of[self._col]
+        # Rows ascend, so each partition's rows are one block.
+        self._row_blocks = np.searchsorted(self._row, self.offsets).tolist()
+        self._csr: dict = {}
+
+    def _segment(self) -> None:
+        """Segment and row boundaries of the live entry list."""
+        key = self._key
+        starts = np.empty(key.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        self._starts = starts.nonzero()[0]
+        segment_rows = self._row[self._starts]
+        #: Live neighbour partitions per vertex.
+        self._coverage = np.bincount(segment_rows, minlength=self.num_vertices)
+        new_row = np.empty(segment_rows.size, dtype=bool)
+        new_row[:1] = True
+        np.not_equal(segment_rows[1:], segment_rows[:-1], out=new_row[1:])
+        self._row_starts = new_row.nonzero()[0]
+        self._rows = segment_rows[self._row_starts]
+        self._incomplete = (
+            self._coverage[self._rows] < self._required[self._rows]
+        ).nonzero()[0]
+
+    def _drop_dead(self) -> None:
+        """Drop the entries whose row or column died."""
+        alive = self.all_alive
+        live = alive[self._row] & alive[self._col]
+        self._row = self._row[live]
+        self._col = self._col[live]
+        self._key = self._key[live]
+        self._segment()
 
     # ------------------------------------------------------------------
     # Introspection (the matchers' interface)
@@ -175,11 +246,31 @@ class VectorizedKPartiteGraph:
         vertex ids (ascending within a row, dead vertices included —
         filter with ``alive[j]``), ``rows`` = the row id of every entry.
         """
-        return self._csr[(i, j)]
+        entry = self._csr.get((i, j))
+        if entry is None:
+            if j not in self.decomposition.joins_with.get(i, ()):
+                raise KeyError((i, j))
+            block = slice(self._row_blocks[i], self._row_blocks[i + 1])
+            rows = self._link_rows[block]
+            cols = self._link_cols[block]
+            if len(self.decomposition.joins_with[i]) > 1:
+                mine = self.partition_of[cols] == j
+                rows, cols = rows[mine], cols[mine]
+            rows = rows - self._bounds[i]
+            cols = cols - self._bounds[j]
+            size = self._bounds[i + 1] - self._bounds[i]
+            indptr = np.zeros(size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+            entry = self._csr[(i, j)] = (indptr, cols, rows)
+        return entry
 
     def alive_counts(self) -> tuple:
         """Number of surviving vertices per partition."""
-        return tuple(int(mask.sum()) for mask in self.alive)
+        return tuple(
+            np.bincount(
+                self.partition_of[self.all_alive], minlength=self.k
+            ).tolist()
+        )
 
     def search_space_size(self) -> float:
         """Product of surviving partition sizes (the paper's metric)."""
@@ -202,10 +293,9 @@ class VectorizedKPartiteGraph:
 
     def linked(self, i: int, vid: int, j: int) -> frozenset:
         """Alive partition-``j`` vertices linked to vertex ``vid`` of ``i``."""
-        entry = self._csr.get((i, j))
-        if entry is None:
+        if j not in self.decomposition.joins_with.get(i, ()):
             return frozenset()
-        indptr, cols, _ = entry
+        indptr, cols, _ = self.csr(i, j)
         neighbors = cols[indptr[vid]:indptr[vid + 1]]
         return frozenset(neighbors[self.alive[j][neighbors]].tolist())
 
@@ -220,123 +310,87 @@ class VectorizedKPartiteGraph:
         max_rounds: int = 1000,
     ) -> ReductionStats:
         """Run both reductions to fixpoint and return statistics."""
-        stats = ReductionStats(initial_sizes=self.alive_counts())
+        stats = ReductionStats(
+            initial_sizes=self.alive_counts(), links=self.link_entries
+        )
+        self._segment()
         if use_structure:
             stats.structure_removed += self._structure_fixpoint()
         stats.after_structure_sizes = self.alive_counts()
         if use_upperbounds:
             self._upperbound_rounds(stats, use_structure, max_rounds)
         stats.final_sizes = self.alive_counts()
+        stats.links_live = int(self._row.size)
         return stats
 
     def _structure_fixpoint(self) -> int:
-        """Delete vertices missing an alive link into a required partition."""
+        """Delete vertices missing a live link into a required partition."""
+        alive = self.all_alive
         removed = 0
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.k):
-                required = self.decomposition.joins_with.get(i, frozenset())
-                alive_i = self.alive[i]
-                if not required or not alive_i.any():
-                    continue
-                fail = np.zeros(alive_i.shape, dtype=bool)
-                for j in required:
-                    indptr, cols, rows = self._csr[(i, j)]
-                    has_neighbor = np.zeros(alive_i.shape, dtype=bool)
-                    if rows.size:
-                        has_neighbor[rows[self.alive[j][cols]]] = True
-                    fail |= ~has_neighbor
-                kill = alive_i & fail
-                if kill.any():
-                    alive_i[kill] = False
-                    removed += int(kill.sum())
-                    changed = True
-        return removed
-
-    def _segment_max(self, i: int, j: int) -> np.ndarray:
-        """``(n_i, k)`` column-wise max over alive CSR neighbors in ``j``."""
-        indptr, cols, _ = self._csr[(i, j)]
-        n_i = self.alive[i].shape[0]
-        if cols.size == 0:
-            return np.zeros((n_i, self.k), dtype=np.float64)
-        neighbor_vectors = self.vectors[j][cols]
-        dead = ~self.alive[j][cols]
-        if dead.any():
-            neighbor_vectors[dead] = 0.0
-        # Pad one zero row so every indptr start is a valid reduceat
-        # index (trailing empty rows point one past the end); rows with
-        # empty neighborhoods are zeroed explicitly afterwards.
-        padded = np.vstack(
-            (neighbor_vectors, np.zeros((1, self.k), dtype=np.float64))
-        )
-        segmax = np.maximum.reduceat(padded, indptr[:-1], axis=0)
-        empty = indptr[:-1] == indptr[1:]
-        if empty.any():
-            segmax[empty] = 0.0
-        return segmax
+        while True:
+            kill = self._coverage < self._required
+            kill &= alive
+            count = int(np.count_nonzero(kill))
+            if not count:
+                return removed
+            alive[kill] = False
+            removed += count
+            self._drop_dead()
 
     def _upperbound_rounds(
         self, stats: ReductionStats, use_structure: bool, max_rounds: int
     ) -> None:
         eps = _CONVERGENCE_EPSILON
+        alive, vectors = self.all_alive, self.vectors
+        k, n = self.k, self.num_vertices
+        # ``bounds[p, v]``: the most v's live links allow entry p to be —
+        # the min over required partitions of the neighbours' max, 0 if
+        # a required partition has no live neighbour, +inf (unbounded)
+        # for the own entry and for every entry of a vertex joining
+        # nothing.
+        unbounded = np.zeros((k, n), dtype=np.float64)
+        unbounded[:, self._required == 0] = np.inf
+        bounds = np.empty((k, n), dtype=np.float64)
+        flat_bounds = bounds.reshape(-1)
+        # Row 0 is w2, so one product reduction multiplies
+        # w2 · v_0 · … · v_{k-1} in the reference backend's order.
+        work = np.empty((k + 1, n), dtype=np.float64)
+        work[0] = self.all_w2
+        new = work[1:]
         rounds = 0
         while rounds < max_rounds:
             rounds += 1
-            new_vectors: list = []
-            deletions: list = []
-            changes: list = []
-            # Jacobi: every partition computed from the pre-round state.
-            for i in range(self.k):
-                old = self.vectors[i]
-                alive_i = self.alive[i]
-                required = self.decomposition.joins_with.get(i, frozenset())
-                if required and alive_i.any():
-                    best = None
-                    for j in sorted(required):
-                        segmax = self._segment_max(i, j)
-                        best = (
-                            segmax if best is None
-                            else np.minimum(best, segmax)
-                        )
-                    new = np.minimum(old, best)
-                    new[:, i] = old[:, i]  # the own entry stays fixed
-                else:
-                    new = old.copy()
-                # Row-product threshold test, multiplying in the
-                # reference backend's column order.
-                bound = self.w2[i].copy()
-                for p in range(self.k):
-                    bound *= new[:, p]
-                deleted = alive_i & (bound < self.alpha)
-                changed_rows = (
-                    alive_i & ~deleted & ((old - new) > eps).any(axis=1)
+            # Jacobi: every vertex computed from the pre-round state.
+            np.copyto(bounds, unbounded)
+            if self._col.size:
+                segment_max = np.maximum.reduceat(
+                    vectors.take(self._col, axis=1), self._starts, axis=1
                 )
-                stats.message_updates += int(alive_i.sum())
-                new_vectors.append(new)
-                deletions.append(deleted)
-                changes.append(changed_rows)
-            any_deleted = False
-            any_changed = False
-            for i in range(self.k):
-                deleted = deletions[i]
-                keep = self.alive[i] & ~deleted
-                self.vectors[i] = np.where(
-                    keep[:, None], new_vectors[i], self.vectors[i]
+                row_min = np.minimum.reduceat(
+                    segment_max, self._row_starts, axis=1
                 )
-                if deleted.any():
-                    self.alive[i][deleted] = False
-                    stats.upperbound_removed += int(deleted.sum())
-                    any_deleted = True
-                if changes[i].any():
-                    any_changed = True
-            if not any_deleted and not any_changed:
+                row_min[:, self._incomplete] = 0.0
+                bounds[:, self._rows] = row_min
+            flat_bounds[self._own] = np.inf
+            np.minimum(vectors, bounds, out=new)
+            deleted = np.multiply.reduce(work, axis=0) < self.alpha
+            deleted &= alive
+            keep = alive & ~deleted
+            stats.message_updates += int(np.count_nonzero(alive))
+            changed = ((vectors - new) > eps).any(axis=0)
+            any_changed = bool(changed[keep].any())
+            np.copyto(vectors, new, where=keep)
+            removed = int(np.count_nonzero(deleted))
+            if not removed and not any_changed:
                 break
-            # Structure eligibility depends only on alive masks and
-            # links; a change-only round cannot create new structure
-            # deletions, so the fixpoint sweep runs only after actual
-            # deletions (the Python backend runs it then too — and it
-            # removes nothing, keeping the counters identical).
-            if use_structure and any_deleted:
-                stats.structure_removed += self._structure_fixpoint()
+            if removed:
+                alive[deleted] = False
+                stats.upperbound_removed += removed
+                self._drop_dead()
+                # Structure eligibility depends only on alive masks and
+                # links, so a change-only round cannot create structure
+                # deletions; the Python backend sweeps after deletions
+                # too, keeping the counters identical.
+                if use_structure:
+                    stats.structure_removed += self._structure_fixpoint()
         stats.rounds += rounds

@@ -19,12 +19,22 @@ frontier of ``(ids, labels, prle, prn)`` tuples extended one path, one
 neighbour, one label at a time. The array enumeration must yield the
 same sequences in the same order holding the same rows in the same
 order, ``prle``/``prn`` bit for bit, and the same level counts.
+
+:class:`PerPairKPartiteGraph` is the joint search-space reduction as it
+ran before the stacked passes (:mod:`repro.query.reduction`): per
+partition and required neighbour partition, one CSR pass over the full
+link set with dead neighbours zeroed (``_segment_max``), Gauss-Seidel
+structure sweeps. The stacked reduction must leave the same alive
+masks and perception vectors, bit for bit, after the same ``rounds``
+and ``message_updates``, with the same sizes and removal counts.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
@@ -34,7 +44,9 @@ from repro.index.protocol import PathIndexProtocol
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import PathStatistics, compute_path_statistics
 from repro.query.decompose import QueryPath
+from repro.query.kpartite import _CONVERGENCE_EPSILON, ReductionStats
 from repro.query.query_graph import QueryGraph
+from repro.query.reduction import VectorizedKPartiteGraph
 from repro.utils.errors import IndexError_
 
 _COUNT = struct.Struct(">I")
@@ -233,6 +245,151 @@ class ScalarCandidateFinder:
                 continue
             pruned.append(candidate)
         return pruned, raw_count
+
+
+class PerPairKPartiteGraph(VectorizedKPartiteGraph):
+    """The joint reduction pass by pass over ordered partition pairs.
+
+    Built like the stacked graph it checks; the passes read and write
+    the stacked arrays through per-partition views (``alive[i]`` and
+    the ``(n_i, k)`` transposed slices of ``vectors``).
+    """
+
+    def reduce(
+        self,
+        use_structure: bool = True,
+        use_upperbounds: bool = True,
+        max_rounds: int = 1000,
+    ) -> ReductionStats:
+        """Run both reductions to fixpoint and return statistics."""
+        bounds = self.offsets.tolist()
+        self.partition_vectors = [
+            self.vectors[:, bounds[i]:bounds[i + 1]].T for i in range(self.k)
+        ]
+        stats = ReductionStats(
+            initial_sizes=self.alive_counts(), links=self.link_entries
+        )
+        if use_structure:
+            stats.structure_removed += self._structure_fixpoint()
+        stats.after_structure_sizes = self.alive_counts()
+        if use_upperbounds:
+            self._upperbound_rounds(stats, use_structure, max_rounds)
+        stats.final_sizes = self.alive_counts()
+        for i, joined in self.decomposition.joins_with.items():
+            for j in joined:
+                _, cols, rows = self.csr(i, j)
+                stats.links_live += int(np.count_nonzero(
+                    self.alive[i][rows] & self.alive[j][cols]
+                ))
+        return stats
+
+    def _structure_fixpoint(self) -> int:
+        """Delete vertices missing an alive link into a required partition."""
+        removed = 0
+        changed = True
+        while changed:
+            changed = False
+            for i in range(self.k):
+                required = self.decomposition.joins_with.get(i, frozenset())
+                alive_i = self.alive[i]
+                if not required or not alive_i.any():
+                    continue
+                fail = np.zeros(alive_i.shape, dtype=bool)
+                for j in required:
+                    _, cols, rows = self.csr(i, j)
+                    has_neighbor = np.zeros(alive_i.shape, dtype=bool)
+                    if rows.size:
+                        has_neighbor[rows[self.alive[j][cols]]] = True
+                    fail |= ~has_neighbor
+                kill = alive_i & fail
+                if kill.any():
+                    alive_i[kill] = False
+                    removed += int(kill.sum())
+                    changed = True
+        return removed
+
+    def _segment_max(self, i: int, j: int) -> np.ndarray:
+        """``(n_i, k)`` column-wise max over alive CSR neighbors in ``j``."""
+        indptr, cols, _ = self.csr(i, j)
+        n_i = self.alive[i].shape[0]
+        if cols.size == 0:
+            return np.zeros((n_i, self.k), dtype=np.float64)
+        neighbor_vectors = self.partition_vectors[j][cols]
+        dead = ~self.alive[j][cols]
+        if dead.any():
+            neighbor_vectors[dead] = 0.0
+        # Pad one zero row so every indptr start is a valid reduceat
+        # index (trailing empty rows point one past the end); rows with
+        # empty neighborhoods are zeroed explicitly afterwards.
+        padded = np.vstack(
+            (neighbor_vectors, np.zeros((1, self.k), dtype=np.float64))
+        )
+        segmax = np.maximum.reduceat(padded, indptr[:-1], axis=0)
+        empty = indptr[:-1] == indptr[1:]
+        if empty.any():
+            segmax[empty] = 0.0
+        return segmax
+
+    def _upperbound_rounds(
+        self, stats: ReductionStats, use_structure: bool, max_rounds: int
+    ) -> None:
+        eps = _CONVERGENCE_EPSILON
+        vectors = self.partition_vectors
+        rounds = 0
+        while rounds < max_rounds:
+            rounds += 1
+            new_vectors: list = []
+            deletions: list = []
+            changes: list = []
+            # Jacobi: every partition computed from the pre-round state.
+            for i in range(self.k):
+                old = vectors[i]
+                alive_i = self.alive[i]
+                required = self.decomposition.joins_with.get(i, frozenset())
+                if required and alive_i.any():
+                    best = None
+                    for j in sorted(required):
+                        segmax = self._segment_max(i, j)
+                        best = (
+                            segmax if best is None
+                            else np.minimum(best, segmax)
+                        )
+                    new = np.minimum(old, best)
+                    new[:, i] = old[:, i]  # the own entry stays fixed
+                else:
+                    new = old.copy()
+                # Row-product threshold test, multiplying in the
+                # reference backend's column order.
+                bound = self.w2[i].copy()
+                for p in range(self.k):
+                    bound *= new[:, p]
+                deleted = alive_i & (bound < self.alpha)
+                changed_rows = (
+                    alive_i & ~deleted & ((old - new) > eps).any(axis=1)
+                )
+                stats.message_updates += int(alive_i.sum())
+                new_vectors.append(new)
+                deletions.append(deleted)
+                changes.append(changed_rows)
+            any_deleted = False
+            any_changed = False
+            for i in range(self.k):
+                deleted = deletions[i]
+                keep = self.alive[i] & ~deleted
+                vectors[i][...] = np.where(
+                    keep[:, None], new_vectors[i], vectors[i]
+                )
+                if deleted.any():
+                    self.alive[i][deleted] = False
+                    stats.upperbound_removed += int(deleted.sum())
+                    any_deleted = True
+                if changes[i].any():
+                    any_changed = True
+            if not any_deleted and not any_changed:
+                break
+            if use_structure and any_deleted:
+                stats.structure_removed += self._structure_fixpoint()
+        stats.rounds += rounds
 
 
 class TuplePathEnumeration:

@@ -9,7 +9,8 @@ probabilities:
 2. the same engine with the pure-Python reference reduction backend
    (which also swaps the array matcher for the depth-first reference
    matcher) — which must additionally agree with the vectorized backend
-   on the reduction statistics (partition sizes and removal counts),
+   on the reduction statistics (partition sizes, removal and link
+   counts),
 3. the optimized engine over a hash-sharded store (both per
    query and through batched execution),
 4. planned execution through :mod:`repro.query.plan` — the exact
@@ -65,11 +66,15 @@ from repro.query import QueryEngine, QueryGraph, QueryOptions, exhaustive_matche
 from repro.query.candidates import CandidateFinder
 from repro.query.decompose import QueryPath
 from repro.query.kpartite import build_candidate_links
-from repro.query.links import build_candidate_links_vectorized
+from repro.query.links import LinkSet, build_candidate_links_vectorized
 from repro.query.matcher import generate_matches, generate_matches_reference
 from repro.query.reduction import VectorizedKPartiteGraph
-from repro.testing.reference import ScalarCandidateFinder, TuplePathEnumeration
-from tests.conftest import store_content
+from repro.testing.reference import (
+    PerPairKPartiteGraph,
+    ScalarCandidateFinder,
+    TuplePathEnumeration,
+)
+from tests.conftest import small_random_peg, store_content
 from tests.test_index_builder import oracle_payloads, path_bits
 
 PYTHON_BACKEND = QueryOptions(reduction_backend="python")
@@ -249,10 +254,62 @@ def assert_matcher_equivalence(
     return matches, stats
 
 
+#: ``(use_structure, use_upperbounds, max_rounds)`` of every reduction
+#: the reduction differential runs.
+REDUCTION_SETTINGS = tuple(
+    itertools.product((True, False), (True, False), (1, 2, 1000))
+)
+
+
+def reduction_records(graph, stats):
+    """Everything a reduction leaves behind, floats bit for bit."""
+    alive = graph.all_alive
+    return (
+        alive.tobytes(),
+        graph.vectors[:, alive].tobytes(),
+        stats.rounds,
+        stats.message_updates,
+        stats.initial_sizes,
+        stats.after_structure_sizes,
+        stats.final_sizes,
+        stats.structure_removed,
+        stats.upperbound_removed,
+        stats.links,
+        stats.links_live,
+    )
+
+
+def assert_reduction_equivalence(
+    peg, decomposition, candidates, alpha, links, context, arrays=None
+):
+    """The stacked reduction and the per-pair oracle agree bit for bit
+    under every ablation and round cap: alive masks, the perception
+    vectors of alive vertices, ``rounds``, ``message_updates``, sizes,
+    removal and link counts. Returns the stats of every setting."""
+    pairs = links.pair_lists() if isinstance(links, LinkSet) else links
+    entries = 2 * sum(map(len, pairs.values()))
+    results = {}
+    for setting in REDUCTION_SETTINGS:
+        stacked, oracle = (
+            graph_class(
+                peg, decomposition, candidates, alpha, links=links, arrays=arrays
+            )
+            for graph_class in (VectorizedKPartiteGraph, PerPairKPartiteGraph)
+        )
+        stats = results[setting] = stacked.reduce(*setting)
+        assert reduction_records(stacked, stats) == reduction_records(
+            oracle, oracle.reduce(*setting)
+        ), (context, setting)
+        assert stats.links == entries >= stats.links_live, (context, setting)
+    return results
+
+
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260730"))
 NUM_GRAPHS = 25
 QUERIES_PER_GRAPH = 4
 ALPHAS = (0.15, 0.45)
+#: The reduction differential adds one alpha below BETA (on-demand lookups).
+REDUCTION_ALPHAS = (0.02, *ALPHAS)
 NUM_SHARDS = 3
 MAX_LENGTH = 2
 BETA = 0.05
@@ -283,6 +340,8 @@ def reduction_key(result):
         stats.final_sizes,
         stats.structure_removed,
         stats.upperbound_removed,
+        stats.links,
+        stats.links_live,
     )
 
 
@@ -407,6 +466,160 @@ def test_matcher_differential(graph_index, config, query_seed):
                 assert_matcher_equivalence(
                     engine, query, alpha, context, options
                 )
+
+
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_reduction_differential(graph_index, config, query_seed):
+    """Stacked reduction == per-pair oracle on every harness case: three
+    alphas (the lowest below beta), greedy and exact decompositions,
+    structure and upperbounds each on and off, ``max_rounds`` 1, 2 and
+    1000."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    arrays = engine.context.probability_arrays(peg)
+    sigma = sorted(peg.sigma, key=repr)
+    for query in _random_queries(random.Random(query_seed), sigma):
+        for alpha in REDUCTION_ALPHAS:
+            for options in (QueryOptions(), EXACT_PLAN):
+                context = (
+                    graph_index, config.seed, query.nodes, alpha,
+                    options.decomposition,
+                )
+                decomposition, candidates = planned_candidates(
+                    engine, query, alpha, options
+                )
+                links = build_candidate_links_vectorized(
+                    peg, decomposition, candidates, alpha, arrays=arrays
+                )
+                assert_reduction_equivalence(
+                    peg, decomposition, candidates, alpha, links, context,
+                    arrays,
+                )
+
+
+def _dense_cases():
+    rng = random.Random(f"{SEED}/dense")
+    return [rng.randrange(2**31) for _ in range(6)]
+
+
+@pytest.mark.parametrize("peg_seed", _dense_cases())
+def test_reduction_differential_dense(peg_seed):
+    """Stacked reduction == per-pair oracle on dense queries (4-5 nodes,
+    up to every edge) over a 60-reference PEG: their paths join in
+    cycles, the only shape where a neighbour's bound on a vertex's own
+    partition can undercut the vertex's own ``w1``."""
+    peg = small_random_peg(seed=peg_seed)
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    arrays = engine.context.probability_arrays(peg)
+    sigma = sorted(peg.sigma, key=repr)
+    rng = random.Random(peg_seed)
+    for _ in range(12):
+        num_nodes = rng.choice((4, 5))
+        num_edges = rng.randint(num_nodes, num_nodes * (num_nodes - 1) // 2)
+        query = random_query(
+            num_nodes, num_edges, sigma, seed=rng.randrange(2**31)
+        )
+        for alpha in (0.05, 0.1, 0.2):
+            context = (
+                peg_seed, query.nodes, sorted(query.edges, key=repr), alpha
+            )
+            decomposition, candidates = planned_candidates(
+                engine, query, alpha
+            )
+            links = build_candidate_links_vectorized(
+                peg, decomposition, candidates, alpha, arrays=arrays
+            )
+            assert_reduction_equivalence(
+                peg, decomposition, candidates, alpha, links, context, arrays
+            )
+
+
+def _edge_case_candidates(engine, query, alpha):
+    decomposition, candidates = planned_candidates(engine, query, alpha)
+    assert all(candidates.values()), query.nodes
+    return decomposition, candidates
+
+
+def test_reduction_differential_edge_cases():
+    """Stacked reduction == per-pair oracle where the random cases only
+    sometimes reach: one partition, a partition the first structure
+    sweep empties, a disconnected query (partitions joining nothing),
+    and links in the reference dict form — directly and through an
+    engine running the reference link builder."""
+    peg = small_random_peg(seed=39)
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    a, b, c = sorted(peg.sigma, key=repr)
+    alpha = 0.1
+    chain = QueryGraph(
+        {"u": a, "v": b, "w": c, "x": a, "y": b},
+        [("u", "v"), ("v", "w"), ("w", "x"), ("x", "y")],
+    )
+
+    single = QueryGraph({"u": a, "v": b}, [("u", "v")])
+    decomposition, candidates = _edge_case_candidates(engine, single, alpha)
+    assert len(decomposition.paths) == 1
+    assert_reduction_equivalence(
+        peg, decomposition, candidates, alpha, {}, "single"
+    )
+
+    decomposition, candidates = _edge_case_candidates(engine, chain, alpha)
+    links = build_candidate_links_vectorized(
+        peg, decomposition, candidates, alpha
+    )
+    assert len(decomposition.paths) >= 3 and links.num_pairs()
+    # Links in the reference's dict form reduce exactly like the LinkSet.
+    dict_links = build_candidate_links(peg, decomposition, candidates, alpha)
+    assert dict_links == links.pair_lists()
+    for form, given in (("linkset", links), ("dict", dict_links)):
+        results = assert_reduction_equivalence(
+            peg, decomposition, candidates, alpha, given, form
+        )
+        assert results[REDUCTION_SETTINGS[0]].upperbound_removed > 0, form
+    # Emptying one pair's links empties both its partitions in the
+    # first structure sweep; the rest cascades.
+    (i, j), _ = next(
+        (pair, arrays) for pair, arrays in sorted(links.items())
+        if arrays[0].size
+    )
+    cut = LinkSet(
+        {
+            pair: (arrays[0][:0], arrays[1][:0]) if pair == (i, j) else arrays
+            for pair, arrays in links.items()
+        },
+        links.stats,
+    )
+    results = assert_reduction_equivalence(
+        peg, decomposition, candidates, alpha, cut, "cut"
+    )
+    after = results[REDUCTION_SETTINGS[0]].after_structure_sizes
+    assert after[i] == after[j] == 0
+    assert results[REDUCTION_SETTINGS[0]].links_live == 0
+
+    disconnected = QueryGraph(
+        {"u": a, "v": b, "w": b, "x": c}, [("u", "v"), ("w", "x")]
+    )
+    decomposition, candidates = _edge_case_candidates(
+        engine, disconnected, alpha
+    )
+    assert len(decomposition.paths) == 2
+    assert not any(decomposition.joins_with.values())
+    assert_reduction_equivalence(
+        peg, decomposition, candidates, alpha, {}, "disconnected"
+    )
+
+    # The engine with the reference link builder and the default
+    # (stacked) reduction reports what the default engine reports.
+    default = engine.query(chain, alpha)
+    python_links = engine.query(chain, alpha, PYTHON_LINKS)
+    assert python_links.link_stats["backend"] == "python"
+    assert python_links.reduction == default.reduction
+    assert match_records(python_links.matches) == match_records(
+        default.matches
+    )
 
 
 @pytest.mark.parametrize(

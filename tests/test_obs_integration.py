@@ -111,6 +111,14 @@ class TestEngineTracing:
             )
         if result.matches:
             assert stages[-1] == "match"
+        # The reduction starts from both orientations of every link and
+        # reports how many survive it.
+        link_build = trace["children"][stages.index("link_build")]
+        reduce = trace["children"][stages.index("reduce")]
+        pairs = link_build["attributes"]["pairs"]
+        assert pairs > 0
+        assert reduce["attributes"]["links"] == 2 * pairs
+        assert 0 <= reduce["attributes"]["links_live"] <= 2 * pairs
         rendered = render_trace(trace)
         assert rendered.splitlines()[0].startswith("query")
 
