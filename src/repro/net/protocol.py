@@ -35,7 +35,11 @@ suite's invariant.
 Match serialization is deterministic: entity reference sets are sorted,
 and the match list keeps the engine's deterministic emission order — so
 a fault-free oracle reply and a chaos-run reply can be compared for
-bit-identical equality.
+bit-identical equality. :func:`serialize_matches` is that form, decoded;
+:func:`result_response` encodes a reply straight from the engine's
+:class:`~repro.query.matcher.MatchColumns` — each distinct entity and
+each query column's label encoded once, then a gather and a join — and
+its frames are byte-identical to ``json.dumps`` of the decoded form.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
+from repro.query.matcher import MatchColumns
 from repro.query.query_graph import QueryGraph
 from repro.utils.errors import NetError, QueryError
 
@@ -63,10 +71,18 @@ ERROR_QUERY = "QUERY_ERROR"
 ERROR_INTERNAL = "INTERNAL"
 
 
-def encode_frame(obj: dict) -> bytes:
-    """Serialize one message as a length-prefixed JSON frame."""
-    payload = json.dumps(obj, separators=(",", ":"), default=str).encode(
-        "utf-8"
+#: How a frame writes JSON: ``json.dumps`` with these settings.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+
+def encode_frame(obj: dict | bytes) -> bytes:
+    """Serialize one message as a length-prefixed JSON frame.
+
+    ``obj`` is a message, or a payload :func:`result_response` has
+    already encoded, which is framed as it is.
+    """
+    payload = (
+        obj if isinstance(obj, bytes) else _ENCODER.encode(obj).encode("utf-8")
     )
     if len(payload) > MAX_FRAME_BYTES:
         raise NetError(
@@ -163,15 +179,81 @@ def serialize_matches(matches) -> list:
     return out
 
 
-def result_response(request_id, result) -> dict:
-    """A successful ``query`` reply for ``result``."""
-    matches = serialize_matches(result.matches)
-    return {
-        "id": request_id,
-        "ok": True,
-        "matches": matches,
-        "num_matches": len(matches),
-    }
+def result_response(request_id, result) -> bytes:
+    """A successful ``query`` reply for ``result``, as the payload
+    :func:`encode_frame` frames.
+
+    Byte for byte the encoding of ``{"id": request_id, "ok": true,
+    "matches": serialize_matches(result.matches), "num_matches": ...}``.
+    Columns are encoded directly; a plain match list (the all-reference
+    configuration's) goes through :func:`serialize_matches`.
+    """
+    matches = result.matches
+    if not isinstance(matches, MatchColumns):
+        serialized = serialize_matches(matches)
+        return _ENCODER.encode({
+            "id": request_id,
+            "ok": True,
+            "matches": serialized,
+            "num_matches": len(serialized),
+        }).encode("utf-8")
+    return b'{"id":%s,"ok":true,"matches":[%s],"num_matches":%d}' % (
+        _json_scalar(request_id).encode(),
+        _encode_columns(matches),
+        len(matches),
+    )
+
+
+def _json_scalar(value) -> str:
+    """``value`` as :data:`_ENCODER` writes it; a string or an int takes
+    the primitive the encoder itself calls for it."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
+
+
+def _encode_columns(columns: MatchColumns) -> bytes:
+    """The ``matches`` array of a reply, without its brackets.
+
+    Each distinct ``(entity, column)`` cell is encoded once — the
+    entity's references as :func:`serialize_matches` sorts them, then
+    the column's label — and a match is a gather of its cells and a
+    join. A probability is written by ``float.__repr__``, as
+    ``json.dumps`` writes any finite float (a match's always is).
+    """
+    if not len(columns):
+        return b""
+    width = len(columns.column_labels)
+    rows = np.arange(len(columns))[:, None]
+    # Every node of every match in Match.nodes order, as its cell key:
+    # node id * width + column.
+    keys = (
+        columns.nodes[rows, columns.repr_order] * width + columns.repr_order
+    ).ravel().tolist()
+    labels = [
+        encode_basestring_ascii(str(label)) for label in columns.column_labels
+    ]
+    entities = columns.entities
+    refs: dict = {}  # node id -> its entity's encoded reference list
+    cells = dict.fromkeys(keys)  # cell key -> "[refs,label]"
+    for key in cells:
+        node, column = divmod(key, width)
+        encoded = refs.get(node)
+        if encoded is None:
+            encoded = refs[node] = "[%s]" % ",".join(map(
+                _json_scalar, sorted(map(_json_ref, entities[node]), key=repr)
+            ))
+        cells[key] = "[%s,%s]" % (encoded, labels[column])
+    gathered = map(cells.__getitem__, keys)
+    return ",".join(map(
+        '{"probability":%s,"nodes":[%s]}'.__mod__,
+        zip(
+            map(float.__repr__, columns.probabilities.tolist()),
+            map(",".join, zip(*[gathered] * width)),  # width cells a row
+        ),
+    )).encode()
 
 
 def error_response(request_id, code: str, message: str) -> dict:

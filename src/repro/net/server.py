@@ -562,7 +562,7 @@ class QueryServer:
     # Replies
     # ------------------------------------------------------------------
 
-    def _reply(self, client: _Client, payload: dict) -> None:  # loop-only
+    def _reply(self, client: _Client, payload: dict | bytes) -> None:  # loop-only
         if client.closed:
             return
         task = self._loop.create_task(self._send(client, payload))
@@ -572,7 +572,7 @@ class QueryServer:
     def _reply_error(self, client, request_id, code, message) -> None:
         self._reply(client, protocol.error_response(request_id, code, message))
 
-    async def _send(self, client: _Client, payload: dict) -> None:
+    async def _send(self, client: _Client, payload: dict | bytes) -> None:
         action = faults.fire("net.write")
         if action is not None:
             if action.kind == "delay":

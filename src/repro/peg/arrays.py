@@ -5,6 +5,8 @@ nothing but the graph, so they live beside it."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.peg.entity_graph import ProbabilisticEntityGraph
@@ -17,8 +19,9 @@ class PegProbabilityArrays:
     ``edge_probabilities`` answers bulk edge-probability gathers through
     a sorted composite-key table (``min_id * num_nodes + max_id``) and
     ``np.searchsorted``. Arrays are built lazily per label (pair).
-    ``entity_tables`` are the per-id entity / ``repr`` / ``repr``-rank
-    tables the matcher builds ``Match`` objects from.
+    ``entity_tables`` are the per-id entity and ``repr``-rank tables
+    the matcher orders its result columns by and builds ``Match``
+    objects from.
 
     The tables depend only on the PEG as it stands, so one instance
     should be shared across queries (an engine's
@@ -103,13 +106,16 @@ class PegProbabilityArrays:
         return self._components
 
     def entity_tables(self) -> tuple:
-        """``(entities, reprs, ranks)`` per node id, for match emission.
+        """``(entities, ranks, repr_ranks)`` per node id, for match
+        emission.
 
-        ``entities[id]`` is the entity frozenset and ``reprs[id]`` its
-        ``repr`` (both object arrays, so one fancy index gathers a whole
-        level); ``ranks[id]`` is the id's position in ``repr`` order
-        (equal reprs tie-break on id), so sorting a match's nodes by
-        ``repr(entity)`` is an integer ``argsort``.
+        ``entities[id]`` is the entity frozenset (an object array, so
+        one fancy index gathers a whole level); ``ranks[id]`` is the
+        id's position in ``repr`` order (equal reprs tie-break on id),
+        so sorting a match's nodes by ``repr(entity)`` is an integer
+        ``argsort``; ``repr_ranks[id]`` ranks the ``repr`` itself (equal
+        reprs share a rank), so ordering matches by the ``repr`` of
+        their nodes is an integer ``lexsort``.
         """
         if self._entities is None:
             n = self.num_nodes
@@ -119,10 +125,16 @@ class PegProbabilityArrays:
                 dtype=object,
                 count=n,
             )
-            reprs = np.fromiter(map(repr, entities), dtype=object, count=n)
+            reprs = list(map(repr, entities))
+            by_repr = sorted(range(n), key=reprs.__getitem__)
             ranks = np.empty(n, dtype=np.int64)
-            ranks[sorted(range(n), key=reprs.__getitem__)] = np.arange(n)
-            self._entities = (entities, reprs, ranks)
+            ranks[by_repr] = np.arange(n)
+            in_order = [reprs[node] for node in by_repr]
+            changes = np.zeros(n, dtype=np.int64)
+            changes[1:] = list(map(operator.ne, in_order[1:], in_order))
+            repr_ranks = np.empty(n, dtype=np.int64)
+            repr_ranks[by_repr] = np.cumsum(changes)
+            self._entities = (entities, ranks, repr_ranks)
         return self._entities
 
     def _edge_table(self) -> tuple:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.index.batch import BatchLookupIndex
@@ -27,12 +28,16 @@ from repro.index.protocol import (
 from repro.obs.metrics import get_registry
 from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, Span, current_span
-from repro.peg.entity_graph import ProbabilisticEntityGraph
+from repro.peg.entity_graph import Match, ProbabilisticEntityGraph
 from repro.query.candidates import CandidateFinder
 from repro.query.kpartite import CandidateKPartiteGraph, build_candidate_links
 from repro.query.links import LinkStructureCache, build_candidate_links_vectorized
 from repro.query.plan import QueryPlanner
-from repro.query.matcher import generate_matches, generate_matches_reference
+from repro.query.matcher import (
+    MatchColumns,
+    generate_matches,
+    generate_matches_reference,
+)
 from repro.query.query_graph import QueryGraph
 from repro.storage.kvstore import PathStore
 from repro.utils.errors import IndexError_, QueryError
@@ -129,7 +134,11 @@ class QueryOptions:
 class QueryResult:
     """Matches plus per-stage statistics of one query evaluation."""
 
-    matches: list
+    #: The matches, by descending probability: a
+    #: :class:`~repro.query.matcher.MatchColumns` that builds a ``Match``
+    #: only for a row that is read (the all-reference configuration
+    #: returns a plain list). The wire encodes it without building any.
+    matches: Sequence[Match]
     search_space_path: float = 0.0
     search_space_context: float = 0.0
     search_space_final: float = 0.0
@@ -593,7 +602,7 @@ class QueryEngine:
                 decomposition, candidates, alpha, options, recorder
             )
         else:
-            matches, reduction, link_stats = [], None, {}
+            matches, reduction, link_stats = MatchColumns.empty(), None, {}
             if span.enabled:
                 span.set("empty_partition", True)
 

@@ -9,22 +9,33 @@ partial-probability bound enforced as soon as possible.
 :func:`generate_matches` is the production matcher: a level-at-a-time
 join over the arrays a reduced
 :class:`~repro.query.reduction.VectorizedKPartiteGraph` already holds.
+It returns the join's final frontier as :class:`MatchColumns` — PEG-id
+columns, probabilities and the graph version's entity tables, sorted
+once by an integer ``lexsort`` — and builds a
+:class:`~repro.peg.entity_graph.Match` only for a row that is read;
+the wire encodes replies from the columns without building any
+(:func:`repro.net.protocol.result_response`).
 :func:`generate_matches_reference` is the per-tuple depth-first search
 it replaced, kept as the oracle (``reduction_backend="python"`` runs
-it). Both multiply a (partial) match's probability in one written-down
-order, so they agree bit for bit:
+it); it returns a list. Both multiply a (partial) match's probability
+in one written-down order, so they agree bit for bit:
 
 1. label factors, query nodes in *placement order* (partitions in join
    order, path positions left to right, first occurrence),
 2. edge factors, query edges in :func:`ordered_query_edges` order,
    skipping edges with an unplaced endpoint,
 3. times the existence marginal of the placed nodes in placement order.
+
+Both list matches by ``(-probability, repr(match.nodes))``, ties in
+visiting order.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 import typing
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -366,14 +377,14 @@ def generate_matches(
     alpha: float,
     *,
     stats: dict | None = None,
-) -> list:
+) -> "MatchColumns":
     """Enumerate all full query matches with probability >= alpha.
 
     ``kpartite`` is a reduced
     :class:`repro.query.reduction.VectorizedKPartiteGraph`; its alive
     masks, node matrices, CSR links and probability tables are joined
-    one partition (one frontier level) at a time. Returns deduplicated
-    :class:`~repro.peg.entity_graph.Match` objects, sorted by descending
+    one partition (one frontier level) at a time. Returns the
+    deduplicated matches as :class:`MatchColumns`, sorted by descending
     probability: two embeddings inducing the same labeled subgraph are
     one match, represented by the first one visited.
 
@@ -389,7 +400,7 @@ def generate_matches(
         stats["frontier_peak"] = join.frontier_peak
         stats["fallback_rows"] = join.fallback_rows
         stats["duplicates"] = nodes.shape[0] - first.size
-    return _build_matches(join, nodes[first], probabilities[first])
+    return _sorted_columns(join, nodes[first], probabilities[first])
 
 
 def _first_embeddings(join: _FrontierJoin, nodes: np.ndarray) -> np.ndarray:
@@ -425,75 +436,204 @@ def _first_embeddings(join: _FrontierJoin, nodes: np.ndarray) -> np.ndarray:
     return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
 
 
+def _sorted_columns(
+    join: _FrontierJoin, nodes: np.ndarray, probabilities: np.ndarray
+) -> "MatchColumns":
+    """The matches as columns, sorted by ``(-probability,
+    repr(match.nodes))`` with ties in row (visiting) order.
+
+    ``repr(match.nodes)`` is the ``repr`` of its ``(entity, label)``
+    pairs in ``repr(entity)`` order, so comparing two of them compares,
+    node position by node position, the entity's ``repr`` and then the
+    label's: one ``np.lexsort`` over their ranks, with no string built.
+    """
+    entities, ranks, repr_ranks = join.arrays.entity_tables()
+    # A match lists its nodes in repr(entity) order (ties on id).
+    repr_order = np.argsort(ranks[nodes], axis=1, kind="stable")
+    ordered = np.take_along_axis(nodes, repr_order, axis=1)
+    label_reprs = [repr(label) for label in join.column_labels]
+    in_order = sorted(label_reprs)
+    label_ranks = np.array(
+        [in_order.index(text) for text in label_reprs], dtype=np.int64
+    )
+    keys = []  # np.lexsort's last key is its primary one
+    for position in reversed(range(nodes.shape[1])):
+        keys.append(label_ranks[repr_order[:, position]])
+        keys.append(repr_ranks[ordered[:, position]])
+    keys.append(-probabilities)
+    rows = np.lexsort(keys)
+    return MatchColumns(
+        nodes[rows], repr_order[rows], probabilities[rows],
+        join.column_nodes, join.column_labels, join.edge_columns, entities,
+    )
+
+
 def _chunks(items, width: int):
     """Consecutive ``width``-tuples of an iterable, all in C."""
     return zip(*[iter(items)] * width)
 
 
-def _build_matches(
-    join: _FrontierJoin, nodes: np.ndarray, probabilities: np.ndarray
-) -> list:
-    """One ``Match`` per row, sorted by ``(-probability, repr(nodes))``.
+class MatchColumns(Sequence):
+    """The matches of one query, held as the join's columns.
 
-    Entities, their ``repr`` and its rank come from per-node-id tables
-    and every gather is flattened to one list, so a row costs a few
-    C-level zips: no ``repr`` of a frozenset, no Python-level sort, no
-    per-row scratch container.
+    ``nodes`` is the deduplicated final frontier — one row per match,
+    PEG ids in the join's column order — and ``probabilities`` its
+    probabilities; rows are sorted by ``(-probability,
+    repr(match.nodes))``, ties in visiting order. ``repr_order[row]``
+    lists the row's columns in ``repr(entity)`` order, the order of
+    ``Match.nodes``. ``column_nodes`` and ``column_labels`` are the
+    query node and label of every column, ``edge_columns`` the
+    ``(column_a, column_b)`` of every query edge in factor order, and
+    ``entities`` the graph version's per-id entity table (shared, not
+    copied).
+
+    It reads as the list of :class:`~repro.peg.entity_graph.Match` it
+    stands for. ``len`` reads the column height; an index or a slice
+    builds only the rows it returns. Iteration, ``==`` and ``repr``
+    build every row once and publish the list with one assignment;
+    reads after that take no lock. Pickling ships only the entities
+    the rows use.
     """
-    entities, reprs, ranks = join.arrays.entity_tables()
-    width = len(join.column_labels)
-    labels = np.fromiter(join.column_labels, dtype=object, count=width)
-    label_reprs = np.fromiter(map(repr, labels), dtype=object, count=width)
 
-    def flat(table, indexes) -> list:
-        return table[indexes].ravel().tolist()
+    def __init__(
+        self, nodes, repr_order, probabilities, column_nodes,
+        column_labels, edge_columns, entities,
+    ) -> None:
+        self.nodes = nodes
+        self.repr_order = repr_order
+        self.probabilities = probabilities
+        self.column_nodes = tuple(column_nodes)
+        self.column_labels = tuple(column_labels)
+        self.edge_columns = tuple(edge_columns)
+        self.entities = entities
+        self._matches = None
+        self._build_lock = threading.Lock()
 
-    # A match lists its nodes in repr(entity) order ...
-    by_repr = np.argsort(ranks[nodes], axis=1, kind="stable")
-    ordered = np.take_along_axis(nodes, by_repr, axis=1)
-    node_rows = _chunks(
-        zip(flat(entities, ordered), flat(labels, by_repr)), width
-    )
-    # ... and its mapping in repr(query node) order: one column order.
-    mapping_columns = sorted(
-        range(width), key=lambda column: repr(join.column_nodes[column])
-    )
-    mapping_nodes = [join.column_nodes[column] for column in mapping_columns]
-    mapping_rows = _chunks(
-        zip(
-            itertools.cycle(mapping_nodes),
-            flat(entities, nodes[:, mapping_columns]),
-        ),
-        width,
-    )
-    if join.edge_columns:
-        ends_a = flat(entities, nodes[:, [a for a, _ in join.edge_columns]])
-        ends_b = flat(entities, nodes[:, [b for _, b in join.edge_columns]])
-        edge_rows = map(
-            frozenset,
-            _chunks(
-                map(frozenset, zip(ends_a, ends_b)), len(join.edge_columns)
-            ),
+    @classmethod
+    def empty(cls) -> "MatchColumns":
+        """No matches (a partition without candidates)."""
+        no_ids = np.zeros((0, 0), dtype=np.int64)
+        return cls(
+            no_ids, no_ids, np.zeros(0), (), (), (), np.zeros(0, dtype=object)
         )
-    else:
-        edge_rows = itertools.repeat(frozenset())
-    matches = list(
-        map(Match, node_rows, edge_rows, mapping_rows, probabilities.tolist())
+
+    def __len__(self) -> int:
+        return self.nodes.shape[0]
+
+    def __getitem__(self, index):
+        matches = self._matches
+        if matches is not None:
+            return matches[index]
+        if isinstance(index, slice):
+            return self._build(index)
+        row = range(len(self))[index]  # negatives, IndexError, TypeError
+        return self._build(slice(row, row + 1))[0]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __eq__(self, other):
+        if isinstance(other, MatchColumns):
+            other = other._materialize()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._materialize() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._materialize())
+
+    def __reduce__(self):
+        ids, inverse = np.unique(self.nodes, return_inverse=True)
+        return _restore_columns, (
+            len(self),
+            inverse.reshape(self.nodes.shape).astype(np.int64).tobytes(),
+            self.repr_order.astype(np.int64).tobytes(),
+            self.probabilities.tobytes(),
+            self.column_nodes,
+            self.column_labels,
+            self.edge_columns,
+            tuple(self.entities[ids].tolist()),
+        )
+
+    def _materialize(self) -> list:
+        """Every row's ``Match``, built by the first reader only."""
+        matches = self._matches
+        if matches is None:
+            with self._build_lock:
+                matches = self._matches
+                if matches is None:
+                    matches = self._matches = self._build(slice(None))
+        return matches
+
+    def _build(self, rows) -> list:
+        """One ``Match`` per row of the slice ``rows``.
+
+        Every gather is flattened to one list, so a row costs a few
+        C-level zips and no per-row scratch container.
+        """
+        nodes = self.nodes[rows]
+        repr_order = self.repr_order[rows]
+        entities = self.entities
+        width = len(self.column_labels)
+        labels = np.fromiter(self.column_labels, dtype=object, count=width)
+
+        def flat(table, indexes) -> list:
+            return table[indexes].ravel().tolist()
+
+        node_rows = _chunks(
+            zip(
+                flat(entities, np.take_along_axis(nodes, repr_order, axis=1)),
+                flat(labels, repr_order),
+            ),
+            width,
+        )
+        # The mapping lists query nodes in repr order: one column order.
+        mapping_columns = sorted(
+            range(width), key=lambda column: repr(self.column_nodes[column])
+        )
+        mapping_rows = _chunks(
+            zip(
+                itertools.cycle(
+                    [self.column_nodes[column] for column in mapping_columns]
+                ),
+                flat(entities, nodes[:, mapping_columns]),
+            ),
+            width,
+        )
+        if self.edge_columns:
+            ends_a = flat(entities, nodes[:, [a for a, _ in self.edge_columns]])
+            ends_b = flat(entities, nodes[:, [b for _, b in self.edge_columns]])
+            edge_rows = map(
+                frozenset,
+                _chunks(
+                    map(frozenset, zip(ends_a, ends_b)), len(self.edge_columns)
+                ),
+            )
+        else:
+            edge_rows = itertools.repeat(frozenset())
+        return list(map(
+            Match, node_rows, edge_rows, mapping_rows,
+            self.probabilities[rows].tolist(),
+        ))
+
+
+def _restore_columns(
+    rows, nodes, repr_order, probabilities, column_nodes, column_labels,
+    edge_columns, entities,
+) -> MatchColumns:
+    """Unpickle :class:`MatchColumns`: ``nodes`` index ``entities``."""
+    shape = (rows, len(column_labels))
+    return MatchColumns(
+        np.frombuffer(nodes, dtype=np.int64).reshape(shape),
+        np.frombuffer(repr_order, dtype=np.int64).reshape(shape),
+        np.frombuffer(probabilities, dtype=np.float64),
+        column_nodes,
+        column_labels,
+        edge_columns,
+        np.fromiter(entities, dtype=object, count=len(entities)),
     )
-    # repr(match.nodes), assembled from the repr tables.
-    pairs = map(
-        "(%s, %s)".__mod__,
-        zip(flat(reprs, ordered), flat(label_reprs, by_repr)),
-    )
-    closing = ",)" if width == 1 else ")"
-    nodes_reprs = [
-        "(" + inner + closing
-        for inner in map(", ".join, _chunks(pairs, width))
-    ]
-    ranking = sorted(
-        zip((-probabilities).tolist(), nodes_reprs, range(len(matches)))
-    )
-    return [matches[index] for _, _, index in ranking]
 
 
 def generate_matches_reference(

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -12,11 +13,13 @@ import repro
 from repro.datasets import generate_dblp_pgd, random_query
 from repro.delta import AddEdge, AddEntity, MergeEntities
 from repro.peg import build_peg
+from repro.peg.entity_graph import Match
 from repro.pgd import BernoulliEdge
 from repro.query import QueryEngine, QueryOptions
 from repro.query.decompose import Decomposition, QueryPath
-from repro.query.matcher import determine_join_order
+from repro.query.matcher import MatchColumns, determine_join_order
 from repro.query.query_graph import QueryGraph
+from repro.query.topk import top_k_matches
 from tests.conftest import small_random_peg
 from tests.test_differential_random import assert_matcher_equivalence
 
@@ -216,8 +219,9 @@ class TestArrayMatcherAgreesWithReference:
 
 
 def test_sort_key_from_the_repr_table_is_repr_of_nodes():
-    """The array matcher sorts on a string assembled from per-id repr
-    tables; it must be ``repr(match.nodes)``, 1-tuples included."""
+    """The array matcher sorts on integer ranks of per-id ``repr``
+    tables; the order must be that of ``repr(match.nodes)``, 1-tuples
+    included."""
     engine = QueryEngine(small_random_peg(2), max_length=2, beta=0.05)
     for spec in (({"a": "L0"}, []), ({"a": "L0", "b": "L1"}, [("a", "b")])):
         matches = engine.query(QueryGraph(*spec), 0.05).matches
@@ -245,3 +249,124 @@ def test_probabilities_do_not_depend_on_the_hash_seed():
             outputs[backend, seed] = json.loads(completed.stdout)
     assert len(outputs["vectorized", "1"]) == 236
     assert len({json.dumps(records) for records in outputs.values()}) == 1
+
+
+# ----------------------------------------------------------------------
+# MatchColumns: the result reads as the reference's Match list
+# ----------------------------------------------------------------------
+
+REFERENCE = QueryOptions(reduction_backend="python")
+PATH_QUERY = QueryGraph(
+    {"a": "L0", "b": "L1", "c": "L2"}, [("a", "b"), ("b", "c")]
+)
+
+
+@pytest.fixture(scope="module")
+def columns_engine():
+    return QueryEngine(small_random_peg(2), max_length=2, beta=0.05)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``Match`` the matcher constructs, in order."""
+    matches = []
+
+    def counting(*fields, **named):
+        matches.append(Match(*fields, **named))
+        return matches[-1]
+
+    monkeypatch.setattr("repro.query.matcher.Match", counting)
+    return matches
+
+
+class TestMatchColumns:
+    def result_pair(self, engine, alpha=0.2):
+        matches = engine.query(PATH_QUERY, alpha).matches
+        reference = engine.query(PATH_QUERY, alpha, REFERENCE).matches
+        assert isinstance(matches, MatchColumns)
+        assert type(reference) is list and len(reference) > 8
+        return matches, reference
+
+    def test_len_and_truth_build_nothing(self, columns_engine, built):
+        matches, reference = self.result_pair(columns_engine)
+        built.clear()
+        assert len(matches) == len(reference)
+        assert matches
+        assert built == []
+
+    def test_index_builds_one_row(self, columns_engine, built):
+        matches, reference = self.result_pair(columns_engine)
+        n = len(reference)
+        for index in (0, 1, n - 1, -1, -2, -n):
+            built.clear()
+            assert matches[index] == reference[index]
+            assert len(built) == 1
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                matches[index]
+        with pytest.raises(TypeError):
+            matches["0"]
+
+    def test_slices_with_steps(self, columns_engine):
+        matches, reference = self.result_pair(columns_engine)
+        for window in (
+            slice(None), slice(None, None, 2), slice(1, None, 3),
+            slice(None, None, -1), slice(-3, None), slice(6, 1, -2),
+            slice(100, 200), slice(3, 3),
+        ):
+            assert matches[window] == reference[window], window
+
+    def test_first_three_builds_three(self, columns_engine, built):
+        matches, reference = self.result_pair(columns_engine)
+        built.clear()
+        assert matches[:3] == reference[:3]
+        assert len(built) == 3
+
+    def test_equality(self, columns_engine):
+        matches, reference = self.result_pair(columns_engine)
+        assert matches == reference and reference == matches
+        assert matches == columns_engine.query(PATH_QUERY, 0.2).matches
+        assert matches != reference[:-1]
+        assert matches != []
+        assert matches != tuple(reference)
+        empty = columns_engine.query(PATH_QUERY, 0.99).matches
+        assert isinstance(empty, MatchColumns)
+        assert empty == [] and [] == empty and not empty
+        assert MatchColumns.empty() == []
+
+    def test_iteration_builds_every_row_once(self, columns_engine, built):
+        matches, reference = self.result_pair(columns_engine)
+        built.clear()
+        first = list(matches)
+        assert first == reference
+        assert list(reversed(matches)) == reference[::-1]
+        assert matches[2] is first[2] and matches[1:3] == first[1:3]
+        assert len(built) == len(reference)
+
+    def test_repr(self, columns_engine):
+        matches, reference = self.result_pair(columns_engine)
+        assert repr(matches) == repr(reference)
+        assert repr(MatchColumns.empty()) == "[]"
+
+    def test_top_k_matches_unchanged(self, columns_engine):
+        for k in (1, 5, 40):
+            assert top_k_matches(columns_engine, PATH_QUERY, k) == \
+                top_k_matches(columns_engine, PATH_QUERY, k, options=REFERENCE)
+
+    def test_pickle_round_trip(self, columns_engine):
+        matches, reference = self.result_pair(columns_engine)
+        assert pickle.loads(pickle.dumps(matches)) == reference
+        list(matches)  # materialized: the columns still ship, not the list
+        shipped = pickle.loads(pickle.dumps(matches))
+        assert shipped._matches is None and shipped == reference
+        assert pickle.loads(pickle.dumps(MatchColumns.empty())) == []
+
+    def test_pickle_ships_the_rows_not_the_graph(self, columns_engine):
+        """A one-match result pickles the one match's entities, not the
+        graph version's whole entity table."""
+        matches = columns_engine.query(PATH_QUERY, 0.44).matches
+        assert len(matches) == 1
+        shipped = pickle.loads(pickle.dumps(matches))
+        assert len(shipped.entities) == len(set(matches.nodes.ravel().tolist()))
+        assert len(pickle.dumps(matches)) <= 2 * len(pickle.dumps(list(matches)))
+        assert len(pickle.dumps(matches)) < len(pickle.dumps(matches.entities))

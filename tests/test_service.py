@@ -10,6 +10,7 @@ import pytest
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
 from repro.query import QueryEngine, QueryGraph, QueryOptions
+from repro.query.matcher import MatchColumns
 from repro.service import QueryService, ResultCache, ServiceStats, request_key
 from repro.utils.errors import (
     DeadlineExceeded,
@@ -17,6 +18,7 @@ from repro.utils.errors import (
     ServiceError,
     ServiceUnavailable,
 )
+from tests.conftest import small_random_peg
 
 
 @pytest.fixture
@@ -429,6 +431,61 @@ class TestConcurrentServing:
         assert snap["requests"] == 8
         assert snap["misses"] == 1
 
+    def test_concurrent_first_read_builds_matches_once(self, monkeypatch):
+        """Eight threads iterate and slice one cached result at once:
+        each sees the same list, and every ``Match`` is built by exactly
+        one full materialization (slices taken before it build only
+        their own rows)."""
+        engine = QueryEngine(small_random_peg(2), max_length=2, beta=0.05)
+        query = QueryGraph(
+            {"a": "L0", "b": "L1", "c": "L2"}, [("a", "b"), ("b", "c")]
+        )
+        full_builds = []
+        build = MatchColumns._build
+
+        def counting_build(self, rows):
+            if rows == slice(None):
+                full_builds.append(self)
+            return build(self, rows)
+
+        monkeypatch.setattr(MatchColumns, "_build", counting_build)
+        with QueryService(engine, num_workers=2) as service:
+            result = service.query(query, 0.2)
+            assert service.query(query, 0.2) is result  # a cache hit
+        matches = result.matches
+        assert isinstance(matches, MatchColumns) and len(matches) > 8
+        barrier = threading.Barrier(8)
+        seen = [None] * 8
+        errors = []
+
+        def reader(i):
+            try:
+                barrier.wait(timeout=10)
+                if i % 2:
+                    sliced = matches[1::3]
+                    rows = list(matches)
+                else:
+                    rows = list(matches)
+                    sliced = matches[1::3]
+                seen[i] = (rows, sliced)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert full_builds == [matches]
+        first = seen[0][0]
+        assert first == engine.query(
+            query, 0.2, QueryOptions(reduction_backend="python")
+        ).matches
+        for rows, sliced in seen:
+            assert all(a is b for a, b in zip(rows, first))
+            assert len(rows) == len(first) and sliced == first[1::3]
+
     def test_query_many_preserves_order(self, peg):
         engine = QueryEngine(peg, max_length=2, beta=0.05)
         queries = [
@@ -483,6 +540,24 @@ class TestSnapshotRoundTrip:
         assert sorted(
             m.probability for m in result.matches
         ) == pytest.approx(sorted(m.probability for m in expected.matches))
+
+    def test_process_pool_ships_the_thread_modes_matches(self, tmp_path):
+        """A process worker's result is pickled back as columns and
+        reads as the very list the thread executor returns."""
+        peg = small_random_peg(2)
+        snapshot = str(tmp_path / "bundle")
+        QueryEngine(peg, max_length=2, beta=0.05).save_offline(snapshot)
+        query = QueryGraph(
+            {"a": "L0", "b": "L1", "c": "L2"}, [("a", "b"), ("b", "c")]
+        )
+        with QueryService.from_snapshot(peg, snapshot, num_workers=1) as threads:
+            expected = threads.query(query, 0.2, timeout=60).matches
+        with QueryService.from_snapshot(
+            peg, snapshot, num_workers=1, executor="process"
+        ) as processes:
+            shipped = processes.query(query, 0.2, timeout=60).matches
+        assert isinstance(shipped, MatchColumns) and len(shipped) > 8
+        assert list(shipped) == list(expected)
 
 
 class TestExports:
