@@ -27,11 +27,13 @@ label), so the bytes the writer files do not depend on how the
 enumeration runs. The gather tables are
 :class:`repro.peg.arrays.PathTables`.
 
-**The scalar fallback** is the rule the link builder and the matcher
-follow: only a row whose new node lies in a multi-entity identity
+**The joint existence rule** is the one the link builder and the
+matcher follow: a row whose new node lies in a multi-entity identity
 component *and* shares that component with a node already on the path
-asks the PEG — ``shares_references_id`` (the row goes) or
-``existence_marginal_ids`` (the joint marginal replaces the product).
+takes the whole path's joint marginal from
+:meth:`repro.peg.arrays.ComponentTable.joint_existence` in place of the
+product — 0.0, so the row goes, when two of its nodes share a
+reference. ``fallback_rows`` counts those rows.
 **The row budget**: a level is extended in order-preserving blocks of
 at most ``_FRONTIER_ROW_BUDGET`` gathered neighbour rows, so the
 pre-prune fan-out of the last level never sets the process peak.
@@ -93,7 +95,12 @@ from repro.index.paths import (
     records_payload,
 )
 from repro.index.protocol import canonical_sequence, orient_to_sequence
-from repro.peg.arrays import PathTables, PegProbabilityArrays, path_tables
+from repro.peg.arrays import (
+    PathTables,
+    PegProbabilityArrays,
+    component_table,
+    path_tables,
+)
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import InMemoryPathStore, PathStore
 from repro.utils.errors import IndexError_
@@ -203,8 +210,8 @@ class PathIndexBuilder:
         #: version — the candidate finder, through its context — puts
         #: them here instead, so the tables are built once per version.
         self.arrays = PegProbabilityArrays(peg)
-        #: Extension rows that asked the PEG (reference sharing and the
-        #: joint existence marginal inside one identity component).
+        #: Extension rows that took a joint existence marginal (two
+        #: nodes of one identity component on the path).
         self.fallback_rows = 0
 
     # ------------------------------------------------------------------
@@ -432,25 +439,23 @@ class PathIndexBuilder:
         parent, slots, neighbor = parent[keep], slots[keep], neighbor[keep]
 
         # Across identity components the existence marginal multiplies.
-        # Only a new node of a multi-entity component that shares that
-        # component with a node already on the path asks the PEG: for
-        # shared references (the row goes) and for the joint marginal.
+        # A new node that shares its component with a node already on
+        # the path takes the whole path's joint marginal instead (0.0,
+        # and the row goes, when two of them share a reference).
         prn = frontier.prn[parent] * tables.existence[neighbor]
-        suspects = np.flatnonzero(tables.multi[neighbor])
-        if suspects.size:
-            component = tables.components
-            on_path = component[frontier.nodes[parent[suspects]]]
-            new = component[neighbor[suspects], None]
-            suspects = suspects[(on_path == new).any(axis=1)]
-            self.fallback_rows += suspects.size
-            peg = self.peg
-            for row in suspects.tolist():
-                ids = frontier.nodes[parent[row]].tolist()
-                new = int(neighbor[row])
-                if any(peg.shares_references_id(new, node) for node in ids):
-                    prn[row] = 0.0
-                else:
-                    prn[row] = peg.existence_marginal_ids(ids + [new])
+        joint = np.flatnonzero(tables.multi[neighbor])
+        if joint.size:
+            on_path = tables.keys[frontier.nodes[parent[joint]]]
+            new = tables.keys[neighbor[joint], None]
+            joint = joint[(on_path == new).any(axis=1)]
+            self.fallback_rows += joint.size
+            prn[joint] = component_table(self.peg).joint_existence(
+                np.concatenate(
+                    (frontier.nodes[parent[joint]], neighbor[joint, None]),
+                    axis=1,
+                ),
+                tables.existence,
+            )
         keep = prn > 0.0
 
         if label is None:  # every possible label, in support order

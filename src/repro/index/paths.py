@@ -17,8 +17,8 @@ offline build, a live absorb, compaction and on-demand enumeration
 alike; every index lookup returns one, and the online phase filters,
 orients and joins it without building a per-path object.
 :class:`IndexedPath` objects appear only when a consumer indexes or
-iterates one (the reference backends, ``candidate_of``, scalar fallback
-rows). The record-by-record scalar decoder remains as the reporter for
+iterates one (the reference backends, ``candidate_of``). The
+record-by-record scalar decoder remains as the reporter for
 mixed-width or corrupt payloads; the record-by-record *encoder* is the
 tests' byte oracle (:mod:`repro.testing.reference`).
 """

@@ -1,15 +1,22 @@
 """Gather tables of a PEG: the probability arrays of the array-native
-online phase and the :class:`PathTables` the path enumeration
-(:mod:`repro.index.builder`) extends its frontier from. They read
-nothing but the graph, so they live beside it."""
+online phase, the :class:`PathTables` the path enumeration
+(:mod:`repro.index.builder`) extends its frontier from, and the
+:class:`ComponentTable` every joint existence marginal is read from.
+They read nothing but the graph, so they live beside it."""
 
 from __future__ import annotations
 
 import operator
+import weakref
 
 import numpy as np
 
 from repro.peg.entity_graph import ProbabilisticEntityGraph
+
+#: Most ``(member, held row)`` cells one :class:`ComponentTable` gather
+#: spans; a sampled component holds thousands of rows, so its queries
+#: are answered in blocks.
+_MARGINAL_CELLS = 1 << 20
 
 
 class PegProbabilityArrays:
@@ -44,7 +51,7 @@ class PegProbabilityArrays:
         self._edge_dists = None
         self._edge_probs: dict = {}
         self._existence = None
-        self._components = None
+        self._component_keys = None
         self._entities = None
         self._path_tables = None
 
@@ -77,7 +84,9 @@ class PegProbabilityArrays:
         (``peg.existence_probability_id``), so for a node set whose
         members live in pairwise-distinct identity components the
         ordered product of gathers reproduces
-        ``peg.existence_marginal_ids`` bit-for-bit.
+        ``peg.existence_marginal_ids`` bit-for-bit; a set with two
+        members in one component takes
+        :meth:`ComponentTable.joint_existence`.
         """
         if self._existence is None:
             peg = self.peg
@@ -91,19 +100,15 @@ class PegProbabilityArrays:
             )
         return self._existence
 
-    def component_indexes(self) -> np.ndarray:
-        """Identity-component index for every node id, as one int array."""
-        if self._components is None:
-            peg = self.peg
-            self._components = np.fromiter(
-                (
-                    peg.component_index_id(node)
-                    for node in range(self.num_nodes)
-                ),
-                dtype=np.int64,
-                count=self.num_nodes,
+    def component_keys(self) -> np.ndarray:
+        """:meth:`ComponentTable.component_keys` of every node id, as one
+        array: two ids share a key exactly when their nodes share an
+        identity component."""
+        if self._component_keys is None:
+            self._component_keys = component_table(self.peg).component_keys(
+                np.arange(self.num_nodes)
             )
-        return self._components
+        return self._component_keys
 
     def entity_tables(self) -> tuple:
         """``(entities, ranks, repr_ranks)`` per node id, for match
@@ -187,9 +192,10 @@ class PegProbabilityArrays:
 class PathTables:
     """What one edge-extension of a path frontier gathers from.
 
-    Over the id space: ``existence``, ``components`` and ``multi`` (the
-    node's identity component holds several filled nodes — only such a
-    node can share references with another); CSR adjacency
+    Over the id space: ``existence``, ``keys``
+    (:meth:`ComponentTable.component_keys`) and ``multi`` (the node
+    shares its identity component with another — only such a node can
+    share references with one); CSR adjacency
     (``adj_ptr`` / ``adj``, a node's neighbours ascending, one *slot*
     per directed edge); CSR label support (``sup_ptr`` / ``sup_label``
     / ``sup_prob``, a node's possible labels in support order, as
@@ -207,14 +213,14 @@ class PathTables:
     """
 
     def __init__(
-        self, existence, components, multi, adj_ptr, adj,
-        sup_ptr, sup_labels, sup_prob, slot_dists,
+        self, existence, keys, adj_ptr, adj, sup_ptr, sup_labels, sup_prob,
+        slot_dists,
     ) -> None:
         self.sigma = tuple(sorted(set(sup_labels), key=repr))
         self.label_pos = {label: i for i, label in enumerate(self.sigma)}
         self.existence = existence
-        self.components = components
-        self.multi = multi
+        self.keys = keys
+        self.multi = keys >= 0
         self.adj_ptr = adj_ptr
         self.adj = adj
         self.sup_ptr = sup_ptr
@@ -288,11 +294,10 @@ def path_tables(peg: ProbabilisticEntityGraph, nodes=None) -> PathTables:
     filled = np.asarray(
         sorted(peg.node_ids() if nodes is None else nodes), dtype=np.int64
     )
-    degrees, supports, existence, components = [], [], [], []
+    degrees, supports, existence = [], [], []
     adj, slot_dists, labels, sup_prob = [], [], [], []
     for node in filled.tolist():
         existence.append(peg.existence_probability_id(node))
-        components.append(peg.component_index_id(node))
         neighbors = peg.neighbor_ids(node)
         degrees.append(len(neighbors))
         adj.extend(neighbors)
@@ -306,8 +311,8 @@ def path_tables(peg: ProbabilisticEntityGraph, nodes=None) -> PathTables:
             peg.label_probability_id(node, label) for label in support
         )
 
-    def over_ids(values, dtype, fill=0) -> np.ndarray:
-        column = np.full(size, fill, dtype=dtype)
+    def over_ids(values, dtype) -> np.ndarray:
+        column = np.zeros(size, dtype=dtype)
         column[filled] = values
         return column
 
@@ -316,11 +321,9 @@ def path_tables(peg: ProbabilisticEntityGraph, nodes=None) -> PathTables:
             ([0], np.cumsum(over_ids(counts, np.int64)))
         )
 
-    components = np.asarray(components, dtype=np.int64)
     return PathTables(
         existence=over_ids(existence, np.float64),
-        components=over_ids(components, np.int64, -1),
-        multi=over_ids(np.bincount(components)[components] > 1, bool),
+        keys=component_table(peg).component_keys(np.arange(size)),
         adj_ptr=pointers(degrees),
         adj=np.asarray(adj, dtype=np.int64),
         sup_ptr=pointers(supports),
@@ -328,3 +331,142 @@ def path_tables(peg: ProbabilisticEntityGraph, nodes=None) -> PathTables:
         sup_prob=np.asarray(sup_prob, dtype=np.float64),
         slot_dists=slot_dists,
     )
+
+
+class ComponentTable:
+    """The joint existence marginals of a PEG's identity components
+    (Eq. 7) as arrays: what ``Prn`` (Eq. 12) multiplies whenever a path
+    or a match holds two nodes of one component.
+
+    A *group* is a component holding several nodes of the graph. Its
+    held rows are :meth:`~repro.peg.components.IdentityComponent.weighted_rows`
+    — an exact component's configurations (weights their probabilities,
+    denominator 1.0) or a sampled one's draws (importance weights over
+    their running total). Per group: ``row_count``, ``weight_start``
+    into the flat ``weights`` and ``denominator``. Per node id: ``key``
+    (its group, or ``-1 - id`` for a node alone in its component) and
+    ``member_start``, where the node's flags — whether each held row
+    chose its entity — begin in the flat ``members``.
+
+    Derived once per PEG (:func:`component_table`) and never patched:
+    live updates only add single-entity components, and every id past
+    the table is one of those.
+    """
+
+    def __init__(self, peg: ProbabilisticEntityGraph) -> None:
+        multi = {
+            component.index: component for component in peg.components
+            if len(component.entities) > 1
+        }
+        nodes_of: dict = {}
+        for node in peg.node_ids():
+            index = peg.component_index_id(node)
+            if index in multi:
+                nodes_of.setdefault(index, []).append(node)
+        size = len(peg.node_ids())
+        self.key = -1 - np.arange(size, dtype=np.int64)
+        self.member_start = np.zeros(size, dtype=np.int64)
+        row_count, weight_start, denominator = [], [], []
+        weights, members = [], []
+        for index, nodes in nodes_of.items():
+            if len(nodes) < 2:
+                continue
+            chosen, row_weights, total = multi[index].weighted_rows()
+            for node in nodes:
+                entity = peg.entity_of(node)
+                self.key[node] = len(row_count)
+                self.member_start[node] = len(members)
+                members.extend(entity in row for row in chosen)
+            row_count.append(len(chosen))
+            weight_start.append(len(weights))
+            weights.extend(row_weights)
+            denominator.append(total)
+        self.row_count = np.asarray(row_count, dtype=np.int64)
+        self.weight_start = np.asarray(weight_start, dtype=np.int64)
+        self.denominator = np.asarray(denominator, dtype=np.float64)
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.members = np.asarray(members, dtype=bool)
+
+    def joint_existence(self, nodes, existence: np.ndarray) -> np.ndarray:
+        """``Prn`` of every row of the ``(rows, width)`` id matrix
+        ``nodes``: exactly the float ``peg.existence_marginal_ids(row)``.
+
+        The product starts at 1.0 and runs over the row's components in
+        first-appearance order. A component the row holds once gives
+        its node's ``existence`` (the caller's per-id single-entity
+        marginals, whose id space may have grown past this table); one
+        it holds several times gives the in-order sum of the weights of
+        the held rows choosing all of them, over its denominator — 0.0
+        when two of them share a reference, since no configuration
+        holds both.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        key = self.component_keys(nodes)
+        prn = np.ones(nodes.shape[0])
+        for column in range(nodes.shape[1]):
+            same = key == key[:, column, None]
+            first = ~same[:, :column].any(axis=1)
+            factor = existence[nodes[:, column]]
+            joint = np.flatnonzero(
+                first & (key[:, column] >= 0) & (same.sum(axis=1) > 1)
+            )
+            if joint.size:
+                factor[joint] = self._marginals(
+                    nodes[joint], key[joint, column], same[joint]
+                )
+            prn[first] *= factor[first]
+        return prn
+
+    def component_keys(self, nodes) -> np.ndarray:
+        """``key`` of every id of ``nodes`` (same shape): two ids share
+        it exactly when their nodes share an identity component, and it
+        is non-negative exactly when that component holds several nodes
+        — every id past the table is alone in its own."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        known = nodes < self.key.size
+        return np.where(known, self.key[np.where(known, nodes, 0)], -1 - nodes)
+
+    def _marginals(self, nodes, groups, members) -> np.ndarray:
+        """Per query row — its group and ``members``, the columns of
+        ``nodes`` in it — the in-order sum of the weights of the group's
+        rows choosing every member, over the denominator.
+
+        Queries are gathered per held-row count, at most
+        ``_MARGINAL_CELLS`` cells at a time; the masked weights are
+        summed along the held-row axis by ``np.add.accumulate``, which
+        adds left to right as the scalar marginal does (``np.sum`` adds
+        pairwise).
+        """
+        marginals = np.empty(groups.size)
+        counts = self.row_count[groups]
+        for count in np.unique(counts).tolist():
+            rows = np.arange(count)
+            picked = np.flatnonzero(counts == count)
+            step = max(1, _MARGINAL_CELLS // count)
+            for low in range(0, picked.size, step):
+                query = picked[low:low + step]
+                held = np.ones((query.size, count), dtype=bool)
+                for column in range(nodes.shape[1]):
+                    within = np.flatnonzero(members[query, column])
+                    starts = self.member_start[nodes[query[within], column]]
+                    held[within] &= self.members[starts[:, None] + rows]
+                group = groups[query]
+                at = self.weight_start[group][:, None] + rows
+                weights = np.where(held, self.weights[at], 0.0)
+                marginals[query] = (
+                    np.add.accumulate(weights, axis=1)[:, -1]
+                    / self.denominator[group]
+                )
+        return marginals
+
+
+_COMPONENT_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def component_table(peg: ProbabilisticEntityGraph) -> ComponentTable:
+    """The :class:`ComponentTable` of ``peg``, derived on first use and
+    kept beside the graph object (not in it: a saved PEG carries none)."""
+    table = _COMPONENT_TABLES.get(peg)
+    if table is None:
+        table = _COMPONENT_TABLES[peg] = ComponentTable(peg)
+    return table

@@ -26,6 +26,16 @@ from repro.utils.errors import ModelError
 DEFAULT_EXACT_LIMIT = 16
 
 
+def _in_order_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum: the arithmetic of
+    :class:`repro.peg.arrays.ComponentTable` on every Python (the
+    built-in ``sum`` compensates floats from 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class IdentityComponent:
     """One connected component of the node-existence Markov network.
 
@@ -60,7 +70,7 @@ class IdentityComponent:
             # Single-entity marginals are needed constantly (index build,
             # pruning); precompute them eagerly.
             for entity in self.entities:
-                self._marginal_cache[frozenset((entity,))] = sum(
+                self._marginal_cache[frozenset((entity,))] = _in_order_sum(
                     cfg.probability
                     for cfg in self.configurations
                     if entity in cfg.chosen
@@ -120,7 +130,7 @@ class IdentityComponent:
                 f"component {self.index}"
             )
         if self.configurations is not None:
-            marginal = sum(
+            marginal = _in_order_sum(
                 cfg.probability
                 for cfg in self.configurations
                 if key <= cfg.chosen
@@ -129,6 +139,21 @@ class IdentityComponent:
             marginal = self._sampler.existence_marginal(key)
         self._marginal_cache[key] = marginal
         return marginal
+
+    def weighted_rows(self) -> tuple:
+        """``(chosen sets, weights, denominator)`` a joint marginal is
+        read from: :meth:`existence_marginal` of ``E`` is the in-order
+        sum of the weights of the rows whose chosen set holds ``E``,
+        over the denominator. The rows are the configurations (weights
+        their probabilities, denominator 1.0) or, for a sampled
+        component, the sampler's draws and their importance weights."""
+        if self._sampler is not None:
+            return self._sampler.weighted_samples()
+        return (
+            [cfg.chosen for cfg in self.configurations],
+            [cfg.probability for cfg in self.configurations],
+            1.0,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = (

@@ -128,6 +128,20 @@ class ComponentSampler:
 
     # ------------------------------------------------------------------
 
+    def weighted_samples(self) -> tuple:
+        """``(chosen sets, weights, denominator)`` of the drawn samples,
+        the denominator being the weights' running total: what
+        :meth:`existence_marginal` divides by."""
+        self._ensure_samples()
+        denominator = 0.0
+        for _, weight in self._samples:
+            denominator += weight
+        return (
+            [chosen for chosen, _ in self._samples],
+            [weight for _, weight in self._samples],
+            denominator,
+        )
+
     def existence_marginal(self, entities: Iterable[FrozenSet]) -> float:
         """Estimated ``Pr(all of `entities` chosen)`` (self-normalized)."""
         required = {frozenset(e) for e in entities}

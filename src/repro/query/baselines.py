@@ -38,7 +38,7 @@ def exhaustive_matches(
             adjacency[entity_b].add(entity_a)
         keys_in_world = set()
         for mapping in _embeddings(query, label_of, adjacency):
-            key, nodes_key, edges = _canonical(query, mapping)
+            key, nodes_key, edges = _canonical(peg, query, mapping)
             if key in keys_in_world:
                 continue  # several embeddings, one match, one world
             keys_in_world.add(key)
@@ -167,7 +167,7 @@ def direct_matches(
             query_node: peg.entity_of(peg_node)
             for query_node, peg_node in mapping.items()
         }
-        key, nodes_key, edges = _canonical(query, entity_mapping)
+        key, nodes_key, edges = _canonical(peg, query, entity_mapping)
         if key in matches:
             return
         probability = peg.match_probability(dict(nodes_key), edges)
@@ -212,15 +212,21 @@ def _connected_order(query: QueryGraph) -> list:
     return order
 
 
-def _canonical(query: QueryGraph, mapping: dict) -> tuple:
-    """Canonical labeled-subgraph key of an embedding."""
+def _canonical(
+    peg: ProbabilisticEntityGraph, query: QueryGraph, mapping: dict
+) -> tuple:
+    """``(key, nodes, edges)`` of an embedding: the key names its
+    labeled subgraph order-free, so entities with equal ``repr`` stay
+    apart; ``nodes`` lists it by ``repr(entity)``, equal reprs by id."""
     node_labels = {
         entity: query.label(query_node)
         for query_node, entity in mapping.items()
     }
-    nodes_key = tuple(sorted(node_labels.items(), key=lambda kv: repr(kv[0])))
+    nodes_key = tuple(sorted(
+        node_labels.items(), key=lambda kv: (repr(kv[0]), peg.id_of(kv[0]))
+    ))
     edges = frozenset(
         frozenset((mapping[node_a], mapping[node_b]))
         for node_a, node_b in (tuple(edge) for edge in query.edges)
     )
-    return (nodes_key, edges), nodes_key, edges
+    return (frozenset(node_labels.items()), edges), nodes_key, edges

@@ -157,8 +157,9 @@ class QueryResult:
     #: ``QueryOptions.trace`` was set.
     trace: dict | None = None
     #: Link-build statistics: backend, kept pair count, link-cache
-    #: hits/misses and scalar fallback count (empty for evaluations
-    #: that never reached the link stage).
+    #: hits/misses and ``fallback_pairs``, the pairs with a joint
+    #: existence marginal (empty for evaluations that never reached
+    #: the link stage).
     link_stats: dict = field(default_factory=dict)
 
     @property

@@ -24,9 +24,11 @@ passes per joining partition pair:
   multiplied elementwise in the same per-element IEEE order, so the
   filter decisions — and the floats behind them — are bit-identical.
   Pairs whose assigned nodes share an identity component (where
-  reference-sharing zeros and joint component marginals live) fall back
-  to the scalar function; pairs violating injectivity are zeroed like
-  the reference.
+  reference-sharing zeros and joint component marginals live) take
+  their existence marginal from
+  :meth:`~repro.peg.arrays.ComponentTable.joint_existence` in place of
+  the product of gathers (``fallback_pairs`` counts them); pairs
+  violating injectivity are zeroed like the reference.
 
 :class:`LinkStructureCache` sits in front of the builder, per engine:
 entries are keyed by canonical partition-pair signature × candidate
@@ -47,10 +49,9 @@ import numpy as np
 from repro.index.grid import milli
 from repro.index.paths import as_candidates
 from repro.obs.metrics import get_registry
-from repro.peg.arrays import PegProbabilityArrays
+from repro.peg.arrays import PegProbabilityArrays, component_table
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
-from repro.query.join_candidates import joined_probability
 from repro.utils.lru import ResultCache
 
 _REGISTRY = get_registry()
@@ -76,8 +77,8 @@ class LinkSet:
     def __init__(self, arrays: dict, stats: dict) -> None:
         self.arrays = arrays
         #: Build statistics: backend, kept ``pairs``, cache
-        #: ``hits``/``misses`` (per partition pair), scalar
-        #: ``fallback_pairs``.
+        #: ``hits``/``misses`` (per partition pair), and
+        #: ``fallback_pairs`` (pairs with a joint existence marginal).
         self.stats = stats
 
     def pair_lists(self) -> dict:
@@ -221,7 +222,6 @@ def _assignment_spec(decomposition: Decomposition, i: int, j: int) -> list:
 def _pair_probabilities(
     peg: ProbabilisticEntityGraph,
     decomposition: Decomposition,
-    candidates: dict,
     arrays: PegProbabilityArrays,
     nodes_i: np.ndarray,
     nodes_j: np.ndarray,
@@ -232,7 +232,7 @@ def _pair_probabilities(
 
     Returns ``(rows, cols, probs, fallback_count)``: vertex ids and the
     exact joined probability per surviving pair, plus how many pairs
-    took the scalar fallback (shared identity components).
+    took a joint existence marginal (shared identity components).
     """
     query = decomposition.query
     predicates = decomposition.predicates_between(i, j)
@@ -258,18 +258,19 @@ def _pair_probabilities(
 
     # Pairs with two assigned nodes in one identity component are the
     # only place reference sharing or joint existence marginals can
-    # appear; they take the scalar reference path below.
-    components = arrays.component_indexes()
+    # appear; they take the joint marginal below.
+    keys = arrays.component_keys()
     shared_component = np.zeros(rows.shape, dtype=bool)
     for a in range(m):
-        comp_a = components[assigned_ids[a]]
+        key_a = keys[assigned_ids[a]]
         for b in range(a + 1, m):
-            shared_component |= comp_a == components[assigned_ids[b]]
-    fallback = valid & shared_component
+            shared_component |= key_a == keys[assigned_ids[b]]
+    joint = np.flatnonzero(valid & shared_component)
 
     # Elementwise joined probability in the scalar reference's factor
     # order: labels in assignment order, then path-traversal edges
-    # (deduplicated by query edge), then existence gathers.
+    # (deduplicated by query edge), then the existence marginal of the
+    # assigned nodes — a product of gathers, or the joint one.
     probs = np.ones(rows.shape, dtype=np.float64)
     for idx, (_, _, query_node) in enumerate(spec):
         label_probs = arrays.label_probabilities(query.label(query_node))
@@ -291,19 +292,14 @@ def _pair_probabilities(
     prn = np.ones(rows.shape, dtype=np.float64)
     for idx in range(m):
         prn *= existence[assigned_ids[idx]]
+    if joint.size:
+        prn[joint] = component_table(peg).joint_existence(
+            np.stack([ids[joint] for ids in assigned_ids], axis=1), existence
+        )
     probs *= prn
     probs[~valid] = 0.0
-
-    fallback_count = int(fallback.sum())
-    if fallback_count:
-        cands_i, cands_j = candidates[i], candidates[j]
-        for position in np.nonzero(fallback)[0].tolist():
-            probs[position] = joined_probability(
-                peg, decomposition, i, cands_i[rows[position]],
-                j, cands_j[cols[position]],
-            )
     keep = probs > 0.0
-    return rows[keep], cols[keep], probs[keep], fallback_count
+    return rows[keep], cols[keep], probs[keep], joint.size
 
 
 def build_candidate_links_vectorized(
@@ -375,7 +371,7 @@ def build_candidate_links_vectorized(
                     continue
                 stats["cache_misses"] += 1
             rows, cols, probs, fallback = _pair_probabilities(
-                peg, decomposition, candidates, arrays,
+                peg, decomposition, arrays,
                 candidates[i].nodes, candidates[j].nodes, i, j,
             )
             if cache is not None:

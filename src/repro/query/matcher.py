@@ -24,10 +24,13 @@ in one written-down order, so they agree bit for bit:
    order, path positions left to right, first occurrence),
 2. edge factors, query edges in :func:`ordered_query_edges` order,
    skipping edges with an unplaced endpoint,
-3. times the existence marginal of the placed nodes in placement order.
+3. times the existence marginal of the placed nodes in placement order
+   (the array matcher reads a joint one from
+   :meth:`~repro.peg.arrays.ComponentTable.joint_existence`).
 
 Both list matches by ``(-probability, repr(match.nodes))``, ties in
-visiting order.
+visiting order; both key a match on its labeled subgraph, not on
+``repr``, so entities with equal ``repr`` stay distinct matches.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.peg.arrays import component_table
 from repro.peg.entity_graph import Match, ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
 
@@ -180,7 +184,8 @@ class _Frontier(typing.NamedTuple):
     #: ``(rows, k)`` vertex id taken in every placed partition.
     chosen: np.ndarray
     #: Rows with two nodes of one identity component — the only rows
-    #: whose existence marginal is not a product of per-node gathers.
+    #: whose existence marginal is a joint one, not a product of
+    #: per-node gathers.
     joint: np.ndarray
     #: Running product of the label factors, in placement order.
     labels: np.ndarray
@@ -318,40 +323,32 @@ class _FrontierJoin:
             keep &= candidate[:, position] == nodes[:, column]
         # Injectivity, and which rows put two nodes in one identity
         # component: each new column against every column before it.
-        components = arrays.component_indexes()[nodes]
+        keys = arrays.component_keys()[nodes]
         suspect = np.zeros(vids.size, dtype=bool)
         for column in range(placed, width):
             new = slice(column, column + 1)
             keep &= (nodes[:, :column] != nodes[:, new]).all(axis=1)
-            suspect |= (
-                components[:, :column] == components[:, new]
-            ).any(axis=1)
-        joint = frontier.joint[parent] | suspect
-        self.fallback_rows += int((keep & joint).sum())
-        # Only nodes of one component can share references; those rows
-        # ask the PEG, pair by pair.
-        shares = self.peg.shares_references_id
-        for row in np.nonzero(keep & suspect)[0].tolist():
-            ids = nodes[row].tolist()
-            keep[row] = not any(
-                shares(ids[before], ids[column])
-                for column in range(placed, width)
-                for before in range(column)
-            )
+            suspect |= (keys[:, :column] == keys[:, new]).any(axis=1)
         parent, vids = parent[keep], vids[keep]
-        nodes, joint = nodes[keep], joint[keep]
+        nodes = nodes[keep]
+        joint = frontier.joint[parent] | suspect[keep]
+        self.fallback_rows += int(joint.sum())
 
         # The exact (partial) probability in the module's factor order:
-        # each running product takes the factors placed here.
+        # each running product takes the factors placed here. A row with
+        # two nodes of one component takes their joint marginal instead
+        # of the product — 0.0, below any alpha, when they share a
+        # reference.
         labels = frontier.labels[parent]
         existence = frontier.existence[parent]
         node_existence = arrays.existence_probabilities()
         for column in range(placed, width):
             labels *= self._label_probs[column][nodes[:, column]]
             existence *= node_existence[nodes[:, column]]
-        for row in np.nonzero(joint)[0].tolist():
-            existence[row] = self.peg.existence_marginal_ids(
-                nodes[row].tolist()
+        rows = np.flatnonzero(joint)
+        if rows.size:
+            existence[rows] = component_table(self.peg).joint_existence(
+                nodes[rows], node_existence
             )
         edges = frontier.edges[parent]
         for index, column_a, column_b, label_a, label_b in step.new_edges:
@@ -388,10 +385,14 @@ def generate_matches(
     probability: two embeddings inducing the same labeled subgraph are
     one match, represented by the first one visited.
 
+    ``alpha`` must be positive: a row whose nodes share a reference is
+    dropped by its zero probability.
+
     ``stats``, when given, receives ``frontier_peak`` (most rows
-    gathered in one expansion), ``fallback_rows`` (rows that took the
-    scalar shared-identity-component path, summed over levels) and
-    ``duplicates`` (embeddings dropped as repeats of an earlier match).
+    gathered in one expansion), ``fallback_rows`` (rows with two nodes
+    of one identity component, which took the joint existence marginal,
+    summed over levels) and ``duplicates`` (embeddings dropped as
+    repeats of an earlier match).
     """
     join = _FrontierJoin(peg, decomposition, kpartite, alpha)
     nodes, probabilities = join.run()
@@ -742,12 +743,14 @@ def generate_matches_reference(
         probability = peg.match_probability(node_labels, edges)
         if probability < alpha:
             return
-        nodes_key = tuple(
-            sorted(node_labels.items(), key=lambda kv: repr(kv[0]))
-        )
-        key = (nodes_key, frozenset(edges))
+        # Keyed order-free; listed by repr(entity), equal reprs by id.
+        key = (frozenset(node_labels.items()), frozenset(edges))
         if key in matches:
             return
+        nodes_key = tuple(sorted(
+            node_labels.items(),
+            key=lambda kv: (repr(kv[0]), peg.id_of(kv[0])),
+        ))
         entity_mapping = tuple(
             sorted(
                 ((q, peg.entity_of(n)) for q, n in mapping.items()),

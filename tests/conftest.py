@@ -71,8 +71,14 @@ def row_budget(request, monkeypatch):
     return request.param
 
 
-def small_random_peg(seed: int, num_references: int = 60, uncertainty: float = 0.4):
-    """A small synthetic PEG for oracle comparisons."""
+def small_random_peg(
+    seed: int,
+    num_references: int = 60,
+    uncertainty: float = 0.4,
+    exact_component_limit: int = 16,
+):
+    """A small synthetic PEG for oracle comparisons (identity components
+    past ``exact_component_limit`` references are sampled)."""
     config = SyntheticConfig(
         num_references=num_references,
         edges_per_node=2,
@@ -81,7 +87,21 @@ def small_random_peg(seed: int, num_references: int = 60, uncertainty: float = 0
         groups=3,
         seed=seed,
     )
-    return build_peg(generate_synthetic_pgd(config))
+    return build_peg(
+        generate_synthetic_pgd(config),
+        exact_component_limit=exact_component_limit,
+    )
+
+
+def sampled_component_peg():
+    """A small PEG whose multi-entity identity components are all
+    sampled: their joint marginals come from a ``ComponentSampler``."""
+    peg = small_random_peg(1, uncertainty=0.6, exact_component_limit=2)
+    assert not any(
+        component.is_exact for component in peg.components
+        if len(component.entities) > 1
+    )
+    return peg
 
 
 def store_content(store) -> dict:

@@ -41,7 +41,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
+from repro.datasets import (
+    SyntheticConfig,
+    generate_dblp_pgd,
+    generate_synthetic_pgd,
+    random_query,
+)
 from repro.index import (
     BatchLookupIndex,
     build_path_index,
@@ -74,7 +79,11 @@ from repro.testing.reference import (
     ScalarCandidateFinder,
     TuplePathEnumeration,
 )
-from tests.conftest import small_random_peg, store_content
+from tests.conftest import (
+    sampled_component_peg,
+    small_random_peg,
+    store_content,
+)
 from tests.test_index_builder import oracle_payloads, path_bits
 
 PYTHON_BACKEND = QueryOptions(reduction_backend="python")
@@ -101,7 +110,8 @@ def assert_link_equivalence(engine, query, alpha, context):
 
     Candidates are fetched through the engine's live index (overlay or
     compacted base included), so the comparison covers exactly the
-    inputs the engine's link stage sees.
+    inputs the engine's link stage sees. Returns the vectorized build's
+    stats.
     """
     decomposition, candidates = planned_candidates(engine, query, alpha)
     reference = build_candidate_links(
@@ -111,6 +121,7 @@ def assert_link_equivalence(engine, query, alpha, context):
         engine.peg, decomposition, candidates, alpha
     )
     assert vectorized.pair_lists() == reference, context
+    return vectorized.stats
 
 
 def candidate_records(candidates):
@@ -800,7 +811,7 @@ def assert_enumeration_equivalence(
     chunk) in key order, bytes and level counts; ``paths_through`` of
     every target set in rows and ``expanded``; ``paths_for_sequence``
     of every enumerated sequence, both orientations. Returns the rows
-    that took the scalar fallback."""
+    that took a joint existence marginal."""
     oracle = TuplePathEnumeration(peg, max_length, beta)
     builder = PathIndexBuilder(peg, max_length=max_length, beta=beta)
     expected, expected_counts = oracle.collect_buckets()
@@ -965,9 +976,9 @@ def test_enumeration_property(
 
 
 def test_enumeration_fallback_rows_exist():
-    """The scalar fallback is reached, and agrees: in a graph whose
-    identity component holds several entities, some extension puts two
-    of them on one path."""
+    """The joint existence marginal is reached, and agrees: in a graph
+    whose identity component holds several entities, some extension puts
+    two of them on one path."""
     fallback_rows = 0
     for seed in range(5):
         peg = _enumeration_peg(seed, num_refs=6, extra_edges=4, merges=1)
@@ -989,6 +1000,69 @@ def test_enumeration_more_sequences_than_an_integer_names():
         pgd.add_edge(ref, ref + 1, 1.0)
     assert 30 ** 13 >= 2 ** 62
     assert_enumeration_equivalence(build_peg(pgd), 12, 0.5, "chain", [{15}])
+
+
+#: Graphs whose paths, links and matches put two nodes of one identity
+#: component together: sampled components (joint marginals from a
+#: sampler's draws) and a small DBLP graph (the Fig. 7(g) setting).
+IDENTITY_GRAPHS = {
+    "sampled": sampled_component_peg,
+    "dblp": lambda: build_peg(generate_dblp_pgd(120, seed=5)),
+}
+
+#: One alpha below BETA (on-demand lookups) and one above.
+IDENTITY_ALPHAS = (0.02, 0.15)
+
+
+def _identity_cases(name: str):
+    """``(engine, queries)``: a two-edge path query per label triple."""
+    peg = IDENTITY_GRAPHS[name]()
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    queries = [
+        QueryGraph(dict(zip("xyz", labels)), [("x", "y"), ("y", "z")])
+        for labels in itertools.product(sorted(peg.sigma, key=repr), repeat=3)
+    ]
+    return engine, queries
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_enumeration_differential_identity_components(name):
+    peg = IDENTITY_GRAPHS[name]()
+    targets = [set(list(peg.node_ids())[::7])]
+    fallback_rows = 0
+    for max_length in (2, 3):
+        fallback_rows += assert_enumeration_equivalence(
+            peg, max_length, BETA, (name, max_length), targets
+        )
+    assert fallback_rows > 0
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_link_differential_identity_components(name):
+    engine, queries = _identity_cases(name)
+    fallback_pairs = 0
+    for query in queries:
+        for alpha in IDENTITY_ALPHAS:
+            stats = assert_link_equivalence(
+                engine, query, alpha, (name, query.nodes, alpha)
+            )
+            fallback_pairs += stats["fallback_pairs"]
+    assert fallback_pairs > 0
+
+
+@pytest.mark.usefixtures("row_budget")
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_matcher_differential_identity_components(name):
+    engine, queries = _identity_cases(name)
+    fallback_rows = 0
+    for query in queries:
+        for alpha in IDENTITY_ALPHAS:
+            outcome = assert_matcher_equivalence(
+                engine, query, alpha, (name, query.nodes, alpha)
+            )
+            if outcome is not None:
+                fallback_rows += outcome[1]["fallback_rows"]
+    assert fallback_rows > 0
 
 
 def test_case_count_meets_floor():

@@ -14,8 +14,8 @@ from repro.datasets import generate_dblp_pgd, random_query
 from repro.delta import AddEdge, AddEntity, MergeEntities
 from repro.peg import build_peg
 from repro.peg.entity_graph import Match
-from repro.pgd import BernoulliEdge
-from repro.query import QueryEngine, QueryOptions
+from repro.pgd import PGD, BernoulliEdge
+from repro.query import QueryEngine, QueryOptions, exhaustive_matches
 from repro.query.decompose import Decomposition, QueryPath
 from repro.query.matcher import MatchColumns, determine_join_order
 from repro.query.query_graph import QueryGraph
@@ -126,7 +126,7 @@ class TestArrayMatcherAgreesWithReference:
                 total += len(outcome[0])
         assert total == 236
 
-    def test_shared_identity_components_take_the_scalar_path(self):
+    def test_shared_identity_components_take_the_joint_marginal(self):
         engine = QueryEngine(
             small_random_peg(1, uncertainty=0.6), max_length=2, beta=0.05
         )
@@ -216,6 +216,44 @@ class TestArrayMatcherAgreesWithReference:
                     seen_ids.update(peg.id_of(entity) for entity, _ in match.nodes)
         assert new_ids <= seen_ids
         assert not {first, second} & seen_ids
+
+
+class SameRepr:
+    """A reference whose ``repr`` does not tell it from the others."""
+
+    def __repr__(self) -> str:
+        return "ref"
+
+
+def test_equal_repr_entities_are_distinct_matches():
+    """A triangle of three single-reference entities whose ``repr``s are
+    equal: a ``B``-``B`` edge query has one match per edge, from the
+    array matcher, the depth-first reference and the possible worlds
+    alike (the oracles keyed matches by ``repr`` order, so one labeled
+    subgraph reached in two orders counted twice)."""
+    refs = [SameRepr() for _ in range(3)]
+    pgd = PGD()
+    for ref in refs:
+        pgd.add_reference(ref, "B")
+    for (a, b), probability in zip(
+        itertools.combinations(refs, 2), (0.9, 0.7, 0.5)
+    ):
+        pgd.add_edge(a, b, probability)
+    peg = build_peg(pgd)
+    engine = QueryEngine(peg, max_length=2, beta=0.05)
+    query = QueryGraph({"u": "B", "v": "B"}, [("u", "v")])
+    matches = engine.query(query, 0.1).matches
+    reference = engine.query(query, 0.1, REFERENCE).matches
+    exhaustive = exhaustive_matches(peg, query, 0.1)
+    assert len(matches) == len(reference) == len(exhaustive) == 3
+    assert matches == reference
+    assert [m.probability for m in matches] == [0.9, 0.7, 0.5]
+    assert {(m.nodes, m.edges) for m in exhaustive} == {
+        (m.nodes, m.edges) for m in matches
+    }
+    for match in matches:  # nodes listed in id order under equal reprs
+        ids = [peg.id_of(entity) for entity, _ in match.nodes]
+        assert ids == sorted(ids)
 
 
 def test_sort_key_from_the_repr_table_is_repr_of_nodes():
