@@ -68,6 +68,7 @@ from repro.index.paths import (
     encode_path_arrays,
 )
 from repro.peg import build_peg
+from repro.peg.arrays import PegProbabilityArrays
 from repro.pgd import pgd_from_edge_list
 from repro.query import QueryEngine, QueryOptions
 from repro.query.candidates import CandidateFinder
@@ -260,7 +261,7 @@ def build_traffic_workload(per_shape: int) -> list:
     engine = QueryEngine(
         peg, max_length=TRAFFIC_MAX_LENGTH, beta=TRAFFIC_BETA
     )
-    arrays = engine.context.probability_arrays(peg)
+    arrays = PegProbabilityArrays(peg)
     sigma = [f"L{i}" for i in range(TRAFFIC_GRAPH.num_labels)]
     rng = random.Random(TRAFFIC_QUERY_SEED)
     queries = [

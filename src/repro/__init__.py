@@ -76,7 +76,7 @@ from repro.delta import (
     apply_mutations,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "PGD",

@@ -24,8 +24,9 @@ label support in support order, ``p_edge > 0``, then
 order, so every float is the one a per-path loop computes. Rows keep
 that loop's order (start node, then sorted neighbour, then support
 label), so the bytes the writer files do not depend on how the
-enumeration runs. The gather tables are
-:class:`repro.peg.arrays.PathTables`.
+enumeration runs. The gather tables are the PEG's own columns
+(:class:`repro.peg.columns.PegColumns`), built with the graph and
+patched by its mutations, never derived here.
 
 **The joint existence rule** is the one the link builder and the
 matcher follow: a row whose new node lies in a multi-entity identity
@@ -56,14 +57,13 @@ columns to one writer:
 * a live update re-runs the enumeration restricted to the paths through
   the nodes it dirtied (:meth:`PathIndexBuilder.paths_through`), with one
   more mask — a partial path that has not met a dirtied node yet is
-  only extended towards one it can still reach within ``L`` edges —
-  over tables derived for that ``L``-hop neighbourhood alone, so an
-  absorb iterates over what it touches and never over the graph;
+  only extended towards one it can still reach within ``L`` edges (an
+  array breadth-first search over the CSR names those nodes) — so an
+  absorb expands what it touches and never the graph;
 * a threshold below the index's β is answered on demand
   (:meth:`PathIndexBuilder.paths_for_sequence`: every level masked to
   its one label) with what a lookup on an index built at that
-  threshold returns, bit for bit, from the tables the engine's context
-  already owns for its graph version.
+  threshold returns, bit for bit.
 
 The tuple-at-a-time enumeration these replaced is the tests' oracle
 (:class:`repro.testing.reference.TuplePathEnumeration`).
@@ -95,12 +95,8 @@ from repro.index.paths import (
     records_payload,
 )
 from repro.index.protocol import canonical_sequence, orient_to_sequence
-from repro.peg.arrays import (
-    PathTables,
-    PegProbabilityArrays,
-    component_table,
-    path_tables,
-)
+from repro.peg.arrays import component_table
+from repro.peg.columns import PegColumns, gather_rows
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import InMemoryPathStore, PathStore
 from repro.utils.errors import IndexError_
@@ -204,12 +200,6 @@ class PathIndexBuilder:
         self.grid = BucketGrid(self.beta, self.gamma)
         self.store = store if store is not None else InMemoryPathStore()
         self.build_processes = int(build_processes)
-        #: Whose whole-graph :class:`~repro.peg.arrays.PathTables` the
-        #: build and on-demand enumeration gather from (derived on first
-        #: use). A caller that already holds the arrays of this graph
-        #: version — the candidate finder, through its context — puts
-        #: them here instead, so the tables are built once per version.
-        self.arrays = PegProbabilityArrays(peg)
         #: Extension rows that took a joint existence marginal (two
         #: nodes of one identity component on the path).
         self.fallback_rows = 0
@@ -248,7 +238,7 @@ class PathIndexBuilder:
         enumeration with no duplicates, which is how the parallel
         build's workers restrict it.
         """
-        tables = self.arrays.path_tables()
+        tables = self.peg.columns
         per_key: dict = {}
         paths_per_length: dict = {}
         frontier = self._seed_frontier(tables, start_nodes)
@@ -266,15 +256,14 @@ class PathIndexBuilder:
         Returns ``({labels: PathCandidates}, expanded)``, ``expanded``
         being the directed partial paths the enumeration held — its cost,
         which grows with the ``L``-hop neighbourhood of ``targets`` and
-        not with the graph: no such path leaves that neighbourhood, so
-        the tables are derived for its nodes alone.
+        not with the graph: no such path leaves that neighbourhood.
         """
-        hops = self._hops_to(frozenset(targets))
-        tables = path_tables(self.peg, hops)
-        hop = np.full(tables.existence.size, self.max_length + 1)
-        hop[list(hops)] = list(hops.values())
+        tables = self.peg.columns
+        hop = self._hops_to(targets)
         is_target = hop == 0
-        frontier = self._seed_frontier(tables, sorted(hops))
+        frontier = self._seed_frontier(
+            tables, np.flatnonzero(hop <= self.max_length)
+        )
         frontier.holds = is_target[frontier.nodes[:, 0]]
         found: dict = {}
         expanded = 0
@@ -290,19 +279,20 @@ class PathIndexBuilder:
             )
         return found, expanded
 
-    def _hops_to(self, targets: frozenset) -> dict:
-        """``{node: edges to the nearest target}`` within ``max_length``."""
-        hops = dict.fromkeys(targets, 0)
-        frontier = sorted(targets)
+    def _hops_to(self, targets) -> np.ndarray:
+        """Edges from every id to the nearest of ``targets``, ``max_length
+        + 1`` beyond reach: a breadth-first search of array levels."""
+        tables = self.peg.columns
+        hop = np.full(tables.size, self.max_length + 1)
+        reached = np.unique(np.fromiter(targets, dtype=np.int64))
+        hop[reached] = 0
         for distance in range(1, self.max_length + 1):
-            reached = []
-            for node in frontier:
-                for neighbor in self.peg.neighbor_ids(node):
-                    if neighbor not in hops:
-                        hops[neighbor] = distance
-                        reached.append(neighbor)
-            frontier = reached
-        return hops
+            reached = np.unique(
+                tables.adj[gather_rows(tables.adj_ptr, reached)[1]]
+            )
+            reached = reached[hop[reached] > distance]
+            hop[reached] = distance
+        return hop
 
     def paths_for_sequence(self, label_seq: Sequence) -> PathCandidates:
         """On-demand enumeration ("paths with smaller probability are
@@ -315,7 +305,7 @@ class PathIndexBuilder:
         """
         seq = tuple(label_seq)
         canonical = canonical_sequence(seq)
-        tables = self.arrays.path_tables()
+        tables = self.peg.columns
         found: dict = {}
         positions = [tables.label_pos.get(label) for label in canonical]
         if None not in positions:
@@ -363,15 +353,15 @@ class PathIndexBuilder:
     # ------------------------------------------------------------------
 
     def _seed_frontier(
-        self, tables: PathTables, start_nodes=None, label=None
+        self, tables: PegColumns, start_nodes=None, label=None
     ) -> _Frontier:
         """Length-0 frontier: one directed path per (node, possible
         label) — per node that can carry ``label``, when given — in
         node order, then support order."""
         if start_nodes is None:
-            start_nodes = self.peg.node_ids()
+            start_nodes = np.arange(tables.size)
         starts = np.asarray(start_nodes, dtype=np.int64)
-        nodes, support = _gather_rows(tables.sup_ptr, starts)
+        nodes, support = gather_rows(tables.sup_ptr, starts)
         nodes = starts[nodes]
         labels = tables.sup_label[support]
         prle = tables.sup_prob[support]
@@ -385,7 +375,7 @@ class PathIndexBuilder:
         )
 
     def _extend(
-        self, tables: PathTables, frontier: _Frontier,
+        self, tables: PegColumns, frontier: _Frontier,
         label=None, targets=None, near=None,
     ) -> _Frontier:
         """Extend every directed path by one edge at its tail: THE
@@ -425,9 +415,9 @@ class PathIndexBuilder:
         return _Frontier.concat(parts)
 
     def _extend_block(
-        self, tables: PathTables, frontier: _Frontier, label, targets, near
+        self, tables: PegColumns, frontier: _Frontier, label, targets, near
     ) -> _Frontier:
-        parent, slots = _gather_rows(tables.adj_ptr, frontier.nodes[:, -1])
+        parent, slots = gather_rows(tables.adj_ptr, frontier.nodes[:, -1])
         neighbor = tables.adj[slots]
         keep = np.ones(neighbor.size, dtype=bool)
         for column in frontier.nodes.T:  # a path visits a node once
@@ -443,7 +433,7 @@ class PathIndexBuilder:
         # the path takes the whole path's joint marginal instead (0.0,
         # and the row goes, when two of them share a reference).
         prn = frontier.prn[parent] * tables.existence[neighbor]
-        joint = np.flatnonzero(tables.multi[neighbor])
+        joint = np.flatnonzero(tables.keys[neighbor] >= 0)
         if joint.size:
             on_path = tables.keys[frontier.nodes[parent[joint]]]
             new = tables.keys[neighbor[joint], None]
@@ -460,7 +450,7 @@ class PathIndexBuilder:
 
         if label is None:  # every possible label, in support order
             keep = np.flatnonzero(keep)
-            again, support = _gather_rows(tables.sup_ptr, neighbor[keep])
+            again, support = gather_rows(tables.sup_ptr, neighbor[keep])
             keep = keep[again]
             new_label = tables.sup_label[support]
             p_label = tables.sup_prob[support]
@@ -492,20 +482,7 @@ class PathIndexBuilder:
         )
 
 
-def _gather_rows(pointers: np.ndarray, rows: np.ndarray) -> tuple:
-    """Expand ``rows`` of a CSR: ``(parent, position)`` per entry, the
-    parent being the index into ``rows`` and the position the entry's
-    place in the CSR's value arrays — parents in order, a row's entries
-    in theirs."""
-    starts = pointers[rows]
-    counts = pointers[rows + 1] - starts
-    total = int(counts.sum())
-    parent = np.repeat(np.arange(rows.size), counts)
-    first = starts - (np.cumsum(counts) - counts)
-    return parent, np.repeat(first, counts) + np.arange(total)
-
-
-def _canonical_columns(tables: PathTables, frontier: _Frontier) -> dict:
+def _canonical_columns(tables: PegColumns, frontier: _Frontier) -> dict:
     """A frontier's canonical paths as ``{labels: PathCandidates}``,
     sequences by first appearance, rows in frontier order.
 

@@ -22,9 +22,9 @@ serves the online phase one gather per path column. They are what
 :func:`build_context` fills, :func:`patch_context` copies and overwrites
 (only the rows within one hop of a mutation batch), the scalar accessors
 index and the bundle stores. Every graph version has its own context
-object, so it also owns the
-:class:`~repro.peg.arrays.PegProbabilityArrays` of its graph version
-(:meth:`ContextInformation.probability_arrays`).
+object; the probability gathers of the online phase read the graph's
+own columns (:class:`repro.peg.columns.PegColumns`), which the graph
+patches in place.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.peg.arrays import PegProbabilityArrays
+from repro.peg.columns import gather_rows
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 
 
@@ -55,10 +55,6 @@ class ContextInformation:
         self.sigma = tuple(sigma)
         self._label_pos = {label: i for i, label in enumerate(self.sigma)}
         self._tables = (cardinality, partial_upper, full_upper)
-        # Built on first use; like PegProbabilityArrays' caches it is an
-        # idempotent value inserted under the GIL, so concurrent readers
-        # need no lock.
-        self._arrays = None
 
     def _entry(self, table: int, node_id: int, label):
         pos = self._label_pos.get(label)
@@ -91,18 +87,6 @@ class ContextInformation:
             )
         return tuple(table[:, pos] for table in self._tables)
 
-    def probability_arrays(self, peg: ProbabilisticEntityGraph):
-        """The shared probability gather tables of ``peg``.
-
-        ``peg`` must be the graph this context was built from; the
-        tables then live exactly as long as the context, i.e. until the
-        next mutation batch replaces it.
-        """
-        arrays = self._arrays
-        if arrays is None:
-            arrays = self._arrays = PegProbabilityArrays(peg)
-        return arrays
-
     def as_rows(self, node_id: int) -> Mapping:
         """All three measures of one node keyed by label (for reports)."""
         return {
@@ -115,27 +99,29 @@ class ContextInformation:
         }
 
 
-def _node_rows(peg: ProbabilisticEntityGraph, node: int, label_pos: dict) -> tuple:
-    """``(c, ppu, fpu)`` rows of one node, from its neighbors alone (a
-    tombstone has none, so its rows are all zero)."""
-    counts = [0] * len(label_pos)
-    ppu = [0.0] * len(label_pos)
-    fpu = [0.0] * len(label_pos)
-    for neighbor in peg.neighbor_ids(node):
-        if peg.shares_references_id(node, neighbor):
-            continue
-        for label in peg.possible_labels_id(neighbor):
-            pos = label_pos[label]
-            counts[pos] += 1
-            # Edge probability upper bound: v's own label is unknown
-            # here, so maximize over it (exact for the independent
-            # model, an upper bound for the conditional one).
-            p_edge = peg.edge_max_probability_id(node, neighbor, None, label)
-            if p_edge > ppu[pos]:
-                ppu[pos] = p_edge
-            p_full = peg.label_probability_id(neighbor, label) * p_edge
-            if p_full > fpu[pos]:
-                fpu[pos] = p_full
+def _context_rows(peg: ProbabilisticEntityGraph, nodes: np.ndarray) -> tuple:
+    """``(c, ppu, fpu)`` rows of ``nodes`` in one pass over the graph's
+    columns: a row per (neighbour slot, neighbour label), then a count
+    and two maxima per (node, label). Every neighbour is in ``N(v, σ)``:
+    no edge joins entities sharing a reference (``build_peg`` and
+    ``graph_add_edge`` refuse one). The edge bound maximizes over
+    ``v``'s unknown label (a CPT's ``max_probability(None, σ)``)."""
+    columns = peg.columns
+    parent, slots = gather_rows(columns.adj_ptr, nodes)
+    again, support = gather_rows(columns.sup_ptr, columns.adj[slots])
+    row, slots = parent[again], slots[again]
+    label = columns.sup_label[support]
+    p_edge = columns.slot_base[slots]
+    for at in np.flatnonzero(columns.slot_conditional[slots]).tolist():
+        p_edge[at] = columns.slot_dists[slots[at]].max_probability(
+            None, columns.sigma[label[at]]
+        )
+    shape = (nodes.size, len(columns.sigma))
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts, (row, label), 1)
+    ppu, fpu = np.zeros(shape), np.zeros(shape)
+    np.maximum.at(ppu, (row, label), p_edge)
+    np.maximum.at(fpu, (row, label), columns.sup_prob[support] * p_edge)
     return counts, ppu, fpu
 
 
@@ -143,16 +129,15 @@ def build_context(peg: ProbabilisticEntityGraph) -> ContextInformation:
     """Compute the context tables for every node of ``G_U``.
 
     Tables are sized by the *id space*, not the live-entity count —
-    the same discipline as
-    :class:`repro.peg.arrays.PegProbabilityArrays`. After live
+    the same discipline as the graph's columns. After live
     merges (:mod:`repro.delta`) the id range contains tombstoned slots;
     rows must stay addressable by raw node id (index lookups return
     paths whose node ids the online phase feeds straight into these
     tables), so tombstones keep an explicit all-zero row rather than
     shifting later rows onto wrong ids.
     """
-    sigma = tuple(sorted(peg.sigma, key=repr))
-    # Every id is "appended" to a context of no rows: one fill loop.
+    sigma = peg.columns.sigma
+    # Every id is "appended" to a context of no rows: one fill pass.
     dtypes = (np.int64, np.float64, np.float64)  # c, ppu, fpu
     empty = (np.zeros((0, len(sigma)), dtype) for dtype in dtypes)
     return patch_context(ContextInformation(sigma, *empty), peg, ())
@@ -171,21 +156,21 @@ def patch_context(
     version. A batch that changed ``Σ`` moves every row's columns: then
     rebuild.
     """
-    if tuple(sorted(peg.sigma, key=repr)) != context.sigma:
+    columns = peg.columns
+    if columns.sigma != context.sigma:
         return build_context(peg)
-    size = len(peg.node_ids())
     known = context.tables()[0].shape[0]
     tables = []
     for table in context.tables():
-        patched = np.zeros((size, table.shape[1]), table.dtype, order="F")
+        patched = np.zeros((columns.size, table.shape[1]), table.dtype, order="F")
         patched[:known] = table
         tables.append(patched)
-    affected = set(range(known, size))
-    for node in dirty:
-        affected.add(node)
-        affected.update(peg.neighbor_ids(node))
-    for node in affected:
-        rows = _node_rows(peg, node, context._label_pos)
-        for table, row in zip(tables, rows):
-            table[node] = row
+    dirty = np.fromiter(dirty, dtype=np.int64)
+    nodes = np.unique(np.concatenate((
+        np.arange(known, columns.size),
+        dirty,
+        columns.adj[gather_rows(columns.adj_ptr, dirty)[1]],
+    )))
+    for table, rows in zip(tables, _context_rows(peg, nodes)):
+        table[nodes] = rows
     return ContextInformation(context.sigma, *tables)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from repro.pgd.distributions import LabelDistribution
+from repro.peg.columns import PegColumns
 from repro.peg.components import DynamicComponent, IdentityComponent
 from repro.utils.errors import ModelError, QueryError
 
@@ -92,11 +93,6 @@ class ProbabilisticEntityGraph:
             raise ModelError(
                 f"{len(missing)} entities lack an identity component"
             )
-        self._adjacency: dict = {entity: set() for entity in self._labels}
-        for pair in self._edges:
-            entity_a, entity_b = tuple(pair)
-            self._adjacency[entity_a].add(entity_b)
-            self._adjacency[entity_b].add(entity_a)
         # Live-update bookkeeping: ids of tombstoned (merged-away)
         # entities, and every reference claimed by an identity component
         # (dynamic adds must use fresh references).
@@ -104,38 +100,17 @@ class ProbabilisticEntityGraph:
         self._refs_in_use: set = set()
         for component in self.components:
             self._refs_in_use |= component.references
-        self._build_id_view()
-
-    def _build_id_view(self) -> None:
-        """Build the integer-id fast path used by the index and query engine.
-
-        Entities are frozensets (hashing them is expensive); the offline
-        index and all online hot loops address nodes through dense integer
-        ids instead.
-        """
-        self._entity_list = list(self._labels)
-        self._id_of = {e: i for i, e in enumerate(self._entity_list)}
-        self._component_index = [
-            self._component_of[e].index for e in self._entity_list
-        ]
-        self._adj_ids = [
-            tuple(sorted(self._id_of[n] for n in self._adjacency[e]))
-            for e in self._entity_list
-        ]
-        self._edge_dist_by_id = {}
-        for pair, dist in self._edges.items():
-            entity_a, entity_b = tuple(pair)
-            ida, idb = self._id_of[entity_a], self._id_of[entity_b]
-            key = (ida, idb) if ida < idb else (idb, ida)
-            self._edge_dist_by_id[key] = dist
-        self._existence_by_id = [
-            self._component_of[e].existence_probability(e)
-            for e in self._entity_list
-        ]
-        self._label_dist_by_id = [self._labels[e] for e in self._entity_list]
+        self._id_of = {entity: node for node, entity in enumerate(self._labels)}
+        #: The id view (:mod:`repro.peg.columns`), which the ``graph_*``
+        #: primitives patch.
+        self.columns = PegColumns(
+            [(e, self._labels[e], self._component_of[e]) for e in self._labels],
+            [(*map(self._id_of.__getitem__, pair), dist)
+             for pair, dist in self._edges.items()],
+        )
 
     # ------------------------------------------------------------------
-    # Integer-id fast path
+    # The id view: accessors over ``self.columns``
     # ------------------------------------------------------------------
 
     def id_of(self, entity: Entity) -> int:
@@ -144,49 +119,51 @@ class ProbabilisticEntityGraph:
 
     def entity_of(self, node_id: int) -> Entity:
         """Entity (frozenset of references) for a node id."""
-        return self._entity_list[node_id]
+        return self.columns.entities[node_id]
 
     def node_ids(self) -> range:
         """All node ids."""
-        return range(len(self._entity_list))
+        return range(self.columns.size)
 
     def neighbor_ids(self, node_id: int) -> tuple:
         """Sorted neighbor ids of ``node_id``."""
-        return self._adj_ids[node_id]
+        return tuple(self.columns.neighbors(node_id).tolist())
 
     def degree(self, node_id: int) -> int:
         """Number of neighbors of ``node_id`` in ``G_U``."""
-        return len(self._adj_ids[node_id])
+        return self.columns.neighbors(node_id).size
 
     def possible_labels_id(self, node_id: int) -> tuple:
-        """``L(v)`` for a node id."""
-        return self._label_dist_by_id[node_id].support
+        """``L(v)`` for a node id, in support order."""
+        columns = self.columns
+        low, high = columns.sup_ptr[node_id:node_id + 2]
+        positions = columns.sup_label[low:high].tolist()
+        return tuple(map(columns.sigma.__getitem__, positions))
 
     def label_probability_id(self, node_id: int, label) -> float:
         """``Pr(v.l = label)`` by node id."""
-        return self._label_dist_by_id[node_id].probability(label)
+        pos = self.columns.label_pos.get(label)
+        return 0.0 if pos is None else self.columns.label_matrix[node_id, pos].item()
 
     def existence_probability_id(self, node_id: int) -> float:
         """``Pr(v.n = T)`` by node id."""
-        return self._existence_by_id[node_id]
+        return self.columns.existence[node_id].item()
 
     def component_index_id(self, node_id: int) -> int:
         """Identity-component index of a node id."""
-        return self._component_index[node_id]
+        return self.columns.component[node_id].item()
 
     def edge_distribution_id(self, id_a: int, id_b: int):
         """Merged edge distribution between two node ids, or ``None``."""
-        key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        return self._edge_dist_by_id.get(key)
+        slot, found = self.columns.slots(id_a, id_b)
+        return self.columns.slot_dists[slot] if found else None
 
-    def edge_ids(self):
-        """Iterate ``((id_a, id_b), merged distribution)`` with ``id_a < id_b``.
-
-        The bulk edge-probability tables of
-        :class:`repro.peg.arrays.PegProbabilityArrays` are built
-        from this view.
-        """
-        return self._edge_dist_by_id.items()
+    def edge_ids(self) -> list:
+        """``[((id_a, id_b), merged distribution)]`` with ``id_a < id_b``."""
+        return [
+            (tuple(sorted(map(self._id_of.__getitem__, pair))), dist)
+            for pair, dist in self._edges.items()
+        ]
 
     def edge_probability_id(self, id_a: int, id_b: int, label_a=None, label_b=None) -> float:
         """``Pr((a, b).e = T)`` by node ids (labels required when conditional)."""
@@ -217,25 +194,27 @@ class ProbabilisticEntityGraph:
         Nodes in different identity components never share references, so
         the common case is answered by an integer comparison.
         """
-        if self._component_index[id_a] != self._component_index[id_b]:
+        component = self.columns.component
+        if component[id_a] != component[id_b]:
             return False
-        return bool(self._entity_list[id_a] & self._entity_list[id_b])
+        return bool(self.entity_of(id_a) & self.entity_of(id_b))
 
     def existence_marginal_ids(self, node_ids: Iterable[int]) -> float:
         """``Prn`` over node ids (grouped by component, exact within each)."""
         return self.existence_marginal(
-            [self._entity_list[i] for i in node_ids]
+            [self.entity_of(node) for node in node_ids]
         )
 
     # ------------------------------------------------------------------
     # Live updates (graph surgery)
     # ------------------------------------------------------------------
     #
-    # The ``graph_*`` methods mutate ``G_U`` in place while keeping the
-    # entity view and the integer-id fast path consistent. Node ids are
-    # *stable*: new entities take fresh ids at the end, merged-away
-    # entities keep their id slot as a tombstone (existence probability
-    # zero, no adjacency), so paths stored by an offline index remain
+    # The ``graph_*`` methods mutate ``G_U`` in place, updating the
+    # entity-keyed dicts and patching the id view's columns (the rows
+    # they touch; new ids appended). Node ids are *stable*: new entities
+    # take fresh ids at the end, merged-away entities keep their id slot
+    # as a tombstone (existence probability zero, no adjacency, no
+    # label), so paths stored by an offline index remain
     # addressable. Callers go through :mod:`repro.delta`, which also
     # tracks the dirtied nodes for overlay index maintenance.
 
@@ -244,7 +223,7 @@ class ProbabilisticEntityGraph:
         return node_id in self._removed_ids
 
     def _live_id(self, node_id: int, role: str) -> int:
-        if not 0 <= node_id < len(self._entity_list):
+        if not 0 <= node_id < self.columns.size:
             raise ModelError(f"unknown {role} node id {node_id}")
         if node_id in self._removed_ids:
             raise ModelError(
@@ -261,14 +240,8 @@ class ProbabilisticEntityGraph:
         self.components = self.components + (component,)
         self._labels[entity] = label_dist
         self._component_of[entity] = component
-        self._adjacency[entity] = set()
-        node_id = len(self._entity_list)
-        self._entity_list.append(entity)
+        node_id = self.columns.append(entity, label_dist, component)
         self._id_of[entity] = node_id
-        self._component_index.append(component.index)
-        self._adj_ids.append(())
-        self._existence_by_id.append(component.existence_probability(entity))
-        self._label_dist_by_id.append(label_dist)
         return node_id
 
     def graph_add_entity(
@@ -307,7 +280,7 @@ class ProbabilisticEntityGraph:
         id_b = self._live_id(id_b, "edge endpoint")
         if id_a == id_b:
             raise ModelError("an entity cannot have an edge to itself")
-        entity_a, entity_b = self._entity_list[id_a], self._entity_list[id_b]
+        entity_a, entity_b = self.entity_of(id_a), self.entity_of(id_b)
         if self.shares_references_id(id_a, id_b):
             raise ModelError(
                 "entities sharing references never co-exist; an edge "
@@ -324,7 +297,7 @@ class ProbabilisticEntityGraph:
         """Replace the distribution of an existing edge."""
         id_a = self._live_id(id_a, "edge endpoint")
         id_b = self._live_id(id_b, "edge endpoint")
-        pair = frozenset((self._entity_list[id_a], self._entity_list[id_b]))
+        pair = frozenset((self.entity_of(id_a), self.entity_of(id_b)))
         if pair not in self._edges:
             raise ModelError(
                 f"no edge between node ids {id_a} and {id_b}; use add_edge"
@@ -332,45 +305,24 @@ class ProbabilisticEntityGraph:
         self._set_edge(id_a, id_b, dist)
 
     def _set_edge(self, id_a: int, id_b: int, dist) -> None:
-        entity_a, entity_b = self._entity_list[id_a], self._entity_list[id_b]
-        self._edges[frozenset((entity_a, entity_b))] = dist
-        self._adjacency[entity_a].add(entity_b)
-        self._adjacency[entity_b].add(entity_a)
-        key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        self._edge_dist_by_id[key] = dist
-        if id_b not in self._adj_ids[id_a]:
-            self._adj_ids[id_a] = tuple(sorted(self._adj_ids[id_a] + (id_b,)))
-        if id_a not in self._adj_ids[id_b]:
-            self._adj_ids[id_b] = tuple(sorted(self._adj_ids[id_b] + (id_a,)))
+        self._edges[frozenset((self.entity_of(id_a), self.entity_of(id_b)))] = dist
+        self.columns.set_edge(id_a, id_b, dist)
         self.conditional = self.conditional or bool(dist.conditional)
 
     def graph_update_label(self, node_id: int, label_dist: LabelDistribution) -> None:
         """Replace the label distribution of a live entity node."""
         node_id = self._live_id(node_id, "entity")
-        entity = self._entity_list[node_id]
-        self._labels[entity] = label_dist
-        self._label_dist_by_id[node_id] = label_dist
+        self._labels[self.entity_of(node_id)] = label_dist
+        self.columns.set_labels(node_id, label_dist)
 
     def _remove_entity(self, node_id: int) -> None:
         """Tombstone one entity: drop its edges, zero its existence."""
-        entity = self._entity_list[node_id]
-        for other in tuple(self._adjacency[entity]):
-            other_id = self._id_of[other]
-            self._edges.pop(frozenset((entity, other)), None)
-            self._adjacency[other].discard(entity)
-            key = (
-                (node_id, other_id) if node_id < other_id
-                else (other_id, node_id)
-            )
-            self._edge_dist_by_id.pop(key, None)
-            self._adj_ids[other_id] = tuple(
-                n for n in self._adj_ids[other_id] if n != node_id
-            )
-        del self._adjacency[entity]
+        entity = self.entity_of(node_id)
+        for other in self.neighbor_ids(node_id):
+            del self._edges[frozenset((entity, self.entity_of(other)))]
         del self._labels[entity]
         del self._component_of[entity]
-        self._adj_ids[node_id] = ()
-        self._existence_by_id[node_id] = 0.0
+        self.columns.remove(node_id)
         self._removed_ids.add(node_id)
 
     def graph_merge_entities(
@@ -398,7 +350,7 @@ class ProbabilisticEntityGraph:
         id_b = self._live_id(id_b, "merge source")
         if id_a == id_b:
             raise ModelError("cannot merge an entity with itself")
-        entity_a, entity_b = self._entity_list[id_a], self._entity_list[id_b]
+        entity_a, entity_b = self.entity_of(id_a), self.entity_of(id_b)
         for entity, node_id in ((entity_a, id_a), (entity_b, id_b)):
             component = self._component_of[entity]
             if len(component.entities) != 1:
@@ -418,7 +370,8 @@ class ProbabilisticEntityGraph:
             )
         if existence_probability is None:
             existence_probability = max(
-                self._existence_by_id[id_a], self._existence_by_id[id_b]
+                self.existence_probability_id(id_a),
+                self.existence_probability_id(id_b),
             )
         elif not 0.0 <= existence_probability <= 1.0:
             raise ModelError(
@@ -427,11 +380,11 @@ class ProbabilisticEntityGraph:
             )
         # Capture surviving neighbor edges before tombstoning.
         inherited: dict = {}
-        for source in (entity_a, entity_b):
-            for other in self._adjacency[source]:
-                if other == entity_a or other == entity_b:
+        for source in (id_a, id_b):
+            for other in self.neighbor_ids(source):
+                if other == id_a or other == id_b:
                     continue
-                dist = self._edges[frozenset((source, other))]
+                dist = self.edge_distribution_id(source, other)
                 previous = inherited.get(other)
                 if previous is None or (
                     _dist_max_probability(dist)
@@ -444,10 +397,8 @@ class ProbabilisticEntityGraph:
         merged_id = self._insert_entity(
             merged, label_dist, existence_probability
         )
-        for other, dist in sorted(
-            inherited.items(), key=lambda kv: self._id_of[kv[0]]
-        ):
-            self._set_edge(merged_id, self._id_of[other], dist)
+        for other, dist in sorted(inherited.items()):
+            self._set_edge(merged_id, other, dist)
         return merged_id
 
     # ------------------------------------------------------------------
@@ -472,17 +423,15 @@ class ProbabilisticEntityGraph:
     @property
     def sigma(self) -> frozenset:
         """Label alphabet observed across all entity label distributions."""
-        labels: set = set()
-        for dist in self._labels.values():
-            labels |= set(dist.support)
-        return frozenset(labels)
+        return frozenset(self.columns.sigma)
 
     def neighbors(self, entity: Entity) -> frozenset:
         """Adjacent entities of ``entity`` in ``G_U``."""
-        try:
-            return frozenset(self._adjacency[entity])
-        except KeyError:
-            raise ModelError(f"unknown entity {sorted(entity, key=repr)}") from None
+        if entity not in self._labels:
+            raise ModelError(f"unknown entity {sorted(entity, key=repr)}")
+        return frozenset(
+            map(self.entity_of, self.neighbor_ids(self._id_of[entity]))
+        )
 
     def refs(self, entity: Entity) -> frozenset:
         """Underlying references of an entity node (the set itself)."""

@@ -18,8 +18,9 @@ from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage import atomic_write
 from repro.utils.errors import ModelError
 
-#: Format version; bump when the PEG's pickled layout changes.
-FORMAT_VERSION = 1
+#: Format version; bump when the PEG's pickled layout changes (2: the
+#: id view is pickled as the graph's columns).
+FORMAT_VERSION = 2
 _MAGIC = "repro-peg"
 
 

@@ -15,8 +15,8 @@ Both run as array passes over the lookup's
 :class:`~repro.index.paths.PathCandidates` columns: the node test is
 one boolean vector per query node over the id space, gathered per path
 column; ``pu`` and ``cpr`` are per-column gathers from the context's
-dense tables and the shared
-:class:`~repro.peg.arrays.PegProbabilityArrays`; the path bound is
+dense tables and the graph's columns (through
+:class:`~repro.peg.arrays.PegProbabilityArrays`); the path bound is
 one compare of ``((Prle * Prn) * pu) * cpr`` against α. Every float is
 produced by the operations, in the order, of the scalar finder these
 replaced (:class:`repro.testing.reference.ScalarCandidateFinder`, the
@@ -33,6 +33,7 @@ from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
 from repro.index.protocol import PathIndexProtocol
 from repro.obs.trace import current_span
+from repro.peg.arrays import PegProbabilityArrays
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import QueryPath
 from repro.query.query_graph import QueryGraph
@@ -107,6 +108,7 @@ class CandidateFinder:
         self.index = index
         self.context = context
         self.use_context = bool(use_context) and context is not None
+        self.arrays = PegProbabilityArrays(peg)
         self._allowed: dict = {}
 
     # ------------------------------------------------------------------
@@ -120,9 +122,7 @@ class CandidateFinder:
         if allowed is not None:
             return allowed
         query, context = self.query, self.context
-        p_label = context.probability_arrays(self.peg).label_probabilities(
-            query.label(query_node)
-        )
+        p_label = self.arrays.label_probabilities(query.label(query_node))
         allowed = p_label > 0.0
         # c(n, σ) for the labels around n.
         required: dict = {}
@@ -174,10 +174,9 @@ class CandidateFinder:
     ) -> np.ndarray:
         """``cpr(P^u)`` per row: probability of the query's cycle edges
         on the path."""
-        arrays = self.context.probability_arrays(self.peg)
         prob = np.ones(nodes.shape[0], dtype=np.float64)
         for pos_a, pos_b in stats.cycles:
-            prob *= arrays.edge_probabilities(
+            prob *= self.arrays.edge_probabilities(
                 nodes[:, pos_a],
                 nodes[:, pos_b],
                 self.query.label(path.nodes[pos_a]),
@@ -200,11 +199,9 @@ class CandidateFinder:
         if self.index is not None and self.alpha >= self.index.beta:
             raw = self.index.lookup(label_seq, self.alpha)
         else:
-            builder = PathIndexBuilder(self.peg, beta=self.alpha)
-            if self.context is not None:
-                # Enumeration tables are per graph version, not per find.
-                builder.arrays = self.context.probability_arrays(self.peg)
-            raw = builder.paths_for_sequence(label_seq)
+            raw = PathIndexBuilder(
+                self.peg, beta=self.alpha
+            ).paths_for_sequence(label_seq)
             # Marks partitions that never touched the index, so a trace
             # with zero store reads explains itself.
             span.set("on_demand", True)

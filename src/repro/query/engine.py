@@ -274,9 +274,9 @@ class QueryEngine:
         the ops to the PEG, wraps the index in a
         :class:`~repro.delta.overlay.DeltaOverlayIndex` (first time),
         patches the delta and the context tables for the dirtied nodes
-        — a new context object, so the probability arrays it owns are
-        rebuilt on first use — and bumps :attr:`graph_version` (which
-        re-keys the plan and link caches).
+        (a new context object; the PEG's own columns were patched in
+        place by the ops) and bumps :attr:`graph_version` (which re-keys
+        the plan and link caches).
         Not safe to call concurrently with
         queries on this engine — the serving layer
         (:meth:`repro.service.QueryService.apply_updates`) provides the
@@ -450,7 +450,6 @@ class QueryEngine:
                 decomposition,
                 candidates,
                 alpha,
-                arrays=self.context.probability_arrays(self.peg),
                 cache=self.link_cache if options.use_link_cache else None,
                 graph_version=self.graph_version,
             )
@@ -484,7 +483,6 @@ class QueryEngine:
                 candidates,
                 alpha,
                 links=links,
-                arrays=self.context.probability_arrays(self.peg),
             )
         if backend == "python":
             return CandidateKPartiteGraph(

@@ -19,8 +19,8 @@ passes per joining partition pair:
 * **joined-probability filter** — the same factors the scalar
   :func:`~repro.query.join_candidates.joined_probability` multiplies
   (labels in assignment order, edges in path-traversal order, existence
-  marginals in assignment order) are gathered from the
-  :class:`~repro.peg.arrays.PegProbabilityArrays` tables and
+  marginals in assignment order) are gathered from the graph's columns
+  (:class:`~repro.peg.arrays.PegProbabilityArrays`) and
   multiplied elementwise in the same per-element IEEE order, so the
   filter decisions — and the floats behind them — are bit-identical.
   Pairs whose assigned nodes share an identity component (where
@@ -316,8 +316,9 @@ def build_candidate_links_vectorized(
     Produces the exact link sets of the pure-Python reference — same
     ``(i, j)`` keys, same pairs, same (vid ascending, uid ascending)
     order — as numpy arrays, via bulk predicate joins and an
-    elementwise joined-probability filter over the shared
-    :class:`~repro.peg.arrays.PegProbabilityArrays` gather tables.
+    elementwise joined-probability filter over the graph's columns
+    (:class:`~repro.peg.arrays.PegProbabilityArrays`, made from ``peg``
+    when ``arrays`` is omitted).
 
     ``cache`` (a :class:`LinkStructureCache`) short-circuits the build
     per partition pair; ``graph_version`` must then be the owning

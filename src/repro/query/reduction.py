@@ -35,10 +35,10 @@ the per-pair passes this replaced
 counts are also those of the pure-Python incremental backend, whose
 work counters differ.
 
-Candidate scores ``w1`` are gathered from the per-label
-node-probability arrays and edge-probability tables of
-:class:`~repro.peg.arrays.PegProbabilityArrays` (shared per graph
-version), multiplying factors in the reference backend's order. The
+Candidate scores ``w1`` are gathered from the graph's label columns and
+per-label-pair edge rows (through
+:class:`~repro.peg.arrays.PegProbabilityArrays`), multiplying factors
+in the reference backend's order. The
 matchers' CSR view of one pair (:meth:`VectorizedKPartiteGraph.csr`)
 is cut from the constructor's entry list on first use.
 """
@@ -67,8 +67,8 @@ class VectorizedKPartiteGraph:
     a :class:`~repro.query.links.LinkSet` or the reference's
     ``{(i, j): [(vid, uid), ...]}`` dict (built with
     :func:`~repro.query.links.build_candidate_links_vectorized` when
-    omitted). Pass a shared ``arrays`` (:class:`PegProbabilityArrays`)
-    to amortize the per-label probability tables across queries.
+    omitted). ``arrays`` (:class:`PegProbabilityArrays`, a view of the
+    graph's columns) is made from ``peg`` when omitted.
     """
 
     def __init__(

@@ -27,6 +27,14 @@ link set with dead neighbours zeroed (``_segment_max``), Gauss-Seidel
 structure sweeps. The stacked reduction must leave the same alive
 masks and perception vectors, bit for bit, after the same ``rounds``
 and ``message_updates``, with the same sizes and removal counts.
+
+:class:`PathTables` (:func:`path_tables`) is a PEG's id view derived
+one id at a time from its entity-keyed dicts, :func:`edge_probabilities`
+the sorted-composite-key edge gather, and :func:`scalar_context` the
+per-node context build — as each ran before the graph kept its id view
+as columns (:class:`repro.peg.columns.PegColumns`). Every column, every
+``*_id`` accessor, every probability-array gather and the column pass
+of :func:`repro.index.context.build_context` must equal them exactly.
 """
 
 from __future__ import annotations
@@ -552,3 +560,185 @@ def _is_canonical(ids: tuple, labels: tuple) -> bool:
     fwd = (tuple(map(repr, labels)), ids)
     rev = (tuple(map(repr, reversed(labels))), tuple(reversed(ids)))
     return fwd <= rev
+
+
+class PathTables:
+    """A PEG's id view derived one id at a time from its entity-keyed
+    dicts — ``_id_of``, ``label_distribution``, ``edges()``,
+    ``components`` — as it was derived per graph version before the
+    graph kept it as columns (:class:`repro.peg.columns.PegColumns`).
+    Every attribute the columns have, with the same name, and the
+    per-slot ``edge_probabilities`` asked of each slot's distribution.
+    """
+
+    def __init__(self, peg: ProbabilisticEntityGraph) -> None:
+        id_of = peg._id_of
+        entities = sorted(id_of, key=id_of.__getitem__)
+        size = len(entities)
+        self.entities = np.fromiter(entities, dtype=object, count=size)
+        reprs = [repr(entity) for entity in entities]
+        by_repr = sorted(range(size), key=reprs.__getitem__)
+        self.ranks = np.empty(size, dtype=np.int64)
+        self.ranks[by_repr] = np.arange(size)
+        self.repr_ranks = np.empty(size, dtype=np.int64)
+        rank = -1
+        for position, node in enumerate(by_repr):
+            if not position or reprs[node] != reprs[by_repr[position - 1]]:
+                rank += 1
+            self.repr_ranks[node] = rank
+
+        component_of = {
+            entity: component
+            for component in peg.components
+            for entity in component.entities
+        }
+        live = [not peg.is_removed_id(node) for node in range(size)]
+        self.component = np.array(
+            [component_of[entity].index for entity in entities], dtype=np.int64
+        )
+        self.existence = np.array(
+            [
+                peg.existence_probability(entity) if alive else 0.0
+                for entity, alive in zip(entities, live)
+            ],
+            dtype=np.float64,
+        )
+        members: dict = {}
+        for node, index in enumerate(self.component.tolist()):
+            members.setdefault(index, []).append(node)
+        self.keys = -1 - np.arange(size, dtype=np.int64)
+        group = 0
+        for nodes in members.values():
+            if len(nodes) > 1:
+                self.keys[nodes] = group
+                group += 1
+
+        neighbors: list = [dict() for _ in range(size)]
+        for pair, dist in peg.edges():
+            entity_a, entity_b = sorted(pair, key=id_of.__getitem__)
+            neighbors[id_of[entity_a]][id_of[entity_b]] = dist
+            neighbors[id_of[entity_b]][id_of[entity_a]] = dist
+        self.adj_ptr = np.zeros(size + 1, dtype=np.int64)
+        adj, dists = [], []
+        for node in range(size):
+            for neighbor in sorted(neighbors[node]):
+                adj.append(neighbor)
+                dists.append(neighbors[node][neighbor])
+            self.adj_ptr[node + 1] = len(adj)
+        self.adj = np.array(adj, dtype=np.int64)
+        self.slot_keys = np.array(
+            [
+                node * (1 << 32) + neighbor
+                for node in range(size)
+                for neighbor in sorted(neighbors[node])
+            ],
+            dtype=np.int64,
+        )
+        self.slot_dists = np.fromiter(dists, dtype=object, count=len(dists))
+        self.slot_conditional = np.array(
+            [dist.conditional for dist in dists], dtype=bool
+        )
+        self.slot_base = np.array(
+            [0.0 if dist.conditional else dist.probability() for dist in dists],
+            dtype=np.float64,
+        )
+
+        supports = [
+            peg.label_distribution(entity).support if alive else ()
+            for entity, alive in zip(entities, live)
+        ]
+        self.sigma = tuple(sorted(
+            {label for support in supports for label in support}, key=repr
+        ))
+        self.label_pos = {label: pos for pos, label in enumerate(self.sigma)}
+        self.sup_ptr = np.zeros(size + 1, dtype=np.int64)
+        sup_label, sup_prob = [], []
+        self.label_matrix = np.zeros((size, len(self.sigma)), order="F")
+        for node, (entity, support) in enumerate(zip(entities, supports)):
+            for label in support:
+                probability = peg.label_distribution(entity).probability(label)
+                sup_label.append(self.label_pos[label])
+                sup_prob.append(probability)
+                self.label_matrix[node, self.label_pos[label]] = probability
+            self.sup_ptr[node + 1] = len(sup_label)
+        self.sup_label = np.array(sup_label, dtype=np.int64)
+        self.sup_prob = np.array(sup_prob, dtype=np.float64)
+
+    @property
+    def size(self) -> int:
+        return self.entities.size
+
+    def edge_probabilities(self, slots, labels_a, labels_b) -> np.ndarray:
+        """Each slot's distribution asked under its row's labels (as
+        ``sigma`` positions)."""
+        return np.array(
+            [
+                self.slot_dists[slot].probability(
+                    self.sigma[label_a], self.sigma[label_b]
+                )
+                for slot, label_a, label_b in zip(
+                    np.asarray(slots).tolist(),
+                    np.asarray(labels_a).tolist(),
+                    np.asarray(labels_b).tolist(),
+                )
+            ],
+            dtype=np.float64,
+        )
+
+
+def path_tables(peg: ProbabilisticEntityGraph) -> PathTables:
+    """The :class:`PathTables` oracle of ``peg`` as it stands."""
+    return PathTables(peg)
+
+
+def edge_probabilities(
+    peg: ProbabilisticEntityGraph, ids_a, ids_b, label_a, label_b
+) -> np.ndarray:
+    """Bulk ``Pr((a, b).e = T)`` as the probability arrays answered
+    before they read the graph's columns: a table of the undirected
+    edges sorted by the composite key ``min_id * n + max_id`` and one
+    ``searchsorted``; missing edges gather 0.0."""
+    id_of = peg._id_of
+    size = len(id_of)
+    items = sorted(
+        (sorted(id_of[entity] for entity in pair), dist)
+        for pair, dist in peg.edges()
+    )
+    keys = np.array([a * size + b for (a, b), _ in items], dtype=np.int64)
+    values = np.array(
+        [dist.probability(label_a, label_b) for _, dist in items],
+        dtype=np.float64,
+    )
+    ids_a = np.asarray(ids_a, dtype=np.int64)
+    ids_b = np.asarray(ids_b, dtype=np.int64)
+    wanted = np.minimum(ids_a, ids_b) * size + np.maximum(ids_a, ids_b)
+    if keys.size == 0:
+        return np.zeros(wanted.shape, dtype=np.float64)
+    position = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[position] == wanted, values[position], 0.0)
+
+
+def scalar_context(peg: ProbabilisticEntityGraph) -> tuple:
+    """``(c, ppu, fpu)`` over the id space, one node, neighbour and
+    label at a time through the ``*_id`` accessors: the context build as
+    it ran before it was one pass over the graph's columns."""
+    sigma = tuple(sorted(peg.sigma, key=repr))
+    label_pos = {label: pos for pos, label in enumerate(sigma)}
+    size = len(peg.node_ids())
+    counts = np.zeros((size, len(sigma)), dtype=np.int64)
+    ppu = np.zeros((size, len(sigma)))
+    fpu = np.zeros((size, len(sigma)))
+    for node in peg.node_ids():
+        for neighbor in peg.neighbor_ids(node):
+            if peg.shares_references_id(node, neighbor):
+                continue
+            for label in peg.possible_labels_id(neighbor):
+                pos = label_pos[label]
+                counts[node, pos] += 1
+                p_edge = peg.edge_max_probability_id(node, neighbor, None, label)
+                if p_edge > ppu[node, pos]:
+                    ppu[node, pos] = p_edge
+                p_full = peg.label_probability_id(neighbor, label) * p_edge
+                if p_full > fpu[node, pos]:
+                    fpu[node, pos] = p_full
+    return counts, ppu, fpu

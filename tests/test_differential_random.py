@@ -66,6 +66,7 @@ from repro.index.paths import (
 from repro.index.protocol import orient_to_sequence
 from repro.obs.trace import Span
 from repro.peg import build_peg
+from repro.peg.arrays import PegProbabilityArrays
 from repro.pgd import PGD, ConditionalEdge
 from repro.query import QueryEngine, QueryGraph, QueryOptions, exhaustive_matches
 from repro.query.candidates import CandidateFinder
@@ -248,7 +249,7 @@ def assert_matcher_equivalence(
     )
     if not all(candidates.values()):
         return None
-    arrays = engine.context.probability_arrays(peg)
+    arrays = PegProbabilityArrays(peg)
     kpartite = VectorizedKPartiteGraph(
         peg, decomposition, candidates, alpha,
         links=build_candidate_links_vectorized(
@@ -491,7 +492,7 @@ def test_reduction_differential(graph_index, config, query_seed):
     1000."""
     peg = build_peg(generate_synthetic_pgd(config))
     engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    arrays = engine.context.probability_arrays(peg)
+    arrays = PegProbabilityArrays(peg)
     sigma = sorted(peg.sigma, key=repr)
     for query in _random_queries(random.Random(query_seed), sigma):
         for alpha in REDUCTION_ALPHAS:
@@ -525,7 +526,7 @@ def test_reduction_differential_dense(peg_seed):
     partition can undercut the vertex's own ``w1``."""
     peg = small_random_peg(seed=peg_seed)
     engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    arrays = engine.context.probability_arrays(peg)
+    arrays = PegProbabilityArrays(peg)
     sigma = sorted(peg.sigma, key=repr)
     rng = random.Random(peg_seed)
     for _ in range(12):

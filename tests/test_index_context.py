@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_synthetic_pgd
+from repro.delta import (
+    AddEdge,
+    AddEntity,
+    UpdateEdgeDistribution,
+    UpdateLabelProbability,
+)
 from repro.index.context import build_context, patch_context
 from repro.peg import build_peg
-from repro.pgd import pgd_from_edge_list
+from repro.peg.arrays import PegProbabilityArrays
+from repro.pgd import BernoulliEdge, pgd_from_edge_list
+from repro.query import QueryEngine
 from repro.query.candidates import CandidateFinder, compute_path_statistics
 from repro.query.decompose import QueryPath
 from repro.query.query_graph import QueryGraph
-from repro.testing.reference import ScalarCandidateFinder
+from repro.testing.reference import ScalarCandidateFinder, scalar_context
 from tests.test_differential_random import _cases
 
 
@@ -219,11 +227,33 @@ class TestDenseTables:
                     context.full_upperbound(node, label),
                 ]
 
-    def test_probability_arrays_are_built_once_per_context(self, star_peg):
-        context = build_context(star_peg)
-        arrays = context.probability_arrays(star_peg)
-        assert context.probability_arrays(star_peg) is arrays
-        assert build_context(star_peg).probability_arrays(star_peg) is not arrays
+    def test_probability_arrays_made_before_updates_answer_after(self, star_peg):
+        """``PegProbabilityArrays`` is a view of the graph's columns: one
+        made before an ``apply_updates`` batch — a new label, a new
+        entity and edge, a revised edge — gathers the mutated graph."""
+        engine = QueryEngine(star_peg, max_length=2, beta=0.05)
+        arrays = PegProbabilityArrays(star_peg)
+        hub, n3 = star_peg.id_of(fs("v1")), star_peg.id_of(fs("n3"))
+        arrays.edge_probabilities([hub], [n3], "c", "a")  # a warm gather
+        engine.apply_updates([
+            UpdateLabelProbability(("n3",), {"d": 0.5, "a": 0.5}),
+            AddEntity(("n6",), {"d": 1.0}, 0.5),
+            AddEdge(("v1",), ("n6",), BernoulliEdge(0.4)),
+            UpdateEdgeDistribution(("v1",), ("n3",), BernoulliEdge(0.7)),
+        ])
+        n6 = star_peg.id_of(fs("n6"))
+        assert arrays.num_nodes == n6 + 1
+        for label in ("a", "b", "c", "d", "missing"):
+            assert arrays.label_probabilities(label).tolist() == [
+                star_peg.label_probability_id(node, label)
+                for node in star_peg.node_ids()
+            ]
+        assert arrays.label_probabilities("d")[[n3, n6]].tolist() == [0.5, 1.0]
+        assert arrays.existence_probabilities()[n6] == 0.5
+        found = arrays.edge_probabilities(
+            [hub, n3, n6, n3], [n3, hub, hub, n6], "c", "d"
+        )
+        assert found.tolist() == [0.7, 0.7, 0.4, 0.0]
 
 
 class TestFullBelowPartial:
@@ -235,10 +265,15 @@ class TestFullBelowPartial:
         ids=lambda config: config.seed,
     )
     def test_zero_ppu_implies_zero_fpu_on_the_harness_graphs(self, config):
-        context = build_context(build_peg(generate_synthetic_pgd(config)))
+        peg = build_peg(generate_synthetic_pgd(config))
+        context = build_context(peg)
         _c, ppu, fpu = context.tables()
         assert (fpu <= ppu).all()
         assert (fpu[ppu == 0.0] == 0.0).all()
+        # The column pass is the per-node scalar build, exactly.
+        for ours, theirs in zip(context.tables(), scalar_context(peg)):
+            assert ours.dtype == theirs.dtype
+            assert ours.tolist() == theirs.tolist()
 
     @pytest.mark.parametrize(
         "edges",

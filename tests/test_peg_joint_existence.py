@@ -168,7 +168,11 @@ def test_component_keys_name_components_with_company():
 
 
 def test_the_table_is_not_saved_with_the_graph():
+    """Neither the component table nor the edge rows a gather builds
+    are saved: a pickled graph does not depend on what ran before."""
     peg = small_random_peg(2, uncertainty=0.6)
     saved = pickle.dumps(peg)
     component_table(peg)
+    peg.columns.edge_row("L0", "L1")
+    assert peg.columns._edges is not None
     assert pickle.dumps(peg) == saved

@@ -4,10 +4,13 @@ import os
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.peg import ProbabilisticEntityGraph, load_peg, save_peg
 from repro.peg.serialize import FORMAT_VERSION
+from repro.pgd import BernoulliEdge, ConditionalEdge, LabelDistribution
+from repro.query import QueryEngine, QueryGraph
 from repro.testing import faults
 from repro.utils.errors import FaultError, ModelError
 from tests.conftest import small_random_peg
@@ -73,6 +76,78 @@ class TestValidation:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ModelError):
             load_peg(str(path))
+
+
+def mutated_peg():
+    """A graph past its offline build: a conditional edge, merges
+    (tombstones, a survivor with inherited edges), appended ids and a
+    label that entered ``Σ`` with them."""
+    peg = small_random_peg(seed=4, num_references=40)
+    singles = [
+        node for node in peg.node_ids()
+        if len(peg.component_of(peg.entity_of(node)).entities) == 1
+    ]
+    added = peg.graph_add_entity(
+        ("fmt-a",), LabelDistribution({"fmt-new": 0.5, "L0": 0.5}), 0.8
+    )
+    peg.graph_add_edge(added, singles[0], BernoulliEdge(0.6))
+    peg.graph_add_edge(
+        singles[1], singles[2],
+        ConditionalEdge({("L0", "L1"): 0.9}, default=0.3),
+    )
+    peg.graph_merge_entities(added, singles[3])
+    peg.graph_merge_entities(singles[4], singles[5])
+    return peg
+
+
+class TestFormat:
+    def test_format_v1_payload_is_a_model_error(self, figure1_peg, tmp_path):
+        """A file of the layout before the graph kept columns is
+        refused by version, before any of it is used."""
+        path = tmp_path / "v1.peg"
+        payload = {"magic": "repro-peg", "version": 1, "peg": figure1_peg}
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ModelError, match="version 1"):
+            load_peg(str(path))
+
+    def test_format_round_trip_of_a_mutated_peg(self, tmp_path):
+        peg = mutated_peg()
+        path = str(tmp_path / "mutated.peg")
+        save_peg(peg, path)
+        loaded = load_peg(path)
+        assert loaded.sigma == peg.sigma and "fmt-new" in loaded.sigma
+        for name, column in vars(peg.columns).items():
+            if isinstance(column, np.ndarray):
+                theirs = getattr(loaded.columns, name)
+                assert theirs.dtype == column.dtype, name
+                assert theirs.tolist() == column.tolist(), name
+            elif name != "_edges":
+                assert getattr(loaded.columns, name) == column, name
+        query = QueryGraph(
+            {"q1": "L0", "q2": "L1", "q3": "L2"}, [("q1", "q2"), ("q2", "q3")]
+        )
+        for alpha in (0.05, 0.2):
+            ours = QueryEngine(peg, max_length=2, beta=0.1).query(query, alpha)
+            theirs = QueryEngine(loaded, max_length=2, beta=0.1).query(
+                query, alpha
+            )
+            assert list(theirs.matches) == list(ours.matches)
+            assert [m.probability.hex() for m in theirs.matches] == [
+                m.probability.hex() for m in ours.matches
+            ]
+
+    def test_format_save_bytes_do_not_depend_on_queries(self, tmp_path):
+        """Edge rows built by a query are a cache: not saved."""
+        peg = mutated_peg()
+        before, after = tmp_path / "before.peg", tmp_path / "after.peg"
+        save_peg(peg, str(before))
+        engine = QueryEngine(peg, max_length=2, beta=0.05)
+        engine.query(
+            QueryGraph({"q1": "L0", "q2": "L1"}, [("q1", "q2")]), 0.05
+        )
+        assert peg.columns._edges is not None
+        save_peg(peg, str(after))
+        assert after.read_bytes() == before.read_bytes()
 
 
 class TestDamagedFiles:
