@@ -8,7 +8,7 @@ is warmed with full passes over the workload before the clock starts —
 a ``ProcessPoolExecutor`` spawns workers on demand, so a short warm-up
 leaves pool processes loading their engines inside the timed drain —
 and the figure is the best of three drains (the rule
-``bench_shard_scaling.py`` uses), so the numbers are steady-state
+``bench_build_scaling.py`` uses), so the numbers are steady-state
 serving, not process start-up or one scheduler hiccup.
 
 Scaling needs CPUs to scale onto: on a single-core host every ratio is

@@ -43,7 +43,6 @@ from repro.index import (
     PathIndex,
     build_path_index,
     build_context,
-    open_store,
 )
 from repro.query import (
     QueryGraph,
@@ -76,7 +75,7 @@ from repro.delta import (
     apply_mutations,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "PGD",
@@ -97,7 +96,6 @@ __all__ = [
     "PathIndex",
     "build_path_index",
     "build_context",
-    "open_store",
     "QueryGraph",
     "QueryEngine",
     "QueryOptions",

@@ -10,8 +10,7 @@ Commands
     Run a pattern query (JSON spec) against a saved PEG; ``--trace``
     prints the span tree of the evaluation (one child per stage of
     :data:`repro.obs.timing.STAGES`, per-partition index lookups with
-    shard fetch counters under ``lookup``) and ``--shards`` evaluates
-    against a hash-sharded index.
+    store read counters under ``lookup``).
 ``metrics``
     Run a query workload and print the process metrics registry in
     Prometheus text exposition format — one latency histogram per
@@ -23,8 +22,8 @@ Commands
     repeated runs demonstrate the plan cache.
 ``build``
     Run the offline phase ahead of time: build the (optionally
-    hash-sharded, optionally process-parallel) path index and context
-    tables and persist them as an offline bundle.
+    process-parallel) path index and context tables and persist them as
+    an offline bundle.
 ``apply-updates``
     Apply a batch of live-graph mutations (JSON ops) to a saved PEG —
     and, when an offline bundle is given, to its index via the delta
@@ -32,11 +31,9 @@ Commands
     dirtied) with compaction, instead of a full rebuild. Ops can be
     appended to a durable mutation log for idempotent replay.
 ``serve``
-    Serve a batch of queries through the concurrent
+    Serve a query workload through the concurrent
     :class:`~repro.service.QueryService` (result cache, single-flight
     dedup), warm-starting from / writing an offline snapshot; with
-    ``--shards`` the index is hash-sharded, with ``--batch`` each
-    workload round is submitted as one grouped evaluation; with
     ``--listen HOST:PORT`` the service is exposed over the network
     through the fault-tolerant asyncio front end (:mod:`repro.net`)
     instead of draining a workload file.
@@ -79,10 +76,10 @@ from repro.datasets import (
     generate_imdb_pgd,
     generate_synthetic_pgd,
 )
-from repro.index.sharded import open_store
 from repro.obs.timing import STAGES
 from repro.peg import build_peg, load_peg, save_peg
 from repro.query import QueryEngine, QueryGraph, QueryOptions, explain
+from repro.storage.kvstore import DiskPathStore
 from repro.utils.errors import ReproError
 
 
@@ -172,15 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help=(
             "record and print the evaluation's span tree (stages "
-            f"{', '.join(STAGES)}; per-partition lookup and shard-fetch "
+            f"{', '.join(STAGES)}; per-partition lookup and store-read "
             "counters)"
-        ),
-    )
-    query.add_argument(
-        "--shards", type=int, default=0,
-        help=(
-            "evaluate against a hash-sharded in-memory index "
-            "(0 = monolithic, default)"
         ),
     )
 
@@ -258,10 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--max-length", type=int, default=2, dest="max_length")
     build.add_argument("--beta", type=float, default=0.05)
     build.add_argument("--gamma", type=float, default=0.1)
-    build.add_argument(
-        "--shards", type=int, default=0,
-        help="hash shards for the path index (0 = monolithic, default)",
-    )
     build.add_argument(
         "--build-processes", type=int, default=0, dest="build_processes",
         help=(
@@ -344,19 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve the workload this many times (exercises the cache)",
     )
     serve.add_argument(
-        "--shards", type=int, default=0,
-        help="hash shards for a cold-start index build (0 = monolithic)",
-    )
-    serve.add_argument(
         "--build-processes", type=int, default=0, dest="build_processes",
         help="process-pool workers for a cold-start index build",
-    )
-    serve.add_argument(
-        "--batch", action="store_true",
-        help=(
-            "submit each workload round as one grouped evaluation "
-            "(shared index fetches) instead of independent requests"
-        ),
     )
     serve.add_argument(
         "--stats", action="store_true",
@@ -500,12 +475,7 @@ def _query_from_args(args) -> QueryGraph:
 def _cmd_query(args) -> int:
     peg = load_peg(args.peg)
     query = _query_from_args(args)
-    engine = QueryEngine(
-        peg,
-        max_length=args.max_length,
-        beta=args.beta,
-        store=open_store(None, args.shards),
-    )
+    engine = QueryEngine(peg, max_length=args.max_length, beta=args.beta)
     options = QueryOptions(
         decomposition=args.decomposition,
         link_backend=args.link_backend,
@@ -597,16 +567,13 @@ def _cmd_build(args) -> int:
         max_length=args.max_length,
         beta=args.beta,
         gamma=args.gamma,
-        store=open_store(args.out, args.shards),
+        store=DiskPathStore(args.out),
         build_processes=args.build_processes,
     )
     engine.save_offline(args.out)
     stats = engine.offline_stats()
-    shape = (
-        f"{args.shards} shards" if args.shards else "monolithic index"
-    )
     print(
-        f"wrote offline bundle to {args.out} ({shape}, "
+        f"wrote offline bundle to {args.out} ("
         f"L={args.max_length}, beta={args.beta}, gamma={args.gamma})"
     )
     for key in ("sequences", "paths", "size_bytes", "offline_seconds"):
@@ -734,7 +701,6 @@ def _cmd_serve(args) -> int:
             beta=args.beta,
             num_workers=args.workers,
             cache_size=args.cache_size,
-            num_shards=args.shards,
             build_processes=args.build_processes,
         )
         if service.warm_started:
@@ -753,7 +719,6 @@ def _cmd_serve(args) -> int:
             beta=args.beta,
             num_workers=args.workers,
             cache_size=args.cache_size,
-            num_shards=args.shards,
             build_processes=args.build_processes,
         )
         print("cold start: built offline phase (no snapshot directory)")
@@ -786,25 +751,11 @@ def _cmd_serve(args) -> int:
         return 0
     with service:
         for round_num in range(args.repeat):
-            if args.batch:
-                requests = [
-                    (query, args.alpha if alpha is None else alpha)
-                    for query, alpha in workload
-                ]
-                futures = list(
-                    enumerate(service.submit_batch(requests))
-                )
-            else:
-                futures = [
-                    (
-                        i,
-                        service.submit(
-                            query, args.alpha if alpha is None else alpha
-                        ),
-                    )
-                    for i, (query, alpha) in enumerate(workload)
-                ]
-            for i, future in futures:
+            futures = [
+                service.submit(query, args.alpha if alpha is None else alpha)
+                for query, alpha in workload
+            ]
+            for i, future in enumerate(futures):
                 result = future.result()
                 print(f"[round {round_num + 1}] query {i}: "
                       f"{len(result.matches)} matches")

@@ -15,11 +15,10 @@
 * :mod:`repro.index.protocol` — the lookup protocol every index
   implementation speaks (validation + orientation shared in one place),
 * :mod:`repro.index.path_index` — the queryable index: bucket range
-  scans, orientation handling, cardinality estimates,
-* :mod:`repro.index.sharded` — the hash-sharded path *store* and the
-  one directory → store mapping,
-* :mod:`repro.index.batch` — the per-batch caching view used by batched
-  multi-query execution.
+  scans over one path store, orientation handling, cardinality
+  estimates,
+* :mod:`repro.index.bundle` — the index and context saved as one
+  directory.
 """
 
 from repro.index.paths import (
@@ -39,12 +38,6 @@ from repro.index.protocol import (
 )
 from repro.index.path_index import PathIndex
 from repro.index.builder import PathIndexBuilder, build_path_index
-from repro.index.sharded import (
-    ShardedPathStore,
-    open_store,
-    shard_for_sequence,
-)
-from repro.index.batch import BatchLookupIndex
 
 __all__ = [
     "IndexedPath",
@@ -62,8 +55,4 @@ __all__ = [
     "PathIndex",
     "PathIndexBuilder",
     "build_path_index",
-    "ShardedPathStore",
-    "open_store",
-    "shard_for_sequence",
-    "BatchLookupIndex",
 ]

@@ -72,9 +72,8 @@ The writer: :func:`bucket_payloads` files one sequence's rows as its
 ``[(bucket, payload)]`` (one sort, one record matrix, one slice per
 bucket) and :func:`write_buckets` puts such entries
 through :meth:`~repro.storage.kvstore.PathStore.put_bucket` — so the
-target may be any store, a hash-sharded one
-(:class:`~repro.index.sharded.ShardedPathStore`) included. The serial
-build, the pool workers and compaction
+target may be any store, in memory or on disk. The serial build, the
+pool workers and compaction
 (:meth:`repro.delta.overlay.DeltaOverlayIndex.compact`) all call both.
 """
 

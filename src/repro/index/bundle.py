@@ -2,26 +2,25 @@
 
 The paper's system builds its disk-based index once and serves many
 online queries. This module gives the reproduction the same lifecycle:
-:func:`save_offline` writes a directory containing the path store(s)
-(record log + directory each), the index metadata (L, β, γ,
+:func:`save_offline` writes a directory containing the path store
+(record log + directory), the index metadata (L, β, γ,
 histograms, build statistics) and the context tables;
 :func:`load_offline` reopens it without recomputation, and
 :meth:`repro.query.engine.QueryEngine.from_saved` builds a queryable
 engine from it.
 
 Every file that is replaced rather than appended to goes through
-:func:`repro.storage.atomic_write`: each store commits with the rename
+:func:`repro.storage.atomic_write`: the store commits with the rename
 of its ``index.dir``, and ``offline.meta`` — written last — is the
 bundle's commit record.
 
-There is one bundle shape: the metadata records ``num_shards`` and one
-``histograms`` dict, and :func:`repro.index.sharded.open_store` maps
-``(directory, num_shards)`` to the store — files at the directory root
-for ``num_shards == 0``, one child store per ``shard-NN/`` subdirectory
-otherwise. A bundle of any other format version, with an unreadable
-``offline.meta`` or with a store that fails its open-time checks is
-rejected with :class:`IndexError_` (callers such as
-:meth:`repro.service.QueryService.open` rebuild over it).
+There is one bundle shape: one :class:`DiskPathStore` at the directory
+root and one ``offline.meta`` beside it. A bundle of any other format
+version (format 5 could keep its stores in ``shard-NN/``
+subdirectories), with an unreadable ``offline.meta`` or with a store
+that fails its open-time checks is rejected with :class:`IndexError_`
+(callers such as :meth:`repro.service.QueryService.open` rebuild over
+it).
 """
 
 from __future__ import annotations
@@ -32,28 +31,29 @@ import shutil
 
 from repro.index.context import ContextInformation
 from repro.index.path_index import PathIndex
-from repro.index.sharded import ShardedPathStore, open_store
 from repro.storage.kvstore import (
     DISK_STORE_FILENAMES,
     TEMP_SUFFIX,
     DiskPathStore,
     PathStore,
     atomic_write,
-    list_shard_directories,
-    shard_directory,
 )
 from repro.utils.errors import IndexError_, StorageError
 
 #: Bundle format version; bump when the pickled layout or the store's
 #: file format changes.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _META_FILE = "offline.meta"
-#: The store file only format v3 had; cleared so v4 never sits beside it.
+#: The store file only format v3 had; cleared so no later store sits
+#: beside it.
 _LEGACY_FILENAMES = ("index.btree",)
+#: Prefix of the per-shard store directories formats up to 5 could
+#: hold; cleared so a rebuilt bundle never sits beside them.
+_LEGACY_SHARD_PREFIX = "shard-"
 
 
 def _persist_store(store: PathStore, directory: str) -> None:
-    """Materialize one unsharded store under ``directory``.
+    """Materialize the index's store under ``directory``.
 
     If the store is a :class:`DiskPathStore` already living there it is
     flushed in place; otherwise (another location, or an in-memory
@@ -76,9 +76,9 @@ def _persist_store(store: PathStore, directory: str) -> None:
 def clear_offline_artifacts(directory: str) -> None:
     """Remove every offline artifact of earlier builds under ``directory``.
 
-    Deletes the metadata file, the root store files of an unsharded
-    bundle (this format's and the previous one's), temporaries left by
-    an interrupted commit, and any ``shard-NN/`` subdirectories — but
+    Deletes the metadata file, the store files (this format's and the
+    legacy ``index.btree``), temporaries left by an interrupted commit,
+    and the ``shard-NN/`` subdirectories of a format-5 bundle — but
     nothing else, so a user-supplied output directory that happens to
     hold other files is safe. Building into a reused directory without
     clearing first would mix stale and fresh data: a reopened
@@ -92,8 +92,10 @@ def clear_offline_artifacts(directory: str) -> None:
         for stale in (path, path + TEMP_SUFFIX):
             if os.path.exists(stale):
                 os.remove(stale)
-    for stale in list_shard_directories(directory):
-        shutil.rmtree(stale, ignore_errors=True)
+    for name in os.listdir(directory):
+        suffix = name[len(_LEGACY_SHARD_PREFIX):]
+        if name.startswith(_LEGACY_SHARD_PREFIX) and suffix.isdigit():
+            shutil.rmtree(os.path.join(directory, name), ignore_errors=True)
 
 
 def save_offline(
@@ -101,21 +103,12 @@ def save_offline(
 ) -> None:
     """Write the offline phase's artifacts into ``directory``.
 
-    The index's store is persisted by :func:`_persist_store` — per child,
-    each into its own ``shard-NN/`` subdirectory, when it is sharded —
-    and the metadata is committed after every store.
+    The index's store is persisted by :func:`_persist_store`, and the
+    metadata is committed after it.
     """
-    store = index.store
-    if isinstance(store, ShardedPathStore):
-        num_shards = len(store.children)
-        for shard_id, child in enumerate(store.children):
-            _persist_store(child, shard_directory(directory, shard_id))
-    else:
-        num_shards = 0
-        _persist_store(store, directory)
+    _persist_store(index.store, directory)
     meta = {
         "version": FORMAT_VERSION,
-        "num_shards": num_shards,
         "histograms": index.histograms,
         "max_length": index.max_length,
         "beta": index.beta,
@@ -150,7 +143,7 @@ def load_offline(directory: str) -> tuple:
             f"unsupported offline bundle version in {directory!r}"
         )
     try:
-        store = open_store(directory, meta["num_shards"])
+        store = DiskPathStore(directory)
     except StorageError as exc:
         raise IndexError_(
             f"damaged path store in offline bundle {directory!r}: {exc}"

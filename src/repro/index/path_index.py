@@ -10,8 +10,8 @@ scan starts is asked of the index's ``grid``
 (:class:`~repro.index.grid.BucketGrid`), which filed the paths.
 
 :class:`PathIndex` is the one store-backed implementation of the
-:class:`~repro.index.protocol.PathIndexProtocol`; hash-partitioning is
-a property of its store (:mod:`repro.index.sharded`).
+:class:`~repro.index.protocol.PathIndexProtocol`, over one
+:class:`~repro.storage.kvstore.PathStore` (in memory or on disk).
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """The common lookup protocol every path-index implementation speaks.
 
-Three implementations share this contract:
+Two implementations share this contract:
 
 * :class:`~repro.index.path_index.PathIndex` — the one store-backed
-  index (its store may be hash-sharded; the index cannot tell),
-* :class:`~repro.index.batch.BatchLookupIndex` — a caching view used by
-  batched query execution,
+  index,
 * :class:`~repro.delta.overlay.DeltaOverlayIndex` — a live-update view
   over a :class:`PathIndex`.
 
@@ -39,20 +37,12 @@ from repro.utils.errors import IndexError_
 def store_read_totals(index) -> tuple:
     """``(read_ops, bytes_read)`` served so far by the store behind ``index``.
 
-    Unwraps caching and overlay views (``.inner`` of a batch view,
-    ``.base`` of a delta overlay) down to the store-backed
+    Unwraps a delta overlay (its ``.base``) down to the store-backed
     :class:`~repro.index.path_index.PathIndex`. The engine snapshots
     these totals around its lookup stage to attribute store traffic to
     individual queries.
     """
-    for _ in range(8):  # wrapper chains are short; bound the walk
-        inner = getattr(index, "inner", None)
-        if inner is None:
-            inner = getattr(index, "base", None)
-        if inner is None:
-            break
-        index = inner
-    store = index.store
+    store = getattr(index, "base", index).store
     return store.read_count, store.bytes_read
 
 

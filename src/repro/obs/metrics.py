@@ -1,7 +1,7 @@
 """Process-wide metrics: counters, gauges, log-bucketed histograms.
 
 :class:`MetricsRegistry` hands out named instruments, optionally
-distinguished by labels (``registry.counter("fetches", shard="03")``).
+distinguished by labels (``registry.histogram("seconds", stage="lookup")``).
 Requesting the same name/labels pair returns the same instrument, so
 hot paths can cache a handle once and skip the lookup thereafter.
 

@@ -3,7 +3,7 @@
 A :class:`Span` is one timed node of a trace tree: it records wall-clock
 start/end, free-form attributes, monotonically increasing counters and
 child spans. Spans are context managers; entering a span pushes it onto
-a thread-local stack so deeply nested code (index shards, the delta
+a thread-local stack so deeply nested code (the candidate finder, the delta
 overlay) can attach counters to the innermost active span via
 :func:`current_span` without threading a handle through every call
 signature.

@@ -258,7 +258,9 @@ def partition_into_components(
 
     Returns a list of ``(references, entities)`` tuples in deterministic
     order. Union-find over references; every reference set connects all
-    of its references.
+    of its references, so a (non-empty) set belongs to the component of
+    the root of any one of them — the sets are grouped in one pass, not
+    rescanned per component.
     """
     parent: dict = {}
 
@@ -285,15 +287,13 @@ def partition_into_components(
     groups: dict = {}
     for ref in parent:
         groups.setdefault(find(ref), set()).add(ref)
+    members: dict = {}
+    for entity in set_potentials:
+        members.setdefault(find(next(iter(entity))), []).append(entity)
 
-    components = []
-    for refs in groups.values():
-        entities = tuple(
-            sorted(
-                (e for e in set_potentials if e <= refs),
-                key=repr,
-            )
-        )
-        components.append((frozenset(refs), entities))
+    components = [
+        (frozenset(refs), tuple(sorted(members[root], key=repr)))
+        for root, refs in groups.items()
+    ]
     components.sort(key=lambda item: min(repr(r) for r in item[0]))
     return components

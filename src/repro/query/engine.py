@@ -5,9 +5,7 @@
 builds the context-aware path index and the context tables) and answers probabilistic subgraph pattern matching
 queries online, producing both the matches and detailed statistics
 (timings, search-space progression) that the benchmark harness
-consumes. :meth:`QueryEngine.query_batch` evaluates many queries
-together, fetching each shared candidate label sequence from the index
-once per batch.
+consumes.
 """
 
 from __future__ import annotations
@@ -17,14 +15,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.index.batch import BatchLookupIndex
 from repro.index.builder import build_path_index
 from repro.index.context import ContextInformation, build_context
-from repro.index.protocol import (
-    PathIndexProtocol,
-    canonical_sequence,
-    store_read_totals,
-)
+from repro.index.protocol import PathIndexProtocol, store_read_totals
 from repro.obs.metrics import get_registry
 from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, Span, current_span
@@ -182,8 +175,8 @@ class QueryEngine:
         Index threshold and resolution.
     store:
         Optional :class:`~repro.storage.kvstore.PathStore` for the index
-        (defaults to in-memory); :func:`repro.index.sharded.open_store`
-        makes disk-backed and hash-sharded ones.
+        (defaults to in-memory; a
+        :class:`~repro.storage.kvstore.DiskPathStore` puts it on disk).
     build_processes:
         Process-pool workers for the index enumeration (see
         :class:`~repro.index.builder.PathIndexBuilder`).
@@ -335,7 +328,7 @@ class QueryEngine:
     ) -> QueryResult:
         """Find all matches of ``query`` with probability >= ``alpha``."""
         options = options or QueryOptions()
-        span = self._query_span("query", options)
+        span = self._query_span(options)
         recorder = StageRecorder(span)
 
         with span:
@@ -346,14 +339,13 @@ class QueryEngine:
                 query, alpha, options, recorder
             )
             result = self._evaluate(
-                query, alpha, options, self.index, decomposition, plan_info,
-                recorder,
+                query, alpha, options, decomposition, plan_info, recorder
             )
         if options.trace and span.enabled:
             result.trace = span.to_dict()
         return result
 
-    def _query_span(self, name: str, options: QueryOptions):
+    def _query_span(self, options: QueryOptions):
         """Root (or ambient child) span of one evaluation.
 
         A real span is created when an outer span is active — the
@@ -363,83 +355,10 @@ class QueryEngine:
         """
         parent = current_span()
         if parent.enabled:
-            return parent.child(name)
+            return parent.child("query")
         if options.trace:
-            return Span(name)
+            return Span("query")
         return NULL_SPAN
-
-    def query_batch(
-        self,
-        requests,
-        options: QueryOptions | None = None,
-    ) -> list:
-        """Evaluate a batch of ``(query, alpha)`` requests together.
-
-        Queries in a batch frequently share candidate label sequences
-        (the same decomposition path shapes recur across a workload);
-        evaluating them through one
-        :class:`~repro.index.batch.BatchLookupIndex` fetches every
-        distinct canonical sequence from the store once per batch — at
-        the batch-wide minimum threshold per sequence — instead of once
-        per query. Results are returned in request order and are
-        identical to evaluating each request through :meth:`query`.
-        """
-        requests = [(query, float(alpha)) for query, alpha in requests]
-        options = options or QueryOptions()
-        batch_span = self._query_span("query_batch", options)
-        results = []
-        with batch_span:
-            if batch_span.enabled:
-                batch_span.set("requests", len(requests))
-            plans = []
-            for query, alpha in requests:
-                recorder = StageRecorder(batch_span)
-                decomposition, plan_info = self._plan(
-                    query, alpha, options, recorder
-                )
-                plans.append(
-                    (query, alpha, decomposition, plan_info, recorder)
-                )
-
-            batch_index = BatchLookupIndex(self.index)
-            with batch_span.child("prefetch") as prefetch_span:
-                shared = self._shared_lookups(plans)
-                for canonical, alpha in shared:
-                    batch_index.prefetch(canonical, alpha)
-                if prefetch_span.enabled:
-                    prefetch_span.set("sequences", len(shared))
-
-            for query, alpha, decomposition, plan_info, recorder in plans:
-                with batch_span.child("query") as query_span:
-                    if query_span.enabled:
-                        query_span.set("alpha", alpha)
-                    recorder.span = query_span
-                    result = self._evaluate(
-                        query, alpha, options, batch_index, decomposition,
-                        plan_info, recorder,
-                    )
-                if options.trace and query_span.enabled:
-                    result.trace = query_span.to_dict()
-                results.append(result)
-        return results
-
-    def _shared_lookups(self, plans) -> list:
-        """Distinct canonical sequences a batch needs, with the minimum
-        alpha per sequence, in a deterministic order."""
-        needed: dict = {}
-        for query, alpha, decomposition, _plan_info, _ in plans:
-            if alpha < self.index.beta:
-                # Below-beta thresholds bypass the index entirely
-                # (on-demand enumeration); nothing to prefetch.
-                continue
-            for path in decomposition.paths:
-                canonical = canonical_sequence(
-                    query.label_sequence(path.nodes)
-                )
-                previous = needed.get(canonical)
-                if previous is None or alpha < previous:
-                    needed[canonical] = alpha
-        return sorted(needed.items(), key=lambda item: repr(item[0]))
 
     def _build_links(self, decomposition, candidates, alpha, options):
         """Candidate links via the selected builder; ``(links, stats)``."""
@@ -521,7 +440,6 @@ class QueryEngine:
         query: QueryGraph,
         alpha: float,
         options: QueryOptions,
-        index: PathIndexProtocol,
         decomposition,
         plan_info,
         recorder: StageRecorder,
@@ -534,6 +452,7 @@ class QueryEngine:
         lifecycle and export.
         """
         span = recorder.span
+        index = self.index
         # 2. Path candidates (index lookup + context pruning).
         finder = CandidateFinder(
             self.peg,

@@ -6,13 +6,10 @@ online phase. This package supplies the serving layer the split calls
 for:
 
 * :class:`~repro.service.service.QueryService` — a shared, immutable
-  engine behind a worker pool, with LRU result caching, single-flight
-  deduplication of identical concurrent requests, and grouped batch
-  submission (:meth:`~repro.service.service.QueryService.submit_batch`)
-  that evaluates a whole batch through
-  :meth:`~repro.query.engine.QueryEngine.query_batch` so candidate
-  label sequences shared across the batch are fetched from the
-  (possibly sharded) index store once,
+  engine behind a worker pool, with LRU result caching and
+  single-flight deduplication of identical concurrent requests; every
+  request takes one path, :meth:`~repro.service.service.QueryService.submit`,
+  to the engine,
 * :class:`~repro.utils.lru.ResultCache` — the thread-safe LRU
   keyed by canonical query signatures,
 * :class:`~repro.service.stats.ServiceStats` — hits/misses, dedups,

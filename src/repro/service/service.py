@@ -12,9 +12,6 @@ and serves many online queries against it:
 * identical concurrent requests are collapsed by single-flight
   deduplication: the first becomes the leader, later arrivals attach to
   the leader's future instead of re-evaluating;
-* a batch of requests can be submitted as one grouped evaluation
-  (:meth:`QueryService.submit_batch`), fetching candidate label
-  sequences shared across the batch from the index store once;
 * the offline phase can be snapshotted to disk and warm-started on the
   next process via :meth:`snapshot` / :meth:`from_snapshot` /
   :meth:`open`.
@@ -33,9 +30,8 @@ from concurrent.futures import (
 )
 
 from repro.index.bundle import clear_offline_artifacts
-from repro.index.sharded import open_store
 from repro.obs.metrics import get_registry
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, use_span
+from repro.obs.trace import NULL_TRACER, use_span
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.engine import QueryEngine, QueryOptions, QueryResult
 from repro.query.query_graph import QueryGraph
@@ -43,7 +39,6 @@ from repro.service.stats import ServiceStats
 from repro.testing import faults
 from repro.utils.errors import (
     DeadlineExceeded,
-    QueryError,
     ServiceError,
     ServiceUnavailable,
 )
@@ -66,11 +61,6 @@ def _process_worker_query(query, alpha, options, deadline=None):
             "deadline expired before the evaluation started"
         )
     return _WORKER_ENGINE.query(query, alpha, options)
-
-
-def _process_worker_query_batch(requests, options):
-    """Evaluate one grouped batch on the worker's warm-started engine."""
-    return _WORKER_ENGINE.query_batch(requests, options)
 
 
 #: :class:`QueryOptions` fields deliberately excluded from
@@ -242,7 +232,6 @@ class QueryService:
         beta: float = 0.1,
         gamma: float = 0.1,
         snapshot_dir: str | None = None,
-        num_shards: int = 0,
         build_processes: int = 0,
         **service_kwargs,
     ) -> "QueryService":
@@ -250,10 +239,8 @@ class QueryService:
 
         When ``snapshot_dir`` is given, earlier offline artifacts there
         are cleared and the freshly built ones persisted immediately,
-        ready for :meth:`from_snapshot` on the next process.
-        ``num_shards`` >= 1 hash-shards the index's store (built
-        directly inside ``snapshot_dir``; an unsharded index is built in
-        memory and copied there), and ``build_processes`` > 1
+        ready for :meth:`from_snapshot` on the next process (the index
+        is built in memory and copied there). ``build_processes`` > 1
         parallelizes the build on a process pool.
         """
         if snapshot_dir is not None:
@@ -263,7 +250,6 @@ class QueryService:
             max_length=max_length,
             beta=beta,
             gamma=gamma,
-            store=open_store(snapshot_dir if num_shards else None, num_shards),
             build_processes=build_processes,
         )
         if snapshot_dir is not None:
@@ -297,7 +283,6 @@ class QueryService:
         max_length: int = 3,
         beta: float = 0.1,
         gamma: float = 0.1,
-        num_shards: int = 0,
         build_processes: int = 0,
         **service_kwargs,
     ) -> "QueryService":
@@ -308,7 +293,7 @@ class QueryService:
         (``service.warm_started`` tells which happened).
 
         On a warm start the build parameters (``max_length``, ``beta``,
-        ``gamma``, ``num_shards``, ``build_processes``) are ignored — the snapshot's own
+        ``gamma``, ``build_processes``) are ignored — the snapshot's own
         parameters win; check ``engine.max_length`` /
         ``engine.index.beta`` after opening. Delete the snapshot
         directory to rebuild with different parameters.
@@ -324,7 +309,6 @@ class QueryService:
                 beta=beta,
                 gamma=gamma,
                 snapshot_dir=snapshot_dir,
-                num_shards=num_shards,
                 build_processes=build_processes,
                 **service_kwargs,
             )
@@ -342,7 +326,7 @@ class QueryService:
         query: QueryGraph,
         alpha: float,
         options: QueryOptions,
-        span=NULL_SPAN,
+        span,
     ) -> tuple:
         """Resolve one request against the cache and in-flight registry.
 
@@ -351,7 +335,7 @@ class QueryService:
         evaluation (dedup); otherwise the request was registered
         in-flight under ``key`` and the caller owns evaluating it and
         completing the future (via :meth:`_finish` /
-        :meth:`_finish_batch` / :meth:`_abort_submission`). The
+        :meth:`_abort_submission`). The
         admission outcome is recorded on ``span`` here, where it is
         decided, so the attribute can never disagree with the stats.
         """
@@ -460,7 +444,7 @@ class QueryService:
         span.begin()
         try:
             span.set("alpha", float(alpha))
-            future, key = self._admit(query, alpha, options, span=span)
+            future, key = self._admit(query, alpha, options, span)
         except BaseException:
             # Refused (admission-pause timeout, closed) or malformed
             # (request_key raised): the request's lifecycle ends here.
@@ -545,113 +529,10 @@ class QueryService:
         """Evaluate a batch concurrently; results in request order.
 
         Each query becomes its own evaluation task (maximum worker
-        parallelism). For workloads whose queries share candidate label
-        sequences, :meth:`submit_batch` trades that parallelism for
-        shared index fetches.
+        parallelism).
         """
         futures = [self.submit(q, alpha, options) for q in queries]
         return [future.result() for future in futures]
-
-    def submit_batch(
-        self,
-        requests,
-        options: QueryOptions | None = None,
-    ) -> list:
-        """Enqueue ``(query, alpha)`` requests as one grouped evaluation.
-
-        Returns one future per request, in request order. Cache hits
-        resolve immediately and requests identical (up to node renaming)
-        to in-flight evaluations — including earlier entries of the same
-        batch — attach to the existing future; only the residual misses
-        are evaluated, together, through
-        :meth:`repro.query.engine.QueryEngine.query_batch`, so candidate
-        label sequences shared across the batch are fetched from the
-        (possibly sharded) index store once instead of once per query.
-
-        The grouped evaluation runs as a single task on one worker:
-        batching trades per-query worker parallelism for shared fetches,
-        which wins when the store is the bottleneck (disk-backed or
-        sharded indexes, I/O-bound serving) and mixed traffic keeps the
-        remaining workers busy.
-
-        A malformed request (invalid threshold, broken query) resolves
-        to its own error future without joining the grouped evaluation
-        — one bad request must not deny results to the rest of the
-        batch, and nothing is registered in-flight for it.
-        """
-        with self._gate:
-            if self._closed:
-                raise ServiceError("service is closed")
-        options = options or self.default_options
-        futures: list = []
-        to_eval: list = []
-        for query, alpha in requests:
-            try:
-                if not 0.0 < alpha <= 1.0:
-                    raise QueryError(f"alpha must be in (0, 1], got {alpha}")
-                # _admit registers in-flight only after request_key
-                # succeeds, so a malformed request caught here has
-                # nothing to unwind. Dedup also covers duplicates
-                # earlier in this same batch.
-                future, key = self._admit(query, alpha, options)
-            except ServiceError:
-                # The service closed mid-batch; the remaining requests
-                # cannot be admitted at all.
-                raise
-            except Exception as exc:
-                future = Future()
-                future.set_exception(
-                    exc if isinstance(exc, QueryError) else QueryError(
-                        f"malformed batch request: {exc}"
-                    )
-                )
-                futures.append(future)
-                continue
-            futures.append(future)
-            if key is not None:
-                to_eval.append((key, future, query, alpha))
-        if not to_eval:
-            return futures
-        batch = [(query, alpha) for _, _, query, alpha in to_eval]
-        start = time.perf_counter()
-        try:
-            if self.executor_kind == "process":
-                task = self._executor.submit(
-                    _process_worker_query_batch, batch, options
-                )
-            else:
-                task = self._executor.submit(
-                    self._run_query_batch, batch, options, start
-                )
-        except RuntimeError as exc:
-            for key, future, _, _ in to_eval:
-                self._abort_submission(key, future, start, exc)
-            return futures
-        task.add_done_callback(
-            functools.partial(
-                self._finish_batch,
-                [(key, future) for key, future, _, _ in to_eval],
-                start,
-            )
-        )
-        return futures
-
-    def _run_query_batch(self, batch, options, submitted) -> list:
-        """Worker-side wrapper of one grouped evaluation (queue wait only;
-        the engine's ``query_batch`` builds its own span structure when a
-        trace is requested)."""
-        self.stats.record_queue_wait(time.perf_counter() - submitted)
-        return self.engine.query_batch(batch, options)
-
-    def query_batch(
-        self,
-        requests,
-        options: QueryOptions | None = None,
-        timeout: float | None = None,
-    ) -> list:
-        """Blocking convenience wrapper around :meth:`submit_batch`."""
-        futures = self.submit_batch(requests, options)
-        return [future.result(timeout) for future in futures]
 
     @staticmethod
     def _task_outcome(task) -> tuple:
@@ -705,25 +586,6 @@ class QueryService:
         self.stats.record_attached_done(
             time.perf_counter() - start, error=error
         )
-
-    def _finish_batch(self, items, start, task) -> None:
-        """Done-callback of one grouped evaluation: resolve every member."""
-        exc, results = self._task_outcome(task)
-        if exc is not None:
-            for key, future in items:
-                with self._gate:
-                    self._inflight.pop(key, None)
-                self.stats.record_done(
-                    time.perf_counter() - start, error=True
-                )
-                self._resolve(future, exc=exc)
-            return
-        for (key, future), result in zip(items, results):
-            self.cache.put(key, result)
-            with self._gate:
-                self._inflight.pop(key, None)
-            self.stats.record_done(time.perf_counter() - start)
-            self._resolve(future, result=result)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -13,13 +13,9 @@ Two implementations share the :class:`PathStore` interface:
 :class:`InMemoryPathStore` for tests and small workloads, and
 :class:`DiskPathStore` for the paper's disk-based setting.
 
-Both count the read operations they serve (``read_count``), which the
-batched query path and its benchmarks use to show that grouping queries
-fetches each shard bucket range once instead of once per query. A
-sharded store (:class:`repro.index.sharded.ShardedPathStore`) lays its
-child stores out as ``shard-00/ ... shard-NN/`` subdirectories of one
-bundle directory; the :func:`shard_directory` /
-:func:`list_shard_directories` helpers define that naming in one place.
+Both count the read operations they serve and the bytes they hand
+out (``read_count`` / ``bytes_read``); the query engine attributes the
+deltas to each query's lookup stage.
 """
 
 from __future__ import annotations
@@ -330,30 +326,3 @@ class DiskPathStore(PathStore):
             finally:
                 self._log.close()
 
-
-# ----------------------------------------------------------------------
-# Shard-aware on-disk layout
-# ----------------------------------------------------------------------
-
-_SHARD_PREFIX = "shard-"
-
-
-def shard_directory(base_directory: str, shard_id: int) -> str:
-    """Directory holding shard ``shard_id``'s store under a bundle dir."""
-    if shard_id < 0:
-        raise StorageError(f"shard id must be >= 0, got {shard_id}")
-    return os.path.join(base_directory, f"{_SHARD_PREFIX}{shard_id:02d}")
-
-
-def list_shard_directories(base_directory: str) -> list:
-    """Existing shard store directories under ``base_directory``, in shard order."""
-    if not os.path.isdir(base_directory):
-        return []
-    shards = []
-    for name in os.listdir(base_directory):
-        if not name.startswith(_SHARD_PREFIX):
-            continue
-        suffix = name[len(_SHARD_PREFIX):]
-        if suffix.isdigit():
-            shards.append((int(suffix), os.path.join(base_directory, name)))
-    return [path for _, path in sorted(shards)]

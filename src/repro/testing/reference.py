@@ -35,12 +35,18 @@ per-node context build — as each ran before the graph kept its id view
 as columns (:class:`repro.peg.columns.PegColumns`). Every column, every
 ``*_id`` accessor, every probability-array gather and the column pass
 of :func:`repro.index.context.build_context` must equal them exactly.
+
+:func:`partition_into_components` is the identity-component partition
+as it ran before the sets were grouped by their union-find root
+(:func:`repro.peg.components.partition_into_components`): one
+``e <= refs`` scan over every reference set per component. The grouped
+partition must return the same list.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Sequence
+from typing import FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -742,3 +748,47 @@ def scalar_context(peg: ProbabilisticEntityGraph) -> tuple:
                 if p_full > fpu[node, pos]:
                     fpu[node, pos] = p_full
     return counts, ppu, fpu
+
+
+def partition_into_components(
+    set_potentials: Mapping[FrozenSet, float],
+) -> Sequence[Tuple[frozenset, tuple]]:
+    """Group reference sets into components by shared references,
+    scanning every set once per component."""
+    parent: dict = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for entity in set_potentials:
+        for ref in entity:
+            parent.setdefault(ref, ref)
+        refs = list(entity)
+        for other in refs[1:]:
+            union(refs[0], other)
+
+    groups: dict = {}
+    for ref in parent:
+        groups.setdefault(find(ref), set()).add(ref)
+
+    components = []
+    for refs in groups.values():
+        entities = tuple(
+            sorted(
+                (e for e in set_potentials if e <= refs),
+                key=repr,
+            )
+        )
+        components.append((frozenset(refs), entities))
+    components.sort(key=lambda item: min(repr(r) for r in item[0]))
+    return components

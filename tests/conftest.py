@@ -112,6 +112,32 @@ def store_content(store) -> dict:
     }
 
 
+def write_format5_bundle(peg, directory: str, **build) -> None:
+    """Lay out a bundle as format 5 wrote a two-shard index: the stores
+    under ``shard-00/`` and ``shard-01/``, no store at the root, and an
+    ``offline.meta`` saying ``version: 5, num_shards: 2``."""
+    import pickle
+
+    from repro.query import QueryEngine
+    from repro.storage.kvstore import DISK_STORE_FILENAMES, DiskPathStore
+
+    QueryEngine(peg, **build).save_offline(directory)
+    for shard in ("shard-00", "shard-01"):
+        os.makedirs(os.path.join(directory, shard))
+    for name in DISK_STORE_FILENAMES:
+        os.replace(
+            os.path.join(directory, name),
+            os.path.join(directory, "shard-00", name),
+        )
+    DiskPathStore(os.path.join(directory, "shard-01")).close()
+    meta_path = os.path.join(directory, "offline.meta")
+    with open(meta_path, "rb") as handle:
+        meta = pickle.load(handle)
+    meta.update(version=5, num_shards=2)
+    with open(meta_path, "wb") as handle:
+        pickle.dump(meta, handle)
+
+
 @pytest.fixture
 def random_peg():
     return small_random_peg(seed=42)

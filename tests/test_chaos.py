@@ -23,7 +23,6 @@ import time
 
 import pytest
 
-from repro.index import open_store
 from repro.index.bundle import load_offline
 from repro.net import QueryClient, protocol, start_server
 from repro.peg import build_peg
@@ -295,11 +294,10 @@ def fail_commit(nth: int) -> faults.FaultInjector:
     return faults.install(injector)
 
 
-def disk_content(directory, num_shards) -> list:
-    """What a fresh process finds there, store directory by store directory."""
-    with open_store(directory, num_shards) as store:
-        children = getattr(store, "children", [store])
-        return [store_content(child) for child in children]
+def disk_content(directory) -> dict:
+    """What a fresh process finds in the store there."""
+    with DiskPathStore(directory) as store:
+        return store_content(store)
 
 
 def lookups(engine, sequences) -> dict:
@@ -340,7 +338,7 @@ class TestCommitPoint:
             store.put_bucket(("a", "b"), 400, b"old-400")
             store.put_bucket(("a", "b"), 700, b"old-700")
             store.put_bucket(("c",), 500, b"old-c")
-        [before] = disk_content(directory, 0)
+        before = disk_content(directory)
 
         def rebuild(store):
             store.put_bucket(("a", "b"), 400, b"new-400")
@@ -355,26 +353,25 @@ class TestCommitPoint:
             store.close()
         faults.uninstall()
         assert os.path.exists(os.path.join(directory, "index.dir.tmp"))
-        assert disk_content(directory, 0) == [before]
+        assert disk_content(directory) == before
         with DiskPathStore(directory) as store:
             assert rebuild(store) == after
-        assert disk_content(directory, 0) == [after] != [before]
+        assert disk_content(directory) == after != before
         assert no_temporaries(directory)
 
-    @pytest.mark.parametrize("num_shards", [0, 2], ids=["plain", "sharded"])
     def test_rebuild_over_a_bundle_is_the_new_bundle_or_a_cold_start(
-        self, tmp_path, num_shards
+        self, tmp_path
     ):
         """``build`` clears before it writes, so until ``offline.meta``
         is renamed in there is no bundle and ``open`` builds one."""
         directory = str(tmp_path / "bundle")
         peg = commit_peg()
         query = QueryGraph({"a": sorted(peg.sigma)[0]}, [])
-        build = dict(max_length=L, beta=BETA, num_shards=num_shards)
+        build = dict(max_length=L, beta=BETA)
         with QueryService.build(peg, snapshot_dir=directory, **build) as ok:
             expected = ok.query(query, 0.3).matches
-        content = disk_content(directory, num_shards)
-        commits = max(num_shards, 1) + 1  # each store, then offline.meta
+        content = disk_content(directory)
+        commits = 2  # the store, then offline.meta
         for nth in range(commits + 1):
             injector = fail_commit(nth)
             if nth < commits:
@@ -390,68 +387,53 @@ class TestCommitPoint:
             with QueryService.open(peg, directory, **build) as service:
                 assert service.warm_started is (nth == commits)
                 assert service.query(query, 0.3).matches == expected
-            assert disk_content(directory, num_shards) == content
+            assert disk_content(directory) == content
             assert no_temporaries(directory)
 
-    @pytest.mark.parametrize("num_shards", [0, 3], ids=["plain", "sharded"])
-    def test_compaction_leaves_each_store_before_or_after(
-        self, tmp_path, num_shards
-    ):
+    def test_compaction_leaves_the_store_before_or_after(self, tmp_path):
         def opened(name):
             peg = commit_peg()
             directory = str(tmp_path / name)
-            QueryEngine(
-                peg, max_length=L, beta=BETA, store=open_store(None, num_shards)
-            ).save_offline(directory)
+            QueryEngine(peg, max_length=L, beta=BETA).save_offline(directory)
             return QueryEngine.from_saved(peg, directory), directory
 
         reference, reference_dir = opened("reference")
         ops = commit_ops(reference.peg)
-        before = disk_content(reference_dir, num_shards)
+        before = disk_content(reference_dir)
         reference.apply_updates(ops)
         reference.compact_updates()
-        after = disk_content(reference_dir, num_shards)
-        assert all(b != a for b, a in zip(before, after))
+        after = disk_content(reference_dir)
+        assert before != after
         sequences = reference.index.store.label_sequences()
         expected = lookups(reference, sequences)
 
-        for nth in range(max(num_shards, 1)):
-            engine, directory = opened(f"crash-{nth}")
-            engine.apply_updates(ops)
-            fail_commit(nth)
-            with pytest.raises(FaultError):
-                engine.compact_updates()
-            faults.uninstall()
-            found = disk_content(directory, num_shards)
-            # Stores flush in shard order: committed ones are after, the
-            # one that crashed and those behind it are still before.
-            assert found == after[:nth] + before[nth:]
-            # The engine that took the fault still answers correctly ...
-            assert lookups(engine, sequences) == expected
-            # ... and so does a restart: the bundle plus the replayed
-            # batch, whichever side of its rename each store is on.
-            restarted = QueryEngine.from_saved(commit_peg(), directory)
-            restarted.apply_updates(ops)
-            assert lookups(restarted, sequences) == expected
-            close_store(restarted)
-            # Retrying finishes the job.
+        engine, directory = opened("crash")
+        engine.apply_updates(ops)
+        fail_commit(0)
+        with pytest.raises(FaultError):
             engine.compact_updates()
-            assert disk_content(directory, num_shards) == after
-            assert no_temporaries(directory)
-            close_store(engine)
+        faults.uninstall()
+        # The store that crashed before its rename is still before.
+        assert disk_content(directory) == before
+        # The engine that took the fault still answers correctly ...
+        assert lookups(engine, sequences) == expected
+        # ... and so does a restart: the bundle plus the replayed batch.
+        restarted = QueryEngine.from_saved(commit_peg(), directory)
+        restarted.apply_updates(ops)
+        assert lookups(restarted, sequences) == expected
+        close_store(restarted)
+        # Retrying finishes the job.
+        engine.compact_updates()
+        assert disk_content(directory) == after
+        assert no_temporaries(directory)
+        close_store(engine)
         close_store(reference)
 
-    @pytest.mark.parametrize("num_shards", [0, 2], ids=["plain", "sharded"])
-    def test_save_offline_is_no_bundle_until_its_last_rename(
-        self, tmp_path, num_shards
-    ):
+    def test_save_offline_is_no_bundle_until_its_last_rename(self, tmp_path):
         peg = commit_peg()
-        engine = QueryEngine(
-            peg, max_length=L, beta=BETA, store=open_store(None, num_shards)
-        )
-        children = getattr(engine.index.store, "children", [engine.index.store])
-        content = [store_content(child) for child in children]
-        commits = len(children) + 1  # each store, then offline.meta
+        engine = QueryEngine(peg, max_length=L, beta=BETA)
+        content = store_content(engine.index.store)
+        commits = 2  # the store, then offline.meta
         for nth in range(commits):
             directory = str(tmp_path / f"crash-{nth}")
             fail_commit(nth)
@@ -460,12 +442,11 @@ class TestCommitPoint:
             faults.uninstall()
             with pytest.raises(IndexError_, match="no offline bundle"):
                 load_offline(directory)
-            # Each store that got its rename is complete; the rest are
-            # empty, and a retry over the leftovers is the whole bundle.
-            found = disk_content(directory, num_shards)
-            assert found == content[:nth] + [{}] * (len(children) - nth)
+            # The store is complete once it got its rename, empty before,
+            # and a retry over the leftovers is the whole bundle.
+            assert disk_content(directory) == (content if nth else {})
             engine.save_offline(directory)
-            assert disk_content(directory, num_shards) == content
+            assert disk_content(directory) == content
             index, _context = load_offline(directory)
             assert index.num_paths() == engine.index.num_paths()
             index.store.close()

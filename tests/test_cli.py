@@ -1,11 +1,13 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.peg import load_peg
+from tests.conftest import write_format5_bundle
 
 
 @pytest.fixture
@@ -128,14 +130,14 @@ class TestQuery:
         assert main(
             [
                 "query", peg_file, "--spec", spec, "--alpha", "0.2",
-                "--max-length", "1", "--shards", "2", "--trace",
+                "--max-length", "1", "--trace",
             ]
         ) == 0
         out = capsys.readouterr().out
         for stage in ("plan", "lookup", "partition", "link_build",
                       "reduce", "match"):
             assert stage in out
-        assert "shard_fetches[" in out
+        assert "store_reads" in out
         assert "ms" in out
 
     def test_query_trace_with_explain(self, peg_file, tmp_path, capsys):
@@ -265,31 +267,6 @@ class TestServe:
         ) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_serve_batch_mode(self, peg_file, tmp_path, capsys):
-        workload = self.write_workload(tmp_path)
-        assert main(
-            [
-                "serve", peg_file, "--queries", workload,
-                "--alpha", "0.2", "--batch", "--repeat", "2", "--stats",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "query 0" in out and "query 1" in out
-        assert "hits" in out
-
-    def test_serve_cold_start_sharded(self, peg_file, tmp_path, capsys):
-        workload = self.write_workload(tmp_path)
-        snapshot = str(tmp_path / "sharded-bundle")
-        assert main(
-            [
-                "serve", peg_file, "--snapshot", snapshot,
-                "--queries", workload, "--alpha", "0.2", "--shards", "3",
-            ]
-        ) == 0
-        assert "cold start" in capsys.readouterr().out
-        assert (tmp_path / "sharded-bundle" / "shard-00").is_dir()
-
-
 class TestBuild:
     def test_build_then_warm_serve(self, peg_file, tmp_path, capsys):
         bundle = str(tmp_path / "bundle")
@@ -300,7 +277,7 @@ class TestBuild:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "monolithic index" in out and "paths" in out
+        assert "wrote offline bundle" in out and "paths" in out
 
         workload = tmp_path / "w.jsonl"
         workload.write_text(json.dumps(
@@ -314,19 +291,8 @@ class TestBuild:
         ) == 0
         assert "warm start" in capsys.readouterr().out
 
-    def test_build_sharded(self, peg_file, tmp_path, capsys):
-        bundle = str(tmp_path / "bundle")
-        assert main(
-            [
-                "build", peg_file, "--out", bundle, "--shards", "4",
-                "--max-length", "1", "--beta", "0.2",
-            ]
-        ) == 0
-        assert "4 shards" in capsys.readouterr().out
-        assert (tmp_path / "bundle" / "shard-03").is_dir()
-
-    def test_build_processes_need_no_shards(self, peg_file, tmp_path, capsys):
-        """The pool parallelizes the enumeration, whatever the store."""
+    def test_build_processes_match_serial(self, peg_file, tmp_path, capsys):
+        """The pool parallelizes the enumeration into the one store."""
         from repro.index.bundle import load_offline
 
         common = ["--max-length", "1", "--beta", "0.2"]
@@ -335,7 +301,7 @@ class TestBuild:
             ["build", peg_file, "--out", parallel, "--build-processes", "2"]
             + common
         ) == 0
-        assert "monolithic index" in capsys.readouterr().out
+        assert "wrote offline bundle" in capsys.readouterr().out
         assert main(["build", peg_file, "--out", serial] + common) == 0
         built, _ = load_offline(parallel)
         expected, _ = load_offline(serial)
@@ -378,17 +344,16 @@ class TestBuild:
                 expected.lookup(seq, 0.5)
             )
 
-    def test_rebuild_unsharded_over_sharded(self, peg_file, tmp_path):
+    def test_build_over_a_format5_bundle_sweeps_its_shards(
+        self, peg_file, tmp_path
+    ):
         from repro.index.bundle import load_offline
         from repro.storage import DiskPathStore
 
         bundle = str(tmp_path / "bundle")
-        assert main(
-            [
-                "build", peg_file, "--out", bundle, "--shards", "3",
-                "--max-length", "1", "--beta", "0.2",
-            ]
-        ) == 0
+        write_format5_bundle(
+            load_peg(peg_file), bundle, max_length=1, beta=0.2
+        )
         assert main(
             [
                 "build", peg_file, "--out", bundle,
@@ -397,7 +362,11 @@ class TestBuild:
         ) == 0
         index, _ = load_offline(bundle)
         assert isinstance(index.store, DiskPathStore)
-        assert not (tmp_path / "bundle" / "shard-00").exists()
+        assert index.num_paths() > 0
+        assert not any(
+            name.startswith("shard-") for name in os.listdir(bundle)
+        )
+        index.store.close()
 
     def test_serve_build_processes_need_no_snapshot(
         self, peg_file, tmp_path, capsys
@@ -407,14 +376,13 @@ class TestBuild:
             {"nodes": {"a": "L0", "b": "L1"}, "edges": [["a", "b"]]}
         ))
         outputs = []
-        for extra in ([], ["--build-processes", "2"],
-                      ["--shards", "2", "--build-processes", "2"]):
+        for extra in ([], ["--build-processes", "2"]):
             assert main(
                 ["serve", peg_file, "--queries", str(workload),
                  "--max-length", "1", "--alpha", "0.2"] + extra
             ) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_negative_build_processes_rejected(self, peg_file, tmp_path, capsys):
         assert main(

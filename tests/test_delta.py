@@ -20,11 +20,11 @@ from repro.delta import (
     op_to_json,
 )
 from repro.datasets import random_query
-from repro.index import open_store
 from repro.pgd import BernoulliEdge, ConditionalEdge, pgd_from_edge_list
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
+from repro.storage import DiskPathStore
 from repro.utils.errors import DeltaError, IndexError_, ServiceError
 from tests.conftest import small_random_peg, store_content
 from tests.test_differential_random import assert_delta_equivalence
@@ -336,68 +336,50 @@ class TestApplyAndCompact:
         # Histograms trued up: path counts match the rebuild exactly.
         assert engine.index.num_paths() == rebuilt.index.num_paths()
 
-    def test_sharded_compact_matches_rebuild(self, peg):
-        engine = QueryEngine(
-            peg, max_length=2, beta=0.05, store=open_store(None, 3)
-        )
-        sigma = sorted(peg.sigma, key=repr)
-        anchor = singleton_ids(peg)[0]
-        engine.apply_updates([
-            AddEntity(("s-1",), {sigma[0]: 1.0}, 0.9),
-            AddEdge(refs(peg, anchor), ("s-1",), BernoulliEdge(0.8)),
-        ])
-        rebuilt = QueryEngine(
-            peg, max_length=2, beta=0.05, store=open_store(None, 3)
-        )
-        assert_index_agrees(engine, rebuilt)
-        engine.compact_updates()
-        assert_index_agrees(engine, rebuilt)
-        assert engine.index.num_paths() == rebuilt.index.num_paths()
-
-    def test_sharded_overlay_equals_unsharded(self, tmp_path):
-        """The overlay cannot tell a sharded base store from a plain one:
-        same introspection before compaction, same store content after —
-        and compaction's one ``base.store.flush()`` reaches every child."""
+    def test_disk_overlay_equals_memory(self, tmp_path):
+        """The overlay cannot tell a disk base store from an in-memory
+        one: same introspection before compaction, same store content
+        after — and compaction's ``base.store.flush()`` reaches disk."""
         plain_peg = small_random_peg(seed=1234, num_references=40)
-        sharded_peg = small_random_peg(seed=1234, num_references=40)
+        disk_peg = small_random_peg(seed=1234, num_references=40)
         plain = QueryEngine(plain_peg, max_length=2, beta=0.05)
-        sharded = QueryEngine(
-            sharded_peg, max_length=2, beta=0.05,
-            store=open_store(str(tmp_path), 4),
+        disk = QueryEngine(
+            disk_peg, max_length=2, beta=0.05,
+            store=DiskPathStore(str(tmp_path)),
         )
         sigma = sorted(plain_peg.sigma, key=repr)
         anchor = refs(plain_peg, singleton_ids(plain_peg)[0])
-        for engine in (plain, sharded):
+        for engine in (plain, disk):
             engine.apply_updates([
                 AddEntity(("s-1",), {sigma[0]: 0.6, "fresh-label": 0.4}, 0.9),
                 AddEdge(anchor, ("s-1",), BernoulliEdge(0.8)),
             ])
-        assert isinstance(sharded.index, DeltaOverlayIndex)
-        assert sharded.index.num_sequences() == plain.index.num_sequences()
+        assert isinstance(disk.index, DeltaOverlayIndex)
+        assert disk.index.num_sequences() == plain.index.num_sequences()
         assert (
-            sharded.index.num_sequences()
-            > sharded.index.base.num_sequences()
+            disk.index.num_sequences()
+            > disk.index.base.num_sequences()
         )
-        assert sharded.index.num_paths() == plain.index.num_paths()
+        assert disk.index.num_paths() == plain.index.num_paths()
 
         def comparable(stats):
             return {k: v for k, v in stats.items() if k != "build_seconds"}
 
         plain_stats = comparable(plain.index.stats())
-        sharded_stats = comparable(sharded.index.stats())
+        disk_stats = comparable(disk.index.stats())
         # Disk and memory stores measure their footprint differently.
-        assert sharded_stats.pop("size_bytes") > 0
+        assert disk_stats.pop("size_bytes") > 0
         plain_stats.pop("size_bytes")
-        assert sharded_stats == plain_stats
+        assert disk_stats == plain_stats
 
-        assert sharded.compact_updates() == plain.compact_updates()
-        assert_index_agrees(sharded, plain)
+        assert disk.compact_updates() == plain.compact_updates()
+        assert_index_agrees(disk, plain)
 
-        with open_store(str(tmp_path), 4) as reopened:
+        with DiskPathStore(str(tmp_path)) as reopened:
             assert store_content(reopened) == store_content(
                 plain.index.store
             )
-        sharded.index.store.close()
+        disk.index.store.close()
 
     def test_save_offline_requires_compaction(self, tmp_path, peg, engine):
         sigma = sorted(peg.sigma, key=repr)

@@ -1,4 +1,4 @@
-"""Randomized differential harness: sharded vs unsharded vs brute force.
+"""Randomized differential harness: vectorized vs Python vs brute force.
 
 For a stream of small random PEGs and random queries, four independent
 evaluation routes must agree *exactly* — same match sets, same
@@ -11,8 +11,8 @@ probabilities:
    matcher) — which must additionally agree with the vectorized backend
    on the reduction statistics (partition sizes, removal and link
    counts),
-3. the optimized engine over a hash-sharded store (both per
-   query and through batched execution),
+3. the optimized engine forced onto the per-vertex reference link
+   builder,
 4. planned execution through :mod:`repro.query.plan` — the exact
    decomposition strategy, a plan-cache hit of it, and (throughout,
    since every engine here runs with the defaults) feedback-corrected
@@ -47,13 +47,7 @@ from repro.datasets import (
     generate_synthetic_pgd,
     random_query,
 )
-from repro.index import (
-    BatchLookupIndex,
-    build_path_index,
-    canonical_sequence,
-    is_palindrome,
-    open_store,
-)
+from repro.index import build_path_index, canonical_sequence, is_palindrome
 from repro.index import builder as index_builder
 from repro.index.builder import PathIndexBuilder
 from repro.index.context import build_context
@@ -67,6 +61,7 @@ from repro.index.protocol import orient_to_sequence
 from repro.obs.trace import Span
 from repro.peg import build_peg
 from repro.peg.arrays import PegProbabilityArrays
+from repro.peg.components import partition_into_components
 from repro.pgd import PGD, ConditionalEdge
 from repro.query import QueryEngine, QueryGraph, QueryOptions, exhaustive_matches
 from repro.query.candidates import CandidateFinder
@@ -79,6 +74,9 @@ from repro.testing.reference import (
     PerPairKPartiteGraph,
     ScalarCandidateFinder,
     TuplePathEnumeration,
+)
+from repro.testing.reference import (
+    partition_into_components as partition_by_scan,
 )
 from tests.conftest import (
     sampled_component_peg,
@@ -132,15 +130,14 @@ def candidate_records(candidates):
 
 def assert_lookup_equivalence(
     engine, query, alpha, context, options=QueryOptions(), *,
-    paths=None, index=None, use_context=True,
+    paths=None, use_context=True,
 ):
     """The array finder and the scalar oracle agree row for row.
 
     Both read the *same* live index (``engine.index`` — overlay or
-    compacted base included — unless ``index`` substitutes a view of
-    it) and must return the same raw count and the same kept rows in
-    the same order, ``prle``/``prn`` ``.hex()``-equal; the array finder
-    returns them as columns. ``paths`` defaults to the planned
+    compacted base included) and must return the same raw count and the
+    same kept rows in the same order, ``prle``/``prn`` ``.hex()``-equal;
+    the array finder returns them as columns. ``paths`` defaults to the planned
     decomposition's. Returns the span the array finder reported into.
     """
     if paths is None:
@@ -148,7 +145,7 @@ def assert_lookup_equivalence(
     array, scalar = (
         finder(
             engine.peg, query, alpha,
-            index=engine.index if index is None else index,
+            index=engine.index,
             context=engine.context, use_context=use_context,
         )
         for finder in (CandidateFinder, ScalarCandidateFinder)
@@ -322,7 +319,6 @@ QUERIES_PER_GRAPH = 4
 ALPHAS = (0.15, 0.45)
 #: The reduction differential adds one alpha below BETA (on-demand lookups).
 REDUCTION_ALPHAS = (0.02, *ALPHAS)
-NUM_SHARDS = 3
 MAX_LENGTH = 2
 BETA = 0.05
 
@@ -401,46 +397,33 @@ def _cases():
 )
 def test_differential_agreement(graph_index, config, query_seed):
     peg = build_peg(generate_synthetic_pgd(config))
-    unsharded = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    sharded = QueryEngine(
-        peg, max_length=MAX_LENGTH, beta=BETA,
-        store=open_store(None, NUM_SHARDS),
-    )
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     rng = random.Random(query_seed)
     sigma = sorted(peg.sigma, key=repr)
     queries = _random_queries(rng, sigma)
-
-    batch = [
-        (query, alpha) for query in queries for alpha in ALPHAS
-    ]
-    batched_results = sharded.query_batch(batch)
 
     case = 0
     for query in queries:
         for alpha in ALPHAS:
             oracle = match_keys(exhaustive_matches(peg, query, alpha))
-            vectorized = unsharded.query(query, alpha, VECTOR_BACKEND)
-            python = unsharded.query(query, alpha, PYTHON_BACKEND)
-            via_sharded = match_keys(sharded.query(query, alpha).matches)
-            via_batch = match_keys(batched_results[case].matches)
+            vectorized = engine.query(query, alpha, VECTOR_BACKEND)
+            python = engine.query(query, alpha, PYTHON_BACKEND)
             context = (graph_index, config.seed, query.nodes, alpha)
             assert match_keys(vectorized.matches) == oracle, context
             assert match_keys(python.matches) == oracle, context
-            assert via_sharded == oracle, context
-            assert via_batch == oracle, context
             # Link-builder differential: the vectorized CSR builder must
             # emit the exact link sets of the per-vertex reference, and
             # an engine forced onto the reference builder must agree.
-            assert_link_equivalence(unsharded, query, alpha, context)
-            python_links = unsharded.query(query, alpha, PYTHON_LINKS)
+            assert_link_equivalence(engine, query, alpha, context)
+            python_links = engine.query(query, alpha, PYTHON_LINKS)
             assert match_keys(python_links.matches) == oracle, context
             if python_links.link_stats:  # empty-partition cases skip links
                 assert python_links.link_stats["backend"] == "python", context
             # Planned execution: the exact strategy, then its plan-cache
             # hit, must agree with the oracle (estimator feedback is on
             # by default, so these also exercise corrected estimates).
-            exact = unsharded.query(query, alpha, EXACT_PLAN)
-            cached = unsharded.query(query, alpha, EXACT_PLAN)
+            exact = engine.query(query, alpha, EXACT_PLAN)
+            cached = engine.query(query, alpha, EXACT_PLAN)
             assert match_keys(exact.matches) == oracle, context
             assert match_keys(cached.matches) == oracle, context
             assert cached.plan.cached, context
@@ -644,8 +627,8 @@ def test_lookup_differential(graph_index, config, query_seed):
     alphas, greedy and exact decompositions, with and without context
     pruning — and on the lookup shapes the random cases only sometimes
     reach: on-demand enumeration below beta, palindromic and
-    reverse-stored sequences, an empty bucket inside the range scan,
-    and a batch view prefetched below the request's alpha."""
+    reverse-stored sequences, and an empty bucket inside the range
+    scan."""
     peg = build_peg(generate_synthetic_pgd(config))
     engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     sigma = sorted(peg.sigma, key=repr)
@@ -669,21 +652,6 @@ def test_lookup_differential(graph_index, config, query_seed):
         context = (graph_index, config.seed, query.nodes, "below-beta")
         span = assert_lookup_equivalence(engine, query, BETA / 2, context)
         assert span.attributes["on_demand"] is True, context
-
-    # A batch view fetched at the batch-wide minimum alpha answers the
-    # higher-alpha request by filtering its cached columns.
-    batch_index = BatchLookupIndex(engine.index)
-    low, high = ALPHAS
-    for query in queries:
-        for path in engine.planner.plan(query, high, QueryOptions())[0].paths:
-            batch_index.prefetch(query.label_sequence(path.nodes), low)
-    fetches = batch_index.fetches
-    for query in queries:
-        context = (graph_index, config.seed, query.nodes, "batch")
-        assert_lookup_equivalence(
-            engine, query, high, context, index=batch_index
-        )
-    assert batch_index.fetches == fetches
 
     # Orientation: palindromes interleave both alignments of a stored
     # path; a sequence stored reversed comes back turned around.
@@ -1003,6 +971,35 @@ def test_enumeration_more_sequences_than_an_integer_names():
     assert_enumeration_equivalence(build_peg(pgd), 12, 0.5, "chain", [{15}])
 
 
+#: Reference-set potentials the identity-component partition runs on:
+#: every harness graph, the benchmarks' DBLP graph and the synthetic
+#: recipe at 2,000 references.
+PARTITION_INPUTS = {
+    "harness": lambda: [
+        generate_synthetic_pgd(config) for _, config, _ in _cases()
+    ],
+    "dblp-400": lambda: [generate_dblp_pgd(num_authors=400, seed=7)],
+    "synthetic-2000": lambda: [
+        generate_synthetic_pgd(
+            num_references=2000, uncertainty=0.2, seed=20140331
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_INPUTS))
+def test_partition_differential_identity_components(name):
+    """Grouping reference sets by their union-find root returns the
+    list the per-component scan returns, order included."""
+    shared = 0
+    for pgd in PARTITION_INPUTS[name]():
+        sets = pgd.reference_sets()
+        components = partition_into_components(sets)
+        assert components == partition_by_scan(sets), name
+        shared += sum(len(entities) > 1 for _refs, entities in components)
+    assert shared, name
+
+
 #: Graphs whose paths, links and matches put two nodes of one identity
 #: component together: sampled components (joint marginals from a
 #: sampler's draws) and a small DBLP graph (the Fig. 7(g) setting).
@@ -1079,7 +1076,7 @@ NUM_MUTATION_GRAPHS = 10
 MUTATIONS_PER_GRAPH = 4
 
 #: Mutation differential cases (each query/alpha asserted pre- and
-#: post-compact, on a sharded and an unsharded engine).
+#: post-compact).
 MUTATION_CASES = NUM_MUTATION_GRAPHS * QUERIES_PER_GRAPH * len(ALPHAS)
 
 
@@ -1193,41 +1190,29 @@ def _mutation_cases():
 def test_mutation_differential(graph_index, config, mutation_seed):
     """Overlay-served results equal a from-scratch rebuild and Eq. 8.
 
-    Random mutation batches are absorbed by a running engine (sharded
-    and unsharded); every query must then agree — pre- *and*
+    Random mutation batches are absorbed by a running engine; every
+    query must then agree — pre- *and*
     post-``compact()`` — with an engine rebuilt from scratch over the
     mutated PEG and with brute-force possible-worlds enumeration.
     """
-    pgd = generate_synthetic_pgd(config)
-    # Two independent (identical) PEG copies: each engine owns and
-    # mutates its own graph through the public apply_updates API.
-    peg = build_peg(pgd)
-    peg_sharded = build_peg(pgd)
-    unsharded = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    sharded = QueryEngine(
-        peg_sharded, max_length=MAX_LENGTH, beta=BETA,
-        store=open_store(None, NUM_SHARDS),
-    )
+    peg = build_peg(generate_synthetic_pgd(config))
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     rng = random.Random(mutation_seed)
     sigma = sorted(peg.sigma, key=repr)
     fresh = [0]
     for _ in range(MUTATIONS_PER_GRAPH):
-        # Generated against the evolving graph, applied to both copies
-        # (ops address entities by reference set, so they port).
+        # Generated against the evolving graph.
         op = _random_mutation(rng, peg, sigma, fresh)
-        unsharded.apply_updates([op])
-        sharded.apply_updates([op])
+        engine.apply_updates([op])
         # Ops arrive one by one, so dirty sets overlap and accumulate.
-        assert_delta_equivalence(unsharded, (graph_index, config.seed, op))
-        assert_delta_equivalence(sharded, (graph_index, config.seed, op))
+        assert_delta_equivalence(engine, (graph_index, config.seed, op))
 
     rebuilt = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     queries = _random_queries(rng, sigma)
     case = 0
     for compacted in (False, True):
         if compacted:
-            unsharded.compact_updates()
-            sharded.compact_updates()
+            engine.compact_updates()
         for query in queries:
             for alpha in ALPHAS:
                 oracle = match_keys(exhaustive_matches(peg, query, alpha))
@@ -1235,10 +1220,7 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                     graph_index, config.seed, query.nodes, alpha, compacted
                 )
                 assert match_keys(
-                    unsharded.query(query, alpha).matches
-                ) == oracle, context
-                assert match_keys(
-                    sharded.query(query, alpha).matches
+                    engine.query(query, alpha).matches
                 ) == oracle, context
                 assert match_keys(
                     rebuilt.query(query, alpha).matches
@@ -1246,22 +1228,21 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 # Planned execution over the mutated graph: exact plans
                 # (costed on delta-aware, feedback-corrected estimates)
                 # and their cache hits must still match the oracle.
-                exact = unsharded.query(query, alpha, EXACT_PLAN)
-                cached = unsharded.query(query, alpha, EXACT_PLAN)
+                exact = engine.query(query, alpha, EXACT_PLAN)
+                cached = engine.query(query, alpha, EXACT_PLAN)
                 assert match_keys(exact.matches) == oracle, context
                 assert match_keys(cached.matches) == oracle, context
                 assert cached.plan.cached, context
                 # Link-builder differential on the mutated graph, both
                 # overlay-served (pre-compact) and compacted.
-                assert_link_equivalence(unsharded, query, alpha, context)
-                assert_link_equivalence(sharded, query, alpha, context)
+                assert_link_equivalence(engine, query, alpha, context)
                 # ... and the array matcher against the DFS reference
                 # over it (tombstoned and appended node ids included).
-                assert_matcher_equivalence(unsharded, query, alpha, context)
+                assert_matcher_equivalence(engine, query, alpha, context)
                 # ... and the array finder against the scalar oracle:
                 # masked base rows plus delta rows before compaction,
                 # the rewritten base after it.
-                assert_lookup_equivalence(unsharded, query, alpha, context)
+                assert_lookup_equivalence(engine, query, alpha, context)
                 case += 1
     assert case == 2 * QUERIES_PER_GRAPH * len(ALPHAS)
 

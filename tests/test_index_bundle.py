@@ -5,13 +5,16 @@ import pickle
 
 import pytest
 
-from repro.index import PathIndex, ShardedPathStore, open_store
-from repro.index.bundle import load_offline, save_offline
+from repro.index.bundle import clear_offline_artifacts, load_offline
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
 from repro.storage import DiskPathStore
 from repro.utils.errors import IndexError_
-from tests.conftest import small_random_peg, store_content
+from tests.conftest import (
+    small_random_peg,
+    store_content,
+    write_format5_bundle,
+)
 
 
 def match_keys(matches):
@@ -84,61 +87,6 @@ class TestSaveLoadRoundtrip:
             assert loaded.tobytes() == saved.tobytes()
 
 
-class TestShardedBundles:
-    def test_sharded_roundtrip(self, peg, tmp_path):
-        directory = str(tmp_path / "sharded-bundle")
-        engine = QueryEngine(
-            peg, max_length=2, beta=0.1, store=open_store(None, 3)
-        )
-        engine.save_offline(directory)
-        reopened = QueryEngine.from_saved(peg, directory)
-        assert type(reopened.index) is PathIndex
-        assert isinstance(reopened.index.store, ShardedPathStore)
-        assert len(reopened.index.store.children) == 3
-        sigma = sorted(peg.sigma)
-        query = QueryGraph(
-            {"a": sigma[0], "b": sigma[1], "c": sigma[2]},
-            [("a", "b"), ("b", "c")],
-        )
-        assert match_keys(reopened.query(query, 0.3).matches) == \
-            match_keys(engine.query(query, 0.3).matches)
-
-    def test_sharded_saved_in_place(self, peg, tmp_path):
-        directory = str(tmp_path / "sharded-disk")
-        engine = QueryEngine(
-            peg,
-            max_length=1,
-            beta=0.2,
-            store=open_store(directory, 2),
-        )
-        # The shard stores already live under the bundle directory: a
-        # save must flush in place, not copy.
-        engine.save_offline(directory)
-        index, _ = load_offline(directory)
-        assert index.num_paths() == engine.index.num_paths()
-        assert len(index.store.children) == 2
-
-    def test_sharded_and_unsharded_bundles_agree(self, peg, tmp_path):
-        mono_dir = str(tmp_path / "mono")
-        shard_dir = str(tmp_path / "sharded")
-        QueryEngine(peg, max_length=1, beta=0.2).save_offline(mono_dir)
-        QueryEngine(
-            peg, max_length=1, beta=0.2, store=open_store(None, 4)
-        ).save_offline(shard_dir)
-        mono_index, _ = load_offline(mono_dir)
-        shard_index, _ = load_offline(shard_dir)
-        for seq in mono_index.histograms:
-            mono = {
-                (p.nodes, round(p.probability, 9))
-                for p in mono_index.lookup(seq, 0.3)
-            }
-            sharded = {
-                (p.nodes, round(p.probability, 9))
-                for p in shard_index.lookup(seq, 0.3)
-            }
-            assert mono == sharded
-
-
 class TestValidation:
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(IndexError_):
@@ -185,23 +133,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("keep", [0.0, 0.5], ids=["emptied", "halved"])
     @pytest.mark.parametrize("victim", ["offline.meta", "index.dir", "index.log"])
-    @pytest.mark.parametrize("num_shards", [0, 2], ids=["plain", "sharded"])
-    def test_torn_bundle_is_rebuilt(
-        self, peg, tmp_path, num_shards, victim, keep
-    ):
+    def test_torn_bundle_is_rebuilt(self, peg, tmp_path, victim, keep):
         """A truncated file anywhere in a bundle is a cold start, not a
         traceback (v1.15 leaked ``UnpicklingError`` / ``StorageError``)."""
         directory = str(tmp_path / "torn")
         sigma = sorted(peg.sigma)
         query = QueryGraph({"a": sigma[0], "b": sigma[1]}, [("a", "b")])
-        build = dict(max_length=1, beta=0.2, num_shards=num_shards)
+        build = dict(max_length=1, beta=0.2)
         with QueryService.build(peg, snapshot_dir=directory, **build) as service:
             expected = match_keys(service.query(query, 0.3).matches)
         assert expected
-        home = directory
-        if num_shards and victim != "offline.meta":
-            home = os.path.join(directory, "shard-01")
-        path = os.path.join(home, victim)
+        path = os.path.join(directory, victim)
         assert os.path.getsize(path) > 1
         os.truncate(path, int(os.path.getsize(path) * keep))
         with pytest.raises(IndexError_):
@@ -225,7 +167,7 @@ class TestValidation:
             (directory / name).write_bytes(b"left behind")
         (directory / "index.dir").write_bytes(pickle.dumps({("a",): 0}))
         (directory / "offline.meta").write_bytes(
-            pickle.dumps({"version": 3, "num_shards": 0})
+            pickle.dumps({"version": 3})
         )
         with QueryService.open(
             peg, str(directory), max_length=1, beta=0.2
@@ -239,3 +181,42 @@ class TestValidation:
         index, _ = load_offline(str(directory))
         assert store_content(index.store) == store_content(fresh.index.store)
         index.store.close()
+
+
+class TestFormat5ShardedBundle:
+    """Format 5 could keep its stores under ``shard-NN/``; opening one as
+    a root store would serve an empty index, so it is rejected and
+    rebuilt."""
+
+    def test_load_rejects_it(self, peg, tmp_path):
+        directory = str(tmp_path / "v5")
+        write_format5_bundle(peg, directory, max_length=1, beta=0.2)
+        with pytest.raises(IndexError_, match="unsupported"):
+            load_offline(directory)
+
+    def test_open_rebuilds_and_answers_as_a_fresh_build(self, peg, tmp_path):
+        directory = str(tmp_path / "v5")
+        write_format5_bundle(peg, directory, max_length=1, beta=0.2)
+        sigma = sorted(peg.sigma)
+        query = QueryGraph({"a": sigma[0], "b": sigma[1]}, [("a", "b")])
+        fresh = QueryEngine(peg, max_length=1, beta=0.2)
+        expected = match_keys(fresh.query(query, 0.3).matches)
+        assert expected
+        with QueryService.open(
+            peg, directory, max_length=1, beta=0.2
+        ) as service:
+            assert not service.warm_started
+            assert match_keys(service.query(query, 0.3).matches) == expected
+        assert not any(
+            name.startswith("shard-") for name in os.listdir(directory)
+        )
+        index, _ = load_offline(directory)
+        assert store_content(index.store) == store_content(fresh.index.store)
+        index.store.close()
+
+    def test_clear_sweeps_only_shard_directories(self, tmp_path):
+        for name in ("shard-00", "shard-07", "shard-notes", "keep"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "index.log").write_bytes(b"left behind")
+        clear_offline_artifacts(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["keep", "shard-notes"]

@@ -87,15 +87,6 @@ class TestServiceClosedCheckLocking:
             service.submit(QueryGraph({"u": "a"}, []), 0.5)
         assert gate.acquisitions >= 1
 
-    def test_submit_batch_after_close_checks_closed_under_gate(self):
-        service = QueryService(FakeEngine(), num_workers=1)
-        service.close()
-        gate = RecordingLock(service._gate)
-        service._gate = gate
-        with pytest.raises(ServiceError, match="closed"):
-            service.submit_batch([(QueryGraph({"u": "a"}, []), 0.5)])
-        assert gate.acquisitions >= 1
-
 
 class TestClientCloseLocking:
     def test_close_disconnects_under_the_request_lock(self):

@@ -9,7 +9,6 @@ import pytest
 from tests.conftest import small_random_peg
 
 from repro.delta import AddEdge, UpdateLabelProbability
-from repro.index import open_store
 from repro.obs import STAGES, Tracer, get_registry, render_trace
 from repro.query.engine import QueryEngine, QueryOptions
 from repro.query.query_graph import QueryGraph
@@ -134,28 +133,26 @@ class TestEngineTracing:
             m.probability for m in traced.matches
         ]
 
-    def test_sharded_lookup_reports_shard_fetches(self):
+    def test_lookup_reports_store_reads(self):
         peg = small_random_peg(seed=5)
         labels = sorted(peg.sigma)
-        engine = QueryEngine(peg, max_length=1, store=open_store(None, 3))
+        engine = QueryEngine(peg, max_length=1)
         query = _chain_query(labels, n=3)
+        before = get_registry().snapshot().get("repro_store_reads_total", 0)
         result = engine.query(query, 0.3, QueryOptions(trace=True))
         lookup = [
             c for c in result.trace["children"] if c["name"] == "lookup"
         ][0]
-        fetch_keys = [
-            key
-            for p in lookup["children"]
-            for key in p["counters"]
-            if key.startswith("shard_fetches[")
+        # One range scan per partition, counted on the span and in the
+        # registry alike.
+        reads = lookup["counters"]["store_reads"]
+        partitions = [
+            c for c in lookup["children"] if c["name"] == "partition"
         ]
-        assert fetch_keys, "partition spans must carry shard fetch counters"
-        snap = get_registry().snapshot()
-        shard_series = {
-            k: v for k, v in snap.items()
-            if k.startswith("repro_index_shard_fetches_total")
-        }
-        assert sum(shard_series.values()) >= len(fetch_keys)
+        assert reads == len(partitions) > 0
+        assert lookup["counters"]["store_bytes_read"] > 0
+        after = get_registry().snapshot()["repro_store_reads_total"]
+        assert after - before == reads
 
     def test_query_metrics_recorded_in_registry(self):
         registry = get_registry()
@@ -168,19 +165,6 @@ class TestEngineTracing:
         assert snap["repro_queries_total"] == before + 1
         assert snap["repro_query_seconds_count"] >= 1
         assert snap["repro_query_stage_seconds{stage=reduce}_count"] >= 1
-
-    def test_batch_trace_covers_plan_prefetch_and_queries(self):
-        peg = small_random_peg(seed=9)
-        labels = sorted(peg.sigma)
-        engine = QueryEngine(peg, max_length=1)
-        requests = [
-            (_chain_query(labels, n=3), 0.3),
-            (_chain_query(labels[::-1], n=3), 0.4),
-        ]
-        results = engine.query_batch(requests, QueryOptions(trace=True))
-        for result in results:
-            assert result.trace is not None
-            assert result.trace["name"] == "query"
 
     def test_topk_probes_appear_under_trace(self):
         peg = small_random_peg(seed=13)

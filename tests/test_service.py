@@ -575,8 +575,6 @@ class TestCloseLifecycle:
         service.close()
         with pytest.raises(ServiceError):
             service.submit(figure1_query(), 0.5)
-        with pytest.raises(ServiceError):
-            service.submit_batch([(figure1_query(), 0.5)])
 
     def test_close_is_idempotent(self):
         service = QueryService(FakeEngine(), num_workers=1)

@@ -1,24 +1,21 @@
-"""Unit tests for the two-level path stores (in-memory, disk, sharded)."""
+"""Unit tests for the two-level path stores (in-memory and disk)."""
 
 import os
 import pickle
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.index.bundle import clear_offline_artifacts
-from repro.index.sharded import ShardedPathStore, open_store
-from repro.storage.kvstore import DiskPathStore
+from repro.storage.kvstore import DiskPathStore, InMemoryPathStore
 from repro.utils.errors import StorageError
 from tests.conftest import store_content
 
 
-@pytest.fixture(params=["memory", "disk", "sharded-memory", "sharded-disk"])
+@pytest.fixture(params=["memory", "disk"])
 def store(request, tmp_path):
-    directory = str(tmp_path / "store") if "disk" in request.param else None
-    num_shards = 3 if "sharded" in request.param else 0
-    with open_store(directory, num_shards) as s:
+    if request.param == "memory":
+        yield InMemoryPathStore()
+        return
+    with DiskPathStore(str(tmp_path / "store")) as s:
         yield s
 
 
@@ -69,95 +66,17 @@ class TestPathStore:
         store.put_bucket(SEQ_A, 100, b"x" * 100)
         assert store.size_bytes() >= 100
 
-
-_LABELS = st.one_of(
-    st.integers(min_value=-5, max_value=5),
-    st.text(alphabet="abcxyz", min_size=0, max_size=4),
-)
-_SEQUENCES = st.lists(_LABELS, min_size=1, max_size=5).map(tuple)
-
-
-class TestShardedRouting:
-    """A sharded store partitions sequences and nothing else changes."""
-
-    @given(sequences=st.lists(_SEQUENCES, min_size=1, max_size=12))
-    def test_children_partition_the_sequences(self, sequences):
-        sharded = open_store(None, 4)
-        plain = open_store(None)
-        for i, seq in enumerate(sequences):
-            for target in (sharded, plain):
-                target.put_bucket(seq, 500, str(i).encode())
-        assert isinstance(sharded, ShardedPathStore)
-        # No sequence in two children, each in the child its hash names ...
-        seen: dict = {}
-        for shard_id, child in enumerate(sharded.children):
-            for seq in child.label_sequences():
-                assert seq not in seen
-                seen[seq] = shard_id
-                assert sharded.shard_for(seq) == shard_id
-        # ... and the children cover exactly the plain store's content.
-        assert set(seen) == set(plain.label_sequences())
-        assert store_content(sharded) == store_content(plain)
-
-    @given(seq=_SEQUENCES)
-    def test_orientation_invariant(self, seq):
-        sharded = open_store(None, 5)
-        assert sharded.shard_for(seq) == sharded.shard_for(
-            tuple(reversed(seq))
-        )
-
-    @given(sequences=st.lists(_SEQUENCES, min_size=1, max_size=8))
-    def test_one_shard_equals_plain_store(self, sequences):
-        single = open_store(None, 1)
-        plain = open_store(None)
-        for i, seq in enumerate(sequences):
-            for target in (single, plain):
-                target.put_bucket(seq, 100 + i, str(i).encode())
-        assert store_content(single) == store_content(plain)
-        assert single.size_bytes() == plain.size_bytes()
-
-    def test_read_counters_sum_over_children(self):
-        sharded = open_store(None, 4)
+    def test_read_counters(self, store):
         sequences = [(f"s{i}",) for i in range(8)]
         for seq in sequences:
-            sharded.put_bucket(seq, 500, b"12345")
+            store.put_bucket(seq, 500, b"12345")
         for seq in sequences:
-            assert sharded.get_bucket(seq, 500) == b"12345"
-            list(sharded.scan_buckets(seq, 0))
-        assert sharded.read_count == 16
-        assert sharded.bytes_read == 80
-        sharded.reset_read_count()
-        assert (sharded.read_count, sharded.bytes_read) == (0, 0)
-
-    def test_needs_a_child(self):
-        from repro.utils.errors import IndexError_
-
-        with pytest.raises(IndexError_):
-            ShardedPathStore([])
-        with pytest.raises(IndexError_):
-            open_store(None, -1)
-
-    def test_rebuild_with_other_shard_count_leaves_no_stale_shard(
-        self, tmp_path
-    ):
-        directory = str(tmp_path)
-        with open_store(directory, 4) as first:
-            for i in range(8):
-                first.put_bucket((f"s{i}",), 500, b"old")
-        clear_offline_artifacts(directory)
-        with open_store(directory, 2) as rebuilt:
-            rebuilt.put_bucket(("s0",), 500, b"new")
-            assert store_content(rebuilt) == {("s0",): [(500, b"new")]}
-        assert sorted(os.listdir(directory)) == ["shard-00", "shard-01"]
-
-    def test_reopen_preserves_everything(self, tmp_path):
-        directory = str(tmp_path)
-        with open_store(directory, 3) as store:
-            for i in range(6):
-                store.put_bucket((f"s{i}", "t"), 400, str(i).encode())
-            expected = store_content(store)
-        with open_store(directory, 3) as reopened:
-            assert store_content(reopened) == expected
+            assert store.get_bucket(seq, 500) == b"12345"
+            list(store.scan_buckets(seq, 0))
+        assert store.read_count == 16
+        assert store.bytes_read == 80
+        store.reset_read_count()
+        assert (store.read_count, store.bytes_read) == (0, 0)
 
 
 class TestDiskPersistence:
