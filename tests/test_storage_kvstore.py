@@ -2,9 +2,13 @@
 
 import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.index.bundle import clear_offline_artifacts
 from repro.storage.kvstore import DiskPathStore, InMemoryPathStore
 from repro.utils.errors import StorageError
 from tests.conftest import store_content
@@ -77,6 +81,45 @@ class TestPathStore:
         assert store.bytes_read == 80
         store.reset_read_count()
         assert (store.read_count, store.bytes_read) == (0, 0)
+
+
+_LABELS = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.text(alphabet="abcxyz", min_size=0, max_size=4),
+)
+_SEQUENCES = st.lists(_LABELS, min_size=1, max_size=5).map(tuple)
+_BUCKETS = st.integers(min_value=0, max_value=1000)
+
+
+class TestStoreAgreement:
+    """A disk store holds exactly what the in-memory store holds."""
+
+    @settings(
+        max_examples=25,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(puts=st.lists(st.tuples(_SEQUENCES, _BUCKETS), max_size=12))
+    def test_disk_equals_memory_before_and_after_reopen(self, tmp_path, puts):
+        directory = tempfile.mkdtemp(dir=tmp_path)
+        memory = InMemoryPathStore()
+        with DiskPathStore(directory) as disk:
+            for i, (seq, bucket) in enumerate(puts):
+                for target in (memory, disk):
+                    target.put_bucket(seq, bucket, str(i).encode())
+            assert store_content(disk) == store_content(memory)
+        with DiskPathStore(directory) as reopened:
+            assert store_content(reopened) == store_content(memory)
+
+    def test_rebuild_after_clear_leaves_no_stale_content(self, tmp_path):
+        directory = str(tmp_path)
+        with DiskPathStore(directory) as first:
+            for i in range(8):
+                first.put_bucket((f"s{i}",), 500, b"old")
+        clear_offline_artifacts(directory)
+        with DiskPathStore(directory) as rebuilt:
+            rebuilt.put_bucket(("s0",), 500, b"new")
+            assert store_content(rebuilt) == {("s0",): [(500, b"new")]}
+        assert sorted(os.listdir(directory)) == ["index.dir", "index.log"]
 
 
 class TestDiskPersistence:
