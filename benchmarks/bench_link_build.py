@@ -1,8 +1,8 @@
 """Candidate-link building benchmark: vectorized vs Python builder.
 
-Measures the link-construction stage PR 7 vectorized, on the same
-synthetic candidate workload as ``bench_reduction_core.py`` (ring+chords
-PEG, 4-node chain query, three partitions):
+Measures the link-construction stage, on the same synthetic candidate
+workload as ``bench_reduction_core.py`` (ring+chords PEG, 4-node chain
+query, three partitions):
 
 * **cold build** — :func:`repro.query.links.build_candidate_links_vectorized`
   with an empty :class:`~repro.query.links.LinkStructureCache` against
@@ -13,13 +13,22 @@ PEG, 4-node chain query, three partitions):
 * **total online cost** — link build plus k-partite construction plus
   ``reduce()``, Python end to end against vectorized end to end; this
   is the number the CI gate enforces, because a fast link build that
-  slowed reduction down would be a regression.
+  slowed reduction down would be a regression,
+* **traffic** — many small queries, the shape the engine actually
+  serves: the end-to-end benchmark's ``lookup_heavy`` pool (96 dense
+  queries, ~12 joining partition pairs each) and ``match_heavy`` pool
+  (100 sparse ones, ~3 pairs each), recipes copied in, each through the
+  engine's planner and lookup once; per query that reaches the join,
+  CPU ms and numpy calls of the stacked build (no cache) against the
+  per-pair oracle (:func:`repro.testing.reference.per_pair_links`).
 
 The script exits non-zero when the builders disagree on the link
-structure (exact list equality), when the two reduction runs disagree
-on sizes/removals/survivors, when a warm build is not pure cache hits,
-or when the total vectorized path misses the speedup floor (5x large,
-2x ``--smoke``). Results are written as ``BENCH_links.json``; with
+structure (exact list equality; on the traffic row, the stacked pass's
+pre-α probabilities against the oracle's bit for bit), when the two
+reduction runs disagree on sizes/removals/survivors, when a warm build
+is not pure cache hits, or when the total vectorized path misses the
+speedup floor (5x large, 2x ``--smoke``). Results are written as
+``BENCH_links.json``; with
 ``--trajectory`` a per-version copy goes to
 ``benchmarks/results/BENCH_links-v<version>.json`` for
 ``benchmarks/summarize.py``'s perf-trajectory table.
@@ -35,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
@@ -44,11 +54,38 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
     )
     sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
 
-from benchmarks.bench_reduction_core import ALPHA, build_candidate_workload
+from benchmarks.bench_reduction_core import (
+    ALPHA,
+    build_candidate_workload,
+    numpy_calls,
+)
 from repro import __version__
+from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
+from repro.peg import build_peg
+from repro.query import QueryEngine, QueryOptions
+from repro.query.candidates import CandidateFinder
 from repro.query.kpartite import CandidateKPartiteGraph, build_candidate_links
-from repro.query.links import LinkStructureCache, build_candidate_links_vectorized
+from repro.query.links import (
+    LinkStructureCache,
+    build_candidate_links_vectorized,
+    link_probabilities,
+)
 from repro.query.reduction import PegProbabilityArrays, VectorizedKPartiteGraph
+from repro.testing.reference import per_pair_links
+
+# The traffic row's recipes: the end-to-end benchmark's lookup_heavy and
+# match_heavy pools, copied so this module stands alone.
+TRAFFIC_GRAPH = SyntheticConfig(
+    num_references=200, uncertainty=0.2, seed=20140331
+)
+TRAFFIC_POOLS = {
+    "lookup_heavy": ((4, 5), (4, 6), (5, 7), (5, 8), (6, 9), (6, 10)),
+    "match_heavy": ((3, 2), (3, 3), (4, 3), (4, 4), (5, 5)),
+}
+TRAFFIC_PER_SHAPE = {"lookup_heavy": 16, "match_heavy": 20}
+TRAFFIC_MAX_LENGTH = 3
+TRAFFIC_BETA = 0.5
+TRAFFIC_ALPHA = 0.5
 
 
 def _best(fn, repeats: int) -> tuple:
@@ -166,6 +203,88 @@ def bench_links(num_nodes: int, repeats: int) -> dict:
     }
 
 
+def traffic_joins(engine, name: str, scale: float) -> list:
+    """``(decomposition, candidates)`` of every query of pool ``name``
+    that reaches the join with at least one joining pair."""
+    peg = engine.peg
+    sigma = [f"L{i}" for i in range(TRAFFIC_GRAPH.num_labels)]
+    rng = random.Random(f"{TRAFFIC_GRAPH.seed}/{name}")
+    per_shape = max(1, round(TRAFFIC_PER_SHAPE[name] * scale))
+    joins = []
+    for nodes, edges in TRAFFIC_POOLS[name]:
+        for _ in range(per_shape):
+            query = random_query(nodes, edges, sigma, seed=rng.randrange(2**31))
+            decomposition, _ = engine.planner.plan(
+                query, TRAFFIC_ALPHA, QueryOptions()
+            )
+            finder = CandidateFinder(
+                peg, query, TRAFFIC_ALPHA, index=engine.index,
+                context=engine.context,
+            )
+            candidates = {
+                i: finder.find(path)[0]
+                for i, path in enumerate(decomposition.paths)
+            }
+            if all(candidates.values()) and decomposition.join_predicates:
+                joins.append((decomposition, candidates))
+    return joins
+
+
+def bench_traffic(scale: float, repeats: int) -> dict:
+    peg = build_peg(generate_synthetic_pgd(TRAFFIC_GRAPH))
+    engine = QueryEngine(
+        peg, max_length=TRAFFIC_MAX_LENGTH, beta=TRAFFIC_BETA
+    )
+    arrays = PegProbabilityArrays(peg)
+    rows = {}
+    for name in TRAFFIC_POOLS:
+        joins = traffic_joins(engine, name, scale)
+        builders = {
+            "oracle": lambda d, c: per_pair_links(peg, d, c, arrays),
+            "stacked": lambda d, c: build_candidate_links_vectorized(
+                peg, d, c, TRAFFIC_ALPHA, arrays=arrays
+            ),
+        }
+        agreement = True
+        for decomposition, candidates in joins:
+            oracle = per_pair_links(peg, decomposition, candidates, arrays)
+            stacked = link_probabilities(peg, decomposition, candidates, arrays)
+            agreement = agreement and list(stacked) == list(oracle) and all(
+                [array.tobytes() for array in stacked[pair][:3]]
+                + [stacked[pair][3]]
+                == [array.tobytes() for array in oracle[pair][:3]]
+                + [oracle[pair][3]]
+                for pair in oracle
+            )
+        count = max(len(joins), 1)
+        row = {
+            "joins": len(joins),
+            "pairs_per_join": sum(
+                len(d.join_predicates) for d, _ in joins
+            ) / count,
+            "agreement": agreement,
+        }
+        for label, build in builders.items():
+            # Warm the plans and edge rows, then the fastest of
+            # ``repeats`` passes over every join, in CPU time.
+            for decomposition, candidates in joins:
+                build(decomposition, candidates)
+            best = float("inf")
+            for _ in range(repeats):
+                started = time.process_time()
+                for decomposition, candidates in joins:
+                    build(decomposition, candidates)
+                best = min(best, time.process_time() - started)
+            calls = sum(
+                numpy_calls(lambda: build(decomposition, candidates))
+                for decomposition, candidates in joins
+            )
+            row[f"{label}_ms_per_join"] = 1e3 * best / count
+            row[f"{label}_numpy_calls_per_join"] = calls / count
+        rows[name] = row
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -195,6 +314,7 @@ def main(argv=None) -> int:
     floor = 2.0 if args.smoke else 5.0
 
     links = bench_links(num_nodes, repeats)
+    traffic = bench_traffic(0.25 if args.smoke else 1.0, repeats)
 
     report = {
         "benchmark": "link_build",
@@ -206,6 +326,7 @@ def main(argv=None) -> int:
             "repeats": repeats,
         },
         "links": links,
+        "traffic": traffic,
     }
     outputs = [args.out]
     if args.trajectory:
@@ -236,10 +357,23 @@ def main(argv=None) -> int:
         f"{links['speedup_warm_total']:.1f}x warm), agreement="
         f"{links['agreement']}"
     )
+    for name, row in traffic.items():
+        print(
+            f"[traffic] {name}: {row['joins']} joins, "
+            f"{row['pairs_per_join']:.1f} pairs each; per join, oracle "
+            f"{row['oracle_ms_per_join']:.3f} ms in "
+            f"{row['oracle_numpy_calls_per_join']:.0f} numpy calls, stacked "
+            f"{row['stacked_ms_per_join']:.3f} ms in "
+            f"{row['stacked_numpy_calls_per_join']:.0f}, "
+            f"agreement={row['agreement']}"
+        )
     print("wrote " + ", ".join(outputs))
 
     if not links["agreement"]:
         print("FAIL: reduction outcomes disagree across builders")
+        return 1
+    if not all(row["agreement"] for row in traffic.values()):
+        print("FAIL: the stacked link pass differs from the per-pair oracle")
         return 1
     if not args.smoke and links["total_vertices"] < 10_000:
         print("FAIL: large workload must have >= 10k candidate vertices")

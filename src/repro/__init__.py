@@ -75,7 +75,7 @@ from repro.delta import (
     apply_mutations,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "PGD",

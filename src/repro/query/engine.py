@@ -93,10 +93,12 @@ class QueryOptions:
     is chosen, hence the evaluation cost.
 
     ``link_backend`` selects the candidate-link construction:
-    ``"vectorized"`` (the default) builds per-partition-pair CSR link
-    arrays with bulk predicate joins and an elementwise
-    joined-probability filter (:mod:`repro.query.links`);
-    ``"python"`` runs the per-vertex reference
+    ``"vectorized"`` (the default) builds every joining partition pair
+    in one stacked pass — one equi-join over ``(pair, key columns)``
+    and one padded joined-probability factor product — straight into
+    the k-partite graph's stacked vertex table and link-entry list
+    (:mod:`repro.query.links`); ``"python"`` runs the per-vertex
+    reference
     (:func:`repro.query.kpartite.build_candidate_links`). Both emit
     identical link sets (the differential harness asserts it), so the
     knob composes freely with ``reduction_backend``. ``use_link_cache``
@@ -364,7 +366,7 @@ class QueryEngine:
         """Candidate links via the selected builder; ``(links, stats)``."""
         backend = options.link_backend
         if backend == "vectorized":
-            link_set = build_candidate_links_vectorized(
+            links = build_candidate_links_vectorized(
                 self.peg,
                 decomposition,
                 candidates,
@@ -372,7 +374,7 @@ class QueryEngine:
                 cache=self.link_cache if options.use_link_cache else None,
                 graph_version=self.graph_version,
             )
-            return link_set, link_set.stats
+            return links, links.stats
         if backend == "python":
             links = build_candidate_links(
                 self.peg, decomposition, _as_lists(candidates), alpha

@@ -204,9 +204,9 @@ class CandidateKPartiteGraph:
                 self.peg, self.decomposition, candidates, self.alpha
             )
         elif hasattr(links, "pair_lists"):
-            # A repro.query.links.LinkSet from the vectorized builder;
-            # both builders emit identical pairs, so the backends stay
-            # interchangeable.
+            # repro.query.links.StackedLinks from the vectorized
+            # builder; both builders emit identical pairs, so the
+            # backends stay interchangeable.
             links = links.pair_lists()
         for (i, j), pairs in links.items():
             for vid, uid in pairs:

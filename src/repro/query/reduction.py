@@ -9,8 +9,13 @@ perception vectors are one component-major ``(k, num_vertices)``
 float64 matrix (entry ``p`` of every vertex is one contiguous row).
 
 The links of every ordered joining pair form one *entry list*:
-``(row, col)`` global vertex ids in both orientations, sorted once by
-(row, neighbour partition, col). A run of entries sharing row and
+``(row, col)`` global vertex ids in both orientations, sorted by (row,
+neighbour partition, col). The link builder
+(:func:`repro.query.links.build_candidate_links_vectorized`) emits it,
+with the stacked vertex table, as :class:`~repro.query.links.StackedLinks`,
+and the constructor adopts both as they are; the reference's dict form
+is converted once (:func:`~repro.query.links.links_from_pairs`). A run
+of entries sharing row and
 neighbour partition is a *segment*. Both reduction principles are
 passes over that list for all partitions at once, so the number of
 numpy calls does not grow with k or with the number of joins:
@@ -45,8 +50,6 @@ is cut from the constructor's entry list on first use.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.index.paths import as_candidates
@@ -54,9 +57,11 @@ from repro.peg.arrays import PegProbabilityArrays
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
 from repro.query.kpartite import _CONVERGENCE_EPSILON, ReductionStats
-from repro.query.links import build_candidate_links_vectorized
-
-_NO_IDS = np.zeros(0, dtype=np.int64)
+from repro.query.links import (
+    StackedLinks,
+    build_candidate_links_vectorized,
+    links_from_pairs,
+)
 
 
 class VectorizedKPartiteGraph:
@@ -64,8 +69,8 @@ class VectorizedKPartiteGraph:
 
     Same constructor contract and reduction semantics as
     :class:`repro.query.kpartite.CandidateKPartiteGraph`. ``links`` is
-    a :class:`~repro.query.links.LinkSet` or the reference's
-    ``{(i, j): [(vid, uid), ...]}`` dict (built with
+    :class:`~repro.query.links.StackedLinks` over ``candidates`` or the
+    reference's ``{(i, j): [(vid, uid), ...]}`` dict (built with
     :func:`~repro.query.links.build_candidate_links_vectorized` when
     omitted). ``arrays`` (:class:`PegProbabilityArrays`, a view of the
     graph's columns) is made from ``peg`` when omitted.
@@ -94,32 +99,33 @@ class VectorizedKPartiteGraph:
                 peg, decomposition, dict(enumerate(self.candidates)),
                 self.alpha, arrays=self.arrays,
             )
-        self._build_vertices()
+        elif not isinstance(links, StackedLinks):
+            links = links_from_pairs(
+                decomposition, dict(enumerate(self.candidates)), links
+            )
+        self._build_vertices(links)
         self._build_entries(links)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _build_vertices(self) -> None:
+    def _build_vertices(self, links: StackedLinks) -> None:
         decomposition = self.decomposition
         query = decomposition.query
         arrays = self.arrays
         k = self.k
-        sizes = [len(cands) for cands in self.candidates]
-        bounds = self._bounds = [0, *itertools.accumulate(sizes)]
         #: Partition ``i`` owns global vertex ids ``offsets[i]:offsets[i+1]``.
-        self.offsets = np.array(bounds, dtype=np.int64)
+        self.offsets = links.offsets
+        bounds = self._bounds = self.offsets.tolist()
         n = self.num_vertices = bounds[-1]
         #: Partition of every global vertex id.
-        self.partition_of = np.arange(k).repeat(sizes)
+        self.partition_of = np.arange(k).repeat(np.diff(self.offsets))
         #: Partitions every vertex must keep a live link into.
         self._required = np.array(
             [len(decomposition.joins_with.get(i, ())) for i in range(k)],
             dtype=np.int64,
         )[self.partition_of]
-        width = max((len(path.nodes) for path in decomposition.paths), default=0)
-        all_nodes = np.zeros((n, width), dtype=np.int64)
         #: Stacked alive mask / scores; ``alive[i]`` etc. are views.
         self.all_alive = np.ones(n, dtype=bool)
         self.all_w1 = np.ones(n, dtype=np.float64)
@@ -130,8 +136,7 @@ class VectorizedKPartiteGraph:
         self.alive: list = []
         for i, path in enumerate(decomposition.paths):
             part = slice(bounds[i], bounds[i + 1])
-            cands = self.candidates[i]
-            nodes = cands.nodes
+            nodes = links.nodes[part, :len(path.nodes)]
             position_of = {node: pos for pos, node in enumerate(path.nodes)}
             # Multiply factors in the reference backend's order so the
             # float results are bit-identical.
@@ -147,10 +152,8 @@ class VectorizedKPartiteGraph:
                     query.label(node_a),
                     query.label(node_b),
                 )
-            matrix = all_nodes[part, :len(path.nodes)]
-            matrix[...] = nodes
-            self.all_w2[part] = cands.prn
-            self.node_matrix.append(matrix)
+            self.all_w2[part] = self.candidates[i].prn
+            self.node_matrix.append(nodes)
             self.w1.append(w1)
             self.w2.append(self.all_w2[part])
             self.alive.append(self.all_alive[part])
@@ -160,48 +163,13 @@ class VectorizedKPartiteGraph:
         self.vectors = np.ones((k, n), dtype=np.float64)
         self.vectors.reshape(-1)[self._own] = self.all_w1
 
-    def _build_entries(self, links) -> None:
-        # Both orientations of every joining pair's links, as global
-        # ids. ``links`` is a LinkSet of (rows, cols) arrays or the
-        # reference dict of (vid, uid) lists, keyed by (i, j) with i < j.
-        from_arrays = hasattr(links, "pair_lists")
-        bounds = self._bounds
-        rows_list: list = []
-        cols_list: list = []
-        counts: list = []
-        row_offsets: list = []
-        col_offsets: list = []
-        for i, joined in self.decomposition.joins_with.items():
-            for j in joined:
-                if j < i:
-                    continue  # links are symmetric; stored once per pair
-                if from_arrays:
-                    rows, cols = links.get((i, j), (_NO_IDS, _NO_IDS))
-                else:
-                    pairs = np.array(links.get((i, j), ()), dtype=np.int64)
-                    rows, cols = pairs.reshape(-1, 2).T
-                rows_list.append(rows)
-                cols_list.append(cols)
-                counts.append(rows.size)
-                row_offsets.append(bounds[i])
-                col_offsets.append(bounds[j])
-        if rows_list:
-            counts = counts + counts
-            source = np.concatenate(rows_list + cols_list)
-            source += np.array(row_offsets + col_offsets).repeat(counts)
-            target = np.concatenate(cols_list + rows_list)
-            target += np.array(col_offsets + row_offsets).repeat(counts)
-        else:
-            source = target = _NO_IDS
-        # Global ids ascend with the partition, so (row, col) order is
-        # (row, neighbour partition, col) order.
-        order = np.argsort(source * max(self.num_vertices, 1) + target)
+    def _build_entries(self, links: StackedLinks) -> None:
         #: Directed link entries the reduction starts from (2 per link).
-        self.link_entries = int(order.size)
+        self.link_entries = int(links.rows.size)
         # The live entry list the passes shrink, and the full one the
-        # CSR views are cut from.
-        self._row = self._link_rows = source[order]
-        self._col = self._link_cols = target[order]
+        # CSR views are cut from: the builder's, as it is.
+        self._row = self._link_rows = links.rows
+        self._col = self._link_cols = links.cols
         self._key = self._row * self.k + self.partition_of[self._col]
         # Rows ascend, so each partition's rows are one block.
         self._row_blocks = np.searchsorted(self._row, self.offsets).tolist()

@@ -28,6 +28,12 @@ structure sweeps. The stacked reduction must leave the same alive
 masks and perception vectors, bit for bit, after the same ``rounds``
 and ``message_updates``, with the same sizes and removal counts.
 
+:func:`per_pair_links` is the candidate-link builder as it ran before
+the stacked pass (:func:`repro.query.links.link_probabilities`): one
+equi-join and one factor product per joining partition pair. The
+stacked pass must keep the same links in the same order, their pre-α
+probabilities bit for bit, and count the same joint-marginal links.
+
 :class:`PathTables` (:func:`path_tables`) is a PEG's id view derived
 one id at a time from its entity-keyed dicts, :func:`edge_probabilities`
 the sorted-composite-key edge gather, and :func:`scalar_context` the
@@ -53,11 +59,12 @@ import numpy as np
 from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
 from repro.index.grid import milli
-from repro.index.paths import IndexedPath, PathCandidates
+from repro.index.paths import IndexedPath, PathCandidates, as_candidates
 from repro.index.protocol import PathIndexProtocol
+from repro.peg.arrays import PegProbabilityArrays, component_table
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import PathStatistics, compute_path_statistics
-from repro.query.decompose import QueryPath
+from repro.query.decompose import Decomposition, QueryPath
 from repro.query.kpartite import _CONVERGENCE_EPSILON, ReductionStats
 from repro.query.query_graph import QueryGraph
 from repro.query.reduction import VectorizedKPartiteGraph
@@ -404,6 +411,167 @@ class PerPairKPartiteGraph(VectorizedKPartiteGraph):
             if use_structure and any_deleted:
                 stats.structure_removed += self._structure_fixpoint()
         stats.rounds += rounds
+
+
+def _equi_join(key_i: np.ndarray, key_j: np.ndarray) -> tuple:
+    """All ``(row, col)`` index pairs with equal key tuples.
+
+    ``key_i``/``key_j`` are ``(n, m)`` int64 key-column matrices (one
+    row per candidate, one column per join predicate). Pairs come out
+    in (row ascending, col ascending) order — the reference builder's
+    enumeration order.
+    """
+    n_i, n_j = key_i.shape[0], key_j.shape[0]
+    empty = np.zeros(0, dtype=np.int64)
+    if n_i == 0 or n_j == 0:
+        return empty, empty.copy()
+    if key_i.shape[1] == 1:
+        gid_i = key_i[:, 0]
+        gid_j = key_j[:, 0]
+    else:
+        stacked = np.concatenate([key_i, key_j], axis=0)
+        _, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        inverse = np.asarray(inverse, dtype=np.int64).reshape(-1)
+        gid_i = inverse[:n_i]
+        gid_j = inverse[n_i:]
+    order_j = np.argsort(gid_j, kind="stable")
+    sorted_j = gid_j[order_j]
+    starts = np.searchsorted(sorted_j, gid_i, side="left")
+    ends = np.searchsorted(sorted_j, gid_i, side="right")
+    counts = ends - starts
+    total = int(counts.sum())
+    if total == 0:
+        return empty, empty.copy()
+    rows = np.repeat(np.arange(n_i, dtype=np.int64), counts)
+    run_starts = np.cumsum(counts) - counts
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
+    cols = order_j[np.repeat(starts, counts) + offsets]
+    return rows, np.asarray(cols, dtype=np.int64)
+
+
+def _assignment_spec(decomposition: Decomposition, i: int, j: int) -> list:
+    """Deduplicated query-node assignment order of the joined pair.
+
+    ``(side, position, query_node)`` triples in the scalar reference's
+    ``assigned``-dict insertion order: path ``i`` first, then path
+    ``j``, first occurrence per query node.
+    """
+    spec: list = []
+    seen: set = set()
+    for side, path in ((0, decomposition.paths[i]), (1, decomposition.paths[j])):
+        for position, query_node in enumerate(path.nodes):
+            if query_node in seen:
+                continue
+            seen.add(query_node)
+            spec.append((side, position, query_node))
+    return spec
+
+
+def _pair_probabilities(
+    peg: ProbabilisticEntityGraph,
+    decomposition: Decomposition,
+    arrays: PegProbabilityArrays,
+    nodes_i: np.ndarray,
+    nodes_j: np.ndarray,
+    i: int,
+    j: int,
+) -> tuple:
+    """All predicate-matched pairs of ``(i, j)`` with positive probability.
+
+    Returns ``(rows, cols, probs, fallback_count)``: vertex ids and the
+    exact joined probability per surviving pair, plus how many pairs
+    took a joint existence marginal (shared identity components).
+    """
+    query = decomposition.query
+    predicates = decomposition.predicates_between(i, j)
+    key_i = nodes_i[:, [pos_i for pos_i, _ in predicates]]
+    key_j = nodes_j[:, [pos_j for _, pos_j in predicates]]
+    rows, cols = _equi_join(key_i, key_j)
+    if rows.size == 0:
+        return rows, cols, np.zeros(0, dtype=np.float64), 0
+
+    spec = _assignment_spec(decomposition, i, j)
+    assigned_ids = [
+        nodes_i[rows, position] if side == 0 else nodes_j[cols, position]
+        for side, position, _ in spec
+    ]
+    position_of = {query_node: idx for idx, (_, _, query_node) in enumerate(spec)}
+    m = len(spec)
+
+    # Injectivity: distinct query nodes need distinct entities.
+    valid = np.ones(rows.shape, dtype=bool)
+    for a in range(m):
+        for b in range(a + 1, m):
+            valid &= assigned_ids[a] != assigned_ids[b]
+
+    # Pairs with two assigned nodes in one identity component are the
+    # only place reference sharing or joint existence marginals can
+    # appear; they take the joint marginal below.
+    keys = arrays.component_keys()
+    shared_component = np.zeros(rows.shape, dtype=bool)
+    for a in range(m):
+        key_a = keys[assigned_ids[a]]
+        for b in range(a + 1, m):
+            shared_component |= key_a == keys[assigned_ids[b]]
+    joint = np.flatnonzero(valid & shared_component)
+
+    # Elementwise joined probability in the scalar reference's factor
+    # order: labels in assignment order, then path-traversal edges
+    # (deduplicated by query edge), then the existence marginal of the
+    # assigned nodes — a product of gathers, or the joint one.
+    probs = np.ones(rows.shape, dtype=np.float64)
+    for idx, (_, _, query_node) in enumerate(spec):
+        label_probs = arrays.label_probabilities(query.label(query_node))
+        probs *= label_probs[assigned_ids[idx]]
+    seen_edges: set = set()
+    for path in (decomposition.paths[i], decomposition.paths[j]):
+        for node_a, node_b in zip(path.nodes, path.nodes[1:]):
+            edge = frozenset((node_a, node_b))
+            if edge in seen_edges:
+                continue
+            seen_edges.add(edge)
+            probs *= arrays.edge_probabilities(
+                assigned_ids[position_of[node_a]],
+                assigned_ids[position_of[node_b]],
+                query.label(node_a),
+                query.label(node_b),
+            )
+    existence = arrays.existence_probabilities()
+    prn = np.ones(rows.shape, dtype=np.float64)
+    for idx in range(m):
+        prn *= existence[assigned_ids[idx]]
+    if joint.size:
+        prn[joint] = component_table(peg).joint_existence(
+            np.stack([ids[joint] for ids in assigned_ids], axis=1), existence
+        )
+    probs *= prn
+    probs[~valid] = 0.0
+    keep = probs > 0.0
+    return rows[keep], cols[keep], probs[keep], joint.size
+
+
+def per_pair_links(
+    peg: ProbabilisticEntityGraph,
+    decomposition: Decomposition,
+    candidates: dict,
+    arrays: PegProbabilityArrays | None = None,
+) -> dict:
+    """``{(i, j): (rows, cols, probs, fallback)}`` of every joining pair,
+    built one pair at a time: the predicate-matched links with positive
+    joined probability, before any α, and how many took a joint
+    existence marginal."""
+    if arrays is None:
+        arrays = PegProbabilityArrays(peg)
+    nodes = [
+        as_candidates(candidates[i], len(path.nodes)).nodes
+        for i, path in enumerate(decomposition.paths)
+    ]
+    return {
+        (i, j): _pair_probabilities(
+            peg, decomposition, arrays, nodes[i], nodes[j], i, j
+        )
+        for i, j in sorted(decomposition.join_predicates)
+    }
 
 
 class TuplePathEnumeration:

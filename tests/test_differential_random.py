@@ -65,15 +65,21 @@ from repro.peg.components import partition_into_components
 from repro.pgd import PGD, ConditionalEdge
 from repro.query import QueryEngine, QueryGraph, QueryOptions, exhaustive_matches
 from repro.query.candidates import CandidateFinder
-from repro.query.decompose import QueryPath
+from repro.query.decompose import Decomposition, QueryPath
 from repro.query.kpartite import build_candidate_links
-from repro.query.links import LinkSet, build_candidate_links_vectorized
+from repro.query.links import (
+    LinkStructureCache,
+    StackedLinks,
+    build_candidate_links_vectorized,
+    link_probabilities,
+)
 from repro.query.matcher import generate_matches, generate_matches_reference
 from repro.query.reduction import VectorizedKPartiteGraph
 from repro.testing.reference import (
     PerPairKPartiteGraph,
     ScalarCandidateFinder,
     TuplePathEnumeration,
+    per_pair_links,
 )
 from repro.testing.reference import (
     partition_into_components as partition_by_scan,
@@ -121,6 +127,48 @@ def assert_link_equivalence(engine, query, alpha, context):
     )
     assert vectorized.pair_lists() == reference, context
     return vectorized.stats
+
+
+def assert_link_oracle_equivalence(
+    peg, decomposition, candidates, context, alphas=(), cache=None
+):
+    """The stacked link pass and the per-pair oracle agree: the same
+    joining pairs, rows and cols in the same order, pre-α probabilities
+    bit for bit and the same fallback counts; and at every α of
+    ``alphas`` (through ``cache`` when given) the built links are the
+    oracle's with probability ``>= α``, counting their fallback. Returns
+    the oracle's ``{(i, j): (rows, cols, probs, fallback)}``."""
+    stacked = link_probabilities(peg, decomposition, candidates)
+    oracle = per_pair_links(peg, decomposition, candidates)
+    assert list(stacked) == list(oracle), context
+    for pair, (rows, cols, probs, fallback) in oracle.items():
+        got_rows, got_cols, got_probs, got_fallback = stacked[pair]
+        assert got_rows.tolist() == rows.tolist(), (context, pair)
+        assert got_cols.tolist() == cols.tolist(), (context, pair)
+        assert got_probs.tobytes() == probs.tobytes(), (context, pair)
+        assert got_fallback == fallback, (context, pair)
+    for alpha in alphas:
+        links = build_candidate_links_vectorized(
+            peg, decomposition, candidates, alpha, cache=cache
+        )
+        assert_links_above(links, oracle, alpha, (context, alpha))
+    return oracle
+
+
+def assert_links_above(links, oracle, alpha, context):
+    """``links`` hold exactly the oracle's links with probability
+    ``>= alpha`` and count the oracle's fallback."""
+    assert links.pair_lists() == {
+        pair: [
+            (row, col)
+            for row, col, prob in zip(rows.tolist(), cols.tolist(), probs.tolist())
+            if prob >= alpha
+        ]
+        for pair, (rows, cols, probs, _) in oracle.items()
+    }, context
+    assert links.stats["fallback_pairs"] == sum(
+        fallback for *_, fallback in oracle.values()
+    ), context
 
 
 def candidate_records(candidates):
@@ -295,7 +343,7 @@ def assert_reduction_equivalence(
     under every ablation and round cap: alive masks, the perception
     vectors of alive vertices, ``rounds``, ``message_updates``, sizes,
     removal and link counts. Returns the stats of every setting."""
-    pairs = links.pair_lists() if isinstance(links, LinkSet) else links
+    pairs = links.pair_lists() if isinstance(links, StackedLinks) else links
     entries = 2 * sum(map(len, pairs.values()))
     results = {}
     for setting in REDUCTION_SETTINGS:
@@ -501,6 +549,21 @@ def _dense_cases():
     return [rng.randrange(2**31) for _ in range(6)]
 
 
+def _dense_queries(peg, peg_seed: int) -> list:
+    """Twelve dense queries (4-5 nodes, up to every edge) over ``peg``'s
+    labels: their paths join in cycles."""
+    sigma = sorted(peg.sigma, key=repr)
+    rng = random.Random(peg_seed)
+    queries = []
+    for _ in range(12):
+        num_nodes = rng.choice((4, 5))
+        num_edges = rng.randint(num_nodes, num_nodes * (num_nodes - 1) // 2)
+        queries.append(random_query(
+            num_nodes, num_edges, sigma, seed=rng.randrange(2**31)
+        ))
+    return queries
+
+
 @pytest.mark.parametrize("peg_seed", _dense_cases())
 def test_reduction_differential_dense(peg_seed):
     """Stacked reduction == per-pair oracle on dense queries (4-5 nodes,
@@ -510,14 +573,7 @@ def test_reduction_differential_dense(peg_seed):
     peg = small_random_peg(seed=peg_seed)
     engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
     arrays = PegProbabilityArrays(peg)
-    sigma = sorted(peg.sigma, key=repr)
-    rng = random.Random(peg_seed)
-    for _ in range(12):
-        num_nodes = rng.choice((4, 5))
-        num_edges = rng.randint(num_nodes, num_nodes * (num_nodes - 1) // 2)
-        query = random_query(
-            num_nodes, num_edges, sigma, seed=rng.randrange(2**31)
-        )
+    for query in _dense_queries(peg, peg_seed):
         for alpha in (0.05, 0.1, 0.2):
             context = (
                 peg_seed, query.nodes, sorted(query.edges, key=repr), alpha
@@ -565,11 +621,12 @@ def test_reduction_differential_edge_cases():
     links = build_candidate_links_vectorized(
         peg, decomposition, candidates, alpha
     )
-    assert len(decomposition.paths) >= 3 and links.num_pairs()
-    # Links in the reference's dict form reduce exactly like the LinkSet.
+    assert len(decomposition.paths) >= 3 and links.stats["pairs"]
+    # Links in the reference's dict form reduce exactly like the
+    # builder's stacked ones.
     dict_links = build_candidate_links(peg, decomposition, candidates, alpha)
     assert dict_links == links.pair_lists()
-    for form, given in (("linkset", links), ("dict", dict_links)):
+    for form, given in (("stacked", links), ("dict", dict_links)):
         results = assert_reduction_equivalence(
             peg, decomposition, candidates, alpha, given, form
         )
@@ -577,16 +634,12 @@ def test_reduction_differential_edge_cases():
     # Emptying one pair's links empties both its partitions in the
     # first structure sweep; the rest cascades.
     (i, j), _ = next(
-        (pair, arrays) for pair, arrays in sorted(links.items())
-        if arrays[0].size
+        (pair, pairs) for pair, pairs in sorted(dict_links.items()) if pairs
     )
-    cut = LinkSet(
-        {
-            pair: (arrays[0][:0], arrays[1][:0]) if pair == (i, j) else arrays
-            for pair, arrays in links.items()
-        },
-        links.stats,
-    )
+    cut = {
+        pair: [] if pair == (i, j) else pairs
+        for pair, pairs in dict_links.items()
+    }
     results = assert_reduction_equivalence(
         peg, decomposition, candidates, alpha, cut, "cut"
     )
@@ -615,6 +668,160 @@ def test_reduction_differential_edge_cases():
     assert match_records(python_links.matches) == match_records(
         default.matches
     )
+
+
+#: The link differential's thresholds: one below BETA (on-demand lookups).
+LINK_ALPHAS = (0.02, 0.15, 0.45)
+
+
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_link_differential(graph_index, config, query_seed):
+    """Stacked link pass == per-pair oracle on every harness case: three
+    alphas (the lowest below beta), greedy and exact decompositions; the
+    links built at each alpha are the oracle's at or above it."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    sigma = sorted(peg.sigma, key=repr)
+    for query in _random_queries(random.Random(query_seed), sigma):
+        for alpha in LINK_ALPHAS:
+            for options in (QueryOptions(), EXACT_PLAN):
+                context = (
+                    graph_index, config.seed, query.nodes, alpha,
+                    options.decomposition,
+                )
+                decomposition, candidates = planned_candidates(
+                    engine, query, alpha, options
+                )
+                assert_link_oracle_equivalence(
+                    peg, decomposition, candidates, context, alphas=(alpha,)
+                )
+
+
+def _dense_link_cases(peg_seed: int) -> int:
+    """Runs the link differential over the dense queries of one
+    60-reference PEG; returns how many of their joining pairs with links
+    share two or more query nodes (multi-column join keys)."""
+    peg = small_random_peg(seed=peg_seed)
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    multi_key = 0
+    for query in _dense_queries(peg, peg_seed):
+        for alpha in (0.05, 0.1, 0.2):
+            context = (peg_seed, query.nodes, sorted(query.edges, key=repr), alpha)
+            decomposition, candidates = planned_candidates(engine, query, alpha)
+            oracle = assert_link_oracle_equivalence(
+                peg, decomposition, candidates, context, alphas=(alpha,)
+            )
+            multi_key += sum(
+                len(decomposition.join_predicates[pair]) > 1 and rows.size > 0
+                for pair, (rows, *_) in oracle.items()
+            )
+    return multi_key
+
+
+@pytest.mark.parametrize("peg_seed", _dense_cases())
+def test_link_differential_dense(peg_seed):
+    """Stacked link pass == per-pair oracle on dense cyclic queries,
+    where two partitions share two or more nodes: the composite join key
+    spans several key columns."""
+    assert _dense_link_cases(peg_seed) > 0
+
+
+@pytest.mark.parametrize("peg_seed", _dense_cases()[:2])
+def test_link_differential_key_overflow(peg_seed, monkeypatch):
+    """With the composite-key bound at 0, every stacked join numbers its
+    ``(pair, key columns)`` rows by ``np.unique(axis=0)``, the branch a
+    composite past int64 takes: the links are the oracle's still."""
+    monkeypatch.setattr("repro.query.links._KEY_LIMIT", 0)
+    assert _dense_link_cases(peg_seed) > 0
+
+
+def test_link_differential_edge_cases():
+    """Stacked link pass == per-pair oracle where the random cases only
+    sometimes reach: a one-pair query, a query label outside Σ, a pair
+    with no predicate match beside a pair with matches, and one query
+    whose pairs mix link-cache hits and misses."""
+    peg = small_random_peg(seed=39)
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    a, b, c = sorted(peg.sigma, key=repr)
+    alpha = 0.1
+
+    def candidates_of(decomposition):
+        finder = CandidateFinder(
+            peg, decomposition.query, alpha,
+            index=engine.index, context=engine.context,
+        )
+        found = {
+            i: finder.find(path)[0]
+            for i, path in enumerate(decomposition.paths)
+        }
+        assert all(found.values())
+        return found
+
+    one_pair = Decomposition(
+        query=QueryGraph({"u": a, "v": b, "w": c}, [("u", "v"), ("v", "w")]),
+        paths=[QueryPath(("u", "v")), QueryPath(("v", "w"))],
+    )
+    oracle = assert_link_oracle_equivalence(
+        peg, one_pair, candidates_of(one_pair), "one pair", alphas=(alpha,)
+    )
+    assert list(oracle) == [(0, 1)] and oracle[(0, 1)][0].size
+
+    # Three one-edge paths: pairs (0, 1) through v and (1, 2) through w.
+    edges = [("u", "v"), ("v", "w"), ("w", "x")]
+    paths = [QueryPath(("u", "v")), QueryPath(("v", "w")), QueryPath(("w", "x"))]
+    chain = Decomposition(
+        query=QueryGraph({"u": a, "v": b, "w": c, "x": a}, edges), paths=paths
+    )
+    candidates = candidates_of(chain)
+    oracle = assert_link_oracle_equivalence(
+        peg, chain, candidates, "chain", alphas=(alpha,)
+    )
+    assert list(oracle) == [(0, 1), (1, 2)]
+    assert all(rows.size for rows, *_ in oracle.values())
+
+    # x's label is outside Σ: every link of (1, 2) multiplies a 0.0
+    # label factor, while (0, 1) keeps its links.
+    stranger = Decomposition(
+        query=QueryGraph({"u": a, "v": b, "w": c, "x": "not-a-label"}, edges),
+        paths=paths,
+    )
+    assert "not-a-label" not in peg.sigma
+    oracle = assert_link_oracle_equivalence(
+        peg, stranger, candidates, "outside sigma", alphas=(alpha,)
+    )
+    assert oracle[(0, 1)][0].size and not oracle[(1, 2)][0].size
+
+    # Partition 0's v column moved to a node no partition-1 row holds:
+    # (0, 1) matches nothing, (1, 2) still matches.
+    nodes = candidates[0].nodes.copy()
+    nodes[:, 1] = np.setdiff1d(
+        np.arange(peg.columns.size), candidates[1].nodes[:, 0]
+    )[0]
+    unmatched = dict(candidates)
+    unmatched[0] = PathCandidates(nodes, candidates[0].prle, candidates[0].prn)
+    oracle = assert_link_oracle_equivalence(
+        peg, chain, unmatched, "no match", alphas=(alpha,)
+    )
+    assert not oracle[(0, 1)][0].size and oracle[(1, 2)][0].size
+
+    # A warm cache, then partition 0 loses a row: (0, 1) misses and goes
+    # through the stacked pass, (1, 2) is served from the cache.
+    cache = LinkStructureCache()
+    assert_link_oracle_equivalence(
+        peg, chain, candidates, "cold", alphas=(alpha,), cache=cache
+    )
+    trimmed = dict(candidates)
+    trimmed[0] = candidates[0].take(slice(None, -1))
+    oracle = assert_link_oracle_equivalence(peg, chain, trimmed, "trimmed")
+    mixed = build_candidate_links_vectorized(
+        peg, chain, trimmed, alpha, cache=cache
+    )
+    assert (mixed.stats["cache_hits"], mixed.stats["cache_misses"]) == (1, 1)
+    assert_links_above(mixed, oracle, alpha, "mixed")
 
 
 @pytest.mark.parametrize(
@@ -1037,15 +1244,38 @@ def test_enumeration_differential_identity_components(name):
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
 def test_link_differential_identity_components(name):
+    """The vectorized links equal the reference's, and the stacked pass
+    the per-pair oracle's, on the path queries and on every labelling of
+    a triangle with a pendant node — whose partition pairs hold different
+    numbers of query nodes, so that some query's joint-marginal links
+    fall in more than one assignment-width group."""
     engine, queries = _identity_cases(name)
+    peg = engine.peg
+    paws = [
+        QueryGraph(
+            dict(zip("wxyz", labels)),
+            [("x", "y"), ("y", "z"), ("z", "x"), ("z", "w")],
+        )
+        for labels in itertools.product(sorted(peg.sigma, key=repr), repeat=4)
+    ]
     fallback_pairs = 0
-    for query in queries:
+    width_groups = 0
+    for query in queries + paws:
         for alpha in IDENTITY_ALPHAS:
-            stats = assert_link_equivalence(
-                engine, query, alpha, (name, query.nodes, alpha)
-            )
+            context = (name, query.nodes, query.label_sequence(query.nodes), alpha)
+            stats = assert_link_equivalence(engine, query, alpha, context)
             fallback_pairs += stats["fallback_pairs"]
+            decomposition, candidates = planned_candidates(engine, query, alpha)
+            oracle = assert_link_oracle_equivalence(
+                peg, decomposition, candidates, context, alphas=(alpha,)
+            )
+            paths = decomposition.paths
+            width_groups = max(width_groups, len({
+                len({*paths[i].nodes, *paths[j].nodes})
+                for (i, j), (*_, fallback) in oracle.items() if fallback
+            }))
     assert fallback_pairs > 0
+    assert width_groups > 1
 
 
 @pytest.mark.usefixtures("row_budget")

@@ -300,7 +300,7 @@ class TestLinkBuilderEdgeCases:
         )
         assert reference == {}
         assert vectorized.pair_lists() == {}
-        assert vectorized.num_pairs() == 0
+        assert vectorized.stats["pairs"] == vectorized.rows.size == 0
         # A single-partition k-partite graph still reduces fine.
         kpartite = CandidateKPartiteGraph(
             chain_peg, decomposition, candidates, 0.1

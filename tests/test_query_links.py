@@ -11,9 +11,15 @@ under concurrent ``QueryService`` load.
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import pytest
+
+from repro.datasets import generate_dblp_pgd
 from repro.delta import UpdateLabelProbability
+from repro.obs.metrics import get_registry
+from repro.peg import build_peg
 from repro.query import QueryEngine, QueryOptions
 from repro.query.engine import QueryResult
 from repro.query.kpartite import build_candidate_links
@@ -23,7 +29,7 @@ from repro.query.links import (
 )
 from repro.query.query_graph import QueryGraph
 from repro.service import QueryService
-from tests.conftest import small_random_peg
+from tests.conftest import sampled_component_peg, small_random_peg
 
 ALPHA = 0.3
 MAX_LENGTH = 2
@@ -108,6 +114,41 @@ class TestWarmCacheHits:
         assert python.link_stats["backend"] == "python"
         assert python.link_stats["pairs"] == vectorized.link_stats["pairs"]
         assert match_keys(python) == match_keys(vectorized)
+
+
+#: Graphs with multi-entity identity components, where links take joint
+#: existence marginals.
+FALLBACK_GRAPHS = {
+    "sampled": sampled_component_peg,
+    "dblp": lambda: build_peg(generate_dblp_pgd(120, seed=5)),
+}
+
+
+class TestWarmFallback:
+    @pytest.mark.parametrize("name", sorted(FALLBACK_GRAPHS))
+    def test_warm_build_reports_the_cold_fallback(self, name):
+        """A cache hit reports the ``fallback_pairs`` its miss counted,
+        in ``link_stats`` and in the process-wide counter alike."""
+        peg = FALLBACK_GRAPHS[name]()
+        engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+        counter = get_registry().counter("repro_link_fallback_pairs_total")
+        reached = 0
+        for labels in itertools.product(sorted(peg.sigma, key=repr), repeat=3):
+            query = QueryGraph(
+                dict(zip("xyz", labels)), [("x", "y"), ("y", "z")]
+            )
+            for alpha in (0.02, 0.15):
+                counts, increments = [], []
+                for _ in range(2):
+                    before = counter.value
+                    stats = engine.query(query, alpha).link_stats
+                    increments.append(counter.value - before)
+                    counts.append(stats.get("fallback_pairs", 0))
+                context = (name, labels, alpha)
+                assert counts[0] == counts[1], context
+                assert increments == counts, context
+                reached += counts[0] > 0
+        assert reached
 
 
 class TestCacheKeying:
