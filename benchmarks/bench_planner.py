@@ -8,9 +8,17 @@ serving:
   histogram estimation and the cover search entirely) vs re-planning
   every query from scratch, plus the end-to-end plan-stage share
   of full evaluations on both settings,
-* **exact strategy** — estimated-cost ratio of exact (bitmask-DP) plans
-  against greedy plans over the workload (never above 1.0: exact is
-  optimal for the same objective), with its planning-time premium,
+* **exact strategy** — estimated-cost ratio of exact (bitmask-DP) plans,
+  the default, against the paper's greedy plans over the workload
+  (never above 1.0: exact is optimal for the same objective), with its
+  planning-time premium,
+* **pools** — the end-to-end benchmark's four request pools (recipes
+  copied in), planned greedy and exact: partitions and link pairs per
+  request, and how many requests exact hands to its greedy fallback
+  (past the DP's work budget),
+* **sizes** — whether exact plans with the DP (or falls back) at the
+  query sizes of the paper's figures, q(3,3) to q(10,40), for
+  ``L = 1, 2, 3``,
 * **estimator feedback** — after un-compacted live mutation batches
   drift the histograms, the mean absolute log-error of cardinality
   estimates before vs after the feedback loop has observed the
@@ -18,10 +26,14 @@ serving:
 
 A correctness spot check runs inside: cached-plan and exact-strategy
 evaluations must produce exactly the matches of the fresh greedy
-baseline. Results go to ``BENCH_planner.json``; ``--trajectory``
-writes a versioned copy under ``benchmarks/results/``. With
-``--smoke`` (the CI gate) the script exits non-zero when cached
-planning fails to beat re-planning, or when the spot check disagrees.
+baseline, and on the pools exact and greedy plans the same match
+multisets, probability bits included. Results go to
+``BENCH_planner.json``; ``--trajectory`` writes a versioned copy under
+``benchmarks/results/``. The script exits non-zero when a check
+disagrees or an exact plan costs more than a greedy one; with
+``--smoke`` (the CI gate) also when cached planning fails to beat
+re-planning, or when exact falls back on any ``lookup_heavy``
+request.
 
 Usage::
 
@@ -44,23 +56,57 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
         0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     )
 
+from dataclasses import replace
+
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.delta import AddEntity, UpdateLabelProbability
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryOptions
+from repro.query.decompose import decompose_query, enumerate_candidate_paths
 
 ALPHA = 0.3
 MAX_LENGTH = 2
 BETA = 0.05
 
 PLAN_CACHED = QueryOptions()
+# Re-planned every query with the default strategy: the cache's baseline.
 PLAN_FRESH = QueryOptions(use_plan_cache=False, use_estimator_feedback=False)
 # Feedback off like PLAN_FRESH: the exact-vs-greedy cost comparison (and
-# its CI gate) must cost both strategies with the same estimator.
-PLAN_EXACT = QueryOptions(
-    decomposition="exact", use_plan_cache=False, use_estimator_feedback=False
-)
+# its gate) must cost both strategies with the same estimator.
+PLAN_GREEDY = replace(PLAN_FRESH, decomposition="greedy")
+PLAN_EXACT = replace(PLAN_FRESH, decomposition="exact")
+
+# The [pools] row's recipes: the end-to-end benchmark's four request
+# pools (benchmarks/e2e/workloads.py), copied so this module stands
+# alone. Per pool: graph, L, beta, query shapes, queries per shape and
+# the alphas every query is asked at.
+POOL_SEED = 20140331
+POOL_GRAPH = SyntheticConfig(num_references=200, uncertainty=0.2, seed=POOL_SEED)
+POOLS = {
+    "match_heavy": (
+        POOL_GRAPH, 3, 0.5,
+        ((3, 2), (3, 3), (4, 3), (4, 4), (5, 5)), 20, (0.5,),
+    ),
+    "lookup_heavy": (
+        POOL_GRAPH, 3, 0.5,
+        ((4, 5), (4, 6), (5, 7), (5, 8), (6, 9), (6, 10)), 16, (0.5,),
+    ),
+    "wire_zipf": (
+        SyntheticConfig(
+            num_references=600, num_labels=4, uncertainty=0.4, seed=POOL_SEED
+        ),
+        2, 0.1,
+        ((3, 3), (4, 4), (4, 5), (4, 6), (5, 5), (5, 6), (5, 7), (6, 8)), 4,
+        tuple(round(0.60 + 0.01 * step, 2) for step in range(16)),
+    ),
+    "live_updates": (
+        POOL_GRAPH, 2, 0.3, ((2, 1), (3, 2), (3, 3), (4, 4), (4, 5)), 5,
+        (0.5,),
+    ),
+}
+# The [sizes] row: query sizes (nodes, edges) of the paper's figures.
+SIZES = ((3, 3), (5, 7), (5, 10), (7, 21), (10, 20), (10, 40))
 
 
 def _build_engine(num_references: int) -> QueryEngine:
@@ -91,8 +137,79 @@ def _workload(rng: random.Random, sigma, distinct: int, repeats: int) -> list:
 
 def match_keys(matches):
     return sorted(
-        (m.nodes, m.edges, round(m.probability, 9)) for m in matches
+        (m.nodes, m.edges, m.probability.hex()) for m in matches
     )
+
+
+def _pool_requests(name: str) -> list:
+    """``(query, alpha)`` of every request of pool ``name``, in the
+    order of the end-to-end benchmark's pool."""
+    graph, _, _, shapes, per_shape, alphas = POOLS[name]
+    sigma = [f"L{i}" for i in range(graph.num_labels)]
+    rng = random.Random(f"{POOL_SEED}/{name}")
+    queries = [
+        random_query(nodes, edges, sigma, seed=rng.randrange(2**31))
+        for nodes, edges in shapes
+        for _ in range(per_shape)
+    ]
+    return [(query, alpha) for query in queries for alpha in alphas]
+
+
+def run_pools() -> dict:
+    """Greedy against exact plans on every request of the four pools."""
+    rows = {}
+    engines = {}
+    for name, (graph, max_length, beta, *_rest) in POOLS.items():
+        key = (graph, max_length, beta)
+        if key not in engines:
+            engines[key] = QueryEngine(
+                build_peg(generate_synthetic_pgd(graph)),
+                max_length=max_length, beta=beta,
+            )
+        engine = engines[key]
+        requests = _pool_requests(name)
+        totals = {"greedy": [0, 0], "exact": [0, 0]}
+        fallbacks = 0
+        agreement = True
+        for query, alpha in requests:
+            results = {
+                "greedy": engine.query(query, alpha, PLAN_GREEDY),
+                "exact": engine.query(query, alpha, PLAN_EXACT),
+            }
+            fallbacks += results["exact"].plan.source == "greedy"
+            for strategy, result in results.items():
+                totals[strategy][0] += len(result.decomposition_paths)
+                totals[strategy][1] += result.link_stats.get("pairs", 0)
+            agreement = agreement and match_keys(
+                results["greedy"].matches
+            ) == match_keys(results["exact"].matches)
+        row = {"requests": len(requests), "exact_fallbacks": fallbacks,
+               "agreement": agreement}
+        for strategy, (partitions, pairs) in totals.items():
+            row[f"{strategy}_partitions_per_request"] = partitions / len(requests)
+            row[f"{strategy}_link_pairs_per_request"] = pairs / len(requests)
+        rows[name] = row
+    return rows
+
+
+def run_sizes() -> dict:
+    """``{L: {"q(n,e)": strategy exact used}}`` over :data:`SIZES`."""
+    sigma = ("A", "B", "C")
+    rows = {}
+    for max_length in (1, 2, 3):
+        row = {}
+        for nodes, edges in SIZES:
+            query = random_query(nodes, edges, sigma, seed=0)
+            decomposition = decompose_query(
+                query, lambda labels, alpha: 10.0, ALPHA, max_length,
+                strategy="exact",
+            )
+            row[f"q({nodes},{edges})"] = {
+                "candidates": len(enumerate_candidate_paths(query, max_length)),
+                "strategy_used": decomposition.strategy_used,
+            }
+        rows[str(max_length)] = row
+    return rows
 
 
 def _time_planning(engine: QueryEngine, workload, options) -> float:
@@ -146,7 +263,7 @@ def run(num_references: int, distinct: int, repeats: int,
     agreement = True
     for query in workload[:distinct]:
         exact_result = engine.query(query, ALPHA, PLAN_EXACT)
-        greedy_result = engine.query(query, ALPHA, PLAN_FRESH)
+        greedy_result = engine.query(query, ALPHA, PLAN_GREEDY)
         cached_result = engine.query(query, ALPHA, PLAN_CACHED)
         baseline = match_keys(greedy_result.matches)
         agreement = agreement and match_keys(
@@ -285,11 +402,15 @@ def main(argv=None) -> int:
     num_batches = 2 if args.smoke else 5
 
     results = run(num_references, distinct, repeats, num_batches)
+    pools = run_pools()
+    sizes = run_sizes()
     report = {
         "benchmark": "planner",
         "repro_version": __version__,
         "mode": "smoke" if args.smoke else "large",
         "planner": results,
+        "pools": pools,
+        "sizes": sizes,
     }
     outputs = [args.out]
     if args.trajectory:
@@ -333,16 +454,39 @@ def main(argv=None) -> int:
         f" -> {feedback['mean_abs_log2_error_after']:.3f} after "
         f"{feedback['mutation_batches']} un-compacted mutation batches"
     )
+    for name, row in pools.items():
+        print(
+            f"[pools]    {name}: {row['requests']} requests; partitions "
+            f"{row['greedy_partitions_per_request']:.2f} greedy -> "
+            f"{row['exact_partitions_per_request']:.2f} exact, link pairs "
+            f"{row['greedy_link_pairs_per_request']:.1f} -> "
+            f"{row['exact_link_pairs_per_request']:.1f}; "
+            f"{row['exact_fallbacks']} exact fallbacks, "
+            f"agreement={row['agreement']}"
+        )
+    for max_length, row in sizes.items():
+        print(
+            f"[sizes]    L={max_length}, plan (candidate paths): " + ", ".join(
+                f"{size} {cell['strategy_used']} ({cell['candidates']})"
+                for size, cell in row.items()
+            )
+        )
     print("wrote " + ", ".join(outputs))
 
     if not results["agreement"]:
         print("FAIL: planned evaluations disagree with the greedy baseline")
+        return 1
+    if not all(row["agreement"] for row in pools.values()):
+        print("FAIL: exact and greedy plans disagree on a pool's matches")
         return 1
     if results["exact"]["mean_cost_ratio_vs_greedy"] > 1.0 + 1e-9:
         print("FAIL: exact plans cost more than greedy plans")
         return 1
     if args.smoke and planning["cached_speedup"] < 1.0:
         print("FAIL: cached planning is slower than re-planning")
+        return 1
+    if args.smoke and pools["lookup_heavy"]["exact_fallbacks"]:
+        print("FAIL: exact falls back to greedy on lookup_heavy requests")
         return 1
     return 0
 

@@ -145,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--decomposition",
         choices=("greedy", "exact", "random"),
-        default="greedy",
+        default=QueryOptions().decomposition,
+        help="decomposition strategy (default: %(default)s)",
     )
     query.add_argument(
         "--link-backend",
@@ -225,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--strategy",
         choices=("greedy", "exact", "random"),
-        default="greedy",
-        help="decomposition strategy (default: greedy)",
+        default=QueryOptions().decomposition,
+        help="decomposition strategy (default: %(default)s)",
     )
     plan.add_argument(
         "--repeat", type=int, default=2,

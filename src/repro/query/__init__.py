@@ -2,8 +2,9 @@
 
 The five steps of the paper's online phase map to submodules:
 
-1. :mod:`repro.query.decompose` — path decomposition via greedy SET
-   COVER (or exact bitmask DP) over a histogram-based cost model,
+1. :mod:`repro.query.decompose` — path decomposition as SET COVER
+   over a histogram-based cost model, solved optimally by a bitmask DP
+   within a work budget (greedy past it, or as the paper's baseline),
    adaptively planned by :mod:`repro.query.plan` (plan caching keyed
    by canonical query form, estimator feedback from observed lookup
    cardinalities),

@@ -6,13 +6,15 @@ every query edge, minimizing the estimated initial search-space size
 ``SS0(P) = prod_P C(P, α)``, with
 ``C(P, α) ∝ |PIndex(l_Q(V_P), α)| / (degree(P) · density(P))``.
 
-The minimization reduces to weighted SET COVER over the query edges and
-is solved with the standard greedy approximation: repeatedly add the
-path with the best efficiency (newly covered edges divided by cost).
-For small queries an exact branch-free dynamic program over covered-set
-bitmasks (``strategy="exact"``) minimizes the cost product optimally,
-falling back to greedy past a size cutoff. A random strategy is
-provided as the paper's "Random decomposition" baseline.
+The minimization reduces to weighted SET COVER over the query edges.
+``strategy="exact"`` (the planner's default) solves it optimally with a
+dynamic program over covered-set bitmasks, within one work budget
+(:data:`_EXACT_BUDGET`); past it — the complete 7-node query, or the
+paper's 10-node queries — it falls back to the standard greedy
+approximation: repeatedly add the path with the best efficiency (newly
+covered edges divided by cost). Greedy is also selectable on its own as
+the paper's approximation, and a random strategy as its "Random
+decomposition" baseline.
 
 All strategies are deterministic for a given seed: candidate paths and
 tie-breaks are ordered by canonical (``repr``-based) path keys, never
@@ -36,11 +38,14 @@ from repro.utils.rng import ensure_rng
 #: degenerate paths keep a finite cost.
 _EPSILON = 1e-9
 
-#: Exact-cover cutoffs: past either, ``strategy="exact"`` falls back to
-#: greedy. The DP visits ``2^elements * candidates`` states, so both
-#: bounds keep worst-case planning in the low milliseconds.
-_EXACT_MAX_ELEMENTS = 14
-_EXACT_MAX_CANDIDATES = 64
+#: Exact-cover work budget: the DP runs when ``2^elements * candidates``
+#: (covered-set states times the candidates one state may branch on) is
+#: at most this, else ``strategy="exact"`` falls back to greedy. It
+#: bounds worst-case planning at that of 14 elements with 64 candidates,
+#: and lets dense queries with few edges and many candidate paths — 10
+#: edges and 100 candidates at ``L=3`` — get the optimum; q(7,21) and
+#: the paper's 10-node queries stay past it at every ``L``.
+_EXACT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,7 @@ def decompose_query(
     strategy:
         ``"greedy"`` (paper's SET COVER approximation), ``"exact"``
         (optimal cost-product cover via bitmask DP, greedy fallback past
-        the size cutoffs) or ``"random"`` (the Random-decomposition
+        the work budget) or ``"random"`` (the Random-decomposition
         baseline).
     seed:
         RNG seed for the random strategy.
@@ -278,7 +283,7 @@ def decompose_query(
         chosen, cost = _greedy_cover(query, candidates, estimator, alpha)
     elif strategy == "exact":
         result = _exact_cover(query, candidates, estimator, alpha)
-        if result is None:  # past the cutoffs: greedy is the fallback
+        if result is None:  # past the budget: greedy is the fallback
             chosen, cost = _greedy_cover(query, candidates, estimator, alpha)
             used = "greedy"
         else:
@@ -372,8 +377,8 @@ def _exact_cover(
     log-costs reaching it (the product ``SS0`` is minimized iff the log
     sum is). Branching only on candidates covering the lowest-index
     missing element keeps every cover reachable exactly once per
-    selection set. Returns ``None`` past the size cutoffs — the caller
-    falls back to greedy.
+    selection set. Returns ``None`` past :data:`_EXACT_BUDGET` — the
+    caller falls back to greedy.
     """
     # Edges are frozensets: repr() of equal frozensets is *not* stable
     # (iteration order depends on insertion history and hash seed), so
@@ -390,10 +395,7 @@ def _exact_cover(
         if query.degree(node) == 0
     ]
     num_elements = len(elements)
-    if (
-        num_elements > _EXACT_MAX_ELEMENTS
-        or len(candidates) > _EXACT_MAX_CANDIDATES
-    ):
+    if (1 << num_elements) * len(candidates) > _EXACT_BUDGET:
         return None
     element_bit = {element: 1 << i for i, element in enumerate(elements)}
     # Canonical candidate order makes equal-cost DP outcomes (and hence
@@ -410,6 +412,16 @@ def _exact_cover(
             mask |= element_bit.get(("node", node), 0)
         masks.append(mask)
     log_costs = [math.log(costs[index]) for index in order]
+    # The candidates covering each element, in canonical order: a state
+    # branches only on those covering its lowest missing element.
+    covering = [
+        [
+            (position, mask, log_costs[position])
+            for position, mask in enumerate(masks)
+            if mask >> bit & 1
+        ]
+        for bit in range(num_elements)
+    ]
     full = (1 << num_elements) - 1
     dp: list = [None] * (full + 1)
     dp[0] = (0.0, ())
@@ -418,13 +430,11 @@ def _exact_cover(
         if entry is None:
             continue
         missing = ~state & full
-        lowest = missing & -missing
+        lowest = (missing & -missing).bit_length() - 1
         state_log, selection = entry
-        for position, mask in enumerate(masks):
-            if not mask & lowest:
-                continue
+        for position, mask, log_cost in covering[lowest]:
             new_state = state | mask
-            new_log = state_log + log_costs[position]
+            new_log = state_log + log_cost
             current = dp[new_state]
             if current is None or new_log < current[0]:
                 dp[new_state] = (new_log, selection + (position,))

@@ -84,8 +84,11 @@ class QueryOptions:
     the array matcher. Both produce identical matches (bit for bit, in
     the same order), partition sizes and removal counts.
 
-    ``decomposition`` accepts ``"greedy"``, ``"exact"`` (optimal for
-    small queries, greedy fallback past the cutoffs) and ``"random"``.
+    ``decomposition`` accepts ``"exact"`` (the default: the cover that
+    minimises the cost model's ``SS0``, by bitmask DP, with a greedy
+    fallback past the DP's work budget — see
+    :mod:`repro.query.decompose`), ``"greedy"`` (the paper's SET COVER
+    approximation) and ``"random"``.
     ``use_plan_cache`` / ``use_estimator_feedback`` gate the adaptive
     planner (:mod:`repro.query.plan`): plan reuse for repeated query
     shapes and observed-cardinality corrections of the histogram
@@ -112,7 +115,7 @@ class QueryOptions:
     layer's request keys exclude it.
     """
 
-    decomposition: str = "greedy"
+    decomposition: str = "exact"
     use_context_pruning: bool = True
     use_structure_reduction: bool = True
     use_upperbound_reduction: bool = True
@@ -496,26 +499,28 @@ class QueryEngine:
 
         # Close the estimation loop: observed raw lookup cardinalities
         # correct future histogram estimates (post-delta drift heals
-        # without a rebuild).
-        if options.use_estimator_feedback:
-            observations = self.planner.observe(
-                query, decomposition, alpha, raw_counts
-            )
-        else:
-            observations = {}
-        if observations:
-            error_sum = 0.0
-            for corrected, observed in observations.values():
-                error = abs(math.log2(
-                    (observed + 1.0) / (max(corrected, 0.0) + 1.0)
-                ))
-                _ESTIMATE_ERROR.observe(error)
-                error_sum += error
-            if span.enabled:
-                span.set(
-                    "estimate_abs_log2_err",
-                    round(error_sum / len(observations), 4),
+        # without a rebuild). It is planner work, so it is booked to the
+        # plan stage (re-entering a stage accumulates).
+        with recorder.stage("plan"):
+            if options.use_estimator_feedback:
+                observations = self.planner.observe(
+                    query, decomposition, alpha, raw_counts
                 )
+            else:
+                observations = {}
+            if observations:
+                error_sum = 0.0
+                for corrected, observed in observations.values():
+                    error = abs(math.log2(
+                        (observed + 1.0) / (max(corrected, 0.0) + 1.0)
+                    ))
+                    _ESTIMATE_ERROR.observe(error)
+                    error_sum += error
+                if span.enabled:
+                    span.set(
+                        "estimate_abs_log2_err",
+                        round(error_sum / len(observations), 4),
+                    )
 
         if all(candidates.values()):
             matches, reduction, link_stats = self._join(

@@ -17,10 +17,10 @@ def explain(result: QueryResult, max_matches: int = 5) -> str:
     When the result carries planner provenance
     (:class:`~repro.query.plan.PlanInfo`), the report names the
     requested strategy, where the plan came from (``cache``, ``exact``,
-    ``greedy`` or ``random`` — a size-cutoff fallback from exact shows
-    ``greedy``) and its estimated cost, plus one line per partition
-    comparing the planner's cardinality estimate against the observed
-    raw index count (``x{ratio}`` above 1 means the estimator
+    ``greedy`` or ``random`` — a fallback from exact past its work
+    budget shows ``greedy``) and its estimated cost, plus one line per
+    partition comparing the planner's cardinality estimate against the
+    observed raw index count (``x{ratio}`` above 1 means the estimator
     undershot; the feedback loop uses exactly these pairs).
     """
     lines = ["query evaluation"]

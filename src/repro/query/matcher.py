@@ -28,9 +28,11 @@ in one written-down order, so they agree bit for bit:
    (the array matcher reads a joint one from
    :meth:`~repro.peg.arrays.ComponentTable.joint_existence`).
 
-Both list matches by ``(-probability, repr(match.nodes))``, ties in
-visiting order; both key a match on its labeled subgraph, not on
-``repr``, so entities with equal ``repr`` stay distinct matches.
+Both list matches in :func:`match_sort_key` order — ``(-probability,
+repr(match.nodes))``, then the edge set — so the order does not depend
+on the plan (equal ``repr`` entities aside, ties keep visiting order);
+both key a match on its labeled subgraph, not on ``repr``, so entities
+with equal ``repr`` stay distinct matches.
 """
 
 from __future__ import annotations
@@ -437,16 +439,32 @@ def _first_embeddings(join: _FrontierJoin, nodes: np.ndarray) -> np.ndarray:
     return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
 
 
+def match_sort_key(match: Match) -> tuple:
+    """The order matches are listed in: ``(-probability,
+    repr(match.nodes))``, then the edge set — each edge as the sorted
+    pair of its endpoints' positions in ``match.nodes``, the pairs
+    sorted. Two embeddings of the same nodes with different edges are
+    ordered by their edges, not by the plan's visiting order."""
+    position = {entity: i for i, (entity, _) in enumerate(match.nodes)}
+    edges = sorted(
+        tuple(sorted(position[entity] for entity in edge))
+        for edge in match.edges
+    )
+    return (-match.probability, repr(match.nodes), tuple(edges))
+
+
 def _sorted_columns(
     join: _FrontierJoin, nodes: np.ndarray, probabilities: np.ndarray
 ) -> "MatchColumns":
-    """The matches as columns, sorted by ``(-probability,
-    repr(match.nodes))`` with ties in row (visiting) order.
+    """The matches as columns, sorted by :func:`match_sort_key` with
+    ties in row (visiting) order.
 
     ``repr(match.nodes)`` is the ``repr`` of its ``(entity, label)``
     pairs in ``repr(entity)`` order, so comparing two of them compares,
     node position by node position, the entity's ``repr`` and then the
     label's: one ``np.lexsort`` over their ranks, with no string built.
+    The edge keys are ``low * width + high`` over node positions, sorted
+    per row, compared column by column.
     """
     entities, ranks, repr_ranks = join.arrays.entity_tables()
     # A match lists its nodes in repr(entity) order (ties on id).
@@ -458,6 +476,16 @@ def _sorted_columns(
         [in_order.index(text) for text in label_reprs], dtype=np.int64
     )
     keys = []  # np.lexsort's last key is its primary one
+    if join.edge_columns:
+        width = nodes.shape[1]
+        place = np.argsort(repr_order, axis=1)  # column -> node position
+        ends_a = place[:, [column_a for column_a, _ in join.edge_columns]]
+        ends_b = place[:, [column_b for _, column_b in join.edge_columns]]
+        edge_keys = (
+            np.minimum(ends_a, ends_b) * width + np.maximum(ends_a, ends_b)
+        )
+        edge_keys.sort(axis=1)
+        keys.extend(edge_keys[:, ::-1].T)
     for position in reversed(range(nodes.shape[1])):
         keys.append(label_ranks[repr_order[:, position]])
         keys.append(repr_ranks[ordered[:, position]])
@@ -479,10 +507,9 @@ class MatchColumns(Sequence):
 
     ``nodes`` is the deduplicated final frontier — one row per match,
     PEG ids in the join's column order — and ``probabilities`` its
-    probabilities; rows are sorted by ``(-probability,
-    repr(match.nodes))``, ties in visiting order. ``repr_order[row]``
-    lists the row's columns in ``repr(entity)`` order, the order of
-    ``Match.nodes``. ``column_nodes`` and ``column_labels`` are the
+    probabilities; rows are sorted by :func:`match_sort_key`, ties in
+    visiting order. ``repr_order[row]`` lists the row's columns in
+    ``repr(entity)`` order, the order of ``Match.nodes``. ``column_nodes`` and ``column_labels`` are the
     query node and label of every column, ``edge_columns`` the
     ``(column_a, column_b)`` of every query edge in factor order, and
     ``entities`` the graph version's per-id entity table (shared, not
@@ -765,6 +792,4 @@ def generate_matches_reference(
         )
 
     extend(0, {}, {})
-    return sorted(
-        matches.values(), key=lambda m: (-m.probability, repr(m.nodes))
-    )
+    return sorted(matches.values(), key=match_sort_key)

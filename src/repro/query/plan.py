@@ -86,7 +86,8 @@ class PlanInfo:
 
     ``source`` is ``"cache"`` for a plan-cache hit, otherwise the
     strategy that actually ran (``"greedy"``, ``"exact"`` or
-    ``"random"``; a cutoff fallback from exact reports ``"greedy"``).
+    ``"random"``; a fallback from exact past its work budget reports
+    ``"greedy"``).
     """
 
     strategy: str

@@ -506,8 +506,15 @@ class TestPlan:
             ["plan", peg_file, "--pattern", "(a:L0)-(b:L1)", "--repeat", "1"]
         ) == 0
         out = capsys.readouterr().out
-        assert "strategy=greedy" in out
+        assert "strategy=exact source=exact" in out
         assert "est. cardinality" in out
+
+    def test_plan_greedy_baseline_stays_reachable(self, peg_file, capsys):
+        assert main(
+            ["plan", peg_file, "--pattern", "(a:L0)-(b:L1)",
+             "--strategy", "greedy", "--repeat", "1"]
+        ) == 0
+        assert "strategy=greedy source=greedy" in capsys.readouterr().out
 
     def test_plan_random_strategy_seeded(self, peg_file, capsys):
         assert main(
@@ -546,3 +553,10 @@ class TestQueryExactStrategy:
         out = capsys.readouterr().out
         assert "plan: strategy=exact" in out
         assert "matches:" in out
+
+    def test_query_plans_exact_by_default(self, peg_file, capsys):
+        assert main(
+            ["query", peg_file, "--pattern", "(a:L0)-(b:L1)",
+             "--alpha", "0.3", "--explain"]
+        ) == 0
+        assert "plan: strategy=exact" in capsys.readouterr().out

@@ -95,11 +95,16 @@ PYTHON_BACKEND = QueryOptions(reduction_backend="python")
 VECTOR_BACKEND = QueryOptions(reduction_backend="vectorized")
 PYTHON_LINKS = QueryOptions(link_backend="python")
 EXACT_PLAN = QueryOptions(decomposition="exact")
+GREEDY_PLAN = QueryOptions(decomposition="greedy")
 
 
-def planned_candidates(engine, query, alpha, options=QueryOptions()):
+def planned_candidates(engine, query, alpha, options=GREEDY_PLAN):
     """``(decomposition, {partition: candidates})`` as the engine's
-    lookup stage would produce them, through its live index."""
+    lookup stage would produce them, through its live index.
+
+    Greedy by default: the paper's approximation splits queries into
+    more, shorter paths than the default exact cover, so the reduction
+    and link checks built on it reach more partition-pair shapes."""
     decomposition, _info = engine.planner.plan(query, alpha, options)
     finder = CandidateFinder(
         engine.peg, query, alpha, index=engine.index, context=engine.context
@@ -467,12 +472,13 @@ def test_differential_agreement(graph_index, config, query_seed):
             assert match_keys(python_links.matches) == oracle, context
             if python_links.link_stats:  # empty-partition cases skip links
                 assert python_links.link_stats["backend"] == "python", context
-            # Planned execution: the exact strategy, then its plan-cache
-            # hit, must agree with the oracle (estimator feedback is on
-            # by default, so these also exercise corrected estimates).
-            exact = engine.query(query, alpha, EXACT_PLAN)
-            cached = engine.query(query, alpha, EXACT_PLAN)
-            assert match_keys(exact.matches) == oracle, context
+            # Planned execution: the paper's greedy strategy (the default
+            # exact one ran above), then its plan-cache hit, must agree
+            # with the oracle (estimator feedback is on by default, so
+            # these also exercise corrected estimates).
+            greedy = engine.query(query, alpha, GREEDY_PLAN)
+            cached = engine.query(query, alpha, GREEDY_PLAN)
+            assert match_keys(greedy.matches) == oracle, context
             assert match_keys(cached.matches) == oracle, context
             assert cached.plan.cached, context
             # Backend parity beyond matches: identical partition sizes
@@ -501,7 +507,7 @@ def test_matcher_differential(graph_index, config, query_seed):
     sigma = sorted(peg.sigma, key=repr)
     for query in _random_queries(random.Random(query_seed), sigma):
         for alpha in ALPHAS:
-            for options in (QueryOptions(), EXACT_PLAN):
+            for options in (GREEDY_PLAN, EXACT_PLAN):
                 context = (
                     graph_index, config.seed, query.nodes, alpha,
                     options.decomposition,
@@ -527,7 +533,7 @@ def test_reduction_differential(graph_index, config, query_seed):
     sigma = sorted(peg.sigma, key=repr)
     for query in _random_queries(random.Random(query_seed), sigma):
         for alpha in REDUCTION_ALPHAS:
-            for options in (QueryOptions(), EXACT_PLAN):
+            for options in (GREEDY_PLAN, EXACT_PLAN):
                 context = (
                     graph_index, config.seed, query.nodes, alpha,
                     options.decomposition,
@@ -590,7 +596,9 @@ def test_reduction_differential_dense(peg_seed):
 
 
 def _edge_case_candidates(engine, query, alpha):
-    decomposition, candidates = planned_candidates(engine, query, alpha)
+    decomposition, candidates = planned_candidates(
+        engine, query, alpha, GREEDY_PLAN
+    )
     assert all(candidates.values()), query.nodes
     return decomposition, candidates
 
@@ -688,7 +696,7 @@ def test_link_differential(graph_index, config, query_seed):
     sigma = sorted(peg.sigma, key=repr)
     for query in _random_queries(random.Random(query_seed), sigma):
         for alpha in LINK_ALPHAS:
-            for options in (QueryOptions(), EXACT_PLAN):
+            for options in (GREEDY_PLAN, EXACT_PLAN):
                 context = (
                     graph_index, config.seed, query.nodes, alpha,
                     options.decomposition,
@@ -842,7 +850,7 @@ def test_lookup_differential(graph_index, config, query_seed):
     queries = _random_queries(random.Random(query_seed), sigma)
     for query in queries:
         for alpha in ALPHAS:
-            for options in (QueryOptions(), EXACT_PLAN):
+            for options in (GREEDY_PLAN, EXACT_PLAN):
                 context = (
                     graph_index, config.seed, query.nodes, alpha,
                     options.decomposition,
@@ -1455,12 +1463,13 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 assert match_keys(
                     rebuilt.query(query, alpha).matches
                 ) == oracle, context
-                # Planned execution over the mutated graph: exact plans
-                # (costed on delta-aware, feedback-corrected estimates)
-                # and their cache hits must still match the oracle.
-                exact = engine.query(query, alpha, EXACT_PLAN)
-                cached = engine.query(query, alpha, EXACT_PLAN)
-                assert match_keys(exact.matches) == oracle, context
+                # Planned execution over the mutated graph: greedy plans
+                # (the default exact ones ran above; both costed on
+                # delta-aware, feedback-corrected estimates) and their
+                # cache hits must still match the oracle.
+                greedy = engine.query(query, alpha, GREEDY_PLAN)
+                cached = engine.query(query, alpha, GREEDY_PLAN)
+                assert match_keys(greedy.matches) == oracle, context
                 assert match_keys(cached.matches) == oracle, context
                 assert cached.plan.cached, context
                 # Link-builder differential on the mutated graph, both

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from tests.conftest import small_random_peg
 
 from repro.delta import AddEdge, UpdateLabelProbability
 from repro.obs import STAGES, Tracer, get_registry, render_trace
+from repro.obs.trace import current_span
 from repro.query.engine import QueryEngine, QueryOptions
 from repro.query.query_graph import QueryGraph
 from repro.query.topk import top_k_matches
@@ -53,7 +55,9 @@ class TestStageVocabulary:
         }
         assert stage_labels == set(STAGES)
         spans = [n for n in _span_names(result.trace) if n != "partition"]
-        assert tuple(spans) == STAGES
+        # The estimator feedback after the lookup re-enters ``plan``.
+        assert tuple(spans) == ("plan", "lookup", "plan", *STAGES[2:])
+        assert tuple(dict.fromkeys(spans)) == STAGES
         assert result.total_seconds == sum(result.timings.values())
         # The match span says why it cost what it cost.
         match_span = result.trace["children"][-1]
@@ -73,7 +77,30 @@ class TestStageVocabulary:
         assert result.trace["attributes"]["empty_partition"] is True
         assert tuple(result.timings) == STAGES[:2]
         spans = [n for n in _span_names(result.trace) if n != "partition"]
-        assert tuple(spans) == STAGES[:2]
+        assert tuple(spans) == ("plan", "lookup", "plan")
+
+    def test_estimator_feedback_is_booked_to_the_plan_stage(
+        self, monkeypatch
+    ):
+        """The feedback loop between lookup and link_build runs inside a
+        ``plan`` span, and its time reaches ``timings["plan"]``."""
+        peg = small_random_peg(seed=11)
+        engine = QueryEngine(peg, max_length=2)
+        observe = engine.planner.observe
+        spans = []
+
+        def slow_observe(*args):
+            spans.append(current_span().name)
+            time.sleep(0.05)
+            return observe(*args)
+
+        monkeypatch.setattr(engine.planner, "observe", slow_observe)
+        result = engine.query(
+            _chain_query(sorted(peg.sigma), n=4), 0.2, QueryOptions(trace=True)
+        )
+        assert spans == ["plan"]
+        assert result.timings["plan"] >= 0.05
+        assert result.total_seconds == sum(result.timings.values())
 
 
 class TestEngineTracing:

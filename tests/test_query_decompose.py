@@ -1,7 +1,12 @@
 """Unit tests for repro.query.decompose (paths, cost model, SET COVER)."""
 
+import itertools
+import math
+import random
+
 import pytest
 
+from repro.datasets import random_query
 from repro.query.decompose import (
     Decomposition,
     QueryPath,
@@ -287,6 +292,111 @@ class TestStrategyInvariants:
                     (pj, pi) for pi, pj in predicates
                 )
             assert decomposition.estimated_cost > 0.0
+
+
+class TestExactOptimum:
+    """``strategy="exact"`` is the cost model's optimum, within one work
+    budget."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(5201)
+        queries = [
+            # An isolated node is an element of the universe too.
+            QueryGraph(
+                {"a": "A", "b": "B", "c": "C", "d": "A"},
+                [("a", "b"), ("b", "c")],
+            )
+        ]
+        for _ in range(40):
+            num_nodes = rng.randint(2, 5)
+            max_edges = min(6, num_nodes * (num_nodes - 1) // 2)
+            queries.append(random_query(
+                num_nodes, rng.randint(num_nodes - 1, max_edges),
+                ("A", "B", "C"), seed=rng.randrange(2**31),
+            ))
+        for query in queries:
+            max_length = rng.randint(1, 3)
+            while len(enumerate_candidate_paths(query, max_length)) > 20:
+                max_length -= 1
+            # Every estimate is >= 100 and no path's degree * density
+            # exceeds 12 here, so every path costs more than 1.
+            estimates: dict = {}
+
+            def estimator(label_seq, alpha, estimates=estimates):
+                return estimates.setdefault(
+                    tuple(label_seq), 100.0 + 1000.0 * rng.random()
+                )
+
+            yield query, max_length, estimator
+
+    @staticmethod
+    def _brute_force_minimum(query, max_length, estimator) -> float:
+        """Least cost product over every covering subset of candidates.
+
+        With every cost above 1 a redundant path only adds cost, so the
+        minimum is reached by a subset of at most one path per element.
+        """
+        isolated = [n for n in query.nodes if query.degree(n) == 0]
+        universe = set(query.edges) | {("node", n) for n in isolated}
+        candidates = enumerate_candidate_paths(query, max_length)
+        covers = [
+            path.path_edges
+            | {("node", n) for n in path.nodes if n in isolated}
+            for path in candidates
+        ]
+        costs = [
+            path_cost(
+                query, path, estimator(query.label_sequence(path.nodes), 0.5)
+            )
+            for path in candidates
+        ]
+        assert min(costs) > 1.0
+        best = math.inf
+        for size in range(1, len(universe) + 1):
+            for subset in itertools.combinations(range(len(candidates)), size):
+                if set().union(*(covers[i] for i in subset)) == universe:
+                    best = min(best, math.prod(costs[i] for i in subset))
+        return best
+
+    def test_exact_cost_is_the_brute_force_minimum(self):
+        greedy_worse = 0
+        for query, max_length, estimator in self._cases():
+            best = self._brute_force_minimum(query, max_length, estimator)
+            exact = decompose_query(
+                query, estimator, 0.5, max_length, strategy="exact"
+            )
+            greedy = decompose_query(
+                query, estimator, 0.5, max_length, strategy="greedy"
+            )
+            context = (query.nodes, sorted(map(sorted, query.edges)))
+            assert exact.strategy_used == "exact", context
+            assert exact.estimated_cost == pytest.approx(best, rel=1e-12), \
+                context
+            assert greedy.estimated_cost >= best * (1 - 1e-12), context
+            greedy_worse += greedy.estimated_cost > best * (1 + 1e-9)
+        assert greedy_worse > 0  # the oracle separates the strategies
+
+    def test_one_work_budget(self):
+        """``2^elements * candidates <= 2^20``: a dense 6-node query at
+        ``L=3`` has more candidates than the old cap of 64 and still gets
+        the optimum; the complete 7-node query and the paper's 10-node
+        queries fall back to greedy at every ``L``."""
+        sigma = ("A", "B", "C")
+        dense = random_query(6, 10, sigma, seed=0)
+        assert len(enumerate_candidate_paths(dense, 3)) > 64
+        assert decompose_query(
+            dense, flat_estimator, 0.5, 3, strategy="exact"
+        ).strategy_used == "exact"
+        for nodes, edges in ((7, 21), (10, 20), (10, 40)):
+            query = random_query(nodes, edges, sigma, seed=0)
+            for max_length in (1, 2, 3):
+                decomposition = decompose_query(
+                    query, flat_estimator, 0.5, max_length, strategy="exact"
+                )
+                assert decomposition.strategy_used == "greedy", (
+                    nodes, edges, max_length,
+                )
 
 
 class TestPlanStability:

@@ -158,8 +158,15 @@ class TestExactStrategy:
             assert exact.strategy_used == "exact"
             assert exact.estimated_cost <= greedy.estimated_cost * (1 + 1e-9)
 
+    def test_exact_is_the_default(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        engine.planner.cache.clear()
+        _, info = engine.planner.plan(triangle("d", sigma), 0.3, QueryOptions())
+        assert info.strategy == info.source == "exact"
+
     def test_exact_falls_back_past_cutoff(self):
-        # 16 edges > _EXACT_MAX_ELEMENTS: a path query of 17 nodes.
+        # A path query of 17 nodes: 2^16 covered-edge states times 31
+        # candidate paths is past the exact DP's work budget.
         labels = {i: "x" for i in range(17)}
         edges = [(i, i + 1) for i in range(16)]
         query = QueryGraph(labels, edges)

@@ -23,7 +23,7 @@ from repro.datasets import generate_synthetic_pgd
 from repro.net.protocol import encode_frame, result_response, serialize_matches
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
-from repro.query import QueryEngine, QueryGraph
+from repro.query import QueryEngine, QueryGraph, QueryOptions
 from repro.query.matcher import MatchColumns
 from tests.test_differential_random import (
     BETA,
@@ -91,6 +91,44 @@ def test_wire_golden_e2e_pool(name):
         request_id = REQUEST_IDS[position % len(REQUEST_IDS)]
         assert_wire_golden(result, (name, position), (request_id,))
     assert matches > 0
+
+
+#: The planner's strategies: the default exact cover, the paper's greedy
+#: approximation and a seeded random cover.
+PLANS = (
+    QueryOptions(decomposition="exact"),
+    QueryOptions(decomposition="greedy"),
+    QueryOptions(decomposition="random", seed=3),
+)
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOAD_NAMES)
+def test_reply_order_does_not_depend_on_the_plan(name):
+    """Every request of an e2e pool gets the same reply under every
+    plan: the same ``serialize_matches``, and the same matches in the
+    same order, edges and probability bits included (the serialized
+    form carries no edges, so it alone cannot see two embeddings of
+    one node set trade places)."""
+    inputs = getattr(workloads, name)(seed=7)
+    engine = QueryEngine(
+        build_peg(generate_synthetic_pgd(inputs.graph)),
+        max_length=inputs.max_length, beta=inputs.beta,
+    )
+    sources = set()
+    for position, (query, alpha) in enumerate(inputs.pool):
+        replies = set()
+        for options in PLANS:
+            result = engine.query(query, alpha, options)
+            sources.add(result.plan.source)
+            replies.add((
+                repr(serialize_matches(result.matches)),
+                tuple(
+                    (m.probability.hex(), m.nodes, m.edges)
+                    for m in result.matches
+                ),
+            ))
+        assert len(replies) == 1, (name, position)
+    assert {"exact", "greedy", "random"} <= sources
 
 
 def mixed_reference_engine() -> QueryEngine:
