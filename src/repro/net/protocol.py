@@ -74,6 +74,10 @@ ERROR_INTERNAL = "INTERNAL"
 #: How a frame writes JSON: ``json.dumps`` with these settings.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
 
+#: The attribute :func:`result_response` keeps a
+#: :class:`~repro.query.matcher.MatchColumns`' encoded ``matches`` body in.
+_BODY_MEMO = "_wire_matches"
+
 
 def encode_frame(obj: dict | bytes) -> bytes:
     """Serialize one message as a length-prefixed JSON frame.
@@ -185,7 +189,9 @@ def result_response(request_id, result) -> bytes:
 
     Byte for byte the encoding of ``{"id": request_id, "ok": true,
     "matches": serialize_matches(result.matches), "num_matches": ...}``.
-    Columns are encoded directly; a plain match list (the all-reference
+    Columns are encoded directly, once: the ``matches`` body is kept on
+    the (immutable) columns, so a cached result's later replies only
+    frame it with their ids. A plain match list (the all-reference
     configuration's) goes through :func:`serialize_matches`.
     """
     matches = result.matches
@@ -197,10 +203,15 @@ def result_response(request_id, result) -> bytes:
             "matches": serialized,
             "num_matches": len(serialized),
         }).encode("utf-8")
+    body = getattr(matches, _BODY_MEMO, None)
+    if body is None:
+        # Unlocked: racing first replies encode the same bytes, and
+        # either assignment is the memo. Pickling leaves it behind
+        # (MatchColumns.__reduce__ ships only the columns).
+        body = _encode_columns(matches)
+        setattr(matches, _BODY_MEMO, body)
     return b'{"id":%s,"ok":true,"matches":[%s],"num_matches":%d}' % (
-        _json_scalar(request_id).encode(),
-        _encode_columns(matches),
-        len(matches),
+        _json_scalar(request_id).encode(), body, len(matches),
     )
 
 

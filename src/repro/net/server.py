@@ -33,6 +33,19 @@ and partial failure:
   connections mid-exchange and assert the correct-or-clean-error
   invariant end to end.
 
+A request is served on the event loop from frame to reply; only work
+that can block leaves it. The dispatcher admits an entry with a
+non-blocking :meth:`QueryService.submit` (``wait_if_paused=False``): a
+cache hit or an admission error is settled before ``submit`` returns
+and is answered in the same turn, and a miss runs on the service's
+workers, whose completion comes back through ``call_soon_threadsafe``.
+The one fallback is a live update that has paused the service's
+admission: that entry's submit then waits on a thread
+(``asyncio.to_thread``) while the loop keeps serving. A reply is
+written straight to the transport; a task is made only for a fired
+``net.write`` fault, to queue behind a reply of the same connection
+still in a task, or to ``drain`` a full transport buffer.
+
 Use :func:`start_server` to run a server on its own event-loop thread
 (the shape the CLI and the tests use); the asyncio API
 (:meth:`QueryServer.start` / :meth:`QueryServer.stop`) is also public
@@ -67,6 +80,9 @@ class _Client:
         self.queue: deque = deque()
         self.inflight = 0
         self.write_lock = asyncio.Lock()
+        #: Reply tasks of this connection not yet done; while any is,
+        #: later replies queue behind it instead of writing directly.
+        self.sending = 0
         self.closed = False
 
 
@@ -451,30 +467,48 @@ class QueryServer:
                 self._m_inflight.inc()
                 self._idle.clear()
                 self._inflight_entries.add(entry)
-                if entry.deadline is not None:
-                    entry.timer = self._loop.call_later(
-                        max(0.0, entry.deadline - time.monotonic()),
-                        self._entry_expired, entry,
-                    )
-                # submit() can block briefly (admission gate during a
-                # concurrent live update), so it runs on a thread to
-                # keep the event loop responsive.
-                await asyncio.to_thread(self._submit_entry, entry)
+                await self._submit(entry)
 
-    def _submit_entry(self, entry: _Entry) -> None:
-        """Thread-side: hand one entry to the service."""
+    async def _submit(self, entry: _Entry) -> None:
+        """Hand one entry to the service; answer it if already settled.
+
+        Admission runs here, on the loop, and never waits: a hit or an
+        admission error is answered in this turn. Only while a live
+        update pauses the service's admission does the entry take the
+        one blocking path, a waiting submit on a thread, which keeps
+        the loop serving until the update is done.
+        """
         try:
             future = self.service.submit(
-                entry.query, entry.alpha, deadline=entry.deadline
+                entry.query, entry.alpha, deadline=entry.deadline,
+                wait_if_paused=False,
             )
+            if future is None:
+                self._arm_watchdog(entry)
+                future = await asyncio.to_thread(
+                    self.service.submit, entry.query, entry.alpha,
+                    deadline=entry.deadline,
+                )
         except ReproError as exc:
-            self._loop.call_soon_threadsafe(self._entry_failed, entry, exc)
+            self._entry_failed(entry, exc)
             return
+        if future.done():
+            self._entry_done(entry, future)
+            return
+        self._arm_watchdog(entry)
         future.add_done_callback(
             lambda fut: self._loop.call_soon_threadsafe(
                 self._entry_done, entry, fut
             )
         )
+
+    def _arm_watchdog(self, entry: _Entry) -> None:  # loop-only
+        """Answer ``entry`` at its deadline if nothing else has by then."""
+        if entry.deadline is not None and entry.timer is None:
+            entry.timer = self._loop.call_later(
+                max(0.0, entry.deadline - time.monotonic()),
+                self._entry_expired, entry,
+            )
 
     # ------------------------------------------------------------------
     # Completion (loop-side)
@@ -496,7 +530,8 @@ class QueryServer:
         self._dispatch_wake.set()
         return True
 
-    def _entry_done(self, entry: _Entry, future) -> None:
+    def _entry_done(self, entry: _Entry, future) -> None:  # loop-only
+        """Answer ``entry`` from its settled service future."""
         if not self._finish_entry(entry):
             return  # the watchdog already answered; discard the late result
         if future.cancelled():
@@ -506,7 +541,7 @@ class QueryServer:
                 "service closed before the request ran",
             )
             return
-        exc = future.exception()
+        exc = future.exception(0)
         if exc is not None:
             code, message = self._classify(exc)
             if code == protocol.ERROR_DEADLINE:
@@ -520,13 +555,20 @@ class QueryServer:
                 self._m_requests["error"].inc()
             self._reply_error(entry.client, entry.request_id, code, message)
             return
+        payload = protocol.result_response(entry.request_id, future.result(0))
+        if len(payload) > protocol.MAX_FRAME_BYTES:
+            # encode_frame would refuse it where the reply is written.
+            self._m_requests["error"].inc()
+            self._reply_error(
+                entry.client, entry.request_id, protocol.ERROR_INTERNAL,
+                f"reply of {len(payload)} bytes exceeds the "
+                f"{protocol.MAX_FRAME_BYTES}-byte frame limit",
+            )
+            return
         self._m_requests["ok"].inc()
-        self._reply(
-            entry.client,
-            protocol.result_response(entry.request_id, future.result()),
-        )
+        self._reply(entry.client, payload)
 
-    def _entry_failed(self, entry: _Entry, exc: Exception) -> None:
+    def _entry_failed(self, entry: _Entry, exc: Exception) -> None:  # loop-only
         if not self._finish_entry(entry):
             return
         code, message = self._classify(exc)
@@ -563,17 +605,46 @@ class QueryServer:
     # ------------------------------------------------------------------
 
     def _reply(self, client: _Client, payload: dict | bytes) -> None:  # loop-only
+        """Send one reply frame, in order with the connection's others.
+
+        The common case writes the frame right here: no fault fired
+        and no earlier reply of the connection is still in a task. A
+        task is made only for a fired ``net.write`` fault, to queue
+        behind such a task, or to ``drain`` a transport buffer the
+        write left non-empty.
+        """
         if client.closed:
             return
-        task = self._loop.create_task(self._send(client, payload))
+        action = faults.fire("net.write")
+        if action is None and not client.sending:
+            try:
+                client.writer.write(protocol.encode_frame(payload))
+            except (ConnectionError, OSError):
+                self._disconnect(client)
+                return
+            if client.writer.transport.get_write_buffer_size():
+                self._send_task(client, None, None)
+            return
+        self._send_task(client, payload, action)
+
+    def _send_task(self, client: _Client, payload, action) -> None:  # loop-only
+        """Send (or only drain, for a ``None`` payload) in a reply task."""
+        client.sending += 1
+        task = self._loop.create_task(self._send(client, payload, action))
         self._reply_tasks.add(task)
-        task.add_done_callback(self._reply_tasks.discard)
+
+        def sent(task) -> None:
+            self._reply_tasks.discard(task)
+            client.sending -= 1
+
+        task.add_done_callback(sent)
 
     def _reply_error(self, client, request_id, code, message) -> None:
         self._reply(client, protocol.error_response(request_id, code, message))
 
-    async def _send(self, client: _Client, payload: dict | bytes) -> None:
-        action = faults.fire("net.write")
+    async def _send(self, client: _Client, payload, action) -> None:
+        """Reply-task side of :meth:`_reply`: ``action`` is the fault the
+        reply already fired, and a ``None`` payload only drains."""
         if action is not None:
             if action.kind == "delay":
                 await asyncio.sleep(action.param)
@@ -585,7 +656,8 @@ class QueryServer:
             if client.closed:
                 return
             try:
-                client.writer.write(protocol.encode_frame(payload))
+                if payload is not None:
+                    client.writer.write(protocol.encode_frame(payload))
                 await client.writer.drain()
             except (ConnectionError, OSError):
                 self._disconnect(client)

@@ -327,6 +327,7 @@ class QueryService:
         alpha: float,
         options: QueryOptions,
         span,
+        wait_if_paused: bool = True,
     ) -> tuple:
         """Resolve one request against the cache and in-flight registry.
 
@@ -335,7 +336,10 @@ class QueryService:
         evaluation (dedup); otherwise the request was registered
         in-flight under ``key`` and the caller owns evaluating it and
         completing the future (via :meth:`_finish` /
-        :meth:`_abort_submission`). The
+        :meth:`_abort_submission`). While a live update pauses
+        admission this waits for it (bounded by
+        ``max_admission_wait``), or — with ``wait_if_paused=False`` —
+        returns ``(None, None)`` at once, having recorded nothing. The
         admission outcome is recorded on ``span`` here, where it is
         decided, so the attribute can never disagree with the stats.
         """
@@ -353,7 +357,10 @@ class QueryService:
             # The wait is bounded: a stuck or slow mutation batch must
             # not turn every submit into an indefinite block.
             wait_deadline = time.monotonic() + self.max_admission_wait
-            while self._applying:
+            while True:
+                admitted = self._try_admit(query, alpha, options, span, start)
+                if admitted is not None or not wait_if_paused:
+                    break
                 remaining = wait_deadline - time.monotonic()
                 if remaining <= 0:
                     self.stats.record_rejected()
@@ -363,37 +370,53 @@ class QueryService:
                         f"max_admission_wait={self.max_admission_wait}s"
                     )
                 self._apply_done.wait(remaining)
-            if self._closed:
-                raise ServiceError("service is closed")
-            # Engine-like test doubles may not carry a version; treat
-            # them as frozen graphs.
-            key = request_key(
-                query, alpha, options,
-                getattr(self.engine, "graph_version", 0),
+        if admitted is None:
+            return None, None
+        future, key = admitted
+        if key is not None:
+            self.stats.record_miss()
+            span.set("outcome", "miss")
+        return future, key
+
+    def _try_admit(  # holds-lock: _gate
+        self, query, alpha, options, span, start
+    ) -> tuple | None:
+        """:meth:`_admit`'s non-blocking core; ``None`` while paused.
+
+        A miss is registered in-flight here but recorded by the caller,
+        after the gate is released.
+        """
+        if self._applying:
+            return None
+        if self._closed:
+            raise ServiceError("service is closed")
+        # Engine-like test doubles may not carry a version; treat
+        # them as frozen graphs.
+        key = request_key(
+            query, alpha, options,
+            getattr(self.engine, "graph_version", 0),
+        )
+        cached = self.cache.get(key)
+        if cached is not None:
+            self.stats.record_hit(time.perf_counter() - start)
+            span.set("outcome", "cache")
+            future: Future = Future()
+            future.set_result(cached)
+            return future, None
+        inflight = self._inflight.get(key)
+        if inflight is not None:
+            self.stats.record_dedup()
+            span.set("outcome", "dedup")
+            # The follower's completion is recorded when the
+            # leader's future resolves — including via close(),
+            # which fails leftover futures — so ``requests`` and
+            # ``completed`` converge on any drained service.
+            inflight.add_done_callback(
+                functools.partial(self._finish_attached, start)
             )
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.stats.record_hit(time.perf_counter() - start)
-                span.set("outcome", "cache")
-                future: Future = Future()
-                future.set_result(cached)
-                return future, None
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self.stats.record_dedup()
-                span.set("outcome", "dedup")
-                # The follower's completion is recorded when the
-                # leader's future resolves — including via close(),
-                # which fails leftover futures — so ``requests`` and
-                # ``completed`` converge on any drained service.
-                inflight.add_done_callback(
-                    functools.partial(self._finish_attached, start)
-                )
-                return inflight, None
-            future = Future()
-            self._inflight[key] = future
-        self.stats.record_miss()
-        span.set("outcome", "miss")
+            return inflight, None
+        future = Future()
+        self._inflight[key] = future
         return future, key
 
     def _abort_submission(self, key, future, start, exc) -> None:
@@ -416,7 +439,9 @@ class QueryService:
         alpha: float,
         options: QueryOptions | None = None,
         deadline: float | None = None,
-    ) -> Future:
+        *,
+        wait_if_paused: bool = True,
+    ) -> Future | None:
         """Enqueue one request; returns a future of its ``QueryResult``.
 
         Cache hits resolve immediately; a request identical (up to node
@@ -435,6 +460,13 @@ class QueryService:
         ``stats.deadline_exceeded`` by whoever reports it to the
         requester — :meth:`query` here, the server's watchdog or reply
         for a wire request — so one request is never counted twice.
+
+        While a live update (:meth:`apply_updates`) pauses admission,
+        ``submit`` waits for it to finish. A caller that must not block
+        (the network tier's event loop) passes ``wait_if_paused=False``
+        and gets ``None`` back instead: nothing was admitted or
+        counted, and the caller retries with a waiting submit on a
+        thread of its own.
         """
         with self._gate:
             if self._closed:
@@ -444,12 +476,18 @@ class QueryService:
         span.begin()
         try:
             span.set("alpha", float(alpha))
-            future, key = self._admit(query, alpha, options, span)
+            future, key = self._admit(
+                query, alpha, options, span, wait_if_paused
+            )
         except BaseException:
             # Refused (admission-pause timeout, closed) or malformed
             # (request_key raised): the request's lifecycle ends here.
             span.finish(error=True)
             raise
+        if future is None:
+            span.set("outcome", "paused")
+            span.finish()
+            return None
         if key is None:
             # Cache hit or dedup attach: the request's own lifecycle is
             # over even though an attached evaluation may still run.

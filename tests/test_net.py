@@ -9,6 +9,9 @@ deadlines and drain *deterministic* instead of timing-lottery tests.
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import pickle
 import socket
 import struct
 import threading
@@ -24,7 +27,9 @@ from repro.net import (
     QueryClient,
     start_server,
 )
+from repro.datasets.dblp import generate_dblp_pgd
 from repro.net import protocol
+from repro.net.server import QueryServer
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
@@ -109,6 +114,11 @@ def send_frames(sock, frames):
 
 
 def read_reply(sock):
+    return protocol.decode_frame(read_raw_reply(sock))
+
+
+def read_raw_reply(sock):
+    """One reply frame's payload, as the bytes the server wrote."""
     header = b""
     while len(header) < 4:
         chunk = sock.recv(4 - len(header))
@@ -122,7 +132,7 @@ def read_reply(sock):
         if not chunk:
             raise ConnectionError("EOF")
         payload += chunk
-    return protocol.decode_frame(payload)
+    return payload
 
 
 def read_replies(sock, count):
@@ -240,6 +250,24 @@ class TestServerRoundtrip:
                     FIGURE1_NODES, FIGURE1_EDGES, alpha=0.3
                 )["matches"] == oracle
         service.close()
+
+    def test_readme_wire_example_is_answered(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            section = handle.read().split("## Serving over the network", 1)[1]
+        example = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        frame = json.loads(example)
+        peg = build_peg(generate_dblp_pgd(num_authors=60, seed=5))
+        service = QueryService(QueryEngine(peg, max_length=2, beta=0.1))
+        with start_server(service) as handle:
+            sock = connect_raw(handle.address)
+            send_frames(sock, [frame])
+            reply = read_reply(sock)
+            sock.close()
+        service.close()
+        assert reply["id"] == frame["id"]
+        assert reply["ok"] is True, reply
+        assert reply["num_matches"] == len(reply["matches"]) > 0
 
     def test_ping_and_stats(self):
         handle, _, service = gated_server()
@@ -728,3 +756,265 @@ class TestClientRetry:
             client.ping()
         with pytest.raises(CircuitOpenError):
             client.ping()
+
+
+# ----------------------------------------------------------------------
+# Wire fast path: admission and replies on the event loop
+# ----------------------------------------------------------------------
+
+
+def count_to_thread(monkeypatch) -> list:
+    """Count the server's ``asyncio.to_thread`` hand-offs (one entry each)."""
+    calls = []
+    real = asyncio.to_thread
+
+    def counting(func, *args, **kwargs):
+        calls.append(getattr(func, "__name__", repr(func)))
+        return real(func, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", counting)
+    return calls
+
+
+class ScriptedErrorEngine:
+    """A real engine whose evaluations at ``bad_alpha`` raise QueryError."""
+
+    def __init__(self, engine, bad_alpha):
+        self.engine = engine
+        self.bad_alpha = bad_alpha
+        self.graph_version = engine.graph_version
+
+    def query(self, query, alpha, options=None):
+        if alpha == self.bad_alpha:
+            raise QueryError("scripted evaluation failure")
+        return self.engine.query(query, alpha, options)
+
+
+class UpdateGatedEngine(GatedEngine):
+    """GatedEngine whose ``apply_updates`` blocks until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.updating = threading.Event()
+        self.release = threading.Event()
+
+    def apply_updates(self, ops, log=None):
+        self.updating.set()
+        assert self.release.wait(timeout=10)
+        return super().apply_updates(ops, log)
+
+
+def exact_result_payload(rid, matches) -> bytes:
+    """The reply ``json.dumps`` writes for a result: the wire oracle."""
+    serialized = protocol.serialize_matches(matches)
+    return json.dumps(
+        {"id": rid, "ok": True, "matches": serialized,
+         "num_matches": len(serialized)},
+        separators=(",", ":"),
+    ).encode()
+
+
+def exact_error_payload(rid, code, message) -> bytes:
+    return json.dumps(
+        {"id": rid, "ok": False, "error": {"type": code, "message": message}},
+        separators=(",", ":"),
+    ).encode()
+
+
+class TestWireFastPath:
+    def test_no_thread_hop_on_common_path(self, figure1_peg, monkeypatch):
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        oracle = engine.query(QueryGraph(FIGURE1_NODES, FIGURE1_EDGES), 0.3)
+        assert len(oracle.matches) > 0
+        service = QueryService(ScriptedErrorEngine(engine, 0.9), num_workers=1)
+        calls = count_to_thread(monkeypatch)
+        handle = start_server(service)
+        try:
+            sock = connect_raw(handle.address)
+            exchanges = [
+                (query_frame(1, alpha=0.3),  # miss
+                 exact_result_payload(1, oracle.matches)),
+                (query_frame(2, alpha=0.3),  # hit of it
+                 exact_result_payload(2, oracle.matches)),
+                ({"id": 3, "kind": "ping"},
+                 b'{"id":3,"ok":true,"pong":true}'),
+                (query_frame(4, nodes={}, edges=[]),
+                 exact_error_payload(
+                     4, "BAD_REQUEST",
+                     "query spec 'nodes' mapping must not be empty",
+                 )),
+                (query_frame(5, alpha=0.9),
+                 exact_error_payload(
+                     5, "QUERY_ERROR", "scripted evaluation failure"
+                 )),
+            ]
+            for frame, expected in exchanges:
+                send_frames(sock, [frame])
+                assert read_raw_reply(sock) == expected
+            sock.close()
+            assert service.stats.hits == 1
+            assert calls == []
+        finally:
+            handle.stop(close_service=True)
+
+    def test_paused_admission_falls_back_and_loop_stays_responsive(
+        self, monkeypatch
+    ):
+        engine = UpdateGatedEngine()
+        service = QueryService(engine, num_workers=1, cache_size=0)
+        calls = count_to_thread(monkeypatch)
+        handle = start_server(service)
+        updater = threading.Thread(target=service.apply_updates, args=([],))
+        try:
+            updater.start()
+            assert engine.updating.wait(timeout=10)
+            sock = connect_raw(handle.address)
+            send_frames(sock, [query_frame(1, alpha=0.5)])
+            wait_until(lambda: len(calls) == 1)
+            # The query waits out the update on a thread; the loop does not.
+            send_frames(sock, [{"id": 2, "kind": "ping"}])
+            assert read_reply(sock) == {"id": 2, "ok": True, "pong": True}
+            assert service.stats.requests == 0  # not admitted yet
+            assert engine.calls == []
+            engine.release.set()
+            reply = read_reply(sock)
+            assert reply["id"] == 1 and reply["ok"] is True
+            # evaluated against the post-update graph
+            assert engine.calls == [(0.5, 1)]
+            updater.join(timeout=10)
+            assert not updater.is_alive()
+            wait_until(lambda: service.stats.in_flight == 0)
+            assert service.stats.requests == (
+                service.stats.completed + service.stats.rejected
+            ) == 1
+            assert calls == ["submit"]
+            sock.close()
+        finally:
+            engine.release.set()
+            handle.stop(close_service=True)
+
+    def test_replies_wait_for_a_drain_in_order(self, monkeypatch):
+        buffered = []  # the transport buffer whenever a reply task is made
+        real_send_task = QueryServer._send_task
+
+        def counting_send_task(self, client, payload, action):
+            buffered.append(client.writer.transport.get_write_buffer_size())
+            real_send_task(self, client, payload, action)
+
+        monkeypatch.setattr(QueryServer, "_send_task", counting_send_task)
+        handle, _, service = gated_server()
+        try:
+            # A small receive window and ~10 MB of ~5 kB stats replies,
+            # mostly unread until the server has made them: its
+            # transport buffer fills and the replies queue behind drains.
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect(handle.address)
+            count = 2000
+            send_frames(sock, [{"id": i, "kind": "stats"} for i in range(count)])
+            wait_until(lambda: len(buffered) >= count // 2)
+            assert [read_reply(sock)["id"] for _ in range(count)] == list(
+                range(count)
+            )
+            sock.close()
+            # Backpressure: behind a pending drain a reply waits in its
+            # task; it is not piled into the transport buffer.
+            assert max(buffered) < 1 << 20
+        finally:
+            handle.stop(close_service=True)
+
+    def test_oversized_reply_is_a_typed_error(self, figure1_peg, monkeypatch):
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        oracle = engine.query(QueryGraph(FIGURE1_NODES, FIGURE1_EDGES), 0.3)
+        limit = len(protocol.result_response(1, oracle)) - 1
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+        service = QueryService(engine, num_workers=1)
+        handle = start_server(service)
+        try:
+            with QueryClient(*handle.address, max_retries=0) as client:
+                for _ in range(2):  # a miss, then a hit answered inline
+                    with pytest.raises(RemoteError) as excinfo:
+                        client.query(FIGURE1_NODES, FIGURE1_EDGES, alpha=0.3)
+                    assert excinfo.value.code == "INTERNAL"
+                    assert "frame limit" in str(excinfo.value)
+                assert client.ping() is True  # the dispatcher lives on
+            assert service.stats.hits == 1
+        finally:
+            handle.stop(close_service=True)
+
+    def test_result_response_encodes_cached_result_once(
+        self, figure1_peg, monkeypatch
+    ):
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        result = engine.query(QueryGraph(FIGURE1_NODES, FIGURE1_EDGES), 0.3)
+        encodes = []
+        real = protocol._encode_columns
+
+        def counting(columns):
+            encodes.append(columns)
+            return real(columns)
+
+        monkeypatch.setattr(protocol, "_encode_columns", counting)
+        first = protocol.result_response(7, result)
+        assert protocol.result_response(7, result) == first
+        assert len(encodes) == 1
+        assert first == exact_result_payload(7, result.matches)
+        # another id frames the same body
+        assert protocol.result_response("r", result) == (
+            exact_result_payload("r", result.matches)
+        )
+        assert len(encodes) == 1
+
+    def test_pickled_columns_encode_identically(self, figure1_peg):
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        result = engine.query(QueryGraph(FIGURE1_NODES, FIGURE1_EDGES), 0.3)
+        encoded = protocol.result_response(1, result)  # memo now set
+        restored = pickle.loads(pickle.dumps(result))
+        assert not hasattr(restored.matches, protocol._BODY_MEMO)
+        assert protocol.result_response(1, restored) == encoded
+
+    def test_net_write_fires_once_per_reply(self, figure1_peg, monkeypatch):
+        replies = []
+        real_reply = QueryServer._reply
+
+        def counting_reply(self, client, payload):
+            if not client.closed:
+                replies.append(payload)
+            real_reply(self, client, payload)
+
+        monkeypatch.setattr(QueryServer, "_reply", counting_reply)
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        service = QueryService(engine, num_workers=2, cache_size=4)
+        handle = start_server(service, per_client_inflight=16)
+        seed = int(os.environ.get("REPRO_FAULTS_SEED", "1337"))
+        injector = faults.install(faults.FaultInjector(seed=seed))
+        injector.add("net.write", "delay", probability=0.3, param=0.002)
+        injector.add("net.write", "drop", probability=0.05)
+        injector.add("service.worker", "delay", probability=0.3, param=0.002)
+        answered = []
+        try:
+            # Pipelined frames over raw sockets: replies queue behind
+            # delayed ones of the same connection.
+            for round_ in range(6):
+                sock = connect_raw(handle.address)
+                frames = [
+                    query_frame(i, alpha=0.2 + 0.1 * (i % 5))
+                    if i % 3 else {"id": i, "kind": "ping"}
+                    for i in range(12)
+                ]
+                send_frames(sock, frames)
+                try:
+                    for _ in frames:
+                        answered.append(read_reply(sock)["id"])
+                except (ConnectionError, OSError):
+                    pass  # a dropped reply tore the connection
+                sock.close()
+            wait_until(lambda: service.stats.in_flight == 0)
+            wait_until(lambda: not handle.server._reply_tasks)
+        finally:
+            faults.uninstall()
+            handle.stop(close_service=True)
+        assert injector.fired.get("net.write", 0) >= 1
+        assert len(answered) >= 12
+        assert injector.evaluated["net.write"] == len(replies)
