@@ -65,6 +65,7 @@ from repro.obs.metrics import get_registry
 from repro.testing import faults
 from repro.utils.errors import (
     DeadlineExceeded,
+    NetError,
     QueryError,
     ReproError,
     ServiceError,
@@ -555,18 +556,11 @@ class QueryServer:
                 self._m_requests["error"].inc()
             self._reply_error(entry.client, entry.request_id, code, message)
             return
-        payload = protocol.result_response(entry.request_id, future.result(0))
-        if len(payload) > protocol.MAX_FRAME_BYTES:
-            # encode_frame would refuse it where the reply is written.
-            self._m_requests["error"].inc()
-            self._reply_error(
-                entry.client, entry.request_id, protocol.ERROR_INTERNAL,
-                f"reply of {len(payload)} bytes exceeds the "
-                f"{protocol.MAX_FRAME_BYTES}-byte frame limit",
-            )
-            return
         self._m_requests["ok"].inc()
-        self._reply(entry.client, payload)
+        self._reply(
+            entry.client,
+            protocol.result_response(entry.request_id, future.result(0)),
+        )
 
     def _entry_failed(self, entry: _Entry, exc: Exception) -> None:  # loop-only
         if not self._finish_entry(entry):
@@ -618,7 +612,7 @@ class QueryServer:
         action = faults.fire("net.write")
         if action is None and not client.sending:
             try:
-                client.writer.write(protocol.encode_frame(payload))
+                client.writer.write(self._frame(payload))
             except (ConnectionError, OSError):
                 self._disconnect(client)
                 return
@@ -639,6 +633,22 @@ class QueryServer:
 
         task.add_done_callback(sent)
 
+    @staticmethod
+    def _frame(payload: dict | bytes) -> bytes:
+        """``payload`` as a frame, or a short ``INTERNAL`` error in its
+        place when it exceeds the frame limit.
+
+        The error echoes no id: the id itself may be what grew past the
+        limit (the reply re-escapes it as ASCII JSON).
+        """
+        try:
+            return protocol.encode_frame(payload)
+        except NetError as exc:
+            return protocol.encode_frame(protocol.error_response(
+                None, protocol.ERROR_INTERNAL,
+                f"reply over the frame limit: {exc}",
+            ))
+
     def _reply_error(self, client, request_id, code, message) -> None:
         self._reply(client, protocol.error_response(request_id, code, message))
 
@@ -657,7 +667,7 @@ class QueryServer:
                 return
             try:
                 if payload is not None:
-                    client.writer.write(protocol.encode_frame(payload))
+                    client.writer.write(self._frame(payload))
                 await client.writer.drain()
             except (ConnectionError, OSError):
                 self._disconnect(client)

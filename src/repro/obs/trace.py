@@ -294,6 +294,11 @@ class Tracer:
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.export(), indent=indent, default=str)
 
+    def discard(self, span) -> None:
+        """Forget root ``span``: it turned out to record no request."""
+        with self._lock:
+            self._roots = [root for root in self._roots if root is not span]
+
     def clear(self) -> None:
         with self._lock:
             self._roots.clear()
@@ -315,6 +320,9 @@ class NullTracer:
 
     def to_json(self, indent=None) -> str:
         return "[]"
+
+    def discard(self, span) -> None:
+        pass
 
     def clear(self) -> None:
         pass

@@ -464,8 +464,8 @@ class QueryService:
         While a live update (:meth:`apply_updates`) pauses admission,
         ``submit`` waits for it to finish. A caller that must not block
         (the network tier's event loop) passes ``wait_if_paused=False``
-        and gets ``None`` back instead: nothing was admitted or
-        counted, and the caller retries with a waiting submit on a
+        and gets ``None`` back instead: nothing was admitted, counted
+        or traced, and the caller retries with a waiting submit on a
         thread of its own.
         """
         with self._gate:
@@ -485,8 +485,9 @@ class QueryService:
             span.finish(error=True)
             raise
         if future is None:
-            span.set("outcome", "paused")
-            span.finish()
+            # Nothing was admitted; the waiting retry is the request
+            # and opens its own span.
+            self.tracer.discard(span)
             return None
         if key is None:
             # Cache hit or dedup attach: the request's own lifecycle is

@@ -30,6 +30,7 @@ from repro.net import (
 from repro.datasets.dblp import generate_dblp_pgd
 from repro.net import protocol
 from repro.net.server import QueryServer
+from repro.obs.trace import Tracer
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph
 from repro.service import QueryService
@@ -861,7 +862,10 @@ class TestWireFastPath:
         self, monkeypatch
     ):
         engine = UpdateGatedEngine()
-        service = QueryService(engine, num_workers=1, cache_size=0)
+        tracer = Tracer()
+        service = QueryService(
+            engine, num_workers=1, cache_size=0, tracer=tracer
+        )
         calls = count_to_thread(monkeypatch)
         handle = start_server(service)
         updater = threading.Thread(target=service.apply_updates, args=([],))
@@ -888,6 +892,11 @@ class TestWireFastPath:
                 service.stats.completed + service.stats.rejected
             ) == 1
             assert calls == ["submit"]
+            # The paused attempt left no span: one request, one root.
+            assert [
+                (root.name, root.attributes.get("outcome"))
+                for root in tracer.roots()
+            ] == [("request", "miss")]
             sock.close()
         finally:
             engine.release.set()
@@ -940,6 +949,38 @@ class TestWireFastPath:
                     assert "frame limit" in str(excinfo.value)
                 assert client.ping() is True  # the dispatcher lives on
             assert service.stats.hits == 1
+        finally:
+            handle.stop(close_service=True)
+
+    def test_oversized_id_on_inline_hit_keeps_the_dispatcher(
+        self, figure1_peg, monkeypatch
+    ):
+        # A reply re-escapes the echoed id as ASCII JSON: a non-BMP
+        # character sent as 4 UTF-8 bytes comes back as 12, so a request
+        # under the frame limit can earn a reply (and an error) over it.
+        limit = 4096
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        service = QueryService(engine, num_workers=1)
+        handle = start_server(service)
+        try:
+            sock = connect_raw(handle.address)
+            send_frames(sock, [query_frame(1, alpha=0.3)])  # the miss
+            assert read_reply(sock)["ok"] is True
+            frame = query_frame("\U0001F600" * 600, alpha=0.3)
+            payload = json.dumps(frame, ensure_ascii=False).encode()
+            assert len(payload) < limit < len(json.dumps(frame["id"]))
+            sock.sendall(protocol.FRAME_HEADER.pack(len(payload)) + payload)
+            reply = read_reply(sock)
+            assert reply["id"] is None and reply["ok"] is False
+            assert reply["error"]["type"] == "INTERNAL"
+            assert "frame limit" in reply["error"]["message"]
+            assert service.stats.hits == 1  # answered inline
+            sock.close()
+            with QueryClient(*handle.address, max_retries=0) as client:
+                assert client.query(
+                    FIGURE1_NODES, FIGURE1_EDGES, alpha=0.3
+                )["num_matches"] > 0
         finally:
             handle.stop(close_service=True)
 
