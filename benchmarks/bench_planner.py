@@ -1,4 +1,4 @@
-"""Planner benchmark: plan caching, exact strategy, estimator feedback.
+"""Planner benchmark: plan caching and the exact strategy.
 
 Measures what :mod:`repro.query.plan` promises for repeated-traffic
 serving:
@@ -6,8 +6,9 @@ serving:
 * **plan caching** — per-query planning time for a repeated workload
   with the cache on (hits skip candidate enumeration, per-candidate
   histogram estimation and the cover search entirely) vs re-planning
-  every query from scratch, plus the end-to-end plan-stage share
-  of full evaluations on both settings,
+  every query from scratch with a zero-capacity
+  :class:`~repro.query.plan.QueryPlanner`, plus the end-to-end
+  plan-stage share of full evaluations with either planner,
 * **exact strategy** — estimated-cost ratio of exact (bitmask-DP) plans,
   the default, against the paper's greedy plans over the workload
   (never above 1.0: exact is optimal for the same objective), with its
@@ -18,11 +19,7 @@ serving:
   (past the DP's work budget),
 * **sizes** — whether exact plans with the DP (or falls back) at the
   query sizes of the paper's figures, q(3,3) to q(10,40), for
-  ``L = 1, 2, 3``,
-* **estimator feedback** — after un-compacted live mutation batches
-  drift the histograms, the mean absolute log-error of cardinality
-  estimates before vs after the feedback loop has observed the
-  workload once.
+  ``L = 1, 2, 3``.
 
 A correctness spot check runs inside: cached-plan and exact-strategy
 evaluations must produce exactly the matches of the fresh greedy
@@ -45,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -56,13 +52,10 @@ if __package__ in (None, ""):  # allow running without PYTHONPATH=src
         0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     )
 
-from dataclasses import replace
-
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
-from repro.delta import AddEntity, UpdateLabelProbability
 from repro.peg import build_peg
-from repro.query import QueryEngine, QueryOptions
+from repro.query import QueryEngine, QueryOptions, QueryPlanner
 from repro.query.decompose import decompose_query, enumerate_candidate_paths
 
 ALPHA = 0.3
@@ -70,12 +63,8 @@ MAX_LENGTH = 2
 BETA = 0.05
 
 PLAN_CACHED = QueryOptions()
-# Re-planned every query with the default strategy: the cache's baseline.
-PLAN_FRESH = QueryOptions(use_plan_cache=False, use_estimator_feedback=False)
-# Feedback off like PLAN_FRESH: the exact-vs-greedy cost comparison (and
-# its gate) must cost both strategies with the same estimator.
-PLAN_GREEDY = replace(PLAN_FRESH, decomposition="greedy")
-PLAN_EXACT = replace(PLAN_FRESH, decomposition="exact")
+PLAN_GREEDY = QueryOptions(decomposition="greedy")
+PLAN_EXACT = QueryOptions(decomposition="exact")
 
 # The [pools] row's recipes: the end-to-end benchmark's four request
 # pools (benchmarks/e2e/workloads.py), copied so this module stands
@@ -212,50 +201,53 @@ def run_sizes() -> dict:
     return rows
 
 
-def _time_planning(engine: QueryEngine, workload, options) -> float:
+def _time_planning(planner: QueryPlanner, workload) -> float:
     start = time.perf_counter()
     for query in workload:
-        engine.planner.plan(query, ALPHA, options)
+        planner.plan(query, ALPHA, PLAN_CACHED)
     return time.perf_counter() - start
 
 
-def _log_error(estimated: float, observed: int) -> float:
-    return abs(math.log2((estimated + 1.0) / (observed + 1.0)))
-
-
-def run(num_references: int, distinct: int, repeats: int,
-        num_batches: int) -> dict:
+def run(num_references: int, distinct: int, repeats: int) -> dict:
     rng = random.Random(96117)
     engine = _build_engine(num_references)
     sigma = sorted(engine.peg.sigma, key=repr)
     workload = _workload(rng, sigma, distinct, repeats)
+    # Re-plans every query with the default strategy: the cache's
+    # baseline, swapped in for the engine's own planner.
+    cached_planner = engine.planner
+    fresh_planner = QueryPlanner(engine, cache_size=0)
 
     # -- plan caching: planner-only timings ---------------------------
     # The hit/miss counters are process-wide; this run's share is the
     # delta around it.
-    stats_before = engine.planner.stats_snapshot()
-    replan_seconds = _time_planning(engine, workload, PLAN_FRESH)
-    engine.planner.cache.clear()
-    cold_seconds = _time_planning(engine, workload[:distinct], PLAN_CACHED)
-    warm_seconds = _time_planning(engine, workload, PLAN_CACHED)
-    stats_after = engine.planner.stats_snapshot()
+    stats_before = cached_planner.stats_snapshot()
+    replan_seconds = _time_planning(fresh_planner, workload)
+    cached_planner.cache.clear()
+    cold_seconds = _time_planning(cached_planner, workload[:distinct])
+    warm_seconds = _time_planning(cached_planner, workload)
+    stats_after = cached_planner.stats_snapshot()
     planner_stats = {
         key: stats_after[key] - stats_before[key]
         for key in ("plan_cache_hits", "plan_cache_misses")
     }
 
     # -- plan caching: end-to-end decompose share ---------------------
-    def decompose_share(options):
+    def decompose_share(planner):
         total = 0.0
         decompose = 0.0
-        for query in workload:
-            result = engine.query(query, ALPHA, options)
-            total += result.total_seconds
-            decompose += result.timings["plan"]
+        engine.planner = planner
+        try:
+            for query in workload:
+                result = engine.query(query, ALPHA, PLAN_CACHED)
+                total += result.total_seconds
+                decompose += result.timings["plan"]
+        finally:
+            engine.planner = cached_planner
         return decompose, total
 
-    fresh_decompose, fresh_total = decompose_share(PLAN_FRESH)
-    cached_decompose, cached_total = decompose_share(PLAN_CACHED)
+    fresh_decompose, fresh_total = decompose_share(fresh_planner)
+    cached_decompose, cached_total = decompose_share(cached_planner)
 
     # -- exact strategy ----------------------------------------------
     exact_start = time.perf_counter()
@@ -275,65 +267,6 @@ def run(num_references: int, distinct: int, repeats: int,
                 / greedy_result.plan.estimated_cost
             )
     exact_seconds = time.perf_counter() - exact_start
-
-    # -- estimator feedback under drift -------------------------------
-    fresh = 0
-    for _ in range(num_batches):
-        batch = []
-        for _ in range(4):
-            if rng.random() < 0.5:
-                fresh += 1
-                chosen = rng.sample(sigma, 2)
-                batch.append(AddEntity(
-                    (f"plan-dyn-{fresh}",),
-                    {chosen[0]: 0.6, chosen[1]: 0.4},
-                    rng.uniform(0.6, 1.0),
-                ))
-            else:
-                live = [
-                    n for n in engine.peg.node_ids()
-                    if not engine.peg.is_removed_id(n)
-                ]
-                node = rng.choice(live)
-                chosen = rng.sample(sigma, 2)
-                batch.append(UpdateLabelProbability(
-                    tuple(sorted(engine.peg.entity_of(node), key=repr)),
-                    {chosen[0]: 0.7, chosen[1]: 0.3},
-                ))
-        engine.apply_updates(batch)
-    engine.planner.invalidate()
-    # Capture the drifted estimates *before* any lookup runs: both the
-    # overlay's stale-count memos and the feedback table learn from
-    # lookups, so estimates collected after the first pass would
-    # already be partially healed.
-    probes = []
-    for query in workload[:distinct]:
-        decomposition, _ = engine.planner.plan(query, ALPHA, PLAN_CACHED)
-        estimates = [
-            engine.index.estimate_cardinality(
-                query.label_sequence(path.nodes), ALPHA
-            )
-            for path in decomposition.paths
-        ]
-        probes.append((query, estimates))
-    before_errors = []
-    for query, estimates in probes:
-        result = engine.query(query, ALPHA, PLAN_CACHED)
-        for i, (_corrected, observed) in result.estimate_observations.items():
-            before_errors.append(_log_error(estimates[i], observed))
-    error_before = (
-        sum(before_errors) / len(before_errors) if before_errors else 0.0
-    )
-    # Second pass: the estimation loop has now observed every sequence
-    # once, so estimate_observations carries the corrected estimates.
-    after_errors = []
-    for query, _ in probes:
-        result = engine.query(query, ALPHA, PLAN_CACHED)
-        for estimated, observed in result.estimate_observations.values():
-            after_errors.append(_log_error(estimated, observed))
-    error_after = (
-        sum(after_errors) / len(after_errors) if after_errors else 0.0
-    )
 
     return {
         "nodes": engine.peg.num_nodes,
@@ -366,11 +299,6 @@ def run(num_references: int, distinct: int, repeats: int,
                 sum(cost_ratios) / len(cost_ratios) if cost_ratios else 1.0
             ),
         },
-        "feedback": {
-            "mutation_batches": num_batches,
-            "mean_abs_log2_error_before": error_before,
-            "mean_abs_log2_error_after": error_after,
-        },
         "agreement": agreement,
     }
 
@@ -399,9 +327,8 @@ def main(argv=None) -> int:
     num_references = args.size or (120 if args.smoke else 400)
     distinct = 6 if args.smoke else 12
     repeats = 5 if args.smoke else 20
-    num_batches = 2 if args.smoke else 5
 
-    results = run(num_references, distinct, repeats, num_batches)
+    results = run(num_references, distinct, repeats)
     pools = run_pools()
     sizes = run_sizes()
     report = {
@@ -428,7 +355,6 @@ def main(argv=None) -> int:
 
     planning = results["planning"]
     end_to_end = results["end_to_end"]
-    feedback = results["feedback"]
     print(
         f"[plan]     {results['workload']['requests']} requests "
         f"({results['workload']['distinct']} distinct): re-plan "
@@ -448,11 +374,6 @@ def main(argv=None) -> int:
         f"{results['exact']['mean_cost_ratio_vs_greedy']:.3f} "
         f"({results['exact']['seconds']:.4f}s for "
         f"{results['exact']['queries']} queries)"
-    )
-    print(
-        f"[feedback] estimate |log2 error| {feedback['mean_abs_log2_error_before']:.3f}"
-        f" -> {feedback['mean_abs_log2_error_after']:.3f} after "
-        f"{feedback['mutation_batches']} un-compacted mutation batches"
     )
     for name, row in pools.items():
         print(

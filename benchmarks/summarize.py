@@ -53,7 +53,7 @@ BENCH_CAPTIONS = {
     "BENCH_reduction": "Online-phase core: vectorized vs Python backend",
     "BENCH_links": "Candidate links: vectorized builder and link cache",
     "BENCH_delta": "Live updates: delta overlay vs full rebuild",
-    "BENCH_planner": "Adaptive planner: plan cache, exact strategy, feedback",
+    "BENCH_planner": "Planner: plan cache and exact strategy",
     "BENCH_obs": "Observability: disabled-mode overhead and micro-costs",
     "BENCH_net": "Network serving: overload shedding and admitted-p95 gate",
 }

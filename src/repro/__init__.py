@@ -51,7 +51,6 @@ from repro.query import (
     QueryResult,
     QueryPlanner,
     PlanInfo,
-    EstimatorFeedback,
     exhaustive_matches,
     direct_matches,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "QueryResult",
     "QueryPlanner",
     "PlanInfo",
-    "EstimatorFeedback",
     "exhaustive_matches",
     "direct_matches",
     "sql_baseline_matches",

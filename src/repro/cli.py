@@ -16,7 +16,7 @@ Commands
     Prometheus text exposition format — one latency histogram per
     stage, store read counters, estimator error, plan-cache hits.
 ``plan``
-    Print the decomposition the adaptive planner chooses for a query —
+    Print the decomposition the planner chooses for a query —
     paths, per-path cardinality estimates, estimated cost and plan
     provenance (greedy/exact/random/cache) — without executing it;
     repeated runs demonstrate the plan cache.

@@ -62,9 +62,7 @@ class StageRecorder:
     def __init__(self, span=NULL_SPAN) -> None:
         #: ``{stage: accumulated seconds}`` in first-entry order.
         self.seconds: dict = {}
-        #: Parent of the stage spans; callers may re-point it between
-        #: stages (a batch plans under the batch span, then evaluates
-        #: under each query's own span).
+        #: Parent of the stage spans.
         self.span = span
 
     def stage(self, name: str) -> "_Stage":

@@ -5,9 +5,8 @@ The five steps of the paper's online phase map to submodules:
 1. :mod:`repro.query.decompose` — path decomposition as SET COVER
    over a histogram-based cost model, solved optimally by a bitmask DP
    within a work budget (greedy past it, or as the paper's baseline),
-   adaptively planned by :mod:`repro.query.plan` (plan caching keyed
-   by canonical query form, estimator feedback from observed lookup
-   cardinalities),
+   with plans cached by :mod:`repro.query.plan` (keyed by canonical
+   query form; a plan is a pure function of its key),
 2. :mod:`repro.query.candidates` — index lookup plus node-level and
    path-level context pruning,
 3. :mod:`repro.query.join_candidates` — join-candidate lookup tables,
@@ -27,7 +26,7 @@ algorithms of Section 6.2.1.
 from repro.query.query_graph import QueryGraph
 from repro.query.decompose import QueryPath, Decomposition, decompose_query
 from repro.query.engine import QueryEngine, QueryOptions, QueryResult
-from repro.query.plan import EstimatorFeedback, PlanInfo, QueryPlanner
+from repro.query.plan import PlanInfo, QueryPlanner
 from repro.query.baselines import (
     exhaustive_matches,
     direct_matches,
@@ -46,7 +45,6 @@ __all__ = [
     "QueryResult",
     "QueryPlanner",
     "PlanInfo",
-    "EstimatorFeedback",
     "exhaustive_matches",
     "direct_matches",
     "explain",

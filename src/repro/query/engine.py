@@ -46,9 +46,9 @@ _STAGE_SECONDS = {
 }
 _STORE_READS = _REGISTRY.counter("repro_store_reads_total")
 _STORE_BYTES = _REGISTRY.counter("repro_store_bytes_read_total")
-#: ``|log2(observed / corrected-estimate)|`` per partition lookup — the
-#: planner's estimator error in doublings; p95 near 0 means the
-#: feedback loop is holding the cost model honest.
+#: ``|log2(observed / estimate)|`` per partition lookup — the
+#: planner's histogram-estimate error in doublings; p95 near 0 means
+#: the cost model sees the graph as it is.
 _ESTIMATE_ERROR = _REGISTRY.histogram(
     "repro_estimate_abs_log2_error", low=0.01, high=16.0
 )
@@ -88,12 +88,9 @@ class QueryOptions:
     minimises the cost model's ``SS0``, by bitmask DP, with a greedy
     fallback past the DP's work budget — see
     :mod:`repro.query.decompose`), ``"greedy"`` (the paper's SET COVER
-    approximation) and ``"random"``.
-    ``use_plan_cache`` / ``use_estimator_feedback`` gate the adaptive
-    planner (:mod:`repro.query.plan`): plan reuse for repeated query
-    shapes and observed-cardinality corrections of the histogram
-    estimates. Neither changes the matches — only which decomposition
-    is chosen, hence the evaluation cost.
+    approximation) and ``"random"``. The engine's planner
+    (:mod:`repro.query.plan`) caches the chosen decomposition per
+    query shape; a cached plan is the one a fresh plan would choose.
 
     ``link_backend`` selects the candidate-link construction:
     ``"vectorized"`` (the default) builds every joining partition pair
@@ -123,8 +120,6 @@ class QueryOptions:
     reduction_backend: str = "vectorized"
     link_backend: str = "vectorized"
     use_link_cache: bool = True
-    use_plan_cache: bool = True
-    use_estimator_feedback: bool = True
     trace: bool = False
 
 
@@ -145,10 +140,11 @@ class QueryResult:
     timings: dict = field(default_factory=dict)
     decomposition_paths: tuple = ()
     #: :class:`~repro.query.plan.PlanInfo` provenance of the chosen
-    #: decomposition (None for legacy constructions).
+    #: decomposition.
     plan: object = None
-    #: ``{partition: (corrected cardinality estimate, observed raw
-    #: count)}`` — the estimation loop's evidence for this evaluation.
+    #: ``{partition: (histogram cardinality estimate, observed raw
+    #: count)}`` — how well the planner's cost model saw this
+    #: evaluation's lookups (empty below beta).
     estimate_observations: dict = field(default_factory=dict)
     #: Span-tree provenance of the evaluation (dict form of
     #: :meth:`repro.obs.trace.Span.to_dict`); populated only when
@@ -225,9 +221,9 @@ class QueryEngine:
             )
         with self.offline_timings.stage("context"):
             self.context: ContextInformation = build_context(peg)
-        #: The adaptive planning subsystem: plan cache (keyed by
-        #: canonical query form × milli-alpha × graph_version) and the
-        #: estimator-feedback table (:mod:`repro.query.plan`).
+        #: The planning subsystem: a plan cache keyed by canonical
+        #: query form × milli-alpha × graph_version
+        #: (:mod:`repro.query.plan`).
         self.planner = QueryPlanner(self)
 
     # ------------------------------------------------------------------
@@ -302,8 +298,8 @@ class QueryEngine:
         overlay = self.index
         stats = overlay.compact()
         self.index = overlay.base
-        # Compaction trues the histograms up: learned corrections and
-        # plans costed against the drifted estimates restart from exact.
+        # Compaction trues the histograms up: plans costed against the
+        # drifted estimates are re-planned against exact ones.
         # The link cache needs nothing: compaction leaves the PEG, and
         # hence every candidate set and link structure, unchanged.
         self.planner.invalidate()
@@ -422,8 +418,8 @@ class QueryEngine:
         )
 
     def _plan(self, query: QueryGraph, alpha: float, options, recorder):
-        """Online phase stage 1: path decomposition through the adaptive
-        planner (plan cache consulted first); ``(decomposition, PlanInfo)``.
+        """Online phase stage 1: path decomposition through the planner
+        (plan cache consulted first); ``(decomposition, PlanInfo)``.
         """
         if not 0.0 < alpha <= 1.0:
             raise QueryError(f"alpha must be in (0, 1], got {alpha}")
@@ -496,23 +492,16 @@ class QueryEngine:
             if lookup_span.enabled:
                 lookup_span.incr("store_reads", store_reads)
                 lookup_span.incr("store_bytes_read", store_bytes)
-
-        # Close the estimation loop: observed raw lookup cardinalities
-        # correct future histogram estimates (post-delta drift heals
-        # without a rebuild). It is planner work, so it is booked to the
-        # plan stage (re-entering a stage accumulates).
-        with recorder.stage("plan"):
-            if options.use_estimator_feedback:
-                observations = self.planner.observe(
-                    query, decomposition, alpha, raw_counts
-                )
-            else:
-                observations = {}
+            # The planner's histogram estimates against the raw counts
+            # this stage just observed: a measurement, nothing learned.
+            observations = self.planner.observe(
+                query, decomposition, alpha, raw_counts
+            )
             if observations:
                 error_sum = 0.0
-                for corrected, observed in observations.values():
+                for estimated, observed in observations.values():
                     error = abs(math.log2(
-                        (observed + 1.0) / (max(corrected, 0.0) + 1.0)
+                        (observed + 1.0) / (max(estimated, 0.0) + 1.0)
                     ))
                     _ESTIMATE_ERROR.observe(error)
                     error_sum += error

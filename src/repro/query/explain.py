@@ -21,7 +21,7 @@ def explain(result: QueryResult, max_matches: int = 5) -> str:
     budget shows ``greedy``) and its estimated cost, plus one line per
     partition comparing the planner's cardinality estimate against the
     observed raw index count (``x{ratio}`` above 1 means the estimator
-    undershot; the feedback loop uses exactly these pairs).
+    undershot).
     """
     lines = ["query evaluation"]
     if result.plan is not None:

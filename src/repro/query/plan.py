@@ -1,11 +1,10 @@
-"""Adaptive query planning: plan caching and estimator feedback.
+"""Query planning: plan caching over the histogram cost model.
 
 The paper's online phase (Section 5.2.1) re-runs the SET-COVER planner
-from scratch on every query and trusts the offline histograms forever.
-For serving workloads both are wasted work: real traffic repeats query
-shapes, and live updates (:mod:`repro.delta`) drift the histograms away
-from the graph until the next compaction. :class:`QueryPlanner` closes
-both gaps per engine:
+from scratch on every query, costing each candidate path with the
+offline histogram estimates. Real traffic repeats query shapes, so
+:class:`QueryPlanner` plans once per shape and serves repeats from a
+cache:
 
 * **Plan caching** — chosen :class:`~repro.query.decompose.Decomposition`
   plans are memoized in the same LRU machinery the serving layer uses
@@ -18,26 +17,26 @@ both gaps per engine:
   Cached plans are stored in canonical *position* space and rehydrated
   onto the concrete query's node ids through
   :meth:`~repro.query.query_graph.QueryGraph.canonical_order`.
-* **Estimator feedback** — after an evaluation, the observed
-  per-sequence lookup cardinalities (the raw index counts the candidate
-  stage already produces) are compared against the histogram estimates
-  and folded into an :class:`EstimatorFeedback` table of multiplicative
-  corrections, so post-delta estimate drift self-heals without a
-  rebuild; compaction trues the histograms up and resets the table.
+* **Nothing learned** — the planner keeps no state but the cache, so
+  a plan is a pure function of its :func:`plan_key` and a cache hit
+  returns exactly what a fresh plan would. Estimate drift under live
+  updates (:mod:`repro.delta`) is the index's concern: the delta
+  overlay subtracts the stale paths its lookups masked at the current
+  graph version and adds the exact delta count, and compaction trues
+  the histograms up.
 
-Any valid decomposition yields the same matches — planning affects cost
-only — so cache hits, exact plans and feedback-corrected plans are all
-interchangeable for correctness (the differential harness asserts it).
+:meth:`QueryPlanner.observe` measures the estimator against the raw
+lookup counts of an evaluation, for reporting only. Any valid
+decomposition yields the same matches — planning affects cost only —
+so cache hits and fresh plans of every strategy are interchangeable
+for correctness (the differential harness asserts it).
 """
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass
 
 from repro.index.grid import milli
-from repro.index.protocol import canonical_sequence
 from repro.obs.metrics import get_registry
 from repro.query.decompose import Decomposition, QueryPath, decompose_query
 from repro.query.query_graph import QueryGraph
@@ -54,7 +53,6 @@ def plan_key(
     seed,
     graph_version: int,
     max_length: int,
-    use_feedback: bool = True,
 ) -> tuple:
     """Canonical cache key of one planning request.
 
@@ -64,10 +62,7 @@ def plan_key(
     meaningfully shifts across bucket boundaries, so thresholds inside
     one milli-bucket deliberately share a plan. ``seed`` participates
     only for the random strategy (a seeded shuffle is deterministic and
-    therefore cacheable). ``use_feedback`` participates because the
-    two estimator settings are different cost models — a plan costed
-    with corrections must not answer a request that asked for raw
-    histogram estimates (or vice versa).
+    therefore cacheable).
     """
     return (
         query.canonical_form(),
@@ -76,7 +71,6 @@ def plan_key(
         seed if strategy == "random" else None,
         int(graph_version),
         int(max_length),
-        bool(use_feedback),
     )
 
 
@@ -96,65 +90,8 @@ class PlanInfo:
     estimated_cost: float
 
 
-class EstimatorFeedback:
-    """Per-(sequence, threshold) corrections learned from execution.
-
-    For every (canonical label sequence, milli-rounded alpha) pair the
-    table keeps an exponentially weighted estimate of
-    ``observed / estimated`` — the factor by which the offline
-    histogram misjudges the live graph. Keying on the milli-threshold
-    (the same discipline as the plan cache and the overlay's
-    stale-count memos) keeps a drift ratio observed at one threshold —
-    where add-one smoothing on tiny counts distorts most — from
-    corrupting estimates at thresholds where the histogram is
-    accurate. Corrections are add-one smoothed (so empty lookups stay
-    finite) and clamped to ``[1/max_correction, max_correction]``; a
-    pair never observed corrects by exactly 1.0.
-    """
-
-    def __init__(self, decay: float = 0.5, max_correction: float = 64.0) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        if max_correction < 1.0:
-            raise ValueError(
-                f"max_correction must be >= 1, got {max_correction}"
-            )
-        self.decay = float(decay)
-        self.max_correction = float(max_correction)
-        self._corrections: dict = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def correction(self, canonical_seq: tuple, alpha: float) -> float:
-        """Current multiplicative correction for one (sequence, alpha)."""
-        with self._lock:
-            return self._corrections.get(
-                (canonical_seq, milli(alpha)), 1.0
-            )
-
-    def observe(self, canonical_seq: tuple, alpha: float,
-                estimated: float, observed: int) -> float:
-        """Fold one estimate-vs-observed pair in; returns the new factor."""
-        ratio = (float(observed) + 1.0) / (max(estimated, 0.0) + 1.0)
-        ratio = min(max(ratio, 1.0 / self.max_correction), self.max_correction)
-        key = (canonical_seq, milli(alpha))
-        with self._lock:
-            previous = self._corrections.get(key, 1.0)
-            updated = (1.0 - self.decay) * previous + self.decay * ratio
-            self._corrections[key] = updated
-        return updated
-
-    def reset(self) -> None:
-        """Forget every correction (e.g. after compaction trues up)."""
-        with self._lock:
-            self._corrections.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._corrections)
-
-
 class QueryPlanner:
-    """Per-engine planning subsystem: cache, strategies, feedback.
+    """Per-engine planning subsystem: plan cache and strategies.
 
     Parameters
     ----------
@@ -163,64 +100,42 @@ class QueryPlanner:
         the estimator (its index), the ``graph_version`` the cache keys
         mix in, and ``max_length``.
     cache_size:
-        Plan-cache capacity in entries; 0 disables caching entirely.
-    feedback:
-        Optional pre-built :class:`EstimatorFeedback` (tests inject
-        tuned decay/clamps; the default is shared-nothing per engine).
+        Plan-cache capacity in entries; 0 disables caching entirely
+        (every query is planned afresh).
     """
 
-    def __init__(self, engine, cache_size: int = 512, feedback=None) -> None:
+    def __init__(self, engine, cache_size: int = 512) -> None:
         self.engine = engine
         self.cache = ResultCache(cache_size)
-        self.feedback = feedback if feedback is not None else EstimatorFeedback()
 
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
 
-    def estimator(self, use_feedback: bool = True):
-        """The cost-model estimator: index histograms × feedback."""
-        base = self.engine.index.estimate_cardinality
-        if not use_feedback:
-            return base
-        feedback = self.feedback
-
-        def estimate(label_seq, alpha):
-            canonical = canonical_sequence(tuple(label_seq))
-            return base(label_seq, alpha) * feedback.correction(
-                canonical, alpha
-            )
-
-        return estimate
-
     def observe(self, query: QueryGraph, decomposition, alpha: float,
                 raw_counts: dict) -> dict:
-        """Close the loop after one evaluation.
+        """Measure the estimator against one evaluation's lookups.
 
         ``raw_counts`` maps partition index to the observed raw lookup
         cardinality (pre-context-pruning, exactly what
         ``estimate_cardinality`` predicts). Returns ``{partition:
-        (corrected estimate, observed)}`` for provenance reporting;
-        below-beta thresholds are skipped — those lookups bypass the
-        index, so the histogram was never consulted.
+        (histogram estimate, observed)}`` for provenance reporting and
+        changes nothing; below-beta thresholds are skipped — those
+        lookups bypass the index, so the histogram was never consulted.
         """
         index = self.engine.index
         if alpha < index.beta:
             return {}
-        observations: dict = {}
-        for i, path in enumerate(decomposition.paths):
-            observed = raw_counts.get(i)
-            if observed is None:
-                continue
-            label_seq = query.label_sequence(path.nodes)
-            canonical = canonical_sequence(label_seq)
-            base = index.estimate_cardinality(label_seq, alpha)
-            corrected = base * self.feedback.correction(canonical, alpha)
-            # Corrections always learn against the *base* estimate, so
-            # successive observations converge instead of compounding.
-            self.feedback.observe(canonical, alpha, base, observed)
-            observations[i] = (corrected, observed)
-        return observations
+        return {
+            i: (
+                index.estimate_cardinality(
+                    query.label_sequence(path.nodes), alpha
+                ),
+                raw_counts[i],
+            )
+            for i, path in enumerate(decomposition.paths)
+            if i in raw_counts
+        }
 
     # ------------------------------------------------------------------
     # Planning
@@ -231,16 +146,13 @@ class QueryPlanner:
 
         Consults the plan cache first (unseeded random plans are never
         cached — they are nondeterministic by contract); on a miss the
-        requested strategy runs over the feedback-corrected estimator
-        and the result is published for the next structurally identical
+        requested strategy runs over the index's histogram estimates and
+        the result is published for the next structurally identical
         query.
         """
         strategy = options.decomposition
-        use_feedback = getattr(options, "use_estimator_feedback", True)
-        cacheable = (
-            getattr(options, "use_plan_cache", True)
-            and self.cache.capacity > 0
-            and (strategy != "random" or options.seed is not None)
+        cacheable = self.cache.capacity > 0 and (
+            strategy != "random" or options.seed is not None
         )
         key = None
         if cacheable:
@@ -251,7 +163,6 @@ class QueryPlanner:
                 options.seed,
                 getattr(self.engine, "graph_version", 0),
                 self.engine.max_length,
-                use_feedback,
             )
             entry = self.cache.get(key)
             if entry is not None:
@@ -266,7 +177,7 @@ class QueryPlanner:
         _PLAN_MISSES.inc()
         decomposition = decompose_query(
             query,
-            estimator=self.estimator(use_feedback),
+            estimator=self.engine.index.estimate_cardinality,
             alpha=alpha,
             max_length=self.engine.max_length,
             strategy=strategy,
@@ -324,14 +235,13 @@ class QueryPlanner:
     # ------------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every cached plan and learned correction.
+        """Drop every cached plan.
 
         Not needed for live updates — ``graph_version`` re-keys plans
         on its own — but compaction trues the histograms up, so the
-        engine calls this to let estimates restart from exact.
+        engine calls this to re-plan against the exact estimates.
         """
         self.cache.clear()
-        self.feedback.reset()
 
     def stats_snapshot(self) -> dict:
         """Planner counters for the serving stats surface.
@@ -349,7 +259,6 @@ class QueryPlanner:
             "plan_cache_capacity": self.cache.capacity,
             "plan_cache_hits": _PLAN_HITS.value,
             "plan_cache_misses": _PLAN_MISSES.value,
-            "feedback_sequences": len(self.feedback),
         }
         link_cache = getattr(self.engine, "link_cache", None)
         if link_cache is not None:

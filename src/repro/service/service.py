@@ -96,14 +96,10 @@ def request_key(
     engine's ``graph_version`` — execution knobs
     (``reduction_backend``, ``link_backend``) are deliberately excluded
     so the same logical query shares one entry regardless of how it is
-    executed. The planner knobs (``use_plan_cache``,
-    ``use_estimator_feedback``) participate: they never change the
-    matches, but they can change the chosen decomposition and hence
-    the per-stage statistics stored in the result. The graph version
-    makes cache invalidation versioned instead of explicit: every
-    applied mutation batch bumps it, so entries computed against the
-    pre-mutation graph simply stop being addressable and age out of
-    the LRU.
+    executed. The graph version makes cache invalidation versioned
+    instead of explicit: every applied mutation batch bumps it, so
+    entries computed against the pre-mutation graph simply stop being
+    addressable and age out of the LRU.
     """
     return (
         query.canonical_form(),
@@ -113,8 +109,6 @@ def request_key(
         options.use_structure_reduction,
         options.use_upperbound_reduction,
         options.seed,
-        options.use_plan_cache,
-        options.use_estimator_feedback,
         int(graph_version),
     )
 

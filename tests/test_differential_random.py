@@ -14,10 +14,8 @@ probabilities:
 3. the optimized engine forced onto the per-vertex reference link
    builder,
 4. planned execution through :mod:`repro.query.plan` — the exact
-   decomposition strategy, a plan-cache hit of it, and (throughout,
-   since every engine here runs with the defaults) feedback-corrected
-   cardinality estimates — any valid decomposition must yield
-   bit-identical matches, and
+   decomposition strategy, the greedy one and a plan-cache hit of it —
+   any valid decomposition must yield bit-identical matches, and
 5. brute-force possible-worlds enumeration
    (:mod:`repro.peg.possible_worlds` via
    :func:`repro.query.baselines.exhaustive_matches` — the literal
@@ -474,8 +472,7 @@ def test_differential_agreement(graph_index, config, query_seed):
                 assert python_links.link_stats["backend"] == "python", context
             # Planned execution: the paper's greedy strategy (the default
             # exact one ran above), then its plan-cache hit, must agree
-            # with the oracle (estimator feedback is on by default, so
-            # these also exercise corrected estimates).
+            # with the oracle.
             greedy = engine.query(query, alpha, GREEDY_PLAN)
             cached = engine.query(query, alpha, GREEDY_PLAN)
             assert match_keys(greedy.matches) == oracle, context
@@ -1465,7 +1462,7 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 ) == oracle, context
                 # Planned execution over the mutated graph: greedy plans
                 # (the default exact ones ran above; both costed on
-                # delta-aware, feedback-corrected estimates) and their
+                # delta-aware estimates) and their
                 # cache hits must still match the oracle.
                 greedy = engine.query(query, alpha, GREEDY_PLAN)
                 cached = engine.query(query, alpha, GREEDY_PLAN)

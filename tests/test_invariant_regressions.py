@@ -17,7 +17,6 @@ import pytest
 from repro.net.client import QueryClient
 from repro.obs.metrics import MetricsRegistry
 from repro.query import QueryGraph
-from repro.query.plan import EstimatorFeedback
 from repro.relational.engine import build_relations
 from repro.service.service import (
     RESULT_NEUTRAL_OPTIONS,
@@ -50,19 +49,6 @@ class RecordingLock:
     def __exit__(self, *exc_info):
         self.release()
         return False
-
-
-class TestPlannerLocking:
-    def test_feedback_reads_take_the_lock(self):
-        feedback = EstimatorFeedback()
-        feedback.observe(("a", "b"), 0.5, estimated=10.0, observed=30)
-        lock = RecordingLock(feedback._lock)
-        feedback._lock = lock
-        assert feedback.correction(("a", "b"), 0.5) > 1.0
-        assert len(feedback) == 1
-        # Unknown keys go through the same locked path.
-        assert feedback.correction(("z",), 0.5) == 1.0
-        assert lock.acquisitions == 3
 
 
 class TestHistogramLocking:

@@ -55,9 +55,8 @@ class TestStageVocabulary:
         }
         assert stage_labels == set(STAGES)
         spans = [n for n in _span_names(result.trace) if n != "partition"]
-        # The estimator feedback after the lookup re-enters ``plan``.
-        assert tuple(spans) == ("plan", "lookup", "plan", *STAGES[2:])
-        assert tuple(dict.fromkeys(spans)) == STAGES
+        # One span per stage, in evaluation order.
+        assert tuple(spans) == STAGES
         assert result.total_seconds == sum(result.timings.values())
         # The match span says why it cost what it cost.
         match_span = result.trace["children"][-1]
@@ -77,13 +76,13 @@ class TestStageVocabulary:
         assert result.trace["attributes"]["empty_partition"] is True
         assert tuple(result.timings) == STAGES[:2]
         spans = [n for n in _span_names(result.trace) if n != "partition"]
-        assert tuple(spans) == ("plan", "lookup", "plan")
+        assert tuple(spans) == ("plan", "lookup")
 
-    def test_estimator_feedback_is_booked_to_the_plan_stage(
+    def test_estimate_measurement_is_booked_to_the_lookup_stage(
         self, monkeypatch
     ):
-        """The feedback loop between lookup and link_build runs inside a
-        ``plan`` span, and its time reaches ``timings["plan"]``."""
+        """Measuring the estimates against the raw counts runs inside
+        the ``lookup`` span, and its time reaches ``timings["lookup"]``."""
         peg = small_random_peg(seed=11)
         engine = QueryEngine(peg, max_length=2)
         observe = engine.planner.observe
@@ -98,9 +97,60 @@ class TestStageVocabulary:
         result = engine.query(
             _chain_query(sorted(peg.sigma), n=4), 0.2, QueryOptions(trace=True)
         )
-        assert spans == ["plan"]
-        assert result.timings["plan"] >= 0.05
+        assert spans == ["lookup"]
+        assert result.timings["lookup"] >= 0.05
+        assert result.timings["plan"] < 0.05
         assert result.total_seconds == sum(result.timings.values())
+
+
+class TestEstimateMeasurement:
+    """``QueryResult.estimate_observations`` and the estimate-error
+    histogram report the index's histogram estimates, uncorrected."""
+
+    def test_observations_are_the_histogram_estimates(self):
+        peg = small_random_peg(seed=11)
+        engine = QueryEngine(peg, max_length=2)
+        query = _chain_query(sorted(peg.sigma), n=4)
+        result = engine.query(query, 0.2, QueryOptions(trace=True))
+        lookup = next(
+            c for c in result.trace["children"] if c["name"] == "lookup"
+        )
+        raw = [
+            c["attributes"]["raw"]
+            for c in lookup["children"] if c["name"] == "partition"
+        ]
+        assert len(raw) == len(result.decomposition_paths) > 0
+        assert result.estimate_observations == {
+            i: (
+                engine.index.estimate_cardinality(
+                    query.label_sequence(nodes), 0.2
+                ),
+                raw[i],
+            )
+            for i, nodes in enumerate(result.decomposition_paths)
+        }
+
+    def test_error_histogram_counts_each_observed_partition(self):
+        peg = small_random_peg(seed=11)
+        engine = QueryEngine(peg, max_length=2)
+        query = _chain_query(sorted(peg.sigma), n=4)
+        key = "repro_estimate_abs_log2_error_count"
+        before = get_registry().snapshot().get(key, 0)
+        result = engine.query(query, 0.2)
+        after = get_registry().snapshot()[key]
+        assert result.estimate_observations
+        assert after - before == len(result.estimate_observations)
+
+    def test_below_beta_observes_nothing(self):
+        peg = small_random_peg(seed=11)
+        engine = QueryEngine(peg, max_length=2, beta=0.1)
+        query = _chain_query(sorted(peg.sigma), n=4)
+        key = "repro_estimate_abs_log2_error_count"
+        before = get_registry().snapshot().get(key, 0)
+        result = engine.query(query, 0.05, QueryOptions(trace=True))
+        assert result.estimate_observations == {}
+        assert get_registry().snapshot().get(key, 0) == before
+        assert "estimate_abs_log2_err" not in result.trace["attributes"]
 
 
 class TestEngineTracing:

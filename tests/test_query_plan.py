@@ -1,17 +1,29 @@
-"""Unit tests for repro.query.plan (cache, exact strategy, feedback)."""
+"""Unit tests for repro.query.plan (cache, determinism, exact strategy)."""
+
+import random
 
 import pytest
 
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.peg import build_peg
 from repro.query import (
-    EstimatorFeedback,
     QueryEngine,
     QueryGraph,
     QueryOptions,
+    QueryPlanner,
 )
 from repro.query.decompose import decompose_query
 from repro.query.plan import plan_key
+
+# The end-to-end benchmark's tiny ``wire_zipf`` recipe
+# (benchmarks/e2e/workloads.py), copied so this module stands alone:
+# graph, L, beta, query shapes, queries per shape and alphas.
+ZIPF_SEED = 20140331
+ZIPF_GRAPH = SyntheticConfig(
+    num_references=40, num_labels=4, uncertainty=0.4, seed=ZIPF_SEED
+)
+ZIPF_SHAPES = ((3, 3), (4, 4), (4, 5), (4, 6), (5, 5), (5, 6), (5, 7), (6, 8))
+ZIPF_ALPHAS = (0.6, 0.61, 0.62, 0.63)
 
 
 def flat_estimator(label_seq, alpha):
@@ -68,10 +80,10 @@ class TestPlanCache:
         # The rehydrated decomposition covers the renamed query exactly
         # (Decomposition.__post_init__ would raise otherwise) and the
         # evaluation agrees with a fresh plan.
-        fresh = engine.query(
-            renamed, 0.3, QueryOptions(use_plan_cache=False)
-        )
+        engine.planner.cache.clear()
+        fresh = engine.query(renamed, 0.3)
         cached = engine.query(renamed, 0.3)
+        assert not fresh.plan.cached and cached.plan.cached
         assert sorted(
             (m.nodes, round(m.probability, 9)) for m in cached.matches
         ) == sorted(
@@ -114,32 +126,82 @@ class TestPlanCache:
         _, second = engine.planner.plan(query, 0.3, seeded)
         assert not first.cached and second.cached
 
-    def test_feedback_setting_is_part_of_the_key(self, engine):
-        """A plan costed with corrections must not answer a request
-        that asked for raw histogram estimates (different cost models)."""
-        sigma = sorted(engine.peg.sigma, key=repr)
-        query = triangle("k", sigma)
-        engine.planner.cache.clear()
-        _, with_feedback = engine.planner.plan(query, 0.3, QueryOptions())
-        _, without = engine.planner.plan(
-            query, 0.3, QueryOptions(use_estimator_feedback=False)
-        )
-        assert not with_feedback.cached and not without.cached
-        assert len(engine.planner.cache) == 2
-        _, again = engine.planner.plan(
-            query, 0.3, QueryOptions(use_estimator_feedback=False)
-        )
-        assert again.cached
+    def test_compaction_clears_plans(self):
+        from repro.delta import AddEntity
 
-    def test_use_plan_cache_false_bypasses(self, engine):
-        sigma = sorted(engine.peg.sigma, key=repr)
-        query = triangle("b", sigma)
-        engine.planner.cache.clear()
-        options = QueryOptions(use_plan_cache=False)
-        engine.planner.plan(query, 0.3, options)
-        _, info = engine.planner.plan(query, 0.3, options)
-        assert not info.cached
-        assert len(engine.planner.cache) == 0
+        peg = build_peg(
+            generate_synthetic_pgd(
+                SyntheticConfig(num_references=12, num_labels=2, seed=6)
+            )
+        )
+        own = QueryEngine(peg, max_length=2, beta=0.05)
+        sigma = sorted(peg.sigma, key=repr)
+        own.apply_updates([AddEntity(("pf-1",), {sigma[0]: 1.0}, 0.9)])
+        own.query(triangle("c", sigma), 0.3)
+        assert len(own.planner.cache) >= 1
+        own.compact_updates()
+        # Compaction trued the histograms up: plans costed against the
+        # drifted estimates are dropped with it.
+        assert len(own.planner.cache) == 0
+
+
+def zipf_requests() -> list:
+    """``(query, alpha)`` of every request of the tiny ``wire_zipf``
+    pool, in the end-to-end benchmark's order (64 requests)."""
+    sigma = [f"L{i}" for i in range(ZIPF_GRAPH.num_labels)]
+    rng = random.Random(f"{ZIPF_SEED}/wire_zipf")
+    queries = [
+        random_query(nodes, edges, sigma, seed=rng.randrange(2**31))
+        for nodes, edges in ZIPF_SHAPES
+        for _ in range(2)
+    ]
+    return [(query, alpha) for query in queries for alpha in ZIPF_ALPHAS]
+
+
+@pytest.fixture(scope="module")
+def zipf_engine():
+    peg = build_peg(generate_synthetic_pgd(ZIPF_GRAPH))
+    return QueryEngine(peg, max_length=2, beta=0.1)
+
+
+class TestPlanDeterminism:
+    """A plan is a pure function of its cache key: nothing is learned
+    from lookups, so evaluations leave later plans unchanged."""
+
+    def test_plans_do_not_learn_from_lookups(self, zipf_engine):
+        requests = zipf_requests()
+        assert len(requests) == 64
+        passes = []
+        for _ in range(2):
+            paths = []
+            for query, alpha in requests:
+                zipf_engine.planner.cache.clear()
+                paths.append(
+                    zipf_engine.query(query, alpha).decomposition_paths
+                )
+            passes.append(paths)
+        differing = [
+            i for i, (first, second) in enumerate(zip(*passes))
+            if first != second
+        ]
+        assert differing == []
+
+    def test_cache_hit_equals_a_fresh_plan(self, zipf_engine):
+        fresh_planner = QueryPlanner(zipf_engine, cache_size=0)
+        options = QueryOptions()
+        for query, alpha in zipf_requests():
+            zipf_engine.planner.cache.clear()
+            # Fills the cache, then runs the lookups of that plan.
+            zipf_engine.query(query, alpha)
+            hit, info = zipf_engine.planner.plan(query, alpha, options)
+            fresh, fresh_info = fresh_planner.plan(query, alpha, options)
+            assert info.cached and not fresh_info.cached
+            assert [p.nodes for p in hit.paths] == [
+                p.nodes for p in fresh.paths
+            ]
+            assert hit.estimated_cost == fresh.estimated_cost
+            assert hit.strategy_used == fresh.strategy_used
+        assert len(fresh_planner.cache) == 0
 
 
 class TestExactStrategy:
@@ -189,88 +251,6 @@ class TestExactStrategy:
             for _ in range(3)
         }
         assert len(plans) == 1
-
-
-class TestEstimatorFeedback:
-    def test_correction_moves_toward_observed(self):
-        feedback = EstimatorFeedback(decay=1.0)
-        seq = ("a", "b")
-        assert feedback.correction(seq, 0.3) == 1.0
-        feedback.observe(seq, 0.3, estimated=9.0, observed=19)
-        assert feedback.correction(seq, 0.3) == pytest.approx(2.0)
-        # corrected estimate now matches the observation
-        assert 9.0 * feedback.correction(seq, 0.3) == pytest.approx(
-            18.0, rel=0.2
-        )
-
-    def test_corrections_isolated_per_threshold(self):
-        """A drift ratio observed at one alpha must not corrupt
-        estimates at other thresholds of the same sequence."""
-        feedback = EstimatorFeedback(decay=1.0)
-        seq = ("a", "b")
-        # Accurate at 0.1, badly off at 0.9 (tiny counts).
-        feedback.observe(seq, 0.9, estimated=5.0, observed=0)
-        assert feedback.correction(seq, 0.9) < 1.0
-        assert feedback.correction(seq, 0.1) == 1.0
-        # Same milli-bucket shares the correction.
-        assert feedback.correction(seq, 0.9004) == feedback.correction(
-            seq, 0.9
-        )
-
-    def test_correction_clamped(self):
-        feedback = EstimatorFeedback(decay=1.0, max_correction=8.0)
-        seq = ("a",)
-        feedback.observe(seq, 0.5, estimated=0.0, observed=10_000)
-        assert feedback.correction(seq, 0.5) == 8.0
-        feedback.observe(seq, 0.5, estimated=10_000.0, observed=0)
-        assert feedback.correction(seq, 0.5) >= 1.0 / 8.0
-
-    def test_reset(self):
-        feedback = EstimatorFeedback()
-        feedback.observe(("a",), 0.5, 1.0, 5)
-        assert len(feedback) == 1
-        feedback.reset()
-        assert len(feedback) == 0
-        assert feedback.correction(("a",), 0.5) == 1.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            EstimatorFeedback(decay=0.0)
-        with pytest.raises(ValueError):
-            EstimatorFeedback(max_correction=0.5)
-
-    def test_engine_feedback_corrects_estimates(self, engine):
-        sigma = sorted(engine.peg.sigma, key=repr)
-        query = triangle("f", sigma)
-        engine.planner.invalidate()
-        first = engine.query(query, 0.3)
-        if not first.estimate_observations:
-            pytest.skip("query produced no index-backed lookups")
-        second = engine.query(query, 0.3)
-        for i, (estimated, observed) in second.estimate_observations.items():
-            est0, obs0 = first.estimate_observations[i]
-            # After observing once, the corrected estimate is at least
-            # as close to the observation as the raw one was.
-            assert abs(estimated - observed) <= abs(est0 - obs0) + 1e-9
-
-    def test_compaction_resets_feedback_and_plans(self):
-        from repro.delta import AddEntity
-
-        peg = build_peg(
-            generate_synthetic_pgd(
-                SyntheticConfig(num_references=12, num_labels=2, seed=6)
-            )
-        )
-        own = QueryEngine(peg, max_length=2, beta=0.05)
-        sigma = sorted(peg.sigma, key=repr)
-        own.apply_updates([AddEntity(("pf-1",), {sigma[0]: 1.0}, 0.9)])
-        own.query(triangle("c", sigma), 0.3)
-        assert len(own.planner.cache) >= 1
-        own.compact_updates()
-        # Compaction trued the histograms up: learned corrections and
-        # drift-costed plans are dropped with it.
-        assert len(own.planner.feedback) == 0
-        assert len(own.planner.cache) == 0
 
 
 class TestServiceIntegration:
