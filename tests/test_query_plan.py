@@ -126,6 +126,40 @@ class TestPlanCache:
         _, second = engine.planner.plan(query, 0.3, seeded)
         assert not first.cached and second.cached
 
+    def test_zero_capacity_plans_afresh(self, engine):
+        """A zero-capacity planner stores nothing and never hits; every
+        call re-plans to the same decomposition."""
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("z", sigma)
+        planner = QueryPlanner(engine, cache_size=0)
+        hits = planner.stats_snapshot()["plan_cache_hits"]
+        first, first_info = planner.plan(query, 0.3, QueryOptions())
+        second, second_info = planner.plan(query, 0.3, QueryOptions())
+        assert not first_info.cached and not second_info.cached
+        assert second_info.source == "exact"
+        assert [p.nodes for p in first.paths] == [
+            p.nodes for p in second.paths
+        ]
+        assert len(planner.cache) == 0
+        assert planner.stats_snapshot()["plan_cache_hits"] == hits
+
+    def test_plan_key_is_rename_invariant(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        assert plan_key(
+            triangle("a", sigma), 0.3, "exact", None, 0, 2
+        ) == plan_key(triangle("other", sigma), 0.3, "exact", None, 0, 2)
+
+    def test_plan_key_mixes_the_seed_only_for_random(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("s", sigma)
+        for strategy in ("exact", "greedy"):
+            assert plan_key(query, 0.3, strategy, 1, 0, 2) == plan_key(
+                query, 0.3, strategy, 2, 0, 2
+            )
+        assert plan_key(query, 0.3, "random", 1, 0, 2) != plan_key(
+            query, 0.3, "random", 2, 0, 2
+        )
+
     def test_compaction_clears_plans(self):
         from repro.delta import AddEntity
 
@@ -202,6 +236,61 @@ class TestPlanDeterminism:
             assert hit.estimated_cost == fresh.estimated_cost
             assert hit.strategy_used == fresh.strategy_used
         assert len(fresh_planner.cache) == 0
+
+
+class TestObserve:
+    """``QueryPlanner.observe`` measures the histogram estimates against
+    raw lookup counts and changes nothing."""
+
+    def test_reports_histogram_estimates_beside_the_counts(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("o", sigma)
+        planner = QueryPlanner(engine)
+        decomposition, _ = planner.plan(query, 0.3, QueryOptions())
+        raw = {i: 1000 * (i + 1) for i in range(len(decomposition.paths))}
+        assert planner.observe(query, decomposition, 0.3, raw) == {
+            i: (
+                engine.index.estimate_cardinality(
+                    query.label_sequence(path.nodes), 0.3
+                ),
+                raw[i],
+            )
+            for i, path in enumerate(decomposition.paths)
+        }
+
+    def test_omits_partitions_without_a_count(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("p", sigma)
+        planner = QueryPlanner(engine)
+        decomposition, _ = planner.plan(query, 0.3, QueryOptions())
+        assert len(decomposition.paths) > 1
+        observed = planner.observe(query, decomposition, 0.3, {0: 5})
+        assert set(observed) == {0}
+        assert observed[0][1] == 5
+
+    def test_below_beta_is_empty(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("b", sigma)
+        planner = QueryPlanner(engine)
+        alpha = engine.index.beta / 2
+        decomposition, _ = planner.plan(query, alpha, QueryOptions())
+        raw = {i: 7 for i in range(len(decomposition.paths))}
+        assert planner.observe(query, decomposition, alpha, raw) == {}
+
+    def test_wrong_counts_leave_estimates_and_plans_unchanged(self, engine):
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("w", sigma)
+        planner = QueryPlanner(engine, cache_size=0)
+        before, _ = planner.plan(query, 0.3, QueryOptions())
+        raw = {i: 10**6 for i in range(len(before.paths))}
+        first = planner.observe(query, before, 0.3, raw)
+        for _ in range(5):
+            assert planner.observe(query, before, 0.3, raw) == first
+        after, _ = planner.plan(query, 0.3, QueryOptions())
+        assert [p.nodes for p in after.paths] == [
+            p.nodes for p in before.paths
+        ]
+        assert after.estimated_cost == before.estimated_cost
 
 
 class TestExactStrategy:
