@@ -56,6 +56,7 @@ BENCH_CAPTIONS = {
     "BENCH_planner": "Planner: plan cache and exact strategy",
     "BENCH_obs": "Observability: disabled-mode overhead and micro-costs",
     "BENCH_net": "Network serving: overload shedding and admitted-p95 gate",
+    "BENCH_scale": "Offline build at scale: peak RSS against store bytes",
 }
 
 

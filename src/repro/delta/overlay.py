@@ -43,7 +43,6 @@ from repro.index.builder import (
     bucket_payloads,
     write_buckets,
 )
-from repro.index.grid import milli
 from repro.index.paths import (
     PathCandidates,
     concat_payloads,
@@ -102,10 +101,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
         self._delta: dict = {}
         #: Directed partial paths the last :meth:`absorb` expanded.
         self.enumerated_paths = 0
-        #: ``{(canonical sequence, milli-alpha): masked base-path
-        #: count}`` learned from actual lookups — see
-        #: :meth:`estimate_cardinality`.
-        self._stale_counts: dict = {}
 
     # ------------------------------------------------------------------
     # Mutation maintenance
@@ -141,9 +136,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
         batch = frozenset(dirty_ids)
         with Timer() as timer:
             self._set_dirty(self._dirty | batch)
-            # Masked-count memos describe the previous dirty set; the
-            # new mutation may dirty more base paths.
-            self._stale_counts = {}
             batch_array = np.fromiter(batch, dtype=np.int64, count=len(batch))
             delta: dict = {}
             for seq, rows in self._delta.items():
@@ -178,10 +170,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
         if self._dirty:
             stale = np.isin(paths.nodes, self._dirty_array).any(axis=1)
             masked = int(stale.sum())
-            # Record the exact number of masked base paths at this
-            # (sequence, milli-threshold): estimate_cardinality uses it
-            # to undo the stale portion of the base histogram.
-            self._stale_counts[(canonical_seq, milli(alpha))] = masked
             if masked:
                 _MASKED_PATHS.inc(masked)
                 span = current_span()
@@ -199,26 +187,21 @@ class DeltaOverlayIndex(PathIndexProtocol):
         return paths
 
     def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
-        """Base estimate, corrected for masked paths, plus the delta count.
+        """The base histogram's estimate plus the delta's rows above
+        ``alpha``: an over-count until compaction.
 
-        The base histogram still counts masked (stale) base paths — it
-        is an estimator feeding decomposition ordering, not a
-        correctness surface, and compaction trues it up. Pre-compaction
-        the overlay is *delta-aware*: every lookup records how many
-        base paths it masked for its (sequence, milli-threshold), and
-        later estimates subtract that observed stale count before
-        adding the exact in-memory delta count, so repeated query
-        shapes see drift-free estimates without scanning the store.
+        The base histogram still counts the base paths lookups mask
+        (those through dirty nodes); the overlay does not subtract
+        them, because knowing how many would take a store scan, and an
+        estimate must not read what earlier lookups saw — a plan is a
+        pure function of its cache key (:mod:`repro.query.plan`).
+        Compaction trues the histograms up. The estimate feeds
+        decomposition ordering only, never correctness.
         """
         estimate = self.base.estimate_cardinality(label_seq, alpha)
         seq = tuple(label_seq)
         canonical = canonical_sequence(seq)
         palindrome = is_palindrome(seq) and len(seq) > 1
-        stale = self._stale_counts.get((canonical, milli(alpha)))
-        if stale:
-            if palindrome:
-                stale *= 2
-            estimate = max(0.0, estimate - stale)
         extra_paths = self._delta.get(canonical)
         if extra_paths is not None:
             extra = len(extra_paths.above(alpha))
@@ -267,7 +250,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
                     base.histograms.pop(seq, None)
             self._set_dirty(frozenset())
             self._delta = {}
-            self._stale_counts = {}
         _COMPACT_SECONDS.observe(timer.elapsed)
         _SEQUENCES_REWRITTEN.inc(stats["sequences_rewritten"])
         _PATHS_DROPPED.inc(stats["paths_dropped"])
@@ -322,10 +304,11 @@ class DeltaOverlayIndex(PathIndexProtocol):
         return self.base.num_sequences() + extra
 
     def num_paths(self) -> int:
-        """Base paths (including still-masked stale ones) plus delta paths.
+        """Base paths plus delta paths: an over-count until compaction.
 
-        Exact accounting of masked paths would require scanning the
-        base store; compaction restores an exact count.
+        The base count still includes the paths lookups mask (those
+        through dirty nodes), which only a store scan could count;
+        compaction makes it exact again.
         """
         return self.base.num_paths() + self.delta_path_count()
 

@@ -16,7 +16,7 @@ A level is not a list of paths but four row-aligned columns: an
 ``(rows, l + 1)`` node matrix, a same-shape matrix of label positions
 in ``sorted(Σ, key=repr)`` (so the canonical-orientation test is an
 integer compare), and the ``prle`` / ``prn`` vectors. One extension
-(:meth:`PathIndexBuilder._extend`) is a repeat + offset gather of the
+(:meth:`PathIndexBuilder._extend_block`) is a repeat + offset gather of the
 tails' CSR neighbours, injectivity as column compares,
 ``prn * existence[neighbour]``, a second repeat over each neighbour's
 label support in support order, ``p_edge > 0``, then
@@ -35,19 +35,38 @@ takes the whole path's joint marginal from
 :meth:`repro.peg.arrays.ComponentTable.joint_existence` in place of the
 product — 0.0, so the row goes, when two of its nodes share a
 reference. ``fallback_rows`` counts those rows.
-**The row budget**: a level is extended in order-preserving blocks of
-at most ``_FRONTIER_ROW_BUDGET`` gathered neighbour rows, so the
-pre-prune fan-out of the last level never sets the process peak.
+
+Depth first, one block at a time
+--------------------------------
+The enumeration (:meth:`PathIndexBuilder._enumerate`) never holds a
+whole level. It cuts a frontier into order-preserving blocks of at most
+``_FRONTIER_ROW_BUDGET`` gathered neighbour rows, and extends each
+block down to the last level — filing its canonical rows at every
+level on the way — before it gathers the next block, the way the
+matcher's ``_expand`` walks a join. What a build holds is therefore one
+block per level (its pre-prune fan-out is the budget's, not a level's)
+beside the canonical rows filed so far: their node ids, ``prle``,
+``prn`` and one integer naming the sequence. Blocks are visited in
+frontier order, so each level's rows are filed in the order a
+whole-level extension gives them. Each level is grouped by sequence
+once, at the end, by moving every block straight to its grouped rows,
+and the serial build releases a level's columns as soon as its last
+sequence is encoded. On the ``match_heavy`` benchmark graph (200
+references, L=3, β=0.5; a 4.26 MiB store) the build's tracemalloc
+peak is 15.5 MiB (3.6x the store), where the level-at-a-time build it
+replaced peaked at 41.1 MiB (9.6x); at 2,000 references the build's
+peak RSS is ~300 MiB for a 66.5 MB store, from ~715 MiB
+(``benchmarks/bench_scale.py`` measures it).
 
 One build path
 --------------
-Every producer of indexed paths goes through that one ``_extend`` —
+Every producer of indexed paths goes through that one ``_enumerate`` —
 the seeds, the reference-sharing and ``Prn`` tests, the factor order,
 the β-prune, the canonical orientation, all on
 :class:`PathIndexBuilder` — handing ``{labels: PathCandidates}``
 columns to one writer:
 
-* the offline build enumerates level by level; ``build_processes > 1``
+* the offline build enumerates every start node; ``build_processes > 1``
   fans that out over a process pool — every directed path has exactly
   one start node, so disjoint start-node chunks partition it with no
   duplicates (:meth:`PathIndexBuilder.collect_buckets` is the per-chunk
@@ -102,11 +121,14 @@ from repro.utils.errors import IndexError_
 from repro.obs.timing import Timer
 
 
-#: Most neighbour rows one extension step may gather at a time; a wider
-#: level is extended in order-preserving row blocks (the idiom of
-#: :mod:`repro.query.matcher`), so the pre-prune fan-out of the last
-#: level is block-sized and never the process peak.
-_FRONTIER_ROW_BUDGET = 1 << 16
+#: Most neighbour rows one extension step may gather at a time: a wider
+#: frontier is extended in order-preserving row blocks, each one carried
+#: down to the last level before the next is gathered (the idiom and the
+#: budget of :mod:`repro.query.matcher`). A block's pre-prune fan-out is
+#: what the enumeration holds beyond the filed rows: at ``1 << 16`` it
+#: set the ``match_heavy`` build's peak (21.5 MiB traced, against
+#: 15.5 MiB here), and the build's time did not move with it.
+_FRONTIER_ROW_BUDGET = 1 << 15
 
 
 class _Frontier:
@@ -137,20 +159,6 @@ class _Frontier:
             self.nodes[selector], self.labels[selector],
             self.prle[selector], self.prn[selector],
             None if self.holds is None else self.holds[selector],
-        )
-
-    @classmethod
-    def concat(cls, parts: list) -> "_Frontier":
-        """Rows of ``parts`` (one width, at least one part), in order."""
-        if len(parts) == 1:
-            return parts[0]
-        return cls(
-            *(
-                np.concatenate([getattr(part, name) for part in parts])
-                for name in ("nodes", "labels", "prle", "prn")
-            ),
-            None if parts[0].holds is None
-            else np.concatenate([part.holds for part in parts]),
         )
 
 
@@ -237,17 +245,11 @@ class PathIndexBuilder:
         enumeration with no duplicates, which is how the parallel
         build's workers restrict it.
         """
-        tables = self.peg.columns
-        per_key: dict = {}
-        paths_per_length: dict = {}
-        frontier = self._seed_frontier(tables, start_nodes)
-        for length in range(self.max_length + 1):
-            if length:
-                frontier = self._extend(tables, frontier)
-            paths_per_length[length] = len(frontier)
-            # Levels hold disjoint sequence lengths.
-            per_key.update(_canonical_columns(tables, frontier))
-        return per_key, paths_per_length
+        per_key, counts = self._enumerate(
+            self._seed_frontier(self.peg.columns, start_nodes),
+            self.max_length,
+        )
+        return per_key, dict(enumerate(counts))
 
     def paths_through(self, targets) -> tuple:
         """The canonical β-qualified paths containing a node of ``targets``.
@@ -264,19 +266,14 @@ class PathIndexBuilder:
             tables, np.flatnonzero(hop <= self.max_length)
         )
         frontier.holds = is_target[frontier.nodes[:, 0]]
-        found: dict = {}
-        expanded = 0
-        for length in range(self.max_length + 1):
-            if length:
-                frontier = self._extend(
-                    tables, frontier,
-                    targets=is_target, near=hop <= self.max_length - length,
-                )
-            expanded += len(frontier)
-            found.update(
-                _canonical_columns(tables, frontier.take(frontier.holds))
-            )
-        return found, expanded
+        found, counts = self._enumerate(
+            frontier, self.max_length, targets=is_target,
+            near=[
+                hop <= self.max_length - length
+                for length in range(self.max_length + 1)
+            ],
+        )
+        return found, sum(counts)
 
     def _hops_to(self, targets) -> np.ndarray:
         """Edges from every id to the nearest of ``targets``, ``max_length
@@ -299,8 +296,8 @@ class PathIndexBuilder:
 
         Returns what ``lookup(label_seq, beta)`` returns from an index
         built at this ``beta`` (rows as a set, floats bit for bit): the
-        *canonical* sequence is enumerated level by level, every level
-        masked to its one label, and only canonical paths are kept.
+        *canonical* sequence is enumerated, every level masked to its
+        one label, and only the last level's canonical paths are kept.
         """
         seq = tuple(label_seq)
         canonical = canonical_sequence(seq)
@@ -308,10 +305,11 @@ class PathIndexBuilder:
         found: dict = {}
         positions = [tables.label_pos.get(label) for label in canonical]
         if None not in positions:
-            frontier = self._seed_frontier(tables, label=positions[0])
-            for label in positions[1:]:
-                frontier = self._extend(tables, frontier, label=label)
-            found = _canonical_columns(tables, frontier)
+            depth = len(positions) - 1
+            found, _counts = self._enumerate(
+                self._seed_frontier(tables, label=positions[0]), depth,
+                file_from=depth, labels=positions,
+            )
         return orient_to_sequence(
             found.get(canonical, PathCandidates.from_rows([], len(canonical))),
             seq,
@@ -373,13 +371,66 @@ class PathIndexBuilder:
             nodes[keep, None], labels[keep, None], prle[keep], prn[keep]
         )
 
-    def _extend(
-        self, tables: PegColumns, frontier: _Frontier,
-        label=None, targets=None, near=None,
+    def _enumerate(
+        self, frontier: _Frontier, depth: int, file_from: int = 0,
+        labels=None, targets=None, near=None,
+    ) -> tuple:
+        """THE enumeration of the build, a live absorb and on-demand
+        lookups alike: extend the length-0 ``frontier`` to ``depth``
+        edges, depth first, filing the canonical rows of every level
+        from ``file_from`` on.
+
+        Returns ``({labels: PathCandidates}, rows per level)``: the
+        filed levels grouped by sequence (levels in order, sequences by
+        first appearance, rows in frontier order) and every level's
+        directed row count. A block of at most ``_FRONTIER_ROW_BUDGET``
+        gathered neighbour rows is extended down to the last level, and
+        its canonical rows filed, before the next block is gathered: the
+        enumeration holds one block per level beside the filed rows,
+        never a whole level. Blocks are visited in frontier order, so a
+        level's rows are filed in the order a whole-level extension
+        gives them. ``labels`` and ``near`` hold :meth:`_extend_block`'s
+        ``label`` / ``near`` per level.
+        """
+        tables = self.peg.columns
+        levels = [
+            _Level() if length >= file_from else None
+            for length in range(depth + 1)
+        ]
+        counts = [0] * (depth + 1)
+
+        def descend(frontier: _Frontier, length: int) -> None:
+            counts[length] += len(frontier)
+            if levels[length] is not None:
+                levels[length].file(
+                    tables,
+                    frontier if frontier.holds is None
+                    else frontier.take(frontier.holds),
+                )
+            if length == depth:
+                return
+            step = length + 1
+            label = None if labels is None else labels[step]
+            reach = None if near is None else near[step]
+            for block in _row_blocks(tables, frontier):
+                extended = self._extend_block(
+                    tables, frontier.take(block), label, targets, reach
+                )
+                if len(extended):
+                    descend(extended, step)
+
+        descend(frontier, 0)
+        per_key: dict = {}
+        for level in levels[file_from:]:
+            # Levels hold disjoint sequence lengths.
+            per_key.update(level.group(tables.sigma))
+        return per_key, counts
+
+    def _extend_block(
+        self, tables: PegColumns, frontier: _Frontier, label, targets, near
     ) -> _Frontier:
-        """Extend every directed path by one edge at its tail: THE
-        enumeration step of the build, a live absorb and on-demand
-        lookups alike.
+        """Extend every directed path of one block by one edge at its
+        tail: THE enumeration step.
 
         Rows come out in frontier order, then neighbour order, then
         support order. With ``label`` (:meth:`paths_for_sequence`) the
@@ -388,34 +439,6 @@ class PathIndexBuilder:
         holds no target yet only steps into ``near``: the nodes from
         which one is still within the edges the path has left.
         """
-        tails = frontier.nodes[:, -1]
-        ends = np.cumsum(tables.adj_ptr[tails + 1] - tables.adj_ptr[tails])
-        parts = []
-        low = 0
-        # At least one block: an empty level extends to an empty level
-        # one node wider.
-        while not parts or low < len(frontier):
-            # The longest run of rows whose neighbours fit the budget
-            # (one row at least); usually the whole level.
-            gathered = ends[low - 1] if low else 0
-            high = max(
-                low + 1,
-                int(np.searchsorted(
-                    ends, gathered + _FRONTIER_ROW_BUDGET, side="right"
-                )),
-            )
-            parts.append(
-                self._extend_block(
-                    tables, frontier.take(slice(low, high)),
-                    label, targets, near,
-                )
-            )
-            low = high
-        return _Frontier.concat(parts)
-
-    def _extend_block(
-        self, tables: PegColumns, frontier: _Frontier, label, targets, near
-    ) -> _Frontier:
         parent, slots = gather_rows(tables.adj_ptr, frontier.nodes[:, -1])
         neighbor = tables.adj[slots]
         keep = np.ones(neighbor.size, dtype=bool)
@@ -453,6 +476,7 @@ class PathIndexBuilder:
             keep = keep[again]
             new_label = tables.sup_label[support]
             p_label = tables.sup_prob[support]
+            del again, support
         else:
             p_label = tables.label_matrix[:, label][neighbor]
             keep = np.flatnonzero(keep & (p_label > 0.0))
@@ -460,10 +484,14 @@ class PathIndexBuilder:
             new_label = np.full(keep.size, label, dtype=np.int64)
         parent, slots, neighbor = parent[keep], slots[keep], neighbor[keep]
         prn = prn[keep]
+        # The pre-prune rows set the block's peak: hold no more columns
+        # of them than the next step reads.
+        del keep
 
         p_edge = tables.edge_probabilities(
             slots, frontier.labels[parent, -1], new_label
         )
+        del slots
         prle = frontier.prle[parent] * p_edge * p_label
         keep = np.flatnonzero((p_edge > 0.0) & (prle * prn >= self.beta))
         parent, neighbor = parent[keep], neighbor[keep]
@@ -481,51 +509,128 @@ class PathIndexBuilder:
         )
 
 
-def _canonical_columns(tables: PegColumns, frontier: _Frontier) -> dict:
-    """A frontier's canonical paths as ``{labels: PathCandidates}``,
-    sequences by first appearance, rows in frontier order.
-
-    The canonical orientation is the lexicographically smaller of
-    ``(labels, ids)`` and its reverse, labels compared through ``repr``
-    — their positions in ``sigma`` — and ties (single nodes) canonical.
-    """
-    nodes, labels, prle, prn = (
-        frontier.nodes, frontier.labels, frontier.prle, frontier.prn
-    )
-    width = nodes.shape[1]
-    if width > 1:
-        # Labels decide from the outside in; under a palindrome of
-        # labels the end nodes do (a path's nodes are distinct).
-        canonical = nodes[:, 0] < nodes[:, -1]
-        for column in reversed(range(width // 2)):
-            ahead, behind = labels[:, column], labels[:, -1 - column]
-            canonical = np.where(ahead == behind, canonical, ahead < behind)
-        canonical = np.flatnonzero(canonical)
-        nodes, labels = nodes[canonical], labels[canonical]
-        prle, prn = prle[canonical], prn[canonical]
-    if not nodes.shape[0]:
-        return {}
-    size = len(tables.sigma)
-    if size ** width < 2 ** 62:  # one integer names a sequence
-        codes = labels[:, 0]
-        for column in range(1, width):
-            codes = codes * size + labels[:, column]
-    else:  # too many sequences for that: rank the rows
-        codes = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
-    order = np.argsort(codes, kind="stable")
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    bounds = np.append(starts, order.size)
-    nodes, prle, prn = nodes[order], prle[order], prn[order]
-    sigma = tables.sigma
-    per_key = {}
-    # A group's first row is its earliest: groups by first appearance.
-    for group in np.argsort(order[starts]).tolist():
-        low, high = bounds[group], bounds[group + 1]
-        key = tuple(sigma[label] for label in labels[order[low]].tolist())
-        per_key[key] = PathCandidates(
-            nodes[low:high], prle[low:high], prn[low:high]
+def _row_blocks(tables: PegColumns, frontier: _Frontier) -> Iterator[slice]:
+    """Order-preserving row slices of ``frontier``, each the longest run
+    whose tails' neighbours fit ``_FRONTIER_ROW_BUDGET`` (one row at
+    least); usually the whole frontier."""
+    tails = frontier.nodes[:, -1]
+    ends = np.cumsum(tables.adj_ptr[tails + 1] - tables.adj_ptr[tails])
+    low = 0
+    while low < len(frontier):
+        gathered = ends[low - 1] if low else 0
+        high = max(
+            low + 1,
+            int(np.searchsorted(
+                ends, gathered + _FRONTIER_ROW_BUDGET, side="right"
+            )),
         )
-    return per_key
+        yield slice(low, high)
+        low = high
+
+
+class _Level:
+    """One level's canonical rows: filed block by block in frontier order
+    (:meth:`file`), grouped by sequence once (:meth:`group`).
+
+    A filed block keeps its rows' nodes, ``prle``, ``prn`` and one
+    integer per row naming its label sequence, not the label matrix
+    (which it keeps only when ``len(sigma) ** width`` overflows one).
+    """
+
+    __slots__ = ("nodes", "codes", "prle", "prn")
+
+    def __init__(self) -> None:
+        self.nodes: list = []
+        self.codes: list = []
+        self.prle: list = []
+        self.prn: list = []
+
+    def file(self, tables: PegColumns, frontier: _Frontier) -> None:
+        """Keep ``frontier``'s canonical rows.
+
+        The canonical orientation is the lexicographically smaller of
+        ``(labels, ids)`` and its reverse, labels compared through
+        ``repr`` — their positions in ``sigma`` — and ties (single
+        nodes) canonical.
+        """
+        nodes, labels = frontier.nodes, frontier.labels
+        width = nodes.shape[1]
+        rows = slice(None)
+        if width > 1:
+            # Labels decide from the outside in; under a palindrome of
+            # labels the end nodes do (a path's nodes are distinct).
+            canonical = nodes[:, 0] < nodes[:, -1]
+            for column in reversed(range(width // 2)):
+                ahead, behind = labels[:, column], labels[:, -1 - column]
+                canonical = np.where(
+                    ahead == behind, canonical, ahead < behind
+                )
+            rows = np.flatnonzero(canonical)
+            nodes, labels = nodes[rows], labels[rows]
+        if not nodes.shape[0]:
+            return
+        size = len(tables.sigma)
+        if size ** width < 2 ** 62:  # one integer names a sequence
+            codes = labels[:, 0]
+            for column in range(1, width):
+                codes = codes * size + labels[:, column]
+        else:  # too many sequences for that: group() ranks the rows
+            codes = labels
+        self.nodes.append(nodes)
+        self.codes.append(codes)
+        self.prle.append(frontier.prle[rows])
+        self.prn.append(frontier.prn[rows])
+
+    def group(self, sigma: list) -> dict:
+        """The filed rows as ``{labels: PathCandidates}``, sequences by
+        first appearance, rows in filing order: one stable sort of the
+        codes, then every block moved to its grouped rows and released,
+        so no column is held twice."""
+        if not self.codes:
+            return {}
+        width = self.nodes[0].shape[1]
+        codes = np.concatenate(self.codes)
+        self.codes = []
+        sequences = None
+        if codes.ndim == 2:  # label rows: their rank is the code
+            sequences, codes = np.unique(codes, axis=0, return_inverse=True)
+            codes = codes.reshape(-1)
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        firsts = order[starts]
+        if sequences is None:  # each group's labels from its integer
+            sequences = np.stack(
+                np.unravel_index(codes[firsts], (len(sigma),) * width), axis=1
+            )
+        del codes
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        del order
+        nodes, prle, prn = (
+            _scatter(parts, rank) for parts in (self.nodes, self.prle, self.prn)
+        )
+        bounds = np.append(starts, rank.size)
+        per_key = {}
+        # A group's first row is its earliest: groups by first appearance.
+        for group in np.argsort(firsts).tolist():
+            low, high = bounds[group], bounds[group + 1]
+            key = tuple(sigma[label] for label in sequences[group].tolist())
+            per_key[key] = PathCandidates(
+                nodes[low:high], prle[low:high], prn[low:high]
+            )
+        return per_key
+
+
+def _scatter(parts: list, rank: np.ndarray) -> np.ndarray:
+    """One column from its consecutive blocks ``parts``, row ``i`` put at
+    ``rank[i]``; each block is released once placed."""
+    column = np.empty((rank.size, *parts[0].shape[1:]), dtype=parts[0].dtype)
+    low = 0
+    for index, part in enumerate(parts):
+        parts[index] = None
+        column[rank[low:low + len(part)]] = part
+        low += len(part)
+    return column
 
 
 def bucket_payloads(grid: BucketGrid, rows: PathCandidates) -> list:
@@ -549,9 +654,11 @@ def bucket_payloads(grid: BucketGrid, rows: PathCandidates) -> list:
 
 
 def _encoded(grid: BucketGrid, per_key: dict) -> Iterator[tuple]:
-    """``(labels, bucket, payload)`` for every bucket of an enumeration."""
-    for labels, rows in per_key.items():
-        for bucket, payload in bucket_payloads(grid, rows):
+    """``(labels, bucket, payload)`` for every bucket of an enumeration,
+    emptying ``per_key`` as it goes: a level's columns are released once
+    its last sequence is encoded."""
+    for labels in list(per_key):
+        for bucket, payload in bucket_payloads(grid, per_key.pop(labels)):
             yield labels, bucket, payload
 
 

@@ -21,9 +21,9 @@ cache:
   a plan is a pure function of its :func:`plan_key` and a cache hit
   returns exactly what a fresh plan would. Estimate drift under live
   updates (:mod:`repro.delta`) is the index's concern: the delta
-  overlay subtracts the stale paths its lookups masked at the current
-  graph version and adds the exact delta count, and compaction trues
-  the histograms up.
+  overlay adds its exact delta count to the base histogram's, an
+  over-count by the masked base paths that no lookup feeds back, and
+  compaction trues the histograms up.
 
 :meth:`QueryPlanner.observe` measures the estimator against the raw
 lookup counts of an evaluation, for reporting only. Any valid

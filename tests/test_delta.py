@@ -19,10 +19,10 @@ from repro.delta import (
     op_from_json,
     op_to_json,
 )
-from repro.datasets import random_query
+from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.pgd import BernoulliEdge, ConditionalEdge, pgd_from_edge_list
 from repro.peg import build_peg
-from repro.query import QueryEngine, QueryGraph
+from repro.query import QueryEngine, QueryGraph, QueryOptions
 from repro.service import QueryService
 from repro.storage import DiskPathStore
 from repro.utils.errors import DeltaError, IndexError_, ServiceError
@@ -777,52 +777,130 @@ class TestReviewRegressions:
             )
 
 
-class TestDeltaAwareEstimates:
-    """Pre-compaction estimates subtract the stale counts lookups observe."""
+class TestOverlayEstimates:
+    """A live overlay estimates the base histogram plus its delta rows
+    above alpha, whatever lookups ran before: an over-count by the
+    masked base paths until compaction."""
 
-    def test_lookup_teaches_estimate_about_masked_paths(self, peg, engine):
-        # Find a sequence with indexed paths through a mutable node.
-        base = engine.index
-        target_seq = None
-        for seq in sorted(base.histograms, key=repr):
-            paths = base.lookup_canonical(seq, base.beta)
-            if paths:
-                target_seq = seq
-                victim = paths[0].nodes[0]
-                break
-        if target_seq is None:
-            pytest.skip("index holds no paths for this fixture")
-        sigma = sorted(peg.sigma, key=repr)
-        engine.apply_updates([
-            UpdateLabelProbability(refs(peg, victim), {sigma[0]: 1.0})
-        ])
-        overlay = engine.index
-        assert isinstance(overlay, DeltaOverlayIndex)
-        alpha = overlay.beta
-        naive = overlay.estimate_cardinality(target_seq, alpha)
-        true_count = len(overlay.lookup_canonical(target_seq, alpha))
-        informed = overlay.estimate_cardinality(target_seq, alpha)
-        # After the lookup recorded the masked count, the estimate can
-        # only have moved toward the true overlay-served cardinality.
-        assert abs(informed - true_count) <= abs(naive - true_count) + 1e-9
-
-    def test_stale_counts_cleared_by_refresh_and_compact(self, peg, engine):
+    def test_estimate_is_base_plus_delta_above_alpha(self, peg, engine):
         sigma = sorted(peg.sigma, key=repr)
         anchor = singleton_ids(peg)[0]
         engine.apply_updates([
             UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0})
         ])
         overlay = engine.index
-        for seq in sorted(overlay.base.histograms, key=repr):
-            overlay.lookup_canonical(seq, overlay.beta)
-        assert overlay._stale_counts
-        engine.apply_updates([
-            AddEntity(("stale-x",), {sigma[0]: 1.0}, 0.9)
-        ])
-        # absorb() patched the delta: old memos describe a stale dirty set
-        assert not overlay._stale_counts
-        overlay.lookup_canonical(
-            sorted(overlay.base.histograms, key=repr)[0], overlay.beta
+        assert isinstance(overlay, DeltaOverlayIndex) and overlay._delta
+        sequences = sorted(
+            set(overlay.base.histograms) | set(overlay._delta), key=repr
         )
-        engine.compact_updates()
-        assert not overlay._stale_counts
+        for alpha in (overlay.beta, 0.3):
+            before = [
+                overlay.estimate_cardinality(seq, alpha) for seq in sequences
+            ]
+            for seq in sequences:
+                overlay.lookup_canonical(seq, alpha)
+            for seq, estimate in zip(sequences, before):
+                extra = overlay._delta.get(seq)
+                extra = 0 if extra is None else len(extra.above(alpha))
+                if len(seq) > 1 and seq == seq[::-1]:
+                    extra *= 2
+                expected = overlay.base.estimate_cardinality(seq, alpha)
+                assert estimate == expected + extra, seq
+                assert overlay.estimate_cardinality(seq, alpha) == estimate
+
+
+# The end-to-end benchmark's ``live_updates`` recipe
+# (benchmarks/e2e/workloads.py), copied so this module stands alone:
+# graph, L, beta, query shapes, queries per shape, alpha and the
+# mutation mix of its batches.
+LIVE_SEED = 20140331
+LIVE_GRAPH = SyntheticConfig(
+    num_references=200, uncertainty=0.2, seed=LIVE_SEED
+)
+LIVE_SHAPES = ((2, 1), (3, 2), (3, 3), (4, 4), (4, 5))
+LIVE_ALPHA = 0.5
+
+
+def live_batches(peg, count: int) -> list:
+    """The first ``count`` four-op batches of the ``live_updates``
+    stream: 60% label revisions, 20% new entities, 20% new entities
+    linked to an existing one."""
+    rng = random.Random(f"{LIVE_SEED}/ops")
+    sigma = tuple(f"L{i}" for i in range(LIVE_GRAPH.num_labels))
+
+    def distribution():
+        chosen = rng.sample(sigma, rng.randint(1, min(3, len(sigma))))
+        weights = [rng.uniform(0.1, 1.0) for _ in chosen]
+        return {
+            label: weight / sum(weights)
+            for label, weight in zip(chosen, weights)
+        }
+
+    live = [
+        refs(peg, node) for node in peg.node_ids()
+        if not peg.is_removed_id(node)
+    ]
+    fresh = 0
+    batches = []
+    for _ in range(count):
+        batch = []
+        for _ in range(4):
+            roll = rng.random()
+            if roll < 0.6:
+                batch.append(
+                    UpdateLabelProbability(rng.choice(live), distribution())
+                )
+                continue
+            fresh += 1
+            entity = (f"e2e-dyn-{fresh}",)
+            batch.append(
+                AddEntity(entity, distribution(), rng.uniform(0.6, 1.0))
+            )
+            if roll >= 0.8:
+                batch.append(AddEdge(
+                    rng.choice(live), entity,
+                    BernoulliEdge(rng.uniform(0.4, 1.0)),
+                ))
+        batches.append(batch)
+    return batches
+
+
+class TestOverlayPlanDeterminism:
+    """On a live overlay a plan is still a pure function of its cache
+    key: lookups at one graph version leave every later plan's
+    estimated cost unchanged."""
+
+    def test_lookups_leave_fresh_plans_unchanged(self):
+        peg = build_peg(generate_synthetic_pgd(LIVE_GRAPH))
+        engine = QueryEngine(peg, max_length=2, beta=0.3)
+        for batch in live_batches(peg, 3):
+            engine.apply_updates(batch)
+        assert isinstance(engine.index, DeltaOverlayIndex)
+        sigma = [f"L{i}" for i in range(LIVE_GRAPH.num_labels)]
+        rng = random.Random(f"{LIVE_SEED}/live_updates")
+        queries = [
+            random_query(nodes, edges, sigma, seed=rng.randrange(2**31))
+            for nodes, edges in LIVE_SHAPES
+            for _ in range(5)
+        ]
+        version = engine.graph_version
+
+        def fresh_costs() -> list:
+            costs = []
+            for query in queries:
+                engine.planner.cache.clear()
+                plan, _info = engine.planner.plan(
+                    query, LIVE_ALPHA, QueryOptions()
+                )
+                costs.append(plan.estimated_cost)
+            return costs
+
+        before = fresh_costs()
+        for query in queries:
+            engine.query(query, LIVE_ALPHA)
+        assert engine.graph_version == version
+        after = fresh_costs()
+        assert [
+            i for i, (first, second) in enumerate(zip(before, after))
+            if first != second
+        ] == []

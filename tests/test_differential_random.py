@@ -1462,7 +1462,7 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 ) == oracle, context
                 # Planned execution over the mutated graph: greedy plans
                 # (the default exact ones ran above; both costed on
-                # delta-aware estimates) and their
+                # the overlay's estimates) and their
                 # cache hits must still match the oracle.
                 greedy = engine.query(query, alpha, GREEDY_PLAN)
                 cached = engine.query(query, alpha, GREEDY_PLAN)

@@ -7,6 +7,8 @@ enumeration finds, with identical probability components.
 
 import hashlib
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd
 from repro.index import build_path_index
-from repro.index.builder import PathIndexBuilder, bucket_payloads
+from repro.index.builder import (
+    PathIndexBuilder,
+    _Frontier,
+    _Level,
+    bucket_payloads,
+)
 from repro.index.grid import BucketGrid
 from repro.index.paths import PathCandidates
 from repro.peg import build_peg
@@ -269,6 +276,71 @@ class TestStoreDigests:
                 build_processes=build_processes,
             )
             assert store_digest(index) == expected, build_processes
+
+
+class TestBuildMemory:
+    """A build holds little beyond what it stores: the enumeration runs
+    depth first over row blocks, so it holds one block per level beside
+    the filed canonical rows, and a level's columns go once encoded.
+    Pinned on the ``match_heavy`` graph (the first digest case) under
+    tracemalloc, where the shipped build peaks at 3.6x the store bytes
+    and a level-at-a-time build peaked at 9.6x."""
+
+    #: Most traced bytes a build may peak at, per byte it stores.
+    PEAK_PER_STORED_BYTE = 4.5
+
+    def test_peak_is_a_small_multiple_of_the_store(self):
+        config, max_length, beta = TestStoreDigests.CASES["aad69d8664f61ff7"]
+        peg = build_peg(generate_synthetic_pgd(config))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_path_index(peg, max_length=max_length, beta=beta)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        stored = index.size_bytes()
+        assert peak <= self.PEAK_PER_STORED_BYTE * stored, peak / stored
+
+
+class TestLevelGrouping:
+    """A level is grouped by one integer per row naming its sequence
+    when ``len(sigma) ** width`` leaves room, else by ranking the label
+    rows: the two give the same sequences, rows and order."""
+
+    @staticmethod
+    def grouped(size: int, blocks) -> dict:
+        level = _Level()
+        # ``sigma[position] == position``: keys read the same either way.
+        tables = SimpleNamespace(sigma=range(size))
+        for block in blocks:
+            level.file(tables, block)
+        return level.group(tables.sigma)
+
+    def test_ranked_labels_group_like_integer_codes(self):
+        rng = np.random.default_rng(5)
+        blocks = []
+        for rows in (40, 1, 0, 25):
+            nodes = np.array(
+                [rng.permutation(50)[:3] for _ in range(rows)],
+                dtype=np.int64,
+            ).reshape(rows, 3)
+            blocks.append(_Frontier(
+                nodes, rng.integers(0, 3, size=(rows, 3)),
+                rng.random(rows), rng.random(rows),
+            ))
+        coded = self.grouped(3, blocks)
+        ranked = self.grouped(1 << 21, blocks)  # 2**63 sequences of 3
+        assert len(coded) > 1
+        assert list(ranked) == list(coded)
+        for key, rows in coded.items():
+            for ours, theirs in zip(
+                (rows.nodes, rows.prle, rows.prn),
+                (ranked[key].nodes, ranked[key].prle, ranked[key].prn),
+            ):
+                assert ours.tobytes() == theirs.tobytes(), key
+        filed = sum(len(rows) for rows in coded.values())
+        assert 0 < filed < 66  # one orientation of each path
 
 
 def oracle_payloads(grid, rows):
