@@ -40,8 +40,9 @@ Depth first, one block at a time
 --------------------------------
 The enumeration (:meth:`PathIndexBuilder._enumerate`) never holds a
 whole level. It cuts a frontier into order-preserving blocks of at most
-``_FRONTIER_ROW_BUDGET`` gathered neighbour rows, and extends each
-block down to the last level — filing its canonical rows at every
+``_FRONTIER_ROW_BUDGET`` gathered neighbour rows
+(:func:`repro.peg.columns.row_blocks`, the matcher's too), and extends
+each block down to the last level — filing its canonical rows at every
 level on the way — before it gathers the next block, the way the
 matcher's ``_expand`` walks a join. What a build holds is therefore one
 block per level (its pre-prune fan-out is the budget's, not a level's)
@@ -114,7 +115,7 @@ from repro.index.paths import (
 )
 from repro.index.protocol import canonical_sequence, orient_to_sequence
 from repro.peg.arrays import component_table
-from repro.peg.columns import PegColumns, gather_rows
+from repro.peg.columns import PegColumns, gather_rows, row_blocks
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.storage.kvstore import InMemoryPathStore, PathStore
 from repro.utils.errors import IndexError_
@@ -412,7 +413,12 @@ class PathIndexBuilder:
             step = length + 1
             label = None if labels is None else labels[step]
             reach = None if near is None else near[step]
-            for block in _row_blocks(tables, frontier):
+            tails = frontier.nodes[:, -1]
+            blocks = row_blocks(
+                tables.adj_ptr[tails + 1] - tables.adj_ptr[tails],
+                _FRONTIER_ROW_BUDGET,
+            )
+            for block in blocks:
                 extended = self._extend_block(
                     tables, frontier.take(block), label, targets, reach
                 )
@@ -507,25 +513,6 @@ class PathIndexBuilder:
             None if targets is None
             else frontier.holds[parent] | targets[neighbor],
         )
-
-
-def _row_blocks(tables: PegColumns, frontier: _Frontier) -> Iterator[slice]:
-    """Order-preserving row slices of ``frontier``, each the longest run
-    whose tails' neighbours fit ``_FRONTIER_ROW_BUDGET`` (one row at
-    least); usually the whole frontier."""
-    tails = frontier.nodes[:, -1]
-    ends = np.cumsum(tables.adj_ptr[tails + 1] - tables.adj_ptr[tails])
-    low = 0
-    while low < len(frontier):
-        gathered = ends[low - 1] if low else 0
-        high = max(
-            low + 1,
-            int(np.searchsorted(
-                ends, gathered + _FRONTIER_ROW_BUDGET, side="right"
-            )),
-        )
-        yield slice(low, high)
-        low = high
 
 
 class _Level:

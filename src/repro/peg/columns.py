@@ -326,17 +326,40 @@ class PegColumns:
         return dict(self.__dict__, _edges=None)
 
 
-def gather_rows(pointers: np.ndarray, rows: np.ndarray) -> tuple:
-    """Expand ``rows`` of a CSR: ``(parent, position)`` per entry, the
-    parent being the index into ``rows`` and the position the entry's
-    place in the CSR's value arrays — parents in order, a row's entries
-    in theirs."""
-    starts = pointers[rows]
-    counts = pointers[rows + 1] - starts
-    total = int(counts.sum())
-    parent = np.repeat(np.arange(rows.size), counts)
+def gather_runs(starts: np.ndarray, counts: np.ndarray) -> tuple:
+    """Expand runs of a value array: ``(parent, position)`` per entry,
+    the parent being the index of its run and the position
+    ``starts[parent]`` plus the entry's place in the run — runs in
+    order, a run's entries in theirs."""
+    parent = np.repeat(np.arange(counts.size), counts)
     first = starts - (np.cumsum(counts) - counts)
-    return parent, np.repeat(first, counts) + np.arange(total)
+    return parent, np.repeat(first, counts) + np.arange(parent.size)
+
+
+def gather_rows(pointers: np.ndarray, rows: np.ndarray) -> tuple:
+    """:func:`gather_runs` over ``rows`` of a CSR."""
+    starts = pointers[rows]
+    return gather_runs(starts, pointers[rows + 1] - starts)
+
+
+def row_blocks(counts: np.ndarray, budget: int) -> list:
+    """Order-preserving slices of a frontier whose rows gather
+    ``counts`` entries, each the longest run gathering at most
+    ``budget`` (one row at least); none when nothing is gathered. The
+    enumeration and the matcher carry each block to the last level
+    before the next, so no whole level is held — and, the slices being
+    a list, no per-row array of a level either."""
+    ends = np.cumsum(counts)
+    blocks, low = [], 0
+    while low < ends.size and ends[-1]:
+        gathered = ends[low - 1] if low else 0
+        high = max(
+            low + 1,
+            int(np.searchsorted(ends, gathered + budget, side="right")),
+        )
+        blocks.append(slice(low, high))
+        low = high
+    return blocks
 
 
 def _base_probability(dist) -> float:

@@ -7,9 +7,11 @@ graph's links, with injectivity, reference-disjointness and an exact
 partial-probability bound enforced as soon as possible.
 
 :func:`generate_matches` is the production matcher: a level-at-a-time
-join over the arrays a reduced
-:class:`~repro.query.reduction.VectorizedKPartiteGraph` already holds.
-It returns the join's final frontier as :class:`MatchColumns` — PEG-id
+join, in global vertex ids, over the live entry list and the stacked
+vertex table a reduced
+:class:`~repro.query.reduction.VectorizedKPartiteGraph` leaves (a
+driver's links into a partition are one ``searchsorted`` run of the
+list; every live entry joins two alive vertices). It returns the join's final frontier as :class:`MatchColumns` — PEG-id
 columns, probabilities and the graph version's entity tables, sorted
 once by an integer ``lexsort`` — and builds a
 :class:`~repro.peg.entity_graph.Match` only for a row that is read;
@@ -45,6 +47,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.peg.arrays import component_table
+from repro.peg.columns import gather_runs, row_blocks
 from repro.peg.entity_graph import Match, ProbabilisticEntityGraph
 from repro.query.decompose import Decomposition
 
@@ -114,7 +117,7 @@ class _Step(typing.NamedTuple):
     #: Partition joined at this step.
     partition: int
     #: Already-placed partitions it joins with, in placement order; the
-    #: first one's CSR row is gathered, the others are probed.
+    #: first one's links are gathered, the others are probed.
     drivers: list
     #: Query-node columns filled before this step.
     placed: int
@@ -178,12 +181,13 @@ class _Frontier(typing.NamedTuple):
     """The partial matches of one level, as row-aligned arrays.
 
     Rows stay in the depth-first search's lexicographic visiting order:
-    every gather is a stable ``np.repeat`` over ascending CSR columns.
+    every gather is a stable ``np.repeat`` over a run of ascending
+    columns.
     """
 
     #: ``(rows, placed query nodes)`` PEG ids, columns in placement order.
     nodes: np.ndarray
-    #: ``(rows, k)`` vertex id taken in every placed partition.
+    #: ``(rows, k)`` global vertex id taken in every placed partition.
     chosen: np.ndarray
     #: Rows with two nodes of one identity component — the only rows
     #: whose existence marginal is a joint one, not a product of
@@ -226,6 +230,11 @@ class _FrontierJoin:
             self.arrays.label_probabilities(label)
             for label in self.column_labels
         ]
+        #: ``row * num_vertices + col`` of every live entry, ascending:
+        #: the key a second driver's links are probed in.
+        self._entry_keys = (
+            kpartite._row * kpartite.num_vertices + kpartite._col
+        )
         self.frontier_peak = 0
         self.fallback_rows = 0
         self._out_nodes: list = []
@@ -252,35 +261,27 @@ class _FrontierJoin:
 
     def _expand(self, index: int, frontier: _Frontier) -> None:
         step = self.steps[index]
-        rows = frontier.nodes.shape[0]
+        kpartite = self.kpartite
         if step.drivers:
-            # Neighbours of the first placed joining partition's chosen
-            # vertex: one CSR row per frontier row.
-            driver = step.drivers[0]
-            indptr, cols, _ = self.kpartite.csr(driver, step.partition)
-            vertex = frontier.chosen[:, driver]
-            starts = indptr[vertex]
-            counts = indptr[vertex + 1] - starts
+            # Live links of the first placed joining partition's chosen
+            # vertex into this one: one run of the live entry list per
+            # frontier row.
+            cols = kpartite._col
+            wanted = (
+                frontier.chosen[:, step.drivers[0]] * kpartite.k
+                + step.partition
+            )
+            starts = np.searchsorted(kpartite._key, wanted)
+            counts = np.searchsorted(kpartite._key, wanted, "right") - starts
         else:
             # Nothing placed joins this partition (the first step, or a
             # disconnected query): cross product with its alive ids.
-            cols = np.nonzero(self.kpartite.alive[step.partition])[0]
+            low, high = kpartite.offsets[step.partition:step.partition + 2]
+            cols = low + np.flatnonzero(kpartite.all_alive[low:high])
+            rows = frontier.nodes.shape[0]
             starts = np.zeros(rows, dtype=np.int64)
             counts = np.full(rows, cols.size, dtype=np.int64)
-        ends = np.cumsum(counts)
-        low = 0
-        while low < rows and ends[-1]:
-            # The longest run of rows whose expansion fits the budget
-            # (one row at least); usually the whole frontier.
-            gathered = ends[low - 1] if low else 0
-            high = max(
-                low + 1,
-                int(np.searchsorted(
-                    ends, gathered + _FRONTIER_ROW_BUDGET, side="right"
-                )),
-            )
-            block = slice(low, high)
-            low = high
+        for block in row_blocks(counts, _FRONTIER_ROW_BUDGET):
             extended, probabilities = self._extend(
                 step, frontier.take(block), cols, starts[block], counts[block]
             )
@@ -295,26 +296,18 @@ class _FrontierJoin:
     def _extend(self, step, frontier, cols, starts, counts) -> tuple:
         """One block of frontier rows joined with ``step.partition``:
         the surviving next-level frontier and its rows' probabilities."""
-        kpartite, arrays = self.kpartite, self.arrays
-        partition = step.partition
-        total = int(counts.sum())
-        self.frontier_peak = max(self.frontier_peak, total)
-        parent = np.repeat(np.arange(counts.size), counts)
-        first = starts - (np.cumsum(counts) - counts)
-        vids = cols[np.repeat(first, counts) + np.arange(total)]
-
-        alive = kpartite.alive[partition]
-        keep = alive[vids]
-        size = alive.size  # vertex ids of this partition are < its size
+        arrays = self.arrays
+        parent, entry = gather_runs(starts, counts)
+        vids = cols[entry]
+        self.frontier_peak = max(self.frontier_peak, vids.size)
+        size = self.kpartite.num_vertices
         for other in step.drivers[1:]:
-            _, other_cols, other_rows = kpartite.csr(other, partition)
-            keep &= _contains(
-                other_rows * size + other_cols,
-                frontier.chosen[parent, other] * size + vids,
+            keep = _contains(
+                self._entry_keys, frontier.chosen[parent, other] * size + vids
             )
-        parent, vids = parent[keep], vids[keep]
+            parent, vids = parent[keep], vids[keep]
 
-        candidate = kpartite.node_matrix[partition][vids]
+        candidate = self.kpartite.nodes[vids]
         placed = step.placed
         width = placed + len(step.new_positions)
         nodes = np.empty((vids.size, width), dtype=np.int64)
@@ -363,7 +356,7 @@ class _FrontierJoin:
         probabilities = prle * existence
 
         chosen = frontier.chosen[parent]
-        chosen[:, partition] = vids
+        chosen[:, step.partition] = vids
         keep = probabilities >= self.alpha
         extended = _Frontier(nodes, chosen, joint, labels, edges, existence)
         return extended.take(keep), probabilities[keep]
@@ -380,8 +373,8 @@ def generate_matches(
     """Enumerate all full query matches with probability >= alpha.
 
     ``kpartite`` is a reduced
-    :class:`repro.query.reduction.VectorizedKPartiteGraph`; its alive
-    masks, node matrices, CSR links and probability tables are joined
+    :class:`repro.query.reduction.VectorizedKPartiteGraph`; its live
+    entry list, stacked vertex table and probability tables are joined
     one partition (one frontier level) at a time. Returns the
     deduplicated matches as :class:`MatchColumns`, sorted by descending
     probability: two embeddings inducing the same labeled subgraph are

@@ -3,8 +3,8 @@
 :class:`VectorizedKPartiteGraph` is the flat-array counterpart of
 :class:`repro.query.kpartite.CandidateKPartiteGraph`, held **stacked**:
 vertices are numbered globally, partition ``i`` owning the ids
-``offsets[i]:offsets[i + 1]``, so the per-partition ``alive``, ``w1``,
-``w2`` and ``node_matrix`` are views into one array each, and the
+``offsets[i]:offsets[i + 1]``: the vertex table ``nodes``, ``all_alive``,
+``all_w1`` and ``all_w2`` hold one row or entry per global id, and the
 perception vectors are one component-major ``(k, num_vertices)``
 float64 matrix (entry ``p`` of every vertex is one contiguous row).
 
@@ -43,9 +43,14 @@ work counters differ.
 Candidate scores ``w1`` are gathered from the graph's label columns and
 per-label-pair edge rows (through
 :class:`~repro.peg.arrays.PegProbabilityArrays`), multiplying factors
-in the reference backend's order. The
-matchers' CSR view of one pair (:meth:`VectorizedKPartiteGraph.csr`)
-is cut from the constructor's entry list on first use.
+in the reference backend's order.
+
+The matchers join over what the reduction leaves: the live entry list
+``_row`` / ``_col`` / ``_key`` (``_key = row * k + neighbour
+partition``, non-decreasing), every entry of which joins two alive
+vertices. A vertex's links into one partition are one ``searchsorted``
+run of ``_key`` (:meth:`VectorizedKPartiteGraph.linked`; the array
+matcher runs it for a whole frontier at once).
 """
 
 from __future__ import annotations
@@ -119,6 +124,9 @@ class VectorizedKPartiteGraph:
         self.offsets = links.offsets
         bounds = self._bounds = self.offsets.tolist()
         n = self.num_vertices = bounds[-1]
+        #: Stacked vertex table: row ``v`` holds the PEG node ids of
+        #: global vertex ``v`` (zero-padded to the widest path).
+        self.nodes = links.nodes
         #: Partition of every global vertex id.
         self.partition_of = np.arange(k).repeat(np.diff(self.offsets))
         #: Partitions every vertex must keep a live link into.
@@ -126,14 +134,10 @@ class VectorizedKPartiteGraph:
             [len(decomposition.joins_with.get(i, ())) for i in range(k)],
             dtype=np.int64,
         )[self.partition_of]
-        #: Stacked alive mask / scores; ``alive[i]`` etc. are views.
+        #: Alive mask and scores of every global vertex id.
         self.all_alive = np.ones(n, dtype=bool)
         self.all_w1 = np.ones(n, dtype=np.float64)
         self.all_w2 = np.empty(n, dtype=np.float64)
-        self.node_matrix: list = []
-        self.w1: list = []
-        self.w2: list = []
-        self.alive: list = []
         for i, path in enumerate(decomposition.paths):
             part = slice(bounds[i], bounds[i + 1])
             nodes = links.nodes[part, :len(path.nodes)]
@@ -153,10 +157,6 @@ class VectorizedKPartiteGraph:
                     query.label(node_b),
                 )
             self.all_w2[part] = self.candidates[i].prn
-            self.node_matrix.append(nodes)
-            self.w1.append(w1)
-            self.w2.append(self.all_w2[part])
-            self.alive.append(self.all_alive[part])
         #: Flat positions of every vertex's own entry in ``vectors``.
         self._own = self.partition_of * n + np.arange(n)
         #: Perception vectors, component-major; the own entry is ``w1``.
@@ -166,14 +166,10 @@ class VectorizedKPartiteGraph:
     def _build_entries(self, links: StackedLinks) -> None:
         #: Directed link entries the reduction starts from (2 per link).
         self.link_entries = int(links.rows.size)
-        # The live entry list the passes shrink, and the full one the
-        # CSR views are cut from: the builder's, as it is.
-        self._row = self._link_rows = links.rows
-        self._col = self._link_cols = links.cols
+        # The live entry list the passes shrink: the builder's, as it is.
+        self._row = links.rows
+        self._col = links.cols
         self._key = self._row * self.k + self.partition_of[self._col]
-        # Rows ascend, so each partition's rows are one block.
-        self._row_blocks = np.searchsorted(self._row, self.offsets).tolist()
-        self._csr: dict = {}
 
     def _segment(self) -> None:
         """Segment and row boundaries of the live entry list."""
@@ -207,31 +203,6 @@ class VectorizedKPartiteGraph:
     # Introspection (the matchers' interface)
     # ------------------------------------------------------------------
 
-    def csr(self, i: int, j: int) -> tuple:
-        """``(indptr, cols, rows)`` of the joining pair ``(i, j)``.
-
-        Row = partition-``i`` vertex id, ``cols`` = linked partition-``j``
-        vertex ids (ascending within a row, dead vertices included —
-        filter with ``alive[j]``), ``rows`` = the row id of every entry.
-        """
-        entry = self._csr.get((i, j))
-        if entry is None:
-            if j not in self.decomposition.joins_with.get(i, ()):
-                raise KeyError((i, j))
-            block = slice(self._row_blocks[i], self._row_blocks[i + 1])
-            rows = self._link_rows[block]
-            cols = self._link_cols[block]
-            if len(self.decomposition.joins_with[i]) > 1:
-                mine = self.partition_of[cols] == j
-                rows, cols = rows[mine], cols[mine]
-            rows = rows - self._bounds[i]
-            cols = cols - self._bounds[j]
-            size = self._bounds[i + 1] - self._bounds[i]
-            indptr = np.zeros(size + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-            entry = self._csr[(i, j)] = (indptr, cols, rows)
-        return entry
-
     def alive_counts(self) -> tuple:
         """Number of surviving vertices per partition."""
         return tuple(
@@ -249,7 +220,8 @@ class VectorizedKPartiteGraph:
 
     def alive_vertex_ids(self, i: int) -> list:
         """Vertex ids of partition ``i`` still alive, ascending."""
-        return np.nonzero(self.alive[i])[0].tolist()
+        low, high = self._bounds[i:i + 2]
+        return np.flatnonzero(self.all_alive[low:high]).tolist()
 
     def candidate_of(self, i: int, vid: int):
         """The candidate path match behind vertex ``vid`` of partition ``i``."""
@@ -257,15 +229,14 @@ class VectorizedKPartiteGraph:
 
     def is_alive(self, i: int, vid: int) -> bool:
         """Whether vertex ``vid`` of partition ``i`` survived so far."""
-        return bool(self.alive[i][vid])
+        return bool(self.all_alive[self._bounds[i] + vid])
 
     def linked(self, i: int, vid: int, j: int) -> frozenset:
-        """Alive partition-``j`` vertices linked to vertex ``vid`` of ``i``."""
-        if j not in self.decomposition.joins_with.get(i, ()):
-            return frozenset()
-        indptr, cols, _ = self.csr(i, j)
-        neighbors = cols[indptr[vid]:indptr[vid + 1]]
-        return frozenset(neighbors[self.alive[j][neighbors]].tolist())
+        """Alive partition-``j`` vertices linked to alive vertex ``vid``
+        of ``i``: one run of the live entry list."""
+        key = (self._bounds[i] + vid) * self.k + j
+        low, high = np.searchsorted(self._key, (key, key + 1)).tolist()
+        return frozenset((self._col[low:high] - self._bounds[j]).tolist())
 
     # ------------------------------------------------------------------
     # Reduction

@@ -272,9 +272,39 @@ class PerPairKPartiteGraph(VectorizedKPartiteGraph):
     """The joint reduction pass by pass over ordered partition pairs.
 
     Built like the stacked graph it checks; the passes read and write
-    the stacked arrays through per-partition views (``alive[i]`` and
-    the ``(n_i, k)`` transposed slices of ``vectors``).
+    the stacked arrays through per-partition views (``alive[i]``,
+    ``w2[i]`` and the ``(n_i, k)`` transposed slices of ``vectors``)
+    and read the links through per-pair CSRs (:meth:`csr`) cut from the
+    entry list the graph was constructed with, never the live list.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        bounds = self.offsets.tolist()
+        parts = [slice(bounds[i], bounds[i + 1]) for i in range(self.k)]
+        self.alive = [self.all_alive[part] for part in parts]
+        self.w2 = [self.all_w2[part] for part in parts]
+        self.partition_vectors = [self.vectors[:, part].T for part in parts]
+        row_part = self.partition_of[self._row]
+        col_part = self.partition_of[self._col]
+        self._csr = {}
+        for i, joined in self.decomposition.joins_with.items():
+            size = bounds[i + 1] - bounds[i]
+            for j in joined:
+                mine = (row_part == i) & (col_part == j)
+                rows = self._row[mine] - bounds[i]
+                indptr = np.zeros(size + 1, dtype=np.int64)
+                np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+                self._csr[(i, j)] = (indptr, self._col[mine] - bounds[j], rows)
+
+    def csr(self, i: int, j: int) -> tuple:
+        """``(indptr, cols, rows)`` of the joining pair ``(i, j)``.
+
+        Row = partition-``i`` vertex id, ``cols`` = linked partition-``j``
+        vertex ids (ascending within a row, dead vertices included —
+        filter with ``alive[j]``), ``rows`` = the row id of every entry.
+        """
+        return self._csr[(i, j)]
 
     def reduce(
         self,
@@ -283,10 +313,6 @@ class PerPairKPartiteGraph(VectorizedKPartiteGraph):
         max_rounds: int = 1000,
     ) -> ReductionStats:
         """Run both reductions to fixpoint and return statistics."""
-        bounds = self.offsets.tolist()
-        self.partition_vectors = [
-            self.vectors[:, bounds[i]:bounds[i + 1]].T for i in range(self.k)
-        ]
         stats = ReductionStats(
             initial_sizes=self.alive_counts(), links=self.link_entries
         )

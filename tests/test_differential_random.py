@@ -70,6 +70,7 @@ from repro.query.links import (
     StackedLinks,
     build_candidate_links_vectorized,
     link_probabilities,
+    links_from_pairs,
 )
 from repro.query.matcher import generate_matches, generate_matches_reference
 from repro.query.reduction import VectorizedKPartiteGraph
@@ -280,13 +281,14 @@ def match_records(matches):
 
 
 def assert_matcher_equivalence(
-    engine, query, alpha, context, options=QueryOptions()
+    engine, query, alpha, context, options=QueryOptions(), setting=()
 ):
     """The array matcher and the DFS reference agree bit for bit.
 
     Both run over the *same* reduced ``VectorizedKPartiteGraph`` (built
     from the engine's live index and probability tables, as its join
-    stage would) and must return equal ``Match`` lists: order,
+    stage would, and reduced with ``reduce(*setting)``: the default
+    fixpoint unless given) and must return equal ``Match`` lists: order,
     ``nodes``, ``edges``, ``mapping`` and ``probability.hex()``.
     Returns ``(matches, stats)`` of the array matcher, or ``None`` when
     a partition had no candidate (the engine never joins then).
@@ -305,7 +307,7 @@ def assert_matcher_equivalence(
         ),
         arrays=arrays,
     )
-    kpartite.reduce()
+    kpartite.reduce(*setting)
     stats: dict = {}
     matches = generate_matches(peg, decomposition, kpartite, alpha, stats=stats)
     reference = generate_matches_reference(peg, decomposition, kpartite, alpha)
@@ -345,8 +347,16 @@ def assert_reduction_equivalence(
     """The stacked reduction and the per-pair oracle agree bit for bit
     under every ablation and round cap: alive masks, the perception
     vectors of alive vertices, ``rounds``, ``message_updates``, sizes,
-    removal and link counts. Returns the stats of every setting."""
-    pairs = links.pair_lists() if isinstance(links, StackedLinks) else links
+    removal and link counts. The stacked graph's live entry list — what
+    the matchers join over — is the constructor's entries with both
+    endpoints alive, in order, its ``_key`` never decreasing. Returns
+    the stats of every setting."""
+    if isinstance(links, StackedLinks):
+        stacked_links, pairs = links, links.pair_lists()
+    else:
+        stacked_links, pairs = links_from_pairs(
+            decomposition, candidates, links
+        ), links
     entries = 2 * sum(map(len, pairs.values()))
     results = {}
     for setting in REDUCTION_SETTINGS:
@@ -361,6 +371,13 @@ def assert_reduction_equivalence(
             oracle, oracle.reduce(*setting)
         ), (context, setting)
         assert stats.links == entries >= stats.links_live, (context, setting)
+        alive = stacked.all_alive
+        live = alive[stacked_links.rows] & alive[stacked_links.cols]
+        assert np.array_equal(stacked._row, stacked_links.rows[live]), \
+            (context, setting)
+        assert np.array_equal(stacked._col, stacked_links.cols[live]), \
+            (context, setting)
+        assert (np.diff(stacked._key) >= 0).all(), (context, setting)
     return results
 
 
@@ -514,6 +531,33 @@ def test_matcher_differential(graph_index, config, query_seed):
                 )
 
 
+@pytest.mark.usefixtures("row_budget")
+@pytest.mark.parametrize(
+    "graph_index,config,query_seed",
+    list(_cases()),
+    ids=lambda value: value if isinstance(value, int) else None,
+)
+def test_matcher_differential_every_reduction(
+    graph_index, config, query_seed
+):
+    """Array matcher == DFS reference over the live entry list every
+    reduction setting leaves — structure and upperbounds each on and
+    off, ``max_rounds`` 1, 2 and 1000 — on every harness case, both
+    alphas, and (``row_budget``) again in 2-row blocks."""
+    peg = build_peg(generate_synthetic_pgd(config))
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    sigma = sorted(peg.sigma, key=repr)
+    for query in _random_queries(random.Random(query_seed), sigma):
+        for alpha in ALPHAS:
+            for setting in REDUCTION_SETTINGS:
+                context = (
+                    graph_index, config.seed, query.nodes, alpha, setting
+                )
+                assert_matcher_equivalence(
+                    engine, query, alpha, context, GREEDY_PLAN, setting
+                )
+
+
 @pytest.mark.parametrize(
     "graph_index,config,query_seed",
     list(_cases()),
@@ -565,6 +609,23 @@ def _dense_queries(peg, peg_seed: int) -> list:
             num_nodes, num_edges, sigma, seed=rng.randrange(2**31)
         ))
     return queries
+
+
+@pytest.mark.usefixtures("row_budget")
+@pytest.mark.parametrize("peg_seed", _dense_cases())
+def test_matcher_differential_every_reduction_dense(peg_seed):
+    """Array matcher == DFS reference over the live entry list every
+    reduction setting leaves, on the dense queries: the cases whose
+    steps probe a second placed driver's links."""
+    peg = small_random_peg(seed=peg_seed)
+    engine = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
+    for query in _dense_queries(peg, peg_seed):
+        for alpha in (0.05, 0.1, 0.2):
+            for setting in REDUCTION_SETTINGS:
+                context = (peg_seed, query.nodes, alpha, setting)
+                assert_matcher_equivalence(
+                    engine, query, alpha, context, GREEDY_PLAN, setting
+                )
 
 
 @pytest.mark.parametrize("peg_seed", _dense_cases())

@@ -26,6 +26,7 @@ from repro.datasets import generate_dblp_pgd
 from repro.index.context import build_context, patch_context
 from repro.peg import build_peg
 from repro.peg.arrays import PegProbabilityArrays, component_table
+from repro.peg.columns import gather_rows, gather_runs, row_blocks
 from repro.pgd import BernoulliEdge, ConditionalEdge, LabelDistribution
 from repro.testing.reference import (
     edge_probabilities,
@@ -308,3 +309,66 @@ def test_columns_differential_cpt_rows_are_asked_per_pair():
     pair_rows, matrix, conditional = peg.columns._edges
     assert conditional.size and matrix.shape[0] > 0
     assert (pair_rows >= 0).any()
+
+
+# ----------------------------------------------------------------------
+# The frontier idiom the enumeration and the matcher share
+# ----------------------------------------------------------------------
+
+
+def blocks(counts, budget: int) -> list:
+    """``row_blocks`` as ``(start, stop)`` pairs."""
+    return [
+        (block.start, block.stop)
+        for block in row_blocks(np.array(counts, dtype=np.int64), budget)
+    ]
+
+
+def test_row_blocks_empty_frontier():
+    assert blocks([], 4) == []
+
+
+def test_row_blocks_all_zero_counts_yield_no_block():
+    assert blocks([0, 0, 0], 4) == []
+
+
+def test_row_blocks_oversized_row_gets_its_own_block():
+    assert blocks([1, 9, 1], 4) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_row_blocks_end_on_the_budget_closes_the_block():
+    assert blocks([2, 2, 2, 2], 4) == [(0, 2), (2, 4)]
+    assert blocks([3, 1, 0, 2], 4) == [(0, 3), (3, 4)]
+
+
+def test_row_blocks_are_the_longest_runs_within_the_budget():
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        counts = rng.integers(0, 6, size=rng.integers(1, 30))
+        budget = int(rng.integers(1, 12))
+        spans = blocks(counts, budget)
+        if not counts.any():
+            assert spans == []
+            continue
+        assert [start for start, _ in spans] == [0] + [
+            stop for _, stop in spans[:-1]
+        ]
+        assert spans[-1][1] == counts.size
+        for start, stop in spans:
+            gathered = int(counts[start:stop].sum())
+            assert stop - start == 1 or gathered <= budget
+            if stop < counts.size:
+                assert gathered + counts[stop] > budget
+
+
+def test_gather_rows_is_gather_runs_over_the_pointers():
+    pointers = np.array([0, 2, 2, 5, 6], dtype=np.int64)
+    rows = np.array([2, 0, 1, 2, 3], dtype=np.int64)
+    parent, position = gather_rows(pointers, rows)
+    runs = gather_runs(pointers[rows], np.diff(pointers)[rows])
+    assert np.array_equal(parent, runs[0])
+    assert np.array_equal(position, runs[1])
+    assert parent.tolist() == [0, 0, 0, 1, 1, 3, 3, 3, 4]
+    assert position.tolist() == [2, 3, 4, 0, 1, 2, 3, 4, 5]
+    no_rows = np.zeros(0, dtype=np.int64)
+    assert [part.size for part in gather_rows(pointers, no_rows)] == [0, 0]

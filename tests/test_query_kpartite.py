@@ -186,8 +186,9 @@ class TestVectorizedBackend:
         # Identical w1/w2 before any reduction (bit-exact scoring).
         for i in range(python.k):
             for vid, vertex in enumerate(python.partitions[i]):
-                assert vectorized.w1[i][vid] == vertex.w1, (i, vid)
-                assert vectorized.w2[i][vid] == vertex.w2, (i, vid)
+                stacked = vectorized.offsets[i] + vid
+                assert vectorized.all_w1[stacked] == vertex.w1, (i, vid)
+                assert vectorized.all_w2[stacked] == vertex.w2, (i, vid)
         stats_py = python.reduce()
         stats_vec = vectorized.reduce()
         assert stats_vec.initial_sizes == stats_py.initial_sizes
