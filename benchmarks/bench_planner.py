@@ -15,11 +15,21 @@ serving:
   planning-time premium,
 * **pools** — the end-to-end benchmark's four request pools (recipes
   copied in), planned greedy and exact: partitions and link pairs per
-  request, and how many requests exact hands to its greedy fallback
-  (past the DP's work budget),
+  request, how many requests exact hands to its greedy fallback
+  (past the DP's work budget), and how many requests that are
+  themselves a path of at most ``L`` edges each strategy splits into
+  more than one partition,
 * **sizes** — whether exact plans with the DP (or falls back) at the
   query sizes of the paper's figures, q(3,3) to q(10,40), for
-  ``L = 1, 2, 3``.
+  ``L = 1, 2, 3``,
+* **fidelity** — whether the cost model's optimum is the fastest plan:
+  for each ``match_heavy`` and ``lookup_heavy`` request, the exact
+  plan's CPU time (best of N, link cache off) against the fastest of
+  greedy and six seeded random plans (identical plans are timed once).
+  It reports how many requests exact serves within 5% of that fastest
+  plan, how many more than 20% slower, and the pool's exact time over
+  its per-request fastest. These are timings on a shared host: they
+  are reported, never gated.
 
 A correctness spot check runs inside: cached-plan and exact-strategy
 evaluations must produce exactly the matches of the fresh greedy
@@ -29,8 +39,12 @@ multisets, probability bits included. Results go to
 ``benchmarks/results/``. The script exits non-zero when a check
 disagrees or an exact plan costs more than a greedy one; with
 ``--smoke`` (the CI gate) also when cached planning fails to beat
-re-planning, or when exact falls back on any ``lookup_heavy``
-request.
+re-planning, when exact falls back on any ``lookup_heavy`` request, or
+when exact plans a pool request that is itself a path of at most ``L``
+edges as more than one partition. Greedy's count of such splits is
+reported, not gated: its rule (newly covered edges over cost) takes a
+single edge first whenever the whole path's estimate is a few times
+the edge's, as it is on every such pool request.
 
 Usage::
 
@@ -41,6 +55,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import random
@@ -96,6 +112,10 @@ POOLS = {
 }
 # The [sizes] row: query sizes (nodes, edges) of the paper's figures.
 SIZES = ((3, 3), (5, 7), (5, 10), (7, 21), (10, 20), (10, 40))
+# The [fidelity] row: its pools, and the seeds of the random plans the
+# exact plan is timed against (beside greedy's).
+FIDELITY_POOLS = ("match_heavy", "lookup_heavy")
+FIDELITY_SEEDS = tuple(range(6))
 
 
 def _build_engine(num_references: int) -> QueryEngine:
@@ -144,21 +164,39 @@ def _pool_requests(name: str) -> list:
     return [(query, alpha) for query in queries for alpha in alphas]
 
 
+@functools.lru_cache(maxsize=None)
+def _engine(graph: SyntheticConfig, max_length: int, beta: float) -> QueryEngine:
+    return QueryEngine(
+        build_peg(generate_synthetic_pgd(graph)),
+        max_length=max_length, beta=beta,
+    )
+
+
+def _pool_engine(name: str) -> QueryEngine:
+    graph, max_length, beta, *_rest = POOLS[name]
+    return _engine(graph, max_length, beta)
+
+
+def _is_short_path(query, max_length: int) -> bool:
+    """Whether ``query`` is itself a path of at most ``max_length``
+    edges: one candidate path visits every node over every edge."""
+    edges = set(query.edges)
+    return any(
+        len(path.nodes) == len(query.nodes) and path.path_edges == edges
+        for path in enumerate_candidate_paths(query, max_length)
+    )
+
+
 def run_pools() -> dict:
     """Greedy against exact plans on every request of the four pools."""
     rows = {}
-    engines = {}
-    for name, (graph, max_length, beta, *_rest) in POOLS.items():
-        key = (graph, max_length, beta)
-        if key not in engines:
-            engines[key] = QueryEngine(
-                build_peg(generate_synthetic_pgd(graph)),
-                max_length=max_length, beta=beta,
-            )
-        engine = engines[key]
+    for name in POOLS:
+        engine = _pool_engine(name)
         requests = _pool_requests(name)
         totals = {"greedy": [0, 0], "exact": [0, 0]}
         fallbacks = 0
+        short_paths = 0
+        splits = {"greedy": 0, "exact": 0}
         agreement = True
         for query, alpha in requests:
             results = {
@@ -169,15 +207,77 @@ def run_pools() -> dict:
             for strategy, result in results.items():
                 totals[strategy][0] += len(result.decomposition_paths)
                 totals[strategy][1] += result.link_stats.get("pairs", 0)
+            if _is_short_path(query, engine.max_length):
+                short_paths += 1
+                for strategy, result in results.items():
+                    splits[strategy] += len(result.decomposition_paths) > 1
             agreement = agreement and match_keys(
                 results["greedy"].matches
             ) == match_keys(results["exact"].matches)
         row = {"requests": len(requests), "exact_fallbacks": fallbacks,
+               "short_paths": short_paths,
                "agreement": agreement}
         for strategy, (partitions, pairs) in totals.items():
             row[f"{strategy}_partitions_per_request"] = partitions / len(requests)
             row[f"{strategy}_link_pairs_per_request"] = pairs / len(requests)
+            row[f"{strategy}_short_path_splits"] = splits[strategy]
         rows[name] = row
+    return rows
+
+
+def _cpu_best(engine: QueryEngine, query, alpha, options, repeats) -> float:
+    """Least CPU seconds of ``repeats`` evaluations of one plan."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.process_time()
+        engine.query(query, alpha, options)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def run_fidelity(repeats: int) -> dict:
+    """The exact plan's CPU time against the fastest alternative plan,
+    per request of :data:`FIDELITY_POOLS`."""
+    strategies = [PLAN_EXACT, PLAN_GREEDY] + [
+        QueryOptions(decomposition="random", seed=seed)
+        for seed in FIDELITY_SEEDS
+    ]
+    rows = {}
+    for name in FIDELITY_POOLS:
+        engine = _pool_engine(name)
+        within_5 = slower_20 = 0
+        exact_total = fastest_total = 0.0
+        requests = _pool_requests(name)
+        for query, alpha in requests:
+            # Each distinct plan, keyed by its paths, is timed once;
+            # exact's comes first.
+            plans: dict = {}
+            for options in strategies:
+                decomposition, _ = engine.planner.plan(query, alpha, options)
+                plans.setdefault(
+                    tuple(path.nodes for path in decomposition.paths), options
+                )
+            # The link cache is off so that every repeat builds links.
+            seconds = [
+                _cpu_best(
+                    engine, query, alpha,
+                    dataclasses.replace(options, use_link_cache=False),
+                    repeats,
+                )
+                for options in plans.values()
+            ]
+            exact, fastest = seconds[0], min(seconds)
+            within_5 += exact <= 1.05 * fastest
+            slower_20 += exact > 1.20 * fastest
+            exact_total += exact
+            fastest_total += fastest
+        rows[name] = {
+            "requests": len(requests),
+            "repeats": repeats,
+            "exact_within_5pct": within_5,
+            "exact_over_20pct_slower": slower_20,
+            "exact_over_fastest": exact_total / fastest_total,
+        }
     return rows
 
 
@@ -331,6 +431,7 @@ def main(argv=None) -> int:
     results = run(num_references, distinct, repeats)
     pools = run_pools()
     sizes = run_sizes()
+    fidelity = run_fidelity(3 if args.smoke else 7)
     report = {
         "benchmark": "planner",
         "repro_version": __version__,
@@ -338,6 +439,7 @@ def main(argv=None) -> int:
         "planner": results,
         "pools": pools,
         "sizes": sizes,
+        "fidelity": fidelity,
     }
     outputs = [args.out]
     if args.trajectory:
@@ -382,7 +484,9 @@ def main(argv=None) -> int:
             f"{row['exact_partitions_per_request']:.2f} exact, link pairs "
             f"{row['greedy_link_pairs_per_request']:.1f} -> "
             f"{row['exact_link_pairs_per_request']:.1f}; "
-            f"{row['exact_fallbacks']} exact fallbacks, "
+            f"{row['exact_fallbacks']} exact fallbacks; short paths split "
+            f"{row['greedy_short_path_splits']} greedy -> "
+            f"{row['exact_short_path_splits']}/{row['short_paths']} exact; "
             f"agreement={row['agreement']}"
         )
     for max_length, row in sizes.items():
@@ -391,6 +495,14 @@ def main(argv=None) -> int:
                 f"{size} {cell['strategy_used']} ({cell['candidates']})"
                 for size, cell in row.items()
             )
+        )
+    for name, row in fidelity.items():
+        print(
+            f"[fidelity] {name}: exact within 5% of the fastest plan on "
+            f"{row['exact_within_5pct']}/{row['requests']}, >20% slower on "
+            f"{row['exact_over_20pct_slower']}; pool time "
+            f"{row['exact_over_fastest']:.3f}x the per-request fastest "
+            f"(CPU best of {row['repeats']}, reported, not gated)"
         )
     print("wrote " + ", ".join(outputs))
 
@@ -408,6 +520,11 @@ def main(argv=None) -> int:
         return 1
     if args.smoke and pools["lookup_heavy"]["exact_fallbacks"]:
         print("FAIL: exact falls back to greedy on lookup_heavy requests")
+        return 1
+    if args.smoke and any(
+        row["exact_short_path_splits"] for row in pools.values()
+    ):
+        print("FAIL: exact splits a query that is a path of at most L edges")
         return 1
     return 0
 

@@ -5,6 +5,9 @@ every query edge, minimizing the estimated initial search-space size
 
 ``SS0(P) = prod_P C(P, α)``, with
 ``C(P, α) ∝ |PIndex(l_Q(V_P), α)| / (degree(P) · density(P))``.
+The degree is floored at 1 (:func:`path_cost`): a path that joins
+nothing costs its cardinality over its density. Only the cardinality
+estimate is floored at :data:`_EPSILON`.
 
 The minimization reduces to weighted SET COVER over the query edges.
 ``strategy="exact"`` (the planner's default) solves it optimally with a
@@ -34,8 +37,9 @@ from repro.query.query_graph import QueryGraph
 from repro.utils.errors import QueryError
 from repro.utils.rng import ensure_rng
 
-#: Floor applied to degree/density denominators so isolated nodes and
-#: degenerate paths keep a finite cost.
+#: Floor applied to a cardinality estimate, so a path the histogram
+#: estimates at 0 keeps a positive cost (the exact cover sums log-costs).
+#: The denominator needs none: :func:`path_cost` floors the degree at 1.
 _EPSILON = 1e-9
 
 #: Exact-cover work budget: the DP runs when ``2^elements * candidates``
@@ -235,11 +239,21 @@ def path_density(query: QueryGraph, path: QueryPath) -> float:
 def path_cost(
     query: QueryGraph, path: QueryPath, cardinality_estimate: float
 ) -> float:
-    """``C(P, α) ∝ |PIndex| / (degree(P) · density(P))``."""
-    denominator = max(
-        path_degree(query, path) * path_density(query, path), _EPSILON
+    """``C(P, α) ∝ |PIndex| / (max(degree(P), 1) · density(P))``.
+
+    The degree is floored at 1. A path holding every query edge at its
+    nodes — the whole query, when it is a path of at most ``L`` edges —
+    has ``degree(P) = 0``: it joins nothing, so nothing downstream
+    divides its candidates, and its cost is its cardinality. Left at 0
+    the denominator would price such a cover at ~1e9× that, and no
+    strategy would pick it. Density stays the tie-break between paths of
+    equal degree. It is positive on every candidate (a path's own edges
+    are query edges, and a single node has density 1).
+    """
+    degree = max(path_degree(query, path), 1)
+    return max(cardinality_estimate, _EPSILON) / (
+        degree * path_density(query, path)
     )
-    return max(cardinality_estimate, _EPSILON) / denominator
 
 
 # ----------------------------------------------------------------------

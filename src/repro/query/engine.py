@@ -510,6 +510,14 @@ class QueryEngine:
                         "estimate_abs_log2_err",
                         round(error_sum / len(observations), 4),
                     )
+            # The realized search space against the plan's estimate: a
+            # cover the cost model misprices reads orders of magnitude
+            # away from 1 here.
+            search_space_path = _product(raw_counts.values())
+            if span.enabled and decomposition.estimated_cost > 0:
+                span.set("realized_cost_ratio", float(
+                    f"{search_space_path / decomposition.estimated_cost:.4g}"
+                ))
 
         if all(candidates.values()):
             matches, reduction, link_stats = self._join(
@@ -525,7 +533,7 @@ class QueryEngine:
         record_query_metrics(recorder, len(matches))
         return QueryResult(
             matches=matches,
-            search_space_path=_product(raw_counts.values()),
+            search_space_path=search_space_path,
             search_space_context=_product(
                 len(c) for c in candidates.values()
             ),

@@ -18,10 +18,11 @@ def explain(result: QueryResult, max_matches: int = 5) -> str:
     (:class:`~repro.query.plan.PlanInfo`), the report names the
     requested strategy, where the plan came from (``cache``, ``exact``,
     ``greedy`` or ``random`` — a fallback from exact past its work
-    budget shows ``greedy``) and its estimated cost, plus one line per
-    partition comparing the planner's cardinality estimate against the
-    observed raw index count (``x{ratio}`` above 1 means the estimator
-    undershot).
+    budget shows ``greedy``) and its estimated cost beside the realized
+    search space after index lookup (``search_space_path``, what the
+    cost estimates), plus one line per partition comparing the
+    planner's cardinality estimate against the observed raw index count
+    (``x{ratio}`` above 1 means the estimator undershot).
     """
     lines = ["query evaluation"]
     if result.plan is not None:
@@ -29,7 +30,8 @@ def explain(result: QueryResult, max_matches: int = 5) -> str:
         source = "cache" if plan.cached else plan.source
         lines.append(
             f"  plan: strategy={plan.strategy} source={source}  "
-            f"estimated cost {plan.estimated_cost:.4g}"
+            f"estimated cost {plan.estimated_cost:.4g}  "
+            f"realized search space {result.search_space_path:.4g}"
         )
     lines.append("  decomposition:")
     for i, nodes in enumerate(result.decomposition_paths):

@@ -141,6 +141,23 @@ class TestEstimateMeasurement:
         assert result.estimate_observations
         assert after - before == len(result.estimate_observations)
 
+    def test_root_span_reports_realized_over_estimated_cost(self):
+        """A 2-edge path at ``L = 2`` plans as one partition priced at
+        its cardinality, so the realized search space over the plan's
+        estimate reads near 1, not the ~1e-9 of a degree-0 path priced
+        through an epsilon denominator."""
+        peg = small_random_peg(seed=11)
+        engine = QueryEngine(peg, max_length=2)
+        query = _chain_query(sorted(peg.sigma), n=3)
+        result = engine.query(query, 0.2, QueryOptions(trace=True))
+        assert len(result.decomposition_paths) == 1
+        ratio = result.trace["attributes"]["realized_cost_ratio"]
+        assert ratio == pytest.approx(
+            result.search_space_path / result.plan.estimated_cost, rel=1e-3
+        )
+        assert 1e-3 < ratio < 1e3
+        assert "estimate_abs_log2_err" in result.trace["attributes"]
+
     def test_below_beta_observes_nothing(self):
         peg = small_random_peg(seed=11)
         engine = QueryEngine(peg, max_length=2, beta=0.1)

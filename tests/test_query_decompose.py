@@ -77,6 +77,29 @@ class TestCostModel:
             query, sparse_path, 100.0
         )
 
+    def test_degree_zero_path_costs_its_estimate_over_density(self):
+        """A path holding every query edge at its nodes joins nothing:
+        its degree floors at 1, so it is priced at its cardinality over
+        its density, not ~1e9x that."""
+        query = QueryGraph(
+            {"a": "x", "b": "y", "c": "x"}, [("a", "b"), ("b", "c")]
+        )
+        whole = QueryPath(("a", "b", "c"))
+        assert path_degree(query, whole) == 0
+        density = path_density(query, whole)
+        assert density == pytest.approx(2 / 3)
+        assert path_cost(query, whole, 10.0) == pytest.approx(10.0 / density)
+        # A degree-1 path of the same density costs the same.
+        longer = QueryGraph(
+            {"a": "x", "b": "y", "c": "x", "d": "y"},
+            [("a", "b"), ("b", "c"), ("c", "d")],
+        )
+        prefix = QueryPath(("a", "b", "c"))
+        assert path_degree(longer, prefix) == 1
+        assert path_cost(longer, prefix, 10.0) == path_cost(query, whole, 10.0)
+        isolated = QueryGraph({"x": "a"}, [])
+        assert path_cost(isolated, QueryPath(("x",)), 7.0) == 7.0
+
 
 class TestEnumerate:
     def test_all_paths_within_length(self):
@@ -315,10 +338,22 @@ class TestExactOptimum:
                 num_nodes, rng.randint(num_nodes - 1, max_edges),
                 ("A", "B", "C"), seed=rng.randrange(2**31),
             ))
-        for query in queries:
-            max_length = rng.randint(1, 3)
-            while len(enumerate_candidate_paths(query, max_length)) > 20:
-                max_length -= 1
+        cases = [(query, None) for query in queries]
+        # Paths of at most L edges: the optimum is the whole query.
+        cases += [
+            (QueryGraph(
+                {"a": "A", "b": "B", "c": "A"}, [("a", "b"), ("b", "c")]
+            ), 2),
+            (QueryGraph(
+                {"a": "A", "b": "B", "c": "C", "d": "A"},
+                [("a", "b"), ("b", "c"), ("c", "d")],
+            ), 3),
+        ]
+        for query, max_length in cases:
+            if max_length is None:
+                max_length = rng.randint(1, 3)
+                while len(enumerate_candidate_paths(query, max_length)) > 20:
+                    max_length -= 1
             # Every estimate is >= 100 and no path's degree * density
             # exceeds 12 here, so every path costs more than 1.
             estimates: dict = {}
@@ -331,8 +366,9 @@ class TestExactOptimum:
             yield query, max_length, estimator
 
     @staticmethod
-    def _brute_force_minimum(query, max_length, estimator) -> float:
-        """Least cost product over every covering subset of candidates.
+    def _brute_force_minimum(query, max_length, estimator) -> tuple:
+        """Least cost product over every covering subset of candidates,
+        and the first subset (as a list of paths) that reaches it.
 
         With every cost above 1 a redundant path only adds cost, so the
         minimum is reached by a subset of at most one path per element.
@@ -352,17 +388,24 @@ class TestExactOptimum:
             for path in candidates
         ]
         assert min(costs) > 1.0
-        best = math.inf
+        best, best_subset = math.inf, ()
         for size in range(1, len(universe) + 1):
             for subset in itertools.combinations(range(len(candidates)), size):
                 if set().union(*(covers[i] for i in subset)) == universe:
-                    best = min(best, math.prod(costs[i] for i in subset))
-        return best
+                    cost = math.prod(costs[i] for i in subset)
+                    if cost < best:
+                        best, best_subset = cost, subset
+        return best, [candidates[i] for i in best_subset]
 
     def test_exact_cost_is_the_brute_force_minimum(self):
-        greedy_worse = 0
+        """Exact reaches the brute-force minimum; on a query that is
+        itself a path of at most ``L`` edges that minimum is the one
+        whole path, and exact returns exactly it."""
+        greedy_worse = short_paths = 0
         for query, max_length, estimator in self._cases():
-            best = self._brute_force_minimum(query, max_length, estimator)
+            best, optimum = self._brute_force_minimum(
+                query, max_length, estimator
+            )
             exact = decompose_query(
                 query, estimator, 0.5, max_length, strategy="exact"
             )
@@ -375,7 +418,17 @@ class TestExactOptimum:
                 context
             assert greedy.estimated_cost >= best * (1 - 1e-12), context
             greedy_worse += greedy.estimated_cost > best * (1 + 1e-9)
+            whole = [
+                path for path in enumerate_candidate_paths(query, max_length)
+                if len(path.nodes) == len(query.nodes)
+                and path.path_edges == set(query.edges)
+            ]
+            if whole and len(query.edges) > 1:
+                short_paths += 1
+                assert optimum == whole, context
+                assert exact.paths == whole, context
         assert greedy_worse > 0  # the oracle separates the strategies
+        assert short_paths >= 2
 
     def test_one_work_budget(self):
         """``2^elements * candidates <= 2^20``: a dense 6-node query at

@@ -35,6 +35,23 @@ class TestExplain:
         assert "timings (ms):" in text
         assert f"matches: {len(result.matches)}" in text
 
+    def test_explain_prints_realized_beside_estimated_cost(self, setup):
+        peg, engine = setup
+        sigma = sorted(peg.sigma)
+        query = QueryGraph(
+            {"a": sigma[0], "b": sigma[1], "c": sigma[0]},
+            [("a", "b"), ("b", "c")],
+        )
+        result = engine.query(query, 0.3)
+        plan_line = next(
+            line for line in explain(result).splitlines()
+            if line.startswith("  plan:")
+        )
+        assert plan_line.endswith(
+            f"estimated cost {result.plan.estimated_cost:.4g}  "
+            f"realized search space {result.search_space_path:.4g}"
+        )
+
     def test_explain_truncates_matches(self, setup):
         peg, engine = setup
         sigma = sorted(peg.sigma)

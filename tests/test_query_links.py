@@ -45,8 +45,10 @@ def make_query(peg, rotate: int = 0) -> QueryGraph:
     sigma = sorted(peg.sigma, key=repr)
     a = sigma[rotate % len(sigma)]
     b = sigma[(rotate + 1) % len(sigma)]
+    # Three edges at L = 2: the optimum joins, so links are built.
     return QueryGraph(
-        {"a": a, "b": b, "c": a}, [("a", "b"), ("b", "c")]
+        {"a": a, "b": b, "c": a, "d": b},
+        [("a", "b"), ("b", "c"), ("c", "d")],
     )
 
 
@@ -134,8 +136,10 @@ class TestWarmFallback:
         counter = get_registry().counter("repro_link_fallback_pairs_total")
         reached = 0
         for labels in itertools.product(sorted(peg.sigma, key=repr), repeat=3):
+            # Three edges at L = 2, so the optimum joins.
             query = QueryGraph(
-                dict(zip("xyz", labels)), [("x", "y"), ("y", "z")]
+                dict(zip("wxyz", labels + labels[:1])),
+                [("w", "x"), ("x", "y"), ("y", "z")],
             )
             for alpha in (0.02, 0.15):
                 counts, increments = [], []
@@ -235,7 +239,8 @@ class TestInvalidation:
         other = sorted(engine.peg.sigma, key=repr)[2]
         rewritten = make_query(engine.peg)
         untouched = QueryGraph(
-            {"a": other, "b": other, "c": other}, [("a", "b"), ("b", "c")]
+            {"a": other, "b": other, "c": other, "d": other},
+            [("a", "b"), ("b", "c"), ("c", "d")],
         )
         engine.apply_updates([mutation_for(engine.peg)])
         before = [engine.query(q, ALPHA) for q in (rewritten, untouched)]
