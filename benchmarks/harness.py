@@ -1,14 +1,12 @@
-"""Shared infrastructure for the per-figure benchmark modules.
-
-Every benchmark module regenerates one table/figure of the paper's
-Section 6 at laptop scale. This module provides:
+"""Shared infrastructure for ``reproduce.py``, which regenerates the
+paper's Section 6 at laptop scale, and the scaling benchmarks:
 
 * cached PEG / engine constructors (building a PEG and its index is the
-  expensive part; benchmarks measuring the *online* phase share them),
+  expensive part; measurements of the *online* phase share them),
 * the scaled-down parameter grids (the paper's 50k–1m references become
   100–800; all ratios — edges = 5x references, k = refs/1000 groups,
   s = r = 4, 20% uncertainty — are preserved),
-* workload helpers (averaged random-query runs, Figure-8 patterns),
+* workload helpers (the averaged random queries, Figure-8 patterns),
 * a tiny reporter writing paper-style series to ``benchmarks/results/``.
 """
 
@@ -26,7 +24,7 @@ from repro.datasets import (
     random_query,
 )
 from repro.peg import build_peg
-from repro.query import QueryEngine, QueryOptions
+from repro.query import QueryEngine
 
 #: Base seed for every synthetic artifact; change to resample the study.
 SEED = 7
@@ -125,12 +123,6 @@ def synthetic_queries(peg, num_nodes: int, num_edges: int, seeds=QUERY_SEEDS):
     ]
 
 
-def run_queries(engine: QueryEngine, queries, alpha: float,
-                options: QueryOptions | None = None):
-    """Run a query batch; returns the list of results (used under timing)."""
-    return [engine.query(query, alpha, options) for query in queries]
-
-
 #: Figure-8 pattern labels for the DBLP experiment (mixing areas, as the
 #: paper's collaboration patterns do).
 DBLP_PATTERN_LABELS = {
@@ -189,34 +181,3 @@ def report(name: str, header: str, rows) -> str:
     with open(path, mode, encoding="utf-8") as handle:
         handle.write(text)
     return text
-
-
-# ----------------------------------------------------------------------
-# Smoke entry point
-# ----------------------------------------------------------------------
-
-
-def smoke(num_references: int = GRAPH_SIZES[0]) -> dict:
-    """End-to-end canary on the smallest synthetic graph.
-
-    Builds the PEG and its index, runs one small query workload, and
-    returns a summary. CI invokes this module as a script to catch
-    breakage of the benchmark plumbing without paying for a full sweep.
-    """
-    engine = synthetic_engine(
-        num_references=num_references, max_length=2, beta=0.5
-    )
-    queries = synthetic_queries(engine.peg, 3, 2, seeds=(0,))
-    results = run_queries(engine, queries, alpha=0.5)
-    return {
-        "references": num_references,
-        "index_paths": engine.index.num_paths(),
-        "queries": len(results),
-        "matches": sum(len(r.matches) for r in results),
-        "online_seconds": round(sum(r.total_seconds for r in results), 4),
-    }
-
-
-if __name__ == "__main__":
-    for key, value in smoke().items():
-        print(f"{key:16s}{value}")

@@ -6,9 +6,9 @@ Usage::
     python benchmarks/summarize.py --out summary.txt
 
 Each result file is a whitespace-separated series written by
-:func:`benchmarks.harness.report`; this script groups rows into aligned
-tables and prefixes each with the figure it regenerates, giving a
-single artifact to diff against EXPERIMENTS.md.
+:func:`benchmarks.harness.report` (worker and build scaling); this
+script aligns each into a table headed by its file stem. The paper's
+Section 6 is ``reproduce.py``'s ``REPRODUCTION.json``, not a series.
 
 Machine-readable benchmark runs (``BENCH_*.json``, e.g. from
 ``bench_reduction_core.py``) found at the repository root or under
@@ -26,26 +26,6 @@ import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: Figure captions, keyed by result-file stem.
-CAPTIONS = {
-    "fig6a_offline_time": "Figure 6(a) — offline phase running time",
-    "fig6b_index_size": "Figure 6(b) — path index size",
-    "fig6c_query_size": "Figure 6(c) — online time vs query size",
-    "fig6d_query_density": "Figure 6(d) — online time vs query density",
-    "fig6e_uncertainty_q5": "Figure 6(e) — uncertainty sweep (5-node)",
-    "fig6f_uncertainty_q10": "Figure 6(f) — uncertainty sweep (10-node)",
-    "fig7a_graph_size_q5": "Figure 7(a) — graph size sweep (5-node)",
-    "fig7b_graph_size_q10": "Figure 7(b) — graph size sweep (10-node)",
-    "fig7c_threshold_q5": "Figure 7(c) — threshold sweep (5-node)",
-    "fig7d_threshold_q10": "Figure 7(d) — threshold sweep (10-node)",
-    "fig7e_search_space": "Figure 7(e) — search-space progression",
-    "fig7f_reduction": "Figure 7(f) — structure vs upperbound reduction",
-    "fig7g_dblp": "Figure 7(g) — DBLP collaboration patterns",
-    "fig7h_imdb": "Figure 7(h) — IMDB co-starring patterns",
-    "sql_baseline": "SQL baseline comparison (§6.2.1)",
-    "ablation": "Design ablations (DESIGN.md §3)",
-}
 
 #: Captions for machine-readable benchmark families (``BENCH_<family>``
 #: stems, version suffixes stripped).
@@ -145,19 +125,15 @@ def summarize(results_dir: str = RESULTS_DIR) -> str:
     paths = sorted(glob.glob(os.path.join(results_dir, "*.txt")))
     for path in paths:
         stem = os.path.splitext(os.path.basename(path))[0]
-        caption = CAPTIONS.get(stem, stem)
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         body = _format_table(lines)
-        sections.append("\n".join([f"== {caption}", *body]))
+        sections.append("\n".join([f"== {stem}", *body]))
     trajectory = bench_trajectory()
     if trajectory:
         sections.append(trajectory)
     if not sections:
-        return (
-            "no result series found; run "
-            "`pytest benchmarks/ --benchmark-only` first\n"
-        )
+        return "no result series found\n"
     return "\n\n".join(sections) + "\n"
 
 

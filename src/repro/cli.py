@@ -149,16 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="decomposition strategy (default: %(default)s)",
     )
     query.add_argument(
-        "--link-backend",
-        choices=("vectorized", "python"),
-        default="vectorized",
-        dest="link_backend",
-        help=(
-            "candidate-link construction: vectorized CSR arrays "
-            "(default) or the per-vertex Python reference"
-        ),
-    )
-    query.add_argument(
         "--explain", action="store_true",
         help="print the full evaluation report instead of matches only",
     )
@@ -479,7 +469,6 @@ def _cmd_query(args) -> int:
     engine = QueryEngine(peg, max_length=args.max_length, beta=args.beta)
     options = QueryOptions(
         decomposition=args.decomposition,
-        link_backend=args.link_backend,
         trace=args.trace,
     )
     result = engine.query(query, args.alpha, options)
