@@ -5,7 +5,6 @@
 3. The textual pattern language + EXPLAIN output.
 4. Top-k matching without choosing a threshold.
 5. Offline-bundle persistence: build the index once, reopen instantly.
-6. networkx interop for off-the-shelf analytics.
 
 Run:  python examples/advanced_features.py
 """
@@ -14,15 +13,12 @@ import os
 import tempfile
 import time
 
-import networkx as nx
-
 from repro import (
     PGD,
     QueryEngine,
     build_peg,
 )
 from repro.pgd import add_transitive_closure, load_pgd_json, save_pgd_json
-from repro.peg import to_networkx
 from repro.query import explain, parse_pattern, top_k_matches
 
 
@@ -98,16 +94,6 @@ def main() -> None:
         assert len(again.matches) == len(result.matches)
         print(f"\nreopened offline bundle in {reopen_ms:.1f} ms "
               f"({reopened.index.num_paths()} indexed paths)")
-
-        # 6. networkx interop ------------------------------------------
-        graph = to_networkx(peg)
-        centrality = nx.degree_centrality(graph)
-        hub, score = max(centrality.items(), key=lambda kv: kv[1])
-        print(
-            "most central entity:",
-            "{" + ",".join(sorted(hub)) + "}",
-            f"(degree centrality {score:.2f})",
-        )
 
 
 if __name__ == "__main__":

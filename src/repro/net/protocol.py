@@ -137,7 +137,9 @@ def query_graph_from_spec(spec: dict) -> QueryGraph:
 
     The codec of the CLI ``serve`` workload files and of the wire
     protocol's ``query`` requests: a ``"nodes"`` mapping of query-node
-    name to label, plus optional ``"edges"`` pairs.
+    name to label, plus optional ``"edges"`` pairs. Labels are JSON
+    scalars and edge endpoints are node names (strings); anything else
+    is a :class:`QueryError`.
     """
     if not isinstance(spec, dict) or not isinstance(spec.get("nodes"), dict):
         raise QueryError(
@@ -145,10 +147,22 @@ def query_graph_from_spec(spec: dict) -> QueryGraph:
         )
     if not spec["nodes"]:
         raise QueryError("query spec 'nodes' mapping must not be empty")
+    for node, label in spec["nodes"].items():
+        if label is not None and not isinstance(label, (str, int, float)):
+            raise QueryError(
+                f"query spec label of {node!r} must be a JSON scalar, "
+                f"got {label!r}"
+            )
+    raw_edges = spec.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise QueryError(f"query spec 'edges' must be a list, got {raw_edges!r}")
     edges = []
-    for edge in spec.get("edges", ()):
-        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
-            raise QueryError(f"query spec edge must be a pair, got {edge!r}")
+    for edge in raw_edges:
+        if (not isinstance(edge, (list, tuple)) or len(edge) != 2
+                or not all(isinstance(node, str) for node in edge)):
+            raise QueryError(
+                f"query spec edge must be a pair of node names, got {edge!r}"
+            )
         edges.append(tuple(edge))
     return QueryGraph(spec["nodes"], edges)
 

@@ -418,7 +418,8 @@ class QueryServer:
         try:
             query = protocol.query_graph_from_spec(frame)
             alpha = frame.get("alpha", 0.5)
-            if not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
+            if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                    or not 0.0 < alpha <= 1.0):
                 raise QueryError(f"alpha must be in (0, 1], got {alpha!r}")
         except ReproError as exc:
             self._reply_error(

@@ -23,7 +23,6 @@ from repro.peg.possible_worlds import (
     PossibleWorld,
 )
 from repro.peg.serialize import save_peg, load_peg
-from repro.peg.interop import to_networkx
 
 __all__ = [
     "ProbabilisticEntityGraph",
@@ -35,5 +34,4 @@ __all__ = [
     "PossibleWorld",
     "save_peg",
     "load_peg",
-    "to_networkx",
 ]

@@ -485,24 +485,9 @@ class ProbabilisticEntityGraph:
             if label_a is None or label_b is None:
                 raise QueryError(
                     "conditional PEG requires endpoint labels for edge "
-                    "probabilities; use edge_max_probability for bounds"
+                    "probabilities; use edge_max_probability_id for bounds"
                 )
             return dist.probability(label_a, label_b)
-        return dist.probability()
-
-    def edge_max_probability(
-        self, entity_a: Entity, entity_b: Entity, label_a=None, label_b=None
-    ) -> float:
-        """Upper bound of the edge probability over unknown endpoint labels.
-
-        Implements the Section 5.3 adjustment used by ``ppu``/``fpu``:
-        maximize the CPT over any label argument passed as ``None``.
-        """
-        dist = self._edges.get(frozenset((entity_a, entity_b)))
-        if dist is None:
-            return 0.0
-        if dist.conditional:
-            return dist.max_probability(label_a, label_b)
         return dist.probability()
 
     def existence_probability(self, entity: Entity) -> float:

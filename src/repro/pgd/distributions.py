@@ -50,10 +50,6 @@ class LabelDistribution:
         """Copy of the underlying mapping."""
         return dict(self._probs)
 
-    def entropy_support_size(self) -> int:
-        """Number of labels with non-zero mass (used by workload stats)."""
-        return len(self.support)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelDistribution):
             return NotImplemented

@@ -1,31 +1,23 @@
-"""Probabilistic graphical model substrate.
+"""Identity-component configurations (Section 3).
 
-The paper's PEG semantics are defined through a PGM (Section 3); this
-package provides the minimal engine those semantics require:
+The joint node-existence distribution of a PEG factorizes over its
+identity components (Eq. 7); this package enumerates and samples each
+component's valid configurations:
 
-* :class:`~repro.pgm.factor.Factor` — discrete factors over named variables
-  with product, marginalization and normalization,
-* :class:`~repro.pgm.markov.MarkovNetwork` — variable co-occurrence graph
-  and its connected components (used to factorize ``Pr(S.n)``, Eq. 7),
-* :func:`~repro.pgm.elimination.variable_elimination` — exact marginal
-  inference by variable elimination,
 * :mod:`~repro.pgm.configurations` — exact-cover enumeration of valid
-  node-existence configurations for identity-uncertainty components.
+  node-existence configurations for identity-uncertainty components,
+* :mod:`~repro.pgm.sampling` — Monte Carlo configuration sampling for
+  components too large to enumerate exactly.
+
+:mod:`repro.peg.components` turns them into existence marginals.
 """
 
-from repro.pgm.factor import Factor
-from repro.pgm.markov import MarkovNetwork
-from repro.pgm.elimination import variable_elimination, joint_probability
 from repro.pgm.configurations import (
     enumerate_exact_covers,
     ComponentConfiguration,
 )
 
 __all__ = [
-    "Factor",
-    "MarkovNetwork",
-    "variable_elimination",
-    "joint_probability",
     "enumerate_exact_covers",
     "ComponentConfiguration",
 ]

@@ -46,6 +46,16 @@ from repro.utils.errors import (
 FIGURE1_NODES = {"u": "i", "v": "a"}
 FIGURE1_EDGES = [("u", "v")]
 
+# Query specs of the wrong JSON shape: each is a ``QueryError`` from
+# ``query_graph_from_spec``, so a ``BAD_REQUEST`` reply on the wire.
+MALFORMED_SPECS = [
+    {"nodes": FIGURE1_NODES, "edges": None},
+    {"nodes": FIGURE1_NODES, "edges": 3},
+    {"nodes": FIGURE1_NODES, "edges": [[["u"], "v"]]},
+    {"nodes": {"u": ["i"], "v": "a"}, "edges": FIGURE1_EDGES},
+    {"nodes": {"u": {"i": 1}, "v": "a"}, "edges": FIGURE1_EDGES},
+]
+
 
 @pytest.fixture(autouse=True)
 def _no_leftover_faults():
@@ -223,6 +233,9 @@ class TestProtocol:
             protocol.query_graph_from_spec(
                 {"nodes": {"a": "X"}, "edges": [["a"]]}
             )
+        for spec in MALFORMED_SPECS:
+            with pytest.raises(QueryError):
+                protocol.query_graph_from_spec(spec)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +294,7 @@ class TestServerRoundtrip:
         finally:
             handle.stop(close_service=True)
 
-    def test_bad_request_typed_error_not_counted(self):
+    def test_bad_request_typed_error_not_counted(self, caplog):
         handle, _, service = gated_server()
         try:
             with QueryClient(*handle.address) as client:
@@ -294,8 +307,27 @@ class TestServerRoundtrip:
                 with pytest.raises(RemoteError) as excinfo:
                     client.request({"kind": "mystery"})
                 assert excinfo.value.code == "BAD_REQUEST"
+            # each malformed query is answered on a connection that stays
+            # open: a raw socket shows no reconnect can hide a torn one
+            sock = connect_raw(handle.address)
+            try:
+                frames = [dict(spec, kind="query", alpha=0.5)
+                          for spec in MALFORMED_SPECS]
+                frames.append({"kind": "query", "nodes": FIGURE1_NODES,
+                               "edges": FIGURE1_EDGES, "alpha": True})
+                for rid, frame in enumerate(frames, start=1):
+                    send_frames(sock, [dict(frame, id=rid)])
+                    reply = read_reply(sock)
+                    assert reply["id"] == rid
+                    assert reply["ok"] is False
+                    assert reply["error"]["type"] == "BAD_REQUEST", frame
+                send_frames(sock, [{"id": 0, "kind": "ping"}])
+                assert read_reply(sock)["pong"] is True
+            finally:
+                sock.close()
             # malformed requests never reach the service counters
             assert service.stats.requests == 0
+            assert not [r for r in caplog.records if r.name == "asyncio"]
         finally:
             handle.stop(close_service=True)
 

@@ -13,7 +13,6 @@ from repro.pgd.builders import normalized_levenshtein, pair_merge_potentials
 from repro.pgd.distributions import BernoulliEdge, LabelDistribution
 from repro.pgd.merge import average_edges, average_labels, disjunct_edges
 from repro.pgm.configurations import enumerate_exact_covers
-from repro.pgm.factor import Factor
 from repro.storage import DiskPathStore
 from repro.testing.reference import encode_paths
 
@@ -96,34 +95,6 @@ def test_disk_path_store_matches_dict_model(ops, min_bucket):
         finally:
             store.close()
         assert sorted(os.listdir(directory)) == ["index.dir", "index.log"]
-
-
-# ----------------------------------------------------------------------
-# Factor algebra laws
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    p=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
-    q=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
-)
-def test_factor_product_marginal_consistent(p, q):
-    """Marginalizing a product of independent factors recovers each."""
-    f = Factor(("x",), {"x": (0, 1)}, p)
-    g = Factor(("y",), {"y": (0, 1, 2)}, q)
-    joint = f.multiply(g)
-    fx = joint.marginalize(["y"])
-    total_g = sum(q)
-    for i, value in enumerate(p):
-        assert math.isclose(fx.get({"x": i}), value * total_g, rel_tol=1e-9)
-
-
-@settings(max_examples=50, deadline=None)
-@given(values=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=4))
-def test_factor_normalize_is_distribution(values):
-    f = Factor(("x",), {"x": tuple(range(4))}, values).normalize()
-    assert math.isclose(f.partition, 1.0, rel_tol=1e-9)
 
 
 # ----------------------------------------------------------------------
