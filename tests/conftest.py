@@ -9,7 +9,10 @@ and an autouse fixture fails any test that accumulated violations.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
+import random
 
 import pytest
 
@@ -102,6 +105,44 @@ def sampled_component_peg():
         if len(component.entities) > 1
     )
     return peg
+
+
+def random_component(seed: int, max_references: int = 6):
+    """A random identity component ``(references, set potentials)``:
+    every singleton (positive, so a cover always exists) plus up to one
+    multi-reference set per reference, about one in six of those with a
+    zero potential."""
+    rng = random.Random(seed)
+    references = [f"r{i}" for i in range(rng.randint(1, max_references))]
+    potentials = {
+        frozenset((ref,)): rng.uniform(0.05, 1.0) for ref in references
+    }
+    if len(references) > 1:
+        for _ in range(rng.randint(0, len(references))):
+            size = rng.randint(2, min(3, len(references)))
+            potentials[frozenset(rng.sample(references, size))] = (
+                0.0 if rng.random() < 0.15 else rng.uniform(0.05, 1.0)
+            )
+    return references, potentials
+
+
+def brute_force_covers(references, potentials) -> dict:
+    """``Pr(S.n)`` from its definition: every assignment of the ``s.n``
+    variables is kept when each reference lies in exactly one chosen set
+    (Eq. 1), weighted ``prod p_s^|s|`` and normalized (Eq. 7).
+    Returns ``{chosen sets: probability}`` over the positive-weight
+    assignments."""
+    sets = list(potentials)
+    weights = {}
+    for mask in itertools.product((False, True), repeat=len(sets)):
+        chosen = [s for s, on in zip(sets, mask) if on]
+        if sorted(r for s in chosen for r in s) != sorted(references):
+            continue
+        weight = math.prod(potentials[s] ** len(s) for s in chosen)
+        if weight > 0.0:
+            weights[frozenset(chosen)] = weight
+    total = sum(weights.values())
+    return {chosen: weight / total for chosen, weight in weights.items()}
 
 
 def store_content(store) -> dict:

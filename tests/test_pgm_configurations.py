@@ -1,11 +1,14 @@
 """Unit tests for repro.pgm.configurations (exact-cover enumeration)."""
 
+import itertools
 import math
 
 import pytest
 
+from repro.peg.components import IdentityComponent
 from repro.pgm.configurations import enumerate_exact_covers
 from repro.utils.errors import ModelError
+from tests.conftest import brute_force_covers, random_component
 
 
 def fs(*items):
@@ -136,3 +139,44 @@ class TestEnumerateExactCovers:
         # partitions of {a,b,c} into singletons and one pair + singleton:
         # {a|b|c}, {ab|c}, {bc|a}, {ac|b} -> 4 covers
         assert len(covers) == 4
+
+
+class TestMatchesDefinition:
+    """Seeded random components against ``Pr(S.n)`` evaluated over every
+    assignment of the ``s.n`` variables."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_covers_match_brute_force(self, seed):
+        references, potentials = random_component(seed)
+        expected = brute_force_covers(references, potentials)
+        covers = enumerate_exact_covers(
+            references, list(potentials), potentials
+        )
+        assert {c.chosen for c in covers} == set(expected)
+        for cover in covers:
+            assert cover.probability == pytest.approx(expected[cover.chosen])
+        probabilities = [c.probability for c in covers]
+        assert probabilities == sorted(probabilities, reverse=True)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_component_marginals_match_brute_force(self, seed):
+        references, potentials = random_component(seed)
+        expected = brute_force_covers(references, potentials)
+        component = IdentityComponent(
+            seed, references, list(potentials), potentials
+        )
+        assert component.is_exact
+
+        def marginal(entities):
+            return sum(
+                p for chosen, p in expected.items() if set(entities) <= chosen
+            )
+
+        for entity in potentials:
+            assert component.existence_probability(entity) == pytest.approx(
+                marginal([entity])
+            )
+        for pair in itertools.combinations(potentials, 2):
+            assert component.existence_marginal(pair) == pytest.approx(
+                marginal(pair)
+            )

@@ -8,6 +8,7 @@ from repro.pgd import PGD
 from repro.pgm.configurations import enumerate_exact_covers
 from repro.pgm.sampling import ComponentSampler
 from repro.utils.errors import ModelError
+from tests.conftest import brute_force_covers, random_component
 
 
 def fs(*items):
@@ -65,6 +66,40 @@ class TestSamplerAccuracy:
         b = ComponentSampler(refs, list(sets), sets, num_samples=500, seed=9)
         assert a.existence_probability(fs("r0")) == \
             b.existence_probability(fs("r0"))
+
+
+class TestRandomComponents:
+    """Seeded random components against ``Pr(S.n)`` evaluated over every
+    assignment of the ``s.n`` variables."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_draws_are_weighted_exact_covers(self, seed):
+        references, potentials = random_component(seed)
+        sampler = ComponentSampler(
+            references, list(potentials), potentials,
+            num_samples=200, seed=seed,
+        )
+        draws, weights, denominator = sampler.weighted_samples()
+        assert draws
+        for chosen in draws:
+            assert sorted(r for s in chosen for r in s) == sorted(references)
+            assert all(potentials[s] > 0.0 for s in chosen)
+        assert all(weight > 0.0 for weight in weights)
+        assert denominator == pytest.approx(sum(weights))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_marginals_match_brute_force(self, seed):
+        references, potentials = random_component(seed)
+        expected = brute_force_covers(references, potentials)
+        sampler = ComponentSampler(
+            references, list(potentials), potentials,
+            num_samples=10_000, seed=seed,
+        )
+        for entity in potentials:
+            exact = sum(p for chosen, p in expected.items() if entity in chosen)
+            assert sampler.existence_probability(entity) == pytest.approx(
+                exact, abs=0.03
+            )
 
 
 class TestSamplerValidation:
