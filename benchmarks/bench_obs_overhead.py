@@ -18,9 +18,9 @@ Two measurements:
   lookup stage's per-partition children), and the engine's own
   registry fold of the recorded seconds. The gate is the ratio of
   best-of times.
-* **micro** — nanoseconds per individual disabled-path operation
-  (null-span child, ``current_span()``, disabled-registry observe,
-  enabled counter inc), reported for context, not gated.
+* **micro** — nanoseconds per individual obs operation (null-span
+  child, ``current_span()``, histogram observe, counter inc), reported
+  for context, not gated.
 
 Results are written as machine-readable ``BENCH_obs.json`` (CI uploads
 it as a build artifact); with ``--trajectory`` the same report is also
@@ -116,11 +116,10 @@ def bench_macro(num_nodes: int, repeats: int) -> dict:
 
 
 def bench_micro(iterations: int) -> dict:
-    """Nanoseconds per disabled-path obs operation."""
-    disabled = MetricsRegistry(enabled=False)
-    disabled_hist = disabled.histogram("bench_disabled_seconds")
-    enabled = MetricsRegistry()
-    enabled_counter = enabled.counter("bench_enabled_total")
+    """Nanoseconds per obs operation."""
+    registry = MetricsRegistry()
+    histogram = registry.histogram("bench_seconds")
+    counter = registry.counter("bench_total")
 
     def per_op(fn) -> float:
         started = time.perf_counter()
@@ -132,8 +131,8 @@ def bench_micro(iterations: int) -> dict:
         "iterations": iterations,
         "null_span_child_ns": per_op(lambda: NULL_SPAN.child("stage")),
         "current_span_ns": per_op(current_span),
-        "disabled_observe_ns": per_op(lambda: disabled_hist.observe(1e-3)),
-        "enabled_counter_inc_ns": per_op(enabled_counter.inc),
+        "histogram_observe_ns": per_op(lambda: histogram.observe(1e-3)),
+        "enabled_counter_inc_ns": per_op(counter.inc),
     }
 
 
@@ -211,8 +210,8 @@ def main(argv=None) -> int:
     )
     print(
         f"[micro] null-span child {micro['null_span_child_ns']:.0f}ns, "
-        f"current_span {micro['current_span_ns']:.0f}ns, disabled "
-        f"observe {micro['disabled_observe_ns']:.0f}ns, enabled counter "
+        f"current_span {micro['current_span_ns']:.0f}ns, histogram "
+        f"observe {micro['histogram_observe_ns']:.0f}ns, enabled counter "
         f"inc {micro['enabled_counter_inc_ns']:.0f}ns"
     )
     print("wrote " + ", ".join(outputs))

@@ -83,6 +83,16 @@ from repro.storage.kvstore import DiskPathStore
 from repro.utils.errors import ReproError
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -153,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the full evaluation report instead of matches only",
     )
     query.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=_non_negative_int, default=20,
         help="maximum matches printed (default 20)",
     )
     query.add_argument(
@@ -378,34 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the server's stats snapshot and exit",
     )
 
-    lint = commands.add_parser(
-        "lint",
-        help="run the repro.analysis invariant linter over source paths",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    lint.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on any unsuppressed diagnostic",
-    )
-    lint.add_argument(
-        "--json", dest="json_out", metavar="FILE",
-        help="also write the machine-readable report to FILE ('-' = stdout)",
-    )
-    lint.add_argument(
-        "--select", action="append", metavar="NAME_OR_CODE",
-        help="run only the named checkers / codes (repeatable)",
-    )
-    lint.add_argument(
-        "--list-codes", action="store_true", dest="list_codes",
-        help="print every diagnostic code with its description and exit",
-    )
-    lint.add_argument(
-        "--call-graph", metavar="FILE", dest="call_graph",
-        help="dump the flow checkers' resolved call graph as JSON "
-             "('-' = stdout) and exit",
+    # Its arguments are the analysis runner's own; main() forwards them.
+    commands.add_parser(
+        "lint", add_help=False,
+        help="run the repro.analysis invariant linter over source paths "
+             "(options: python -m repro lint --help)",
     )
     return parser
 
@@ -655,15 +642,17 @@ def _load_workload(path: str | None) -> list:
         specs = [
             json.loads(line) for line in text.splitlines() if line.strip()
         ]
-    from repro.net.protocol import query_graph_from_spec
+    from repro.net.protocol import checked_alpha, query_graph_from_spec
 
     workload = []
     for spec in specs:
         try:
             query = query_graph_from_spec(spec)
+            alpha = spec.get("alpha")
+            alpha = None if alpha is None else checked_alpha(alpha)
         except ReproError as exc:
             raise ReproError(f"workload entry rejected: {exc}") from exc
-        workload.append((query, spec.get("alpha")))
+        workload.append((query, alpha))
     return workload
 
 
@@ -799,27 +788,16 @@ def _cmd_client(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.runner import main as analysis_main
-
-    argv = list(args.paths)
-    if args.strict:
-        argv.append("--strict")
-    if args.json_out:
-        argv.extend(["--json", args.json_out])
-    for item in args.select or ():
-        argv.extend(["--select", item])
-    if args.list_codes:
-        argv.append("--list-codes")
-    if getattr(args, "call_graph", None):
-        argv.extend(["--call-graph", args.call_graph])
-    return analysis_main(argv)
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.analysis.runner import main as analysis_main
+
+        return analysis_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {
         "generate": _cmd_generate,
         "info": _cmd_info,
@@ -830,7 +808,6 @@ def main(argv=None) -> int:
         "apply-updates": _cmd_apply_updates,
         "serve": _cmd_serve,
         "client": _cmd_client,
-        "lint": _cmd_lint,
     }
     if args.command in ("serve", "client"):
         # Chaos testing: REPRO_FAULTS / REPRO_FAULTS_SEED arm the

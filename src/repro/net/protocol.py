@@ -25,7 +25,7 @@ Responses
      "error": {"type": "REJECTED", "message": "admission queue full"}}
 
 Error types (``error.type``) are the serving tier's whole failure
-vocabulary: ``REJECTED`` (load shed / fairness cap / drain policy),
+vocabulary: ``REJECTED`` (load shed / fairness cap),
 ``DEADLINE_EXCEEDED``, ``UNAVAILABLE`` (shutdown, admission-pause
 timeout), ``BAD_REQUEST`` (malformed spec), ``QUERY_ERROR`` (invalid
 query), ``INTERNAL`` (evaluation failure). A client therefore always
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from json.encoder import encode_basestring_ascii
 
@@ -165,6 +166,31 @@ def query_graph_from_spec(spec: dict) -> QueryGraph:
             )
         edges.append(tuple(edge))
     return QueryGraph(spec["nodes"], edges)
+
+
+def checked_alpha(alpha) -> float:
+    """A request's ``alpha`` as a float, or a :class:`QueryError`.
+
+    The one check of the wire's ``query`` requests and the CLI
+    ``serve`` workload files: a JSON number (not a boolean) in (0, 1].
+    """
+    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+            or not 0.0 < alpha <= 1.0):
+        raise QueryError(f"alpha must be in (0, 1], got {alpha!r}")
+    return float(alpha)
+
+
+def checked_deadline_ms(deadline_ms) -> float | None:
+    """A request's ``deadline_ms``: ``None``, or a finite number >= 0."""
+    if deadline_ms is None:
+        return None
+    if (isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not math.isfinite(deadline_ms) or deadline_ms < 0):
+        raise QueryError(
+            f"deadline_ms must be a finite number >= 0, got {deadline_ms!r}"
+        )
+    return float(deadline_ms)
 
 
 def _json_ref(ref) -> object:

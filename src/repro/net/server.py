@@ -21,12 +21,11 @@ and partial failure:
   requests are never evaluated) *and* arms a server-side watchdog that
   answers ``DEADLINE_EXCEEDED`` at the deadline even if the evaluation
   is still running; the late result is then discarded.
-* **Graceful drain** — :meth:`apply_updates` stops dispatch, lets
-  in-flight requests finish, applies the mutation batch through the
-  service's admission-pause machinery, and resumes; queued requests
-  are *held* across the update or *shed* with ``REJECTED``, by policy.
-  :meth:`stop` drains the same way with a hard cutoff: whatever is
-  still unresolved at the cutoff is answered ``UNAVAILABLE`` — no
+* **Graceful drain** — the server has no update pause of its own: a
+  live update is :meth:`QueryService.apply_updates`, whose admission
+  pause holds the requests dispatched meanwhile (see below) for the
+  post-update graph. :meth:`stop` drains with a hard cutoff: whatever
+  is still unresolved at the cutoff is answered ``UNAVAILABLE`` — no
   client is left waiting on a reply that will never come.
 * **Fault sites** — ``net.accept``, ``net.read`` and ``net.write``
   let the chaos suite (:mod:`repro.testing.faults`) drop or delay
@@ -133,13 +132,6 @@ class QueryServer:
     default_deadline_ms:
         Deadline applied to requests that carry none (``None`` = no
         deadline).
-    drain_policy:
-        What happens to queued requests while :meth:`apply_updates`
-        drains: ``"hold"`` keeps them queued across the update (they
-        run against the post-update graph), ``"shed"`` rejects them.
-    drain_timeout:
-        Hard cutoff, in seconds, :meth:`stop` waits for in-flight
-        requests before answering the stragglers ``UNAVAILABLE``.
     """
 
     def __init__(
@@ -152,13 +144,7 @@ class QueryServer:
         max_inflight: int | None = None,
         per_client_inflight: int = 8,
         default_deadline_ms: float | None = None,
-        drain_policy: str = "hold",
-        drain_timeout: float = 10.0,
     ) -> None:
-        if drain_policy not in ("hold", "shed"):
-            raise ServiceError(
-                f"drain_policy must be 'hold' or 'shed', got {drain_policy!r}"
-            )
         if max_pending < 1:
             raise ServiceError(f"max_pending must be >= 1, got {max_pending}")
         if per_client_inflight < 1:
@@ -174,9 +160,9 @@ class QueryServer:
             else 2 * service.num_workers
         )
         self.per_client_inflight = int(per_client_inflight)
-        self.default_deadline_ms = default_deadline_ms
-        self.drain_policy = drain_policy
-        self.drain_timeout = float(drain_timeout)
+        self.default_deadline_ms = protocol.checked_deadline_ms(
+            default_deadline_ms
+        )
 
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -196,10 +182,8 @@ class QueryServer:
         self._reply_tasks: set = set()  # guarded-by: event-loop
         self._dispatch_wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
-        self._draining = False  # guarded-by: event-loop
         self._closing = False  # guarded-by: event-loop
         self._stopped = False  # guarded-by: event-loop
-        self._apply_lock: asyncio.Lock | None = None
 
         registry = get_registry()
         self._m_connections = registry.counter("repro_net_connections_total")
@@ -225,7 +209,6 @@ class QueryServer:
         self._dispatch_wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._apply_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port
         )
@@ -237,30 +220,25 @@ class QueryServer:
         """``(host, port)`` actually bound (port resolved if 0)."""
         return (self.host, self.port)
 
-    async def stop(self, drain_timeout: float | None = None) -> None:
+    async def stop(self, drain_timeout: float = 10.0) -> None:
         """Drain and shut down; every pending request gets a reply.
 
         New connections are refused, queued requests are shed with
         ``UNAVAILABLE``, in-flight requests get ``drain_timeout``
-        seconds (default: the constructor's) to complete, and whatever
-        is still unresolved at the hard cutoff is answered
-        ``UNAVAILABLE`` — the evaluation may still finish service-side,
-        but no client is left hanging. Idempotent.
+        seconds to complete, and whatever is still unresolved at the
+        hard cutoff is answered ``UNAVAILABLE`` — the evaluation may
+        still finish service-side, but no client is left hanging.
+        Idempotent.
         """
         if self._closing:
             return
         self._closing = True
-        timeout = (
-            self.drain_timeout if drain_timeout is None else float(drain_timeout)
-        )
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._shed_queued(
-            protocol.ERROR_UNAVAILABLE, "server shutting down"
-        )
+        self._shed_queued()
         try:
-            await asyncio.wait_for(self._wait_idle(), timeout)
+            await asyncio.wait_for(self._wait_idle(), drain_timeout)
         except asyncio.TimeoutError:
             pass
         # Hard cutoff: answer the stragglers now. Their service futures
@@ -390,14 +368,6 @@ class QueryServer:
                 "server shutting down",
             )
             return
-        if self._draining and self.drain_policy == "shed":
-            self.service.stats.record_rejected()
-            self._m_requests["rejected"].inc()
-            self._reply_error(
-                client, rid, protocol.ERROR_REJECTED,
-                "draining for a live update",
-            )
-            return
         if client.inflight + len(client.queue) >= self.per_client_inflight:
             self.service.stats.record_rejected()
             self._m_requests["rejected"].inc()
@@ -417,20 +387,19 @@ class QueryServer:
             return
         try:
             query = protocol.query_graph_from_spec(frame)
-            alpha = frame.get("alpha", 0.5)
-            if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
-                    or not 0.0 < alpha <= 1.0):
-                raise QueryError(f"alpha must be in (0, 1], got {alpha!r}")
+            alpha = protocol.checked_alpha(frame.get("alpha", 0.5))
+            deadline_ms = protocol.checked_deadline_ms(
+                frame.get("deadline_ms", self.default_deadline_ms)
+            )
         except ReproError as exc:
             self._reply_error(
                 client, rid, protocol.ERROR_BAD_REQUEST, str(exc)
             )
             return
-        deadline_ms = frame.get("deadline_ms", self.default_deadline_ms)
         deadline = None
         if deadline_ms is not None:
-            deadline = time.monotonic() + float(deadline_ms) / 1e3
-        client.queue.append(_Entry(rid, client, query, float(alpha), deadline))
+            deadline = time.monotonic() + deadline_ms / 1e3
+        client.queue.append(_Entry(rid, client, query, alpha, deadline))
         self._pending_total += 1
         self._m_pending.inc()
         self._dispatch_wake.set()
@@ -458,7 +427,7 @@ class QueryServer:
         while not self._stopped:
             await self._dispatch_wake.wait()
             self._dispatch_wake.clear()
-            while not self._draining and not self._closing:
+            while not self._closing:
                 entry = self._next_entry()
                 if entry is None:
                     break
@@ -674,15 +643,15 @@ class QueryServer:
                 self._disconnect(client)
 
     # ------------------------------------------------------------------
-    # Drain / live updates
+    # Drain
     # ------------------------------------------------------------------
 
     async def _wait_idle(self) -> None:
         while self._inflight_total > 0:
             await self._idle.wait()
 
-    def _shed_queued(self, code: str, message: str) -> None:  # loop-only
-        """Reject every queued-but-undispatched request with ``code``."""
+    def _shed_queued(self) -> None:  # loop-only
+        """Answer every queued-but-undispatched request ``UNAVAILABLE``."""
         for client in list(self._clients.values()):
             while client.queue:
                 entry = client.queue.popleft()
@@ -690,42 +659,18 @@ class QueryServer:
                 self._m_pending.dec()
                 self.service.stats.record_rejected()
                 self._m_requests["rejected"].inc()
-                self._reply_error(client, entry.request_id, code, message)
-
-    async def apply_updates(self, ops, log=None) -> dict:
-        """Absorb a mutation batch with a graceful networked drain.
-
-        Dispatch pauses, in-flight requests complete, queued requests
-        are held (``drain_policy="hold"``) or shed with ``REJECTED``
-        (``"shed"``), the batch is applied through
-        :meth:`QueryService.apply_updates` (which re-keys every cache
-        entry via the graph-version bump), and dispatch resumes — held
-        requests then evaluate against the post-update graph.
-        """
-        if self._closing:
-            raise ServiceError("server is shutting down")
-        async with self._apply_lock:
-            self._draining = True
-            try:
-                if self.drain_policy == "shed":
-                    self._shed_queued(
-                        protocol.ERROR_REJECTED, "draining for a live update"
-                    )
-                await self._wait_idle()
-                return await asyncio.to_thread(
-                    self.service.apply_updates, ops, log
+                self._reply_error(
+                    client, entry.request_id, protocol.ERROR_UNAVAILABLE,
+                    "server shutting down",
                 )
-            finally:
-                self._draining = False
-                self._dispatch_wake.set()
 
 
 class ServerHandle:
     """A :class:`QueryServer` running on its own event-loop thread.
 
     The synchronous façade the CLI and tests use: construction via
-    :func:`start_server`, thread-safe :meth:`apply_updates` /
-    :meth:`stop`, and context-manager cleanup.
+    :func:`start_server`, a thread-safe :meth:`stop`, and
+    context-manager cleanup. Live updates go to ``handle.service``.
     """
 
     def __init__(self, server: QueryServer, loop, thread) -> None:
@@ -742,16 +687,8 @@ class ServerHandle:
     def service(self):
         return self.server.service
 
-    def apply_updates(self, ops, log=None) -> dict:
-        """Drain, apply a mutation batch, resume (thread-safe)."""
-        return asyncio.run_coroutine_threadsafe(
-            self.server.apply_updates(ops, log=log), self._loop
-        ).result()
-
     def stop(
-        self,
-        drain_timeout: float | None = None,
-        close_service: bool = False,
+        self, drain_timeout: float = 10.0, close_service: bool = False
     ) -> None:
         """Drain and stop the server; optionally close the service too."""
         if not self._stopped:

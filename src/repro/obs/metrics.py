@@ -24,9 +24,7 @@ Two export forms:
 A module-level default registry (:func:`get_registry`) is what the
 instrumented layers report into; each
 :class:`~repro.service.stats.ServiceStats` owns a private one (its
-counts are per service), and tests may construct their own. Setting
-``registry.enabled = False`` turns every recording call on that
-registry's instruments into a cheap early return.
+counts are per service), and tests may construct their own.
 """
 
 from __future__ import annotations
@@ -47,19 +45,15 @@ __all__ = [
 class Counter:
     """Monotonically increasing count (thread-safe)."""
 
-    __slots__ = ("name", "labels", "_value", "_lock", "_registry")
+    __slots__ = ("name", "labels", "_value", "_lock")
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: tuple) -> None:
-        self._registry = registry
+    def __init__(self, name: str, labels: tuple) -> None:
         self.name = name
         self.labels = labels
         self._value = 0  # guarded-by: _lock
         self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -76,25 +70,19 @@ class Counter:
 class Gauge:
     """A value that can go up and down (thread-safe)."""
 
-    __slots__ = ("name", "labels", "_value", "_lock", "_registry")
+    __slots__ = ("name", "labels", "_value", "_lock")
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: tuple) -> None:
-        self._registry = registry
+    def __init__(self, name: str, labels: tuple) -> None:
         self.name = name
         self.labels = labels
         self._value = 0.0  # guarded-by: _lock
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value = value
 
     def inc(self, amount: float = 1) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -122,15 +110,13 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "_bounds", "_counts", "_count", "_sum",
-                 "_min", "_max", "_lock", "_registry")
+                 "_min", "_max", "_lock")
 
-    def __init__(self, registry: "MetricsRegistry", name: str, labels: tuple,
-                 low: float = 1e-5, high: float = 100.0,
-                 growth: float = 2 ** 0.25) -> None:
+    def __init__(self, name: str, labels: tuple, low: float = 1e-5,
+                 high: float = 100.0, growth: float = 2 ** 0.25) -> None:
         if not (low > 0 and high > low and growth > 1.0):
             raise ValueError(
                 f"invalid histogram bounds: low={low} high={high} growth={growth}")
-        self._registry = registry
         self.name = name
         self.labels = labels
         bounds = []
@@ -147,8 +133,6 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         value = float(value)
         index = bisect_right(self._bounds, value)
         with self._lock:
@@ -246,8 +230,7 @@ class MetricsRegistry:
     bench harness rely on this).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict = {}  # guarded-by: _lock
 
@@ -261,26 +244,22 @@ class MetricsRegistry:
                     raise ValueError(
                         f"metric {name!r} already registered as {existing_kind}")
                 return instrument
-            instrument = factory(key[1])
+            instrument = factory(name, key[1])
             self._metrics[key] = (instrument, kind)
             return instrument
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get_or_create(
-            "counter", name, labels,
-            lambda key_labels: Counter(self, name, key_labels))
+        return self._get_or_create("counter", name, labels, Counter)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get_or_create(
-            "gauge", name, labels,
-            lambda key_labels: Gauge(self, name, key_labels))
+        return self._get_or_create("gauge", name, labels, Gauge)
 
     def histogram(self, name: str, low: float = 1e-5, high: float = 100.0,
                   growth: float = 2 ** 0.25, **labels) -> Histogram:
         return self._get_or_create(
             "histogram", name, labels,
-            lambda key_labels: Histogram(self, name, key_labels,
-                                         low=low, high=high, growth=growth))
+            lambda name, key_labels: Histogram(
+                name, key_labels, low=low, high=high, growth=growth))
 
     def _items(self) -> list:
         with self._lock:

@@ -18,20 +18,19 @@ from repro.utils.errors import ModelError
 
 def build_peg(
     pgd: PGD,
-    drop_impossible: bool = True,
     exact_component_limit: int = 16,
     approx_samples: int = 4000,
 ) -> ProbabilisticEntityGraph:
     """Construct the probabilistic entity graph from a PGD.
 
+    Entities whose existence probability is zero are left out of
+    ``G_U``: they cannot appear in any possible world, so no match can
+    use them.
+
     Parameters
     ----------
     pgd:
         The reference-level description.
-    drop_impossible:
-        When true (default), entities whose existence probability is zero
-        are removed from ``G_U`` — they cannot appear in any possible
-        world, so no match can use them.
     exact_component_limit:
         Identity components with at most this many references use exact
         configuration enumeration; larger ones switch to Monte Carlo
@@ -66,7 +65,7 @@ def build_peg(
         for entity in component.entities:
             p_exist = component.existence_probability(entity)
             existence[entity] = p_exist
-            if drop_impossible and p_exist <= 0.0:
+            if p_exist <= 0.0:
                 continue
             member_labels = [pgd.label_distribution(r) for r in entity]
             labels[entity] = pgd.merge.labels(member_labels)

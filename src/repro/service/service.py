@@ -113,6 +113,10 @@ def request_key(
     )
 
 
+#: The options of a request that passes none.
+_DEFAULT_OPTIONS = QueryOptions()
+
+
 class QueryService:
     """Serves pattern-matching queries concurrently over one engine.
 
@@ -126,8 +130,6 @@ class QueryService:
         Evaluation threads (>= 1).
     cache_size:
         Result-cache capacity in entries; 0 disables caching.
-    default_options:
-        Options applied when a request passes none.
     executor:
         ``"thread"`` (default) evaluates on a thread pool — cheap, and
         right for cache-heavy or I/O-bound serving. ``"process"``
@@ -159,7 +161,6 @@ class QueryService:
         engine: QueryEngine,
         num_workers: int = 4,
         cache_size: int = 256,
-        default_options: QueryOptions | None = None,
         executor: str = "thread",
         snapshot_dir: str | None = None,
         tracer=None,
@@ -173,7 +174,6 @@ class QueryService:
             )
         self.engine = engine
         self.num_workers = int(num_workers)
-        self.default_options = default_options or QueryOptions()
         self.executor_kind = executor
         self.snapshot_dir = snapshot_dir
         if max_admission_wait <= 0:
@@ -465,7 +465,7 @@ class QueryService:
         with self._gate:
             if self._closed:
                 raise ServiceError("service is closed")
-        options = options or self.default_options
+        options = options or _DEFAULT_OPTIONS
         span = self.tracer.span("request")
         span.begin()
         try:

@@ -8,9 +8,7 @@ read surface (``hits``, ``completed``, ``requests``, ``snapshot()``,
 ...) is computed from those instruments; nothing is kept beside them.
 
 The instruments live in a registry the stats object owns, not the
-process-wide one: counts are per service (a process may run many), and
-the process-wide ``get_registry().enabled = False`` kill switch cannot
-freeze the counters behind ``requests == completed + rejected``.
+process-wide one: counts are per service (a process may run many).
 ``QueryService.stats_snapshot()`` merges this registry's ``repro_service_*``
 series next to the process-wide ones.
 
@@ -120,7 +118,7 @@ class ServiceStats:
         """A request was refused admission (never evaluated).
 
         ``shed=True`` marks queue-overflow load shedding; ``False``
-        covers per-client fairness caps, drain-policy rejections and
+        covers per-client fairness caps, requests queued at shutdown and
         admission-pause timeouts.
         """
         (self._shed if shed else self._refused).inc()

@@ -15,6 +15,9 @@ Three layers of coverage:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -901,3 +904,24 @@ class TestWholeRepo:
         assert cli_main(["lint", str(SRC_REPRO), "--strict"]) == 0
         output = capsys.readouterr().out
         assert "0 finding(s)" in output
+
+    def test_repro_lint_forwards_every_runner_flag(self, tmp_path):
+        # ``--quiet`` is a runner flag the subcommand never declared.
+        (tmp_path / "clean.py").write_text("VALUE = 1\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+
+        def lint(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "lint", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        clean = lint(str(tmp_path), "--strict", "--quiet")
+        assert (clean.returncode, clean.stdout, clean.stderr) == (0, "", "")
+        (tmp_path / "dirty.py").write_text(
+            "def f():\n    return list({1, 2})\n"
+        )
+        assert lint(str(tmp_path), "--strict", "--quiet").returncode == 1

@@ -121,6 +121,13 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "matches" in out
 
+    def test_query_negative_limit_rejected(self, peg_file, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, {"a": "L0"}, [])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", peg_file, "--spec", spec, "--limit", "-2"])
+        assert excinfo.value.code == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
+
     def test_query_trace_renders_span_tree(self, peg_file, tmp_path, capsys):
         spec = self.write_spec(
             tmp_path,
@@ -266,6 +273,20 @@ class TestServe:
             ["serve", peg_file, "--queries", str(workload)]
         ) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0.5", [0.5], True])
+    def test_serve_rejects_malformed_workload_alpha(
+        self, peg_file, tmp_path, capsys, alpha
+    ):
+        workload = tmp_path / "workload.jsonl"
+        workload.write_text(json.dumps(
+            {"nodes": {"a": "L0"}, "edges": [], "alpha": alpha}
+        ))
+        assert main(["serve", peg_file, "--queries", str(workload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: workload entry rejected: alpha")
+        assert len(err.splitlines()) == 1
+
 
 class TestBuild:
     def test_build_then_warm_serve(self, peg_file, tmp_path, capsys):

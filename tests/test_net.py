@@ -57,6 +57,13 @@ MALFORMED_SPECS = [
 ]
 
 
+# ``deadline_ms`` values that are not null or a finite number >= 0:
+# each is a ``BAD_REQUEST`` reply on a connection that stays open.
+MALFORMED_DEADLINES = [
+    "abc", [1], {"x": 1}, True, "5", -1, float("inf"), float("nan"),
+]
+
+
 @pytest.fixture(autouse=True)
 def _no_leftover_faults():
     faults.uninstall()
@@ -315,6 +322,12 @@ class TestServerRoundtrip:
                           for spec in MALFORMED_SPECS]
                 frames.append({"kind": "query", "nodes": FIGURE1_NODES,
                                "edges": FIGURE1_EDGES, "alpha": True})
+                frames.extend(
+                    {"kind": "query", "nodes": FIGURE1_NODES,
+                     "edges": FIGURE1_EDGES, "alpha": 0.5,
+                     "deadline_ms": deadline_ms}
+                    for deadline_ms in MALFORMED_DEADLINES
+                )
                 for rid, frame in enumerate(frames, start=1):
                     send_frames(sock, [dict(frame, id=rid)])
                     reply = read_reply(sock)
@@ -330,6 +343,15 @@ class TestServerRoundtrip:
             assert not [r for r in caplog.records if r.name == "asyncio"]
         finally:
             handle.stop(close_service=True)
+
+    def test_malformed_default_deadline_rejected_at_construction(self):
+        service = QueryService(GatedEngine(), num_workers=1, cache_size=0)
+        try:
+            for deadline_ms in MALFORMED_DEADLINES:
+                with pytest.raises(QueryError):
+                    QueryServer(service, default_deadline_ms=deadline_ms)
+        finally:
+            service.close()
 
     def test_deadline_watchdog_answers_while_evaluation_runs(self):
         gate = threading.Event()
@@ -508,24 +530,32 @@ class TestAdmissionControl:
 # ----------------------------------------------------------------------
 
 
+def start_update(service):
+    """Run an empty live update on a thread; return once it has paused
+    admission (it then waits for the in-flight evaluations)."""
+    applied = []
+    updater = threading.Thread(
+        target=lambda: applied.append(service.apply_updates([]))
+    )
+    updater.start()
+    wait_until(lambda: service._applying)
+    return updater, applied
+
+
 class TestDrain:
     def test_apply_updates_holds_queued_requests(self):
         gate = threading.Event()
         handle, engine, service = gated_server(
-            gate, max_pending=64, max_inflight=1, drain_policy="hold"
+            gate, max_pending=64, max_inflight=1
         )
         server = handle.server
         try:
             sock = connect_raw(handle.address)
             send_frames(sock, [query_frame(0, alpha=0.5)])
             wait_until(lambda: server._inflight_total == 1)
-            applied = []
-            updater = threading.Thread(
-                target=lambda: applied.append(handle.apply_updates([]))
-            )
-            updater.start()
-            wait_until(lambda: server._draining)
-            # a request arriving mid-drain is held, not rejected
+            updater, applied = start_update(handle.service)
+            # a request arriving mid-update is held, not rejected: the
+            # server's one in-flight slot is taken, so it waits queued
             send_frames(sock, [query_frame(1, alpha=0.6)])
             wait_until(lambda: server._pending_total == 1)
             gate.set()
@@ -542,31 +572,33 @@ class TestDrain:
             gate.set()
             handle.stop(close_service=True)
 
-    def test_apply_updates_shed_policy_rejects_queued(self):
+    def test_apply_updates_holds_dispatched_requests(self):
+        # With a free in-flight slot the mid-update request is
+        # dispatched at once, and the paused-admission fallback holds it.
         gate = threading.Event()
         handle, engine, service = gated_server(
-            gate, max_pending=64, max_inflight=1, drain_policy="shed"
+            gate, max_pending=64, max_inflight=2
         )
         server = handle.server
         try:
             sock = connect_raw(handle.address)
-            send_frames(sock, [query_frame(0, alpha=0.5),
-                               query_frame(1, alpha=0.6)])
-            wait_until(lambda: server._inflight_total == 1
-                       and server._pending_total == 1)
-            updater = threading.Thread(target=handle.apply_updates, args=([],))
-            updater.start()
-            wait_until(lambda: server._draining)
+            send_frames(sock, [query_frame(0, alpha=0.5)])
+            wait_until(lambda: server._inflight_total == 1)
+            updater, applied = start_update(handle.service)
+            send_frames(sock, [query_frame(1, alpha=0.6)])
+            wait_until(lambda: server._inflight_total == 2)
+            # dispatched, yet not admitted: admission is paused
+            assert server._pending_total == 0
+            assert service.stats.requests == 1
             gate.set()
             replies = read_replies(sock, 2)
             updater.join(timeout=10)
-            assert replies[0]["ok"] is True
-            assert replies[1]["ok"] is False
-            assert replies[1]["error"]["type"] == ERROR_REJECTED
-            assert service.stats.rejected == 1
-            assert service.stats.requests == (
-                service.stats.completed + service.stats.rejected
-            )
+            assert not updater.is_alive()
+            assert applied == [{"applied": 0}]
+            assert replies[0]["ok"] and replies[1]["ok"]
+            assert dict(engine.calls)[0.6] == 1
+            assert dict(engine.calls)[0.5] == 0
+            assert service.stats.requests == service.stats.completed == 2
             sock.close()
         finally:
             gate.set()

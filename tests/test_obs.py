@@ -204,14 +204,6 @@ class TestMetrics:
         assert 'lat_seconds_bucket{le="+Inf"} 1' in text
         assert "lat_seconds_count 1" in text
 
-    def test_disabled_registry_records_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("c_total")
-        counter.inc(10)
-        registry.histogram("h").observe(1.0)
-        assert counter.value == 0
-        assert registry.snapshot()["h_count"] == 0
-
     def test_reset_zeroes_in_place(self):
         registry = MetricsRegistry()
         counter = registry.counter("c_total")

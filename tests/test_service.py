@@ -178,29 +178,6 @@ class TestServiceStats:
         assert idle["requests"] == idle["completed"] == 0
         assert idle["repro_service_requests_total{outcome=miss}"] == 0
 
-    def test_identities_hold_with_process_registry_disabled(self):
-        from repro.obs import get_registry
-
-        registry = get_registry()
-        registry.enabled = False
-        try:
-            with QueryService(
-                FakeEngine(), num_workers=2, cache_size=1
-            ) as service:
-                for alpha in (0.5, 0.5, 0.4, 0.5):
-                    service.query(figure1_query(), alpha)
-                service.stats.record_rejected(shed=True)
-                snap = service.stats_snapshot()
-        finally:
-            registry.enabled = True
-        assert snap["requests"] == 5
-        assert snap["requests"] == (
-            snap["hits"] + snap["misses"] + snap["deduplicated"]
-            + snap["rejected"]
-        )
-        assert snap["requests"] == snap["completed"] + snap["rejected"]
-        assert (snap["hits"], snap["evictions"]) == (1, 2)
-
     def test_requests_and_hit_rate_consistent_under_concurrency(self):
         # Regression: requests/hit_rate read three counters without the
         # lock, so a reader could see a torn sum.
