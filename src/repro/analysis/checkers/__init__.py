@@ -1,6 +1,5 @@
 """Checker registry: every invariant checker the runner knows about."""
 
-from repro.analysis.checkers.asyncio_hygiene import AsyncioHygieneChecker
 from repro.analysis.checkers.cache_keys import CacheKeyChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.error_taxonomy import ErrorTaxonomyChecker
@@ -14,7 +13,6 @@ from repro.analysis.flow import (
 )
 
 __all__ = [
-    "AsyncioHygieneChecker",
     "CacheKeyChecker",
     "DeadShimChecker",
     "DeterminismChecker",
@@ -34,7 +32,6 @@ def all_checkers() -> list:
         DeterminismChecker(),
         LockDisciplineChecker(),
         CacheKeyChecker(),
-        AsyncioHygieneChecker(),
         ErrorTaxonomyChecker(),
         FloatEqualityChecker(),
         DeadShimChecker(),

@@ -226,7 +226,8 @@ class ProjectChecker(Checker):
     """A checker that needs the whole corpus at once (cross-file).
 
     The runner calls :meth:`check_project` exactly once with every
-    parsed file; :meth:`check` is never called.
+    parsed file (a flow checker's ``check_flow`` with the run's one
+    call graph instead); :meth:`check` is never called.
     """
 
     def check(self, source: SourceFile) -> list:  # pragma: no cover

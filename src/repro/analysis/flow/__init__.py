@@ -1,18 +1,21 @@
 """Interprocedural flow analysis over the AST linter framework.
 
-PR 9's checkers see one function at a time; this package links them
-together. :mod:`callgraph` resolves calls between ``repro`` functions
-(``self.method()``, module-level names, cross-module attributes,
-constructor calls, and ``self.attr.method()`` through inferred
-attribute types — conservative everywhere else), :mod:`summaries`
-distils each function into the facts the checkers consume (lock
-regions, blocking sites, raise sites, handler context), and
+The per-file checkers see one function at a time; this package links
+them together. :mod:`callgraph` resolves calls between ``repro``
+functions (``self.method()``, module-level names, cross-module
+attributes, constructor calls, and ``self.attr.method()`` through
+inferred attribute types — conservative everywhere else) and indexes
+every coroutine, however deeply nested; :mod:`summaries` distils each
+function into the facts the checkers consume (lock regions, blocking
+sites, raise sites, handler context). That graph and its summaries are
+the run's one flow model: the runner builds them once and
 :mod:`checkers` runs three whole-program analyses on top:
 
 * ``REP210``/``REP211`` — global lock-acquisition-order cycles and
   unbounded waits while holding a lock;
-* ``REP410`` — event-loop blocking reachable from a coroutine through
-  sync calls, with the offending chain in the diagnostic;
+* ``REP401``/``REP410`` — an event-loop-blocking call in a coroutine's
+  own body, or reachable from a coroutine through sync calls (with the
+  offending chain in the diagnostic);
 * ``REP510`` — untyped exceptions escaping from the engine layers into
   ``repro.net`` handlers.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 from repro.analysis.flow.callgraph import CallGraph, CallSite, FunctionInfo
 from repro.analysis.flow.checkers import (
     ErrorEscapeChecker,
+    FlowChecker,
     LockFlowChecker,
     TransitiveBlockingChecker,
 )
@@ -33,6 +37,7 @@ __all__ = [
     "FunctionInfo",
     "FunctionSummary",
     "summarize",
+    "FlowChecker",
     "LockFlowChecker",
     "TransitiveBlockingChecker",
     "ErrorEscapeChecker",

@@ -20,9 +20,14 @@ stdlib calls — resolves to ``None``: no edge, no propagation. The
 interprocedural checkers therefore under-approximate reachability and
 never invent a path that the resolved code cannot take.
 
-Function ids are ``module:qualname`` — ``repro.service.service:
+Nodes are the module-level functions, the methods of module-level
+classes and every coroutine at any depth (``outer.<locals>.inner``):
+each coroutine is an event-loop entry point the flow checkers start
+from. Function ids are ``module:qualname`` — ``repro.service.service:
 QueryService.submit`` or ``repro.query.links:build_links``. Lock and
-class keys reuse the same ``module:Class`` shape.
+class keys reuse the same ``module:Class`` shape. A second file with
+an already-seen module name (two ``mod.py`` outside any ``repro``
+package) is keyed ``mod#N``, so neither file's functions are lost.
 """
 
 from __future__ import annotations
@@ -103,17 +108,19 @@ class CallGraph:
         #: ``NAME = threading.Lock()`` at module scope.
         self.module_locks: dict = {}
         for source in sources:
-            self._index_module(source)
+            module = source.module
+            if module in self.sources:  # two files, one name: keep both
+                module = f"{module}#{len(self.sources)}"
+            self._index_module(module, source)
         self._resolve_bases()
-        for source in sources:
-            self._infer_attr_types(source)
+        for module, source in self.sources.items():
+            self._infer_attr_types(module, source)
         for info in list(self.functions.values()):
             self._resolve_calls(info)
 
     # -- indexing ------------------------------------------------------
 
-    def _index_module(self, source: SourceFile) -> None:
-        module = source.module
+    def _index_module(self, module: str, source: SourceFile) -> None:
         self.sources[module] = source
         self.imports[module] = ImportMap(source.tree)
         names: dict = self._module_names.setdefault(module, {})
@@ -154,6 +161,16 @@ class CallGraph:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             self.module_locks[f"{module}:{target.id}"] = kind
+        for qualname, node in _coroutines(source.tree):
+            fid = f"{module}:{qualname}"
+            if fid in self.functions:
+                if self.functions[fid].node is node:
+                    continue  # a module-level coroutine or a method
+                fid = f"{fid}@{node.lineno}"  # a redefinition
+            self.functions[fid] = FunctionInfo(
+                fid=fid, module=module, qualname=qualname, class_key=None,
+                node=node, source=source, is_async=True,
+            )
 
     def _lock_constructor_kind(self, value: ast.AST,
                                module: str) -> str | None:
@@ -220,8 +237,7 @@ class CallGraph:
 
     # -- attribute-type inference --------------------------------------
 
-    def _infer_attr_types(self, source: SourceFile) -> None:
-        module = source.module
+    def _infer_attr_types(self, module: str, source: SourceFile) -> None:
         for node in source.tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -442,6 +458,33 @@ class _CallCollector(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self.calls.append(node)
         self.generic_visit(node)
+
+
+#: Node types whose children may hold a statement.
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def _coroutines(node: ast.AST, prefix: str = "") -> list:
+    """``(qualname, node)`` of every ``async def`` under ``node``.
+
+    Qualnames follow Python's (``outer.<locals>.inner``). Below module
+    and class level only coroutines are indexed: each is an event-loop
+    entry point of its own, while a nested sync ``def`` runs wherever
+    its caller sends it.
+    """
+    found: list = []
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _BLOCKS):
+            continue  # an expression holds no ``def``
+        inner = prefix
+        if isinstance(child, ast.AsyncFunctionDef):
+            found.append((prefix + child.name, child))
+        if isinstance(child, ast.ClassDef):
+            inner = f"{prefix}{child.name}."
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{prefix}{child.name}.<locals>."
+        found.extend(_coroutines(child, inner))
+    return found
 
 
 def _self_attr(node: ast.AST) -> str | None:

@@ -1,8 +1,9 @@
-"""Interprocedural checkers: REP210/211, REP410, REP510.
+"""Interprocedural checkers: REP210/211, REP401/410, REP510.
 
-All three are :class:`~repro.analysis.core.ProjectChecker`\\ s — they
-see the whole parsed corpus, build one :class:`CallGraph` plus
-per-function summaries, and run a small fixpoint each:
+Each is a :class:`FlowChecker`: the runner builds one
+:class:`CallGraph` and one set of per-function summaries per run and
+hands the same pair to every selected flow checker, which runs a small
+fixpoint over it:
 
 * ``REP210`` — the global lock-acquisition-order graph has a cycle:
   two code paths take the same locks in opposite orders, which
@@ -13,11 +14,18 @@ per-function summaries, and run a small fixpoint each:
   lock is held, directly or through any resolvable call chain. A lock
   held across an unbounded wait stalls every other thread that needs
   the lock for as long as the wait lasts.
-* ``REP410`` — ``REP401``'s blocking-call set, but *reachable* from a
-  coroutine through sync calls (the blind spot of per-function
-  analysis: a helper three frames down calls ``time.sleep``). The
-  diagnostic prints the full chain from the coroutine to the blocking
-  site.
+* ``REP401`` — a blocking call (``time.sleep``, ``open``, ``os.read``,
+  raw sockets, ``subprocess``, a bare ``.result()`` that is not
+  directly awaited; see :func:`repro.analysis.imports.loop_blocking_call`)
+  in the body of a coroutine, at any nesting depth and in any module.
+  One event loop multiplexes every connection, so one such call
+  stalls every client at once. A sync ``def`` nested in a coroutine is
+  not part of its body (it may run via ``asyncio.to_thread``).
+* ``REP410`` — the same blocking-call set, but *reachable* from a
+  coroutine or a ``# loop-only`` method through sync calls (the blind
+  spot of per-function analysis: a helper three frames down calls
+  ``time.sleep``). The diagnostic prints the full chain from the
+  coroutine to the blocking site.
 * ``REP510`` — an exception raised in the engine layers
   (``repro.query`` / ``index`` / ``storage`` / ``delta`` / …) that is
   *not* part of the :class:`~repro.utils.errors.ReproError` taxonomy
@@ -27,16 +35,17 @@ per-function summaries, and run a small fixpoint each:
 
 Everything is conservative: unresolved calls propagate nothing, so a
 finding always corresponds to a concrete chain of resolved calls shown
-in the message.
+in the message. The ``.result()`` rule is name-based and may hit a
+non-future; that is what ``# lint-ok: REP401`` is for.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 
 from repro.analysis.core import ProjectChecker
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.summaries import summarize
 
 #: Layers whose raises must be wrapped before reaching ``repro.net``.
 ENGINE_LAYER_PREFIXES = (
@@ -61,51 +70,16 @@ _ESCAPE_EXEMPT = {
     "builtins.SystemExit",
 }
 
-#: Builtin exception hierarchy (child -> parent), enough to decide
-#: whether an ``except`` clause catches a raise.
+#: Builtin exception hierarchy (child -> parent), read off the running
+#: interpreter: enough to decide whether an ``except`` clause catches a
+#: raise. An alias (``IOError``) maps to the class it names.
 BUILTIN_EXC_PARENTS = {
-    "builtins.Exception": "builtins.BaseException",
-    "builtins.KeyboardInterrupt": "builtins.BaseException",
-    "builtins.SystemExit": "builtins.BaseException",
-    "builtins.GeneratorExit": "builtins.BaseException",
-    "builtins.ArithmeticError": "builtins.Exception",
-    "builtins.ZeroDivisionError": "builtins.ArithmeticError",
-    "builtins.OverflowError": "builtins.ArithmeticError",
-    "builtins.FloatingPointError": "builtins.ArithmeticError",
-    "builtins.AssertionError": "builtins.Exception",
-    "builtins.AttributeError": "builtins.Exception",
-    "builtins.BufferError": "builtins.Exception",
-    "builtins.EOFError": "builtins.Exception",
-    "builtins.ImportError": "builtins.Exception",
-    "builtins.ModuleNotFoundError": "builtins.ImportError",
-    "builtins.LookupError": "builtins.Exception",
-    "builtins.IndexError": "builtins.LookupError",
-    "builtins.KeyError": "builtins.LookupError",
-    "builtins.MemoryError": "builtins.Exception",
-    "builtins.NameError": "builtins.Exception",
-    "builtins.OSError": "builtins.Exception",
-    "builtins.IOError": "builtins.OSError",
-    "builtins.FileNotFoundError": "builtins.OSError",
-    "builtins.PermissionError": "builtins.OSError",
-    "builtins.TimeoutError": "builtins.OSError",
-    "builtins.ConnectionError": "builtins.OSError",
-    "builtins.BrokenPipeError": "builtins.ConnectionError",
-    "builtins.ConnectionAbortedError": "builtins.ConnectionError",
-    "builtins.ConnectionRefusedError": "builtins.ConnectionError",
-    "builtins.ConnectionResetError": "builtins.ConnectionError",
-    "builtins.ReferenceError": "builtins.Exception",
-    "builtins.RuntimeError": "builtins.Exception",
-    "builtins.NotImplementedError": "builtins.RuntimeError",
-    "builtins.RecursionError": "builtins.RuntimeError",
-    "builtins.StopIteration": "builtins.Exception",
-    "builtins.StopAsyncIteration": "builtins.Exception",
-    "builtins.SyntaxError": "builtins.Exception",
-    "builtins.SystemError": "builtins.Exception",
-    "builtins.TypeError": "builtins.Exception",
-    "builtins.ValueError": "builtins.Exception",
-    "builtins.UnicodeError": "builtins.ValueError",
-    "builtins.UnicodeDecodeError": "builtins.UnicodeError",
-    "builtins.UnicodeEncodeError": "builtins.UnicodeError",
+    f"builtins.{name}": "builtins." + (
+        cls.__name__ if cls.__name__ != name else cls.__base__.__name__
+    )
+    for name, cls in vars(builtins).items()
+    if isinstance(cls, type) and issubclass(cls, BaseException)
+    and cls is not BaseException
 }
 
 
@@ -124,23 +98,75 @@ def _qual(graph: CallGraph, fid: str) -> str:
     return f"{tail}.{info.qualname}"
 
 
-class _FlowChecker(ProjectChecker):
-    """Shared scaffolding: build graph + summaries once per run."""
+class FlowChecker(ProjectChecker):
+    """A whole-program analysis over the run's one flow model.
 
-    def _prepare(self, sources):
-        graph = CallGraph(sources)
-        return graph, summarize(graph)
+    :func:`repro.analysis.runner.run_paths` builds the
+    :class:`CallGraph` and its :func:`summarize` output once, the first
+    time a selected checker is a flow checker, and passes the same
+    pair to each one's :meth:`check_flow`.
+    """
+
+    def check_flow(self, graph: CallGraph, summaries: dict) -> list:
+        raise NotImplementedError
 
 
-class LockFlowChecker(_FlowChecker):
+def _blocking_witnesses(summaries: dict, sites: str,
+                       skip_async: bool) -> dict:
+    """``{fid: (chain, desc, path, lineno)}`` — may f block, and where.
+
+    ``sites`` names the summary list that counts as blocking
+    (``"unbounded_blocking"`` for REP211, ``"loop_blocking"`` for
+    REP410); with ``skip_async`` a coroutine neither blocks nor is
+    traversed (it is checked as an entry point of its own). The chain
+    lists fids from f down to the function containing the blocking
+    site; resolution order is sorted, so witnesses are stable.
+    """
+    memo: dict = {}
+
+    def visit(fid, visiting):
+        if fid in memo:
+            return memo[fid]
+        if fid in visiting:
+            return None  # recursion: no new information
+        visiting.add(fid)
+        summary = summaries.get(fid)
+        result = None
+        if summary is not None and not (skip_async and summary.info.is_async):
+            found = getattr(summary, sites)
+            if found:
+                site = min(found, key=lambda s: s.lineno)
+                result = (
+                    (fid,), site.desc, summary.info.source.path, site.lineno,
+                )
+            else:
+                for call in sorted(
+                    summary.calls, key=lambda c: (c.lineno, c.text),
+                ):
+                    if call.callee is None:
+                        continue
+                    deeper = visit(call.callee, visiting)
+                    if deeper is not None:
+                        chain, desc, path, lineno = deeper
+                        result = ((fid,) + chain, desc, path, lineno)
+                        break
+        visiting.discard(fid)
+        memo[fid] = result
+        return result
+
+    for fid in sorted(summaries):
+        visit(fid, set())
+    return memo
+
+
+class LockFlowChecker(FlowChecker):
     name = "lock-flow"
     codes = {
         "REP210": "lock-order cycle across functions (potential deadlock)",
         "REP211": "unbounded wait while holding a lock",
     }
 
-    def check_project(self, sources) -> list:
-        graph, summaries = self._prepare(sources)
+    def check_flow(self, graph, summaries) -> list:
         acquired = self._acquired_fixpoint(graph, summaries)
         diagnostics: list = []
         edges = self._lock_order_edges(graph, summaries, acquired)
@@ -273,7 +299,9 @@ class LockFlowChecker(_FlowChecker):
     # -- REP211 --------------------------------------------------------
 
     def _blocking_diagnostics(self, graph, summaries) -> list:
-        witnesses = self._blocking_witnesses(summaries)
+        witnesses = _blocking_witnesses(
+            summaries, "unbounded_blocking", skip_async=False
+        )
         diagnostics: list = []
         for fid in sorted(summaries):
             summary = summaries[fid]
@@ -316,76 +344,32 @@ class LockFlowChecker(_FlowChecker):
                 )
         return diagnostics
 
-    def _blocking_witnesses(self, summaries) -> dict:
-        """``{fid: (chain, desc, path, lineno)}`` — may f block, and where.
 
-        The chain lists fids from f down to the function containing the
-        blocking site; resolution order is sorted, so witnesses are
-        stable.
-        """
-        memo: dict = {}
-
-        def visit(fid, visiting):
-            if fid in memo:
-                return memo[fid]
-            if fid in visiting:
-                return None  # recursion: no new information
-            visiting.add(fid)
-            summary = summaries.get(fid)
-            result = None
-            if summary is not None:
-                if summary.unbounded_blocking:
-                    site = min(
-                        summary.unbounded_blocking,
-                        key=lambda s: s.lineno,
-                    )
-                    result = (
-                        (fid,), site.desc,
-                        summary.info.source.path, site.lineno,
-                    )
-                else:
-                    for call in sorted(
-                        summary.calls,
-                        key=lambda c: (c.lineno, c.text),
-                    ):
-                        if call.callee is None:
-                            continue
-                        deeper = visit(call.callee, visiting)
-                        if deeper is not None:
-                            chain, desc, path, lineno = deeper
-                            result = ((fid,) + chain, desc, path, lineno)
-                            break
-            visiting.discard(fid)
-            memo[fid] = result
-            return result
-
-        for fid in sorted(summaries):
-            visit(fid, set())
-        return memo
-
-
-class TransitiveBlockingChecker(_FlowChecker):
+class TransitiveBlockingChecker(FlowChecker):
     name = "async-flow"
     codes = {
+        "REP401": "blocking call inside a coroutine",
         "REP410": "event-loop-blocking call reachable from a coroutine",
     }
 
-    def check_project(self, sources) -> list:
-        graph, summaries = self._prepare(sources)
-        witnesses = self._loop_blocking_witnesses(graph, summaries)
+    def check_flow(self, graph, summaries) -> list:
+        witnesses = _blocking_witnesses(
+            summaries, "loop_blocking", skip_async=True
+        )
         diagnostics: list = []
         for fid in sorted(summaries):
             summary = summaries[fid]
             if not (summary.info.is_async or summary.loop_only):
                 continue
             source = summary.info.source
+            if summary.info.is_async:
+                for site in summary.loop_blocking:
+                    diagnostics.append(self.diagnostic(
+                        source, "REP401", site.lineno, site.desc,
+                        col=site.col,
+                    ))
             reported: set = set()
             for call in summary.calls:
-                if call.callee is None:
-                    continue
-                callee_info = graph.functions.get(call.callee)
-                if callee_info is None or callee_info.is_async:
-                    continue  # async callees are checked on their own
                 witness = witnesses.get(call.callee)
                 if witness is None or call.callee in reported:
                     continue
@@ -406,59 +390,14 @@ class TransitiveBlockingChecker(_FlowChecker):
                 )
         return diagnostics
 
-    def _loop_blocking_witnesses(self, graph, summaries) -> dict:
-        """Loop-blocking witness per *sync* function, like REP211's."""
-        memo: dict = {}
 
-        def visit(fid, visiting):
-            if fid in memo:
-                return memo[fid]
-            if fid in visiting:
-                return None
-            visiting.add(fid)
-            summary = summaries.get(fid)
-            result = None
-            if summary is not None and not summary.info.is_async:
-                if summary.loop_blocking:
-                    site = min(
-                        summary.loop_blocking, key=lambda s: s.lineno
-                    )
-                    result = (
-                        (fid,), site.desc,
-                        summary.info.source.path, site.lineno,
-                    )
-                else:
-                    for call in sorted(
-                        summary.calls,
-                        key=lambda c: (c.lineno, c.text),
-                    ):
-                        if call.callee is None:
-                            continue
-                        callee_info = graph.functions.get(call.callee)
-                        if callee_info is None or callee_info.is_async:
-                            continue
-                        deeper = visit(call.callee, visiting)
-                        if deeper is not None:
-                            chain, desc, path, lineno = deeper
-                            result = ((fid,) + chain, desc, path, lineno)
-                            break
-            visiting.discard(fid)
-            memo[fid] = result
-            return result
-
-        for fid in sorted(summaries):
-            visit(fid, set())
-        return memo
-
-
-class ErrorEscapeChecker(_FlowChecker):
+class ErrorEscapeChecker(FlowChecker):
     name = "error-flow"
     codes = {
         "REP510": "untyped engine exception can reach a net handler",
     }
 
-    def check_project(self, sources) -> list:
-        graph, summaries = self._prepare(sources)
+    def check_flow(self, graph, summaries) -> list:
         parents = self._exception_parents(graph)
         escapes = self._escape_fixpoint(summaries, parents)
         diagnostics: list = []
@@ -609,56 +548,25 @@ class ErrorEscapeChecker(_FlowChecker):
 
 
 def _strongly_connected(adjacency: dict) -> list:
-    """Tarjan's SCCs, iterative, deterministic (sorted neighbours)."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list = []
-    counter = [0]
+    """Strongly connected components, each sorted, in sorted order.
 
-    def strongconnect(root):
-        work = [(root, iter(sorted(adjacency.get(root, ()))))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, neighbours = work[-1]
-            advanced = False
-            for neighbour in neighbours:
-                if neighbour not in index:
-                    index[neighbour] = lowlink[neighbour] = counter[0]
-                    counter[0] += 1
+    Lock-order graphs have tens of nodes, so one reachability search
+    per node is plenty.
+    """
+    reach: dict = {}
+    for root in adjacency:
+        seen = {root}
+        stack = [root]
+        while stack:
+            for neighbour in adjacency.get(stack.pop(), ()):
+                if neighbour not in seen:
+                    seen.add(neighbour)
                     stack.append(neighbour)
-                    on_stack.add(neighbour)
-                    work.append(
-                        (neighbour,
-                         iter(sorted(adjacency.get(neighbour, ()))))
-                    )
-                    advanced = True
-                    break
-                if neighbour in on_stack:
-                    lowlink[node] = min(
-                        lowlink[node], index[neighbour]
-                    )
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-
+        reach[root] = seen
+    components: dict = {}
     for node in sorted(adjacency):
-        if node not in index:
-            strongconnect(node)
-    return components
+        component = tuple(
+            sorted(other for other in reach[node] if node in reach[other])
+        )
+        components.setdefault(component, None)
+    return [list(component) for component in components]

@@ -9,8 +9,9 @@ need, each fact tagged with its lexical context:
 * **entry locks** — ``# holds-lock: <attr>`` on the ``def`` line:
   locks the *caller* holds for the whole body;
 * **blocking sites** — split exactly like :mod:`repro.analysis.imports`:
-  event-loop-blocking calls (for ``REP410``) and unbounded waits (for
-  ``REP211``), each with the held-lock context;
+  event-loop-blocking calls (for ``REP401`` / ``REP410``; a directly
+  awaited call is exempt) and unbounded waits (for ``REP211``), each
+  with its position and the held-lock context;
 * **call sites** — resolved edges with held locks and the exception
   types any enclosing ``try`` would catch;
 * **raise sites** — explicit ``raise X(...)`` with the class resolved
@@ -42,6 +43,7 @@ class Acquisition:
 @dataclass
 class BlockingSite:
     lineno: int
+    col: int
     desc: str
     held: tuple
 
@@ -209,14 +211,16 @@ class _SummaryWalker:
             node, self.imports, awaited=id(node) in self._awaited
         )
         if loop_msg is not None:
-            self.summary.loop_blocking.append(
-                BlockingSite(lineno=node.lineno, desc=loop_msg, held=held)
-            )
+            self.summary.loop_blocking.append(BlockingSite(
+                lineno=node.lineno, col=node.col_offset, desc=loop_msg,
+                held=held,
+            ))
         wait_msg = unbounded_wait_call(node, self.imports)
         if wait_msg is not None and not self._is_condition_wait(node, held):
-            self.summary.unbounded_blocking.append(
-                BlockingSite(lineno=node.lineno, desc=wait_msg, held=held)
-            )
+            self.summary.unbounded_blocking.append(BlockingSite(
+                lineno=node.lineno, col=node.col_offset, desc=wait_msg,
+                held=held,
+            ))
         self._record_explicit_acquire(node, held)
 
     def _record_explicit_acquire(self, node: ast.Call,

@@ -1,12 +1,11 @@
 """Per-file import-alias resolution and the shared blocking-call model.
 
-Two checkers need to answer "what does this call expression actually
-invoke?": the per-file asyncio-hygiene checker (``REP401``) and the
-interprocedural flow layer (:mod:`repro.analysis.flow`). Before this
-module existed, ``REP401`` matched blocking calls purely on the
-``module.attr`` spelling — so ``from time import sleep`` or
-``import time as t`` slipped straight past it. :class:`ImportMap`
-closes that hole once, for every consumer: it records how each local
+The flow layer (:mod:`repro.analysis.flow`) needs to answer "what
+does this call expression actually invoke?" for every blocking-call
+and call-graph rule. Matching blocking calls on the ``module.attr``
+spelling alone lets ``from time import sleep`` or ``import time as
+t`` slip straight past. :class:`ImportMap` closes that hole once:
+built once per module by the call graph, it records how each local
 name was bound by the file's imports, and resolves call expressions
 back to ``(module, attribute)`` pairs.
 

@@ -21,6 +21,7 @@ from repro.analysis.core import (
     parse_source,
 )
 from repro.analysis.checkers import all_checkers
+from repro.analysis.flow import CallGraph, FlowChecker, summarize
 
 
 def discover_files(paths) -> list:
@@ -39,23 +40,10 @@ def discover_files(paths) -> list:
     return found
 
 
-def run_paths(paths, checkers=None, select=None) -> "Report":
-    """Lint every file under ``paths``; returns a :class:`Report`.
-
-    ``select`` optionally restricts to a set of checker names or
-    diagnostic codes (the fixture tests isolate one checker at a
-    time with it).
-    """
-    checkers = list(checkers) if checkers is not None else all_checkers()
-    if select:
-        wanted = set(select)
-        checkers = [
-            checker for checker in checkers
-            if checker.name in wanted or (set(checker.codes) & wanted)
-        ]
+def _parse_files(files) -> tuple:
+    """``(sources, diagnostics)``: each file parsed, or one REP001."""
     sources: list = []
     diagnostics: list = []
-    files = discover_files(paths)
     for path in files:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -71,16 +59,47 @@ def run_paths(paths, checkers=None, select=None) -> "Report":
                     checker="runner",
                 )
             )
+    return sources, diagnostics
+
+
+def run_paths(paths, checkers=None, select=None) -> "Report":
+    """Lint every file under ``paths``; returns a :class:`Report`.
+
+    ``select`` optionally restricts to a set of checker names or
+    diagnostic codes (the fixture tests isolate one checker at a
+    time with it): a named checker reports every code it has, a named
+    code only that code. The flow model (one :class:`CallGraph` and
+    its summaries) is built once, and only when a selected checker is
+    a :class:`FlowChecker`.
+    """
+    checkers = list(checkers) if checkers is not None else all_checkers()
+    wanted = set(select or ())
+    if wanted:
+        checkers = [
+            checker for checker in checkers
+            if checker.name in wanted or (set(checker.codes) & wanted)
+        ]
+    files = discover_files(paths)
+    sources, diagnostics = _parse_files(files)
     by_path = {source.path: source for source in sources}
+    flow = None
     suppressed = 0
     for checker in checkers:
-        if isinstance(checker, ProjectChecker):
+        if isinstance(checker, FlowChecker):
+            if flow is None:
+                graph = CallGraph(sources)
+                flow = (graph, summarize(graph))
+            found = checker.check_flow(*flow)
+        elif isinstance(checker, ProjectChecker):
             found = checker.check_project(sources)
         else:
             found = []
             for source in sources:
                 found.extend(checker.check(source))
+        every_code = not wanted or checker.name in wanted
         for diagnostic in found:
+            if not (every_code or diagnostic.code in wanted):
+                continue
             source = by_path.get(diagnostic.path)
             if source is not None and source.is_suppressed(
                 diagnostic.code, diagnostic.line
@@ -139,17 +158,15 @@ class Report:
         return "\n".join(lines)
 
 
-def _dump_call_graph(paths, destination: str) -> int:
-    """Parse ``paths`` and dump the resolved call graph as JSON."""
-    from repro.analysis.flow.callgraph import CallGraph
+def _dump_call_graph(paths, destination: str, strict: bool) -> int:
+    """Parse ``paths`` and dump the resolved call graph as JSON.
 
-    sources: list = []
-    for path in discover_files(paths):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                sources.append(parse_source(path, handle.read()))
-        except (OSError, UnicodeDecodeError, AnalysisError):
-            continue  # unparseable files simply have no nodes
+    A file that cannot be parsed has no nodes; its REP001 goes to
+    stderr (and fails the run under ``--strict``).
+    """
+    sources, errors = _parse_files(discover_files(paths))
+    for diagnostic in errors:
+        print(diagnostic.format(), file=sys.stderr)
     payload = json.dumps(
         CallGraph(sources).to_dict(), indent=2, sort_keys=True
     )
@@ -158,7 +175,7 @@ def _dump_call_graph(paths, destination: str) -> int:
     else:
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
-    return 0
+    return 1 if strict and errors else 0
 
 
 def _list_codes() -> str:
@@ -193,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--select", action="append", metavar="NAME_OR_CODE",
-        help="run only the named checkers / codes (repeatable)",
+        help=(
+            "run only the named checkers (all their codes) or codes "
+            "(only those codes); repeatable"
+        ),
     )
     parser.add_argument(
         "--list-codes", action="store_true",
@@ -223,7 +243,7 @@ def main(argv=None) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
     if args.call_graph:
-        return _dump_call_graph(args.paths, args.call_graph)
+        return _dump_call_graph(args.paths, args.call_graph, args.strict)
     report = run_paths(args.paths, select=args.select)
     if args.json:
         payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -93,6 +93,18 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _alpha(text: str) -> float:
+    """``--alpha``: the check a request's ``alpha`` gets on the wire."""
+    from repro.net.protocol import checked_alpha
+
+    try:
+        return checked_alpha(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -149,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "(see repro.query.pattern)"
         ),
     )
-    query.add_argument("--alpha", type=float, default=0.5)
+    query.add_argument("--alpha", type=_alpha, default=0.5)
     query.add_argument("--max-length", type=int, default=2, dest="max_length")
     query.add_argument("--beta", type=float, default=0.05)
     query.add_argument(
@@ -192,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pattern",
         help="inline pattern, e.g. '(a:DB)-(b:ML)-(c:DB); (a)-(c)'",
     )
-    metrics.add_argument("--alpha", type=float, default=0.5)
+    metrics.add_argument("--alpha", type=_alpha, default=0.5)
     metrics.add_argument("--max-length", type=int, default=2, dest="max_length")
     metrics.add_argument("--beta", type=float, default=0.05)
     metrics.add_argument(
@@ -220,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pattern",
         help="inline pattern, e.g. '(a:DB)-(b:ML)-(c:DB); (a)-(c)'",
     )
-    plan.add_argument("--alpha", type=float, default=0.5)
+    plan.add_argument("--alpha", type=_alpha, default=0.5)
     plan.add_argument("--max-length", type=int, default=2, dest="max_length")
     plan.add_argument("--beta", type=float, default=0.05)
     plan.add_argument(
@@ -316,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queries",
         help="workload file (JSON lines or one JSON list); default: stdin",
     )
-    serve.add_argument("--alpha", type=float, default=0.5)
+    serve.add_argument("--alpha", type=_alpha, default=0.5)
     serve.add_argument("--max-length", type=int, default=2, dest="max_length")
     serve.add_argument("--beta", type=float, default=0.05)
     serve.add_argument(
@@ -371,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument("address", metavar="HOST:PORT")
     client.add_argument("--spec", help="query spec JSON file")
-    client.add_argument("--alpha", type=float, default=0.5)
+    client.add_argument("--alpha", type=_alpha, default=0.5)
     client.add_argument(
         "--deadline-ms", type=float, default=None, dest="deadline_ms",
         help="per-request deadline in milliseconds",
@@ -495,8 +507,6 @@ def _cmd_metrics(args) -> int:
 def _cmd_plan(args) -> int:
     import time
 
-    if not 0.0 < args.alpha <= 1.0:
-        raise ReproError(f"alpha must be in (0, 1], got {args.alpha}")
     peg = load_peg(args.peg)
     query = _query_from_args(args)
     engine = QueryEngine(peg, max_length=args.max_length, beta=args.beta)

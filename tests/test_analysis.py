@@ -117,6 +117,40 @@ class TestFramework:
         by_code = lint_tree(tmp_path, files, select=["REP601"])
         assert codes_of(by_code) == ["REP601"]
 
+    def test_select_by_code_reports_only_that_code(self, tmp_path):
+        files = {
+            "repro/service/mod.py": """\
+                import threading
+                import time
+
+                class Stats:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.hits = 0  # guarded-by: _lock
+                        self.typo = 0  # guarded-by: _missing
+
+                    def read(self):
+                        return self.hits
+
+                async def handler():
+                    time.sleep(0.1)
+                    helper()
+
+                def helper():
+                    time.sleep(0.1)
+            """,
+        }
+        assert codes_of(lint_tree(tmp_path, files, select=["REP203"])) == [
+            "REP203"
+        ]
+        assert codes_of(lint_tree(tmp_path, files, select=["REP401"])) == [
+            "REP401"
+        ]
+        # A checker name still selects every code it has.
+        assert codes_of(
+            lint_tree(tmp_path, files, select=["lock-discipline", "REP410"])
+        ) == ["REP203", "REP201", "REP410"]
+
     def test_diagnostic_format_is_path_line_col_code(self, tmp_path):
         report = lint_tree(tmp_path, {
             "repro/query/mod.py": """\
@@ -480,7 +514,7 @@ class TestAsyncioHygieneChecker:
                 async def handler():
                     time.sleep(0.1)
             """,
-        })
+        }, select=["async-flow"])
         assert codes_of(report) == ["REP401"]
 
     def test_open_and_bare_result_flag(self, tmp_path):
@@ -491,7 +525,7 @@ class TestAsyncioHygieneChecker:
                         handle.read()
                     return future.result()
             """,
-        })
+        }, select=["async-flow"])
         assert codes_of(report) == ["REP401", "REP401"]
 
     def test_asyncio_sleep_and_result_with_timeout_are_clean(self, tmp_path):
@@ -503,7 +537,7 @@ class TestAsyncioHygieneChecker:
                     await asyncio.sleep(0.1)
                     return future.result(0)
             """,
-        })
+        }, select=["async-flow"])
         assert report.clean
 
     def test_nested_sync_def_is_exempt(self, tmp_path):
@@ -518,7 +552,7 @@ class TestAsyncioHygieneChecker:
                         time.sleep(1.0)
                     return blocking
             """,
-        })
+        }, select=["async-flow"])
         assert report.clean
 
     def test_sync_function_is_out_of_scope(self, tmp_path):
@@ -529,7 +563,7 @@ class TestAsyncioHygieneChecker:
                 def worker():
                     time.sleep(0.1)
             """,
-        })
+        }, select=["async-flow"])
         assert report.clean
 
     def test_from_import_alias_flags(self, tmp_path):
@@ -542,7 +576,7 @@ class TestAsyncioHygieneChecker:
                 async def handler():
                     sleep(0.1)
             """,
-        })
+        }, select=["async-flow"])
         assert codes_of(report) == ["REP401"]
         assert "time.sleep" in report.diagnostics[0].message
 
@@ -554,7 +588,7 @@ class TestAsyncioHygieneChecker:
                 async def handler():
                     snooze(0.1)
             """,
-        })
+        }, select=["async-flow"])
         assert codes_of(report) == ["REP401"]
 
     def test_module_alias_flags(self, tmp_path):
@@ -565,7 +599,7 @@ class TestAsyncioHygieneChecker:
                 async def handler():
                     t.sleep(0.1)
             """,
-        })
+        }, select=["async-flow"])
         assert codes_of(report) == ["REP401"]
 
     def test_harmless_from_import_is_clean(self, tmp_path):
@@ -576,7 +610,7 @@ class TestAsyncioHygieneChecker:
                 async def handler():
                     return monotonic()
             """,
-        })
+        }, select=["async-flow"])
         assert report.clean
 
     def test_awaited_result_is_clean(self, tmp_path):
@@ -585,7 +619,7 @@ class TestAsyncioHygieneChecker:
                 async def handler(task):
                     return await task.result()
             """,
-        })
+        }, select=["async-flow"])
         assert report.clean
 
     def test_suppression_respected(self, tmp_path):
@@ -594,9 +628,56 @@ class TestAsyncioHygieneChecker:
                 async def handler(memo):
                     return memo.result()  # lint-ok: REP401 not a future
             """,
-        })
+        }, select=["async-flow"])
         assert report.clean
         assert report.suppressed == 1
+
+    def test_nested_coroutines_report_each_site_once(self, tmp_path):
+        # A coroutine nested in a coroutine used to be walked twice (by
+        # itself and inside its parent's body), giving two REP401 for
+        # one call; one nested in a plain function must still be seen.
+        report = lint_tree(tmp_path, {
+            "mod.py": """\
+                import time
+
+                async def outer():
+                    async def inner():
+                        time.sleep(0.1)
+                    time.sleep(0.2)
+                    return inner
+
+                def factory():
+                    class Handler:
+                        async def handle(self):
+                            time.sleep(0.3)
+                    async def run():
+                        time.sleep(0.4)
+                    return Handler, run
+            """,
+        }, select=["REP401"])
+        assert [(d.code, d.line, d.col) for d in report.diagnostics] == [
+            ("REP401", 5, 8), ("REP401", 6, 4),
+            ("REP401", 12, 12), ("REP401", 14, 8),
+        ]
+
+    def test_same_module_name_in_two_trees_both_flag(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "a/mod.py": """\
+                import time
+
+                async def handler():
+                    time.sleep(0.1)
+            """,
+            "b/mod.py": """\
+                from time import sleep
+
+                async def handler():
+                    sleep(0.1)
+            """,
+        }, select=["REP401"])
+        assert codes_of(report) == ["REP401", "REP401"]
+        assert [os.path.basename(os.path.dirname(d.path))
+                for d in report.diagnostics] == ["a", "b"]
 
 
 class TestErrorTaxonomyChecker:

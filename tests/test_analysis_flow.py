@@ -1,10 +1,11 @@
 """Tests for the interprocedural flow layer (repro.analysis.flow).
 
 Covers the call-graph builder itself (resolution forms, cycle
-tolerance, unknown-callee conservatism), the three flow checkers'
-must-flag / must-not-flag fixtures — including the acceptance fixture:
-two functions acquiring two locks in opposite orders, flagged by
-REP210 — and the ``--call-graph`` dump surface.
+tolerance, unknown-callee conservatism), the one flow model a run
+builds, the three flow checkers' must-flag / must-not-flag fixtures —
+including the acceptance fixture: two functions acquiring two locks in
+opposite orders, flagged by REP210 — and the ``--call-graph`` dump
+surface.
 """
 
 from __future__ import annotations
@@ -493,7 +494,9 @@ class TestTransitiveBlockingChecker:
                     time.sleep(0.1)
             """,
         }, select=["async-flow"])
-        assert report.clean  # REP401's territory, not REP410's
+        # REP401's territory, not REP410's: no sync chain to print.
+        assert codes_of(report) == ["REP401"]
+        assert report.diagnostics[0].line == 4
 
     def test_async_callee_is_not_traversed(self, tmp_path):
         report = lint_tree(tmp_path, {
@@ -635,6 +638,40 @@ class TestErrorEscapeChecker:
         assert report.clean
 
 
+class TestOneFlowModel:
+    def test_call_graph_built_once_per_run(self, tmp_path, monkeypatch):
+        from repro.analysis.imports import ImportMap
+
+        built = {"graphs": 0, "import_maps": 0}
+        graph_init, imports_init = CallGraph.__init__, ImportMap.__init__
+
+        def counting_graph(self, sources):
+            built["graphs"] += 1
+            graph_init(self, sources)
+
+        def counting_imports(self, tree):
+            built["import_maps"] += 1
+            imports_init(self, tree)
+
+        monkeypatch.setattr(CallGraph, "__init__", counting_graph)
+        monkeypatch.setattr(ImportMap, "__init__", counting_imports)
+        files = {
+            "repro/service/pair.py": DEADLOCK_PAIR_SOURCE,
+            "repro/net/mod.py": """\
+                import time
+
+                async def handler():
+                    time.sleep(0.1)
+            """,
+        }
+        report = lint_tree(tmp_path, files)
+        assert {"REP210", "REP401"} <= set(codes_of(report))
+        assert built == {"graphs": 1, "import_maps": len(files)}
+        built.update(graphs=0, import_maps=0)
+        lint_tree(tmp_path, files, select=["determinism"])
+        assert built == {"graphs": 0, "import_maps": 0}
+
+
 class TestCallGraphDump:
     def test_dump_to_stdout(self, tmp_path, capsys):
         target = tmp_path / "repro" / "query" / "mod.py"
@@ -663,6 +700,20 @@ class TestCallGraphDump:
         ) == 0
         payload = json.loads(out.read_text())
         assert "repro.query.mod:solo" in payload
+
+    def test_unparseable_file_is_reported_not_skipped(self, tmp_path,
+                                                      capsys):
+        (tmp_path / "good.py").write_text("def solo():\n    return 1\n")
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        assert lint_main([str(tmp_path), "--call-graph", "-"]) == 0
+        captured = capsys.readouterr()
+        assert "good:solo" in json.loads(captured.out)
+        assert "broken.py:1:0: REP001 file could not be analyzed" in (
+            captured.err
+        )
+        assert lint_main(
+            [str(tmp_path), "--call-graph", "-", "--strict"]
+        ) == 1
 
     def test_real_tree_dump_is_well_formed(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src" / "repro"

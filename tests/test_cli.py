@@ -287,6 +287,38 @@ class TestServe:
         assert err.startswith("error: workload entry rejected: alpha")
         assert len(err.splitlines()) == 1
 
+    def test_serve_bad_alpha_fails_before_the_offline_phase(
+        self, peg_file, tmp_path, capsys
+    ):
+        workload = self.write_workload(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", peg_file, "--snapshot", str(tmp_path / "bundle"),
+                "--queries", workload, "--alpha", "7",
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "cold start" not in captured.out
+        assert "--alpha: alpha must be in (0, 1], got 7.0" in captured.err
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["query", "{peg}", "--pattern", "(a:L0)"],
+        ["metrics", "{peg}", "--pattern", "(a:L0)"],
+        ["plan", "{peg}", "--pattern", "(a:L0)"],
+        ["serve", "{peg}"],
+        ["client", "127.0.0.1:1"],
+    ])
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "abc"])
+    def test_every_alpha_is_checked_at_parse_time(
+        self, peg_file, capsys, command, alpha
+    ):
+        argv = [arg.format(peg=peg_file) for arg in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--alpha", alpha])
+        assert excinfo.value.code == 2
+        assert "argument --alpha:" in capsys.readouterr().err
+
 
 class TestBuild:
     def test_build_then_warm_serve(self, peg_file, tmp_path, capsys):
@@ -547,9 +579,10 @@ class TestPlan:
         assert "source=cache" in out
 
     def test_plan_rejects_bad_alpha(self, peg_file, capsys):
-        assert main(
-            ["plan", peg_file, "--pattern", "(a:L0)-(b:L1)", "--alpha", "1.5"]
-        ) == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", peg_file, "--pattern", "(a:L0)-(b:L1)",
+                  "--alpha", "1.5"])
+        assert excinfo.value.code == 2
         assert "alpha must be in (0, 1]" in capsys.readouterr().err
 
     def test_plan_bad_spec(self, peg_file, tmp_path, capsys):
