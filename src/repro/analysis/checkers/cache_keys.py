@@ -22,8 +22,10 @@ failure mode a cache has.
 
 ``REP303``
     A registered key-builder function no longer references one of its
-    required ingredients — e.g. ``plan_key`` without ``graph_version``
-    would survive live updates with stale plans, ``plan_key`` without
+    required ingredients — e.g. ``plan_key`` without ``histogram_epoch``
+    would survive compaction with plans costed on stale histograms,
+    ``request_key`` without ``graph_version`` would serve pre-update
+    results, ``plan_key`` without
     ``milli`` (:func:`repro.index.grid.milli`, the grid's rounding
     rule) would fragment the milli-bucket sharing contract.
 
@@ -44,7 +46,7 @@ from repro.analysis.core import Diagnostic, ProjectChecker
 #: reference inside the function body.
 KEY_BUILDER_CONTRACTS = {
     "request_key": {"canonical_form", "graph_version"},
-    "plan_key": {"canonical_form", "milli", "graph_version", "max_length"},
+    "plan_key": {"canonical_form", "milli", "histogram_epoch", "max_length"},
     "build_candidate_links_vectorized": {
         "pair_signature", "fingerprint", "milli", "graph_version",
     },

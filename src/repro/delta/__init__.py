@@ -82,11 +82,13 @@ def apply_mutations(engine, ops, log: MutationLog | None = None) -> dict:
     On success the engine's index is (re)wrapped in a
     :class:`DeltaOverlayIndex`, its context is replaced by one patched
     for the batch (:func:`~repro.index.context.patch_context`), and
-    ``graph_version`` is bumped — exactly once per batch; everything
-    the engine derives from the PEG (plans, link structures,
-    probability arrays) is keyed by that version. If an op fails
-    midway, the dirtied prefix is still absorbed and the version still
-    bumped (the PEG has changed), then the error propagates.
+    ``graph_version`` is bumped — exactly once per batch; the caches
+    of what the engine derives from the PEG (results, link structures)
+    are keyed by that version, and probability arrays are views of the
+    graph's own columns, which the ops patched. Plans are not: they
+    depend on the histograms, which only compaction rewrites. If an op
+    fails midway, the dirtied prefix is still absorbed and the version
+    still bumped (the PEG has changed), then the error propagates.
 
     The summary's ``enumerated_paths`` is what the batch cost the
     overlay (directed partial paths expanded), ``delta_paths`` what the

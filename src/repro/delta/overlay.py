@@ -12,7 +12,9 @@ it contains a dirty node.
   results are filtered to drop paths through dirty nodes (stale), and a
   small in-memory *delta index* — the current paths through dirty
   nodes — is unioned in. The two sides are disjoint by construction,
-  so no deduplication is needed.
+  so no deduplication is needed. Whether a row holds a dirty node is
+  one gather from a boolean mask over the id space. Estimates read the
+  base histograms alone, so a batch moves no estimate and no plan.
 * **Writes** (:meth:`absorb`) patch the delta: rows through the nodes
   the batch dirtied are dropped and the current paths through those
   nodes are enumerated
@@ -24,8 +26,9 @@ it contains a dirty node.
   store — one columnar pass per stored sequence, rewriting only the
   buckets of sequences whose path lists changed, through the builder's
   own writer (:func:`~repro.index.builder.bucket_payloads`,
-  :func:`~repro.index.builder.write_buckets`) — after which the overlay
-  serves pure fall-through until the next mutation.
+  :func:`~repro.index.builder.write_buckets`) and rewrites the
+  histograms, bumping the base's ``histogram_epoch`` — after which the
+  overlay serves pure fall-through until the next mutation.
 
 The enumeration's output, the delta and a sequence on its way back to
 the store are the same :class:`~repro.index.paths.PathCandidates`
@@ -33,8 +36,6 @@ columns: no per-path object between an absorb and a lookup.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -49,11 +50,7 @@ from repro.index.paths import (
     decode_paths_above,
 )
 from repro.index.path_index import PathIndex
-from repro.index.protocol import (
-    PathIndexProtocol,
-    canonical_sequence,
-    is_palindrome,
-)
+from repro.index.protocol import PathIndexProtocol
 from repro.obs.metrics import get_registry
 from repro.obs.timing import Timer
 from repro.obs.trace import current_span
@@ -75,6 +72,12 @@ _ENUMERATED_PATHS = _REGISTRY.counter("repro_delta_enumerated_paths_total")
 class DeltaOverlayIndex(PathIndexProtocol):
     """Base index + in-memory delta for paths through dirty nodes.
 
+    Cardinality estimates are the base's, unchanged by absorbs: the
+    base histograms still count the paths lookups mask and miss the
+    delta's, until :meth:`compact` rewrites them. An estimate feeds
+    decomposition ordering only, and any valid decomposition yields
+    the same matches, so the drift costs plan quality, never answers.
+
     Parameters
     ----------
     base:
@@ -95,6 +98,10 @@ class DeltaOverlayIndex(PathIndexProtocol):
         self.max_length = base.max_length
         self.beta = base.beta
         self.gamma = base.gamma
+        #: The base's histograms, not a copy: the overlay estimates
+        #: from them alone, so an absorb moves no estimate and a plan
+        #: outlives every batch until compaction rewrites them.
+        self.histograms = base.histograms
         self._set_dirty(frozenset())
         #: ``{canonical sequence: PathCandidates}`` — the current paths
         #: through dirty nodes, by decreasing probability.
@@ -108,8 +115,15 @@ class DeltaOverlayIndex(PathIndexProtocol):
 
     def _set_dirty(self, dirty: frozenset) -> None:
         self._dirty = dirty
-        #: The same ids as the array lookups and compaction mask with.
-        self._dirty_array = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+        #: The same ids as a boolean mask over the id space, sized after
+        #: the PEG was mutated: every id a stored or delta row holds is
+        #: in range, and lookups and compaction test rows with a gather.
+        self._dirty_mask = self._id_mask(dirty)
+
+    def _id_mask(self, ids) -> np.ndarray:
+        mask = np.zeros(self.peg.columns.size, dtype=bool)
+        mask[list(ids)] = True
+        return mask
 
     @property
     def dirty_nodes(self) -> frozenset:
@@ -136,10 +150,10 @@ class DeltaOverlayIndex(PathIndexProtocol):
         batch = frozenset(dirty_ids)
         with Timer() as timer:
             self._set_dirty(self._dirty | batch)
-            batch_array = np.fromiter(batch, dtype=np.int64, count=len(batch))
+            batch_mask = self._id_mask(batch)
             delta: dict = {}
             for seq, rows in self._delta.items():
-                keep = ~np.isin(rows.nodes, batch_array).any(axis=1)
+                keep = ~batch_mask[rows.nodes].any(axis=1)
                 if keep.any():
                     delta[seq] = rows.take(keep)
             found, self.enumerated_paths = PathIndexBuilder(
@@ -168,7 +182,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
     ) -> PathCandidates:
         paths = self.base.lookup_canonical(canonical_seq, alpha)
         if self._dirty:
-            stale = np.isin(paths.nodes, self._dirty_array).any(axis=1)
+            stale = self._dirty_mask[paths.nodes].any(axis=1)
             masked = int(stale.sum())
             if masked:
                 _MASKED_PATHS.inc(masked)
@@ -185,30 +199,6 @@ class DeltaOverlayIndex(PathIndexProtocol):
                 if span.enabled:
                     span.incr("overlay_delta_paths", len(extra))
         return paths
-
-    def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
-        """The base histogram's estimate plus the delta's rows above
-        ``alpha``: an over-count until compaction.
-
-        The base histogram still counts the base paths lookups mask
-        (those through dirty nodes); the overlay does not subtract
-        them, because knowing how many would take a store scan, and an
-        estimate must not read what earlier lookups saw — a plan is a
-        pure function of its cache key (:mod:`repro.query.plan`).
-        Compaction trues the histograms up. The estimate feeds
-        decomposition ordering only, never correctness.
-        """
-        estimate = self.base.estimate_cardinality(label_seq, alpha)
-        seq = tuple(label_seq)
-        canonical = canonical_sequence(seq)
-        palindrome = is_palindrome(seq) and len(seq) > 1
-        extra_paths = self._delta.get(canonical)
-        if extra_paths is not None:
-            extra = len(extra_paths.above(alpha))
-            if palindrome:
-                extra *= 2
-            estimate += extra
-        return estimate
 
     # ------------------------------------------------------------------
     # Compaction
@@ -227,9 +217,11 @@ class DeltaOverlayIndex(PathIndexProtocol):
         and writes back bucket by bucket (stores are append-only, so
         compaction grows the record log rather than reclaiming it).
         Histograms are rebuilt from the new counts, so cardinality
-        estimates are exact again. After compaction the overlay is
-        clean: lookups fall through to the base untouched until the
-        next :meth:`absorb`.
+        estimates are exact again, and the base's ``histogram_epoch``
+        is bumped, which re-keys every cached plan
+        (:func:`repro.query.plan.plan_key`). After compaction the
+        overlay is clean: lookups fall through to the base untouched
+        until the next :meth:`absorb`.
         """
         stats = {
             "sequences_rewritten": 0,
@@ -248,6 +240,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
                     base.histograms[seq] = histogram
                 else:
                     base.histograms.pop(seq, None)
+            base.histogram_epoch += 1
             self._set_dirty(frozenset())
             self._delta = {}
         _COMPACT_SECONDS.observe(timer.elapsed)
@@ -272,7 +265,7 @@ class DeltaOverlayIndex(PathIndexProtocol):
                 0.0,
                 len(seq),
             )
-            stale = np.isin(rows.nodes, self._dirty_array).any(axis=1)
+            stale = self._dirty_mask[rows.nodes].any(axis=1)
             dropped = int(stale.sum())
             added = self._delta.get(seq)
             if not dropped and added is None:

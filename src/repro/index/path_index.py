@@ -16,8 +16,6 @@ scan starts is asked of the index's ``grid``
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.index.grid import BucketGrid
 from repro.index.paths import (
     PathCandidates,
@@ -67,6 +65,10 @@ class PathIndex(PathIndexProtocol):
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.histograms = dict(histograms)
+        #: Bumped whenever compaction rewrites :attr:`histograms`
+        #: (:meth:`repro.delta.overlay.DeltaOverlayIndex.compact`); plan
+        #: cache keys mix it in, so it alone re-keys estimate-costed plans.
+        self.histogram_epoch = 0
         self.build_stats = dict(build_stats or {})
         #: The grid the paths were filed on.
         self.grid = BucketGrid(self.beta, self.gamma)
@@ -97,22 +99,6 @@ class PathIndex(PathIndexProtocol):
             span.incr("index_fetches")
             span.incr("paths_decoded", len(results))
         return results
-
-    def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
-        """Histogram estimate of ``|PIndex(label_seq, alpha)|``.
-
-        Uses the per-sequence cumulative histogram with exponential curve
-        fitting; returns 0 for sequences never indexed. Palindromic
-        sequences double the estimate, mirroring :meth:`lookup`.
-        """
-        seq = tuple(label_seq)
-        histogram = self.histograms.get(canonical_sequence(seq))
-        if histogram is None:
-            return 0.0
-        estimate = histogram.estimate(max(alpha, self.beta))
-        if is_palindrome(seq) and len(seq) > 1:
-            estimate *= 2.0
-        return estimate
 
     # ------------------------------------------------------------------
     # Introspection

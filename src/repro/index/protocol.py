@@ -87,14 +87,17 @@ class PathIndexProtocol(ABC):
     """Contract of a queryable context-aware path index.
 
     Implementations carry the grid parameters ``max_length``, ``beta``
-    and ``gamma`` as attributes and provide the canonical-space
-    primitives; the public :meth:`lookup` — validation, canonicalisation
-    and orientation — is implemented once here.
+    and ``gamma`` and the per-sequence ``histograms`` as attributes and
+    provide the canonical-space primitive; the public :meth:`lookup` —
+    validation, canonicalisation and orientation — and the histogram
+    estimate are implemented once here.
     """
 
     max_length: int
     beta: float
     gamma: float
+    #: ``{canonical sequence: CardinalityHistogram}`` of the stored paths.
+    histograms: dict
 
     # -- canonical-space primitives ------------------------------------
 
@@ -110,9 +113,21 @@ class PathIndexProtocol(ABC):
         :func:`orient_to_sequence`'s job.
         """
 
-    @abstractmethod
     def estimate_cardinality(self, label_seq: Sequence, alpha: float) -> float:
-        """Histogram estimate of ``|PIndex(label_seq, alpha)|``."""
+        """Histogram estimate of ``|PIndex(label_seq, alpha)|``.
+
+        Uses the per-sequence cumulative histogram with exponential curve
+        fitting; returns 0 for sequences never indexed. Palindromic
+        sequences double the estimate, mirroring :meth:`lookup`.
+        """
+        seq = tuple(label_seq)
+        histogram = self.histograms.get(canonical_sequence(seq))
+        if histogram is None:
+            return 0.0
+        estimate = histogram.estimate(max(alpha, self.beta))
+        if is_palindrome(seq) and len(seq) > 1:
+            estimate *= 2.0
+        return estimate
 
     # -- shared public lookup ------------------------------------------
 

@@ -222,7 +222,7 @@ class QueryEngine:
         with self.offline_timings.stage("context"):
             self.context: ContextInformation = build_context(peg)
         #: The planning subsystem: a plan cache keyed by canonical
-        #: query form × milli-alpha × graph_version
+        #: query form × milli-alpha × the index's histogram epoch
         #: (:mod:`repro.query.plan`).
         self.planner = QueryPlanner(self)
 
@@ -270,7 +270,8 @@ class QueryEngine:
         patches the delta and the context tables for the dirtied nodes
         (a new context object; the PEG's own columns were patched in
         place by the ops) and bumps :attr:`graph_version` (which re-keys
-        the plan and link caches).
+        the result and link caches). Cached plans survive: the overlay
+        estimates from the base histograms, which a batch leaves alone.
         Not safe to call concurrently with
         queries on this engine — the serving layer
         (:meth:`repro.service.QueryService.apply_updates`) provides the
@@ -285,7 +286,10 @@ class QueryEngine:
 
         After compaction the engine's index is the (updated) base index
         again — e.g. ready for :meth:`save_offline`. No-op for an
-        engine that never absorbed updates.
+        engine that never absorbed updates. Compaction rewrites the
+        histograms and bumps their epoch, which re-keys every cached
+        plan; the link cache needs nothing: compaction leaves the PEG,
+        and hence every candidate set and link structure, unchanged.
         """
         from repro.delta import DeltaOverlayIndex
 
@@ -298,11 +302,6 @@ class QueryEngine:
         overlay = self.index
         stats = overlay.compact()
         self.index = overlay.base
-        # Compaction trues the histograms up: plans costed against the
-        # drifted estimates are re-planned against exact ones.
-        # The link cache needs nothing: compaction leaves the PEG, and
-        # hence every candidate set and link structure, unchanged.
-        self.planner.invalidate()
         return stats
 
     # ------------------------------------------------------------------

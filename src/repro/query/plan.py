@@ -10,20 +10,21 @@ cache:
   plans are memoized in the same LRU machinery the serving layer uses
   (:class:`~repro.utils.lru.ResultCache`), keyed by the query's
   *canonical* form (rename-invariant), the milli-rounded threshold, the
-  strategy and the engine's ``graph_version`` — so structurally
+  strategy and the index's ``histogram_epoch`` — so structurally
   identical queries share one plan, thresholds inside the same
-  milli-bucket share one plan, and every applied mutation batch
-  invalidates plans versionlessly (stale keys age out of the LRU).
+  milli-bucket share one plan, and a plan lives exactly as long as the
+  estimates it was costed with: a mutation batch moves no estimate and
+  keeps every plan, compaction rewrites the histograms and re-keys them
+  all (stale keys age out of the LRU).
   Cached plans are stored in canonical *position* space and rehydrated
   onto the concrete query's node ids through
   :meth:`~repro.query.query_graph.QueryGraph.canonical_order`.
 * **Nothing learned** — the planner keeps no state but the cache, so
   a plan is a pure function of its :func:`plan_key` and a cache hit
-  returns exactly what a fresh plan would. Estimate drift under live
-  updates (:mod:`repro.delta`) is the index's concern: the delta
-  overlay adds its exact delta count to the base histogram's, an
-  over-count by the masked base paths that no lookup feeds back, and
-  compaction trues the histograms up.
+  returns exactly what a fresh plan would. Under live updates
+  (:mod:`repro.delta`) the delta overlay estimates from the base
+  histograms alone — stale by what the batches since compaction
+  changed, which no lookup feeds back — and compaction trues them up.
 
 :meth:`QueryPlanner.observe` measures the estimator against the raw
 lookup counts of an evaluation, for reporting only. Any valid
@@ -51,7 +52,7 @@ def plan_key(
     alpha: float,
     strategy: str,
     seed,
-    graph_version: int,
+    histogram_epoch: int,
     max_length: int,
 ) -> tuple:
     """Canonical cache key of one planning request.
@@ -62,14 +63,17 @@ def plan_key(
     meaningfully shifts across bucket boundaries, so thresholds inside
     one milli-bucket deliberately share a plan. ``seed`` participates
     only for the random strategy (a seeded shuffle is deterministic and
-    therefore cacheable).
+    therefore cacheable). ``histogram_epoch`` is the only ingredient
+    that changes under a live graph: a plan depends on the graph only
+    through the histogram estimates, so mutation batches (which leave
+    the histograms alone) keep it and compaction re-keys it.
     """
     return (
         query.canonical_form(),
         milli(alpha),
         strategy,
         seed if strategy == "random" else None,
-        int(graph_version),
+        int(histogram_epoch),
         int(max_length),
     )
 
@@ -97,8 +101,8 @@ class QueryPlanner:
     ----------
     engine:
         The owning :class:`~repro.query.engine.QueryEngine`; supplies
-        the estimator (its index), the ``graph_version`` the cache keys
-        mix in, and ``max_length``.
+        the estimator (its index), the ``histogram_epoch`` the cache
+        keys mix in, and ``max_length``.
     cache_size:
         Plan-cache capacity in entries; 0 disables caching entirely
         (every query is planned afresh).
@@ -154,6 +158,7 @@ class QueryPlanner:
         cacheable = self.cache.capacity > 0 and (
             strategy != "random" or options.seed is not None
         )
+        index = self.engine.index
         key = None
         if cacheable:
             key = plan_key(
@@ -161,7 +166,8 @@ class QueryPlanner:
                 alpha,
                 strategy,
                 options.seed,
-                getattr(self.engine, "graph_version", 0),
+                # A delta overlay estimates from its base's histograms.
+                getattr(index, "base", index).histogram_epoch,
                 self.engine.max_length,
             )
             entry = self.cache.get(key)
@@ -177,7 +183,7 @@ class QueryPlanner:
         _PLAN_MISSES.inc()
         decomposition = decompose_query(
             query,
-            estimator=self.engine.index.estimate_cardinality,
+            estimator=index.estimate_cardinality,
             alpha=alpha,
             max_length=self.engine.max_length,
             strategy=strategy,
@@ -231,17 +237,8 @@ class QueryPlanner:
         )
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Introspection
     # ------------------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop every cached plan.
-
-        Not needed for live updates — ``graph_version`` re-keys plans
-        on its own — but compaction trues the histograms up, so the
-        engine calls this to re-plan against the exact estimates.
-        """
-        self.cache.clear()
 
     def stats_snapshot(self) -> dict:
         """Planner counters for the serving stats surface.

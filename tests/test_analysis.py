@@ -475,7 +475,7 @@ class TestCacheKeyChecker:
             """,
         }, select=["cache-keys"])
         assert codes_of(report) == ["REP303"]
-        assert "graph_version" in report.diagnostics[0].message
+        assert "histogram_epoch" in report.diagnostics[0].message
 
     def test_self_disables_without_targets(self, tmp_path):
         report = lint_tree(tmp_path, {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.delta import (
@@ -27,7 +28,10 @@ from repro.service import QueryService
 from repro.storage import DiskPathStore
 from repro.utils.errors import DeltaError, IndexError_, ServiceError
 from tests.conftest import small_random_peg, store_content
-from tests.test_differential_random import assert_delta_equivalence
+from tests.test_differential_random import (
+    assert_delta_equivalence,
+    bucket_records,
+)
 
 
 def match_keys(matches):
@@ -285,7 +289,9 @@ class TestOverlayLookup:
         with pytest.raises(DeltaError):
             DeltaOverlayIndex(overlay, peg)
 
-    def test_estimate_includes_delta(self, peg, engine):
+    def test_estimate_ignores_the_delta(self, peg, engine):
+        """A batch that adds paths above alpha leaves the estimate at
+        the base's: absorbs move no estimate (and hence no plan)."""
         sigma = sorted(peg.sigma, key=repr)
         anchor = singleton_ids(peg)[0]
         label = sigma[0]
@@ -294,9 +300,10 @@ class TestOverlayLookup:
             AddEdge(refs(peg, anchor), ("fresh-b",), BernoulliEdge(1.0)),
         ])
         seq = (label,)
-        estimate = engine.index.estimate_cardinality(seq, 0.9)
-        base_estimate = engine.index.base.estimate_cardinality(seq, 0.9)
-        assert estimate >= base_estimate + 1
+        assert len(engine.index._delta[seq].above(0.9)) >= 1
+        assert engine.index.estimate_cardinality(
+            seq, 0.9
+        ) == engine.index.base.estimate_cardinality(seq, 0.9)
 
 
 class TestApplyAndCompact:
@@ -590,6 +597,59 @@ class TestIncrementalAbsorb:
         rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
         assert_index_agrees(engine, rebuilt)
 
+    def test_dirty_mask_sees_ids_batches_appended(self, peg, engine):
+        """The dirty mask spans the id space as it stands after each
+        batch: a batch dirtying an id it appended itself, after
+        compaction one dirtying an id an earlier batch appended, and one
+        appending to a live overlay are masked, absorbed and compacted
+        as a rebuild files them."""
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = refs(peg, singleton_ids(peg)[0])
+
+        def assert_mask(overlay):
+            assert overlay._dirty_mask.shape == (peg.columns.size,)
+            assert np.flatnonzero(overlay._dirty_mask).tolist() == sorted(
+                overlay.dirty_nodes
+            )
+
+        def assert_rebuilt(step):
+            rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
+            assert_index_agrees(engine, rebuilt)
+            if isinstance(engine.index, DeltaOverlayIndex):
+                assert_mask(engine.index)
+                assert_delta_equivalence(engine, step)
+            else:
+                assert bucket_records(engine.index) == bucket_records(
+                    rebuilt.index
+                ), step
+                assert engine.index.num_paths() == rebuilt.index.num_paths()
+
+        engine.apply_updates([
+            AddEntity(("mask-x",), {sigma[0]: 1.0}, 1.0),
+            AddEdge(anchor, ("mask-x",), BernoulliEdge(0.9)),
+        ])
+        x = peg.id_of(frozenset(("mask-x",)))
+        assert x == peg.columns.size - 1 and x in engine.index.dirty_nodes
+        assert_rebuilt("appended by its own batch")
+        engine.compact_updates()
+        assert_rebuilt("compacted")
+        engine.apply_updates([
+            UpdateLabelProbability(("mask-x",), {sigma[1]: 1.0}),
+            AddEntity(("mask-y",), {sigma[2]: 1.0}, 1.0),
+            AddEdge(("mask-x",), ("mask-y",), BernoulliEdge(0.8)),
+        ])
+        assert x in engine.index.dirty_nodes
+        assert_rebuilt("appended by the batch before compaction")
+        overlay = engine.index
+        engine.apply_updates([
+            AddEntity(("mask-z",), {sigma[0]: 1.0}, 1.0),
+            AddEdge(("mask-y",), ("mask-z",), BernoulliEdge(0.7)),
+        ])
+        assert engine.index is overlay
+        assert_rebuilt("appended while the overlay was live")
+        engine.compact_updates()
+        assert_rebuilt("compacted twice")
+
     def chain_engine(self, length=9):
         """A path graph ``c0 - c1 - ... `` with certain labels: the
         ``L``-hop neighbourhoods of its two ends are disjoint once it
@@ -778,35 +838,52 @@ class TestReviewRegressions:
 
 
 class TestOverlayEstimates:
-    """A live overlay estimates the base histogram plus its delta rows
-    above alpha, whatever lookups ran before: an over-count by the
-    masked base paths until compaction."""
+    """A live overlay estimates from the base histograms alone, whatever
+    batches and lookups ran before, until compaction rewrites them."""
 
-    def test_estimate_is_base_plus_delta_above_alpha(self, peg, engine):
+    def test_estimate_is_the_base_estimate_until_compaction(
+        self, peg, engine
+    ):
         sigma = sorted(peg.sigma, key=repr)
-        anchor = singleton_ids(peg)[0]
+        anchor, other = singleton_ids(peg)[:2]
+        base = engine.index
+        alphas = (base.beta, 0.3, 0.6, 0.9)
+
+        def estimates(index, sequences) -> list:
+            return [
+                index.estimate_cardinality(seq, alpha)
+                for seq in sequences for alpha in alphas
+            ]
+
+        base_sequences = sorted(base.histograms, key=repr)
+        pristine = estimates(base, base_sequences)
         engine.apply_updates([
-            UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0})
+            UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0}),
+            AddEntity(("est-new",), {sigma[1]: 1.0}, 1.0),
+            AddEdge(refs(peg, other), ("est-new",), BernoulliEdge(0.9)),
         ])
         overlay = engine.index
         assert isinstance(overlay, DeltaOverlayIndex) and overlay._delta
-        sequences = sorted(
-            set(overlay.base.histograms) | set(overlay._delta), key=repr
-        )
-        for alpha in (overlay.beta, 0.3):
-            before = [
-                overlay.estimate_cardinality(seq, alpha) for seq in sequences
-            ]
-            for seq in sequences:
+        sequences = sorted(set(base_sequences) | set(overlay._delta), key=repr)
+        want = estimates(base, sequences)
+        assert estimates(overlay, sequences) == want
+        for seq in sequences:
+            for alpha in alphas:
                 overlay.lookup_canonical(seq, alpha)
-            for seq, estimate in zip(sequences, before):
-                extra = overlay._delta.get(seq)
-                extra = 0 if extra is None else len(extra.above(alpha))
-                if len(seq) > 1 and seq == seq[::-1]:
-                    extra *= 2
-                expected = overlay.base.estimate_cardinality(seq, alpha)
-                assert estimate == expected + extra, seq
-                assert overlay.estimate_cardinality(seq, alpha) == estimate
+        assert estimates(overlay, sequences) == want
+        engine.apply_updates([
+            UpdateLabelProbability(refs(peg, other), {sigma[2]: 1.0})
+        ])
+        assert engine.index is overlay
+        assert estimates(overlay, sequences) == want
+        assert estimates(base, base_sequences) == pristine
+        # Compaction rewrites the histograms: the rebuild's estimates.
+        engine.compact_updates()
+        rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
+        assert estimates(engine.index, sequences) == estimates(
+            rebuilt.index, sequences
+        )
+        assert estimates(engine.index, sequences) != want
 
 
 # The end-to-end benchmark's ``live_updates`` recipe

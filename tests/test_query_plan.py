@@ -99,20 +99,6 @@ class TestPlanCache:
         _, third = engine.planner.plan(query, 0.46, QueryOptions())
         assert not first.cached and second.cached and not third.cached
 
-    def test_graph_version_invalidates(self, engine):
-        sigma = sorted(engine.peg.sigma, key=repr)
-        query = triangle("v", sigma)
-        options = QueryOptions()
-        key_before = plan_key(
-            query, 0.3, options.decomposition, options.seed,
-            engine.graph_version, engine.max_length,
-        )
-        key_after = plan_key(
-            query, 0.3, options.decomposition, options.seed,
-            engine.graph_version + 1, engine.max_length,
-        )
-        assert key_before != key_after
-
     def test_unseeded_random_plans_never_cached(self, engine):
         sigma = sorted(engine.peg.sigma, key=repr)
         query = triangle("r", sigma)
@@ -160,23 +146,108 @@ class TestPlanCache:
             query, 0.3, "random", 2, 0, 2
         )
 
-    def test_compaction_clears_plans(self):
-        from repro.delta import AddEntity
 
+class TestPlanEpoch:
+    """A plan lives as long as the histograms it was costed with: the
+    index's ``histogram_epoch`` keys it, mutation batches keep it and
+    compaction re-keys it."""
+
+    @staticmethod
+    def small_engine():
         peg = build_peg(
             generate_synthetic_pgd(
-                SyntheticConfig(num_references=12, num_labels=2, seed=6)
+                SyntheticConfig(num_references=30, num_labels=3, seed=11)
             )
         )
-        own = QueryEngine(peg, max_length=2, beta=0.05)
+        return QueryEngine(peg, max_length=2, beta=0.05)
+
+    def test_plan_epoch_rekeys_and_graph_version_does_not(self):
+        engine = self.small_engine()
+        sigma = sorted(engine.peg.sigma, key=repr)
+        query = triangle("v", sigma)
+        options = QueryOptions()
+        _, first = engine.planner.plan(query, 0.3, options)
+        engine.graph_version += 1
+        _, same_epoch = engine.planner.plan(query, 0.3, options)
+        assert not first.cached and same_epoch.cached
+        engine.index.histogram_epoch += 1
+        _, next_epoch = engine.planner.plan(query, 0.3, options)
+        assert not next_epoch.cached
+        assert plan_key(query, 0.3, "exact", None, 0, 2) != plan_key(
+            query, 0.3, "exact", None, 1, 2
+        )
+
+    def test_plan_epoch_survives_batches_until_compaction(
+        self, monkeypatch
+    ):
+        """Plans cached before a batch are served after it without a
+        call to ``decompose_query``; compaction re-keys them; every
+        step answers as an engine rebuilt from the mutated graph."""
+        from repro.delta import AddEdge, AddEntity, UpdateLabelProbability
+        from repro.pgd import BernoulliEdge
+        from repro.query import plan as plan_module
+
+        engine = self.small_engine()
+        peg = engine.peg
         sigma = sorted(peg.sigma, key=repr)
-        own.apply_updates([AddEntity(("pf-1",), {sigma[0]: 1.0}, 0.9)])
-        own.query(triangle("c", sigma), 0.3)
-        assert len(own.planner.cache) >= 1
-        own.compact_updates()
-        # Compaction trued the histograms up: plans costed against the
-        # drifted estimates are dropped with it.
-        assert len(own.planner.cache) == 0
+        rng = random.Random(42)
+        shapes = {}
+        for nodes, edges in ((2, 1), (3, 2), (3, 3), (4, 4)):
+            for _ in range(3):
+                query = random_query(
+                    nodes, edges, sigma, seed=rng.randrange(2**31)
+                )
+                shapes.setdefault(query.canonical_form(), query)
+        queries = list(shapes.values())
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return decompose_query(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "decompose_query", counting)
+
+        def answers(own) -> list:
+            return [
+                sorted(
+                    (m.nodes, m.edges, round(m.probability, 9))
+                    for m in own.query(query, 0.3).matches
+                )
+                for query in queries
+            ]
+
+        def assert_sources(cached: bool) -> None:
+            calls.clear()
+            sources = [
+                engine.query(query, 0.3).plan.source for query in queries
+            ]
+            if cached:
+                assert sources == ["cache"] * len(queries)
+                assert calls == []
+            else:
+                assert "cache" not in sources
+                assert len(calls) == len(queries)
+            rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
+            got = answers(engine)
+            assert got == answers(rebuilt) and any(got)
+
+        assert_sources(cached=False)
+        anchor = tuple(sorted(peg.entity_of(0), key=repr))
+        engine.apply_updates([
+            AddEntity(("epoch-1",), {sigma[0]: 1.0}, 0.9),
+            AddEdge(anchor, ("epoch-1",), BernoulliEdge(0.8)),
+            UpdateLabelProbability(anchor, {sigma[1]: 1.0}),
+        ])
+        assert_sources(cached=True)
+        engine.apply_updates([
+            UpdateLabelProbability(("epoch-1",), {sigma[2]: 1.0})
+        ])
+        assert_sources(cached=True)
+        epoch = engine.index.base.histogram_epoch
+        engine.compact_updates()
+        assert engine.index.histogram_epoch == epoch + 1
+        assert_sources(cached=False)
+        assert_sources(cached=True)
 
 
 def zipf_requests() -> list:
