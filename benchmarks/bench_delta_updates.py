@@ -11,7 +11,9 @@ Measures the cost model the :mod:`repro.delta` subsystem promises:
 * **overlay lookup overhead** — online query latency through the
   :class:`~repro.delta.overlay.DeltaOverlayIndex` (dirty-node masking +
   delta union) relative to an engine rebuilt from scratch over the
-  *same* mutated graph,
+  *same* mutated graph, timed in alternating rounds (one pass of each
+  per round) and reported as the median per-round ratio with its
+  min-max range; a range that straddles 1 is ``unresolved``,
 * **first pass after a batch** — the query workload timed once right
   after every batch, which pays whatever the batch invalidated (link
   structures, and plans if a batch re-keyed them); the warm overlay
@@ -40,6 +42,7 @@ import argparse
 import json
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -62,6 +65,8 @@ BETA = 0.05
 #: batches (an overlay that re-enumerates its cumulative dirty region
 #: passes on the first batch and fails on the mean).
 SMOKE_MIN_SPEEDUP = 5.0
+#: Alternating rounds of the overlay-vs-rebuilt read comparison.
+LOOKUP_ROUNDS = 9
 
 
 def _build_peg(num_references: int):
@@ -151,6 +156,47 @@ def _time_queries(engine, queries, passes: int = 1) -> float:
     return best
 
 
+def _paired_overhead(overlay, rebuilt, queries) -> dict:
+    """Overlay over rebuilt read time, one pass of each per round.
+
+    The two passes of a round run back to back, their order alternating
+    between rounds, so the host's drift lands on both sides of every
+    round's ratio rather than on one side of two separate best-ofs.
+    After one warm-up pass each, every round's ratio is kept: the
+    median is the overhead, and a min-max range that straddles 1 means
+    this run cannot tell the two apart (``unresolved``).
+    """
+    _time_queries(overlay, queries)
+    _time_queries(rebuilt, queries)
+    overlay_seconds, rebuilt_seconds = [], []
+    for round_index in range(LOOKUP_ROUNDS):
+        if round_index % 2:
+            rebuilt_seconds.append(_time_queries(rebuilt, queries))
+            overlay_seconds.append(_time_queries(overlay, queries))
+        else:
+            overlay_seconds.append(_time_queries(overlay, queries))
+            rebuilt_seconds.append(_time_queries(rebuilt, queries))
+    ratios = [
+        over / base if base else float("inf")
+        for over, base in zip(overlay_seconds, rebuilt_seconds)
+    ]
+    low, high = min(ratios), max(ratios)
+    if low > 1.0:
+        verdict = "overhead"
+    elif high < 1.0:
+        verdict = "faster"
+    else:
+        verdict = "unresolved"
+    return {
+        "overlay_seconds": statistics.median(overlay_seconds),
+        "rebuilt_seconds": statistics.median(rebuilt_seconds),
+        "overlay_overhead_ratio": statistics.median(ratios),
+        "overlay_overhead_range": [low, high],
+        "overlay_overhead_rounds": LOOKUP_ROUNDS,
+        "overlay_overhead_verdict": verdict,
+    }
+
+
 def match_keys(matches):
     return sorted(
         (m.nodes, m.edges, round(m.probability, 9)) for m in matches
@@ -187,8 +233,7 @@ def run(num_references: int, num_batches: int, batch_size: int,
     # graph: against the pre-mutation baseline the two sides would
     # answer different queries' worth of matches.
     rebuilt = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    rebuilt_query_seconds = _time_queries(rebuilt, queries, passes=5)
-    overlay_query_seconds = _time_queries(engine, queries, passes=5)
+    overhead = _paired_overhead(engine, rebuilt, queries)
     agreement = all(
         match_keys(engine.query(q, ALPHA).matches)
         == match_keys(rebuilt.query(q, ALPHA).matches)
@@ -216,20 +261,15 @@ def run(num_references: int, num_batches: int, batch_size: int,
             "speedup_vs_rebuild": rebuild_seconds / apply_per_batch
             if apply_per_batch else float("inf"),
         },
-        "lookup": {
-            "queries": len(queries),
-            "baseline_seconds": baseline_query_seconds,
-            "rebuilt_seconds": rebuilt_query_seconds,
-            "overlay_seconds": overlay_query_seconds,
-            "first_pass_seconds_each_batch": first_pass_seconds,
-            "first_pass_seconds_mean": sum(first_pass_seconds)
+        "lookup": dict(
+            overhead,
+            queries=len(queries),
+            baseline_seconds=baseline_query_seconds,
+            first_pass_seconds_each_batch=first_pass_seconds,
+            first_pass_seconds_mean=sum(first_pass_seconds)
             / max(1, len(first_pass_seconds)),
-            "compacted_seconds": compacted_query_seconds,
-            "overlay_overhead_ratio": (
-                overlay_query_seconds / rebuilt_query_seconds
-                if rebuilt_query_seconds else float("inf")
-            ),
-        },
+            compacted_seconds=compacted_query_seconds,
+        ),
         "compact": dict(compact_stats, seconds=compact_seconds),
         "agreement": agreement,
     }
@@ -312,12 +352,15 @@ def main(argv=None) -> int:
         + " ".join(str(n) for n in apply["enumerated_paths_each_batch"])
         + " enumerated"
     )
+    low, high = lookup["overlay_overhead_range"]
     print(
-        f"[lookup]  {lookup['queries']} queries: rebuilt "
+        f"[lookup]  {lookup['queries']} queries, median of "
+        f"{lookup['overlay_overhead_rounds']} alternating rounds: rebuilt "
         f"{lookup['rebuilt_seconds']:.4f}s, overlay "
-        f"{lookup['overlay_seconds']:.4f}s "
-        f"({lookup['overlay_overhead_ratio']:.2f}x), post-compact "
-        f"{lookup['compacted_seconds']:.4f}s "
+        f"{lookup['overlay_seconds']:.4f}s (overlay/rebuilt "
+        f"{lookup['overlay_overhead_ratio']:.3f}x, range "
+        f"{low:.3f}-{high:.3f}x: {lookup['overlay_overhead_verdict']}), "
+        f"post-compact {lookup['compacted_seconds']:.4f}s "
         f"(pre-mutation graph: {lookup['baseline_seconds']:.4f}s)"
     )
     print(

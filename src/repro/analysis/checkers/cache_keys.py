@@ -118,31 +118,36 @@ class CacheKeyChecker(ProjectChecker):
         exclusions: tuple | None = None  # (set, path, line)
 
         for source in sources:
-            for node in ast.walk(source.tree):
-                if isinstance(node, ast.ClassDef) and node.name == "QueryOptions":
-                    for item in node.body:
-                        if isinstance(item, ast.AnnAssign) and isinstance(
-                            item.target, ast.Name
-                        ):
-                            options_fields[item.target.id] = (
-                                source.path, item.lineno,
-                            )
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node.name in KEY_BUILDER_CONTRACTS:
-                        builders[node.name] = (source, node)
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Name)
-                            and target.id == EXCLUSION_CONSTANT
-                        ):
-                            elements = _string_elements(node.value)
-                            if elements is not None:
-                                exclusions = (
-                                    elements, source.path, node.lineno,
-                                )
+            for node in source.nodes(ast.ClassDef):
+                if node.name != "QueryOptions":
+                    continue
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name
+                    ):
+                        options_fields[item.target.id] = (
+                            source.path, item.lineno,
+                        )
+            for node in source.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+                if node.name in KEY_BUILDER_CONTRACTS:
+                    builders[node.name] = (source, node)
+            for node in source.nodes(ast.Assign):
+                for target in node.targets:
+                    if (
+                        isinstance(target, ast.Name)
+                        and target.id == EXCLUSION_CONSTANT
+                    ):
+                        elements = _string_elements(node.value)
+                        if elements is not None:
+                            exclusions = (elements, source.path, node.lineno)
 
         diagnostics: list = []
+
+        def flag(code: str, path: str, line: int, message: str) -> None:
+            diagnostics.append(Diagnostic(
+                code=code, message=message, path=path, line=line,
+                checker=self.name,
+            ))
 
         # Builder ingredient contracts (engage per builder found).
         for func_name, required in KEY_BUILDER_CONTRACTS.items():
@@ -152,19 +157,11 @@ class CacheKeyChecker(ProjectChecker):
             source, node = found
             tokens = _identifier_tokens(node)
             for token in sorted(required - tokens):
-                diagnostics.append(
-                    Diagnostic(
-                        code="REP303",
-                        message=(
-                            f"key builder '{func_name}' no longer "
-                            f"references required ingredient '{token}'; "
-                            "a key missing it can serve stale or "
-                            "colliding entries"
-                        ),
-                        path=source.path,
-                        line=node.lineno,
-                        checker=self.name,
-                    )
+                flag(
+                    "REP303", source.path, node.lineno,
+                    f"key builder '{func_name}' no longer references "
+                    f"required ingredient '{token}'; a key missing it "
+                    "can serve stale or colliding entries",
                 )
 
         # QueryOptions coverage (engages only with both sides present).
@@ -185,62 +182,32 @@ class CacheKeyChecker(ProjectChecker):
             else (set(), source.path, node.lineno)
         )
         if exclusions is None:
-            diagnostics.append(
-                Diagnostic(
-                    code="REP302",
-                    message=(
-                        f"no literal {EXCLUSION_CONSTANT} frozenset found "
-                        "next to request_key; result-neutral options must "
-                        "be excluded explicitly, not implicitly"
-                    ),
-                    path=source.path,
-                    line=node.lineno,
-                    checker=self.name,
-                )
+            flag(
+                "REP302", source.path, node.lineno,
+                f"no literal {EXCLUSION_CONSTANT} frozenset found next to "
+                "request_key; result-neutral options must be excluded "
+                "explicitly, not implicitly",
             )
         for field in sorted(options_fields):
             path, line = options_fields[field]
             if field in keyed and field in excluded:
-                diagnostics.append(
-                    Diagnostic(
-                        code="REP302",
-                        message=(
-                            f"QueryOptions.{field} is both read by "
-                            f"request_key and listed in "
-                            f"{EXCLUSION_CONSTANT}; drop one"
-                        ),
-                        path=excl_path,
-                        line=excl_line,
-                        checker=self.name,
-                    )
+                flag(
+                    "REP302", excl_path, excl_line,
+                    f"QueryOptions.{field} is both read by request_key "
+                    f"and listed in {EXCLUSION_CONSTANT}; drop one",
                 )
             elif field not in keyed and field not in excluded:
-                diagnostics.append(
-                    Diagnostic(
-                        code="REP301",
-                        message=(
-                            f"QueryOptions.{field} is neither part of "
-                            f"request_key nor declared result-neutral in "
-                            f"{EXCLUSION_CONSTANT}; a result-affecting "
-                            "field outside the key serves wrong cached "
-                            "results"
-                        ),
-                        path=path,
-                        line=line,
-                        checker=self.name,
-                    )
+                flag(
+                    "REP301", path, line,
+                    f"QueryOptions.{field} is neither part of request_key "
+                    f"nor declared result-neutral in {EXCLUSION_CONSTANT}; "
+                    "a result-affecting field outside the key serves "
+                    "wrong cached results",
                 )
         for name in sorted(excluded - set(options_fields)):
-            diagnostics.append(
-                Diagnostic(
-                    code="REP302",
-                    message=(
-                        f"{EXCLUSION_CONSTANT} lists '{name}' which is "
-                        "not a QueryOptions field (renamed or removed?)"
-                    ),
-                    path=excl_path,
-                    line=excl_line,
-                    checker=self.name,
-                )
+            flag(
+                "REP302", excl_path, excl_line,
+                f"{EXCLUSION_CONSTANT} lists '{name}' which is not a "
+                "QueryOptions field (renamed or removed?)",
             )
         return diagnostics

@@ -84,61 +84,41 @@ class DeterminismChecker(Checker):
     }
 
     def check(self, source: SourceFile) -> list:
-        visitor = _Visitor(self, source)
-        visitor.visit(source.tree)
-        return visitor.diagnostics
+        found: list = []
 
+        def flag(code: str, node: ast.AST, message: str) -> None:
+            found.append(self.diagnostic(
+                source, code, node.lineno, message, col=node.col_offset,
+            ))
 
-class _Visitor(ast.NodeVisitor):
-    def __init__(self, checker: DeterminismChecker, source: SourceFile) -> None:
-        self.checker = checker
-        self.source = source
-        self.diagnostics: list = []
-        self.pure = source.module.startswith(PURE_MODULE_PREFIXES)
+        # REP101: a set feeding a loop or an order-keeping comprehension
+        # (a set comprehension's output is itself a set: its generator's
+        # order cannot escape).
+        loops = {ast.For: "for loop", ast.AsyncFor: "async for loop"}
+        iterables = [
+            (node.iter, context)
+            for kind, context in loops.items() for node in source.nodes(kind)
+        ] + [
+            (generator.iter, "comprehension")
+            for node in source.nodes(ast.ListComp, ast.GeneratorExp,
+                                     ast.DictComp)
+            for generator in node.generators
+        ]
+        for iterable, context in iterables:
+            if is_set_expression(iterable):
+                flag(
+                    "REP101", iterable,
+                    f"{context} iterates a set in hash order; wrap it in "
+                    "sorted(...) so the order is PYTHONHASHSEED-independent",
+                )
+        pure = source.module.startswith(PURE_MODULE_PREFIXES)
+        for node in source.nodes(ast.Call):
+            self._check_call(node, pure, flag)
+        return found
 
-    def _flag(self, code: str, node: ast.AST, message: str) -> None:
-        self.diagnostics.append(
-            self.checker.diagnostic(
-                self.source, code, node.lineno, message,
-                col=node.col_offset,
-            )
-        )
-
-    # -- REP101: set iteration feeding order ---------------------------
-
-    def _check_iter(self, iterable: ast.AST, context: str) -> None:
-        if is_set_expression(iterable):
-            self._flag(
-                "REP101", iterable,
-                f"{context} iterates a set in hash order; wrap it in "
-                "sorted(...) so the order is PYTHONHASHSEED-independent",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iter(node.iter, "for loop")
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_iter(node.iter, "async for loop")
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node) -> None:
-        for generator in node.generators:
-            self._check_iter(generator.iter, "comprehension")
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        # The output is itself a set: the generator's order cannot
-        # escape, so only recurse (a nested hazard still flags).
-        self.generic_visit(node)
-
-    # -- Calls: REP101 conversions, REP102 repr, REP103 entropy --------
-
-    def visit_Call(self, node: ast.Call) -> None:
+    @staticmethod
+    def _check_call(node: ast.Call, pure: bool, flag) -> None:
+        """REP101 conversions, REP102 repr, REP103 entropy."""
         func = node.func
         if isinstance(func, ast.Name):
             if (
@@ -146,7 +126,7 @@ class _Visitor(ast.NodeVisitor):
                 and node.args
                 and is_set_expression(node.args[0])
             ):
-                self._flag(
+                flag(
                     "REP101", node,
                     f"{func.id}() of a set preserves hash order; use "
                     "sorted(...) for a stable order",
@@ -154,7 +134,7 @@ class _Visitor(ast.NodeVisitor):
             elif func.id in ("repr", "str", "format") and node.args and (
                 is_set_expression(node.args[0])
             ):
-                self._flag(
+                flag(
                     "REP102", node,
                     f"{func.id}() of a set renders in hash order and is "
                     "not stable across processes; sort the elements and "
@@ -166,25 +146,24 @@ class _Visitor(ast.NodeVisitor):
                 and node.args
                 and is_set_expression(node.args[0])
             ):
-                self._flag(
+                flag(
                     "REP101", node,
                     "join() over a set emits elements in hash order; "
                     "join(sorted(...)) instead",
                 )
-            elif self.pure and isinstance(func.value, ast.Name):
+            elif pure and isinstance(func.value, ast.Name):
                 base = func.value.id
                 if base == "random" and func.attr in _GLOBAL_RANDOM_FNS:
-                    self._flag(
+                    flag(
                         "REP103", node,
                         f"random.{func.attr}() uses the process-global "
                         "RNG; pure query logic must take a seeded "
                         "random.Random so runs are replayable",
                     )
                 elif base == "time" and func.attr in _WALL_CLOCK_FNS:
-                    self._flag(
+                    flag(
                         "REP103", node,
                         f"time.{func.attr}() reads the wall clock inside "
                         "pure query logic; use time.monotonic()/"
                         "perf_counter() for intervals or pass timestamps in",
                     )
-        self.generic_visit(node)

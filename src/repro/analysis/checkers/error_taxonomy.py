@@ -44,8 +44,8 @@ class ErrorTaxonomyChecker(Checker):
         if not source.module.startswith(SCOPED_MODULE_PREFIXES):
             return []
         diagnostics: list = []
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
+        for node in source.nodes(ast.Raise):
+            if node.exc is None:
                 continue
             name = self._raised_name(node.exc)
             if name in _GENERIC_EXCEPTIONS:

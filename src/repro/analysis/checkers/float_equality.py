@@ -61,9 +61,7 @@ class FloatEqualityChecker(Checker):
         if not source.module.startswith(SCOPED_MODULE_PREFIXES):
             return []
         diagnostics: list = []
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        for node in source.nodes(ast.Compare):
             operands = [node.left] + list(node.comparators)
             for op, left, right in zip(
                 node.ops, operands[:-1], operands[1:]

@@ -46,6 +46,7 @@ design record, and the checker keeps the code honest against it.
 from __future__ import annotations
 
 import ast
+import collections
 
 from repro.analysis.core import (
     GUARDED_BY_RE,
@@ -53,28 +54,29 @@ from repro.analysis.core import (
     LOOP_ONLY_RE,
     Checker,
     SourceFile,
+    self_attr,
 )
 
 #: Guard spelling for event-loop confinement (no lock object involved).
 EVENT_LOOP_GUARD = "event-loop"
 
 
-def _self_attr_target(node: ast.AST) -> str | None:
-    """``X`` when ``node`` is ``self.X``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
+def _collect_guards(source: SourceFile, class_node: ast.ClassDef) -> tuple:
+    """``({attr: (guard, decl_line)}, assigned)`` of one class's own body.
 
-
-def _collect_guards(source: SourceFile, class_node: ast.ClassDef) -> dict:
-    """``{attr: (guard, decl_line)}`` declared in one class body."""
+    One breadth-first pass over the class's nodes that does not enter
+    a nested class (each class is checked on its own): the guards its
+    ``self.X`` assignments declare, and every ``self.X`` it assigns
+    (a guard must name one of those).
+    """
     guards: dict = {}
-    for node in ast.walk(class_node):
-        targets: list = []
+    assigned: set = set()
+    queue = collections.deque(ast.iter_child_nodes(class_node))
+    while queue:
+        node = queue.popleft()
+        if isinstance(node, ast.ClassDef):
+            continue
+        queue.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
@@ -82,34 +84,18 @@ def _collect_guards(source: SourceFile, class_node: ast.ClassDef) -> dict:
         else:
             continue
         for target in targets:
-            attr = _self_attr_target(target)
+            attr = self_attr(target)
             if attr is None:
                 continue
-            comment = source.comment_on(node.lineno)
-            match = GUARDED_BY_RE.search(comment)
+            assigned.add(attr)
+            match = GUARDED_BY_RE.search(source.comment_on(node.lineno))
             if match is None:
                 match = GUARDED_BY_RE.search(
                     source.leading_comment_block(node.lineno)
                 )
             if match is not None:
                 guards[attr] = (match.group("guard"), node.lineno)
-    return guards
-
-
-def _lock_attrs_assigned(class_node: ast.ClassDef) -> set:
-    """Every ``self.X`` ever assigned in the class (guard existence)."""
-    assigned: set = set()
-    for node in ast.walk(class_node):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                attr = _self_attr_target(target)
-                if attr is not None:
-                    assigned.add(attr)
-    return assigned
+    return guards, assigned
 
 
 class LockDisciplineChecker(Checker):
@@ -121,18 +107,18 @@ class LockDisciplineChecker(Checker):
     }
 
     def check(self, source: SourceFile) -> list:
+        if "guarded-by" not in source.text:
+            return []  # no class here declares a guard
         diagnostics: list = []
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef):
-                diagnostics.extend(self._check_class(source, node))
+        for node in source.nodes(ast.ClassDef):
+            diagnostics.extend(self._check_class(source, node))
         return diagnostics
 
     def _check_class(self, source: SourceFile, class_node: ast.ClassDef) -> list:
-        guards = _collect_guards(source, class_node)
+        guards, assigned = _collect_guards(source, class_node)
         if not guards:
             return []
         diagnostics: list = []
-        assigned = _lock_attrs_assigned(class_node)
         for attr, (guard, decl_line) in guards.items():
             if guard != EVENT_LOOP_GUARD and guard not in assigned:
                 diagnostics.append(
@@ -192,14 +178,14 @@ class _ClassVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        # A nested class runs its own _check_class pass via ast.walk in
-        # the checker; do not double-visit its body here.
+        # A nested class gets its own _check_class pass; do not
+        # double-visit its body here.
         pass
 
     def _with_locks(self, items) -> list:
         held: list = []
         for item in items:
-            attr = _self_attr_target(item.context_expr)
+            attr = self_attr(item.context_expr)
             if attr is not None:
                 held.append(attr)
         return held
@@ -221,7 +207,7 @@ class _ClassVisitor(ast.NodeVisitor):
         return bool(self._funcs) and self._funcs[0][0] == "__init__"
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        attr = _self_attr_target(node)
+        attr = self_attr(node)
         if attr is not None and attr in self.guards and not self._in_init():
             guard, _ = self.guards[attr]
             if guard == EVENT_LOOP_GUARD:

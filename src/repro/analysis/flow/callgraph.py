@@ -35,8 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.core import SourceFile
-from repro.analysis.imports import ImportMap
+from repro.analysis.core import SourceFile, self_attr
 
 
 @dataclass
@@ -101,7 +100,6 @@ class CallGraph:
     def __init__(self, sources: list) -> None:
         self.functions: dict = {}   # fid -> FunctionInfo
         self.classes: dict = {}     # "module:Class" -> ClassInfo
-        self.imports: dict = {}     # module -> ImportMap
         self.sources: dict = {}     # module -> SourceFile
         self._module_names: dict = {}  # module -> {name: fid or class key}
         #: module-level lock objects: "module:name" from
@@ -122,7 +120,6 @@ class CallGraph:
 
     def _index_module(self, module: str, source: SourceFile) -> None:
         self.sources[module] = source
-        self.imports[module] = ImportMap(source.tree)
         names: dict = self._module_names.setdefault(module, {})
         for node in source.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -176,7 +173,7 @@ class CallGraph:
                                module: str) -> str | None:
         if not isinstance(value, ast.Call):
             return None
-        resolved = self.imports[module].resolve_call(value.func)
+        resolved = self.sources[module].imports.resolve_call(value.func)
         if resolved is None and isinstance(value.func, ast.Attribute) and \
                 isinstance(value.func.value, ast.Name):
             resolved = (value.func.value.id, value.func.attr)
@@ -196,26 +193,24 @@ class CallGraph:
     def _resolve_class_expr(self, expr: ast.AST,
                             module: str) -> str | None:
         """``module:Class`` a name/attribute expression denotes, if any."""
-        imports = self.imports.get(module)
+        imports = self.sources[module].imports
         if isinstance(expr, ast.Name):
             local = self._module_names.get(module, {}).get(expr.id)
             if local is not None and local in self.classes:
                 return local
-            if imports is not None:
-                origin = imports.origin_of(expr.id)
-                if origin is not None:
-                    return self._lookup_in_module(
-                        origin[0], origin[1], want_class=True
-                    )
+            origin = imports.origin_of(expr.id)
+            if origin is not None:
+                return self._lookup_in_module(
+                    origin[0], origin[1], want_class=True
+                )
         elif isinstance(expr, ast.Attribute) and isinstance(
             expr.value, ast.Name
         ):
-            if imports is not None:
-                target = imports.module_of(expr.value.id)
-                if target is not None:
-                    return self._lookup_in_module(
-                        target, expr.attr, want_class=True
-                    )
+            target = imports.module_of(expr.value.id)
+            if target is not None:
+                return self._lookup_in_module(
+                    target, expr.attr, want_class=True
+                )
         return None
 
     def _lookup_in_module(self, module: str, name: str,
@@ -235,6 +230,30 @@ class CallGraph:
             return entry
         return None
 
+    def exception_id(self, module: str, expr: ast.AST) -> str | None:
+        """Class id (``pkg.mod.Class``) an exception expression names.
+
+        An imported name resolves through the imports, a local class
+        to its corpus key, any other bare name to ``builtins``; None
+        when the expression is dynamic.
+        """
+        imports = self.sources[module].imports
+        if isinstance(expr, ast.Name):
+            origin = imports.origin_of(expr.id)
+            if origin is not None:
+                return f"{origin[0]}.{origin[1]}"
+            local = self._module_names.get(module, {}).get(expr.id)
+            if local in self.classes:
+                return local.replace(":", ".")
+            return f"builtins.{expr.id}"
+        if isinstance(expr, ast.Attribute) and isinstance(
+            expr.value, ast.Name
+        ):
+            target = imports.module_of(expr.value.id)
+            if target is not None:
+                return f"{target}.{expr.attr}"
+        return None
+
     # -- attribute-type inference --------------------------------------
 
     def _infer_attr_types(self, module: str, source: SourceFile) -> None:
@@ -252,7 +271,7 @@ class CallGraph:
                     if not isinstance(stmt, ast.Assign):
                         continue
                     for target in stmt.targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is None:
                             continue
                         self._record_attr(
@@ -269,7 +288,7 @@ class CallGraph:
         if kind is not None:
             cls.lock_attrs[attr] = kind
             if kind == "condition" and value.args:
-                inner = _self_attr(value.args[0])
+                inner = self_attr(value.args[0])
                 if inner is not None:
                     cls.lock_aliases[attr] = inner
             return
@@ -304,7 +323,7 @@ class CallGraph:
         """Function id ``call`` invokes from inside ``info``, or None."""
         func = call.func
         module = info.module
-        imports = self.imports[module]
+        imports = info.source.imports
         if isinstance(func, ast.Name):
             entry = self._module_names.get(module, {}).get(func.id)
             if entry is None:
@@ -329,7 +348,7 @@ class CallGraph:
                         f"{origin[0]}.{origin[1]}", func.attr
                     ))
                 return None
-            attr = _self_attr(value)
+            attr = self_attr(value)
             if attr is not None and info.class_key:
                 cls = self.classes.get(info.class_key)
                 type_key = self._attr_type(cls, attr) if cls else None
@@ -386,7 +405,7 @@ class CallGraph:
         identity is per *class attribute*, not per instance — the
         ordering discipline is a class-level contract.
         """
-        attr = _self_attr(expr)
+        attr = self_attr(expr)
         if attr is not None:
             return self.lock_id_for_attr(info, attr)
         if isinstance(expr, ast.Name):
@@ -485,17 +504,6 @@ def _coroutines(node: ast.AST, prefix: str = "") -> list:
             inner = f"{prefix}{child.name}.<locals>."
         found.extend(_coroutines(child, inner))
     return found
-
-
-def _self_attr(node: ast.AST) -> str | None:
-    """``attr`` when ``node`` is exactly ``self.<attr>``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _render_callee(func: ast.AST) -> str:

@@ -41,7 +41,6 @@ non-future; that is what ``# lint-ok: REP401`` is for.
 
 from __future__ import annotations
 
-import ast
 import builtins
 
 from repro.analysis.core import ProjectChecker
@@ -96,6 +95,11 @@ def _qual(graph: CallGraph, fid: str) -> str:
         return fid
     tail = info.module.rsplit(".", 1)[-1]
     return f"{tail}.{info.qualname}"
+
+
+def _chain_text(graph: CallGraph, fids) -> str:
+    """``mod.f -> mod.g -> ...`` for a call chain."""
+    return " -> ".join(_qual(graph, fid) for fid in fids)
 
 
 class FlowChecker(ProjectChecker):
@@ -329,10 +333,7 @@ class LockFlowChecker(FlowChecker):
                 if witness is None:
                     continue
                 chain, desc, path, lineno = witness
-                chain_text = " -> ".join(
-                    [_qual(graph, fid)]
-                    + [_qual(graph, step) for step in chain]
-                )
+                chain_text = _chain_text(graph, (fid,) + chain)
                 locks = ", ".join(_short_lock(lock) for lock in held)
                 diagnostics.append(
                     self.diagnostic(
@@ -375,10 +376,7 @@ class TransitiveBlockingChecker(FlowChecker):
                     continue
                 reported.add(call.callee)
                 chain, desc, path, lineno = witness
-                chain_text = " -> ".join(
-                    [_qual(graph, fid)]
-                    + [_qual(graph, step) for step in chain]
-                )
+                chain_text = _chain_text(graph, (fid,) + chain)
                 diagnostics.append(
                     self.diagnostic(
                         source, "REP410", call.lineno,
@@ -422,9 +420,7 @@ class ErrorEscapeChecker(FlowChecker):
                     ENGINE_LAYER_PREFIXES
                 ):
                     continue
-                chain_text = " -> ".join(
-                    _qual(graph, step) for step, _ in chain
-                )
+                chain_text = _chain_text(graph, (step for step, _ in chain))
                 diagnostics.append(
                     self.diagnostic(
                         source, "REP510", chain[0][1],
@@ -450,23 +446,7 @@ class ErrorEscapeChecker(FlowChecker):
             if cls.base_keys:
                 parents[child] = cls.base_keys[0].replace(":", ".")
                 continue
-            base = node.bases[0]
-            resolved = None
-            imports = graph.imports.get(cls.module)
-            if isinstance(base, ast.Name):
-                origin = imports.origin_of(base.id) if imports else None
-                if origin is not None:
-                    resolved = f"{origin[0]}.{origin[1]}"
-                else:
-                    resolved = f"builtins.{base.id}"
-            elif isinstance(base, ast.Attribute) and isinstance(
-                base.value, ast.Name
-            ):
-                target = (
-                    imports.module_of(base.value.id) if imports else None
-                )
-                if target is not None:
-                    resolved = f"{target}.{base.attr}"
+            resolved = graph.exception_id(cls.module, node.bases[0])
             if resolved is not None:
                 parents[child] = resolved
         return parents
@@ -482,10 +462,8 @@ class ErrorEscapeChecker(FlowChecker):
         return False
 
     def _catches(self, handler: str, exc: str, parents: dict) -> bool:
-        if handler == "":
+        if handler in ("", "builtins.BaseException"):
             return True  # bare except / unresolvable handler type
-        if handler in ("builtins.BaseException",):
-            return True
         seen: set = set()
         current = exc
         while current is not None and current not in seen:

@@ -120,7 +120,6 @@ class _SummaryWalker:
         self.graph = graph
         self.info = info
         self.summary = summary
-        self.imports = graph.imports[info.module]
         self._awaited: set = set()
 
     def walk(self, node: ast.AST, held: tuple = (),
@@ -191,7 +190,7 @@ class _SummaryWalker:
                     else [handler.type]
                 )
                 for expr in exprs:
-                    name = self._resolve_exception(expr)
+                    name = self.graph.exception_id(self.info.module, expr)
                     types.append(name if name is not None else "")
         return tuple(types)
 
@@ -208,14 +207,15 @@ class _SummaryWalker:
             )
         )
         loop_msg = loop_blocking_call(
-            node, self.imports, awaited=id(node) in self._awaited
+            node, self.info.source.imports,
+            awaited=id(node) in self._awaited,
         )
         if loop_msg is not None:
             self.summary.loop_blocking.append(BlockingSite(
                 lineno=node.lineno, col=node.col_offset, desc=loop_msg,
                 held=held,
             ))
-        wait_msg = unbounded_wait_call(node, self.imports)
+        wait_msg = unbounded_wait_call(node, self.info.source.imports)
         if wait_msg is not None and not self._is_condition_wait(node, held):
             self.summary.unbounded_blocking.append(BlockingSite(
                 lineno=node.lineno, col=node.col_offset, desc=wait_msg,
@@ -256,7 +256,7 @@ class _SummaryWalker:
         expr = node.exc
         if isinstance(expr, ast.Call):
             expr = expr.func
-        exc = self._resolve_exception(expr)
+        exc = self.graph.exception_id(self.info.module, expr)
         if exc is None:
             return  # dynamic exception object: out of scope
         # Whether an enclosing handler catches it is the checker's call
@@ -264,23 +264,3 @@ class _SummaryWalker:
         self.summary.raises.append(
             RaiseSite(exc=exc, lineno=node.lineno, caught=caught)
         )
-
-    def _resolve_exception(self, expr: ast.AST) -> str | None:
-        """Resolved class id of an exception expression, or None."""
-        if isinstance(expr, ast.Name):
-            origin = self.imports.origin_of(expr.id)
-            if origin is not None:
-                return f"{origin[0]}.{origin[1]}"
-            local = self.graph._module_names.get(
-                self.info.module, {}
-            ).get(expr.id)
-            if local in self.graph.classes:
-                return local.replace(":", ".")
-            return f"builtins.{expr.id}"
-        if isinstance(expr, ast.Attribute) and isinstance(
-            expr.value, ast.Name
-        ):
-            target = self.imports.module_of(expr.value.id)
-            if target is not None:
-                return f"{target}.{expr.attr}"
-        return None

@@ -5,9 +5,10 @@ does this call expression actually invoke?" for every blocking-call
 and call-graph rule. Matching blocking calls on the ``module.attr``
 spelling alone lets ``from time import sleep`` or ``import time as
 t`` slip straight past. :class:`ImportMap` closes that hole once:
-built once per module by the call graph, it records how each local
-name was bound by the file's imports, and resolves call expressions
-back to ``(module, attribute)`` pairs.
+built once per module when the file is parsed (it is
+``SourceFile.imports``), it records how each local name was bound by
+the file's imports, and resolves call expressions back to
+``(module, attribute)`` pairs.
 
 The blocking-call model is split in two deliberately:
 
@@ -90,7 +91,8 @@ UNBOUNDED_WAIT_METHODS = {
 class ImportMap:
     """How one module's imports bind local names.
 
-    Built from a parsed module; answers two questions:
+    Built from a module's ``Import`` / ``ImportFrom`` nodes; answers
+    two questions:
 
     * :meth:`module_of` — is this bare name an alias of a module
       (``import time as t`` binds ``t``)?
@@ -103,12 +105,12 @@ class ImportMap:
     ``abc`` to ``a.b.c``.
     """
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, nodes) -> None:
         #: local alias -> dotted module name
         self.modules: dict = {}
         #: local name -> (module, original attribute name)
         self.names: dict = {}
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname is not None:

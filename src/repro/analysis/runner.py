@@ -158,6 +158,16 @@ class Report:
         return "\n".join(lines)
 
 
+def _write_json(data: dict, destination: str) -> None:
+    """Indented, key-sorted JSON to ``destination`` ('-' = stdout)."""
+    payload = json.dumps(data, indent=2, sort_keys=True)
+    if destination == "-":
+        print(payload)
+    else:
+        with open(destination, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+
+
 def _dump_call_graph(paths, destination: str, strict: bool) -> int:
     """Parse ``paths`` and dump the resolved call graph as JSON.
 
@@ -167,14 +177,7 @@ def _dump_call_graph(paths, destination: str, strict: bool) -> int:
     sources, errors = _parse_files(discover_files(paths))
     for diagnostic in errors:
         print(diagnostic.format(), file=sys.stderr)
-    payload = json.dumps(
-        CallGraph(sources).to_dict(), indent=2, sort_keys=True
-    )
-    if destination == "-":
-        print(payload)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+    _write_json(CallGraph(sources).to_dict(), destination)
     return 1 if strict and errors else 0
 
 
@@ -246,12 +249,7 @@ def main(argv=None) -> int:
         return _dump_call_graph(args.paths, args.call_graph, args.strict)
     report = run_paths(args.paths, select=args.select)
     if args.json:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+        _write_json(report.to_dict(), args.json)
     if not args.quiet:
         print(report.render())
     if args.strict and not report.clean:

@@ -359,7 +359,7 @@ def instrument_guarded(cls, sample_every: int = 1):
             guards = {
                 attr: guard
                 for attr, (guard, _line) in
-                _collect_guards(source, node).items()
+                _collect_guards(source, node)[0].items()
                 if guard != EVENT_LOOP_GUARD
             }
             break

@@ -14,11 +14,14 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 from repro.analysis import all_checkers, parse_source, run_paths
@@ -172,6 +175,109 @@ class TestFramework:
 
     def test_missing_path_is_usage_error(self, capsys):
         assert lint_main(["/no/such/path/anywhere"]) == 2
+
+
+def tokenize_comments(text: str) -> dict:
+    """The comment map's oracle: ``tokenize``'s COMMENT tokens."""
+    comments: dict = {}
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            comments[token.start[0]] = token.string.lstrip("#").strip()
+    return comments
+
+
+#: Every way a ``#`` can sit in a string literal, beside real comments.
+COMMENT_FIXTURE = r'''"""Docstring with a # hash.
+
+# lint-ok: REP101 a suppression spelled inside a docstring
+"""
+import os  # c1
+
+A = '# not a comment'  # c2
+B = b"bytes # text" + b'#'  # c3
+C = f"{A!r} # text {B}"  # c4
+D = f"{7:#x}"  # c5: a format spec holding a hash
+E = """spans
+# a line that starts with a hash
+lines"""  # c6
+F = f"""{A}
+# inside an f-string, {D} # too
+"""
+G = ("left # text"  # c7: between implicitly concatenated literals
+     "right # text"  # c8
+     f"{A}#")  # c9
+H = "a # b" \
+    "c # d"  # c10
+I = "naïve café # text"  # c11: non-ASCII before the hash
+J = "ü#ü"; K = "∑"  # c12
+L = "# lint-ok: REP101 inside a string literal"
+M = '\'#'  # c13
+N = r'\'#'  # c14
+O = [
+    # c15: a comment-only line
+    "# text",
+]
+'''
+
+
+class TestSourceRecord:
+    def test_comment_map_matches_tokenize_on_the_fixture(self):
+        source = parse_source("fixture.py", COMMENT_FIXTURE)
+        assert source.comments == tokenize_comments(COMMENT_FIXTURE)
+        labels = {text.split(":")[0] for text in source.comments.values()}
+        assert labels == {f"c{number}" for number in range(1, 16)}
+        assert source.suppressions == {}
+
+    def test_comment_map_matches_tokenize_on_the_repo(self):
+        files = sorted(
+            path
+            for top in ("src", "tests", "benchmarks", "examples")
+            for path in (REPO_ROOT / top).rglob("*.py")
+        )
+        assert len(files) > 150
+        mismatched = []
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            if parse_source(str(path), text).comments != tokenize_comments(
+                text
+            ):
+                mismatched.append(str(path.relative_to(REPO_ROOT)))
+        assert mismatched == []
+
+    def test_nodes_by_type_in_walk_order(self):
+        source = parse_source("mod.py", textwrap.dedent("""\
+            def f(x):
+                if x:
+                    raise ValueError(x)
+                raise KeyError(x)
+        """))
+        walked = [
+            node for node in ast.walk(source.tree)
+            if type(node) is ast.Raise
+        ]
+        assert source.nodes(ast.Raise) == walked and len(walked) == 2
+        assert source.nodes(ast.Raise, ast.FunctionDef)[-1].name == "f"
+        assert source.nodes(ast.Lambda) == []
+
+    def test_each_module_is_walked_once(self, tmp_path, monkeypatch):
+        walked: list = []
+        walk, visit = ast.walk, ast.NodeVisitor.visit
+
+        def counting_walk(node):
+            if isinstance(node, ast.Module):
+                walked.append(node)
+            return walk(node)
+
+        def counting_visit(self, node):
+            if isinstance(node, ast.Module):
+                walked.append(node)
+            return visit(self, node)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        monkeypatch.setattr(ast.NodeVisitor, "visit", counting_visit)
+        report = lint_tree(tmp_path, SEEDED_VIOLATIONS)
+        assert set(codes_of(report)) == ALL_CODES
+        assert len(walked) == report.files_checked == len(SEEDED_VIOLATIONS)
 
 
 class TestDeterminismChecker:
@@ -372,6 +478,47 @@ class TestLockDisciplineChecker:
             """,
         })
         assert report.clean
+
+    def test_nested_class_guard_does_not_leak_outward(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "mod.py": """\
+                import threading
+
+                class Outer:
+                    def __init__(self):
+                        self._items = []
+
+                    def add(self, item):
+                        self._items.append(item)
+
+                    class Inner:
+                        def __init__(self):
+                            self._lock = threading.Lock()
+                            self._items = []  # guarded-by: _lock
+
+                        def add(self, item):
+                            with self._lock:
+                                self._items.append(item)
+            """,
+        })
+        assert report.clean, report.render()
+
+    def test_nested_class_lock_does_not_satisfy_outer_guard(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "mod.py": """\
+                import threading
+
+                class Outer:
+                    def __init__(self):
+                        self._count = 0  # guarded-by: _lock
+
+                    class Inner:
+                        def __init__(self):
+                            self._lock = threading.Lock()
+            """,
+        })
+        assert codes_of(report) == ["REP203"]
+        assert report.diagnostics[0].line == 5
 
     def test_suppression_respected(self, tmp_path):
         report = lint_tree(tmp_path, {
