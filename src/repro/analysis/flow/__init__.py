@@ -5,11 +5,12 @@ them together. :mod:`callgraph` resolves calls between ``repro``
 functions (``self.method()``, module-level names, cross-module
 attributes, constructor calls, and ``self.attr.method()`` through
 inferred attribute types — conservative everywhere else) and indexes
-every coroutine, however deeply nested; :mod:`summaries` distils each
-function into the facts the checkers consume (lock regions, blocking
-sites, raise sites, handler context). That graph and its summaries are
-the run's one flow model: the runner builds them once and
-:mod:`checkers` runs three whole-program analyses on top:
+every coroutine, however deeply nested; :mod:`summaries` walks each
+function body once, recording the facts the checkers consume (call
+sites, lock regions, raise sites, handler context), and resolves them
+once the graph knows every attribute and lock type. That graph is the
+run's one flow model: the runner builds it once and :mod:`checkers`
+runs three whole-program analyses on top:
 
 * ``REP210``/``REP211`` — global lock-acquisition-order cycles and
   unbounded waits while holding a lock;
@@ -22,21 +23,19 @@ the run's one flow model: the runner builds them once and
 
 from __future__ import annotations
 
-from repro.analysis.flow.callgraph import CallGraph, CallSite, FunctionInfo
+from repro.analysis.flow.callgraph import CallGraph, FunctionInfo
 from repro.analysis.flow.checkers import (
     ErrorEscapeChecker,
     FlowChecker,
     LockFlowChecker,
     TransitiveBlockingChecker,
 )
-from repro.analysis.flow.summaries import FunctionSummary, summarize
+from repro.analysis.flow.summaries import CallSite
 
 __all__ = [
     "CallGraph",
     "CallSite",
     "FunctionInfo",
-    "FunctionSummary",
-    "summarize",
     "FlowChecker",
     "LockFlowChecker",
     "TransitiveBlockingChecker",

@@ -10,9 +10,10 @@ resolved to a specific function in the analysed corpus. Resolved forms:
 * ``alias.name()`` — ``import repro.x as alias`` (and the
   ``from repro import x`` submodule-binding form);
 * ``ClassName()`` — resolves to the class's ``__init__`` when defined;
-* ``self.attr.method()`` — when some method of the class assigns
-  ``self.attr = ClassName(...)`` with a resolvable class (single
-  candidate type; conflicting assignments drop the inference).
+* ``self.attr.method()`` — when some method of the class (or of a
+  base, in the same textual MRO) assigns ``self.attr =
+  ClassName(...)`` with a resolvable class (single candidate type;
+  conflicting assignments drop the inference).
 
 Everything else — callbacks, functions passed as values (including
 ``asyncio.to_thread(fn, ...)`` targets), dynamic ``getattr`` dispatch,
@@ -28,6 +29,17 @@ QueryService.submit`` or ``repro.query.links:build_links``. Lock and
 class keys reuse the same ``module:Class`` shape. A second file with
 an already-seen module name (two ``mod.py`` outside any ``repro``
 package) is keyed ``mod#N``, so neither file's functions are lost.
+
+Construction is three steps. *Indexing* reads the module and class
+bodies. *The walk* (:func:`~repro.analysis.flow.summaries.walk_body`)
+enters each function body once and records its call sites, ``with``
+items, raise sites and ``self.x = Cls(...)`` assignments as
+expressions. *The resolve phase* then works over those records, not
+the tree: attribute and lock types first (they need every method's
+assignments), then each function's callees, lock ids and exception ids
+(:func:`~repro.analysis.flow.summaries.resolve_facts`). The result is
+the run's one flow model: each :class:`FunctionInfo` carries its
+resolved facts, which the flow checkers read.
 """
 
 from __future__ import annotations
@@ -36,23 +48,12 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.core import SourceFile, self_attr
-
-
-@dataclass
-class CallSite:
-    """One call expression inside a function, with its resolution."""
-
-    node: ast.Call
-    lineno: int
-    #: Resolved callee function id, or ``None`` (conservative: no edge).
-    callee: str | None
-    #: Source rendering of the callee expression (for diagnostics).
-    text: str
+from repro.analysis.flow.summaries import resolve_facts, walk_body
 
 
 @dataclass
 class FunctionInfo:
-    """One function or method of the corpus."""
+    """One function or method of the corpus, with its resolved facts."""
 
     fid: str
     module: str
@@ -61,9 +62,13 @@ class FunctionInfo:
     node: ast.AST
     source: SourceFile
     is_async: bool
-    calls: list = field(default_factory=list)
-    #: id(ast.Call) -> CallSite, for consumers walking the same tree.
-    call_for: dict = field(default_factory=dict)
+    calls: list = field(default_factory=list)         # CallSite
+    acquisitions: list = field(default_factory=list)  # Acquisition
+    raises: list = field(default_factory=list)        # RaiseSite
+    #: ``# holds-lock:`` locks the caller holds for the whole body.
+    entry_locks: tuple = ()
+    #: ``# loop-only``: a sync entry point run on the event loop.
+    loop_only: bool = False
 
 
 @dataclass
@@ -111,26 +116,34 @@ class CallGraph:
                 module = f"{module}#{len(self.sources)}"
             self._index_module(module, source)
         self._resolve_bases()
-        for module, source in self.sources.items():
-            self._infer_attr_types(module, source)
-        for info in list(self.functions.values()):
-            self._resolve_calls(info)
+        assignments: dict = {}  # class key -> [(attr, value)]
+        for info in self.functions.values():
+            walk_body(info, assignments.setdefault(info.class_key, [])
+                      if info.class_key else None)
+        for key, found in assignments.items():
+            self._infer_attr_types(self.classes[key], found)
+        for info in self.functions.values():
+            for site in info.calls:
+                site.callee = self.resolve_call(info, site.node)
+            resolve_facts(self, info)
 
     # -- indexing ------------------------------------------------------
 
     def _index_module(self, module: str, source: SourceFile) -> None:
         self.sources[module] = source
         names: dict = self._module_names.setdefault(module, {})
+
+        def add(fid, qualname, class_key, node) -> None:
+            self.functions[fid] = FunctionInfo(
+                fid=fid, module=module, qualname=qualname,
+                class_key=class_key, node=node, source=source,
+                is_async=isinstance(node, ast.AsyncFunctionDef),
+            )
+
         for node in source.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fid = f"{module}:{node.name}"
-                info = FunctionInfo(
-                    fid=fid, module=module, qualname=node.name,
-                    class_key=None, node=node, source=source,
-                    is_async=isinstance(node, ast.AsyncFunctionDef),
-                )
-                self.functions[fid] = info
-                names[node.name] = fid
+                names[node.name] = f"{module}:{node.name}"
+                add(names[node.name], node.name, None, node)
             elif isinstance(node, ast.ClassDef):
                 key = f"{module}:{node.name}"
                 cls = ClassInfo(
@@ -142,16 +155,9 @@ class CallGraph:
                     if isinstance(
                         item, (ast.FunctionDef, ast.AsyncFunctionDef)
                     ):
-                        fid = f"{module}:{node.name}.{item.name}"
-                        self.functions[fid] = FunctionInfo(
-                            fid=fid, module=module,
-                            qualname=f"{node.name}.{item.name}",
-                            class_key=key, node=item, source=source,
-                            is_async=isinstance(
-                                item, ast.AsyncFunctionDef
-                            ),
-                        )
-                        cls.methods[item.name] = fid
+                        qualname = f"{node.name}.{item.name}"
+                        cls.methods[item.name] = f"{module}:{qualname}"
+                        add(cls.methods[item.name], qualname, key, item)
             elif isinstance(node, ast.Assign):
                 kind = self._lock_constructor_kind(node.value, module)
                 if kind is not None:
@@ -164,10 +170,7 @@ class CallGraph:
                 if self.functions[fid].node is node:
                     continue  # a module-level coroutine or a method
                 fid = f"{fid}@{node.lineno}"  # a redefinition
-            self.functions[fid] = FunctionInfo(
-                fid=fid, module=module, qualname=qualname, class_key=None,
-                node=node, source=source, is_async=True,
-            )
+            add(fid, qualname, None, node)
 
     def _lock_constructor_kind(self, value: ast.AST,
                                module: str) -> str | None:
@@ -219,16 +222,15 @@ class CallGraph:
 
         Import statements say ``repro.query.engine`` while corpus
         modules are keyed the same way (module names anchor at the
-        last ``repro`` segment), so direct lookup works; ``from
-        repro.query import engine`` binds a *submodule*, which has no
-        entry under ``repro.query`` — fall through to the joined name.
+        last ``repro`` segment), so direct lookup works. A name with
+        no entry resolves to None: ``from repro.query import engine``
+        binds a *submodule*, which :meth:`resolve_call` looks up under
+        the joined name itself.
         """
         entry = self._module_names.get(module, {}).get(name)
-        if entry is not None:
-            if want_class:
-                return entry if entry in self.classes else None
-            return entry
-        return None
+        if want_class and entry not in self.classes:
+            return None
+        return entry
 
     def exception_id(self, module: str, expr: ast.AST) -> str | None:
         """Class id (``pkg.mod.Class``) an exception expression names.
@@ -256,67 +258,26 @@ class CallGraph:
 
     # -- attribute-type inference --------------------------------------
 
-    def _infer_attr_types(self, module: str, source: SourceFile) -> None:
-        for node in source.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            cls = self.classes[f"{module}:{node.name}"]
-            conflicts: set = set()
-            for method in node.body:
-                if not isinstance(
-                    method, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                for stmt in ast.walk(method):
-                    if not isinstance(stmt, ast.Assign):
-                        continue
-                    for target in stmt.targets:
-                        attr = self_attr(target)
-                        if attr is None:
-                            continue
-                        self._record_attr(
-                            cls, attr, stmt.value, module, conflicts
-                        )
-            for attr in conflicts:
-                cls.attr_types.pop(attr, None)
-
-    def _record_attr(self, cls: ClassInfo, attr: str, value: ast.AST,
-                     module: str, conflicts: set) -> None:
-        if not isinstance(value, ast.Call):
-            return
-        kind = self._lock_constructor_kind(value, module)
-        if kind is not None:
-            cls.lock_attrs[attr] = kind
-            if kind == "condition" and value.args:
-                inner = self_attr(value.args[0])
-                if inner is not None:
+    def _infer_attr_types(self, cls: ClassInfo, assignments: list) -> None:
+        """Type ``cls``'s attributes from its methods' ``self.x = C(...)``."""
+        conflicts: set = set()
+        for attr, value in assignments:
+            kind = self._lock_constructor_kind(value, cls.module)
+            if kind is not None:
+                cls.lock_attrs[attr] = kind
+                inner = self_attr(value.args[0]) if value.args else None
+                if kind == "condition" and inner is not None:
                     cls.lock_aliases[attr] = inner
-            return
-        key = self._resolve_class_expr(value.func, module)
-        if key is None:
-            return
-        previous = cls.attr_types.get(attr)
-        if previous is not None and previous != key:
-            conflicts.add(attr)  # two candidate types: drop the inference
-        else:
-            cls.attr_types[attr] = key
+                continue
+            key = self._resolve_class_expr(value.func, cls.module)
+            if key is None:
+                continue
+            if cls.attr_types.setdefault(attr, key) != key:
+                conflicts.add(attr)  # two candidate types: drop the inference
+        for attr in conflicts:
+            cls.attr_types.pop(attr, None)
 
     # -- call resolution -----------------------------------------------
-
-    def _resolve_calls(self, info: FunctionInfo) -> None:
-        collector = _CallCollector()
-        for stmt in info.node.body:
-            collector.visit(stmt)
-        for call in collector.calls:
-            callee = self.resolve_call(info, call)
-            site = CallSite(
-                node=call,
-                lineno=call.lineno,
-                callee=callee,
-                text=_render_callee(call.func),
-            )
-            info.calls.append(site)
-            info.call_for[id(call)] = site
 
     def resolve_call(self, info: FunctionInfo,
                      call: ast.Call) -> str | None:
@@ -350,20 +311,11 @@ class CallGraph:
                 return None
             attr = self_attr(value)
             if attr is not None and info.class_key:
-                cls = self.classes.get(info.class_key)
-                type_key = self._attr_type(cls, attr) if cls else None
-                if type_key is not None:
-                    return self.lookup_method(type_key, func.attr)
-        return None
-
-    def _attr_type(self, cls: ClassInfo, attr: str) -> str | None:
-        seen: set = set()
-        while cls is not None and cls.key not in seen:
-            seen.add(cls.key)
-            if attr in cls.attr_types:
-                return cls.attr_types[attr]
-            cls = self.classes.get(cls.base_keys[0]) \
-                if cls.base_keys else None
+                for cls in self._mro(info.class_key):
+                    if attr in cls.attr_types:
+                        return self.lookup_method(
+                            cls.attr_types[attr], func.attr
+                        )
         return None
 
     def _as_function(self, entry: str | None) -> str | None:
@@ -375,22 +327,28 @@ class CallGraph:
             return self.classes[entry].methods.get("__init__")
         return None
 
-    def lookup_method(self, class_key: str, name: str) -> str | None:
-        """Resolve a method through the class and its declared bases."""
+    def _mro(self, class_key: str):
+        """The class and its corpus bases, breadth first, each once.
+
+        The one textual MRO that methods, attribute types and lock
+        attributes are all looked up through.
+        """
         seen: set = set()
         queue = [class_key]
         while queue:
             key = queue.pop(0)
-            if key in seen:
+            cls = self.classes.get(key)
+            if key in seen or cls is None:
                 continue
             seen.add(key)
-            cls = self.classes.get(key)
-            if cls is None:
-                continue
-            fid = cls.methods.get(name)
-            if fid is not None:
-                return fid
+            yield cls
             queue.extend(cls.base_keys)
+
+    def lookup_method(self, class_key: str, name: str) -> str | None:
+        """Resolve a method through the class and its declared bases."""
+        for cls in self._mro(class_key):
+            if name in cls.methods:
+                return cls.methods[name]
         return None
 
     # -- lock identity -------------------------------------------------
@@ -419,17 +377,10 @@ class CallGraph:
         """Lock identity of ``self.<attr>`` in ``info``'s class."""
         if not info.class_key:
             return None
-        seen: set = set()
-        key = info.class_key
-        while key is not None and key not in seen:
-            seen.add(key)
-            cls = self.classes.get(key)
-            if cls is None:
-                break
+        for cls in self._mro(info.class_key):
             attr = cls.lock_aliases.get(attr, attr)
             if attr in cls.lock_attrs:
-                return f"{key}.{attr}"
-            key = cls.base_keys[0] if cls.base_keys else None
+                return f"{cls.key}.{attr}"
         return None
 
     def to_dict(self) -> dict:
@@ -452,31 +403,6 @@ class CallGraph:
                 ],
             }
         return out
-
-
-class _CallCollector(ast.NodeVisitor):
-    """Collects Call nodes, skipping nested function/lambda bodies.
-
-    A call inside a nested ``def`` runs when the closure runs, not when
-    the enclosing function does — following it would fabricate
-    reachability (and the closure may run on another thread entirely).
-    """
-
-    def __init__(self) -> None:
-        self.calls: list = []
-
-    def visit_FunctionDef(self, node) -> None:
-        pass
-
-    def visit_AsyncFunctionDef(self, node) -> None:
-        pass
-
-    def visit_Lambda(self, node) -> None:
-        pass
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.calls.append(node)
-        self.generic_visit(node)
 
 
 #: Node types whose children may hold a statement.
@@ -504,10 +430,3 @@ def _coroutines(node: ast.AST, prefix: str = "") -> list:
             inner = f"{prefix}{child.name}.<locals>."
         found.extend(_coroutines(child, inner))
     return found
-
-
-def _render_callee(func: ast.AST) -> str:
-    try:
-        return f"{ast.unparse(func)}()"
-    except Exception:  # pragma: no cover - unparse is total on exprs
-        return "<call>()"

@@ -1,8 +1,8 @@
 """Interprocedural checkers: REP210/211, REP401/410, REP510.
 
 Each is a :class:`FlowChecker`: the runner builds one
-:class:`CallGraph` and one set of per-function summaries per run and
-hands the same pair to every selected flow checker, which runs a small
+:class:`CallGraph` per run, every function carrying its resolved facts,
+and hands it to every selected flow checker, which runs a small
 fixpoint over it:
 
 * ``REP210`` — the global lock-acquisition-order graph has a cycle:
@@ -106,22 +106,22 @@ class FlowChecker(ProjectChecker):
     """A whole-program analysis over the run's one flow model.
 
     :func:`repro.analysis.runner.run_paths` builds the
-    :class:`CallGraph` and its :func:`summarize` output once, the first
-    time a selected checker is a flow checker, and passes the same
-    pair to each one's :meth:`check_flow`.
+    :class:`CallGraph` once, the first time a selected checker is a
+    flow checker, and passes the same graph to each one's
+    :meth:`check_flow`.
     """
 
-    def check_flow(self, graph: CallGraph, summaries: dict) -> list:
+    def check_flow(self, graph: CallGraph) -> list:
         raise NotImplementedError
 
 
-def _blocking_witnesses(summaries: dict, sites: str,
-                       skip_async: bool) -> dict:
+def _blocking_witnesses(functions: dict, kind: str,
+                        skip_async: bool) -> dict:
     """``{fid: (chain, desc, path, lineno)}`` — may f block, and where.
 
-    ``sites`` names the summary list that counts as blocking
-    (``"unbounded_blocking"`` for REP211, ``"loop_blocking"`` for
-    REP410); with ``skip_async`` a coroutine neither blocks nor is
+    ``kind`` names the call-site field that counts as blocking
+    (``"unbounded_wait"`` for REP211, ``"loop_blocking"`` for REP410);
+    with ``skip_async`` a coroutine neither blocks nor is
     traversed (it is checked as an entry point of its own). The chain
     lists fids from f down to the function containing the blocking
     site; resolution order is sorted, so witnesses are stable.
@@ -134,18 +134,19 @@ def _blocking_witnesses(summaries: dict, sites: str,
         if fid in visiting:
             return None  # recursion: no new information
         visiting.add(fid)
-        summary = summaries.get(fid)
+        info = functions.get(fid)
         result = None
-        if summary is not None and not (skip_async and summary.info.is_async):
-            found = getattr(summary, sites)
+        if info is not None and not (skip_async and info.is_async):
+            found = [call for call in info.calls if getattr(call, kind)]
             if found:
                 site = min(found, key=lambda s: s.lineno)
                 result = (
-                    (fid,), site.desc, summary.info.source.path, site.lineno,
+                    (fid,), getattr(site, kind), info.source.path,
+                    site.lineno,
                 )
             else:
                 for call in sorted(
-                    summary.calls, key=lambda c: (c.lineno, c.text),
+                    info.calls, key=lambda c: (c.lineno, c.text),
                 ):
                     if call.callee is None:
                         continue
@@ -158,7 +159,7 @@ def _blocking_witnesses(summaries: dict, sites: str,
         memo[fid] = result
         return result
 
-    for fid in sorted(summaries):
+    for fid in sorted(functions):
         visit(fid, set())
     return memo
 
@@ -170,42 +171,40 @@ class LockFlowChecker(FlowChecker):
         "REP211": "unbounded wait while holding a lock",
     }
 
-    def check_flow(self, graph, summaries) -> list:
-        acquired = self._acquired_fixpoint(graph, summaries)
+    def check_flow(self, graph) -> list:
+        acquired = self._acquired_fixpoint(graph)
         diagnostics: list = []
-        edges = self._lock_order_edges(graph, summaries, acquired)
+        edges = self._lock_order_edges(graph, acquired)
         diagnostics.extend(self._cycle_diagnostics(graph, edges))
-        diagnostics.extend(
-            self._blocking_diagnostics(graph, summaries)
-        )
+        diagnostics.extend(self._blocking_diagnostics(graph))
         return diagnostics
 
     # -- REP210 --------------------------------------------------------
 
-    def _acquired_fixpoint(self, graph, summaries) -> dict:
+    def _acquired_fixpoint(self, graph) -> dict:
         """``{fid: frozenset(locks f may acquire, transitively)}``.
 
         Entry (``holds-lock``) locks are excluded — the *caller*
         acquires those; counting them here would double every edge.
         """
         acquired = {
-            fid: {acq.lock for acq in summary.acquisitions}
-            for fid, summary in summaries.items()
+            fid: {acq.lock for acq in info.acquisitions}
+            for fid, info in graph.functions.items()
         }
         changed = True
         while changed:
             changed = False
-            for fid, summary in summaries.items():
+            for fid, info in graph.functions.items():
                 mine = acquired[fid]
                 before = len(mine)
-                for call in summary.calls:
+                for call in info.calls:
                     if call.callee is not None:
                         mine |= acquired.get(call.callee, set())
                 if len(mine) != before:
                     changed = True
         return acquired
 
-    def _lock_order_edges(self, graph, summaries, acquired) -> dict:
+    def _lock_order_edges(self, graph, acquired) -> dict:
         """``{(src, dst): (source, lineno, detail)}`` — first witness wins.
 
         An edge src -> dst means "some path acquires dst while holding
@@ -219,11 +218,11 @@ class LockFlowChecker(FlowChecker):
             if key not in edges:
                 edges[key] = (source, lineno, detail)
 
-        for fid in sorted(summaries):
-            summary = summaries[fid]
-            source = summary.info.source
-            for acq in summary.acquisitions:
-                holders = tuple(summary.entry_locks) + tuple(acq.held)
+        for fid in sorted(graph.functions):
+            info = graph.functions[fid]
+            source = info.source
+            for acq in info.acquisitions:
+                holders = info.entry_locks + acq.held
                 for held in holders:
                     if held == acq.lock and self._reentrant(graph, held):
                         continue
@@ -233,10 +232,10 @@ class LockFlowChecker(FlowChecker):
                         f"{_short_lock(acq.lock)} while holding "
                         f"{_short_lock(held)}",
                     )
-            for call in summary.calls:
+            for call in info.calls:
                 if call.callee is None:
                     continue
-                holders = tuple(summary.entry_locks) + tuple(call.held)
+                holders = info.entry_locks + call.held
                 if not holders:
                     continue
                 for lock in sorted(acquired.get(call.callee, ())):
@@ -302,31 +301,31 @@ class LockFlowChecker(FlowChecker):
 
     # -- REP211 --------------------------------------------------------
 
-    def _blocking_diagnostics(self, graph, summaries) -> list:
+    def _blocking_diagnostics(self, graph) -> list:
         witnesses = _blocking_witnesses(
-            summaries, "unbounded_blocking", skip_async=False
+            graph.functions, "unbounded_wait", skip_async=False
         )
         diagnostics: list = []
-        for fid in sorted(summaries):
-            summary = summaries[fid]
-            source = summary.info.source
-            for site in summary.unbounded_blocking:
-                held = tuple(summary.entry_locks) + tuple(site.held)
-                if not held:
+        for fid in sorted(graph.functions):
+            info = graph.functions[fid]
+            source = info.source
+            for site in info.calls:
+                held = info.entry_locks + site.held
+                if site.unbounded_wait is None or not held:
                     continue
                 locks = ", ".join(_short_lock(lock) for lock in held)
                 diagnostics.append(
                     self.diagnostic(
                         source, "REP211", site.lineno,
-                        f"{site.desc} while holding {locks} — every "
-                        f"other thread needing the lock stalls for the "
-                        f"whole wait; release first or bound the wait",
+                        f"{site.unbounded_wait} while holding {locks} — "
+                        f"every other thread needing the lock stalls for "
+                        f"the whole wait; release first or bound the wait",
                     )
                 )
-            for call in summary.calls:
+            for call in info.calls:
                 if call.callee is None:
                     continue
-                held = tuple(summary.entry_locks) + tuple(call.held)
+                held = info.entry_locks + call.held
                 if not held:
                     continue
                 witness = witnesses.get(call.callee)
@@ -353,24 +352,25 @@ class TransitiveBlockingChecker(FlowChecker):
         "REP410": "event-loop-blocking call reachable from a coroutine",
     }
 
-    def check_flow(self, graph, summaries) -> list:
+    def check_flow(self, graph) -> list:
         witnesses = _blocking_witnesses(
-            summaries, "loop_blocking", skip_async=True
+            graph.functions, "loop_blocking", skip_async=True
         )
         diagnostics: list = []
-        for fid in sorted(summaries):
-            summary = summaries[fid]
-            if not (summary.info.is_async or summary.loop_only):
+        for fid in sorted(graph.functions):
+            info = graph.functions[fid]
+            if not (info.is_async or info.loop_only):
                 continue
-            source = summary.info.source
-            if summary.info.is_async:
-                for site in summary.loop_blocking:
-                    diagnostics.append(self.diagnostic(
-                        source, "REP401", site.lineno, site.desc,
-                        col=site.col,
-                    ))
+            source = info.source
+            if info.is_async:
+                for site in info.calls:
+                    if site.loop_blocking is not None:
+                        diagnostics.append(self.diagnostic(
+                            source, "REP401", site.lineno,
+                            site.loop_blocking, col=site.node.col_offset,
+                        ))
             reported: set = set()
-            for call in summary.calls:
+            for call in info.calls:
                 witness = witnesses.get(call.callee)
                 if witness is None or call.callee in reported:
                     continue
@@ -395,19 +395,19 @@ class ErrorEscapeChecker(FlowChecker):
         "REP510": "untyped engine exception can reach a net handler",
     }
 
-    def check_flow(self, graph, summaries) -> list:
+    def check_flow(self, graph) -> list:
         parents = self._exception_parents(graph)
-        escapes = self._escape_fixpoint(summaries, parents)
+        escapes = self._escape_fixpoint(graph.functions, parents)
         diagnostics: list = []
-        for fid in sorted(summaries):
-            summary = summaries[fid]
-            if not summary.info.module.startswith("repro.net"):
+        for fid in sorted(graph.functions):
+            info = graph.functions[fid]
+            if not info.module.startswith("repro.net"):
                 continue
-            if summary.info.module.startswith("repro.net.protocol"):
+            if info.module.startswith("repro.net.protocol"):
                 continue
-            if not (summary.info.is_async or summary.loop_only):
+            if not (info.is_async or info.loop_only):
                 continue
-            source = summary.info.source
+            source = info.source
             for exc in sorted(escapes.get(fid, {})):
                 chain = escapes[fid][exc]
                 if self._is_repro_error(exc, parents):
@@ -415,8 +415,8 @@ class ErrorEscapeChecker(FlowChecker):
                 if exc in _ESCAPE_EXEMPT:
                     continue
                 origin_fid, origin_line = chain[-1]
-                origin = summaries.get(origin_fid)
-                if origin is None or not origin.info.module.startswith(
+                origin = graph.functions.get(origin_fid)
+                if origin is None or not origin.module.startswith(
                     ENGINE_LAYER_PREFIXES
                 ):
                     continue
@@ -425,7 +425,7 @@ class ErrorEscapeChecker(FlowChecker):
                     self.diagnostic(
                         source, "REP510", chain[0][1],
                         f"{exc} raised in {_qual(graph, origin_fid)} "
-                        f"({origin.info.source.path}:{origin_line}) can "
+                        f"({origin.source.path}:{origin_line}) can "
                         f"reach this handler unmapped via {chain_text} "
                         f"— catch it at the boundary and wrap it in a "
                         f"typed ReproError so the wire protocol can "
@@ -480,18 +480,16 @@ class ErrorEscapeChecker(FlowChecker):
             current = parent
         return False
 
-    def _escape_fixpoint(self, summaries, parents) -> dict:
+    def _escape_fixpoint(self, functions, parents) -> dict:
         """``{fid: {exc: witness chain ((fid, line), ...)}}``.
 
         The chain runs caller-first: entry call site down to the raise
         site. Propagation only ever *adds* (exc -> chain) pairs, so the
         iteration terminates; recursion just stops adding.
         """
-        escapes: dict = {
-            fid: {} for fid in summaries
-        }
-        for fid, summary in summaries.items():
-            for site in summary.raises:
+        escapes: dict = {fid: {} for fid in functions}
+        for fid, info in functions.items():
+            for site in info.raises:
                 if any(
                     self._catches(handler, site.exc, parents)
                     for handler in site.caught
@@ -503,9 +501,8 @@ class ErrorEscapeChecker(FlowChecker):
         changed = True
         while changed:
             changed = False
-            for fid in sorted(summaries):
-                summary = summaries[fid]
-                for call in summary.calls:
+            for fid in sorted(functions):
+                for call in functions[fid].calls:
                     if call.callee is None:
                         continue
                     for exc, chain in escapes.get(

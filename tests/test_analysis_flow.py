@@ -1,8 +1,10 @@
 """Tests for the interprocedural flow layer (repro.analysis.flow).
 
 Covers the call-graph builder itself (resolution forms, cycle
-tolerance, unknown-callee conservatism), the one flow model a run
-builds, the three flow checkers' must-flag / must-not-flag fixtures —
+tolerance, unknown-callee conservatism, lookups through every base),
+the one flow model a run builds and its one walk per function body
+(call sites checked against an independent walk of ``src/repro``), the
+three flow checkers' must-flag / must-not-flag fixtures —
 including the acceptance fixture: two functions acquiring two locks in
 opposite orders, flagged by REP210 — and the ``--call-graph`` dump
 surface.
@@ -10,14 +12,21 @@ surface.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis.core import parse_source
-from repro.analysis.flow import CallGraph, summarize
+from repro.analysis.flow import CallGraph, callgraph
+from repro.analysis.runner import _parse_files, discover_files
 from repro.analysis.runner import main as lint_main
-from tests.test_analysis import codes_of, lint_tree
+from tests.test_analysis import (
+    SEEDED_VIOLATIONS,
+    SRC_REPRO,
+    codes_of,
+    lint_tree,
+)
 
 #: The seeded deadlock pair: ``forward`` takes A then B, ``backward``
 #: takes B then A. The static checker must flag the cycle (REP210) and
@@ -179,6 +188,55 @@ class TestCallGraphResolution:
         })
         assert callees_of(graph, "repro.query.mod:Engine.run") == set()
 
+    def test_attr_type_declared_on_a_second_base(self, tmp_path):
+        graph = build_graph(tmp_path, {
+            "repro/query/mod.py": """\
+                class Cache:
+                    def get(self, key):
+                        return None
+
+                class Base:
+                    def __init__(self):
+                        self.cache = Cache()
+
+                class Mixin:
+                    pass
+
+                class Engine(Mixin, Base):
+                    def lookup(self, key):
+                        return self.cache.get(key)
+            """,
+        })
+        assert callees_of(graph, "repro.query.mod:Engine.lookup") == {
+            "repro.query.mod:Cache.get",
+        }
+
+    def test_nested_def_assignments_still_type_the_class(self, tmp_path):
+        # The closure's calls are not the method's, but its assignment
+        # still types the attribute.
+        graph = build_graph(tmp_path, {
+            "repro/query/mod.py": """\
+                class Cache:
+                    def get(self, key):
+                        return None
+
+                class Engine:
+                    def __init__(self):
+                        def build():
+                            self.cache = Cache()
+                        build()
+
+                    def lookup(self, key):
+                        return self.cache.get(key)
+            """,
+        })
+        assert callees_of(graph, "repro.query.mod:Engine.lookup") == {
+            "repro.query.mod:Cache.get",
+        }
+        assert [site.text for site in graph.functions[
+            "repro.query.mod:Engine.__init__"
+        ].calls] == ["build()"]
+
     def test_unknown_callees_are_conservative(self, tmp_path):
         graph = build_graph(tmp_path, {
             "repro/query/mod.py": """\
@@ -206,9 +264,10 @@ class TestCallGraphResolution:
                     return 0
             """,
         })
-        # Summaries + both fixpoints must terminate over the cycle.
-        summaries = summarize(graph)
-        assert "repro.query.mod:ping" in summaries
+        # The graph's resolve phase must terminate over the cycle.
+        assert callees_of(graph, "repro.query.mod:ping") == {
+            "repro.query.mod:pong",
+        }
 
     def test_base_class_method_resolution(self, tmp_path):
         graph = build_graph(tmp_path, {
@@ -386,6 +445,37 @@ class TestLockFlowChecker:
         }, select=["lock-flow"])
         assert codes_of(report) == ["REP211"]
         assert "time.sleep" in report.diagnostics[0].message
+
+    def test_lock_declared_on_a_second_base(self, tmp_path):
+        # Lock attributes are looked up through every corpus base, in
+        # the same order as methods, not only through the first.
+        report = lint_tree(tmp_path, {
+            "repro/service/mod.py": """\
+                import threading
+                import time
+
+                class Base:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+
+                class Mixin:
+                    pass
+
+                class FirstBase(Base, Mixin):
+                    def spin(self):
+                        with self._lock:
+                            time.sleep(1)
+
+                class SecondBase(Mixin, Base):
+                    def spin(self):
+                        with self._lock:
+                            time.sleep(1)
+            """,
+        }, select=["lock-flow"])
+        assert [(d.code, d.line) for d in report.diagnostics] == [
+            ("REP211", 14), ("REP211", 19),
+        ]
+        assert all("mod.Base._lock" in d.message for d in report.diagnostics)
 
     def test_transitive_wait_under_lock_prints_chain(self, tmp_path):
         report = lint_tree(tmp_path, {
@@ -672,6 +762,91 @@ class TestOneFlowModel:
         built.update(graphs=0, import_maps=0)
         lint_tree(tmp_path, files, select=["determinism"])
         assert built == {"graphs": 0, "import_maps": len(files)}
+
+
+def plain_calls(body: list) -> list:
+    """The oracle: ``ast.Call`` nodes under ``body`` in walk order,
+    stopping at nested ``def`` / ``lambda``."""
+    found: list = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return
+        if isinstance(node, ast.Call):
+            found.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for stmt in body:
+        visit(stmt)
+    return found
+
+
+class TestOneWalkPerBody:
+    def test_each_body_is_walked_once(self, tmp_path, monkeypatch):
+        entered: list = []
+        graphs: list = []
+        other_walks: list = []
+        building = [False]
+        walk_body, graph_init = callgraph.walk_body, CallGraph.__init__
+        walk, visit = ast.walk, ast.NodeVisitor.visit
+        function_types = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+        def counting_walk_body(info, assignments):
+            entered.append(info.node)
+            walk_body(info, assignments)
+
+        def capturing_init(self, sources):
+            graphs.append(self)
+            building[0] = True
+            graph_init(self, sources)
+            building[0] = False
+
+        def counting_walk(node):
+            if building[0] and isinstance(node, function_types):
+                other_walks.append(node)
+            return walk(node)
+
+        def counting_visit(self, node):
+            if building[0] and isinstance(node, function_types):
+                other_walks.append(node)
+            return visit(self, node)
+
+        monkeypatch.setattr(callgraph, "walk_body", counting_walk_body)
+        monkeypatch.setattr(CallGraph, "__init__", capturing_init)
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        monkeypatch.setattr(ast.NodeVisitor, "visit", counting_visit)
+        report = lint_tree(tmp_path, SEEDED_VIOLATIONS)
+        assert not report.clean
+        (graph,) = graphs
+        # One walk per function body, and no second pass over a body
+        # for attribute types or summaries.
+        assert len(entered) == len(graph.functions)
+        assert {id(node) for node in entered} == {
+            id(info.node) for info in graph.functions.values()
+        }
+        assert other_walks == []
+
+    def test_call_sites_match_an_independent_walk(self):
+        sources, errors = _parse_files(discover_files([str(SRC_REPRO)]))
+        assert not errors
+        graph = CallGraph(sources)
+        dump = graph.to_dict()
+        assert len(graph.functions) > 500
+        for fid, info in graph.functions.items():
+            expected = plain_calls(info.node.body)
+            assert [id(site.node) for site in info.calls] == [
+                id(node) for node in expected
+            ], fid
+            assert dump[fid]["calls"] == [
+                {
+                    "line": node.lineno,
+                    "text": f"{ast.unparse(node.func)}()",
+                    "callee": graph.resolve_call(info, node),
+                }
+                for node in expected
+            ], fid
 
 
 class TestCallGraphDump:
