@@ -13,15 +13,22 @@ into one plain disk store:
   (count parity is asserted here; byte-for-byte store agreement is
   ``tests/test_index_builder.py``'s digest test).
 
+The estimator is the median parallel / serial build-time ratio of two
+paired rounds (:func:`benchmarks.paired.paired`, one build of each per
+round, the first alternating), with its IQR, range and verdict against
+the claim "the parallel build is faster" (bound 1.0); the assertion
+wants that median below 1.0 when the median serial build takes at
+least 0.4 s.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_build_scaling.py -v``.
 """
 
 import pytest
 
 from benchmarks import harness
+from benchmarks.paired import describe, paired
 from repro.index import build_path_index
 from repro.index.bundle import clear_offline_artifacts
-from repro.obs.timing import Timer
 from repro.storage import DiskPathStore
 
 #: Large enough that the serial build (~1 s on a 2-CPU host) is past
@@ -32,23 +39,14 @@ NUM_REFERENCES = 6000
 MAX_LENGTH = 2
 BETA = 0.1
 BUILD_PROCESSES = 2
+#: Paired rounds: one noisy scheduler hiccup on a small shared CI
+#: runner must not decide the comparison.
+ROUNDS = 2
 
 
 @pytest.fixture(scope="module")
 def peg():
     return harness.synthetic_peg(NUM_REFERENCES)
-
-
-def _best_of(runs: int, build) -> tuple:
-    """Minimum wall-clock over ``runs`` builds (noise suppression)."""
-    best_seconds = None
-    index = None
-    for _ in range(runs):
-        with Timer() as timer:
-            index = build()
-        if best_seconds is None or timer.elapsed < best_seconds:
-            best_seconds = timer.elapsed
-    return best_seconds, index
 
 
 def test_parallel_build_scaling(peg, tmp_path_factory):
@@ -68,17 +66,19 @@ def test_parallel_build_scaling(peg, tmp_path_factory):
         index.store.close()
         return index
 
-    # Best-of-2 on both sides: one noisy scheduler hiccup on a small
-    # shared CI runner must not decide the comparison.
     serial_dir = str(tmp_path_factory.mktemp("serial"))
-    serial_seconds, serial = _best_of(2, lambda: build(serial_dir, 0))
-
     parallel_dir = str(tmp_path_factory.mktemp("parallel"))
-    parallel_seconds, parallel = _best_of(
-        2, lambda: build(parallel_dir, BUILD_PROCESSES)
-    )
+    built = {}
 
-    speedup = serial_seconds / max(parallel_seconds, 1e-9)
+    def serial_build():
+        built["serial"] = build(serial_dir, 0)
+
+    def parallel_build():
+        built["parallel"] = build(parallel_dir, BUILD_PROCESSES)
+
+    ratio = paired(serial_build, parallel_build, ROUNDS, 1.0)
+    serial, parallel = built["serial"], built["parallel"]
+    serial_seconds, parallel_seconds = ratio["a"], ratio["b"]
     harness.report(
         "build_scaling",
         "measurement  value",
@@ -88,7 +88,10 @@ def test_parallel_build_scaling(peg, tmp_path_factory):
             ("paths", serial.num_paths()),
             ("serial_build_s", round(serial_seconds, 3)),
             ("parallel_build_s", round(parallel_seconds, 3)),
-            ("parallel_speedup", round(speedup, 2)),
+            ("parallel_speedup", round(1.0 / ratio["median"], 2)),
+            ("parallel_over_serial_iqr",
+             "{:.3f}-{:.3f}".format(*ratio["iqr"])),
+            ("verdict", ratio["verdict"].replace(" ", "_")),
         ],
     )
 
@@ -97,11 +100,12 @@ def test_parallel_build_scaling(peg, tmp_path_factory):
 
     if cpus >= 2 and serial_seconds >= 0.4:
         # On a multi-CPU host the pool build must beat the same build
-        # run serially. A serial baseline under 0.4s is too small to
-        # amortize pool startup and is skipped — it means the host is
-        # far faster than this workload, not that the parallel build
-        # failed to scale.
-        assert parallel_seconds < serial_seconds, (
+        # run serially, as a median of the paired rounds. A serial
+        # baseline under 0.4s is too small to amortize pool startup and
+        # is skipped — it means the host is far faster than this
+        # workload, not that the parallel build failed to scale.
+        assert ratio["median"] < 1.0, (
             f"parallel build ({parallel_seconds:.3f}s) did not improve "
-            f"on the serial one ({serial_seconds:.3f}s) with {cpus} CPUs"
+            f"on the serial one ({serial_seconds:.3f}s) with {cpus} CPUs: "
+            f"parallel/serial {describe(ratio)}"
         )

@@ -11,9 +11,12 @@ Measures the cost model the :mod:`repro.delta` subsystem promises:
 * **overlay lookup overhead** — online query latency through the
   :class:`~repro.delta.overlay.DeltaOverlayIndex` (dirty-node masking +
   delta union) relative to an engine rebuilt from scratch over the
-  *same* mutated graph, timed in alternating rounds (one pass of each
-  per round) and reported as the median per-round ratio with its
-  min-max range; a range that straddles 1 is ``unresolved``,
+  *same* mutated graph. The estimator is the median overlay / rebuilt
+  ratio of ``LOOKUP_ROUNDS`` (9) paired rounds
+  (:func:`benchmarks.paired.paired`, one workload pass of each per
+  round), with its IQR and range, against the claim "the overlay reads
+  no slower than rebuilt" (bound 1.0): ``holds``, ``does not hold`` or
+  ``unresolved``. Reported, never gated,
 * **first pass after a batch** — the query workload timed once right
   after every batch, which pays whatever the batch invalidated (link
   structures, and plans if a batch re-keyed them); the warm overlay
@@ -24,8 +27,7 @@ Measures the cost model the :mod:`repro.delta` subsystem promises:
 A correctness spot check (overlay vs rebuild match sets) runs inside
 the benchmark: a fast wrong answer must fail, not impress. Results are
 written as machine-readable ``BENCH_delta.json``; with ``--trajectory``
-a versioned copy goes under ``benchmarks/results/`` for the
-perf-trajectory table in ``benchmarks/summarize.py``. With ``--smoke``
+a versioned copy goes under ``benchmarks/results/``. With ``--smoke``
 (the CI gate) the script exits non-zero when the *mean* batch is not at
 least ``SMOKE_MIN_SPEEDUP`` times faster than rebuilding the offline
 phase from scratch — the whole point of the subsystem.
@@ -38,19 +40,17 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
-import statistics
 import sys
 import time
 
-if __package__ in (None, ""):  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    )
+if __package__ in (None, ""):  # run as a script: put src/ and the repo root on the path
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
+from benchmarks import harness
+from benchmarks.paired import describe, fastest, paired
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.delta import AddEdge, AddEntity, UpdateLabelProbability
@@ -65,7 +65,7 @@ BETA = 0.05
 #: batches (an overlay that re-enumerates its cumulative dirty region
 #: passes on the first batch and fails on the mean).
 SMOKE_MIN_SPEEDUP = 5.0
-#: Alternating rounds of the overlay-vs-rebuilt read comparison.
+#: Paired rounds of the overlay-vs-rebuilt read comparison.
 LOOKUP_ROUNDS = 9
 
 
@@ -144,57 +144,9 @@ def _query_workload(rng: random.Random, sigma, count: int) -> list:
     return queries
 
 
-def _time_queries(engine, queries, passes: int = 1) -> float:
-    """Seconds for the workload: the fastest of ``passes`` runs (with
-    several, the first is the warm-up of plans and probability arrays)."""
-    best = float("inf")
-    for _ in range(passes):
-        start = time.perf_counter()
-        for query in queries:
-            engine.query(query, ALPHA)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _paired_overhead(overlay, rebuilt, queries) -> dict:
-    """Overlay over rebuilt read time, one pass of each per round.
-
-    The two passes of a round run back to back, their order alternating
-    between rounds, so the host's drift lands on both sides of every
-    round's ratio rather than on one side of two separate best-ofs.
-    After one warm-up pass each, every round's ratio is kept: the
-    median is the overhead, and a min-max range that straddles 1 means
-    this run cannot tell the two apart (``unresolved``).
-    """
-    _time_queries(overlay, queries)
-    _time_queries(rebuilt, queries)
-    overlay_seconds, rebuilt_seconds = [], []
-    for round_index in range(LOOKUP_ROUNDS):
-        if round_index % 2:
-            rebuilt_seconds.append(_time_queries(rebuilt, queries))
-            overlay_seconds.append(_time_queries(overlay, queries))
-        else:
-            overlay_seconds.append(_time_queries(overlay, queries))
-            rebuilt_seconds.append(_time_queries(rebuilt, queries))
-    ratios = [
-        over / base if base else float("inf")
-        for over, base in zip(overlay_seconds, rebuilt_seconds)
-    ]
-    low, high = min(ratios), max(ratios)
-    if low > 1.0:
-        verdict = "overhead"
-    elif high < 1.0:
-        verdict = "faster"
-    else:
-        verdict = "unresolved"
-    return {
-        "overlay_seconds": statistics.median(overlay_seconds),
-        "rebuilt_seconds": statistics.median(rebuilt_seconds),
-        "overlay_overhead_ratio": statistics.median(ratios),
-        "overlay_overhead_range": [low, high],
-        "overlay_overhead_rounds": LOOKUP_ROUNDS,
-        "overlay_overhead_verdict": verdict,
-    }
+def _workload_pass(engine, queries):
+    """A side of the timer: one pass of the query workload."""
+    return lambda: [engine.query(query, ALPHA) for query in queries]
 
 
 def match_keys(matches):
@@ -214,7 +166,7 @@ def run(num_references: int, num_batches: int, batch_size: int,
     rebuild_seconds = time.perf_counter() - build_start
 
     queries = _query_workload(rng, sigma, num_queries)
-    baseline_query_seconds = _time_queries(engine, queries)
+    baseline_query_seconds = fastest(_workload_pass(engine, queries), 1)
 
     batches = _mutation_batches(rng, peg, sigma, num_batches, batch_size)
     total_ops = sum(len(batch) for batch in batches)
@@ -226,14 +178,21 @@ def run(num_references: int, num_batches: int, batch_size: int,
         summary = engine.apply_updates(batch)
         batch_seconds.append(time.perf_counter() - batch_start)
         enumerated_paths.append(summary["enumerated_paths"])
-        first_pass_seconds.append(_time_queries(engine, queries))
+        first_pass_seconds.append(
+            fastest(_workload_pass(engine, queries), 1)
+        )
     apply_seconds = sum(batch_seconds)
 
-    # Overlay overhead is overlay vs rebuilt on the *same* (mutated)
-    # graph: against the pre-mutation baseline the two sides would
-    # answer different queries' worth of matches.
+    # Overlay overhead is overlay (B) vs rebuilt (A) on the *same*
+    # (mutated) graph, after one warm-up pass each: against the
+    # pre-mutation baseline the two sides would answer different
+    # queries' worth of matches.
     rebuilt = QueryEngine(peg, max_length=MAX_LENGTH, beta=BETA)
-    overhead = _paired_overhead(engine, rebuilt, queries)
+    overlay_pass = _workload_pass(engine, queries)
+    rebuilt_pass = _workload_pass(rebuilt, queries)
+    overlay_pass()
+    rebuilt_pass()
+    overhead = paired(rebuilt_pass, overlay_pass, LOOKUP_ROUNDS, 1.0)
     agreement = all(
         match_keys(engine.query(q, ALPHA).matches)
         == match_keys(rebuilt.query(q, ALPHA).matches)
@@ -243,7 +202,8 @@ def run(num_references: int, num_batches: int, batch_size: int,
     compact_start = time.perf_counter()
     compact_stats = engine.compact_updates()
     compact_seconds = time.perf_counter() - compact_start
-    compacted_query_seconds = _time_queries(engine, queries, passes=5)
+    # The fastest of five passes: the first warms the compacted stores.
+    compacted_query_seconds = fastest(_workload_pass(engine, queries), 5)
 
     apply_per_batch = apply_seconds / max(1, num_batches)
     return {
@@ -262,7 +222,7 @@ def run(num_references: int, num_batches: int, batch_size: int,
             if apply_per_batch else float("inf"),
         },
         "lookup": dict(
-            overhead,
+            overlay_overhead=overhead,
             queries=len(queries),
             baseline_seconds=baseline_query_seconds,
             first_pass_seconds_each_batch=first_pass_seconds,
@@ -276,20 +236,10 @@ def run(num_references: int, num_batches: int, batch_size: int,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small workload + CI gate: the mean batch must beat a rebuild "
+    parser = harness.bench_parser(
+        __doc__, "BENCH_delta",
+        "small workload + CI gate: the mean batch must beat a rebuild "
         f"by {SMOKE_MIN_SPEEDUP:g}x",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_delta.json",
-        help="where to write the machine-readable results",
-    )
-    parser.add_argument(
-        "--trajectory", action="store_true",
-        help="also write benchmarks/results/BENCH_delta-v<version>.json "
-        "(the committed perf-trajectory point for this version)",
     )
     parser.add_argument(
         "--size", type=int, default=None,
@@ -320,19 +270,7 @@ def main(argv=None) -> int:
         },
         "delta": results,
     }
-    outputs = [args.out]
-    if args.trajectory:
-        outputs.append(
-            os.path.join(
-                os.path.dirname(os.path.abspath(__file__)),
-                "results",
-                f"BENCH_delta-v{__version__}.json",
-            )
-        )
-    for out in outputs:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    outputs = harness.write_bench(report, args, "BENCH_delta")
 
     apply = results["apply"]
     lookup = results["lookup"]
@@ -352,16 +290,13 @@ def main(argv=None) -> int:
         + " ".join(str(n) for n in apply["enumerated_paths_each_batch"])
         + " enumerated"
     )
-    low, high = lookup["overlay_overhead_range"]
+    overhead = lookup["overlay_overhead"]
     print(
-        f"[lookup]  {lookup['queries']} queries, median of "
-        f"{lookup['overlay_overhead_rounds']} alternating rounds: rebuilt "
-        f"{lookup['rebuilt_seconds']:.4f}s, overlay "
-        f"{lookup['overlay_seconds']:.4f}s (overlay/rebuilt "
-        f"{lookup['overlay_overhead_ratio']:.3f}x, range "
-        f"{low:.3f}-{high:.3f}x: {lookup['overlay_overhead_verdict']}), "
-        f"post-compact {lookup['compacted_seconds']:.4f}s "
-        f"(pre-mutation graph: {lookup['baseline_seconds']:.4f}s)"
+        f"[lookup]  {lookup['queries']} queries: rebuilt "
+        f"{overhead['a']:.4f}s, overlay {overhead['b']:.4f}s; overlay/"
+        f"rebuilt {describe(overhead)}; post-compact "
+        f"{lookup['compacted_seconds']:.4f}s (pre-mutation graph: "
+        f"{lookup['baseline_seconds']:.4f}s)"
     )
     print(
         "[first]   "
@@ -369,7 +304,7 @@ def main(argv=None) -> int:
             f"{s:.4f}s" for s in lookup["first_pass_seconds_each_batch"]
         )
         + f" (mean {lookup['first_pass_seconds_mean']:.4f}s; warm overlay "
-        f"{lookup['overlay_seconds']:.4f}s)"
+        f"{overhead['b']:.4f}s)"
     )
     print(
         f"[compact] {results['compact']['sequences_rewritten']} sequences "

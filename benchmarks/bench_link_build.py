@@ -22,16 +22,23 @@ query, three partitions):
   CPU ms and numpy calls of the stacked build (no cache) against the
   per-pair oracle (:func:`repro.testing.reference.per_pair_links`).
 
+Builds, the warm total and the traffic rows are the fastest of
+``--repeats`` runs (:func:`benchmarks.paired.fastest`; the traffic rows
+in CPU time). The gated total is compared in ``--repeats`` paired
+rounds (:func:`benchmarks.paired.paired`): the estimator is the median
+vectorized / Python ratio, with its IQR, range and verdict against the
+speedup floor's bound (1/5 large, 1/2 ``--smoke``); ``speedup_total``
+is its inverse.
+
 The script exits non-zero when the builders disagree on the link
 structure (exact list equality; on the traffic row, the stacked pass's
 pre-α probabilities against the oracle's bit for bit), when the two
 reduction runs disagree on sizes/removals/survivors, when a warm build
-is not pure cache hits, or when the total vectorized path misses the
+is not pure cache hits, or when the median total ratio misses the
 speedup floor (5x large, 2x ``--smoke``). Results are written as
 ``BENCH_links.json``; with
 ``--trajectory`` a per-version copy goes to
-``benchmarks/results/BENCH_links-v<version>.json`` for
-``benchmarks/summarize.py``'s perf-trajectory table.
+``benchmarks/results/BENCH_links-v<version>.json``.
 
 Usage::
 
@@ -41,24 +48,22 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
 import sys
 import time
 
-if __package__ in (None, ""):  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    )
-    sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
+if __package__ in (None, ""):  # run as a script: put src/ and the repo root on the path
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
+from benchmarks import harness
 from benchmarks.bench_reduction_core import (
     ALPHA,
     build_candidate_workload,
     numpy_calls,
 )
+from benchmarks.paired import describe, fastest, paired
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.peg import build_peg
@@ -88,17 +93,6 @@ TRAFFIC_BETA = 0.5
 TRAFFIC_ALPHA = 0.5
 
 
-def _best(fn, repeats: int) -> tuple:
-    """Best-of-``repeats`` wall time and the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, value
-
-
 def _reduce_stats(graph):
     stats = graph.reduce()
     return (
@@ -111,28 +105,29 @@ def _reduce_stats(graph):
     )
 
 
-def bench_links(num_nodes: int, repeats: int) -> dict:
+def bench_links(num_nodes: int, repeats: int, floor: float) -> dict:
     peg, decomposition, candidates, reference, _ = build_candidate_workload(
         num_nodes
     )
     total_vertices = sum(len(c) for c in candidates.values())
     arrays = PegProbabilityArrays(peg)
 
-    # Python reference builder (re-timed here with best-of semantics; the
-    # workload helper's single-shot timing is discarded).
-    py_build, _ = _best(
+    # Python reference builder (re-timed here; the workload helper's
+    # single-shot timing is discarded).
+    py_build = fastest(
         lambda: build_candidate_links(peg, decomposition, candidates, ALPHA),
         repeats,
     )
 
-    # Vectorized cold: fresh cache every repeat, so every pair misses.
-    cold_build, cold_links = _best(
-        lambda: build_candidate_links_vectorized(
+    # Vectorized cold: fresh cache every call, so every pair misses.
+    def cold():
+        return build_candidate_links_vectorized(
             peg, decomposition, candidates, ALPHA,
             arrays=arrays, cache=LinkStructureCache(),
-        ),
-        repeats,
-    )
+        )
+
+    cold_build = fastest(cold, repeats)
+    cold_links = cold()
     if cold_links.pair_lists() != reference:
         raise SystemExit("FAIL: vectorized links differ from the reference")
     if cold_links.stats["cache_hits"] != 0:
@@ -143,12 +138,14 @@ def bench_links(num_nodes: int, repeats: int) -> dict:
     build_candidate_links_vectorized(
         peg, decomposition, candidates, ALPHA, arrays=arrays, cache=cache
     )
-    warm_build, warm_links = _best(
-        lambda: build_candidate_links_vectorized(
+
+    def warm():
+        return build_candidate_links_vectorized(
             peg, decomposition, candidates, ALPHA, arrays=arrays, cache=cache
-        ),
-        repeats,
-    )
+        )
+
+    warm_build = fastest(warm, repeats)
+    warm_links = warm()
     partition_pairs = warm_links.stats["cache_hits"]
     if partition_pairs == 0 or warm_links.stats["cache_misses"] != 0:
         raise SystemExit("FAIL: warm build was not pure cache hits")
@@ -157,12 +154,14 @@ def bench_links(num_nodes: int, repeats: int) -> dict:
 
     # End-to-end online cost: build links, build the k-partite graph,
     # reduce. Reduction outcomes must agree exactly across the paths.
+    outcomes = {}
+
     def python_total():
         links = build_candidate_links(peg, decomposition, candidates, ALPHA)
         graph = CandidateKPartiteGraph(
             peg, decomposition, candidates, ALPHA, links=links
         )
-        return _reduce_stats(graph)
+        outcomes["python"] = _reduce_stats(graph)
 
     def vectorized_total(warm_cache=None):
         links = build_candidate_links_vectorized(
@@ -174,14 +173,13 @@ def bench_links(num_nodes: int, repeats: int) -> dict:
         graph = VectorizedKPartiteGraph(
             peg, decomposition, candidates, ALPHA, links=links, arrays=arrays
         )
-        return _reduce_stats(graph)
+        key = "cold" if warm_cache is None else "warm"
+        outcomes[key] = _reduce_stats(graph)
 
-    py_total, py_outcome = _best(python_total, repeats)
-    vec_total, vec_outcome = _best(vectorized_total, repeats)
-    warm_total, warm_outcome = _best(
-        lambda: vectorized_total(warm_cache=cache), repeats
-    )
-    agreement = py_outcome == vec_outcome == warm_outcome
+    total = paired(python_total, vectorized_total, repeats, 1.0 / floor)
+    warm_total = fastest(lambda: vectorized_total(warm_cache=cache), repeats)
+    agreement = outcomes["python"] == outcomes["cold"] == outcomes["warm"]
+    py_total, vec_total = total["a"], total["b"]
 
     num_links = sum(len(pairs) for pairs in reference.values())
     return {
@@ -197,8 +195,9 @@ def bench_links(num_nodes: int, repeats: int) -> dict:
         "python_total_seconds": py_total,
         "vectorized_total_seconds": vec_total,
         "warm_total_seconds": warm_total,
-        "speedup_total": py_total / max(vec_total, 1e-12),
+        "speedup_total": 1.0 / total["median"],
         "speedup_warm_total": py_total / max(warm_total, 1e-12),
+        "vectorized_over_python_total": total,
         "agreement": agreement,
     }
 
@@ -267,14 +266,11 @@ def bench_traffic(scale: float, repeats: int) -> dict:
         for label, build in builders.items():
             # Warm the plans and edge rows, then the fastest of
             # ``repeats`` passes over every join, in CPU time.
-            for decomposition, candidates in joins:
-                build(decomposition, candidates)
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.process_time()
-                for decomposition, candidates in joins:
-                    build(decomposition, candidates)
-                best = min(best, time.process_time() - started)
+            def every_join(build=build):
+                return [build(d, c) for d, c in joins]
+
+            every_join()
+            best = fastest(every_join, repeats, time.process_time)
             calls = sum(
                 numpy_calls(lambda: build(decomposition, candidates))
                 for decomposition, candidates in joins
@@ -286,26 +282,17 @@ def bench_traffic(scale: float, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small CI workload; exit 1 below a 2x total speedup",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_links.json",
-        help="where to write the machine-readable results",
-    )
-    parser.add_argument(
-        "--trajectory", action="store_true",
-        help="also write benchmarks/results/BENCH_links-v<version>.json "
-        "(the committed perf-trajectory point for this version)",
+    parser = harness.bench_parser(
+        __doc__, "BENCH_links",
+        "small CI workload; exit 1 below a 2x total speedup",
     )
     parser.add_argument(
         "--nodes", type=int, default=None,
         help="override the PEG size (nodes; candidates scale ~4x)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="best-of repeat count"
+        "--repeats", type=int, default=None,
+        help="best-of repeat count, and the gated total's paired rounds",
     )
     args = parser.parse_args(argv)
 
@@ -313,7 +300,7 @@ def main(argv=None) -> int:
     repeats = args.repeats or (2 if args.smoke else 3)
     floor = 2.0 if args.smoke else 5.0
 
-    links = bench_links(num_nodes, repeats)
+    links = bench_links(num_nodes, repeats, floor)
     traffic = bench_traffic(0.25 if args.smoke else 1.0, repeats)
 
     report = {
@@ -328,19 +315,7 @@ def main(argv=None) -> int:
         "links": links,
         "traffic": traffic,
     }
-    outputs = [args.out]
-    if args.trajectory:
-        outputs.append(
-            os.path.join(
-                os.path.dirname(os.path.abspath(__file__)),
-                "results",
-                f"BENCH_links-v{__version__}.json",
-            )
-        )
-    for out in outputs:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    outputs = harness.write_bench(report, args, "BENCH_links")
 
     print(
         f"[links] {links['total_vertices']} candidate vertices, "
@@ -355,7 +330,8 @@ def main(argv=None) -> int:
         f"vectorized {links['vectorized_total_seconds']:.4f}s "
         f"({links['speedup_total']:.1f}x cold, "
         f"{links['speedup_warm_total']:.1f}x warm), agreement="
-        f"{links['agreement']}"
+        f"{links['agreement']}; vectorized/python "
+        f"{describe(links['vectorized_over_python_total'])}"
     )
     for name, row in traffic.items():
         print(
@@ -378,7 +354,8 @@ def main(argv=None) -> int:
     if not args.smoke and links["total_vertices"] < 10_000:
         print("FAIL: large workload must have >= 10k candidate vertices")
         return 1
-    if links["speedup_total"] < floor:
+    total = links["vectorized_over_python_total"]
+    if total["median"] > total["bound"]:
         print(
             f"FAIL: total (build+reduce) speedup "
             f"{links['speedup_total']:.2f}x below the {floor:.0f}x floor"

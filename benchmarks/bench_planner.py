@@ -3,12 +3,16 @@
 Measures what :mod:`repro.query.plan` promises for repeated-traffic
 serving:
 
-* **plan caching** — per-query planning time for a repeated workload
-  with the cache on (hits skip candidate enumeration, per-candidate
-  histogram estimation and the cover search entirely) vs re-planning
-  every query from scratch with a zero-capacity
-  :class:`~repro.query.plan.QueryPlanner`, plus the end-to-end
-  plan-stage share of full evaluations with either planner,
+* **plan caching** — planning time for a repeated workload with the
+  cache on (hits skip candidate enumeration, per-candidate histogram
+  estimation and the cover search entirely) vs re-planning every query
+  from scratch with a zero-capacity
+  :class:`~repro.query.plan.QueryPlanner`: the median cached /
+  re-plan ratio of ``PLAN_ROUNDS`` (9) paired rounds
+  (:func:`benchmarks.paired.paired`, one workload pass of each per
+  round) against the claim "cached planning is not slower than
+  re-planning" (bound 1.0), with its IQR, range and verdict; plus the
+  end-to-end plan-stage share of full evaluations with either planner,
 * **exact strategy** — estimated-cost ratio of exact (bitmask-DP) plans,
   the default, against the paper's greedy plans over the workload
   (never above 1.0: exact is optimal for the same objective), with its
@@ -24,7 +28,8 @@ serving:
   ``L = 1, 2, 3``,
 * **fidelity** — whether the cost model's optimum is the fastest plan:
   for each ``match_heavy`` and ``lookup_heavy`` request, the exact
-  plan's CPU time (best of N, link cache off) against the fastest of
+  plan's CPU time (:func:`benchmarks.paired.fastest` of N runs on
+  ``time.process_time``, link cache off) against the fastest of
   greedy and six seeded random plans (identical plans are timed once).
   It reports how many requests exact serves within 5% of that fastest
   plan, how many more than 20% slower, and the pool's exact time over
@@ -38,8 +43,8 @@ multisets, probability bits included. Results go to
 ``BENCH_planner.json``; ``--trajectory`` writes a versioned copy under
 ``benchmarks/results/``. The script exits non-zero when a check
 disagrees or an exact plan costs more than a greedy one; with
-``--smoke`` (the CI gate) also when cached planning fails to beat
-re-planning, when exact falls back on any ``lookup_heavy`` request, or
+``--smoke`` (the CI gate) also when the median cached / re-plan ratio
+is above 1.0, when exact falls back on any ``lookup_heavy`` request, or
 when exact plans a pool request that is itself a path of at most ``L``
 edges as more than one partition. Greedy's count of such splits is
 reported, not gated: its rule (newly covered edges over cost) takes a
@@ -54,20 +59,19 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
-import json
 import os
 import random
 import sys
 import time
 
-if __package__ in (None, ""):  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    )
+if __package__ in (None, ""):  # run as a script: put src/ and the repo root on the path
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
+from benchmarks import harness
+from benchmarks.paired import describe, fastest, paired
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.peg import build_peg
@@ -116,6 +120,8 @@ SIZES = ((3, 3), (5, 7), (5, 10), (7, 21), (10, 20), (10, 40))
 # exact plan is timed against (beside greedy's).
 FIDELITY_POOLS = ("match_heavy", "lookup_heavy")
 FIDELITY_SEEDS = tuple(range(6))
+#: Paired rounds of the cached-vs-re-plan comparison.
+PLAN_ROUNDS = 9
 
 
 def _build_engine(num_references: int) -> QueryEngine:
@@ -225,16 +231,6 @@ def run_pools() -> dict:
     return rows
 
 
-def _cpu_best(engine: QueryEngine, query, alpha, options, repeats) -> float:
-    """Least CPU seconds of ``repeats`` evaluations of one plan."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.process_time()
-        engine.query(query, alpha, options)
-        best = min(best, time.process_time() - start)
-    return best
-
-
 def run_fidelity(repeats: int) -> dict:
     """The exact plan's CPU time against the fastest alternative plan,
     per request of :data:`FIDELITY_POOLS`."""
@@ -258,19 +254,18 @@ def run_fidelity(repeats: int) -> dict:
                     tuple(path.nodes for path in decomposition.paths), options
                 )
             # The link cache is off so that every repeat builds links.
-            seconds = [
-                _cpu_best(
-                    engine, query, alpha,
-                    dataclasses.replace(options, use_link_cache=False),
-                    repeats,
-                )
-                for options in plans.values()
-            ]
-            exact, fastest = seconds[0], min(seconds)
-            within_5 += exact <= 1.05 * fastest
-            slower_20 += exact > 1.20 * fastest
+            seconds = []
+            for options in plans.values():
+                uncached = dataclasses.replace(options, use_link_cache=False)
+                seconds.append(fastest(
+                    lambda: engine.query(query, alpha, uncached),
+                    repeats, time.process_time,
+                ))
+            exact, best = seconds[0], min(seconds)
+            within_5 += exact <= 1.05 * best
+            slower_20 += exact > 1.20 * best
             exact_total += exact
-            fastest_total += fastest
+            fastest_total += best
         rows[name] = {
             "requests": len(requests),
             "repeats": repeats,
@@ -301,11 +296,11 @@ def run_sizes() -> dict:
     return rows
 
 
-def _time_planning(planner: QueryPlanner, workload) -> float:
-    start = time.perf_counter()
-    for query in workload:
-        planner.plan(query, ALPHA, PLAN_CACHED)
-    return time.perf_counter() - start
+def _planning_pass(planner: QueryPlanner, workload):
+    """A side of the timer: plan every query of ``workload`` once."""
+    return lambda: [
+        planner.plan(query, ALPHA, PLAN_CACHED) for query in workload
+    ]
 
 
 def run(num_references: int, distinct: int, repeats: int) -> dict:
@@ -320,12 +315,17 @@ def run(num_references: int, distinct: int, repeats: int) -> dict:
 
     # -- plan caching: planner-only timings ---------------------------
     # The hit/miss counters are process-wide; this run's share is the
-    # delta around it.
+    # delta around it. One cold pass fills the cache, then cached (B)
+    # against re-planning (A).
     stats_before = cached_planner.stats_snapshot()
-    replan_seconds = _time_planning(fresh_planner, workload)
     cached_planner.cache.clear()
-    cold_seconds = _time_planning(cached_planner, workload[:distinct])
-    warm_seconds = _time_planning(cached_planner, workload)
+    cold_seconds = fastest(
+        _planning_pass(cached_planner, workload[:distinct]), 1
+    )
+    caching = paired(
+        _planning_pass(fresh_planner, workload),
+        _planning_pass(cached_planner, workload), PLAN_ROUNDS, 1.0,
+    )
     stats_after = cached_planner.stats_snapshot()
     planner_stats = {
         key: stats_after[key] - stats_before[key]
@@ -376,11 +376,8 @@ def run(num_references: int, distinct: int, repeats: int) -> dict:
             "requests": len(workload),
         },
         "planning": {
-            "replan_seconds": replan_seconds,
             "cold_seconds": cold_seconds,
-            "warm_seconds": warm_seconds,
-            "cached_speedup": replan_seconds / warm_seconds
-            if warm_seconds else float("inf"),
+            "cached_over_replan": caching,
             "plan_cache_hits": planner_stats["plan_cache_hits"],
             "plan_cache_misses": planner_stats["plan_cache_misses"],
         },
@@ -404,19 +401,9 @@ def run(num_references: int, distinct: int, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small workload + CI gate: cached planning must beat re-planning",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_planner.json",
-        help="where to write the machine-readable results",
-    )
-    parser.add_argument(
-        "--trajectory", action="store_true",
-        help="also write benchmarks/results/BENCH_planner-v<version>.json "
-        "(the committed perf-trajectory point for this version)",
+    parser = harness.bench_parser(
+        __doc__, "BENCH_planner",
+        "small workload + CI gate: cached planning must beat re-planning",
     )
     parser.add_argument(
         "--size", type=int, default=None,
@@ -441,29 +428,17 @@ def main(argv=None) -> int:
         "sizes": sizes,
         "fidelity": fidelity,
     }
-    outputs = [args.out]
-    if args.trajectory:
-        outputs.append(
-            os.path.join(
-                os.path.dirname(os.path.abspath(__file__)),
-                "results",
-                f"BENCH_planner-v{__version__}.json",
-            )
-        )
-    for out in outputs:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    outputs = harness.write_bench(report, args, "BENCH_planner")
 
     planning = results["planning"]
+    caching = planning["cached_over_replan"]
     end_to_end = results["end_to_end"]
     print(
         f"[plan]     {results['workload']['requests']} requests "
         f"({results['workload']['distinct']} distinct): re-plan "
-        f"{planning['replan_seconds']:.4f}s vs cached "
-        f"{planning['warm_seconds']:.4f}s "
-        f"({planning['cached_speedup']:.1f}x, "
-        f"{planning['plan_cache_hits']} hits)"
+        f"{caching['a']:.4f}s vs cached {caching['b']:.4f}s "
+        f"({planning['plan_cache_hits']} hits); cached/re-plan "
+        f"{describe(caching)}"
     )
     print(
         f"[evaluate] decompose stage {end_to_end['fresh_decompose_seconds']:.4f}s"
@@ -502,7 +477,7 @@ def main(argv=None) -> int:
             f"{row['exact_within_5pct']}/{row['requests']}, >20% slower on "
             f"{row['exact_over_20pct_slower']}; pool time "
             f"{row['exact_over_fastest']:.3f}x the per-request fastest "
-            f"(CPU best of {row['repeats']}, reported, not gated)"
+            f"(fastest CPU time of {row['repeats']}, reported, not gated)"
         )
     print("wrote " + ", ".join(outputs))
 
@@ -515,7 +490,7 @@ def main(argv=None) -> int:
     if results["exact"]["mean_cost_ratio_vs_greedy"] > 1.0 + 1e-9:
         print("FAIL: exact plans cost more than greedy plans")
         return 1
-    if args.smoke and planning["cached_speedup"] < 1.0:
+    if args.smoke and caching["median"] > caching["bound"]:
         print("FAIL: cached planning is slower than re-planning")
         return 1
     if args.smoke and pools["lookup_heavy"]["exact_fallbacks"]:

@@ -20,21 +20,26 @@ Measures the online phase's array hot paths:
 * **store reads** — ``DiskPathStore.get_bucket`` (mmap-backed
   zero-copy views) feeding the filtered bulk decode.
 
+Each backend's build time and the traffic, decode and store rows are
+the fastest of ``--repeats`` runs (:func:`benchmarks.paired.fastest`).
+The large graph's ``reduce()`` is compared in ``--repeats`` paired
+rounds (:func:`benchmarks.paired.paired`; graphs built before the
+clock starts): the estimator is the median vectorized / Python ratio,
+with its IQR, range and verdict against the claim "vectorized is not
+slower" (bound 1.0).
+
 Results are written as machine-readable ``BENCH_reduction.json`` (see
 ``--out``; CI uploads it as a build artifact). With ``--trajectory``
 the same report is *also* written to
 ``benchmarks/results/BENCH_reduction-v<version>.json`` — one file per
-repro version, never overwritten by later versions — which is what
-``benchmarks/summarize.py`` merges into the perf-trajectory table;
-commit that copy so later versions have a baseline to regress against.
+repro version, never overwritten by later versions.
 
 The script exits non-zero when the backends disagree on a reduction
 outcome (on both rows the stacked reduction must also match the
 per-pair oracle :class:`repro.testing.reference.PerPairKPartiteGraph`
 bit for bit: alive masks, perception vectors, ``rounds``,
-``message_updates``), or — with ``--smoke``, the CI gate — when the
-vectorized backend is not at least as fast as the Python backend on
-the large graph.
+``message_updates``), or — with ``--smoke``, the CI gate — when that
+median ratio is above 1.0 on the large graph.
 
 Usage::
 
@@ -44,8 +49,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
 import sys
@@ -54,11 +57,12 @@ import time
 
 import numpy as np
 
-if __package__ in (None, ""):  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    )
+if __package__ in (None, ""):  # run as a script: put src/ and the repo root on the path
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
+from benchmarks import harness
+from benchmarks.paired import describe, fastest, paired
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
 from repro.index.paths import (
@@ -183,38 +187,39 @@ def same_reduction(graph, stats, oracle, oracle_stats) -> bool:
     )
 
 
-def _time_backend(factory, repeats: int) -> tuple:
-    """Best-of-``repeats`` construction and reduce() time of one backend."""
-    best_build = best_reduce = float("inf")
-    stats = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        graph = factory()
-        built = time.perf_counter()
-        stats = graph.reduce()
-        reduced = time.perf_counter()
-        best_build = min(best_build, built - started)
-        best_reduce = min(best_reduce, reduced - built)
-    return best_build, best_reduce, stats, graph
-
-
 def bench_reduction(num_nodes: int, repeats: int) -> dict:
     peg, decomposition, candidates, links, link_seconds = (
         build_candidate_workload(num_nodes)
     )
     total_vertices = sum(len(c) for c in candidates.values())
+    factories = {
+        "python": lambda: CandidateKPartiteGraph(
+            peg, decomposition, candidates, ALPHA, links=links
+        ),
+        "vectorized": lambda: VectorizedKPartiteGraph(
+            peg, decomposition, candidates, ALPHA, links=links
+        ),
+    }
+    # Each backend's fastest build; the graphs it builds are the ones
+    # the paired rounds reduce, one per call, so only reduce() is timed.
+    built = {name: [] for name in factories}
+    build_seconds = {
+        name: fastest(lambda: built[name].append(factory()), repeats)
+        for name, factory in factories.items()
+    }
+    reduced = {}
 
-    py_build, py_reduce, py_stats, py_graph = _time_backend(
-        lambda: CandidateKPartiteGraph(
-            peg, decomposition, candidates, ALPHA, links=links
-        ),
-        repeats,
+    def reduce_side(name):
+        def side():
+            graph = built[name].pop()
+            reduced[name] = (graph, graph.reduce())
+        return side
+
+    reduction = paired(
+        reduce_side("python"), reduce_side("vectorized"), repeats, 1.0
     )
-    vec_build, vec_reduce, vec_stats, vec_graph = _time_backend(
-        lambda: VectorizedKPartiteGraph(
-            peg, decomposition, candidates, ALPHA, links=links
-        ),
-        repeats,
+    (py_graph, py_stats), (vec_graph, vec_stats) = (
+        reduced["python"], reduced["vectorized"]
     )
     pair_graph = PerPairKPartiteGraph(
         peg, decomposition, candidates, ALPHA, links=links
@@ -233,6 +238,8 @@ def bench_reduction(num_nodes: int, repeats: int) -> dict:
         )
         and same_reduction(vec_graph, vec_stats, pair_graph, pair_stats)
     )
+    py_build, vec_build = build_seconds["python"], build_seconds["vectorized"]
+    py_reduce, vec_reduce = reduction["a"], reduction["b"]
     return {
         "total_vertices": total_vertices,
         "partition_sizes": list(py_stats.initial_sizes),
@@ -246,9 +253,10 @@ def bench_reduction(num_nodes: int, repeats: int) -> dict:
         "vectorized_reduce_seconds": vec_reduce,
         "rounds": vec_stats.rounds,
         "message_updates": vec_stats.message_updates,
-        "speedup_reduce": py_reduce / max(vec_reduce, 1e-12),
+        "speedup_reduce": 1.0 / reduction["median"],
         "speedup_total": (py_build + py_reduce)
         / max(vec_build + vec_reduce, 1e-12),
+        "vectorized_over_python_reduce": reduction,
         "agreement": agreement,
     }
 
@@ -303,23 +311,18 @@ def bench_traffic(per_shape: int, repeats: int) -> dict:
         ]
 
     # Warm the probability tables, then the fastest of ``repeats``
-    # passes over every join.
+    # passes over every join, in CPU time: building every graph, then
+    # reducing the graphs one building pass left.
     graphs(VectorizedKPartiteGraph)
-    best_build = best_reduce = float("inf")
-    for _ in range(repeats):
-        build = reduce = 0.0
-        for decomposition, candidates, links in joins:
-            started = time.process_time()
-            graph = VectorizedKPartiteGraph(
-                peg, decomposition, candidates, TRAFFIC_ALPHA, links=links,
-                arrays=arrays,
-            )
-            built = time.process_time()
-            graph.reduce()
-            reduce += time.process_time() - built
-            build += built - started
-        best_build = min(best_build, build)
-        best_reduce = min(best_reduce, reduce)
+    built = []
+    best_build = fastest(
+        lambda: built.append(graphs(VectorizedKPartiteGraph)), repeats,
+        time.process_time,
+    )
+    best_reduce = fastest(
+        lambda: [graph.reduce() for graph in built.pop()], repeats,
+        time.process_time,
+    )
     calls = 0
     agreement = True
     for graph, oracle in zip(
@@ -354,18 +357,9 @@ def random_payload(num_paths: int, seed: int) -> bytes:
 
 def bench_decode(num_paths: int, repeats: int) -> dict:
     payload = random_payload(num_paths, 13)
-
-    def best(fn):
-        times = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - started)
-        return min(times)
-
-    scalar = best(lambda: _decode_paths_scalar(payload))
-    bulk = best(lambda: decode_paths(payload))
-    filtered = best(lambda: decode_paths_above(payload, 0.5))
+    scalar = fastest(lambda: _decode_paths_scalar(payload), repeats)
+    bulk = fastest(lambda: decode_paths(payload), repeats)
+    filtered = fastest(lambda: decode_paths_above(payload, 0.5), repeats)
     return {
         "paths": num_paths,
         "scalar_decode_seconds": scalar,
@@ -382,39 +376,29 @@ def bench_store_reads(num_paths: int, repeats: int) -> dict:
         with DiskPathStore(directory) as store:
             for bucket in range(330, 1000, 10):
                 store.put_bucket(sequence, bucket, payload)
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                for bucket in range(330, 1000, 10):
-                    decode_paths_above(
-                        store.get_bucket(sequence, bucket), 0.5
-                    )
-                best = min(best, time.perf_counter() - started)
+            best = fastest(
+                lambda: [
+                    decode_paths_above(store.get_bucket(sequence, bucket), 0.5)
+                    for bucket in range(330, 1000, 10)
+                ],
+                repeats,
+            )
     return {"mmap_read_decode_seconds": best, "paths_per_bucket": num_paths}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small CI workload; exit 1 if the vectorized backend is "
+    parser = harness.bench_parser(
+        __doc__, "BENCH_reduction",
+        "small CI workload; exit 1 if the vectorized backend is "
         "slower than the Python backend",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_reduction.json",
-        help="where to write the machine-readable results",
-    )
-    parser.add_argument(
-        "--trajectory", action="store_true",
-        help="also write benchmarks/results/BENCH_reduction-v<version>"
-        ".json (the committed perf-trajectory point for this version)",
     )
     parser.add_argument(
         "--nodes", type=int, default=None,
         help="override the PEG size (nodes; candidates scale ~4x)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="best-of repeat count"
+        "--repeats", type=int, default=None,
+        help="best-of repeat count, and the large graph's paired rounds",
     )
     args = parser.parse_args(argv)
 
@@ -440,26 +424,15 @@ def main(argv=None) -> int:
         "decode": decode,
         "store_reads": store,
     }
-    outputs = [args.out]
-    if args.trajectory:
-        outputs.append(
-            os.path.join(
-                os.path.dirname(os.path.abspath(__file__)),
-                "results",
-                f"BENCH_reduction-v{__version__}.json",
-            )
-        )
-    for out in outputs:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    outputs = harness.write_bench(report, args, "BENCH_reduction")
 
     print(
         f"[reduction] {reduction['total_vertices']} candidate vertices: "
         f"python reduce {reduction['python_reduce_seconds']:.4f}s, "
         f"vectorized reduce {reduction['vectorized_reduce_seconds']:.4f}s "
         f"({reduction['speedup_reduce']:.1f}x), agreement="
-        f"{reduction['agreement']}"
+        f"{reduction['agreement']}; vectorized/python "
+        f"{describe(reduction['vectorized_over_python_reduce'])}"
     )
     print(
         f"[traffic]   {traffic['joins']} of {traffic['queries']} queries "
@@ -486,7 +459,8 @@ def main(argv=None) -> int:
     if not args.smoke and reduction["total_vertices"] < 10_000:
         print("FAIL: large workload must have >= 10k candidate vertices")
         return 1
-    if args.smoke and reduction["speedup_reduce"] < 1.0:
+    ratio = reduction["vectorized_over_python_reduce"]
+    if args.smoke and ratio["median"] > ratio["bound"]:
         print("FAIL: vectorized backend slower than the Python backend")
         return 1
     return 0

@@ -20,8 +20,7 @@ Two phases over the same synthetic PEG and query mix:
 
 Results are written as machine-readable ``BENCH_net.json`` (CI uploads
 it as a build artifact); with ``--trajectory`` the same report is also
-written to ``benchmarks/results/BENCH_net-v<version>.json`` for the
-perf-trajectory table of ``benchmarks/summarize.py``.
+written to ``benchmarks/results/BENCH_net-v<version>.json``.
 
 Queue-wait ratios are noise-sensitive on shared CI runners; the gate
 re-runs the measurement up to two extra times before failing.
@@ -34,18 +33,16 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import threading
 import time
 
-if __package__ in (None, ""):  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    )
+if __package__ in (None, ""):  # run as a script: put src/ and the repo root on the path
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
+from benchmarks import harness
 from repro import __version__
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd
 from repro.net import QueryClient, start_server
@@ -194,21 +191,11 @@ def run_once(engine_refs: int, requests: int, clients: int,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small CI workload; exit 1 when the overloaded p95 exceeds "
+    parser = harness.bench_parser(
+        __doc__, "BENCH_net",
+        "small CI workload; exit 1 when the overloaded p95 exceeds "
         f"{MAX_P95_RATIO:.0f}x the unloaded p95, nothing is shed, or "
         "the counters fail to reconcile",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_net.json",
-        help="where to write the machine-readable results",
-    )
-    parser.add_argument(
-        "--trajectory", action="store_true",
-        help="also write benchmarks/results/BENCH_net-v<version>.json "
-        "(the committed perf-trajectory point for this version)",
     )
     parser.add_argument(
         "--refs", type=int, default=None,
@@ -240,19 +227,7 @@ def main(argv=None) -> int:
         },
         **result,
     }
-    outputs = [args.out]
-    if args.trajectory:
-        outputs.append(
-            os.path.join(
-                os.path.dirname(os.path.abspath(__file__)),
-                "results",
-                f"BENCH_net-v{__version__}.json",
-            )
-        )
-    for out in outputs:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    outputs = harness.write_bench(report, args, "BENCH_net")
 
     unloaded, overloaded = result["unloaded"], result["overloaded"]
     print(

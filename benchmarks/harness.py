@@ -7,12 +7,15 @@ paper's Section 6 at laptop scale, and the scaling benchmarks:
   100–800; all ratios — edges = 5x references, k = refs/1000 groups,
   s = r = 4, 20% uncertainty — are preserved),
 * workload helpers (the averaged random queries, Figure-8 patterns),
-* a tiny reporter writing paper-style series to ``benchmarks/results/``.
+* a tiny reporter writing paper-style series to ``benchmarks/results/``,
+  and the writer of the ``bench_*.py`` scripts' ``BENCH_*.json`` reports.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
+import json
 import os
 
 from repro.datasets import (
@@ -181,3 +184,37 @@ def report(name: str, header: str, rows) -> str:
     with open(path, mode, encoding="utf-8") as handle:
         handle.write(text)
     return text
+
+
+def bench_parser(doc: str, family: str, smoke: str):
+    """The flags every ``bench_*.py`` script shares: ``--smoke`` (help
+    text ``smoke``), ``--out`` (default ``<family>.json``) and
+    ``--trajectory``; the script adds its own."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true", help=smoke)
+    parser.add_argument(
+        "--out", default=f"{family}.json",
+        help="where to write the machine-readable results",
+    )
+    parser.add_argument(
+        "--trajectory", action="store_true",
+        help=f"also write benchmarks/results/{family}-v<version>.json "
+        "(the committed perf-trajectory point for this version)",
+    )
+    return parser
+
+
+def write_bench(report: dict, args, family: str) -> list:
+    """Write a ``BENCH_*.json`` report to ``args.out`` and, with
+    ``args.trajectory``, a copy for this version to
+    ``results/<family>-v<version>.json``; returns the paths written."""
+    outputs = [args.out]
+    if args.trajectory:
+        outputs.append(os.path.join(
+            RESULTS_DIR, f"{family}-v{report['repro_version']}.json"
+        ))
+    for path in outputs:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return outputs

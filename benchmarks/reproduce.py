@@ -7,10 +7,10 @@ SQL baseline: a grid of :class:`Point` s at laptop scale (see ``harness``)
 and claims quoted from the paper, each with a predicate. A violated
 *invariant* (true at any scale) sets the exit code; a *shape* (a CPU-time or
 size ratio) is reported as ``holds`` or ``does not hold at this scale``.
-CPU time is the best of 3 ``time.process_time`` runs of a point's query
-batch after a warm-up run that records answers and search spaces (a build
-is timed once, the SQL plan once after its warm-up). Writes
-``results/REPRODUCTION.json``.
+CPU time is the fastest of 3 ``time.process_time`` runs of a point's query
+batch (``paired.fastest``) after a warm-up run that records answers and
+search spaces (a build is timed once, the SQL plan once after its
+warm-up). Writes ``results/REPRODUCTION.json``.
 """
 
 import collections
@@ -30,6 +30,7 @@ if __package__ in (None, ""):  # run as a script: put src/ and the repo root on 
     sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
 from benchmarks import harness
+from benchmarks.paired import fastest
 from repro.datasets.queries import PATTERN_NAMES
 from repro.index import build_path_index
 from repro.query import QueryGraph, QueryOptions, direct_matches
@@ -101,15 +102,6 @@ def _queries(point, peg) -> list:
                        [(f"c{i}", f"c{(i + 1) % 5}") for i in range(5)])]
 
 
-def _cpu_ms(run, repeats) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        start = time.process_time()
-        run()
-        best = min(best, time.process_time() - start)
-    return best * 1e3
-
-
 def _sql(peg, query, alpha):
     try:
         return sql_baseline_matches(peg, query, alpha, row_limit=SQL_ROW_LIMIT)
@@ -137,8 +129,9 @@ def measure(point: Point) -> Measured:
                         index.size_bytes())
     queries = _queries(point, peg)
     results = [evaluate(qy) for qy in queries]
-    cpu = _cpu_ms(lambda: [evaluate(qy) for qy in queries],
-                  1 if point.method == "sql" else REPEATS) / len(queries)
+    cpu = fastest(lambda: [evaluate(qy) for qy in queries],
+                  1 if point.method == "sql" else REPEATS,
+                  time.process_time) * 1e3 / len(queries)
     return Measured(cpu, spaces=tuple(
         (r.search_space_path, r.search_space_context, r.search_space_final)
         for r in results if point.method == "engine"), answers=tuple(

@@ -125,42 +125,56 @@ def _blocking_witnesses(functions: dict, kind: str,
     traversed (it is checked as an entry point of its own). The chain
     lists fids from f down to the function containing the blocking
     site; resolution order is sorted, so witnesses are stable.
+
+    The depth-first walk keeps an explicit stack of ``[fid, callees
+    left]`` frames: a recursive closure would be a function <-> cell
+    cycle holding ``functions``, which kept the whole flow model alive
+    after the run until a cyclic collection.
     """
     memo: dict = {}
-
-    def visit(fid, visiting):
-        if fid in memo:
-            return memo[fid]
-        if fid in visiting:
-            return None  # recursion: no new information
-        visiting.add(fid)
-        info = functions.get(fid)
-        result = None
-        if info is not None and not (skip_async and info.is_async):
-            found = [call for call in info.calls if getattr(call, kind)]
-            if found:
-                site = min(found, key=lambda s: s.lineno)
-                result = (
-                    (fid,), getattr(site, kind), info.source.path,
-                    site.lineno,
-                )
-            else:
-                for call in sorted(
-                    info.calls, key=lambda c: (c.lineno, c.text),
-                ):
-                    if call.callee is None:
-                        continue
-                    deeper = visit(call.callee, visiting)
-                    if deeper is not None:
-                        chain, desc, path, lineno = deeper
-                        result = ((fid,) + chain, desc, path, lineno)
-                        break
-        visiting.discard(fid)
-        memo[fid] = result
-        return result
-
-    for fid in sorted(functions):
-        visit(fid, set())
+    for root in sorted(functions):
+        visiting: set = set()
+        stack = [[root, None]]
+        returned = None  # the result of the frame popped last
+        while stack:
+            frame = stack[-1]
+            fid = frame[0]
+            result = None
+            if frame[1] is None:  # entering fid
+                if fid in memo or fid in visiting:
+                    # Memoized, or recursion: no new information.
+                    returned = memo.get(fid)
+                    stack.pop()
+                    continue
+                visiting.add(fid)
+                info = functions.get(fid)
+                if info is not None and not (skip_async and info.is_async):
+                    found = [
+                        call for call in info.calls if getattr(call, kind)
+                    ]
+                    if found:
+                        site = min(found, key=lambda s: s.lineno)
+                        result = (
+                            (fid,), getattr(site, kind), info.source.path,
+                            site.lineno,
+                        )
+                    else:
+                        frame[1] = iter([
+                            call.callee for call in sorted(
+                                info.calls, key=lambda c: (c.lineno, c.text),
+                            ) if call.callee is not None
+                        ])
+            elif returned is not None:  # a callee's witness extends fid's
+                chain, desc, path, lineno = returned
+                result = ((fid,) + chain, desc, path, lineno)
+            if result is None and frame[1] is not None:
+                callee = next(frame[1], None)
+                if callee is not None:
+                    stack.append([callee, None])
+                    continue
+            visiting.discard(fid)
+            memo[fid] = returned = result
+            stack.pop()
     return memo
 
 

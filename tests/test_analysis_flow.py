@@ -13,12 +13,14 @@ surface.
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis.core import parse_source
 from repro.analysis.flow import CallGraph, callgraph
+from repro.analysis.flow.callgraph import FunctionInfo
 from repro.analysis.runner import _parse_files, discover_files
 from repro.analysis.runner import main as lint_main
 from tests.test_analysis import (
@@ -762,6 +764,23 @@ class TestOneFlowModel:
         built.update(graphs=0, import_maps=0)
         lint_tree(tmp_path, files, select=["determinism"])
         assert built == {"graphs": 0, "import_maps": len(files)}
+
+    def test_flow_model_is_freed_when_the_run_returns(self, tmp_path):
+        # With the collector off, only reference counting frees: a cycle
+        # that reaches the flow model would keep every FunctionInfo.
+        gc.collect()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            report = lint_tree(tmp_path, SEEDED_VIOLATIONS)
+            alive = sum(
+                isinstance(obj, FunctionInfo) for obj in gc.get_objects()
+            )
+        finally:
+            if collecting:
+                gc.enable()
+        assert report.diagnostics
+        assert alive == 0
 
 
 def plain_calls(body: list) -> list:
