@@ -33,7 +33,12 @@ and partial failure:
   invariant end to end.
 
 A request is served on the event loop from frame to reply; only work
-that can block leaves it. The dispatcher admits an entry with a
+that can block leaves it. A query text the server has seen before is
+not parsed again: the loop keeps the checked
+:class:`~repro.query.query_graph.QueryGraph` of each recent text (as
+many as the planner keeps plans), canonical form already computed, so a
+result-cache hit costs one dictionary lookup, the request key and the
+reply's framing. The dispatcher admits an entry with a
 non-blocking :meth:`QueryService.submit` (``wait_if_paused=False``): a
 cache hit or an admission error is settled before ``submit`` returns
 and is answered in the same turn, and a miss runs on the service's
@@ -69,6 +74,29 @@ from repro.utils.errors import (
     ReproError,
     ServiceError,
 )
+from repro.utils.lru import ResultCache
+
+
+def _query_text(frame: dict) -> tuple | None:
+    """The key of a request's query text, or ``None`` for a text that
+    has none (it cannot parse either, or its edges are not JSON lists).
+    """
+    nodes = frame.get("nodes")
+    edges = frame.get("edges", [])
+    if (not isinstance(nodes, dict) or type(edges) is not list
+            or not all(type(edge) is list for edge in edges)):
+        return None
+    key = (
+        tuple(
+            (name, type(label), repr(label)) for name, label in nodes.items()
+        ),
+        tuple(map(tuple, edges)),
+    )
+    try:
+        hash(key)
+    except TypeError:  # an unhashable edge endpoint
+        return None
+    return key
 
 
 class _Client:
@@ -180,6 +208,13 @@ class QueryServer:
         self._inflight_total = 0  # guarded-by: event-loop
         self._inflight_entries: set = set()  # guarded-by: event-loop
         self._reply_tasks: set = set()  # guarded-by: event-loop
+        #: Parsed query of each recent request text (see
+        #: :meth:`_parse_query`), as many as the planner keeps plans
+        #: (none for an engine double without a planner).
+        planner = getattr(service.engine, "planner", None)
+        self._queries = ResultCache(  # guarded-by: event-loop
+            planner.cache.capacity if planner is not None else 0
+        )
         self._dispatch_wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
         self._closing = False  # guarded-by: event-loop
@@ -386,7 +421,7 @@ class QueryServer:
             )
             return
         try:
-            query = protocol.query_graph_from_spec(frame)
+            query = self._parse_query(frame)
             alpha = protocol.checked_alpha(frame.get("alpha", 0.5))
             deadline_ms = protocol.checked_deadline_ms(
                 frame.get("deadline_ms", self.default_deadline_ms)
@@ -403,6 +438,30 @@ class QueryServer:
         self._pending_total += 1
         self._m_pending.inc()
         self._dispatch_wake.set()
+
+    def _parse_query(self, frame: dict):  # loop-only
+        """The :class:`~repro.query.query_graph.QueryGraph` of a query
+        request, parsed once per distinct query text.
+
+        The text is the frame's ``nodes`` as ``(name, type(label),
+        repr(label))`` triples and its ``edges`` as tuples, both in frame
+        order: ``1``, ``1.0``, ``true`` and ``"1"`` are different labels
+        (as are ``0.0`` and ``-0.0``), and the same graph with its edges
+        in another order is another text that reaches the same result
+        key. A new text is parsed and checked by
+        :func:`~repro.net.protocol.query_graph_from_spec`; only a text
+        that parsed is kept, so a repeated text skips nothing a first one
+        would have failed. A kept graph is shared with every request that
+        repeats its text, on any thread: it is immutable but for its
+        canonical-form memo (see :meth:`QueryGraph.canonical_form`).
+        """
+        key = _query_text(frame)
+        query = self._queries.get(key) if key is not None else None
+        if query is None:
+            query = protocol.query_graph_from_spec(frame)
+            if key is not None:
+                self._queries.put(key, query)
+        return query
 
     # ------------------------------------------------------------------
     # Dispatch (round-robin fairness, bounded in-flight)

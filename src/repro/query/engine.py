@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.index.builder import build_path_index
 from repro.index.context import ContextInformation, build_context
@@ -160,6 +160,36 @@ class QueryResult:
     def total_seconds(self) -> float:
         """Total online-phase wall-clock seconds across all stages."""
         return sum(self.timings.values())
+
+    def renamed(self, rename) -> "QueryResult":
+        """This result as a renamed copy of its query would read it.
+
+        ``rename`` maps every node of the query evaluated to its image in
+        an isomorphic query, as two equal canonical forms pair their
+        :meth:`~repro.query.query_graph.QueryGraph.canonical_order`
+        position by position. The match mappings and the decomposition
+        paths are rewritten; every match's nodes, edges and probability,
+        and everything else, are shared.
+        """
+        matches = self.matches
+        if isinstance(matches, MatchColumns):
+            matches = matches.renamed(rename)
+        else:
+            matches = [
+                replace(match, mapping=tuple(sorted(
+                    ((rename[node], entity) for node, entity in match.mapping),
+                    key=lambda pair: repr(pair[0]),
+                )))
+                for match in matches
+            ]
+        return replace(
+            self,
+            matches=matches,
+            decomposition_paths=tuple(
+                tuple(rename[node] for node in path)
+                for path in self.decomposition_paths
+            ),
+        )
 
 
 class QueryEngine:

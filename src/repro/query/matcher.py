@@ -538,6 +538,24 @@ class MatchColumns(Sequence):
             no_ids, no_ids, np.zeros(0), (), (), (), np.zeros(0, dtype=object)
         )
 
+    def renamed(self, rename) -> "MatchColumns":
+        """These matches with every column's query node ``n`` named
+        ``rename[n]``.
+
+        A view: it shares the columns and the entity table, and keeps
+        any memo a reader has already set on this object (the wire's
+        encoded body), none of which depends on the node names. Only
+        each ``Match.mapping`` reads differently.
+        """
+        view = MatchColumns(
+            self.nodes, self.repr_order, self.probabilities,
+            [rename[node] for node in self.column_nodes],
+            self.column_labels, self.edge_columns, self.entities,
+        )
+        for name, value in vars(self).items():
+            vars(view).setdefault(name, value)
+        return view
+
     def __len__(self) -> int:
         return self.nodes.shape[0]
 

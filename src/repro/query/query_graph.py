@@ -153,6 +153,11 @@ class QueryGraph:
         Labels are encoded through ``repr`` so heterogeneous label types
         stay comparable and hashable; distinct label objects sharing a
         ``repr`` are therefore conflated.
+
+        The memo is the graph's only write after construction, and it is
+        unlocked: threads sharing a graph (the wire server hands one
+        parsed graph to every request repeating its text) may each
+        compute it, and every computation stores equal values.
         """
         if self._canonical is None:
             order, edges = self._canonical_search()
@@ -184,71 +189,116 @@ class QueryGraph:
         blob = repr(self.canonical_form()).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
-    def _refine(self, colors: dict) -> dict:
-        """1-WL color refinement to a stable partition (int colors)."""
-        nodes = tuple(self._labels)
-        num_colors = len(set(colors.values()))
-        while True:
-            sigs = {
-                n: (colors[n],
-                    tuple(sorted(colors[m] for m in self._adjacency[n])))
-                for n in nodes
-            }
-            palette = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-            colors = {n: palette[sigs[n]] for n in nodes}
-            if len(palette) == num_colors:
-                return colors
-            num_colors = len(palette)
-
     def _canonical_search(self) -> tuple:
-        """Canonical ``(node order, edge encoding)`` via
-        individualization-refinement.
+        """Canonical ``(node order, edge encoding)`` by
+        individualization-refinement with automorphism pruning
+        (McKay & Piperno, *Practical graph isomorphism, II*, 2014).
 
-        Color classes (refined from the label partition) are ordered by
-        color; ties within a class are broken by branching on each member
-        and keeping the ordering whose edge encoding is smallest.
+        Nodes are numbered in insertion order and colored by the rank
+        of their label's ``repr``; 1-WL refinement splits the colors to
+        a stable partition (a color is the rank of its node's
+        ``(color, sorted neighbour colors)`` signature). The first
+        color class with more than one member is branched on, member by
+        member, by giving the chosen node color -1 and refining again;
+        a partition of singletons is a leaf, its colors the node order,
+        and the first leaf with the smallest edge encoding wins.
+
+        Two leaves of equal encoding and equal labels position by
+        position differ by a label-preserving automorphism, which is
+        recorded. A child in the same orbit as an explored sibling,
+        under the recorded automorphisms that fix every individualized
+        node above it, is skipped: its subtree is that sibling's mapped
+        through an automorphism, with the same encodings, so the first
+        smallest leaf is never in it. The result is therefore the
+        unpruned search's (:func:`repro.testing.reference.canonical_search`)
+        until the leaf cap stops either one.
         """
         nodes = tuple(self._labels)
+        count = len(nodes)
+        index = {node: i for i, node in enumerate(nodes)}
+        adjacency = [
+            [index[m] for m in self._adjacency[node]] for node in nodes
+        ]
+        edges = [tuple(index[node] for node in edge) for edge in self._edges]
+        reprs = [repr(self._labels[node]) for node in nodes]
+        palette = {s: i for i, s in enumerate(sorted(set(reprs)))}
+        labels = [palette[s] for s in reprs]
+        automorphisms: list = []  # node -> image, one list each
         best: list = [None, None]  # (encoding, order)
         leaves = [0]
 
-        def encode(order: tuple) -> tuple:
-            position = {node: i for i, node in enumerate(order)}
-            return tuple(sorted(
-                tuple(sorted(position[node] for node in edge))
-                for edge in self._edges
-            ))
+        def refine(colors: list) -> list:
+            num_colors = len(set(colors))
+            while True:
+                sigs = [
+                    (colors[v], tuple(sorted([colors[w] for w in around])))
+                    for v, around in enumerate(adjacency)
+                ]
+                ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+                if len(ranks) == num_colors:
+                    return [ranks[s] for s in sigs]
+                colors = [ranks[s] for s in sigs]
+                num_colors = len(ranks)
 
-        def search(colors: dict) -> None:
-            colors = self._refine(colors)
-            classes: dict = {}
-            for node in nodes:
-                classes.setdefault(colors[node], []).append(node)
-            ambiguous = None
-            for color in sorted(classes):
-                if len(classes[color]) > 1:
-                    ambiguous = color
-                    break
-            if ambiguous is None:
-                order = tuple(
-                    classes[color][0] for color in sorted(classes)
-                )
-                encoding = encode(order)
-                if best[0] is None or encoding < best[0]:
-                    best[0], best[1] = encoding, order
-                leaves[0] += 1
+        def leaf(colors: list) -> None:
+            leaves[0] += 1
+            order = [0] * count
+            for v, color in enumerate(colors):
+                order[color] = v
+            encoding = tuple(sorted(
+                (colors[a], colors[b]) if colors[a] < colors[b]
+                else (colors[b], colors[a])
+                for a, b in edges
+            ))
+            if best[0] is None or encoding < best[0]:
+                best[0], best[1] = encoding, order
+            elif encoding == best[0] and all(
+                labels[u] == labels[v] for u, v in zip(best[1], order)
+            ):
+                image = [0] * count
+                for u, v in zip(best[1], order):
+                    image[u] = v
+                automorphisms.append(image)
+
+        def search(colors: list, prefix: tuple) -> None:
+            colors = refine(colors)
+            cells: dict = {}
+            for v, color in enumerate(colors):
+                cells.setdefault(color, []).append(v)
+            if len(cells) == count:
+                leaf(colors)
                 return
-            for node in classes[ambiguous]:
+            cell = cells[min(
+                color for color, members in cells.items() if len(members) > 1
+            )]
+            parent = list(range(count))  # orbits, as a union-find forest
+
+            def find(v: int) -> int:
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                return v
+
+            absorbed = 0
+            explored: list = []
+            for v in cell:
                 if leaves[0] >= _CANONICAL_LEAF_CAP:
                     return
-                individualized = dict(colors)
-                individualized[node] = -1
-                search(individualized)
+                for image in automorphisms[absorbed:]:
+                    if all(image[u] == u for u in prefix):
+                        for u in range(count):
+                            parent[find(u)] = find(image[u])
+                absorbed = len(automorphisms)
+                root = find(v)
+                if any(find(u) == root for u in explored):
+                    continue
+                explored.append(v)
+                individualized = list(colors)
+                individualized[v] = -1
+                search(individualized, prefix + (v,))
 
-        initial = {n: repr(self._labels[n]) for n in nodes}
-        palette = {s: i for i, s in enumerate(sorted(set(initial.values())))}
-        search({n: palette[initial[n]] for n in nodes})
-        return best[1], best[0]
+        search(labels, ())
+        return tuple(nodes[v] for v in best[1]), best[0]
 
     def __eq__(self, other: object) -> bool:
         """Label-preserving isomorphism (at least up to node renaming)."""

@@ -12,6 +12,9 @@ and serves many online queries against it:
 * identical concurrent requests are collapsed by single-flight
   deduplication: the first becomes the leader, later arrivals attach to
   the leader's future instead of re-evaluating;
+* a cached or shared result reaches a renamed query in that query's
+  own node names (:meth:`~repro.query.engine.QueryResult.renamed`,
+  through the two queries' canonical orders);
 * the offline phase can be snapshotted to disk and warm-started on the
   next process via :meth:`snapshot` / :meth:`from_snapshot` /
   :meth:`open`.
@@ -115,6 +118,22 @@ def request_key(
 
 #: The options of a request that passes none.
 _DEFAULT_OPTIONS = QueryOptions()
+
+
+def _rehydrate(result, evaluated_order: tuple, query: QueryGraph):
+    """``result``, evaluated for a query whose canonical order is
+    ``evaluated_order``, in ``query``'s node names.
+
+    Both queries share a request key, so their canonical forms are
+    equal and position ``i`` of one canonical order is the image of
+    position ``i`` of the other (as :mod:`repro.query.plan` rehydrates a
+    plan). A result of the same names, or an engine double's, is
+    returned as it is.
+    """
+    order = query.canonical_order()
+    if order == evaluated_order or not isinstance(result, QueryResult):
+        return result
+    return result.renamed(dict(zip(evaluated_order, order)))
 
 
 class QueryService:
@@ -392,26 +411,52 @@ class QueryService:
         )
         cached = self.cache.get(key)
         if cached is not None:
+            future: Future = Future()
+            future.set_result(_rehydrate(cached[1], cached[0], query))
             self.stats.record_hit(time.perf_counter() - start)
             span.set("outcome", "cache")
-            future: Future = Future()
-            future.set_result(cached)
             return future, None
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.stats.record_dedup()
             span.set("outcome", "dedup")
+            leader, order = inflight
             # The follower's completion is recorded when the
             # leader's future resolves — including via close(),
             # which fails leftover futures — so ``requests`` and
             # ``completed`` converge on any drained service.
-            inflight.add_done_callback(
+            leader.add_done_callback(
                 functools.partial(self._finish_attached, start)
             )
-            return inflight, None
+            return self._follow(leader, order, query), None
         future = Future()
-        self._inflight[key] = future
+        self._inflight[key] = (future, query.canonical_order())
         return future, key
+
+    @classmethod
+    def _follow(cls, leader: Future, order: tuple, query) -> Future:
+        """The future of a request deduplicated onto ``leader``, whose
+        query's canonical order is ``order``: the leader's own future,
+        or — for a renamed query — one that resolves with the leader's
+        outcome in ``query``'s node names."""
+        if order == query.canonical_order():
+            return leader
+        follower: Future = Future()
+
+        def relay(done: Future) -> None:
+            if done.cancelled():
+                follower.cancel()
+                return
+            exc = done.exception()
+            if exc is not None:
+                cls._resolve(follower, exc=exc)
+            else:
+                cls._resolve(
+                    follower, result=_rehydrate(done.result(), order, query)
+                )
+
+        leader.add_done_callback(relay)
+        return follower
 
     def _abort_submission(self, key, future, start, exc) -> None:
         """Unwind one registered request after an executor rejection.
@@ -507,9 +552,9 @@ class QueryService:
             self._abort_submission(key, future, start, exc)
             span.finish(error=True)
             return future
-        task.add_done_callback(
-            functools.partial(self._finish, key, future, start, span)
-        )
+        task.add_done_callback(functools.partial(
+            self._finish, key, future, query.canonical_order(), start, span
+        ))
         return future
 
     def _run_query(
@@ -596,7 +641,7 @@ class QueryService:
         except InvalidStateError:  # lost the race against close()
             pass
 
-    def _finish(self, key, future, start, span, task) -> None:
+    def _finish(self, key, future, order, start, span, task) -> None:
         """Done-callback of one evaluation: publish, uncount, resolve."""
         exc, result = self._task_outcome(task)
         if exc is not None:
@@ -606,7 +651,7 @@ class QueryService:
             span.finish(error=True)
             self._resolve(future, exc=exc)
             return
-        self.cache.put(key, result)
+        self.cache.put(key, (order, result))
         with self._gate:
             self._inflight.pop(key, None)
         self.stats.record_done(time.perf_counter() - start)
@@ -674,7 +719,7 @@ class QueryService:
                 if self._closed:
                     raise ServiceError("service is closed")
                 self._applying = True
-                pending = list(self._inflight.values())
+                pending = [future for future, _ in self._inflight.values()]
             try:
                 for future in pending:
                     try:
@@ -713,7 +758,7 @@ class QueryService:
         with self._gate:
             leftover = list(self._inflight.items())
             self._inflight.clear()
-        for _key, future in leftover:
+        for _key, (future, _order) in leftover:
             self._resolve(
                 future,
                 exc=ServiceError("service closed before the request completed"),

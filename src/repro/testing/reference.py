@@ -47,6 +47,12 @@ as it ran before the sets were grouped by their union-find root
 (:func:`repro.peg.components.partition_into_components`): one
 ``e <= refs`` scan over every reference set per component. The grouped
 partition must return the same list.
+
+:func:`canonical_search` is query canonical labeling as it ran before
+automorphism pruning (:meth:`repro.query.query_graph.QueryGraph.canonical_form`):
+individualization-refinement over every member of every branched color
+class. The pruned search must return the same node order and edge
+encoding whenever neither search reaches the leaf cap.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import PathStatistics, compute_path_statistics
 from repro.query.decompose import Decomposition, QueryPath
 from repro.query.kpartite import _CONVERGENCE_EPSILON, ReductionStats
-from repro.query.query_graph import QueryGraph
+from repro.query.query_graph import _CANONICAL_LEAF_CAP, QueryGraph
 from repro.query.reduction import VectorizedKPartiteGraph
 from repro.utils.errors import IndexError_
 
@@ -986,3 +992,73 @@ def partition_into_components(
         components.append((frozenset(refs), entities))
     components.sort(key=lambda item: min(repr(r) for r in item[0]))
     return components
+
+
+def _refine(query: QueryGraph, colors: dict) -> dict:
+    """1-WL color refinement to a stable partition (int colors)."""
+    nodes = query.nodes
+    num_colors = len(set(colors.values()))
+    while True:
+        sigs = {
+            n: (colors[n],
+                tuple(sorted(colors[m] for m in query.neighbors(n))))
+            for n in nodes
+        }
+        palette = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        colors = {n: palette[sigs[n]] for n in nodes}
+        if len(palette) == num_colors:
+            return colors
+        num_colors = len(palette)
+
+
+def canonical_search(query: QueryGraph) -> tuple:
+    """Canonical ``(node order, edge encoding, leaves)`` of ``query`` via
+    unpruned individualization-refinement.
+
+    Color classes (refined from the label partition) are ordered by
+    color; ties within a class are broken by branching on each member
+    and keeping the ordering whose edge encoding is smallest. ``leaves``
+    counts the orderings encoded; at the leaf cap the search stopped
+    early.
+    """
+    nodes = query.nodes
+    best: list = [None, None]  # (encoding, order)
+    leaves = [0]
+
+    def encode(order: tuple) -> tuple:
+        position = {node: i for i, node in enumerate(order)}
+        return tuple(sorted(
+            tuple(sorted(position[node] for node in edge))
+            for edge in query.edges
+        ))
+
+    def search(colors: dict) -> None:
+        colors = _refine(query, colors)
+        classes: dict = {}
+        for node in nodes:
+            classes.setdefault(colors[node], []).append(node)
+        ambiguous = None
+        for color in sorted(classes):
+            if len(classes[color]) > 1:
+                ambiguous = color
+                break
+        if ambiguous is None:
+            order = tuple(
+                classes[color][0] for color in sorted(classes)
+            )
+            encoding = encode(order)
+            if best[0] is None or encoding < best[0]:
+                best[0], best[1] = encoding, order
+            leaves[0] += 1
+            return
+        for node in classes[ambiguous]:
+            if leaves[0] >= _CANONICAL_LEAF_CAP:
+                return
+            individualized = dict(colors)
+            individualized[node] = -1
+            search(individualized)
+
+    initial = {n: repr(query.label(n)) for n in nodes}
+    palette = {s: i for i, s in enumerate(sorted(set(initial.values())))}
+    search({n: palette[initial[n]] for n in nodes})
+    return best[1], best[0], leaves[0]

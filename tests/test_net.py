@@ -32,7 +32,9 @@ from repro.net import protocol
 from repro.net.server import QueryServer
 from repro.obs.trace import Tracer
 from repro.peg import build_peg
+from repro.pgd import pgd_from_edge_list
 from repro.query import QueryEngine, QueryGraph
+from repro.query.plan import QueryPlanner
 from repro.service import QueryService
 from repro.testing import faults
 from repro.utils.errors import (
@@ -1125,3 +1127,144 @@ class TestWireFastPath:
         assert injector.fired.get("net.write", 0) >= 1
         assert len(answered) >= 12
         assert injector.evaluated["net.write"] == len(replies)
+
+
+# ----------------------------------------------------------------------
+# Query-text cache: a repeated request text is parsed once
+# ----------------------------------------------------------------------
+
+
+def parse_on_loop(handle, frame):
+    """``QueryServer._parse_query(frame)``, run on the server's loop."""
+    async def parse():
+        return handle.server._parse_query(frame)
+
+    return asyncio.run_coroutine_threadsafe(parse(), handle._loop).result(5)
+
+
+class TestQueryTextCache:
+    @staticmethod
+    def serve_and_check(handle, peg, frames):
+        """Send ``frames`` one at a time; each reply must be the bytes a
+        fresh engine's evaluation of the frame's own text encodes to."""
+        fresh = QueryEngine(peg, max_length=2, beta=0.1)
+        sock = connect_raw(handle.address)
+        try:
+            for frame in frames:
+                send_frames(sock, [frame])
+                want = fresh.query(
+                    protocol.query_graph_from_spec(frame), frame["alpha"]
+                )
+                assert read_raw_reply(sock) == exact_result_payload(
+                    frame["id"], want.matches
+                ), frame
+        finally:
+            sock.close()
+
+    def test_label_types_are_distinct_texts(self):
+        # 1, 1.0 and true hash alike; a text keyed on the label value
+        # alone would answer 1.0 and true with the reply of 1.
+        peg = build_peg(pgd_from_edge_list(
+            node_labels={"r1": 1, "r2": "1", "r3": 1},
+            edges=[("r1", "r2", 0.9), ("r2", "r3", 0.8)],
+        ))
+        service = QueryService(QueryEngine(peg, max_length=2, beta=0.1))
+        frames = [
+            query_frame(rid, alpha=0.3, nodes={"u": label, "v": "1"},
+                        edges=[("u", "v")])
+            for rid, label in enumerate([1, 1.0, True, "1"] * 2)
+        ]
+        with start_server(service) as handle:
+            self.serve_and_check(handle, peg, frames)
+            assert len(handle.server._queries) == 4
+            forms = {
+                parse_on_loop(handle, frame).canonical_form()
+                for frame in frames
+            }
+            assert len(forms) == 4
+        assert service.stats.misses == 4 and service.stats.hits == 4
+        service.close()
+
+    def test_repeated_text_is_the_same_query_graph(self, figure1_peg):
+        service = QueryService(QueryEngine(figure1_peg, max_length=2, beta=0.1))
+        with start_server(service) as handle:
+            first = parse_on_loop(handle, query_frame(1))
+            # the id, alpha and deadline are not the query's text
+            again = parse_on_loop(
+                handle, query_frame(2, alpha=0.9, deadline_ms=50)
+            )
+            assert again is first
+            assert parse_on_loop(
+                handle, query_frame(3, nodes={"v": "a", "u": "i"})
+            ) is not first
+            self.serve_and_check(
+                handle, figure1_peg,
+                [query_frame(rid, alpha=0.3) for rid in range(3)],
+            )
+            assert len(handle.server._queries) == 2
+        service.close()
+
+    def test_failures_are_never_kept(self, figure1_peg):
+        service = QueryService(QueryEngine(figure1_peg, max_length=2, beta=0.1))
+        bad = [
+            {"nodes": FIGURE1_NODES, "edges": [["u", "x"]]},
+            {"nodes": {"u": ["i"], "v": "a"}, "edges": FIGURE1_EDGES},
+            {"nodes": FIGURE1_NODES, "edges": [["u", "v"], ["v", "u"]]},
+            {"nodes": FIGURE1_NODES, "edges": ["uv"]},
+        ] + MALFORMED_SPECS
+        with start_server(service) as handle:
+            sock = connect_raw(handle.address)
+            try:
+                for rid, spec in enumerate(bad * 2):
+                    send_frames(sock, [dict(spec, id=rid, kind="query",
+                                            alpha=0.5)])
+                    reply = read_reply(sock)
+                    assert reply["error"]["type"] == "BAD_REQUEST", spec
+                assert len(handle.server._queries) == 0
+                send_frames(sock, [{"id": 0, "kind": "ping"}])
+                assert read_reply(sock)["pong"] is True
+            finally:
+                sock.close()
+            self.serve_and_check(handle, figure1_peg, [query_frame(1)])
+            assert len(handle.server._queries) == 1
+        assert service.stats.requests == 1
+        service.close()
+
+    def test_holds_as_many_texts_as_the_planner_holds_plans(
+        self, figure1_peg
+    ):
+        engine = QueryEngine(figure1_peg, max_length=2, beta=0.1)
+        engine.planner = QueryPlanner(engine, cache_size=3)
+        service = QueryService(engine)
+        frames = [
+            query_frame(rid, alpha=0.3, nodes={f"u{rid % 5}": "i", "v": "a"},
+                        edges=[(f"u{rid % 5}", "v")])
+            for rid in range(10)
+        ]
+        with start_server(service) as handle:
+            assert handle.server._queries.capacity == 3
+            sizes = []
+            for frame in frames:
+                self.serve_and_check(handle, figure1_peg, [frame])
+                sizes.append(len(handle.server._queries))
+        assert sizes == [1, 2, 3] + [3] * 7
+        # five renamings of one shape: one result, rehydrated per name
+        assert service.stats.misses == 1 and service.stats.hits == 9
+        service.close()
+
+    def test_edge_order_is_another_text_with_the_same_result(self):
+        peg = build_peg(generate_dblp_pgd(num_authors=60, seed=5))
+        service = QueryService(QueryEngine(peg, max_length=2, beta=0.1))
+        nodes = {"a": "DB", "b": "ML", "c": "DB"}
+        forward = query_frame(1, alpha=0.2, nodes=nodes,
+                              edges=[("a", "b"), ("b", "c")])
+        backward = query_frame(2, alpha=0.2, nodes=nodes,
+                               edges=[("c", "b"), ("b", "a")])
+        with start_server(service) as handle:
+            self.serve_and_check(handle, peg, [forward, backward])
+            assert len(handle.server._queries) == 2
+            assert parse_on_loop(handle, forward) is not parse_on_loop(
+                handle, backward
+            )
+        assert service.stats.misses == 1 and service.stats.hits == 1
+        service.close()

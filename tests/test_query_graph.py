@@ -1,9 +1,19 @@
 """Unit tests for repro.query.query_graph."""
 
+import itertools
+import os
+import random
+import sys
+import threading
+
 import pytest
 
-from repro.query.query_graph import QueryGraph
+from repro.query.query_graph import _CANONICAL_LEAF_CAP, QueryGraph
+from repro.testing.reference import canonical_search
 from repro.utils.errors import QueryError
+
+#: Fixed so CI runs are reproducible; override with ``REPRO_DIFF_SEED``.
+SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260730"))
 
 
 def triangle():
@@ -162,3 +172,146 @@ class TestCanonicalization:
         assert len(sig) == 64
         int(sig, 16)  # parses as hex
         assert sig == triangle().signature()
+
+
+def random_graph(rng, max_nodes=8, max_labels=3) -> QueryGraph:
+    """A random labeled graph of 1-``max_nodes`` nodes over 1-``max_labels``
+    labels, its nodes and edges inserted in a shuffled order."""
+    count = rng.randint(1, max_nodes)
+    alphabet = ["a", "b", "c"][:rng.randint(1, max_labels)]
+    density = rng.random()
+    labels = {f"n{i}": rng.choice(alphabet) for i in range(count)}
+    edges = [
+        (f"n{i}", f"n{j}")
+        for i, j in itertools.combinations(range(count), 2)
+        if rng.random() < density
+    ]
+    rng.shuffle(edges)
+    return QueryGraph(labels, edges)
+
+
+def renamed_copy(query: QueryGraph, rng) -> QueryGraph:
+    """``query`` under a random renaming, inserted in a random order."""
+    nodes = list(query.nodes)
+    names = dict(zip(nodes, rng.sample(range(10 * len(nodes)), len(nodes))))
+    rng.shuffle(nodes)
+    edges = [tuple(names[node] for node in edge) for edge in query.edges]
+    rng.shuffle(edges)
+    return QueryGraph({names[n]: query.label(n) for n in nodes}, edges)
+
+
+def assert_describes(query: QueryGraph) -> None:
+    """``canonical_form()`` is ``query`` read through ``canonical_order()``."""
+    labels, edges = query.canonical_form()
+    order = query.canonical_order()
+    assert sorted(order, key=repr) == sorted(query.nodes, key=repr)
+    assert labels == tuple(repr(query.label(node)) for node in order)
+    position = {node: i for i, node in enumerate(order)}
+    assert edges == tuple(sorted(
+        tuple(sorted(position[node] for node in edge)) for edge in query.edges
+    ))
+
+
+#: Same-label shapes on which the unpruned search reaches the leaf cap:
+#: cliques, a star, an edgeless graph, a complete bipartite graph and
+#: disjoint triangles.
+CAPPED_SHAPES = {
+    "K8": ({i: "a" for i in range(8)}, itertools.combinations(range(8), 2)),
+    "K10": ({i: "a" for i in range(10)}, itertools.combinations(range(10), 2)),
+    "star10": ({i: "a" for i in range(10)}, [(0, i) for i in range(1, 10)]),
+    "empty8": ({i: "a" for i in range(8)}, []),
+    "K5,5": (
+        {i: "a" for i in range(10)},
+        [(i, j) for i in range(5) for j in range(5, 10)],
+    ),
+    "4xK3": (
+        {i: "a" for i in range(12)},
+        [(i, j) for base in (0, 3, 6, 9) for i, j in
+         itertools.combinations(range(base, base + 3), 2)],
+    ),
+}
+
+
+class TestCanonicalOracle:
+    """The pruned canonical search against the unpruned reference
+    (:func:`repro.testing.reference.canonical_search`)."""
+
+    @pytest.mark.parametrize("chunk", range(6))
+    def test_canonical_oracle_random_graphs(self, chunk):
+        rng = random.Random(f"{SEED}/canonical/{chunk}")
+        compared = 0
+        for _ in range(500):
+            query = random_graph(rng)
+            order, edges, leaves = canonical_search(query)
+            if leaves >= _CANONICAL_LEAF_CAP:
+                continue  # the reference stopped early: no oracle
+            labels = tuple(repr(query.label(node)) for node in order)
+            assert query.canonical_order() == order
+            assert query.canonical_form() == (labels, edges)
+            compared += 1
+        assert compared > 450
+
+    @pytest.mark.parametrize("shape", sorted(CAPPED_SHAPES))
+    def test_canonical_oracle_renamings_agree_on_capped_shapes(self, shape):
+        labels, edges = CAPPED_SHAPES[shape]
+        query = QueryGraph(labels, list(edges))
+        assert canonical_search(query)[2] >= _CANONICAL_LEAF_CAP
+        rng = random.Random(f"{SEED}/capped/{shape}")
+        form = query.canonical_form()
+        assert_describes(query)
+        for _ in range(5):
+            copy = renamed_copy(query, rng)
+            assert copy.canonical_form() == form
+            assert_describes(copy)
+
+    def test_symmetric_pool_shapes_match_the_reference(self):
+        # Below the cap on every symmetric shape of up to 6 nodes.
+        shapes = [
+            ({i: "a" for i in range(6)}, itertools.combinations(range(6), 2)),
+            ({i: "a" for i in range(6)}, [(i, (i + 1) % 6) for i in range(6)]),
+            ({i: "ab"[i % 2] for i in range(6)},
+             [(i, (i + 1) % 6) for i in range(6)]),
+            ({i: "a" for i in range(6)}, [(0, i) for i in range(1, 6)]),
+            ({i: "a" for i in range(6)},
+             [(i, j) for i in range(3) for j in range(3, 6)]),
+        ]
+        for labels, edges in shapes:
+            query = QueryGraph(labels, list(edges))
+            order, encoding, leaves = canonical_search(query)
+            assert leaves < _CANONICAL_LEAF_CAP
+            assert query.canonical_order() == order
+            assert query.canonical_form()[1] == encoding
+
+
+def test_shared_graph_canonical_memo_under_thread_contention():
+    # The wire server shares one parsed graph across threads; the memo
+    # is unlocked, so racing first readers must all see the one answer.
+    shapes = [CAPPED_SHAPES[name] for name in ("K8", "star10", "4xK3")]
+    expected = []
+    for labels, edges in shapes:
+        query = QueryGraph(labels, list(edges))
+        expected.append((query.canonical_form(), query.canonical_order()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = [QueryGraph(labels, list(edges)) for labels, edges in shapes]
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read() -> None:
+                barrier.wait(timeout=10)
+                seen.append([
+                    (query.canonical_form(), query.canonical_order())
+                    for query in shared
+                ])
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)

@@ -10,6 +10,7 @@ import pytest
 from repro.peg import build_peg
 from repro.pgd import pgd_from_edge_list
 from repro.query import QueryEngine, QueryGraph, QueryOptions
+from repro.net import protocol
 from repro.query.matcher import MatchColumns
 from repro.service import QueryService, ResultCache, ServiceStats, request_key
 from repro.utils.errors import (
@@ -265,13 +266,17 @@ class TestCacheAndSingleFlight:
                 service.submit(figure1_query(f"n{i}", f"m{i}"), 0.5)
                 for i in range(3)
             ]
-            assert all(f is leader for f in followers)
+            # Same node names share the leader's future; renamed
+            # followers get one of their own, settled with its outcome.
+            assert service.submit(figure1_query(), 0.5) is leader
+            assert all(f is not leader for f in followers)
             assert service.stats.in_flight == 1
             gate.set()
             result = leader.result(timeout=5)
+            assert [f.result(timeout=5) for f in followers] == [result] * 3
         assert engine.calls == 1
         snap = service.stats.snapshot()
-        assert snap["deduplicated"] == 3
+        assert snap["deduplicated"] == 4
         assert snap["misses"] == 1
         assert snap["in_flight"] == 0
         assert result[0] == "result"
@@ -307,9 +312,9 @@ class TestCacheAndSingleFlight:
         engine = FakeEngine(gate=gate)
         service = QueryService(engine, num_workers=1, cache_size=0)
         blocker = service.submit(figure1_query(), 0.5)
-        queued = service.submit(figure1_query("x", "y"), 0.3)
+        service.submit(figure1_query("x", "y"), 0.3)
         follower = service.submit(figure1_query("p", "q"), 0.3)
-        assert follower is queued
+        assert service.stats.snapshot()["deduplicated"] == 1
         service.close(wait=False)
         gate.set()
         with pytest.raises((ServiceError, QueryError)):
@@ -372,6 +377,95 @@ class TestCacheAndSingleFlight:
             QueryService(FakeEngine(), executor="fiber")
         with pytest.raises(ServiceError):
             QueryService(FakeEngine(), executor="process")  # no snapshot
+
+
+class _GatedRealEngine:
+    """A real engine whose evaluations wait for ``gate``."""
+
+    def __init__(self, engine, gate):
+        self.engine = engine
+        self.gate = gate
+        self.graph_version = engine.graph_version
+
+    def query(self, query, alpha, options=None):
+        assert self.gate.wait(timeout=10)
+        return self.engine.query(query, alpha, options)
+
+
+class TestRenamedRequests:
+    """A request answered from another query's evaluation (a cache hit
+    or a single-flight follower) reads in its own node names."""
+
+    ORIGINAL = QueryGraph(
+        {"a": "DB", "b": "ML", "c": "DB"}, [("a", "b"), ("b", "c")]
+    )
+    RENAMED = QueryGraph(
+        {"x": "ML", "y": "DB", "z": "DB"}, [("y", "x"), ("x", "z")]
+    )
+
+    @pytest.fixture(scope="class")
+    def dblp_peg(self):
+        from repro.datasets.dblp import generate_dblp_pgd
+
+        return build_peg(generate_dblp_pgd(num_authors=60, seed=5))
+
+    def assert_answers(self, result, query, fresh):
+        def keys(r):
+            return [(m.nodes, m.edges, m.probability) for m in r.matches]
+
+        assert keys(result) == keys(fresh) and len(fresh.matches) > 0
+        for match in result.matches:
+            mapping = dict(match.mapping)
+            assert set(mapping) == set(query.nodes)
+            assert len(set(mapping.values())) == len(mapping)
+            labels = dict(match.nodes)
+            for node, entity in mapping.items():
+                assert labels[entity] == query.label(node)
+            for edge in query.edges:
+                node_a, node_b = edge
+                assert frozenset((mapping[node_a], mapping[node_b])) in match.edges
+        for path in result.decomposition_paths:
+            assert set(path) <= set(query.nodes)
+
+    @pytest.mark.parametrize("backend", ["vectorized", "python"])
+    def test_cache_hit_reads_in_the_requesters_names(self, dblp_peg, backend):
+        engine = QueryEngine(dblp_peg, max_length=2, beta=0.1)
+        options = QueryOptions(reduction_backend=backend)
+        fresh = QueryEngine(dblp_peg, max_length=2, beta=0.1)
+        assert self.ORIGINAL.canonical_order() != self.RENAMED.canonical_order()
+        with QueryService(engine, num_workers=1, cache_size=16) as service:
+            first = service.query(self.ORIGINAL, 0.2, options)
+            hit = service.query(self.RENAMED, 0.2, options)
+            again = service.query(self.ORIGINAL, 0.2, options)
+            assert service.stats.hits == 2
+        assert again is first
+        self.assert_answers(hit, self.RENAMED, fresh.query(self.RENAMED, 0.2))
+        self.assert_answers(
+            first, self.ORIGINAL, fresh.query(self.ORIGINAL, 0.2)
+        )
+        if backend == "vectorized":
+            # a view of the cached columns, wire body included
+            assert hit.matches.nodes is first.matches.nodes
+            assert protocol.result_response(1, hit) == (
+                protocol.result_response(1, first)
+            )
+
+    def test_dedup_follower_reads_in_its_own_names(self, dblp_peg):
+        gate = threading.Event()
+        engine = _GatedRealEngine(
+            QueryEngine(dblp_peg, max_length=2, beta=0.1), gate
+        )
+        fresh = QueryEngine(dblp_peg, max_length=2, beta=0.1)
+        with QueryService(engine, num_workers=1, cache_size=0) as service:
+            leader = service.submit(self.ORIGINAL, 0.2)
+            follower = service.submit(self.RENAMED, 0.2)
+            assert service.stats.snapshot()["deduplicated"] == 1
+            gate.set()
+            led, followed = leader.result(timeout=10), follower.result(timeout=10)
+        self.assert_answers(led, self.ORIGINAL, fresh.query(self.ORIGINAL, 0.2))
+        self.assert_answers(
+            followed, self.RENAMED, fresh.query(self.RENAMED, 0.2)
+        )
 
 
 class TestConcurrentServing:
@@ -473,7 +567,13 @@ class TestConcurrentServing:
         with QueryService(engine, num_workers=3) as service:
             results = service.query_many(queries, 0.4)
         assert len(results) == 3
-        assert results[2] is results[0]
+        # [2] is answered from [0]'s evaluation, in its own node names.
+        assert results[2].matches.nodes is results[0].matches.nodes
+        assert [(m.nodes, m.edges, m.probability) for m in results[2].matches] \
+            == [(m.nodes, m.edges, m.probability) for m in results[0].matches]
+        assert len(results[0].matches) > 0
+        for match in results[2].matches:
+            assert {node for node, _ in match.mapping} == {"p", "q"}
 
 
 class TestSnapshotRoundTrip:
