@@ -43,9 +43,14 @@ class Match:
     edges:
         Frozenset of entity pairs (each a frozenset of two entities).
     mapping:
-        A representative embedding ``query node -> entity`` (informational;
-        two embeddings producing the same labeled subgraph are the same
-        match).
+        A representative embedding ``query node -> entity``, pairs in
+        ``repr(query node)`` order. Two embeddings producing the same
+        labeled subgraph are the same match; the query engine's
+        matchers keep the one whose PEG node ids, read in the query's
+        canonical order
+        (:meth:`~repro.query.query_graph.QueryGraph.canonical_order`),
+        are lexicographically least, so every plan and every renamed
+        copy of the query reads the same one.
     probability:
         ``Pr(M)`` per Eq. 11.
     """

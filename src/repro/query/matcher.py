@@ -11,7 +11,8 @@ join, in global vertex ids, over the live entry list and the stacked
 vertex table a reduced
 :class:`~repro.query.reduction.VectorizedKPartiteGraph` leaves (a
 driver's links into a partition are one ``searchsorted`` run of the
-list; every live entry joins two alive vertices). It returns the join's final frontier as :class:`MatchColumns` — PEG-id
+list; every live entry joins two alive vertices). It returns the
+join's final frontier as :class:`MatchColumns` — PEG-id
 columns, probabilities and the graph version's entity tables, sorted
 once by an integer ``lexsort`` — and builds a
 :class:`~repro.peg.entity_graph.Match` only for a row that is read;
@@ -20,21 +21,30 @@ the wire encodes replies from the columns without building any
 :func:`generate_matches_reference` is the per-tuple depth-first search
 it replaced, kept as the oracle (``reduction_backend="python"`` runs
 it); it returns a list. Both multiply a (partial) match's probability
-in one written-down order, so they agree bit for bit:
+in one written-down order, the query's canonical order
+(:meth:`~repro.query.query_graph.QueryGraph.canonical_order`), so they
+agree bit for bit and the product depends on no plan:
 
-1. label factors, query nodes in *placement order* (partitions in join
-   order, path positions left to right, first occurrence),
+1. label factors, placed query nodes in canonical order,
 2. edge factors, query edges in :func:`ordered_query_edges` order,
    skipping edges with an unplaced endpoint,
-3. times the existence marginal of the placed nodes in placement order
+3. times the existence marginal of the placed nodes in canonical order
    (the array matcher reads a joint one from
    :meth:`~repro.peg.arrays.ComponentTable.joint_existence`).
 
-Both list matches in :func:`match_sort_key` order — ``(-probability,
-repr(match.nodes))``, then the edge set — so the order does not depend
-on the plan (equal ``repr`` entities aside, ties keep visiting order);
-both key a match on its labeled subgraph, not on ``repr``, so entities
-with equal ``repr`` stay distinct matches.
+Two embeddings inducing the same labeled subgraph (a label-preserving
+automorphism of the query relates them) are one match, represented by
+the embedding whose PEG ids, read in the query's canonical order, are
+lexicographically least. The array matcher enumerates only that one:
+the query's symmetry-breaking constraints
+(:meth:`~repro.query.query_graph.QueryGraph.symmetry_constraints`) are
+one more mask of the join. The reference visits every embedding and
+keeps the least. Both list matches in :func:`match_sort_key` order —
+``(-probability, repr(match.nodes))``, then the edge set, then the
+representative's ids in canonical order — so neither the representative
+nor the order depends on the plan; both key a match on its labeled
+subgraph, not on ``repr``, so entities with equal ``repr`` stay
+distinct matches.
 """
 
 from __future__ import annotations
@@ -96,19 +106,14 @@ def determine_join_order(
 def ordered_query_edges(query) -> list:
     """Query edges as ``(node_a, node_b)`` pairs in the fixed factor order.
 
-    Endpoints and edges are ordered by node position in ``query.nodes``
-    (insertion order), which — unlike iterating the ``query.edges``
-    frozenset — depends neither on ``PYTHONHASHSEED`` nor on the node
-    type.
+    Endpoints and edges are ordered by node position in the query's
+    canonical order (``canonical_form()``'s edge encoding), which —
+    unlike iterating the ``query.edges`` frozenset — depends neither on
+    ``PYTHONHASHSEED`` nor on the node type, and which a renamed copy
+    of the query shares.
     """
-    position = {node: index for index, node in enumerate(query.nodes)}
-    return sorted(
-        (
-            tuple(sorted(edge, key=position.__getitem__))
-            for edge in query.edges
-        ),
-        key=lambda pair: (position[pair[0]], position[pair[1]]),
-    )
+    order = query.canonical_order()
+    return [(order[a], order[b]) for a, b in query.canonical_form()[1]]
 
 
 class _Step(typing.NamedTuple):
@@ -130,6 +135,12 @@ class _Step(typing.NamedTuple):
     #: edge whose second endpoint is placed here; the index is the
     #: edge's place in the factor order.
     new_edges: list
+    #: ``(column_a, column_b)`` per symmetry-breaking constraint whose
+    #: later column is placed here: a row keeps ``id_a < id_b``.
+    ordered: list
+    #: Every column placed once this step is done, in the query's
+    #: canonical order: the order label and existence factors multiply in.
+    factor_columns: list
 
 
 def _plan_steps(decomposition: Decomposition, order: list) -> tuple:
@@ -137,6 +148,7 @@ def _plan_steps(decomposition: Decomposition, order: list) -> tuple:
     (column_a, column_b) of every query edge in factor order)``."""
     query = decomposition.query
     edges = ordered_query_edges(query)
+    canonical = query.canonical_order()
     column: dict = {}
     resolved: set = set()
     steps = []
@@ -163,6 +175,13 @@ def _plan_steps(decomposition: Decomposition, order: list) -> tuple:
             new_positions,
             shared,
             new_edges,
+            [
+                (column[a], column[b])
+                for a, b in query.symmetry_constraints()
+                if a in column and b in column
+                and max(column[a], column[b]) >= placed
+            ],
+            [column[node] for node in canonical if node in column],
         ))
     return column, steps, [(column[a], column[b]) for a, b in edges]
 
@@ -193,13 +212,9 @@ class _Frontier(typing.NamedTuple):
     #: whose existence marginal is a joint one, not a product of
     #: per-node gathers.
     joint: np.ndarray
-    #: Running product of the label factors, in placement order.
-    labels: np.ndarray
     #: ``(rows, query edges)`` edge factors in factor order; 1.0 (the
     #: exact identity) while an endpoint is unplaced.
     edges: np.ndarray
-    #: Existence marginal of the placed nodes.
-    existence: np.ndarray
 
     def take(self, rows) -> "_Frontier":
         """The frontier of ``rows`` (a slice, mask or index array)."""
@@ -226,6 +241,8 @@ class _FrontierJoin:
         #: Query node and label of every column.
         self.column_nodes = list(column)
         self.column_labels = [query.label(node) for node in self.column_nodes]
+        #: Every column, in the query's canonical order.
+        self.canonical_columns = self.steps[-1].factor_columns
         self._label_probs = [
             self.arrays.label_probabilities(label)
             for label in self.column_labels
@@ -242,14 +259,13 @@ class _FrontierJoin:
 
     def run(self) -> tuple:
         """``(nodes, probabilities)`` of every full embedding reaching
-        alpha, in visiting order (duplicates of one match included)."""
+        alpha and keeping the query's symmetry-breaking constraints
+        (one per match), in visiting order."""
         self._expand(0, _Frontier(
             nodes=np.zeros((1, 0), dtype=np.int64),
             chosen=np.full((1, len(self.steps)), -1, dtype=np.int64),
             joint=np.zeros(1, dtype=bool),
-            labels=np.ones(1),
             edges=np.ones((1, len(self.edge_columns))),
-            existence=np.ones(1),
         ))
         if not self._out_nodes:
             width = len(self.column_nodes)
@@ -316,6 +332,8 @@ class _FrontierJoin:
         keep = np.ones(vids.size, dtype=bool)
         for position, column in step.shared:
             keep &= candidate[:, position] == nodes[:, column]
+        for column_a, column_b in step.ordered:
+            keep &= nodes[:, column_a] < nodes[:, column_b]
         # Injectivity, and which rows put two nodes in one identity
         # component: each new column against every column before it.
         keys = arrays.component_keys()[nodes]
@@ -329,28 +347,26 @@ class _FrontierJoin:
         joint = frontier.joint[parent] | suspect[keep]
         self.fallback_rows += int(joint.sum())
 
-        # The exact (partial) probability in the module's factor order:
-        # each running product takes the factors placed here. A row with
-        # two nodes of one component takes their joint marginal instead
-        # of the product — 0.0, below any alpha, when they share a
-        # reference.
-        labels = frontier.labels[parent]
-        existence = frontier.existence[parent]
+        # The exact (partial) probability in the module's factor order,
+        # over every placed column. A row with two nodes of one component
+        # takes their joint marginal instead of the product — 0.0, below
+        # any alpha, when they share a reference.
+        prle = np.ones(vids.size)
+        existence = np.ones(vids.size)
         node_existence = arrays.existence_probabilities()
-        for column in range(placed, width):
-            labels *= self._label_probs[column][nodes[:, column]]
+        for column in step.factor_columns:
+            prle *= self._label_probs[column][nodes[:, column]]
             existence *= node_existence[nodes[:, column]]
         rows = np.flatnonzero(joint)
         if rows.size:
             existence[rows] = component_table(self.peg).joint_existence(
-                nodes[rows], node_existence
+                nodes[np.ix_(rows, step.factor_columns)], node_existence
             )
         edges = frontier.edges[parent]
         for index, column_a, column_b, label_a, label_b in step.new_edges:
             edges[:, index] = arrays.edge_probabilities(
                 nodes[:, column_a], nodes[:, column_b], label_a, label_b
             )
-        prle = labels.copy()
         for factor in edges.T:
             prle *= factor
         probabilities = prle * existence
@@ -358,7 +374,7 @@ class _FrontierJoin:
         chosen = frontier.chosen[parent]
         chosen[:, step.partition] = vids
         keep = probabilities >= self.alpha
-        extended = _Frontier(nodes, chosen, joint, labels, edges, existence)
+        extended = _Frontier(nodes, chosen, joint, edges)
         return extended.take(keep), probabilities[keep]
 
 
@@ -375,61 +391,28 @@ def generate_matches(
     ``kpartite`` is a reduced
     :class:`repro.query.reduction.VectorizedKPartiteGraph`; its live
     entry list, stacked vertex table and probability tables are joined
-    one partition (one frontier level) at a time. Returns the
-    deduplicated matches as :class:`MatchColumns`, sorted by descending
-    probability: two embeddings inducing the same labeled subgraph are
-    one match, represented by the first one visited.
+    one partition (one frontier level) at a time. Returns the matches
+    as :class:`MatchColumns`, sorted by :func:`match_sort_key`. Two
+    embeddings inducing the same labeled subgraph are one match; the
+    query's :meth:`~repro.query.query_graph.QueryGraph.symmetry_constraints`,
+    one more mask at the level placing a pair's later column, let only
+    its representative through: the embedding whose PEG ids, read in
+    the query's canonical order, are lexicographically least.
 
     ``alpha`` must be positive: a row whose nodes share a reference is
     dropped by its zero probability.
 
     ``stats``, when given, receives ``frontier_peak`` (most rows
-    gathered in one expansion), ``fallback_rows`` (rows with two nodes
-    of one identity component, which took the joint existence marginal,
-    summed over levels) and ``duplicates`` (embeddings dropped as
-    repeats of an earlier match).
+    gathered in one expansion) and ``fallback_rows`` (rows with two
+    nodes of one identity component, which took the joint existence
+    marginal, summed over levels).
     """
     join = _FrontierJoin(peg, decomposition, kpartite, alpha)
     nodes, probabilities = join.run()
-    first = _first_embeddings(join, nodes)
     if stats is not None:
         stats["frontier_peak"] = join.frontier_peak
         stats["fallback_rows"] = join.fallback_rows
-        stats["duplicates"] = nodes.shape[0] - first.size
-    return _sorted_columns(join, nodes[first], probabilities[first])
-
-
-def _first_embeddings(join: _FrontierJoin, nodes: np.ndarray) -> np.ndarray:
-    """Rows of ``nodes`` that are the first embedding of their match.
-
-    Two embeddings are one match when they induce the same labeled
-    subgraph; that is decided on integers — the ``(node id, label)``
-    columns sorted by node id and the sorted ``(low id, high id)`` edge
-    keys — before any ``Match`` or frozenset exists.
-    """
-    if nodes.shape[0] < 2:
-        return np.arange(nodes.shape[0])
-    labels: dict = {}
-    label_ids = np.array(
-        [labels.setdefault(label, len(labels)) for label in join.column_labels]
-    )
-    by_id = np.argsort(nodes, axis=1)
-    key = [np.take_along_axis(nodes, by_id, axis=1), label_ids[by_id]]
-    if join.edge_columns:
-        ends_a = nodes[:, [column_a for column_a, _ in join.edge_columns]]
-        ends_b = nodes[:, [column_b for _, column_b in join.edge_columns]]
-        edge_keys = (
-            np.minimum(ends_a, ends_b) * join.arrays.num_nodes
-            + np.maximum(ends_a, ends_b)
-        )
-        edge_keys.sort(axis=1)
-        key.append(edge_keys)
-    key = np.hstack(key)
-    row_keys = key.view(f"V{key.itemsize * key.shape[1]}").ravel().tolist()
-    seen: dict = {}  # key row as bytes -> first row with it, in row order
-    for row, row_key in enumerate(row_keys):
-        seen.setdefault(row_key, row)
-    return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
+    return _sorted_columns(join, nodes, probabilities)
 
 
 def match_sort_key(match: Match) -> tuple:
@@ -437,7 +420,10 @@ def match_sort_key(match: Match) -> tuple:
     repr(match.nodes))``, then the edge set — each edge as the sorted
     pair of its endpoints' positions in ``match.nodes``, the pairs
     sorted. Two embeddings of the same nodes with different edges are
-    ordered by their edges, not by the plan's visiting order."""
+    ordered by their edges, not by the plan's visiting order. Matches
+    still tied (entities of equal ``repr``) are ordered by their
+    representative's PEG ids in the query's canonical order, so the
+    list depends on no plan."""
     position = {entity: i for i, (entity, _) in enumerate(match.nodes)}
     edges = sorted(
         tuple(sorted(position[entity] for entity in edge))
@@ -449,8 +435,8 @@ def match_sort_key(match: Match) -> tuple:
 def _sorted_columns(
     join: _FrontierJoin, nodes: np.ndarray, probabilities: np.ndarray
 ) -> "MatchColumns":
-    """The matches as columns, sorted by :func:`match_sort_key` with
-    ties in row (visiting) order.
+    """The matches as columns, sorted by :func:`match_sort_key`, ties
+    by the PEG ids in canonical column order.
 
     ``repr(match.nodes)`` is the ``repr`` of its ``(entity, label)``
     pairs in ``repr(entity)`` order, so comparing two of them compares,
@@ -468,7 +454,8 @@ def _sorted_columns(
     label_ranks = np.array(
         [in_order.index(text) for text in label_reprs], dtype=np.int64
     )
-    keys = []  # np.lexsort's last key is its primary one
+    # np.lexsort's last key is its primary one.
+    keys = [nodes[:, column] for column in reversed(join.canonical_columns)]
     if join.edge_columns:
         width = nodes.shape[1]
         place = np.argsort(repr_order, axis=1)  # column -> node position
@@ -498,12 +485,14 @@ def _chunks(items, width: int):
 class MatchColumns(Sequence):
     """The matches of one query, held as the join's columns.
 
-    ``nodes`` is the deduplicated final frontier — one row per match,
-    PEG ids in the join's column order — and ``probabilities`` its
-    probabilities; rows are sorted by :func:`match_sort_key`, ties in
-    visiting order. ``repr_order[row]`` lists the row's columns in
-    ``repr(entity)`` order, the order of ``Match.nodes``. ``column_nodes`` and ``column_labels`` are the
-    query node and label of every column, ``edge_columns`` the
+    ``nodes`` is the join's final frontier — one row per match, its
+    representative embedding (the lexicographically least in the
+    query's canonical order), PEG ids in the join's column order — and
+    ``probabilities`` its probabilities; rows are sorted by
+    :func:`match_sort_key`. ``repr_order[row]`` lists the row's columns
+    in ``repr(entity)`` order, the order of ``Match.nodes``.
+    ``column_nodes`` and ``column_labels`` are the query node and label
+    of every column, ``edge_columns`` the
     ``(column_a, column_b)`` of every query edge in factor order, and
     ``entities`` the graph version's per-id entity table (shared, not
     copied).
@@ -685,7 +674,11 @@ def generate_matches_reference(
 
     Kept as the oracle the array matcher is tested against (and what
     ``reduction_backend="python"`` runs): same matches, same order, same
-    floats. ``kpartite`` is a reduced candidate k-partite graph of
+    floats, same representative ``mapping``. It visits every embedding
+    and keeps, per match, the one that is lexicographically least in
+    the query's canonical order, so it checks the array matcher's
+    symmetry-breaking constraints instead of sharing them.
+    ``kpartite`` is a reduced candidate k-partite graph of
     either backend (:class:`repro.query.kpartite.CandidateKPartiteGraph`
     or :class:`repro.query.reduction.VectorizedKPartiteGraph`); only
     the shared alive-mask/link interface (``alive_counts``,
@@ -694,6 +687,7 @@ def generate_matches_reference(
     """
     query = decomposition.query
     query_edges = ordered_query_edges(query)
+    canonical = query.canonical_order()
     order = determine_join_order(
         decomposition, dict(enumerate(kpartite.alive_counts()))
     )
@@ -757,12 +751,12 @@ def generate_matches_reference(
         return new_mapping
 
     def _labeled_subgraph(mapping: dict) -> tuple:
-        # Dict order is placement order; edges come in the fixed order
+        # Dict order is canonical order; edges come in the fixed order
         # and as a list, so ``prle`` multiplies in the module's factor
         # order (a set here made the product depend on PYTHONHASHSEED).
         node_labels = {
-            peg.entity_of(peg_node): query.label(query_node)
-            for query_node, peg_node in mapping.items()
+            peg.entity_of(mapping[node]): query.label(node)
+            for node in canonical if node in mapping
         }
         edges = [
             frozenset(
@@ -782,8 +776,12 @@ def generate_matches_reference(
         if probability < alpha:
             return
         # Keyed order-free; listed by repr(entity), equal reprs by id.
+        # Of a match's embeddings the one whose ids, read in canonical
+        # order, are least is kept: the array matcher's representative,
+        # reached here without its symmetry-breaking constraints.
         key = (frozenset(node_labels.items()), frozenset(edges))
-        if key in matches:
+        ids = tuple(mapping[node] for node in canonical)
+        if key in matches and matches[key][0] <= ids:
             return
         nodes_key = tuple(sorted(
             node_labels.items(),
@@ -795,7 +793,7 @@ def generate_matches_reference(
                 key=lambda kv: repr(kv[0]),
             )
         )
-        matches[key] = Match(
+        matches[key] = ids, Match(
             nodes=nodes_key,
             edges=frozenset(edges),
             mapping=entity_mapping,
@@ -803,4 +801,9 @@ def generate_matches_reference(
         )
 
     extend(0, {}, {})
-    return sorted(matches.values(), key=match_sort_key)
+    return [
+        match for _, match in sorted(
+            matches.values(),
+            key=lambda kept: (match_sort_key(kept[1]), kept[0]),
+        )
+    ]

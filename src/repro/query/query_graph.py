@@ -19,6 +19,126 @@ from repro.utils.errors import QueryError
 _CANONICAL_LEAF_CAP = 2000
 
 
+def _refine(colors: list, adjacency: list) -> list:
+    """1-WL refinement of ``colors`` (an int per node) to a stable
+    partition: a color becomes the rank of its node's ``(color, sorted
+    neighbour colors)`` signature. A bijection mapping the input
+    colors of one graph onto another's maps the output colors too."""
+    num_colors = len(set(colors))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted([colors[w] for w in around])))
+            for v, around in enumerate(adjacency)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(ranks) == num_colors:
+            return [ranks[s] for s in sigs]
+        colors = [ranks[s] for s in sigs]
+        num_colors = len(ranks)
+
+
+def _orbit_constraints(labels: list, adjacency: list) -> list:
+    """Symmetry-breaking pairs ``(base, u)``, ``base < u``, of the graph
+    with node ``i`` labeled ``labels[i]`` and adjacent to
+    ``adjacency[i]``, with bases in node order.
+
+    A base's orbit under the automorphisms fixing every earlier base
+    lies in its cell of the refinement that individualizes those
+    bases. A cell member is in the orbit when the automorphisms found
+    so far that fix the earlier bases reach it (their union-find
+    closure), or else when :func:`_automorphism` finds one mapping the
+    base onto it.
+    """
+    count = len(labels)
+    palette: dict = {}
+    start = [palette.setdefault(label, len(palette)) for label in labels]
+    neighbours = [frozenset(around) for around in adjacency]
+    found: list = []  # node -> image, one list per automorphism found
+    pairs: list = []
+    for base in range(count):
+        colors = _refine(
+            [-1 - v if v < base else c for v, c in enumerate(start)],
+            adjacency,
+        )
+        if len(set(colors)) == count:
+            break  # the stabilizer of the earlier bases is trivial
+        cell = [u for u in range(count) if colors[u] == colors[base]]
+        if len(cell) == 1:
+            continue
+        parent = list(range(count))  # orbits, as a union-find forest
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        def absorb(image: list) -> None:
+            for v in range(count):
+                parent[find(v)] = find(image[v])
+
+        for image in found:
+            if all(image[v] == v for v in range(base)):
+                absorb(image)
+        source = _refine(
+            [-1 if v == base else c for v, c in enumerate(colors)], adjacency
+        )
+        for u in cell:
+            if find(u) == find(base):
+                continue
+            image = _automorphism(
+                source,
+                _refine(
+                    [-1 if v == u else c for v, c in enumerate(colors)],
+                    adjacency,
+                ),
+                neighbours,
+            )
+            if image is not None:
+                found.append(image)
+                absorb(image)
+        pairs.extend(
+            (base, u) for u in cell if u != base and find(u) == find(base)
+        )
+    return pairs
+
+
+def _automorphism(source: list, target: list, neighbours: list):
+    """A permutation ``image`` of the nodes with ``target[image[v]] ==
+    source[v]`` that maps edges onto edges and non-edges onto non-edges,
+    or ``None``: backtracking, nodes of the smallest cells first, each
+    image checked against every node placed before it."""
+    if sorted(source) != sorted(target):
+        return None
+    cells: dict = {}
+    for w, color in enumerate(target):
+        cells.setdefault(color, []).append(w)
+    order = sorted(
+        range(len(source)), key=lambda v: (len(cells[source[v]]), v)
+    )
+    image = [-1] * len(source)
+    used: set = set()
+
+    def place(k: int) -> bool:
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in cells[source[v]]:
+            if w in used or any(
+                (x in neighbours[v]) != (image[x] in neighbours[w])
+                for x in order[:k]
+            ):
+                continue
+            image[v] = w
+            used.add(w)
+            if place(k + 1):
+                return True
+            used.discard(w)
+        return False
+
+    return image if place(0) else None
+
+
 class QueryGraph:
     """Labeled undirected query pattern.
 
@@ -56,6 +176,7 @@ class QueryGraph:
             self._adjacency[node_b].add(node_a)
         self._canonical: tuple | None = None
         self._canonical_order: tuple | None = None
+        self._symmetry: tuple | None = None
 
     # ------------------------------------------------------------------
 
@@ -154,10 +275,11 @@ class QueryGraph:
         stay comparable and hashable; distinct label objects sharing a
         ``repr`` are therefore conflated.
 
-        The memo is the graph's only write after construction, and it is
-        unlocked: threads sharing a graph (the wire server hands one
-        parsed graph to every request repeating its text) may each
-        compute it, and every computation stores equal values.
+        The memo is one of the graph's two writes after construction
+        (:meth:`symmetry_constraints` is the other), and it is unlocked:
+        threads sharing a graph (the wire server hands one parsed graph
+        to every request repeating its text) may each compute it, and
+        every computation stores equal values.
         """
         if self._canonical is None:
             order, edges = self._canonical_search()
@@ -179,6 +301,41 @@ class QueryGraph:
         """
         self.canonical_form()
         return self._canonical_order
+
+    def symmetry_constraints(self) -> tuple:
+        """Node pairs ``(a, b)`` that leave one embedding per match.
+
+        Two embeddings of this query induce the same labeled subgraph
+        exactly when a label-preserving automorphism (labels compared
+        with ``==``) relates them. Of every such class of injective
+        maps into ordered ids, exactly one gives each ``a`` a smaller
+        id than its ``b``: the one whose ids, read in
+        :meth:`canonical_order`, are lexicographically least.
+
+        These are Grochow & Kellis's symmetry-breaking conditions
+        (*Network motif discovery using subgraph enumeration and
+        symmetry-breaking*, RECOMB 2007) over the canonical order as
+        base: each node in turn comes before every other node of its
+        orbit under the automorphisms fixing every node before it,
+        until that stabilizer is trivial. So ``a`` always precedes
+        ``b`` in :meth:`canonical_order`, and a renamed copy of this
+        query gets the same pairs by canonical position. Each orbit
+        member is found by one backtracking search for an automorphism
+        (:func:`_orbit_constraints`); the group is never enumerated.
+        Memoized under :meth:`canonical_form`'s unlocked rule.
+        """
+        if self._symmetry is None:
+            order = self.canonical_order()
+            position = {node: i for i, node in enumerate(order)}
+            pairs = _orbit_constraints(
+                [self._labels[node] for node in order],
+                [
+                    [position[m] for m in self._adjacency[node]]
+                    for node in order
+                ],
+            )
+            self._symmetry = tuple((order[a], order[b]) for a, b in pairs)
+        return self._symmetry
 
     def signature(self) -> str:
         """Stable hex digest of :meth:`canonical_form`.
@@ -227,19 +384,6 @@ class QueryGraph:
         best: list = [None, None]  # (encoding, order)
         leaves = [0]
 
-        def refine(colors: list) -> list:
-            num_colors = len(set(colors))
-            while True:
-                sigs = [
-                    (colors[v], tuple(sorted([colors[w] for w in around])))
-                    for v, around in enumerate(adjacency)
-                ]
-                ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-                if len(ranks) == num_colors:
-                    return [ranks[s] for s in sigs]
-                colors = [ranks[s] for s in sigs]
-                num_colors = len(ranks)
-
         def leaf(colors: list) -> None:
             leaves[0] += 1
             order = [0] * count
@@ -261,7 +405,7 @@ class QueryGraph:
                 automorphisms.append(image)
 
         def search(colors: list, prefix: tuple) -> None:
-            colors = refine(colors)
+            colors = _refine(colors, adjacency)
             cells: dict = {}
             for v, color in enumerate(colors):
                 cells.setdefault(color, []).append(v)

@@ -53,6 +53,12 @@ automorphism pruning (:meth:`repro.query.query_graph.QueryGraph.canonical_form`)
 individualization-refinement over every member of every branched color
 class. The pruned search must return the same node order and edge
 encoding whenever neither search reaches the leaf cap.
+
+:func:`first_embeddings` is the per-row duplicate filter the array
+matcher ran before the query's symmetry-breaking constraints
+(:meth:`repro.query.query_graph.QueryGraph.symmetry_constraints`) let
+it enumerate one embedding per match: the matcher's final frontier must
+hold no two rows of one labeled subgraph, so the filter keeps every row.
 """
 
 from __future__ import annotations
@@ -1062,3 +1068,39 @@ def canonical_search(query: QueryGraph) -> tuple:
     palette = {s: i for i, s in enumerate(sorted(set(initial.values())))}
     search({n: palette[initial[n]] for n in nodes})
     return best[1], best[0], leaves[0]
+
+
+def first_embeddings(columns) -> np.ndarray:
+    """Rows of a :class:`~repro.query.matcher.MatchColumns` that are the
+    first embedding of their match, in row order.
+
+    Two embeddings are one match when they induce the same labeled
+    subgraph; that is decided on integers — the ``(node id, label)``
+    columns sorted by node id and the sorted ``(low id, high id)`` edge
+    keys — before any ``Match`` or frozenset exists.
+    """
+    nodes = columns.nodes
+    if nodes.shape[0] < 2:
+        return np.arange(nodes.shape[0])
+    labels: dict = {}
+    label_ids = np.array([
+        labels.setdefault(label, len(labels))
+        for label in columns.column_labels
+    ])
+    by_id = np.argsort(nodes, axis=1)
+    key = [np.take_along_axis(nodes, by_id, axis=1), label_ids[by_id]]
+    if columns.edge_columns:
+        ends_a = nodes[:, [column_a for column_a, _ in columns.edge_columns]]
+        ends_b = nodes[:, [column_b for _, column_b in columns.edge_columns]]
+        edge_keys = (
+            np.minimum(ends_a, ends_b) * (int(nodes.max()) + 1)
+            + np.maximum(ends_a, ends_b)
+        )
+        edge_keys.sort(axis=1)
+        key.append(edge_keys)
+    key = np.hstack(key)
+    row_keys = key.view(f"V{key.itemsize * key.shape[1]}").ravel().tolist()
+    seen: dict = {}  # key row as bytes -> first row with it, in row order
+    for row, row_key in enumerate(row_keys):
+        seen.setdefault(row_key, row)
+    return np.fromiter(seen.values(), dtype=np.int64, count=len(seen))

@@ -62,7 +62,7 @@ class TestStageVocabulary:
         match_span = result.trace["children"][-1]
         assert match_span["name"] == "match"
         assert {
-            "matches", "frontier_peak", "fallback_rows", "duplicates"
+            "matches", "frontier_peak", "fallback_rows"
         } <= set(match_span["attributes"])
         assert match_span["attributes"]["frontier_peak"] >= len(result.matches)
 

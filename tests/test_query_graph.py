@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -283,14 +284,166 @@ class TestCanonicalOracle:
             assert query.canonical_form()[1] == encoding
 
 
+def brute_force_group(query: QueryGraph) -> list:
+    """Every label-preserving automorphism of ``query``, as ``{node:
+    image}``: each permutation within the label classes (labels compared
+    with ``==``) that maps edges onto edges."""
+    classes: dict = {}
+    for node in query.nodes:
+        classes.setdefault(query.label(node), []).append(node)
+    edges = [tuple(edge) for edge in query.edges]
+    group = []
+    for images in itertools.product(
+        *(itertools.permutations(members) for members in classes.values())
+    ):
+        sigma = {}
+        for members, image in zip(classes.values(), images):
+            sigma.update(zip(members, image))
+        if all(query.has_edge(sigma[a], sigma[b]) for a, b in edges):
+            group.append(sigma)
+    return group
+
+
+def position_pairs(query: QueryGraph) -> list:
+    """The symmetry-breaking pairs as canonical positions."""
+    position = {node: i for i, node in enumerate(query.canonical_order())}
+    return [(position[a], position[b]) for a, b in query.symmetry_constraints()]
+
+
+def assert_one_kept_per_class(query: QueryGraph, maps) -> None:
+    """Of the class ``{f . sigma}`` of every injective map ``f`` (a
+    ``{node: id}`` dict) under the brute-force group, exactly one member
+    keeps every symmetry-breaking constraint: the one whose ids, read in
+    canonical order, are lexicographically least."""
+    group = brute_force_group(query)
+    order = query.canonical_order()
+    pairs = position_pairs(query)
+    assert all(a < b for a, b in pairs)
+    for f in maps:
+        members = {tuple(f[sigma[node]] for node in order) for sigma in group}
+        assert len(members) == len(group)  # the group acts freely
+        kept = [
+            ids for ids in members if all(ids[a] < ids[b] for a, b in pairs)
+        ]
+        assert kept == [min(members)], (query.canonical_form(), f)
+
+
+def assert_one_kept_per_class_exhaustive(query: QueryGraph, count: int) -> None:
+    """:func:`assert_one_kept_per_class` over every injective map into
+    ``range(count)``, at the cost of two passes over them: every kept map
+    is the least of its class (so no class keeps two), and there are as
+    many kept maps as classes (so none keeps zero)."""
+    group = brute_force_group(query)
+    order = query.canonical_order()
+    pairs = position_pairs(query)
+    index = {node: i for i, node in enumerate(order)}
+    sigmas = [[index[sigma[node]] for node in order] for sigma in group]
+    total = 0
+    kept = []
+    for ids in itertools.permutations(range(count), query.num_nodes):
+        total += 1
+        if all(ids[a] < ids[b] for a, b in pairs):
+            kept.append(ids)
+    for ids in kept:
+        assert ids == min(tuple(ids[i] for i in sigma) for sigma in sigmas)
+    assert len(kept) * len(group) == total
+
+
+#: Same-label symmetric shapes of up to 6 nodes, plus twins (nodes with
+#: one neighbourhood) and a two-label cycle.
+SYMMETRIC_SHAPES = {
+    "K1": ({0: "a"}, []),
+    "K4": ({i: "a" for i in range(4)}, itertools.combinations(range(4), 2)),
+    "K6": ({i: "a" for i in range(6)}, itertools.combinations(range(6), 2)),
+    "C4": ({i: "a" for i in range(4)}, [(i, (i + 1) % 4) for i in range(4)]),
+    "C5": ({i: "a" for i in range(5)}, [(i, (i + 1) % 5) for i in range(5)]),
+    "C6": ({i: "a" for i in range(6)}, [(i, (i + 1) % 6) for i in range(6)]),
+    "C6-ab": (
+        {i: "ab"[i % 2] for i in range(6)}, [(i, (i + 1) % 6) for i in range(6)]
+    ),
+    "star5": ({i: "a" for i in range(6)}, [(0, i) for i in range(1, 6)]),
+    "K2,3": (
+        {i: "a" for i in range(5)},
+        [(i, j) for i in range(2) for j in range(2, 5)],
+    ),
+    "K3,3": (
+        {i: "a" for i in range(6)},
+        [(i, j) for i in range(3) for j in range(3, 6)],
+    ),
+    "twins": (
+        {0: "a", 1: "b", 2: "b", 3: "a", 4: "c", 5: "c"},
+        [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)],
+    ),
+    "empty4": ({i: "a" for i in range(4)}, []),
+    "2xK3": (
+        {i: "a" for i in range(6)},
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+    ),
+}
+
+
+class TestSymmetryOracle:
+    """:meth:`QueryGraph.symmetry_constraints` against the brute-force
+    automorphism group."""
+
+    @pytest.mark.parametrize("shape", sorted(SYMMETRIC_SHAPES))
+    def test_symmetry_oracle_symmetric_shapes(self, shape):
+        labels, edges = SYMMETRIC_SHAPES[shape]
+        query = QueryGraph(labels, list(edges))
+        # Every injective map into one id more than there are nodes.
+        assert_one_kept_per_class_exhaustive(query, query.num_nodes + 1)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_symmetry_oracle_random_graphs(self, chunk):
+        rng = random.Random(f"{SEED}/symmetry/{chunk}")
+        for _ in range(60):
+            query = random_graph(rng)
+            ids = query.num_nodes + 2
+            maps = [
+                dict(zip(query.nodes, rng.sample(range(ids), query.num_nodes)))
+                for _ in range(8)
+            ]
+            assert_one_kept_per_class(query, maps)
+
+    def test_symmetry_oracle_renamings_agree(self):
+        rng = random.Random(f"{SEED}/symmetry/renamed")
+        for _ in range(100):
+            query = random_graph(rng)
+            assert position_pairs(renamed_copy(query, rng)) == (
+                position_pairs(query)
+            )
+
+    def test_symmetry_oracle_labels_compare_with_eq(self):
+        # 1 == 1.0: one label class, so the two leaves are symmetric.
+        query = QueryGraph(
+            {"c": "x", "a": 1, "b": 1.0}, [("c", "a"), ("c", "b")]
+        )
+        assert len(query.symmetry_constraints()) == 1
+
+    @pytest.mark.parametrize("shape", ["K10", "star10"])
+    def test_symmetry_oracle_large_groups_are_not_enumerated(self, shape):
+        # |Aut| is 10! and 9!; one search per orbit member stays fast.
+        labels, edges = CAPPED_SHAPES[shape]
+        query = QueryGraph(labels, list(edges))
+        query.canonical_order()
+        start = time.perf_counter()
+        pairs = query.symmetry_constraints()
+        elapsed = time.perf_counter() - start
+        assert len(pairs) == {"K10": 45, "star10": 36}[shape]
+        assert elapsed < 0.05
+
+
 def test_shared_graph_canonical_memo_under_thread_contention():
-    # The wire server shares one parsed graph across threads; the memo
-    # is unlocked, so racing first readers must all see the one answer.
+    # The wire server shares one parsed graph across threads; the memos
+    # are unlocked, so racing first readers must all see the one answer.
     shapes = [CAPPED_SHAPES[name] for name in ("K8", "star10", "4xK3")]
     expected = []
     for labels, edges in shapes:
         query = QueryGraph(labels, list(edges))
-        expected.append((query.canonical_form(), query.canonical_order()))
+        expected.append((
+            query.canonical_form(), query.canonical_order(),
+            query.symmetry_constraints(),
+        ))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -302,7 +455,10 @@ def test_shared_graph_canonical_memo_under_thread_contention():
             def read() -> None:
                 barrier.wait(timeout=10)
                 seen.append([
-                    (query.canonical_form(), query.canonical_order())
+                    (
+                        query.canonical_form(), query.canonical_order(),
+                        query.symmetry_constraints(),
+                    )
                     for query in shared
                 ])
 

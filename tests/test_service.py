@@ -410,8 +410,14 @@ class TestRenamedRequests:
         return build_peg(generate_dblp_pgd(num_authors=60, seed=5))
 
     def assert_answers(self, result, query, fresh):
+        """``result`` answers ``query`` as ``fresh``, a fresh evaluation
+        of it, does — the representative ``mapping`` included: a
+        match keeps the embedding least in canonical order, and a
+        renaming maps canonical order onto canonical order."""
         def keys(r):
-            return [(m.nodes, m.edges, m.probability) for m in r.matches]
+            return [
+                (m.nodes, m.edges, m.probability, m.mapping) for m in r.matches
+            ]
 
         assert keys(result) == keys(fresh) and len(fresh.matches) > 0
         for match in result.matches:
