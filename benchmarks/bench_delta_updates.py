@@ -1,4 +1,4 @@
-"""Live-update benchmark: delta-overlay maintenance vs full rebuild.
+"""Live-update benchmark: live index maintenance vs full rebuild.
 
 Measures the cost model the :mod:`repro.delta` subsystem promises:
 
@@ -8,10 +8,11 @@ Measures the cost model the :mod:`repro.delta` subsystem promises:
   time the same batch would otherwise cost; every batch is timed, and
   a batch should cost what it touches, whatever the graph's size and
   however many batches came before it,
-* **overlay lookup overhead** — online query latency through the
-  :class:`~repro.delta.overlay.DeltaOverlayIndex` (dirty-node masking +
-  delta union) relative to an engine rebuilt from scratch over the
-  *same* mutated graph. The estimator is the median overlay / rebuilt
+* **overlay lookup overhead** — online query latency through an index
+  that carries a live delta (:class:`~repro.index.path_index.PathIndex`
+  masking stored rows through dirty nodes and appending the delta's
+  rows) relative to an engine rebuilt from scratch over the *same*
+  mutated graph. The estimator is the median overlay / rebuilt
   ratio of ``LOOKUP_ROUNDS`` (9) paired rounds
   (:func:`benchmarks.paired.paired`, one workload pass of each per
   round), with its IQR and range, against the claim "the overlay reads
@@ -21,8 +22,8 @@ Measures the cost model the :mod:`repro.delta` subsystem promises:
   after every batch, which pays whatever the batch invalidated (link
   structures, and plans if a batch re-keyed them); the warm overlay
   passes above hide it. Reported only, never gated,
-* **compaction** — the cost of folding the delta back into the base
-  stores, after which lookups are overhead-free again.
+* **compaction** — the cost of folding the delta back into the index's
+  store, after which lookups are overhead-free again.
 
 A correctness spot check (overlay vs rebuild match sets) runs inside
 the benchmark: a fast wrong answer must fail, not impress. Results are

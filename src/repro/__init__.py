@@ -66,7 +66,6 @@ from repro.service import QueryService, ResultCache, ServiceStats
 from repro.delta import (
     AddEdge,
     AddEntity,
-    DeltaOverlayIndex,
     MergeEntities,
     MutationLog,
     UpdateEdgeDistribution,
@@ -114,7 +113,6 @@ __all__ = [
     "ServiceStats",
     "AddEdge",
     "AddEntity",
-    "DeltaOverlayIndex",
     "MergeEntities",
     "MutationLog",
     "UpdateEdgeDistribution",

@@ -26,9 +26,9 @@ Commands
     an offline bundle.
 ``apply-updates``
     Apply a batch of live-graph mutations (JSON ops) to a saved PEG —
-    and, when an offline bundle is given, to its index via the delta
-    overlay (enumerating only the paths through the nodes the batch
-    dirtied) with compaction, instead of a full rebuild. Ops can be
+    and, when an offline bundle is given, to its index, which absorbs
+    the batch (enumerating only the paths through the nodes it
+    dirtied) and is compacted, instead of a full rebuild. Ops can be
     appended to a durable mutation log for idempotent replay.
 ``serve``
     Serve a query workload through the concurrent
@@ -292,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     apply_updates.add_argument(
         "--snapshot",
         help=(
-            "offline-bundle directory to update through the delta overlay; "
-            "must exist (build it first with `build` or `serve`)"
+            "offline-bundle directory whose index absorbs the batch and is "
+            "compacted; must exist (build it first with `build` or `serve`)"
         ),
     )
     apply_updates.add_argument(

@@ -13,16 +13,18 @@ staying queryable and exact:
 * :mod:`repro.delta.log` — the append-only
   :class:`~repro.delta.log.MutationLog` on
   :class:`~repro.storage.recordlog.RecordLog`, replayable idempotently,
-* :mod:`repro.delta.mutate` — op application and dirty-node tracking,
-* :mod:`repro.delta.overlay` — the
-  :class:`~repro.delta.overlay.DeltaOverlayIndex` serving exact lookups
-  through mutations, with :meth:`~repro.delta.overlay.DeltaOverlayIndex.compact`
-  folding the delta back into the base stores.
+* :mod:`repro.delta.mutate` — op application and dirty-node tracking.
+
+The index keeps itself exact through mutations: the engine's one
+:class:`~repro.index.path_index.PathIndex` absorbs each batch's dirty
+nodes into its own live state
+(:meth:`~repro.index.path_index.PathIndex.absorb`) and folds it back
+into its store on :meth:`~repro.index.path_index.PathIndex.compact`.
 
 :func:`apply_mutations` is the engine-level entry point; it bumps the
 engine's ``graph_version`` so the serving layer's caches invalidate
 themselves (the version is part of every request key). A batch costs
-what it touches: the overlay enumerates only the paths through the
+what it touches: the index enumerates only the paths through the
 nodes the batch dirtied, and the context recomputes only the rows
 within one hop of them.
 """
@@ -41,7 +43,6 @@ from repro.delta.ops import (
     op_from_json,
     op_to_json,
 )
-from repro.delta.overlay import DeltaOverlayIndex
 from repro.index.context import patch_context
 from repro.obs.metrics import get_registry
 from repro.obs.timing import Timer
@@ -52,7 +53,6 @@ _OPS_APPLIED = get_registry().counter("repro_delta_ops_applied_total")
 __all__ = [
     "AddEdge",
     "AddEntity",
-    "DeltaOverlayIndex",
     "LoggedOp",
     "MergeEntities",
     "MutationLog",
@@ -79,20 +79,21 @@ def apply_mutations(engine, ops, log: MutationLog | None = None) -> dict:
     log cannot re-fail at it and strand the entries behind it;
     already-logged entries are not re-logged.
 
-    On success the engine's index is (re)wrapped in a
-    :class:`DeltaOverlayIndex`, its context is replaced by one patched
-    for the batch (:func:`~repro.index.context.patch_context`), and
-    ``graph_version`` is bumped — exactly once per batch; the caches
-    of what the engine derives from the PEG (results, link structures)
-    are keyed by that version, and probability arrays are views of the
-    graph's own columns, which the ops patched. Plans are not: they
-    depend on the histograms, which only compaction rewrites. If an op
+    On success the engine's index absorbs the dirtied nodes
+    (:meth:`~repro.index.path_index.PathIndex.absorb`), its context is
+    replaced by one patched for the batch
+    (:func:`~repro.index.context.patch_context`), and ``graph_version``
+    is bumped — exactly once per batch; the caches of what the engine
+    derives from the PEG (results, link structures) are keyed by that
+    version, and probability arrays are views of the graph's own
+    columns, which the ops patched. Plans are not: they depend on the
+    histograms, which only compaction rewrites. If an op
     fails midway, the dirtied prefix is still absorbed and the version
     still bumped (the PEG has changed), then the error propagates.
 
     The summary's ``enumerated_paths`` is what the batch cost the
-    overlay (directed partial paths expanded), ``delta_paths`` what the
-    overlay holds after it.
+    index (directed partial paths expanded), ``delta_paths`` what its
+    delta holds after it.
     """
     with Timer() as timer:
         summary = _apply_mutations(engine, ops, log)
@@ -129,19 +130,16 @@ def _apply_mutations(engine, ops, log) -> dict:
     if log is not None:
         log.flush()
     if dirty:
-        if not isinstance(engine.index, DeltaOverlayIndex):
-            engine.index = DeltaOverlayIndex(engine.index, engine.peg)
-        engine.index.absorb(dirty)
+        engine.index.absorb(engine.peg, dirty)
         engine.context = patch_context(engine.context, engine.peg, dirty)
         engine.graph_version += 1
     if error is not None:
         raise error
-    overlay = isinstance(engine.index, DeltaOverlayIndex)
     return {
         "applied": applied,
         "skipped": skipped,
         "dirty_nodes": len(dirty),
         "enumerated_paths": engine.index.enumerated_paths if dirty else 0,
-        "delta_paths": engine.index.delta_path_count() if overlay else 0,
+        "delta_paths": engine.index.delta_path_count(),
         "graph_version": engine.graph_version,
     }

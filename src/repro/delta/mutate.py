@@ -3,8 +3,8 @@
 :func:`apply_op` translates one typed operation
 (:mod:`repro.delta.ops`) into the PEG's graph-surgery primitives and
 returns the set of *dirty* node ids — the nodes whose incident paths
-may have changed. The delta overlay
-(:class:`~repro.delta.overlay.DeltaOverlayIndex`) uses exactly this
+may have changed. The path index's live state
+(:meth:`~repro.index.path_index.PathIndex.absorb`) uses exactly this
 set: a stored path is affected by a mutation **iff** it contains a
 dirty node, because under the supported operation set the probability
 components of a path depend only on the labels, edges and existence

@@ -12,11 +12,12 @@
 * :mod:`repro.index.builder` — the path enumeration (offline build,
   live absorb, on demand) with β pruning and symmetry canonicalisation,
   optionally on a process pool, and the one bucket writer,
-* :mod:`repro.index.protocol` — the lookup protocol every index
-  implementation speaks (validation + orientation shared in one place),
+* :mod:`repro.index.protocol` — canonical label-sequence orientation
+  and store read accounting,
 * :mod:`repro.index.path_index` — the queryable index: bucket range
   scans over one path store, orientation handling, cardinality
-  estimates,
+  estimates, and the live state that keeps it exact through mutations
+  (dirty ids, the delta of paths through them, compaction),
 * :mod:`repro.index.bundle` — the index and context saved as one
   directory.
 """
@@ -31,7 +32,6 @@ from repro.index.paths import (
 from repro.index.context import ContextInformation, build_context
 from repro.index.histogram import CardinalityHistogram
 from repro.index.protocol import (
-    PathIndexProtocol,
     canonical_sequence,
     is_palindrome,
     orient_to_sequence,
@@ -48,7 +48,6 @@ __all__ = [
     "ContextInformation",
     "build_context",
     "CardinalityHistogram",
-    "PathIndexProtocol",
     "canonical_sequence",
     "is_palindrome",
     "orient_to_sequence",

@@ -94,7 +94,7 @@ bucket) and :func:`write_buckets` puts such entries
 through :meth:`~repro.storage.kvstore.PathStore.put_bucket` — so the
 target may be any store, in memory or on disk. The serial build, the
 pool workers and compaction
-(:meth:`repro.delta.overlay.DeltaOverlayIndex.compact`) all call both.
+(:meth:`repro.index.path_index.PathIndex.compact`) all call both.
 """
 
 from __future__ import annotations

@@ -221,7 +221,7 @@ class ProbabilisticEntityGraph:
     # as a tombstone (existence probability zero, no adjacency, no
     # label), so paths stored by an offline index remain
     # addressable. Callers go through :mod:`repro.delta`, which also
-    # tracks the dirtied nodes for overlay index maintenance.
+    # tracks the dirtied nodes for the path index's live maintenance.
 
     def is_removed_id(self, node_id: int) -> bool:
         """True when the id belongs to a merged-away (tombstoned) entity."""
@@ -366,7 +366,7 @@ class ProbabilisticEntityGraph:
                 )
         # Resolve and validate every input *before* the first
         # tombstone: a failure past that point would leave the graph
-        # half-mutated with the overlay never told about the dirt.
+        # half-mutated with the index never told about the dirt.
         if label_dist is None:
             from repro.pgd.merge import average_labels
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
-from repro.index.protocol import PathIndexProtocol
+from repro.index.path_index import PathIndex
 from repro.obs.trace import current_span
 from repro.peg.arrays import PegProbabilityArrays
 from repro.peg.entity_graph import ProbabilisticEntityGraph
@@ -98,7 +98,7 @@ class CandidateFinder:
         peg: ProbabilisticEntityGraph,
         query: QueryGraph,
         alpha: float,
-        index: PathIndexProtocol | None = None,
+        index: PathIndex | None = None,
         context: ContextInformation | None = None,
         use_context: bool = True,
     ) -> None:

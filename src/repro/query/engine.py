@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.index.builder import build_path_index
 from repro.index.context import ContextInformation, build_context
-from repro.index.protocol import PathIndexProtocol, store_read_totals
+from repro.index.path_index import PathIndex
+from repro.index.protocol import store_read_totals
 from repro.obs.metrics import get_registry
 from repro.obs.timing import STAGES, StageRecorder
 from repro.obs.trace import NULL_SPAN, Span, current_span
@@ -241,7 +242,7 @@ class QueryEngine:
             self.planner = QueryPlanner(self)
             return
         with self.offline_timings.stage("path_index"):
-            self.index: PathIndexProtocol = build_path_index(
+            self.index: PathIndex = build_path_index(
                 peg,
                 max_length=max_length,
                 beta=beta,
@@ -262,10 +263,9 @@ class QueryEngine:
 
     def save_offline(self, directory: str) -> None:
         """Persist this engine's offline artifacts (index + context)."""
-        from repro.delta import DeltaOverlayIndex
         from repro.index.bundle import save_offline
 
-        if isinstance(self.index, DeltaOverlayIndex):
+        if self.index.dirty_nodes:
             raise IndexError_(
                 "engine has uncompacted live updates; call "
                 "compact_updates() before save_offline()"
@@ -295,13 +295,13 @@ class QueryEngine:
         """Absorb a batch of PEG mutations without an offline rebuild.
 
         Thin façade over :func:`repro.delta.apply_mutations`: applies
-        the ops to the PEG, wraps the index in a
-        :class:`~repro.delta.overlay.DeltaOverlayIndex` (first time),
-        patches the delta and the context tables for the dirtied nodes
-        (a new context object; the PEG's own columns were patched in
-        place by the ops) and bumps :attr:`graph_version` (which re-keys
-        the result and link caches). Cached plans survive: the overlay
-        estimates from the base histograms, which a batch leaves alone.
+        the ops to the PEG, has the index absorb the dirtied nodes
+        (:meth:`~repro.index.path_index.PathIndex.absorb` patches its
+        delta in place), patches the context tables for them (a new
+        context object; the PEG's own columns were patched in place by
+        the ops) and bumps :attr:`graph_version` (which re-keys the
+        result and link caches). Cached plans survive: the index
+        estimates from its histograms, which a batch leaves alone.
         Not safe to call concurrently with
         queries on this engine — the serving layer
         (:meth:`repro.service.QueryService.apply_updates`) provides the
@@ -312,27 +312,19 @@ class QueryEngine:
         return apply_mutations(self, ops, log=log)
 
     def compact_updates(self) -> dict:
-        """Fold the delta overlay back into the base index stores.
+        """Fold the index's live delta back into its store.
 
-        After compaction the engine's index is the (updated) base index
-        again — e.g. ready for :meth:`save_offline`. No-op for an
-        engine that never absorbed updates. Compaction rewrites the
-        histograms and bumps their epoch, which re-keys every cached
-        plan; the link cache needs nothing: compaction leaves the PEG,
-        and hence every candidate set and link structure, unchanged.
+        Delegates to :meth:`~repro.index.path_index.PathIndex.compact`:
+        the same index object is clean afterwards — e.g. ready for
+        :meth:`save_offline`. No-op (zero stats) for an index with no
+        absorbed updates. Compaction rewrites the histograms and bumps
+        their epoch, which re-keys every cached plan; the link cache
+        needs nothing: compaction leaves the PEG, and hence every
+        candidate set and link structure, unchanged. Like
+        :meth:`apply_updates`, not safe to call concurrently with
+        queries on this engine.
         """
-        from repro.delta import DeltaOverlayIndex
-
-        if not isinstance(self.index, DeltaOverlayIndex):
-            return {
-                "sequences_rewritten": 0,
-                "paths_dropped": 0,
-                "paths_added": 0,
-            }
-        overlay = self.index
-        stats = overlay.compact()
-        self.index = overlay.base
-        return stats
+        return self.index.compact()
 
     # ------------------------------------------------------------------
 

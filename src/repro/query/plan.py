@@ -22,7 +22,7 @@ cache:
 * **Nothing learned** — the planner keeps no state but the cache, so
   a plan is a pure function of its :func:`plan_key` and a cache hit
   returns exactly what a fresh plan would. Under live updates
-  (:mod:`repro.delta`) the delta overlay estimates from the base
+  (:mod:`repro.delta`) the index estimates from its stored-path
   histograms alone — stale by what the batches since compaction
   changed, which no lookup feeds back — and compaction trues them up.
 
@@ -166,8 +166,7 @@ class QueryPlanner:
                 alpha,
                 strategy,
                 options.seed,
-                # A delta overlay estimates from its base's histograms.
-                getattr(index, "base", index).histogram_epoch,
+                index.histogram_epoch,
                 self.engine.max_length,
             )
             entry = self.cache.get(key)

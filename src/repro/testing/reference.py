@@ -72,7 +72,7 @@ from repro.index.builder import PathIndexBuilder
 from repro.index.context import ContextInformation
 from repro.index.grid import milli
 from repro.index.paths import IndexedPath, PathCandidates, as_candidates
-from repro.index.protocol import PathIndexProtocol
+from repro.index.path_index import PathIndex
 from repro.peg.arrays import PegProbabilityArrays, component_table
 from repro.peg.entity_graph import ProbabilisticEntityGraph
 from repro.query.candidates import PathStatistics, compute_path_statistics
@@ -122,7 +122,7 @@ class ScalarCandidateFinder:
         peg: ProbabilisticEntityGraph,
         query: QueryGraph,
         alpha: float,
-        index: PathIndexProtocol | None = None,
+        index: PathIndex | None = None,
         context: ContextInformation | None = None,
         use_context: bool = True,
     ) -> None:

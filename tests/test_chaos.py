@@ -311,8 +311,7 @@ def lookups(engine, sequences) -> dict:
 
 
 def close_store(engine) -> None:
-    index = engine.index
-    getattr(index, "base", index).store.close()
+    engine.index.store.close()
 
 
 def no_temporaries(directory) -> bool:

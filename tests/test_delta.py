@@ -1,4 +1,4 @@
-"""Live-update subsystem: mutation log, overlay index, versioned caches."""
+"""Live-update subsystem: mutation log, the live index, versioned caches."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro.delta import (
     AddEdge,
     AddEntity,
-    DeltaOverlayIndex,
     MergeEntities,
     MutationLog,
     UpdateEdgeDistribution,
@@ -21,6 +20,7 @@ from repro.delta import (
     op_to_json,
 )
 from repro.datasets import SyntheticConfig, generate_synthetic_pgd, random_query
+from repro.index.protocol import store_read_totals
 from repro.pgd import BernoulliEdge, ConditionalEdge, pgd_from_edge_list
 from repro.peg import build_peg
 from repro.query import QueryEngine, QueryGraph, QueryOptions
@@ -45,16 +45,12 @@ def path_keys(paths):
 
 
 def all_sequences(engine_a, engine_b):
-    """Union of canonical sequences both indexes know about."""
-    def sequences(index):
-        base = index.base if isinstance(index, DeltaOverlayIndex) else index
-        return set(base.histograms)
-
-    return sequences(engine_a.index) | sequences(engine_b.index)
+    """Union of canonical sequences both indexes hold stored paths of."""
+    return set(engine_a.index.histograms) | set(engine_b.index.histograms)
 
 
 def assert_index_agrees(engine, rebuilt, alphas=(0.1, 0.3, 0.6)):
-    """Overlay lookups must equal a from-scratch rebuild, sequence by
+    """Live lookups must equal a from-scratch rebuild, sequence by
     sequence."""
     for seq in all_sequences(engine, rebuilt):
         for alpha in alphas:
@@ -206,7 +202,7 @@ class TestMutationLog:
         assert engine.applied_mutation_seq == 1
         before = {
             seq: path_keys(engine.index.lookup_canonical(seq, 0.1))
-            for seq in engine.index.base.histograms
+            for seq in engine.index.histograms
         }
 
         # Replaying the whole log over the same engine applies nothing.
@@ -224,19 +220,34 @@ class TestMutationLog:
         log.close()
 
 
+def pristine_engine():
+    """An engine over the unmutated ``peg`` fixture graph: node ids are
+    positional, so its lookups are what the fixture's index served
+    before any batch."""
+    return QueryEngine(
+        small_random_peg(seed=1234, num_references=40),
+        max_length=2, beta=0.05,
+    )
+
+
 class TestOverlayLookup:
-    def test_fall_through_without_mutations(self, peg, engine):
-        overlay = DeltaOverlayIndex(engine.index, peg)
-        for seq in engine.index.histograms:
-            assert path_keys(overlay.lookup_canonical(seq, 0.1)) == path_keys(
-                engine.index.lookup_canonical(seq, 0.1)
-            )
-        assert overlay.num_paths() == engine.index.num_paths()
-        assert overlay.dirty_nodes == frozenset()
-        assert overlay.delta_path_count() == 0
+    def test_clean_index_has_no_live_state(self, engine):
+        """A built index is clean, and compacting it is a no-op that
+        re-keys no plan."""
+        index = engine.index
+        assert index.dirty_nodes == frozenset()
+        assert index.delta_path_count() == 0
+        stats = index.stats()
+        assert stats["dirty_nodes"] == 0
+        assert stats["delta_sequences"] == stats["delta_paths"] == 0
+        assert engine.compact_updates() == {
+            "sequences_rewritten": 0, "paths_dropped": 0, "paths_added": 0,
+        }
+        assert index.histogram_epoch == 0 and engine.index is index
 
     def test_clean_sequences_keep_base_results(self, peg, engine):
-        """Paths that avoid dirty nodes are served verbatim from base."""
+        """Paths that avoid dirty nodes are served verbatim from the
+        store."""
         base = engine.index
         base_content = {
             seq: path_keys(base.lookup_canonical(seq, 0.1))
@@ -246,32 +257,33 @@ class TestOverlayLookup:
         engine.apply_updates(
             [AddEntity(("island",), {sigma[0]: 1.0}, 0.8)]
         )
-        overlay = engine.index
-        assert isinstance(overlay, DeltaOverlayIndex)
-        (island_id,) = overlay.dirty_nodes
+        index = engine.index
+        assert index is base
+        (island_id,) = index.dirty_nodes
         for seq, want in base_content.items():
-            got = overlay.lookup_canonical(seq, 0.1)
+            got = index.lookup_canonical(seq, 0.1)
             kept = [p for p in want if island_id not in p[0]]
             extra = [k for k in path_keys(got) if island_id in k[0]]
             assert sorted(set(path_keys(got)) - set(extra)) == kept
 
     def test_order_is_kept_base_rows_then_sorted_delta_rows(self, peg, engine):
-        """Downstream stages are order-sensitive: surviving base rows
-        keep the base's order, delta rows follow by decreasing
+        """Downstream stages are order-sensitive: surviving stored rows
+        keep the store's order, delta rows follow by decreasing
         probability (ties by node ids)."""
         sigma = sorted(peg.sigma, key=repr)
         anchor = singleton_ids(peg)[0]
+        pristine = pristine_engine()
         engine.apply_updates([
             AddEntity(("fresh",), {sigma[0]: 0.6, sigma[1]: 0.4}, 0.9),
             AddEdge(refs(peg, anchor), ("fresh",), BernoulliEdge(0.8)),
         ])
-        overlay = engine.index
-        dirty = overlay.dirty_nodes
+        index = engine.index
+        dirty = index.dirty_nodes
         masked = added = 0
-        for seq in all_sequences(engine, engine) | set(overlay._delta):
+        for seq in all_sequences(engine, engine) | set(index._delta):
             for alpha in (0.1, 0.3):
-                got = list(overlay.lookup_canonical(seq, alpha))
-                base = list(overlay.base.lookup_canonical(seq, alpha))
+                got = list(index.lookup_canonical(seq, alpha))
+                base = list(pristine.index.lookup_canonical(seq, alpha))
                 kept = [p for p in base if dirty.isdisjoint(p.nodes)]
                 tail = got[len(kept):]
                 assert got[:len(kept)] == kept
@@ -284,26 +296,20 @@ class TestOverlayLookup:
                 added += len(tail)
         assert masked and added
 
-    def test_overlays_do_not_nest(self, peg, engine):
-        overlay = DeltaOverlayIndex(engine.index, peg)
-        with pytest.raises(DeltaError):
-            DeltaOverlayIndex(overlay, peg)
-
     def test_estimate_ignores_the_delta(self, peg, engine):
-        """A batch that adds paths above alpha leaves the estimate at
-        the base's: absorbs move no estimate (and hence no plan)."""
+        """A batch that adds paths above alpha leaves the estimate where
+        it was: absorbs move no estimate (and hence no plan)."""
         sigma = sorted(peg.sigma, key=repr)
         anchor = singleton_ids(peg)[0]
         label = sigma[0]
+        seq = (label,)
+        before = engine.index.estimate_cardinality(seq, 0.9)
         engine.apply_updates([
             AddEntity(("fresh-b",), {label: 1.0}, 1.0),
             AddEdge(refs(peg, anchor), ("fresh-b",), BernoulliEdge(1.0)),
         ])
-        seq = (label,)
         assert len(engine.index._delta[seq].above(0.9)) >= 1
-        assert engine.index.estimate_cardinality(
-            seq, 0.9
-        ) == engine.index.base.estimate_cardinality(seq, 0.9)
+        assert engine.index.estimate_cardinality(seq, 0.9) == before
 
 
 class TestApplyAndCompact:
@@ -338,15 +344,15 @@ class TestApplyAndCompact:
         assert_index_agrees(engine, rebuilt)
         stats = engine.compact_updates()
         assert stats["sequences_rewritten"] > 0
-        assert not isinstance(engine.index, DeltaOverlayIndex)
+        assert engine.index.dirty_nodes == frozenset()
         assert_index_agrees(engine, rebuilt)
         # Histograms trued up: path counts match the rebuild exactly.
         assert engine.index.num_paths() == rebuilt.index.num_paths()
 
     def test_disk_overlay_equals_memory(self, tmp_path):
-        """The overlay cannot tell a disk base store from an in-memory
+        """The live state cannot tell a disk store from an in-memory
         one: same introspection before compaction, same store content
-        after — and compaction's ``base.store.flush()`` reaches disk."""
+        after — and compaction's ``store.flush()`` reaches disk."""
         plain_peg = small_random_peg(seed=1234, num_references=40)
         disk_peg = small_random_peg(seed=1234, num_references=40)
         plain = QueryEngine(plain_peg, max_length=2, beta=0.05)
@@ -356,17 +362,14 @@ class TestApplyAndCompact:
         )
         sigma = sorted(plain_peg.sigma, key=repr)
         anchor = refs(plain_peg, singleton_ids(plain_peg)[0])
+        stored_sequences = disk.index.num_sequences()
         for engine in (plain, disk):
             engine.apply_updates([
                 AddEntity(("s-1",), {sigma[0]: 0.6, "fresh-label": 0.4}, 0.9),
                 AddEdge(anchor, ("s-1",), BernoulliEdge(0.8)),
             ])
-        assert isinstance(disk.index, DeltaOverlayIndex)
         assert disk.index.num_sequences() == plain.index.num_sequences()
-        assert (
-            disk.index.num_sequences()
-            > disk.index.base.num_sequences()
-        )
+        assert disk.index.num_sequences() > stored_sequences
         assert disk.index.num_paths() == plain.index.num_paths()
 
         def comparable(stats):
@@ -387,6 +390,57 @@ class TestApplyAndCompact:
                 plain.index.store
             )
         disk.index.store.close()
+
+    def test_stats_count_what_the_index_serves(self, peg, engine):
+        """``stats()`` and ``offline_stats()`` report the live counts:
+        after a batch that adds a sequence, the paths and sequences
+        ``num_paths()`` / ``num_sequences()`` count, delta included."""
+        sigma = sorted(peg.sigma, key=repr)
+        anchor = refs(peg, singleton_ids(peg)[0])
+        stored_sequences = engine.index.num_sequences()
+        engine.apply_updates([
+            AddEntity(("st-1",), {sigma[0]: 0.6, "stats-label": 0.4}, 0.9),
+            AddEdge(anchor, ("st-1",), BernoulliEdge(0.8)),
+        ])
+        index = engine.index
+        assert index.num_sequences() > stored_sequences
+        for stats in (index.stats(), engine.offline_stats()):
+            assert stats["paths"] == index.num_paths()
+            assert stats["sequences"] == index.num_sequences()
+            assert stats["delta_paths"] == index.delta_path_count() > 0
+            assert stats["dirty_nodes"] == len(index.dirty_nodes)
+
+    def test_one_index_object_through_batches_and_compaction(
+        self, peg, engine
+    ):
+        """``engine.index`` is one object from the build through every
+        batch and compaction; compaction leaves it clean, serving what
+        a fresh build serves, and its store keeps counting reads."""
+        sigma = sorted(peg.sigma, key=repr)
+        a, b = singleton_ids(peg)[:2]
+        index = engine.index
+        engine.apply_updates([
+            UpdateLabelProbability(refs(peg, a), {sigma[0]: 1.0}),
+            AddEntity(("life-1",), {sigma[1]: 1.0}, 0.9),
+            AddEdge(refs(peg, a), ("life-1",), BernoulliEdge(0.8)),
+        ])
+        assert engine.index is index and index.dirty_nodes
+        assert_index_agrees(engine, QueryEngine(peg, max_length=2, beta=0.05))
+        reads = store_read_totals(index)
+        assert reads[0] > 0
+        engine.compact_updates()
+        assert engine.index is index
+        assert index.dirty_nodes == frozenset()
+        assert index.delta_path_count() == 0
+        compacted = store_read_totals(index)
+        assert compacted[0] >= reads[0] and compacted[1] >= reads[1]
+        rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
+        assert_index_agrees(engine, rebuilt)
+        assert store_read_totals(index)[0] > compacted[0]
+        engine.apply_updates([
+            UpdateLabelProbability(refs(peg, b), {sigma[1]: 1.0})
+        ])
+        assert engine.index is index and index.dirty_nodes == {b}
 
     def test_save_offline_requires_compaction(self, tmp_path, peg, engine):
         sigma = sorted(peg.sigma, key=repr)
@@ -460,10 +514,10 @@ class TestIncrementalAbsorb:
     (:func:`assert_delta_equivalence`: the cumulative refresh, and
     ``build_context`` of the mutated graph)."""
 
-    def rows_through(self, overlay, node):
+    def rows_through(self, index, node):
         return sum(
             int((rows.nodes == node).any(axis=1).sum())
-            for rows in overlay._delta.values()
+            for rows in index._delta.values()
         )
 
     def test_same_node_dirtied_in_two_batches(self, peg, engine):
@@ -601,21 +655,21 @@ class TestIncrementalAbsorb:
         """The dirty mask spans the id space as it stands after each
         batch: a batch dirtying an id it appended itself, after
         compaction one dirtying an id an earlier batch appended, and one
-        appending to a live overlay are masked, absorbed and compacted
+        appending to a live index are masked, absorbed and compacted
         as a rebuild files them."""
         sigma = sorted(peg.sigma, key=repr)
         anchor = refs(peg, singleton_ids(peg)[0])
 
-        def assert_mask(overlay):
-            assert overlay._dirty_mask.shape == (peg.columns.size,)
-            assert np.flatnonzero(overlay._dirty_mask).tolist() == sorted(
-                overlay.dirty_nodes
+        def assert_mask(index):
+            assert index._dirty_mask.shape == (peg.columns.size,)
+            assert np.flatnonzero(index._dirty_mask).tolist() == sorted(
+                index.dirty_nodes
             )
 
         def assert_rebuilt(step):
             rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
             assert_index_agrees(engine, rebuilt)
-            if isinstance(engine.index, DeltaOverlayIndex):
+            if engine.index.dirty_nodes:
                 assert_mask(engine.index)
                 assert_delta_equivalence(engine, step)
             else:
@@ -640,13 +694,13 @@ class TestIncrementalAbsorb:
         ])
         assert x in engine.index.dirty_nodes
         assert_rebuilt("appended by the batch before compaction")
-        overlay = engine.index
+        index = engine.index
         engine.apply_updates([
             AddEntity(("mask-z",), {sigma[0]: 1.0}, 1.0),
             AddEdge(("mask-y",), ("mask-z",), BernoulliEdge(0.7)),
         ])
-        assert engine.index is overlay
-        assert_rebuilt("appended while the overlay was live")
+        assert engine.index is index
+        assert_rebuilt("appended while the index was live")
         engine.compact_updates()
         assert_rebuilt("compacted twice")
 
@@ -768,7 +822,7 @@ class TestReviewRegressions:
             ])
         assert not peg.is_removed_id(a) and not peg.is_removed_id(b)
         assert engine.graph_version == 0
-        assert not isinstance(engine.index, DeltaOverlayIndex)
+        assert engine.index.dirty_nodes == frozenset()
 
     def test_rejected_op_is_not_logged(self, tmp_path, peg, engine):
         """A failing op must not poison the durable log for replay."""
@@ -838,16 +892,17 @@ class TestReviewRegressions:
 
 
 class TestOverlayEstimates:
-    """A live overlay estimates from the base histograms alone, whatever
-    batches and lookups ran before, until compaction rewrites them."""
+    """A live index estimates from its stored-path histograms alone,
+    whatever batches and lookups ran before, until compaction rewrites
+    them."""
 
-    def test_estimate_is_the_base_estimate_until_compaction(
+    def test_estimate_is_the_pre_batch_estimate_until_compaction(
         self, peg, engine
     ):
         sigma = sorted(peg.sigma, key=repr)
         anchor, other = singleton_ids(peg)[:2]
-        base = engine.index
-        alphas = (base.beta, 0.3, 0.6, 0.9)
+        pristine = pristine_engine().index
+        alphas = (pristine.beta, 0.3, 0.6, 0.9)
 
         def estimates(index, sequences) -> list:
             return [
@@ -855,28 +910,27 @@ class TestOverlayEstimates:
                 for seq in sequences for alpha in alphas
             ]
 
-        base_sequences = sorted(base.histograms, key=repr)
-        pristine = estimates(base, base_sequences)
         engine.apply_updates([
             UpdateLabelProbability(refs(peg, anchor), {sigma[0]: 1.0}),
             AddEntity(("est-new",), {sigma[1]: 1.0}, 1.0),
             AddEdge(refs(peg, other), ("est-new",), BernoulliEdge(0.9)),
         ])
-        overlay = engine.index
-        assert isinstance(overlay, DeltaOverlayIndex) and overlay._delta
-        sequences = sorted(set(base_sequences) | set(overlay._delta), key=repr)
-        want = estimates(base, sequences)
-        assert estimates(overlay, sequences) == want
+        index = engine.index
+        assert index._delta
+        sequences = sorted(
+            set(pristine.histograms) | set(index._delta), key=repr
+        )
+        want = estimates(pristine, sequences)
+        assert estimates(index, sequences) == want
         for seq in sequences:
             for alpha in alphas:
-                overlay.lookup_canonical(seq, alpha)
-        assert estimates(overlay, sequences) == want
+                index.lookup_canonical(seq, alpha)
+        assert estimates(index, sequences) == want
         engine.apply_updates([
             UpdateLabelProbability(refs(peg, other), {sigma[2]: 1.0})
         ])
-        assert engine.index is overlay
-        assert estimates(overlay, sequences) == want
-        assert estimates(base, base_sequences) == pristine
+        assert engine.index is index
+        assert estimates(index, sequences) == want
         # Compaction rewrites the histograms: the rebuild's estimates.
         engine.compact_updates()
         rebuilt = QueryEngine(peg, max_length=2, beta=0.05)
@@ -943,7 +997,7 @@ def live_batches(peg, count: int) -> list:
 
 
 class TestOverlayPlanDeterminism:
-    """On a live overlay a plan is still a pure function of its cache
+    """On a live index a plan is still a pure function of its cache
     key: lookups at one graph version leave every later plan's
     estimated cost unchanged."""
 
@@ -952,7 +1006,7 @@ class TestOverlayPlanDeterminism:
         engine = QueryEngine(peg, max_length=2, beta=0.3)
         for batch in live_batches(peg, 3):
             engine.apply_updates(batch)
-        assert isinstance(engine.index, DeltaOverlayIndex)
+        assert engine.index.dirty_nodes
         sigma = [f"L{i}" for i in range(LIVE_GRAPH.num_labels)]
         rng = random.Random(f"{LIVE_SEED}/live_updates")
         queries = [

@@ -118,8 +118,8 @@ def planned_candidates(engine, query, alpha, options=GREEDY_PLAN):
 def assert_link_equivalence(engine, query, alpha, context):
     """Vectorized and reference link builders emit identical link sets.
 
-    Candidates are fetched through the engine's live index (overlay or
-    compacted base included), so the comparison covers exactly the
+    Candidates are fetched through the engine's live index (dirty or
+    compacted), so the comparison covers exactly the
     inputs the engine's link stage sees. Returns the vectorized build's
     stats.
     """
@@ -187,8 +187,8 @@ def assert_lookup_equivalence(
 ):
     """The array finder and the scalar oracle agree row for row.
 
-    Both read the *same* live index (``engine.index`` — overlay or
-    compacted base included) and must return the same raw count and the
+    Both read the *same* live index (``engine.index`` — dirty or
+    compacted) and must return the same raw count and the
     same kept rows in the same order, ``prle``/``prn`` ``.hex()``-equal;
     the array finder returns them as columns. ``paths`` defaults to the planned
     decomposition's. Returns the span the array finder reported into.
@@ -215,16 +215,16 @@ def assert_lookup_equivalence(
     return span
 
 
-def delta_oracle(overlay):
-    """What the overlay's delta must hold, by the cumulative refresh
-    the overlay used to run: every canonical path of the *whole*
-    mutated graph, kept when it contains a dirty node, per sequence by
-    ``(-probability, nodes)``."""
+def delta_oracle(engine):
+    """What the index's delta must hold, by a cumulative refresh: every
+    canonical path of the *whole* mutated graph, kept when it contains
+    a dirty node, per sequence by ``(-probability, nodes)``."""
+    index = engine.index
     per_key, _counts = PathIndexBuilder(
-        overlay.peg, max_length=overlay.max_length,
-        beta=overlay.beta, gamma=overlay.gamma,
+        engine.peg, max_length=index.max_length,
+        beta=index.beta, gamma=index.gamma,
     ).collect_buckets()
-    dirty = overlay.dirty_nodes
+    dirty = index.dirty_nodes
     oracle = {}
     for labels, rows in per_key.items():
         paths = [path for path in rows if not dirty.isdisjoint(path.nodes)]
@@ -238,12 +238,12 @@ def assert_delta_equivalence(engine, context):
     """The patched delta and the patched context are what a refresh of
     the cumulative dirty set and a ``build_context`` of the mutated
     graph give: sequence for sequence, row for row, floats bit for bit."""
-    overlay = engine.index
+    index = engine.index
     delta = {
-        seq: candidate_records(rows) for seq, rows in overlay._delta.items()
+        seq: candidate_records(rows) for seq, rows in index._delta.items()
     }
-    assert delta == delta_oracle(overlay), context
-    assert overlay.delta_path_count() == sum(map(len, delta.values()))
+    assert delta == delta_oracle(engine), context
+    assert index.delta_path_count() == sum(map(len, delta.values()))
     rebuilt = build_context(engine.peg)
     patched = engine.context
     assert patched.sigma == rebuilt.sigma, context
@@ -1489,7 +1489,7 @@ def _mutation_cases():
     ids=lambda value: value if isinstance(value, int) else None,
 )
 def test_mutation_differential(graph_index, config, mutation_seed):
-    """Overlay-served results equal a from-scratch rebuild and Eq. 8.
+    """Live-index results equal a from-scratch rebuild and Eq. 8.
 
     Random mutation batches are absorbed by a running engine; every
     query must then agree — pre- *and*
@@ -1528,7 +1528,7 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 ) == oracle, context
                 # Planned execution over the mutated graph: greedy plans
                 # (the default exact ones ran above; both costed on
-                # the overlay's estimates) and their
+                # the live index's estimates) and their
                 # cache hits must still match the oracle.
                 greedy = engine.query(query, alpha, GREEDY_PLAN)
                 cached = engine.query(query, alpha, GREEDY_PLAN)
@@ -1536,14 +1536,14 @@ def test_mutation_differential(graph_index, config, mutation_seed):
                 assert match_keys(cached.matches) == oracle, context
                 assert cached.plan.cached, context
                 # Link-builder differential on the mutated graph, both
-                # overlay-served (pre-compact) and compacted.
+                # with a live delta (pre-compact) and compacted.
                 assert_link_equivalence(engine, query, alpha, context)
                 # ... and the array matcher against the DFS reference
                 # over it (tombstoned and appended node ids included).
                 assert_matcher_equivalence(engine, query, alpha, context)
                 # ... and the array finder against the scalar oracle:
-                # masked base rows plus delta rows before compaction,
-                # the rewritten base after it.
+                # masked stored rows plus delta rows before compaction,
+                # the rewritten store after it.
                 assert_lookup_equivalence(engine, query, alpha, context)
                 case += 1
     assert case == 2 * QUERIES_PER_GRAPH * len(ALPHAS)

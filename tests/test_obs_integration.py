@@ -294,7 +294,7 @@ class TestDeltaMetrics:
             snap["repro_delta_ops_applied_total"]
             == before.get("repro_delta_ops_applied_total", 0) + 1
         )
-        # What the batch cost and what the overlay holds, as counts:
+        # What the batch cost and what the delta holds, as counts:
         # the summary, the counter and the gauge read the same numbers.
         assert summary["enumerated_paths"] > 0
         assert (

@@ -243,7 +243,7 @@ class TestPlanEpoch:
             UpdateLabelProbability(("epoch-1",), {sigma[2]: 1.0})
         ])
         assert_sources(cached=True)
-        epoch = engine.index.base.histogram_epoch
+        epoch = engine.index.histogram_epoch
         engine.compact_updates()
         assert engine.index.histogram_epoch == epoch + 1
         assert_sources(cached=False)
